@@ -27,6 +27,7 @@ from repro.config.parameters import ParameterSpace
 from repro.config.rules import require_valid
 from repro.engine.backend import EngineStats, EvaluationBackend
 from repro.errors import OptimizationError
+from repro.obs.tracer import span
 from repro.platform.liquid import LiquidPlatform
 from repro.platform.measurement import Measurement
 from repro.core.approximations import PredictedCosts, predict_costs, prediction_errors
@@ -163,11 +164,13 @@ class MicroarchTuner:
         recommended configuration (the paper's "actual synthesis" rows).
         """
         model = model or self.build_model(workload, parameters=parameters)
-        solve_start = time.perf_counter()
-        problem = build_problem(
-            model, weights, lut_nonlinear=lut_nonlinear, bram_nonlinear=bram_nonlinear)
-        solution = self.solver.solve(problem)
-        self._record_stage("solve", time.perf_counter() - solve_start)
+        with span("solve", workload=workload.name) as solve_span:
+            solve_start = time.perf_counter()
+            problem = build_problem(
+                model, weights, lut_nonlinear=lut_nonlinear, bram_nonlinear=bram_nonlinear)
+            solution = self.solver.solve(problem)
+            self._record_stage("solve", time.perf_counter() - solve_start)
+            solve_span.set(variables=problem.variable_count)
         configuration = require_valid(model.space.apply(solution.selection))
         predicted = predict_costs(model, solution.selection)
         actual = self.platform.measure(workload, configuration) if verify else None

@@ -542,7 +542,8 @@ class ParallelEvaluator:
 
         # materialise every workload's trace up front so trace generation is
         # accounted as its own stage instead of leaking into cache planning
-        with self._stage("trace_generation", workloads=len(batches)):
+        with self._stage("trace_generation",
+                         workload=",".join(w.name for w in batches)):
             for workload in batches:
                 workload.trace()
 
@@ -626,7 +627,7 @@ class ParallelEvaluator:
         start = time.perf_counter()
         self.stats.batches += 1
 
-        with self._stage("trace_generation"):
+        with self._stage("trace_generation", workload=workload.name):
             workload.trace()
 
         missing, ready = self._plan_workload_batch(workload, configs)

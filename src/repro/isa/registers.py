@@ -16,11 +16,17 @@ based on the call-depth trace recorded by the functional simulator (see
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.errors import SimulationError
 
-__all__ = ["RegisterFile", "register_number", "register_name", "REGISTER_ALIASES"]
+__all__ = [
+    "RegisterFile",
+    "register_number",
+    "register_name",
+    "REGISTER_ALIASES",
+    "REGISTER_SLOTS",
+]
 
 #: Friendly aliases accepted by the assembler.
 REGISTER_ALIASES: Dict[str, str] = {"sp": "o6", "fp": "i6", "ra": "o7", "zero": "g0"}
@@ -51,72 +57,75 @@ def register_name(number: int) -> str:
     return f"{_GROUP_NAME[base]}{number - base}"
 
 
-class RegisterFile:
-    """Unbounded windowed register file with 32-bit wrap-around semantics."""
+#: Base shift of one SAVE: a window's locals and outs (its ins are the caller's outs).
+_WINDOW_STRIDE = 16
 
-    __slots__ = ("_globals", "_windows", "_bottom_ins", "_cwp", "max_depth")
+#: Where each architectural register (0..31) lives in :attr:`RegisterFile.values`,
+#: as ``(offset, mask)``: its position is ``(base & mask) + offset``.  The globals
+#: are absolute (mask 0); a windowed register sits at a fixed offset from the
+#: window base (mask -1): ins at +8, locals at +16, outs at +24, so the next
+#: window's ins are this window's outs.
+REGISTER_SLOTS: Tuple[Tuple[int, int], ...] = tuple(
+    (reg, 0) if reg < 8 else (reg + 16 if reg < 16 else reg if reg < 24 else reg - 16, -1)
+    for reg in range(32))
+
+
+class RegisterFile:
+    """Unbounded windowed register file with 32-bit wrap-around semantics.
+
+    All registers live in one flat list, :attr:`values`: the globals at
+    ``[0, 8)`` and the window at depth ``d`` from ``base = 16 * d`` on
+    (see :data:`REGISTER_SLOTS`), so window ``d + 1``'s ins are window
+    ``d``'s outs and SAVE/RESTORE only move :attr:`base`.  A window is
+    allocated, zeroed, the first time a SAVE reaches it and keeps its
+    values afterwards; ``values[0]`` (``%g0``) is never written.
+    """
+
+    __slots__ = ("values", "base")
 
     def __init__(self) -> None:
-        self._globals: List[int] = [0] * 8
-        # each window holds locals[0:8] + outs[8:16]
-        self._windows: List[List[int]] = [[0] * 16]
-        self._bottom_ins: List[int] = [0] * 8
-        self._cwp = 0
-        self.max_depth = 0
+        self.values: List[int] = [0] * 32  # the globals, then window 0
+        self.base = 0
 
     # -- window management --------------------------------------------------------
 
     @property
     def window(self) -> int:
         """Current window (call depth relative to the initial window)."""
-        return self._cwp
+        return self.base // _WINDOW_STRIDE
+
+    @property
+    def max_depth(self) -> int:
+        """Deepest window reached so far (windows are allocated on first entry)."""
+        return (len(self.values) - 32) // _WINDOW_STRIDE
 
     def save_window(self) -> None:
         """Enter a new register window (callee side of SAVE)."""
-        self._cwp += 1
-        if self._cwp == len(self._windows):
-            self._windows.append([0] * 16)
-        self.max_depth = max(self.max_depth, self._cwp)
+        self.base += _WINDOW_STRIDE
+        if self.base + 32 > len(self.values):
+            self.values.extend([0] * _WINDOW_STRIDE)
 
     def restore_window(self) -> None:
         """Return to the caller's register window (RESTORE / RET)."""
-        if self._cwp == 0:
+        if self.base == 0:
             raise SimulationError("register window underflow below the initial window")
-        self._cwp -= 1
+        self.base -= _WINDOW_STRIDE
 
     # -- register access --------------------------------------------------------------
 
+    def index(self, reg: int) -> int:
+        """Position of architectural register ``reg`` (0..31) in :attr:`values`."""
+        offset, mask = REGISTER_SLOTS[reg]
+        return (self.base & mask) + offset
+
     def read(self, reg: int) -> int:
         """Read architectural register ``reg`` (0..31) in the current window."""
-        if reg == 0:
-            return 0
-        if reg < 8:
-            return self._globals[reg]
-        if reg < 16:  # outs
-            return self._windows[self._cwp][8 + (reg - 8)]
-        if reg < 24:  # locals
-            return self._windows[self._cwp][reg - 16]
-        # ins: the caller's outs
-        if self._cwp == 0:
-            return self._bottom_ins[reg - 24]
-        return self._windows[self._cwp - 1][8 + (reg - 24)]
+        return self.values[self.index(reg)]
 
     def write(self, reg: int, value: int) -> None:
         """Write ``value`` (wrapped to 32 bits) to register ``reg``."""
-        value &= _MASK32
-        if reg == 0:
-            return  # %g0 ignores writes
-        if reg < 8:
-            self._globals[reg] = value
-        elif reg < 16:
-            self._windows[self._cwp][8 + (reg - 8)] = value
-        elif reg < 24:
-            self._windows[self._cwp][reg - 16] = value
-        else:
-            if self._cwp == 0:
-                self._bottom_ins[reg - 24] = value
-            else:
-                self._windows[self._cwp - 1][8 + (reg - 24)] = value
+        if reg:  # %g0 ignores writes
+            self.values[self.index(reg)] = value & _MASK32
 
     def read_signed(self, reg: int) -> int:
         """Read a register interpreting the value as a signed 32-bit integer."""

@@ -16,7 +16,7 @@ from repro.microarch.statistics import (
     cycles_to_seconds,
 )
 from repro.microarch.timing import TimingModel, TimingParameters, count_window_traps
-from repro.microarch.trace import ExecutionTrace, TraceBuilder
+from repro.microarch.trace import ExecutionTrace
 
 __all__ = [
     "Cache",
@@ -38,5 +38,4 @@ __all__ = [
     "TimingParameters",
     "count_window_traps",
     "ExecutionTrace",
-    "TraceBuilder",
 ]

@@ -974,6 +974,13 @@ def replay_many_associative(
         age2d[frow, victim] = ops[:, 2]
 
     if switch < len(bounds) - 1:
+        if all_lru:
+            # the lean path keeps no fill counter, but the serial tail
+            # reads it to tell cold sets from full ones: count the fills
+            head = slice(0, bounds[switch])
+            fills_so_far = np.bincount(
+                m_row[head][absent_all[head] & m_read[head]],
+                minlength=count * max_sets)
         _replay_tail_serial(
             slice(bounds[switch], total_events),
             m_row, m_tag, m_read, m_code, m_rv, m_last1, m_fill_tick1,

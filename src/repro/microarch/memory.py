@@ -39,9 +39,15 @@ class Memory:
             memory.write_bytes(layout.data_base, program.data)
         return memory
 
+    @property
+    def buffer(self) -> bytearray:
+        """The backing little-endian bytes (the simulator indexes them directly)."""
+        return self._data
+
     # -- bounds / alignment -------------------------------------------------------------
 
-    def _check(self, address: int, size: int, *, aligned: bool = True) -> None:
+    def check(self, address: int, size: int, *, aligned: bool = True) -> None:
+        """Raise :class:`SimulationError` unless ``[address, address+size)`` is a valid access."""
         if address < 0 or address + size > self.size:
             raise SimulationError(
                 f"memory access at {address:#x} (+{size}) outside memory of size {self.size:#x}")
@@ -51,37 +57,37 @@ class Memory:
     # -- word/half/byte accessors -----------------------------------------------------------
 
     def load_word(self, address: int) -> int:
-        self._check(address, 4)
+        self.check(address, 4)
         return int.from_bytes(self._data[address:address + 4], "little")
 
     def load_half(self, address: int) -> int:
-        self._check(address, 2)
+        self.check(address, 2)
         return int.from_bytes(self._data[address:address + 2], "little")
 
     def load_byte(self, address: int) -> int:
-        self._check(address, 1)
+        self.check(address, 1)
         return self._data[address]
 
     def store_word(self, address: int, value: int) -> None:
-        self._check(address, 4)
+        self.check(address, 4)
         self._data[address:address + 4] = (value & 0xFFFFFFFF).to_bytes(4, "little")
 
     def store_half(self, address: int, value: int) -> None:
-        self._check(address, 2)
+        self.check(address, 2)
         self._data[address:address + 2] = (value & 0xFFFF).to_bytes(2, "little")
 
     def store_byte(self, address: int, value: int) -> None:
-        self._check(address, 1)
+        self.check(address, 1)
         self._data[address] = value & 0xFF
 
     # -- bulk helpers (verification & program loading) -----------------------------------------
 
     def write_bytes(self, address: int, data: bytes) -> None:
-        self._check(address, max(1, len(data)), aligned=False)
+        self.check(address, max(1, len(data)), aligned=False)
         self._data[address:address + len(data)] = data
 
     def read_bytes(self, address: int, length: int) -> bytes:
-        self._check(address, max(1, length), aligned=False)
+        self.check(address, max(1, length), aligned=False)
         return bytes(self._data[address:address + length])
 
     def read_words(self, address: int, count: int) -> List[int]:

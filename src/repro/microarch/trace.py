@@ -24,7 +24,6 @@ from repro.isa.instructions import OpClass
 
 __all__ = [
     "ExecutionTrace",
-    "TraceBuilder",
     "TraceFeatures",
     "concatenate_traces",
     "slice_trace",
@@ -271,56 +270,3 @@ def slice_trace(trace: ExecutionTrace, start: int, stop: int, name: str) -> Exec
         window_events=np.empty(0, dtype=np.int8),
         name=name,
     )
-
-
-class TraceBuilder:
-    """Accumulates per-instruction records and produces an :class:`ExecutionTrace`."""
-
-    def __init__(self, name: str = "trace"):
-        self.name = name
-        self._pcs: list[int] = []
-        self._op_classes: list[int] = []
-        self._mem_addrs: list[int] = []
-        self._load_use: list[bool] = []
-        self._cc_hazard: list[bool] = []
-        self._window_events: list[int] = []
-
-    def append(self, pc: int, op_class: OpClass, mem_addr: int = 0) -> int:
-        """Record one executed instruction; returns its trace index."""
-        self._pcs.append(pc)
-        self._op_classes.append(int(op_class))
-        self._mem_addrs.append(mem_addr)
-        self._load_use.append(False)
-        self._cc_hazard.append(False)
-        return len(self._pcs) - 1
-
-    def mark_load_use(self, index: int) -> None:
-        """Mark the load at ``index`` as having a load-use dependency."""
-        self._load_use[index] = True
-
-    def mark_cc_hazard(self, index: int) -> None:
-        """Mark the branch at ``index`` as depending on the immediately preceding CC update."""
-        self._cc_hazard[index] = True
-
-    def set_op_class(self, index: int, op_class: OpClass) -> None:
-        """Reclassify an instruction (used to mark taken branches)."""
-        self._op_classes[index] = int(op_class)
-
-    def window_event(self, delta: int) -> None:
-        """Record a register-window push (+1) or pop (-1)."""
-        self._window_events.append(delta)
-
-    def __len__(self) -> int:
-        return len(self._pcs)
-
-    def build(self) -> ExecutionTrace:
-        """Freeze the accumulated records into an immutable trace."""
-        return ExecutionTrace(
-            pcs=np.asarray(self._pcs, dtype=np.uint32),
-            op_classes=np.asarray(self._op_classes, dtype=np.uint8),
-            mem_addrs=np.asarray(self._mem_addrs, dtype=np.uint32),
-            load_use_hazard=np.asarray(self._load_use, dtype=bool),
-            cc_branch_hazard=np.asarray(self._cc_hazard, dtype=bool),
-            window_events=np.asarray(self._window_events, dtype=np.int8),
-            name=self.name,
-        )

@@ -440,7 +440,7 @@ class LiquidPlatform:
                     self.install_cache_run(job, statistics)
             pairs = [(self._cache_runs[ikey], self._cache_runs[dkey])
                      for ikey, dkey in key_pairs]
-            with span("solve", configs=len(missing), workload=workload.name):
+            with span("timing_eval", configs=len(missing), workload=workload.name):
                 evaluated = evaluate_many(
                     workload.trace(), missing, pairs, self.timing_parameters)
             for config, statistics in zip(missing, evaluated):

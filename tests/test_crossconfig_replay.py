@@ -56,18 +56,20 @@ from repro.platform import LiquidPlatform
 from repro.workloads import ArithWorkload
 
 
-def config_batch_strategy(min_size=2, max_size=5, ways=SET_ASSOCIATIVE_WAYS):
+def config_batch_strategy(min_size=2, max_size=5, ways=SET_ASSOCIATIVE_WAYS,
+                          replacements=Replacement.ALL):
     """Mixed-geometry batches sharing one line size (the grouping invariant).
 
     Way counts, way sizes and replacement policies vary freely within a
     batch -- exactly the shape :func:`replay_many_associative` merges --
     while the line size is drawn once because a decoded view is a
-    property of the line size.
+    property of the line size.  ``replacements`` restricts the policies
+    (a single one gives the homogeneous groups the kernel special-cases).
     """
     geometry = st.fixed_dictionaries({
         "ways": st.sampled_from(list(ways)),
         "setsize_kb": st.sampled_from([1, 2, 4]),
-        "replacement": st.sampled_from(sorted(Replacement.ALL)),
+        "replacement": st.sampled_from(sorted(replacements)),
     })
     return st.tuples(
         st.sampled_from([4, 8]),
@@ -181,6 +183,39 @@ def test_crossconfig_batch_matches_per_config_replay(configs, trace):
         assert state.tick == solo_state.tick
         assert (state.rng.bit_generator.state
                 == solo_state.rng.bit_generator.state)
+
+
+@given(configs=config_batch_strategy(min_size=1, max_size=5,
+                                     replacements=[Replacement.LRU]),
+       seed=st.integers(0, 2**32 - 1),
+       length=st.integers(200, 2500),
+       words=st.sampled_from([1 << 9, 1 << 11, 1 << 13]),
+       switch=st.sampled_from([2, 8, cachekernel._TAIL_SWITCH]))
+@settings(max_examples=30, deadline=None)
+def test_all_lru_batch_matches_per_config_replay(configs, seed, length, words, switch):
+    """Homogeneous-LRU groups take the kernel's lean path through both loop halves.
+
+    Long traces over a wide address range fill sets during the
+    vectorized ranks and keep missing into them in the serial tail, so
+    the tail must see every fill the lean path made: a set it took for
+    cold would overwrite a valid way instead of evicting the LRU line.
+    """
+    rng = np.random.default_rng(seed)
+    addresses = rng.integers(0, words, size=length) * 4
+    writes = rng.random(length) < 0.3
+    view = decode_trace(addresses, writes,
+                        linesize_bytes=configs[0].linesize_bytes)
+    saved = cachekernel._TAIL_SWITCH
+    try:
+        cachekernel._TAIL_SWITCH = switch
+        merged_stats, merged_states = replay_many_associative(view, configs)
+    finally:
+        cachekernel._TAIL_SWITCH = saved
+    for config, stat, state in zip(configs, merged_stats, merged_states):
+        solo_state = cachekernel.fresh_state(config)
+        assert stat == replay(view, config, state=solo_state, lane=LANE_NUMPY)
+        np.testing.assert_array_equal(state.tags, solo_state.tags)
+        np.testing.assert_array_equal(state.age, solo_state.age)
 
 
 def test_crossconfig_rejects_direct_mapped_and_mismatched_linesize():

@@ -8,11 +8,17 @@ kernel refactor that silently changes results -- e.g. by perturbing the
 seeded RANDOM victim stream -- fails fast and points at the exact
 (workload, cache, configuration) cell that moved.
 
+It also pins the trace fingerprint of each workload.  Result stores and
+campaign databases key their rows on these digests, so a functional
+simulator change that alters any trace column fails here instead of
+silently orphaning (or mis-serving) every persisted row.
+
 To regenerate the fixture after an *intentional* behaviour change::
 
     REPRO_UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_golden_numbers.py
 
-and commit the diff together with the change that explains it.
+and commit the diff together with the change that explains it (both
+fixtures are rewritten).
 """
 
 import json
@@ -25,6 +31,7 @@ from repro.config import Replacement
 from repro.microarch.cache import Cache, CacheConfig
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "cache_golden.json"
+FINGERPRINT_PATH = pathlib.Path(__file__).parent / "golden" / "trace_fingerprints.json"
 
 #: The pinned configuration grid: every replacement policy, the
 #: direct-mapped corner, odd associativity, and both line sizes.
@@ -92,6 +99,15 @@ def test_cache_statistics_match_committed_golden_numbers(small_workload_map):
             for kind in ("icache", "dcache"):
                 assert actual[name]["configs"][label][kind] == caches[kind], (
                     f"golden mismatch: {name} / {label} / {kind}")
+
+
+def test_trace_fingerprints_match_committed_golden(small_workload_map):
+    actual = {name: workload.fingerprint()
+              for name, workload in sorted(small_workload_map.items())}
+    if os.environ.get("REPRO_UPDATE_GOLDEN") == "1":
+        FINGERPRINT_PATH.write_text(json.dumps(actual, indent=1, sort_keys=True) + "\n")
+        pytest.skip(f"regenerated {FINGERPRINT_PATH}; commit the diff")
+    assert actual == json.loads(FINGERPRINT_PATH.read_text())
 
 
 def test_golden_grid_covers_the_policy_and_associativity_space():

@@ -300,7 +300,8 @@ class TestCrossProcessTracing:
         assert host not in worker_pids and len(worker_pids) >= 1
         assert len({r.pid for r in tracer.records}) >= 2
         for stage in ("trace_generation", "cache_simulation", "sweep_evaluate",
-                      "arena_publish", "publish", "solve"):
+                      "arena_publish", "publish", "timing_eval",
+                      "functional_sim"):
             assert stage in by_name, f"missing '{stage}' spans"
 
         # worker metric deltas merged home alongside the spans
@@ -347,6 +348,31 @@ class TestSpanTreeTiming:
             # closes a hair later, so it may only exceed by bookkeeping
             assert spans[stage] >= stats.stage_seconds[stage]
             assert spans[stage] - stats.stage_seconds[stage] < 0.05
+
+    def test_pipeline_spans_name_what_they_time(self, fresh_arith):
+        """functional_sim carries the workload and its size; solve is the
+        BINLP solve of a tune (the sweep's timing model is timing_eval,
+        checked with the pool fan-out above)."""
+        from repro import RUNTIME_OPTIMIZATION, MicroarchTuner
+        from repro.analysis import DCACHE_STUDY_PARAMETERS
+
+        tracer = enable_tracing()
+        with ParallelEvaluator(LiquidPlatform(), workers=1) as evaluator:
+            MicroarchTuner(evaluator).tune(
+                fresh_arith, RUNTIME_OPTIMIZATION,
+                parameters=DCACHE_STUDY_PARAMETERS, verify=False)
+        by_name = {}
+        for record in tracer.records:
+            by_name.setdefault(record.name, []).append(record)
+
+        [simulation] = by_name["functional_sim"]
+        assert simulation.attrs["workload"] == fresh_arith.name
+        assert simulation.attrs["instructions"] == fresh_arith.trace().instruction_count
+        assert all(r.attrs["workload"] == fresh_arith.name
+                   for r in by_name["trace_generation"])
+        [solve] = by_name["solve"]
+        assert solve.attrs["workload"] == fresh_arith.name
+        assert solve.attrs["variables"] > 0
 
 
 # -- campaign heartbeats and the dashboard -------------------------------------------------
