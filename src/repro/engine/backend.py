@@ -117,6 +117,11 @@ class EngineStats:
     store_hits: int = 0
     #: Measurements appended to the persistent result store.
     store_writes: int = 0
+    #: Workload trace fingerprints resolved from the store's recipe rows
+    #: (no functional simulation needed to key the lookups), and recipe
+    #: lookups that found no row, so the workload was simulated.
+    recipe_hits: int = 0
+    recipe_misses: int = 0
     #: Distinct cache simulations executed on behalf of the batches.
     cache_simulations: int = 0
     #: Cache simulations executed by the worker pool (rest ran inline).

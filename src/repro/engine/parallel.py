@@ -540,21 +540,10 @@ class ParallelEvaluator:
         start = time.perf_counter()
         self.stats.batches += 1
 
-        # materialise every workload's trace up front so trace generation is
-        # accounted as its own stage instead of leaking into cache planning
-        with self._stage("trace_generation",
-                         workload=",".join(w.name for w in batches)):
-            for workload in batches:
-                workload.trace()
-
-        plan: List[Tuple[Workload, List[Configuration],
-                         Dict[Configuration, Measurement]]] = []
+        plan = self._plan_batches(batches)
         jobs: List[CacheJob] = []
         seen_jobs = set()
-        for workload, configs in batches.items():
-            missing, ready = self._plan_workload_batch(workload, configs)
-            plan.append((workload, missing, ready))
-
+        for workload, missing, _ in plan:
             for job in self.platform.cache_requests(workload, missing):
                 if job not in seen_jobs:
                     seen_jobs.add(job)
@@ -578,6 +567,58 @@ class ParallelEvaluator:
         self._merge_host_metrics()
         return results
 
+    def _plan_batches(
+        self, batches: Mapping[Workload, Sequence[Configuration]]
+    ) -> List[Tuple[Workload, List[Configuration], Dict[Configuration, Measurement]]]:
+        """Plan several workloads' batches, simulating only what must run.
+
+        Shared by :meth:`measure_many_multi` and :meth:`measure_sweep`.
+        A workload the store has seen resolves its trace fingerprint from
+        its :meth:`~repro.workloads.base.Workload.recipe` and is planned
+        without simulating; the functional simulator then runs only if
+        some configuration misses the store, and its trace checks the
+        adopted fingerprint before anything is evaluated.  Every other
+        workload simulates before planning (its fingerprint keys the
+        lookups), and the store records its recipe for the next run.
+        """
+        unresolved: List[Workload] = []
+        unrecorded: List[Tuple[Workload, str]] = []
+        for workload in batches:
+            if workload.has_fingerprint():
+                continue
+            recipe = workload.recipe() if self.store is not None else None
+            fingerprint = None if recipe is None else self.store.trace_fingerprint(recipe)
+            if fingerprint is not None:
+                self.stats.recipe_hits += 1
+                workload.adopt_fingerprint(fingerprint)
+                continue
+            unresolved.append(workload)
+            if recipe is not None:
+                self.stats.recipe_misses += 1
+                unrecorded.append((workload, recipe))
+        self._simulate(unresolved)
+        for workload, recipe in unrecorded:
+            self.store.put_trace(recipe, workload.fingerprint())
+
+        plan = [(workload, *self._plan_workload_batch(workload, configs))
+                for workload, configs in batches.items()]
+        self._simulate([workload for workload, missing, _ in plan if missing])
+        return plan
+
+    def _simulate(self, workloads: Sequence[Workload]) -> None:
+        """Run the functional simulator for the workloads that lack a trace.
+
+        The ``trace_generation`` stage opens only when one does, tagged
+        with their names, so a run served entirely by recipe rows and
+        store hits reports no trace-generation time at all.
+        """
+        pending = [workload for workload in workloads if not workload.has_trace()]
+        if pending:
+            with self._stage("trace_generation",
+                             workload=",".join(w.name for w in pending)):
+                for workload in pending:
+                    workload.trace()
+
     def _plan_workload_batch(
         self, workload: Workload, configs: Sequence[Configuration]
     ) -> Tuple[List[Configuration], Dict[Configuration, Measurement]]:
@@ -587,9 +628,7 @@ class ParallelEvaluator:
         order) and the measurements already answered, keyed by the
         configuration itself (hashing a :class:`Configuration` reuses its
         cached key hash, where hashing the raw key tuple would rewalk every
-        parameter on each planning pass).  Shared by
-        :meth:`measure_many_multi` and :meth:`measure_sweep` so the
-        dedup/store accounting can never drift between the paths.
+        parameter on each planning pass).
         """
         self.stats.requested += len(configs)
         seen = set()
@@ -627,10 +666,7 @@ class ParallelEvaluator:
         start = time.perf_counter()
         self.stats.batches += 1
 
-        with self._stage("trace_generation", workload=workload.name):
-            workload.trace()
-
-        missing, ready = self._plan_workload_batch(workload, configs)
+        [(_, missing, ready)] = self._plan_batches({workload: configs})
 
         with self._stage("cache_simulation"):
             # one planning pass: the pairs feed the platform sweep below so

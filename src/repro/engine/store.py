@@ -22,6 +22,14 @@ Two details keep lookups sound:
   timing parameters, so stores survive calibration changes without
   serving stale measurements.
 
+Next to the measurements every store keeps *trace identities*: the map
+from a workload's :meth:`~repro.workloads.base.Workload.recipe` (a digest
+of its program, instruction budget and simulator version) to its trace
+fingerprint.  A run over a store that has seen a workload resolves the
+fingerprint from the recipe and keys its lookups without running the
+functional simulator; identities do not depend on the platform, so they
+carry no context.
+
 Records round-trip exactly (all persisted fields are ints, strings and
 mappings thereof), so a store-served measurement compares equal to a
 freshly simulated one -- the engine equivalence tests assert this.
@@ -203,8 +211,9 @@ def _cache_stats_from(data: Optional[Dict[str, int]]) -> Optional[CacheStatistic
 class ResultStoreBase:
     """Context stamping and measurement (de)serialisation shared by backends.
 
-    Concrete backends provide :meth:`put`, :meth:`get`, ``__len__`` and
-    ``__contains__``; the base class owns the platform-context handling
+    Concrete backends provide :meth:`put`, :meth:`get`, ``__len__``,
+    ``__contains__`` and the trace-identity pair :meth:`trace_fingerprint`
+    / :meth:`put_trace`; the base class owns the platform-context handling
     so every backend keys records identically and survives calibration
     changes the same way.
     """
@@ -236,6 +245,14 @@ class ResultStoreBase:
 
     def _context_changed(self) -> None:
         """Backend hook: the context filter changed after construction."""
+
+    def trace_fingerprint(self, recipe: str) -> Optional[str]:
+        """The trace fingerprint recorded for a workload recipe, or ``None``."""
+        raise NotImplementedError
+
+    def put_trace(self, recipe: str, fingerprint: str) -> None:
+        """Record a recipe's trace fingerprint (a recorded one is kept)."""
+        raise NotImplementedError
 
     # -- measurement (de)serialisation ---------------------------------------------------
 
@@ -329,6 +346,7 @@ class ResultStore(ResultStoreBase):
     ):
         super().__init__(path, device=device, timing_parameters=timing_parameters)
         self._records: Dict[Tuple[str, str], Dict[str, Any]] = {}
+        self._traces: Dict[str, str] = {}
         if path and os.path.exists(path):
             self._load(path)
 
@@ -348,6 +366,9 @@ class ResultStore(ResultStoreBase):
                     continue
                 try:
                     record = json.loads(line)
+                    if "recipe" in record:
+                        self._traces.setdefault(record["recipe"], record["fingerprint"])
+                        continue
                     key = (record["fingerprint"], record["config_key"])
                 except (ValueError, KeyError, TypeError):
                     # a run killed mid-append leaves a truncated last line;
@@ -393,6 +414,14 @@ class ResultStore(ResultStoreBase):
             return None
         return self._measurement_from(record, config)
 
+    def trace_fingerprint(self, recipe: str) -> Optional[str]:
+        return self._traces.get(recipe)
+
+    def put_trace(self, recipe: str, fingerprint: str) -> None:
+        if recipe not in self._traces:
+            self._traces[recipe] = fingerprint
+            self._append({"recipe": recipe, "fingerprint": fingerprint})
+
 
 class SqliteResultStore(ResultStoreBase):
     """SQLite-backed measurement store behind the same interface.
@@ -420,6 +449,10 @@ class SqliteResultStore(ResultStoreBase):
             " config_key TEXT NOT NULL,"
             " record TEXT NOT NULL,"
             " PRIMARY KEY (context, fingerprint, config_key))")
+        self._conn.execute(
+            "CREATE TABLE IF NOT EXISTS traces ("
+            " recipe TEXT PRIMARY KEY,"
+            " fingerprint TEXT NOT NULL)")
         self._conn.commit()
 
     # a context change needs no hook: every query filters on the live context
@@ -469,6 +502,20 @@ class SqliteResultStore(ResultStoreBase):
         if row is None:
             return None
         return self._measurement_from(json.loads(row[0]), config)
+
+    def trace_fingerprint(self, recipe: str) -> Optional[str]:
+        row = self._conn.execute(
+            "SELECT fingerprint FROM traces WHERE recipe = ?", (recipe,)).fetchone()
+        return None if row is None else row[0]
+
+    def put_trace(self, recipe: str, fingerprint: str) -> None:
+        def write() -> None:
+            self._conn.execute(
+                "INSERT OR IGNORE INTO traces (recipe, fingerprint) VALUES (?, ?)",
+                (recipe, fingerprint))
+            self._conn.commit()
+
+        busy_retry(write)
 
 
 def open_store(path: Optional[str], **kwargs: Any) -> ResultStoreBase:

@@ -43,6 +43,17 @@ class VerificationError(ReproError):
     """A workload produced results that do not match its reference output."""
 
 
+class TraceIdentityError(ReproError):
+    """A workload's simulated trace contradicts the fingerprint a store recorded.
+
+    Raised when a workload whose fingerprint was resolved from a result
+    store's recipe row is simulated and the real trace digests
+    differently: the row is corrupt, or the simulator's semantics changed
+    without a ``SIMULATOR_VERSION`` bump.  Rows keyed on the recorded
+    fingerprint are not served.
+    """
+
+
 class OptimizationError(ReproError):
     """The BINLP formulation or one of the solvers failed.
 

@@ -44,7 +44,14 @@ from repro.microarch.memory import Memory
 from repro.microarch.trace import ExecutionTrace
 from repro.obs.tracer import span
 
-__all__ = ["FunctionalSimulator", "SimulationResult"]
+__all__ = ["SIMULATOR_VERSION", "FunctionalSimulator", "SimulationResult"]
+
+#: Version of the simulator's trace semantics.  A workload's trace recipe
+#: (:meth:`~repro.workloads.base.Workload.recipe`) covers it, so bump it
+#: with any change that alters a trace column: every persisted recipe row
+#: then misses instead of naming a stale fingerprint, and the golden
+#: fingerprint test demands a new entry under the new version.
+SIMULATOR_VERSION = 1
 
 _MASK32 = 0xFFFFFFFF
 _O7 = register_number("o7")

@@ -11,6 +11,12 @@ the resulting :class:`~repro.microarch.trace.ExecutionTrace` is cached on
 the workload instance and shared by every configuration evaluation -- this
 is what makes the measurement campaign cheap enough to run hundreds of
 configuration evaluations.
+
+The trace is moreover a pure function of the assembled program, the
+instruction budget and the simulator's semantics.  :meth:`Workload.recipe`
+digests exactly those inputs, so a result store that has seen a workload
+once can name its trace fingerprint without simulating it again
+(:meth:`Workload.adopt_fingerprint`).
 """
 
 from __future__ import annotations
@@ -21,9 +27,13 @@ from typing import Dict, Mapping, Optional
 
 import numpy as np
 
-from repro.errors import VerificationError
+from repro.errors import TraceIdentityError, VerificationError
 from repro.isa.program import Program
-from repro.microarch.functional import FunctionalSimulator, SimulationResult
+from repro.microarch.functional import (
+    SIMULATOR_VERSION,
+    FunctionalSimulator,
+    SimulationResult,
+)
 from repro.microarch.trace import ExecutionTrace
 
 __all__ = ["Workload"]
@@ -44,6 +54,10 @@ class Workload(ABC):
         self._program: Optional[Program] = None
         self._result: Optional[SimulationResult] = None
         self._fingerprint: Optional[str] = None
+        #: Whether :attr:`_fingerprint` was adopted from a store's recipe
+        #: row and still awaits its check against the simulated trace.
+        self._fingerprint_adopted = False
+        self._recipe: Optional[str] = None
 
     # -- to be provided by concrete workloads -----------------------------------------
 
@@ -73,7 +87,17 @@ class Workload(ABC):
         if self._result is None or force:
             simulator = FunctionalSimulator(self.program, max_instructions=self.max_instructions)
             self._result = simulator.run(trace_name=self.name)
+            if self._fingerprint_adopted:
+                self._check_adopted(self._result.trace)
         return self._result
+
+    def has_trace(self) -> bool:
+        """True when the trace is in memory, so :meth:`trace` will not simulate."""
+        return self._result is not None
+
+    def has_fingerprint(self) -> bool:
+        """True once :meth:`fingerprint` is known (computed or adopted)."""
+        return self._fingerprint is not None
 
     def trace(self) -> ExecutionTrace:
         """The configuration-independent execution trace of this workload."""
@@ -101,6 +125,30 @@ class Workload(ABC):
         """
         return self.trace().features()
 
+    def recipe(self) -> Optional[str]:
+        """Digest of everything this workload's execution trace depends on.
+
+        Covers the workload class and name, the assembled program
+        (instructions, data image, symbols, layout), the instruction
+        budget and :data:`~repro.microarch.functional.SIMULATOR_VERSION`.
+        Equal recipes therefore simulate to equal traces, which lets a
+        result store map recipe -> :meth:`fingerprint` and answer later
+        lookups without running the simulator.  Workloads whose trace is
+        not one program's run (phased compositions) return ``None``.
+        """
+        if self._recipe is None:
+            program = self.program
+            digest = hashlib.sha1()
+            for part in (type(self).__module__, type(self).__qualname__, self.name,
+                         repr(program.instructions), repr(program.layout),
+                         repr(sorted(program.symbols.items())),
+                         str(self.max_instructions), str(SIMULATOR_VERSION)):
+                digest.update(part.encode())
+                digest.update(b"\0")
+            digest.update(program.data)
+            self._recipe = digest.hexdigest()
+        return self._recipe
+
     def fingerprint(self) -> str:
         """Content digest identifying this workload's execution trace.
 
@@ -110,15 +158,40 @@ class Workload(ABC):
         alias each other's results.
         """
         if self._fingerprint is None:
-            trace = self.trace()
-            digest = hashlib.sha1()
-            for array in (trace.pcs, trace.op_classes, trace.mem_addrs,
-                          trace.load_use_hazard, trace.cc_branch_hazard,
-                          trace.window_events):
-                digest.update(np.ascontiguousarray(array).tobytes())
-            self._fingerprint = (
-                f"{self.name}:{trace.instruction_count}:{digest.hexdigest()[:16]}")
+            self._fingerprint = self._trace_fingerprint(self.trace())
         return self._fingerprint
+
+    def adopt_fingerprint(self, fingerprint: str) -> None:
+        """Take the fingerprint a result store recorded for :meth:`recipe`.
+
+        The workload then keys store lookups without simulating.  The
+        adopted value is checked against the real trace as soon as one
+        exists -- right away if the workload was already simulated,
+        otherwise when it is -- and a mismatch raises
+        :class:`~repro.errors.TraceIdentityError`.
+        """
+        self._fingerprint = fingerprint
+        self._fingerprint_adopted = True
+        if self.has_trace():
+            self._check_adopted(self.trace())
+
+    def _check_adopted(self, trace: ExecutionTrace) -> None:
+        adopted, actual = self._fingerprint, self._trace_fingerprint(trace)
+        # from here on the workload answers with its real identity
+        self._fingerprint, self._fingerprint_adopted = actual, False
+        if actual != adopted:
+            raise TraceIdentityError(
+                f"{self.name}: the store's recipe row names trace {adopted}, but "
+                f"the simulator produced {actual}; the row is corrupt or the trace "
+                "semantics changed without a SIMULATOR_VERSION bump")
+
+    def _trace_fingerprint(self, trace: ExecutionTrace) -> str:
+        digest = hashlib.sha1()
+        for array in (trace.pcs, trace.op_classes, trace.mem_addrs,
+                      trace.load_use_hazard, trace.cc_branch_hazard,
+                      trace.window_events):
+            digest.update(np.ascontiguousarray(array).tobytes())
+        return f"{self.name}:{trace.instruction_count}:{digest.hexdigest()[:16]}"
 
     # -- verification ------------------------------------------------------------------------
 

@@ -280,13 +280,20 @@ class PhasedWorkload(Workload):
         covers the boundaries and phase names on top of the base trace
         fingerprint.
         """
-        if self._fingerprint is None or ":ph" not in self._fingerprint:
-            base = super().fingerprint()
+        if self._fingerprint is None:
             structure = hashlib.sha1(
                 ("|".join(self.phase_names)
                  + ":" + ",".join(map(str, self.phase_bounds()))).encode())
-            self._fingerprint = f"{base}:ph{structure.hexdigest()[:8]}"
+            self._fingerprint = (f"{self._trace_fingerprint(self.trace())}"
+                                 f":ph{structure.hexdigest()[:8]}")
         return self._fingerprint
+
+    def recipe(self) -> None:
+        """Phased workloads have no recipe: their trace always simulates."""
+        return None
+
+    def has_trace(self) -> bool:
+        return self._trace is not None
 
     # -- Workload interface -----------------------------------------------------------------
 

@@ -8,17 +8,22 @@ kernel refactor that silently changes results -- e.g. by perturbing the
 seeded RANDOM victim stream -- fails fast and points at the exact
 (workload, cache, configuration) cell that moved.
 
-It also pins the trace fingerprint of each workload.  Result stores and
-campaign databases key their rows on these digests, so a functional
-simulator change that alters any trace column fails here instead of
-silently orphaning (or mis-serving) every persisted row.
+It also pins the trace fingerprint of each workload, keyed by
+``SIMULATOR_VERSION``.  Result stores and campaign databases key their
+rows on these digests, and map workload recipes (which cover the
+simulator version) to them, so a functional simulator change that alters
+any trace column fails here instead of silently orphaning (or
+mis-serving) every persisted row.
 
-To regenerate the fixture after an *intentional* behaviour change::
+To regenerate the fixtures after an *intentional* behaviour change::
 
     REPRO_UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_golden_numbers.py
 
-and commit the diff together with the change that explains it (both
-fixtures are rewritten).
+and commit the diff together with the change that explains it.  The
+cache fixture is rewritten; the fingerprint fixture only gains an entry
+for a new ``SIMULATOR_VERSION`` -- new trace semantics under an
+unchanged version are refused, because persisted recipe rows would then
+name fingerprints the simulator no longer produces.
 """
 
 import json
@@ -29,6 +34,7 @@ import pytest
 
 from repro.config import Replacement
 from repro.microarch.cache import Cache, CacheConfig
+from repro.microarch.functional import SIMULATOR_VERSION
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "cache_golden.json"
 FINGERPRINT_PATH = pathlib.Path(__file__).parent / "golden" / "trace_fingerprints.json"
@@ -104,10 +110,20 @@ def test_cache_statistics_match_committed_golden_numbers(small_workload_map):
 def test_trace_fingerprints_match_committed_golden(small_workload_map):
     actual = {name: workload.fingerprint()
               for name, workload in sorted(small_workload_map.items())}
+    version = str(SIMULATOR_VERSION)
+    golden = json.loads(FINGERPRINT_PATH.read_text())
     if os.environ.get("REPRO_UPDATE_GOLDEN") == "1":
-        FINGERPRINT_PATH.write_text(json.dumps(actual, indent=1, sort_keys=True) + "\n")
+        assert golden.get(version, actual) == actual, (
+            f"trace fingerprints changed under SIMULATOR_VERSION {version}; "
+            "bump the version in repro/microarch/functional.py to record new "
+            "trace semantics")
+        golden[version] = actual
+        FINGERPRINT_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
         pytest.skip(f"regenerated {FINGERPRINT_PATH}; commit the diff")
-    assert actual == json.loads(FINGERPRINT_PATH.read_text())
+    assert version in golden, (
+        f"no golden fingerprints for SIMULATOR_VERSION {version}; regenerate "
+        "with REPRO_UPDATE_GOLDEN=1")
+    assert actual == golden[version]
 
 
 def test_golden_grid_covers_the_policy_and_associativity_space():

@@ -161,6 +161,21 @@ class TestSupervisorLifecycle:
             supervisor.stop()
 
 
+def kill_pool_worker(pool, victim, timeout: float = 10.0) -> None:
+    """SIGKILL one pool worker and wait until the executor reports broken.
+
+    Without the wait, a batch submitted before the executor's manager
+    thread has noticed the corpse can finish on the surviving worker and
+    never observe the break.
+    """
+    os.kill(victim.pid, signal.SIGKILL)
+    victim.join(timeout)
+    deadline = time.monotonic() + timeout
+    while not pool._broken and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert pool._broken, "the executor never noticed its killed worker"
+
+
 class TestSurvivesPoolBreak:
     def test_sigkilled_worker_breaks_one_batch_and_the_pool_respawns(
             self, base_config, small_workload_map):
@@ -180,7 +195,7 @@ class TestSurvivesPoolBreak:
             evaluator = supervisor.evaluator
             assert evaluator._pool is not None
             victim = next(iter(evaluator._pool._processes.values()))
-            os.kill(victim.pid, signal.SIGKILL)
+            kill_pool_worker(evaluator._pool, victim)
             # the batch that observes the corpse completes inline...
             survivors = supervisor.measure_sweep(workload, configs[3:])
             assert supervisor.stats.pool_breaks == 1
@@ -227,7 +242,7 @@ class TestSurvivesPoolBreak:
             evaluator.measure_sweep(workload, configs)
             workers = list(evaluator._pool._processes.values())
             assert len(workers) == 2
-            os.kill(workers[0].pid, signal.SIGKILL)
+            kill_pool_worker(evaluator._pool, workers[0])
             # the batch that trips over the corpse triggers _pool_failed
             evaluator.measure_sweep(
                 workload, [base_config.replace(icache_sets=2)])
