@@ -104,7 +104,9 @@ def connect_sqlite(path: str, *, busy_timeout_ms: int = 10_000) -> sqlite3.Conne
         os.makedirs(directory, exist_ok=True)
     share = sqlite3.threadsafety == 3
     conn = sqlite3.connect(path, check_same_thread=not share)
-    conn.execute("PRAGMA journal_mode=WAL")
+    # switching a new file to WAL can report "locked" without waiting
+    # while another connection does the same
+    busy_retry(lambda: conn.execute("PRAGMA journal_mode=WAL"))
     conn.execute("PRAGMA synchronous=NORMAL")
     conn.execute(f"PRAGMA busy_timeout={int(busy_timeout_ms)}")
     return conn

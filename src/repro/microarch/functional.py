@@ -11,27 +11,45 @@ The simulator corresponds to the "direct execution" of applications on the
 Liquid Architecture platform in the paper: it is a black box that needs no
 knowledge of the application's internals.
 
-It is a pre-decoded interpreter.  Before a run, every static instruction
-becomes a handler closure with its operands resolved: a register to its
-slot in the flat windowed register list of
-:class:`~repro.isa.registers.RegisterFile` (SAVE/RESTORE only move the
-window base), an immediate to its value, a static transfer target to an
-instruction index.  Loads and stores index the
-:class:`~repro.microarch.memory.Memory` bytearray directly.  A handler
-returns the index of the next instruction, so the dispatch loop only
-calls ``handlers[i]()`` and records three streams: the executed
-instruction index, the address of each load or store, and each branch
-outcome.  :func:`_build_trace` derives every trace column from those
-streams and static per-instruction tables with NumPy.
+It is a basic-block compiler.  At the start of every run the program is
+split at its leaders -- the entry point, every static branch and call
+target, and the instruction after each control transfer or HALT -- and
+each block becomes one generated Python function, compiled with
+:func:`compile`, that runs the block's instructions on the flat windowed
+register list of :class:`~repro.isa.registers.RegisterFile` (``R``) and
+the :class:`~repro.microarch.memory.Memory` bytes (``M``, with word and
+halfword views ``W`` and ``H``), and returns the id of the next block.
+A loop of BLASTN that clears a table, one word per iteration::
+
+    def b24():
+        global icc
+        b = regs.base
+        a0 = R[b + 17]
+        if a0 & 3 or a0 > 2097148: check(a0, 4)
+        W[a0 >> 2] = 0
+        R[b + 17] = (R[b + 17] + 4) & 0xFFFFFFFF
+        x = R[b + 16]
+        y = 1
+        r = (x - y) & 0xFFFFFFFF
+        R[b + 16] = r
+        icc = (r >> 28 & 8) | (not r) << 2 | (((x ^ y) & (x ^ r)) >> 30 & 2) | (y > x)
+        rec(a0)
+        return 24 if 3855 >> icc & 1 else 28
+
+The dispatch loop records one block id per executed block, the blocks
+record the address of each load and store, and :func:`_build_trace`
+derives every trace column with NumPy from the instruction indices,
+expanded from block starts and static block lengths (a branch's outcome
+is whether the next block is its target).  Nothing is cached across runs.
 """
 
 from __future__ import annotations
 
-import operator
+import sys
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,6 +64,11 @@ from repro.obs.tracer import span
 
 __all__ = ["SIMULATOR_VERSION", "FunctionalSimulator", "SimulationResult"]
 
+# Words and halfwords are read and written through native-order memoryviews
+# of the little-endian memory image.
+if sys.byteorder != "little":
+    raise ImportError("repro.microarch.functional needs a little-endian host")
+
 #: Version of the simulator's trace semantics.  A workload's trace recipe
 #: (:meth:`~repro.workloads.base.Workload.recipe`) covers it, so bump it
 #: with any change that alters a trace column: every persisted recipe row
@@ -58,7 +81,7 @@ _O7 = register_number("o7")
 _I7 = register_number("i7")
 
 # Condition codes are packed into one int ``icc = N<<3 | Z<<2 | V<<1 | C``;
-# a branch indexes a 16-entry truth table of its condition with it.
+# a branch tests bit ``icc`` of its condition's 16-bit truth mask.
 _PREDICATES = {
     "a": lambda n, z, v, c: True,
     "n": lambda n, z, v, c: False,
@@ -80,48 +103,59 @@ _CONDITION_TABLES = {
                 for icc in range(16))
     for cond, predicate in _PREDICATES.items()
 }
+_CONDITION_MASKS = {cond: sum(1 << icc for icc, taken in enumerate(table) if taken)
+                    for cond, table in _CONDITION_TABLES.items()}
 
-def _signed(value: int) -> int:
-    """Interpret a 32-bit pattern as a signed integer."""
-    return (value ^ 0x80000000) - 0x80000000
-
-
-#: ALU operations on 32-bit operands; the result is masked to 32 bits after.
-#: The low 32 bits of a product do not depend on signedness.
+#: ALU operations on 32-bit operands ``x`` and ``y``.  The low 32 bits of a
+#: product do not depend on signedness.
 _ALU = {
-    Op.ADD: operator.add, Op.SUB: operator.sub, Op.AND: operator.and_,
-    Op.OR: operator.or_, Op.XOR: operator.xor, Op.UMUL: operator.mul, Op.SMUL: operator.mul,
-    Op.SLL: lambda x, y: x << (y & 31),
-    Op.SRL: lambda x, y: x >> (y & 31),
-    Op.SRA: lambda x, y: _signed(x) >> (y & 31),
+    Op.ADD: "({x} + {y}) & 0xFFFFFFFF",
+    Op.SUB: "({x} - {y}) & 0xFFFFFFFF",
+    Op.AND: "{x} & {y}",
+    Op.OR: "{x} | {y}",
+    Op.XOR: "{x} ^ {y}",
+    Op.UMUL: "({x} * {y}) & 0xFFFFFFFF",
+    Op.SMUL: "({x} * {y}) & 0xFFFFFFFF",
+    Op.SLL: "({x} << ({y} & 31)) & 0xFFFFFFFF",
+    Op.SRL: "{x} >> ({y} & 31)",
+    Op.SRA: "(({x} ^ 0x80000000) - 0x80000000 >> ({y} & 31)) & 0xFFFFFFFF",
 }
 
-
-def _nz(r: int) -> int:
-    """The N and Z bits of a 32-bit result."""
-    return (r >> 28 & 8) | (not r) << 2
-
-
-#: Condition-code operations: ``(operation, flags(x, y, result))``.
+#: Condition-code operations: the result ``r`` of locals ``x`` and ``y``,
+#: and the packed flags of ``x``, ``y`` and ``r``.
+_NZ = "(r >> 28 & 8) | (not r) << 2"
 _ALU_CC = {
-    Op.ADDCC: (operator.add,
-               lambda x, y, r: _nz(r) | ((~(x ^ y) & (x ^ r)) >> 30 & 2) | (x + y) >> 32),
-    Op.SUBCC: (operator.sub,
-               lambda x, y, r: _nz(r) | (((x ^ y) & (x ^ r)) >> 30 & 2) | (y > x)),
-    Op.ANDCC: (operator.and_, lambda x, y, r: _nz(r)),
-    Op.ORCC: (operator.or_, lambda x, y, r: _nz(r)),
-    Op.XORCC: (operator.xor, lambda x, y, r: _nz(r)),
+    Op.ADDCC: ("(x + y) & 0xFFFFFFFF",
+               _NZ + " | ((~(x ^ y) & (x ^ r)) >> 30 & 2) | (x + y) >> 32"),
+    Op.SUBCC: ("(x - y) & 0xFFFFFFFF",
+               _NZ + " | (((x ^ y) & (x ^ r)) >> 30 & 2) | (y > x)"),
+    Op.ANDCC: ("x & y", _NZ),
+    Op.ORCC: ("x | y", _NZ),
+    Op.XORCC: ("x ^ y", _NZ),
 }
 
-#: Loads: ``(bytes, sign bit)``; stores: bytes.
-_LOADS = {Op.LD: (4, 0), Op.LDUB: (1, 0), Op.LDUH: (2, 0), Op.LDSB: (1, 0x80),
-          Op.LDSH: (2, 0x8000)}
-_STORES = {Op.ST: 4, Op.STB: 1, Op.STH: 2}
+#: Loads: ``(bytes, the 32-bit value at address {a})``; stores: ``(bytes,
+#: the assignment of value {v} to address {a})``.
+_LOADS = {
+    Op.LD: (4, "W[{a} >> 2]"),
+    Op.LDUB: (1, "M[{a}]"),
+    Op.LDUH: (2, "H[{a} >> 1]"),
+    Op.LDSB: (1, "((M[{a}] ^ 0x80) - 0x80) & 0xFFFFFFFF"),
+    Op.LDSH: (2, "((H[{a} >> 1] ^ 0x8000) - 0x8000) & 0xFFFFFFFF"),
+}
+_STORES = {
+    Op.ST: (4, "W[{a} >> 2] = {v}"),
+    Op.STB: (1, "M[{a}] = {v} & 0xFF"),
+    Op.STH: (2, "H[{a} >> 1] = {v} & 0xFFFF"),
+}
 _WINDOW_DELTA = {Op.SAVE: 1, Op.RESTORE: -1, Op.RET: -1}
+
+#: Instructions that end a basic block.
+_TRANSFERS = frozenset({Op.BRANCH, Op.CALL, Op.JMPL, Op.RET, Op.RETL, Op.HALT})
 
 
 class _Halt(Exception):
-    """Raised by the HALT handler to leave the dispatch loop."""
+    """Raised by the HALT block to leave the dispatch loop."""
 
 
 def _fail(message: str) -> None:
@@ -144,247 +178,337 @@ class SimulationResult:
         return self.registers.read(register_number(name))
 
 
-class _Decoder:
-    """Turns the instructions of one run into handler closures.
+class _Body:
+    """The statements of one block function under construction.
 
-    A register operand becomes the ``(offset, mask)`` slot of
-    :data:`~repro.isa.registers.REGISTER_SLOTS`, read as
-    ``R[(regs.base & mask) + offset]``; a write to ``%g0`` goes to a
-    throwaway list instead.  The second operand is always read as
-    ``register + constant``: an immediate reads ``%g0`` (zero) plus its
-    value, a register adds nothing.  Condition codes live in :attr:`icc`.
+    A register reads as its :data:`~repro.isa.registers.REGISTER_SLOTS`
+    slot in ``R`` -- ``R[k]`` for a global, ``R[b + k]`` for a windowed
+    register, ``b`` being the window base -- and ``%g0`` as the int 0.
+    The second operand is an int (the immediate, as 32 bits) or ``rs2``.
+    """
+
+    def __init__(self) -> None:
+        self.lines: List[str] = []
+        self.addresses: List[str] = []  # locals holding each load/store address
+        self.windowed = False
+        self.sets_icc = False
+
+    def read(self, reg: int):
+        if not reg:
+            return 0
+        offset, mask = REGISTER_SLOTS[reg]
+        if not mask:
+            return f"R[{offset}]"
+        self.windowed = True
+        return f"R[b + {offset}]"
+
+    def write(self, reg: int, value) -> None:
+        if reg:  # %g0 discards writes
+            self.lines.append(f"{self.read(reg)} = {value}")
+
+    def operand(self, instr: Instruction):
+        if instr.imm is not None:
+            return instr.imm & _MASK32
+        return self.read(instr.rs2 or 0)
+
+    def address(self, instr: Instruction):
+        """``rs1`` plus the second operand, wrapped to 32 bits."""
+        x, y = self.read(instr.rs1), self.operand(instr)
+        if y == 0:
+            return x
+        if x == 0:
+            return y
+        return f"({x} + {y}) & 0xFFFFFFFF"
+
+    def access(self, instr: Instruction, size: int, last: int) -> str:
+        """Compute and check the address of a ``size``-byte access; its local."""
+        a = f"a{len(self.addresses)}"
+        self.addresses.append(a)
+        self.lines.append(f"{a} = {self.address(instr)}")
+        misaligned = f"{a} & {size - 1} or " if size > 1 else ""
+        self.lines.append(f"if {misaligned}{a} > {last}: check({a}, {size})")
+        return a
+
+    def record_addresses(self) -> None:
+        if len(self.addresses) == 1:
+            self.lines.append(f"rec({self.addresses[0]})")
+        elif self.addresses:
+            self.lines.append(f"ext(({', '.join(self.addresses)}))")
+
+    def function(self, name: str) -> str:
+        head = [f"def {name}():"]
+        if self.sets_icc:
+            head.append("    global icc")
+        if self.windowed:
+            head.append("    b = regs.base")
+        return "\n".join(head + [f"    {line}" for line in self.lines or ["pass"]])
+
+
+class _Blocks:
+    """One run's program, compiled to one Python function per basic block.
+
+    Block ids index :attr:`blocks`, :attr:`starts` and :attr:`lengths`.
+    Id ``k`` below the instruction count is the block entered at
+    instruction ``k``: it runs to the end of ``k``'s basic block.  A jump
+    into the middle of a block compiles that entry on first use.  Later ids
+    are one-instruction faults (a program counter outside the text
+    segment) and aliases: a branch whose target is its own fall-through
+    takes an alias of it, so the trace can tell taken from untaken.
+
+    Generated source interpolates only ints and ``repr()`` literals into
+    fixed templates.  Its functions share :attr:`namespace` as globals but
+    are defined outside it, so :meth:`close` frees them and everything they
+    reach by refcount.
     """
 
     def __init__(self, program: Program, regs: RegisterFile, memory: Memory,
-                 addresses: List[int], outcomes: List[bool]):
-        self.program = program
-        self.regs = regs
-        self.memory = memory
-        self.addresses = addresses
-        self.outcomes = outcomes
-        self.icc = 0
+                 addresses: List[int]):
+        self.instructions = instructions = program.instructions
+        self.name = program.name
         self.text_base = program.layout.text_base
-        self.text_bytes = len(program.instructions) * INSTRUCTION_BYTES
-        #: One handler per instruction, then those raising a program-counter fault.
-        self.handlers: List[Callable[[], int]] = [None] * len(program.instructions)
-        for index, instr in enumerate(program.instructions):
-            self.handlers[index] = self.decode(index, instr)
+        n = len(instructions)
+        self.text_bytes = n * INSTRUCTION_BYTES
+        self.memory_size = memory.size
+
+        leaders = {self.index(program.entry_point)}
+        for k, instr in enumerate(instructions):
+            if instr.op in _TRANSFERS:
+                leaders.add(k + 1)
+            if instr.op in (Op.BRANCH, Op.CALL):
+                leaders.add(self.index(instr.target))
+        leaders.discard(None)
+        leaders.discard(n)
+        lengths = [0] * n
+        end = n
+        for k in range(n - 1, -1, -1):
+            if instructions[k].op in _TRANSFERS:
+                end = k + 1
+            lengths[k] = end - k
+            if k in leaders:
+                end = k
+
+        self.blocks: List[Optional[Callable[[], int]]] = [None] * n
+        self.starts = list(range(n))
+        self.lengths = lengths
         self.entry = self.target(program.entry_point)
+        self.end = self.target(self.text_base + self.text_bytes)
+        #: Block id of each branch's taken side (-1 for other instructions).
+        self.taken = [-1] * n
+        for k, instr in enumerate(instructions):
+            if instr.op is Op.BRANCH:
+                self.taken[k] = self.target(instr.target)
+                if self.taken[k] == k + 1:
+                    self.taken[k] = self.add(None, k + 1, lengths[k + 1])
+
+        memory_view = memoryview(memory.buffer)
+        self.views = (memory_view, memory_view[:memory.size & -4].cast("I"),
+                      memory_view[:memory.size & -2].cast("H"))
+        self.namespace: Dict[str, object] = {
+            "R": regs.values, "M": memory.buffer, "W": self.views[1], "H": self.views[2],
+            "regs": regs, "save": regs.save_window, "restore": regs.restore_window,
+            "check": memory.check, "rec": addresses.append, "ext": addresses.extend,
+            "jump": self.jump, "SimulationError": SimulationError, "Halt": _Halt, "icc": 0,
+        }
+        order = sorted(leaders)
+        functions = self.define([(f"b{k}", k, lengths[k], True) for k in order])
+        for k in order:
+            self.blocks[k] = functions[f"b{k}"]
+        for k, taken in enumerate(self.taken):
+            if taken >= n and self.blocks[taken] is None:  # an alias
+                self.blocks[taken] = self.blocks[k + 1]
+
+    # -- block ids --------------------------------------------------------------------
+
+    def add(self, function, start: int, length: int) -> int:
+        self.blocks.append(function)
+        self.starts.append(start)
+        self.lengths.append(length)
+        return len(self.blocks) - 1
+
+    def index(self, pc: Optional[int]) -> Optional[int]:
+        """The instruction index of ``pc``, or None outside the text segment."""
+        if pc is None:
+            return None
+        offset = pc - self.text_base
+        if not offset & 3 and 0 <= offset < self.text_bytes:
+            return offset >> 2
+        return None
 
     def target(self, pc: Optional[int]) -> int:
-        """Index of the handler that runs at ``pc``: its instruction's, or a fault."""
-        if pc is not None:
-            offset = pc - self.text_base
-            if not offset & 3 and 0 <= offset < self.text_bytes:
-                return offset >> 2
-            message = f"program counter {pc:#x} left the text segment"
-        else:
+        """The id of the block entered at ``pc``: its instruction's, or a fault."""
+        k = self.index(pc)
+        if k is not None:
+            return k
+        if pc is None:
             message = "control transfer without a resolved target"
-        self.handlers.append(partial(_fail, message))
-        return len(self.handlers) - 1
-
-    def destination(self, reg: int) -> Tuple[list, int, int]:
-        """The list a write to ``reg`` goes to, and the register's slot in it."""
-        if reg == 0:
-            return [0], 0, 0  # %g0 discards writes
-        return (self.regs.values, *REGISTER_SLOTS[reg])
-
-    def decode(self, index: int, instr: Instruction) -> Callable[[], int]:
-        op = instr.op
-        pc = self.text_base + index * INSTRUCTION_BYTES
-        nxt = self.target(pc + INSTRUCTION_BYTES)
-        x = REGISTER_SLOTS[instr.rs1]
-        if instr.imm is not None:
-            y, c = REGISTER_SLOTS[0], instr.imm & _MASK32
         else:
-            y, c = REGISTER_SLOTS[instr.rs2 or 0], 0
+            message = f"program counter {pc:#x} left the text segment"
+        return self.add(partial(_fail, message), -1, 1)
 
+    def jump(self, pc: int) -> int:
+        """A computed jump: the target's block id, compiling a new entry first."""
+        k = self.target(pc)
+        if self.blocks[k] is None:
+            self.blocks[k] = self.define([("b", k, self.lengths[k], True)])["b"]
+        return k
+
+    def prefix(self, block: int, count: int) -> Callable[[], None]:
+        """The first ``count`` instructions of ``block``, for a budget that ends there."""
+        return self.define([("p", self.starts[block], count, False)])["p"]
+
+    # -- code generation --------------------------------------------------------------
+
+    def define(self, parts: Sequence[Tuple[str, int, int, bool]]) -> Dict[str, Callable]:
+        """Compile ``(name, start, count, complete)`` functions in one go."""
+        source = "\n".join(self.source(*part) for part in parts)
+        functions: Dict[str, Callable] = {}
+        exec(compile(source, f"<blocks of {self.name}>", "exec"), self.namespace, functions)
+        return functions
+
+    def source(self, name: str, start: int, count: int, complete: bool) -> str:
+        """A function running ``count`` instructions from ``start``.
+
+        A complete block then records its addresses and returns the next
+        block id; a budget prefix (which never reaches a transfer) stops.
+        """
+        body = _Body()
+        stop = start + count
+        transfer = complete and self.instructions[stop - 1].op in _TRANSFERS
+        for k in range(start, stop - transfer):
+            self.emit(body, self.instructions[k], k)
+        if complete:
+            body.record_addresses()
+            if transfer:
+                self.emit_transfer(body, self.instructions[stop - 1], stop - 1)
+            else:
+                body.lines.append(f"return {self.next(stop - 1)}")
+        return body.function(name)
+
+    def next(self, k: int) -> int:
+        return k + 1 if k + 1 < len(self.instructions) else self.end
+
+    def emit(self, body: _Body, instr: Instruction, k: int) -> None:
+        op = instr.op
         if op in _ALU:
-            return self.alu(_ALU[op], instr.rd, x, y, c, nxt)
-        if op in _ALU_CC:
-            return self.alu_cc(*_ALU_CC[op], instr.rd, x, y, c, nxt)
-        if op is Op.SETHI:
-            return self.constant(instr.rd, (instr.imm << 11) & _MASK32, nxt)
-        if op in (Op.UDIV, Op.SDIV):
-            message = f"division by zero at pc {pc:#x} in {self.program.name!r}"
-            return self.divide(op is Op.SDIV, instr.rd, x, y, c, message, nxt)
-        if op in _LOADS:
-            return self.load(*_LOADS[op], instr.rd, x, y, c, nxt)
-        if op in _STORES:
-            return self.store(_STORES[op], instr.rd, x, y, c, nxt)
-        if op is Op.BRANCH:
-            if instr.condition not in _CONDITION_TABLES:
-                return partial(_fail, f"unknown branch condition {instr.condition!r}")
-            return self.branch(_CONDITION_TABLES[instr.condition], self.target(instr.target),
-                               nxt)
-        link = (pc + INSTRUCTION_BYTES) & _MASK32
-        if op is Op.CALL:
-            return self.constant(_O7, link, self.target(instr.target))
-        if op is Op.JMPL:
-            return self.jmpl(instr.rd, x, y, c, link)
-        if op in (Op.RETL, Op.RET):
-            return self.jump_register(_O7 if op is Op.RETL else _I7, op is Op.RET)
-        if op in (Op.SAVE, Op.RESTORE):
-            window = self.regs.save_window if op is Op.SAVE else self.regs.restore_window
-            return self.switch_window(window, instr.rd, x, y, c, nxt)
-        if op is Op.HALT:
-            return self.halt
-        if op is Op.NOP:
-            return lambda: nxt
-        return partial(_fail, f"unimplemented opcode {op!r}")
+            self.alu(body, instr)
+        elif op in _ALU_CC:
+            self.alu_cc(body, instr)
+        elif op is Op.SETHI:
+            body.write(instr.rd, (instr.imm << 11) & _MASK32)
+        elif op in (Op.UDIV, Op.SDIV):
+            self.divide(body, instr, k)
+        elif op in _LOADS:
+            size, value = _LOADS[op]
+            a = body.access(instr, size, self.memory_size - size)
+            body.write(instr.rd, value.format(a=a))
+        elif op in _STORES:
+            size, assignment = _STORES[op]
+            a = body.access(instr, size, self.memory_size - size)
+            body.lines.append(assignment.format(a=a, v=body.read(instr.rd)))
+        elif op in (Op.SAVE, Op.RESTORE):
+            self.switch_window(body, instr)
+        elif op is not Op.NOP:
+            body.lines.append(f"raise SimulationError({f'unimplemented opcode {op!r}'!r})")
 
-    # -- handler factories -------------------------------------------------------------
+    def emit_transfer(self, body: _Body, instr: Instruction, k: int) -> None:
+        op, lines = instr.op, body.lines
+        link = (self.text_base + (k + 1) * INSTRUCTION_BYTES) & _MASK32
+        if op is Op.BRANCH:
+            mask = _CONDITION_MASKS.get(instr.condition)
+            if mask is None:
+                message = f"unknown branch condition {instr.condition!r}"
+                lines.append(f"raise SimulationError({message!r})")
+            elif mask in (0, 0xFFFF):
+                lines.append(f"return {self.taken[k] if mask else self.next(k)}")
+            else:
+                lines.append(f"return {self.taken[k]} if {mask} >> icc & 1 else {self.next(k)}")
+        elif op is Op.CALL:
+            body.write(_O7, link)
+            lines.append(f"return {self.target(instr.target)}")
+        elif op is Op.JMPL:
+            lines.append(f"t = {body.address(instr)}")
+            body.write(instr.rd, link)
+            lines.append("return jump(t)")
+        elif op is Op.RETL:
+            lines.append(f"return jump({body.read(_O7)})")
+        elif op is Op.RET:
+            lines += [f"t = {body.read(_I7)}", "restore()", "return jump(t)"]
+        else:
+            lines.append("raise Halt")
+
+    # -- one emitter per operation kind -----------------------------------------------
 
     @staticmethod
-    def halt() -> int:
-        raise _Halt
+    def alu(body: _Body, instr: Instruction) -> None:
+        if not instr.rd:
+            return  # no flags, no faults: writing %g0 does nothing
+        x, y = body.read(instr.rs1), body.operand(instr)
+        if instr.op in (Op.ADD, Op.OR, Op.XOR, Op.SUB) and y == 0:
+            value = x
+        elif instr.op in (Op.ADD, Op.OR, Op.XOR) and x == 0:
+            value = y
+        else:
+            value = _ALU[instr.op].format(x=x, y=y)
+        body.write(instr.rd, value)
 
-    def constant(self, rd, value, nxt):
-        """SETHI, and CALL's write of the link register."""
-        regs = self.regs
-        D, dk, dm = self.destination(rd)
+    @staticmethod
+    def alu_cc(body: _Body, instr: Instruction) -> None:
+        result, flags = _ALU_CC[instr.op]
+        body.lines += [f"x = {body.read(instr.rs1)}", f"y = {body.operand(instr)}",
+                       f"r = {result}"]
+        body.write(instr.rd, "r")
+        body.lines.append(f"icc = {flags}")
+        body.sets_icc = True
 
-        def handler():
-            D[(regs.base & dm) + dk] = value
-            return nxt
-        return handler
+    def divide(self, body: _Body, instr: Instruction, k: int) -> None:
+        pc = self.text_base + k * INSTRUCTION_BYTES
+        fault = f"raise SimulationError({f'division by zero at pc {pc:#x} in {self.name!r}'!r})"
+        y = body.operand(instr)
+        if y == 0:
+            body.lines.append(fault)
+            return
+        x = body.read(instr.rs1)
+        if instr.op is Op.UDIV:
+            body.lines += [f"y = {y}", f"if not y: {fault}"]
+            body.write(instr.rd, f"{x} // y")
+            return
+        # signed operands; an immediate divisor keeps its own sign
+        y = instr.imm if instr.imm is not None else f"({y} ^ 0x80000000) - 0x80000000"
+        body.lines += [f"y = {y}", f"if not y: {fault}", f"x = ({x} ^ 0x80000000) - 0x80000000",
+                       "q = abs(x) // abs(y)"]
+        body.write(instr.rd, "(-q if (x < 0) != (y < 0) else q) & 0xFFFFFFFF")
 
-    def alu(self, fn, rd, x, y, c, nxt):
-        regs, R = self.regs, self.regs.values
-        D, dk, dm = self.destination(rd)
-        (xk, xm), (yk, ym) = x, y
-
-        def handler():
-            b = regs.base
-            D[(b & dm) + dk] = fn(R[(b & xm) + xk], R[(b & ym) + yk] + c) & _MASK32
-            return nxt
-        return handler
-
-    def alu_cc(self, fn, flags, rd, x, y, c, nxt):
-        regs, R = self.regs, self.regs.values
-        D, dk, dm = self.destination(rd)
-        (xk, xm), (yk, ym) = x, y
-        state = self
-
-        def handler():
-            b = regs.base
-            xv = R[(b & xm) + xk]
-            yv = R[(b & ym) + yk] + c
-            r = fn(xv, yv) & _MASK32
-            D[(b & dm) + dk] = r
-            state.icc = flags(xv, yv, r)
-            return nxt
-        return handler
-
-    def divide(self, signed, rd, x, y, c, message, nxt):
-        regs, R = self.regs, self.regs.values
-        D, dk, dm = self.destination(rd)
-        (xk, xm), (yk, ym) = x, y
-
-        def handler():
-            b = regs.base
-            xv = R[(b & xm) + xk]
-            yv = R[(b & ym) + yk] + c
-            if not yv:
-                raise SimulationError(message)
-            if signed:
-                xv, yv = _signed(xv), _signed(yv)
-                q = abs(xv) // abs(yv)
-                r = -q if (xv < 0) != (yv < 0) else q
-            else:
-                r = xv // yv
-            D[(b & dm) + dk] = r & _MASK32
-            return nxt
-        return handler
-
-    def load(self, size, sign, rd, x, y, c, nxt):
-        regs, R, M = self.regs, self.regs.values, self.memory.buffer
-        D, dk, dm = self.destination(rd)
-        (xk, xm), (yk, ym) = x, y
-        misaligned, last = size - 1, self.memory.size - size
-        check, record = self.memory.check, self.addresses.append
-
-        def handler():
-            b = regs.base
-            a = (R[(b & xm) + xk] + R[(b & ym) + yk] + c) & _MASK32
-            if a & misaligned or a > last:
-                check(a, size)
-            D[(b & dm) + dk] = ((int.from_bytes(M[a:a + size], "little") ^ sign) - sign) & _MASK32
-            record(a)
-            return nxt
-        return handler
-
-    def store(self, size, rd, x, y, c, nxt):
-        regs, R, M = self.regs, self.regs.values, self.memory.buffer
-        (sk, sm), (xk, xm), (yk, ym) = REGISTER_SLOTS[rd], x, y
-        misaligned, last, width = size - 1, self.memory.size - size, (1 << 8 * size) - 1
-        check, record = self.memory.check, self.addresses.append
-
-        def handler():
-            b = regs.base
-            a = (R[(b & xm) + xk] + R[(b & ym) + yk] + c) & _MASK32
-            if a & misaligned or a > last:
-                check(a, size)
-            M[a:a + size] = (R[(b & sm) + sk] & width).to_bytes(size, "little")
-            record(a)
-            return nxt
-        return handler
-
-    def branch(self, taken, target, nxt):
-        state, record = self, self.outcomes.append
-
-        def handler():
-            if taken[state.icc]:
-                record(True)
-                return target
-            record(False)
-            return nxt
-        return handler
-
-    def jmpl(self, rd, x, y, c, link):
-        regs, R = self.regs, self.regs.values
-        D, dk, dm = self.destination(rd)
-        (xk, xm), (yk, ym) = x, y
-        jump = self.target
-
-        def handler():
-            b = regs.base
-            t = (R[(b & xm) + xk] + R[(b & ym) + yk] + c) & _MASK32
-            D[(b & dm) + dk] = link
-            return jump(t)
-        return handler
-
-    def jump_register(self, reg, restore):
-        """RETL (through ``%o7``) or RET (through ``%i7``, then RESTORE)."""
-        regs, R = self.regs, self.regs.values
-        k, m = REGISTER_SLOTS[reg]
-        jump = self.target
-
-        def handler():
-            t = R[(regs.base & m) + k]
-            if restore:
-                regs.restore_window()
-            return jump(t)
-        return handler
-
-    def switch_window(self, window, rd, x, y, c, nxt):
+    @staticmethod
+    def switch_window(body: _Body, instr: Instruction) -> None:
         """SAVE/RESTORE: add in the old window, write ``rd`` in the new one."""
-        regs, R = self.regs, self.regs.values
-        D, dk, dm = self.destination(rd)
-        (xk, xm), (yk, ym) = x, y
+        body.lines += [f"v = {body.address(instr)}",
+                       "save()" if instr.op is Op.SAVE else "restore()", "b = regs.base"]
+        body.write(instr.rd, "v")
 
-        def handler():
-            b = regs.base
-            v = (R[(b & xm) + xk] + R[(b & ym) + yk] + c) & _MASK32
-            window()
-            D[(regs.base & dm) + dk] = v
-            return nxt
-        return handler
+    # -- after the run ----------------------------------------------------------------
+
+    def expand(self, entries: List[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """The executed instruction indices, and each executed branch's outcome."""
+        ids = np.fromiter(entries, dtype=np.intp, count=len(entries))
+        first = np.asarray(self.starts, dtype=np.intp)[ids]
+        length = np.asarray(self.lengths, dtype=np.intp)[ids]
+        ends = np.cumsum(length)
+        indices = np.arange(ends[-1], dtype=np.intp) + np.repeat(first + length - ends, length)
+        # the last block halted; every other one's last instruction chose the next
+        taken = np.asarray(self.taken, dtype=np.intp)[(first + length - 1)[:-1]]
+        return indices, (ids[1:] == taken)[taken >= 0]
+
+    def close(self) -> None:
+        """Drop the generated functions and release the memory views."""
+        self.blocks.clear()
+        self.namespace.clear()
+        for view in reversed(self.views):
+            view.release()
 
 
-def _build_trace(instructions: Tuple[Instruction, ...], text_base: int, indices: List[int],
-                 addresses: List[int], outcomes: List[bool], name: str) -> ExecutionTrace:
-    """Expand the recorded streams of one run into an :class:`ExecutionTrace`."""
+def _build_trace(instructions: Tuple[Instruction, ...], text_base: int, idx: np.ndarray,
+                 addresses: List[int], outcomes: np.ndarray, name: str) -> ExecutionTrace:
+    """Expand the executed instruction indices and recorded streams into a trace."""
     classes = [OP_CLASS.get(i.op, OpClass.NOP) for i in instructions]
     is_branch = np.asarray([i.op is Op.BRANCH for i in instructions], dtype=bool)
     is_memory = np.asarray([c in (OpClass.LOAD, OpClass.STORE) for c in classes], dtype=bool)
@@ -398,12 +522,11 @@ def _build_trace(instructions: Tuple[Instruction, ...], text_base: int, indices:
     window_delta = np.asarray([_WINDOW_DELTA.get(i.op, 0) for i in instructions], dtype=np.int8)
     pcs = (text_base + INSTRUCTION_BYTES * np.arange(len(instructions))).astype(np.uint32)
 
-    count = len(indices)
-    idx = np.fromiter(indices, dtype=np.intp, count=count)
+    count = len(idx)
     op_classes = np.asarray(classes, dtype=np.uint8)[idx]
     branch = is_branch[idx]
-    op_classes[branch] = np.where(np.fromiter(outcomes, dtype=bool, count=len(outcomes)),
-                                  np.uint8(OpClass.BRANCH_TAKEN), np.uint8(OpClass.BRANCH_UNTAKEN))
+    op_classes[branch] = np.where(outcomes, np.uint8(OpClass.BRANCH_TAKEN),
+                                  np.uint8(OpClass.BRANCH_UNTAKEN))
     mem_addrs = np.zeros(count, dtype=np.uint32)
     mem_addrs[is_memory[idx]] = np.fromiter(addresses, dtype=np.uint32, count=len(addresses))
     load_use = np.zeros(count, dtype=bool)
@@ -442,31 +565,51 @@ class FunctionalSimulator:
             regs.write(register_number("sp"), layout.stack_top)
             regs.write(register_number("fp"), layout.stack_top)
 
-            indices: List[int] = []
+            entries: List[int] = []
             addresses: List[int] = []
-            outcomes: List[bool] = []
-            decoder = _Decoder(program, regs, memory, addresses, outcomes)
-            handlers = decoder.handlers
-            record = indices.append
-            i = decoder.entry
+            code = _Blocks(program, regs, memory, addresses)
             try:
-                for _ in repeat(None, self.max_instructions):
-                    record(i)
-                    i = handlers[i]()
-                raise SimulationError(
-                    f"instruction budget of {self.max_instructions} exceeded in "
-                    f"{program.name!r} (infinite loop?)")
-            except _Halt:
-                pass
-            trace = _build_trace(program.instructions, layout.text_base, indices, addresses,
+                self._execute(code, entries)
+                idx, outcomes = code.expand(entries)
+            finally:
+                code.close()
+            trace = _build_trace(program.instructions, layout.text_base, idx, addresses,
                                  outcomes, name)
-            sim_span.set(instructions=len(indices))
+            sim_span.set(instructions=len(idx))
 
         return SimulationResult(
             trace=trace,
             registers=regs,
             memory=memory,
-            instruction_count=len(indices),
+            instruction_count=len(idx),
             halted=True,
             max_window_depth=regs.max_depth,
         )
+
+    def _execute(self, code: _Blocks, entries: List[int]) -> None:
+        """Run blocks from the entry point until HALT, recording each block id."""
+        blocks, lengths = code.blocks, code.lengths
+        record = entries.append
+        i = code.entry
+        left = self.max_instructions
+        longest = max(lengths)
+        try:
+            # no ``left // longest`` blocks can overrun the budget
+            while left >= longest:
+                done = len(entries)
+                for _ in repeat(None, left // longest):
+                    record(i)
+                    i = blocks[i]()
+                left -= sum(map(lengths.__getitem__, entries[done:]))
+            # the last few blocks, checked one by one
+            while lengths[i] <= left:
+                left -= lengths[i]
+                record(i)
+                i = blocks[i]()
+            if left > 0:
+                code.prefix(i, left)()
+        except _Halt:
+            return
+        raise SimulationError(
+            f"instruction budget of {self.max_instructions} exceeded in "
+            f"{self.program.name!r} (infinite loop?)")

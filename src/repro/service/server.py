@@ -94,8 +94,20 @@ def figure2_grid(platform: LiquidPlatform) -> List[Configuration]:
     return [config for config in configs if platform.fits(config)]
 
 
+#: Largest request body the HTTP layer reads, in bytes (larger ones get 413).
+MAX_BODY_BYTES = 1 << 20
+
+
 class ServiceBadRequest(ValueError):
     """A malformed job payload (mapped to HTTP 400)."""
+
+    status = 400
+
+
+class ServicePayloadTooLarge(ServiceBadRequest):
+    """A request body over :data:`MAX_BODY_BYTES` (mapped to HTTP 413)."""
+
+    status = 413
 
 
 class TuningService:
@@ -372,11 +384,13 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _payload(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
+        length = self._content_length()
         if not length:
             return {}
         try:
@@ -386,6 +400,26 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         if not isinstance(payload, dict):
             raise ServiceBadRequest("request body must be a JSON object")
         return payload
+
+    def _content_length(self) -> int:
+        """The body length, validated before anything is read.
+
+        A rejected length leaves the body unread, so the connection closes
+        after the error reply instead of parsing the body as a request.
+        """
+        text = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(text)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True
+            raise ServiceBadRequest(f"invalid Content-Length {text!r}")
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            raise ServicePayloadTooLarge(
+                f"request body of {length} bytes exceeds {MAX_BODY_BYTES}")
+        return length
 
     def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
@@ -416,7 +450,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 self._reply(404, {"error": f"no route for POST {path}"})
                 return
         except ServiceBadRequest as exc:
-            self._reply(400, {"error": str(exc)})
+            self._reply(exc.status, {"error": str(exc)})
             return
         self._reply(202, self.service.jobs.snapshot(job, results=False))
 

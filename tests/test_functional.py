@@ -1,5 +1,7 @@
 """Tests for the functional simulator (architectural behaviour and trace recording)."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -283,3 +285,25 @@ class TestTraceRecording:
         mix = run(asm).trace.mix_summary()
         assert 0 < mix["memory_fraction"] <= 1
         assert mix["instructions"] == run(asm).trace.instruction_count
+
+
+@pytest.mark.parametrize("name", ["arith", "blastn", "drr", "frag"])
+def test_a_run_leaves_no_cyclic_garbage(small_workload_map, name):
+    """A run's generated code and streams are freed by refcount alone.
+
+    A long-running worker simulates many workloads; state that only the
+    cyclic collector can free would pile up between its passes.  The
+    memory image must also be left without exported views.
+    """
+    workload = small_workload_map[name]
+    simulator = FunctionalSimulator(workload.program,
+                                    max_instructions=workload.max_instructions)
+    gc.collect()
+    gc.disable()
+    try:
+        result = simulator.run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    result.memory.buffer.append(0)  # raises BufferError while a view is exported
+

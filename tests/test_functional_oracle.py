@@ -1,8 +1,8 @@
-"""Differential suite: the pre-decoded simulator against the reference interpreter.
+"""Differential suite: the block-compiled simulator against the reference interpreter.
 
 :class:`~repro.microarch.functional.FunctionalSimulator` compiles each
-program into per-instruction handlers and derives its trace columns from
-recorded instruction indices; ``reference_simulator.ReferenceSimulator``
+program into one function per basic block and derives its trace columns
+from the executed blocks; ``reference_simulator.ReferenceSimulator``
 is the original per-instruction interpreter.  On the four applications,
 the phased scenarios and hypothesis-generated programs the two must
 agree bit for bit: all six trace columns (dtype and values), the final
@@ -132,12 +132,41 @@ ERROR_PROGRAMS = {
     "sdiv-by-zero-immediate": lambda a: (a.sdiv("g2", "g1", 0), a.halt()),
     "restore-underflow": lambda a: (a.restore(), a.halt()),
     "ret-underflow": lambda a: (a.ret(), a.halt()),
+    # computed jumps into the middle of the last block, which then runs off
+    # the end of the text segment or divides by zero
+    "jmpl-mid-block-off-the-end": lambda a: (
+        a.set("g1", "middle"), a.jmpl("g0", "g1", 0), a.halt(), a.nop(), a.label("middle"),
+        a.nop()),
+    "jmpl-mid-block-fault": lambda a: (
+        a.set("g1", "middle"), a.jmpl("g0", "g1", 0), a.halt(), a.nop(), a.label("middle"),
+        a.udiv("g2", "g1", 0), a.halt()),
+}
+
+#: Programs that enter basic blocks in the middle through computed jumps and
+#: still reach HALT.
+MID_BLOCK_PROGRAMS = {
+    # the first block runs whole, then twice more from its middle
+    "jmpl-into-the-first-block": lambda a: (
+        a.set("g1", "middle"), a.add("g2", "g2", 1), a.label("middle"), a.add("g3", "g3", 1),
+        a.cmp("g3", 3), a.be("done"), a.jmpl("g0", "g1", 0), a.label("done"), a.halt()),
+    # a load and a branch after the entry point of the entered block
+    "jmpl-past-a-load": lambda a: (
+        a.data_label("value"), a.word_data([5]), a.set("g4", "value"),
+        a.set("g1", "middle"), a.jmpl("o7", "g1", 0), a.ld("g2", "g4", 0), a.label("middle"),
+        a.ld("g3", "g4", 0), a.subcc("g0", "g3", 5), a.bne("done"), a.st("g3", "g4", 4),
+        a.label("done"), a.halt()),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ERROR_PROGRAMS))
 def test_error_paths_raise_alike(case):
     assert run_both(_program(ERROR_PROGRAMS[case]), max_instructions=1000) == (None, None)
+
+
+@pytest.mark.parametrize("case", sorted(MID_BLOCK_PROGRAMS))
+def test_mid_block_entries_match_reference(case):
+    actual, _ = run_both(_program(MID_BLOCK_PROGRAMS[case]), max_instructions=1000)
+    assert actual is not None
 
 
 def test_static_targets_outside_text_raise_alike():
@@ -182,11 +211,21 @@ def test_condition_tables_match_reference():
                     == ReferenceSimulator._condition(condition, *flags)), (condition, icc)
 
 
-@pytest.mark.parametrize("budget,completes", [(4, True), (3, False)])
+@pytest.mark.parametrize("budget,completes", [(1, False), (2, False), (3, False), (4, True),
+                                             (5, True)])
 def test_budget_counts_the_halt(budget, completes):
+    """A budget of four runs the HALT of a four-instruction block.
+
+    A budget ending inside a block runs only that block's prefix, so a
+    fault later in the block never wins over the budget error.
+    """
     program = _program(lambda a: (a.nop(), a.nop(), a.nop(), a.halt()))
     actual, _ = run_both(program, max_instructions=budget)
     assert (actual is not None) == completes
+    faulting = _program(lambda a: (a.nop(), a.nop(), a.nop(), a.udiv("g1", "g0", 0), a.halt()))
+    with pytest.raises(SimulationError, match="division" if completes else "budget"):
+        FunctionalSimulator(faulting, max_instructions=budget).run()
+    assert run_both(faulting, max_instructions=budget) == (None, None)
 
 
 # -- generated programs ------------------------------------------------------------------
@@ -218,7 +257,7 @@ def _operand2(draw):
 #: Instruction kinds, repeated to weight them: the rare ones mostly end a
 #: run early (underflow, a jump through an unset link register).
 KINDS = (["alu"] * 12 + ["compare"] * 3 + ["sethi"] * 2 + ["load"] * 6 + ["store"] * 6
-         + ["branch"] * 6 + ["call", "save", "nop", "jmpl", "retl", "ret", "restore"])
+         + ["branch"] * 6 + ["call", "save", "nop", "jmpl", "jump", "retl", "ret", "restore"])
 
 
 @st.composite
@@ -248,10 +287,14 @@ def instructions(draw, position, length):
             offset += draw(st.integers(1, 3))
         rd = draw(st.sampled_from(WRITABLE if kind == "load" else range(32)))
         return Instruction(op, rd=rd, rs1=BASE_REG, imm=offset)
-    # control targets run forward (a backward branch now and then loops)
-    backward = kind == "branch" and not draw(st.integers(0, 19))
+    # control targets run forward (a backward branch or jump now and then loops)
+    backward = kind in ("branch", "jump") and not draw(st.integers(0, 19))
     index = draw(st.integers(0, position) if backward else st.integers(position + 1, length))
     target = LAYOUT.text_base + INSTRUCTION_BYTES * index
+    if kind == "jump":
+        # a computed jump (``%g0`` + immediate) to any body address, often
+        # into the middle of a basic block
+        return Instruction(Op.JMPL, rd=draw(st.sampled_from([0, 15, 16])), rs1=0, imm=target)
     if kind == "branch":
         return Instruction(Op.BRANCH, condition=draw(st.sampled_from(CONDITION_CODES)),
                            target=target)
@@ -295,6 +338,8 @@ def programs(draw):
         if instr.target is not None:
             instr = Instruction(instr.op, condition=instr.condition,
                                 target=instr.target + shift)
+        elif instr.op is Op.JMPL and instr.rs1 == 0:
+            instr = Instruction(Op.JMPL, rd=instr.rd, imm=instr.imm + shift)
         body.append(instr)
     data = draw(st.binary(min_size=0, max_size=256))
     return Program(instructions=tuple(prologue + body + [Instruction(Op.HALT)]),

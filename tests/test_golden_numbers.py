@@ -8,12 +8,12 @@ kernel refactor that silently changes results -- e.g. by perturbing the
 seeded RANDOM victim stream -- fails fast and points at the exact
 (workload, cache, configuration) cell that moved.
 
-It also pins the trace fingerprint of each workload, keyed by
-``SIMULATOR_VERSION``.  Result stores and campaign databases key their
-rows on these digests, and map workload recipes (which cover the
-simulator version) to them, so a functional simulator change that alters
-any trace column fails here instead of silently orphaning (or
-mis-serving) every persisted row.
+It also pins the trace fingerprint of each workload, at test size and at
+the default (standard) size, keyed by ``SIMULATOR_VERSION``.  Result
+stores and campaign databases key their rows on these digests, and map
+workload recipes (which cover the simulator version) to them, so a
+functional simulator change that alters any trace column fails here
+instead of silently orphaning (or mis-serving) every persisted row.
 
 To regenerate the fixtures after an *intentional* behaviour change::
 
@@ -35,6 +35,7 @@ import pytest
 from repro.config import Replacement
 from repro.microarch.cache import Cache, CacheConfig
 from repro.microarch.functional import SIMULATOR_VERSION
+from repro.workloads import standard_workloads
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "cache_golden.json"
 FINGERPRINT_PATH = pathlib.Path(__file__).parent / "golden" / "trace_fingerprints.json"
@@ -110,6 +111,9 @@ def test_cache_statistics_match_committed_golden_numbers(small_workload_map):
 def test_trace_fingerprints_match_committed_golden(small_workload_map):
     actual = {name: workload.fingerprint()
               for name, workload in sorted(small_workload_map.items())}
+    # the default-size applications the benchmarks and the paper's tables run
+    actual.update({f"{name}-standard": workload.fingerprint()
+                   for name, workload in standard_workloads().items()})
     version = str(SIMULATOR_VERSION)
     golden = json.loads(FINGERPRINT_PATH.read_text())
     if os.environ.get("REPRO_UPDATE_GOLDEN") == "1":

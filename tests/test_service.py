@@ -15,8 +15,11 @@ import gc
 import json
 import os
 import signal
+import socket
 import threading
 import time
+from http import HTTPStatus
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -30,7 +33,7 @@ from repro.engine.campaign import STATUS_DONE
 from repro.platform import LiquidPlatform
 from repro.service import ServiceClient, ServiceError, TuningService, make_server
 from repro.service.jobs import JobManager
-from repro.service.server import figure2_grid
+from repro.service.server import MAX_BODY_BYTES, figure2_grid
 
 
 def wait_for(job_manager_service, job_id, timeout=120.0):
@@ -383,6 +386,23 @@ class TestServiceHttp:
         with pytest.raises(ServiceError) as route:
             client._request("GET", "/no-such-route")
         assert route.value.status == 404
+
+    @pytest.mark.parametrize("length,status", [
+        ("abc", 400), ("-1", 400), (str(MAX_BODY_BYTES + 1), 413)])
+    def test_bad_content_length_is_answered_before_any_read(
+            self, live_service, length, status):
+        """A bad length gets its reply at once, without the body being sent."""
+        service, client = live_service
+        url = urlsplit(client.base_url)
+        host, port = url.hostname, url.port
+        with socket.create_connection((host, port), timeout=10.0) as sock:
+            sock.sendall(f"POST /sweep HTTP/1.1\r\nHost: {host}\r\n"
+                         f"Content-Length: {length}\r\n\r\n".encode("ascii"))
+            reply = sock.makefile("rb").read()  # the server closes the connection
+        assert reply.split(b"\r\n", 1)[0] == f"HTTP/1.1 {status} ".encode() + \
+            HTTPStatus(status).phrase.encode()
+        assert b"Connection: close" in reply
+        assert service.jobs.list_jobs() == []
 
 
 class TestServiceOnCampaignGrid:
