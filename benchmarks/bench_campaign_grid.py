@@ -97,10 +97,10 @@ def campaign_worker_main(path, barrier, queue, worker_index):
     with CampaignGrid(path) as grid:
         worker = CampaignWorker(
             grid, [workload], worker_id=f"bench-{worker_index}",
-            batch=CLAIM_BATCH, workers=1)
+            batch=CLAIM_BATCH)
         try:
-            # everything above (trace generation, fingerprinting, pool and
-            # store setup) is startup, not drain; the parent starts its
+            # everything above (trace generation, fingerprinting, store
+            # setup) is startup, not drain; the parent starts its
             # clock when every worker reaches this barrier
             barrier.wait(timeout=600)
             report = worker.run()
@@ -159,7 +159,7 @@ def test_campaign_grid_scaling(tmp_path):
     configs = fig2_grid(platform)
     workload = fresh_blastn()
 
-    with ParallelEvaluator(LiquidPlatform(), workers=1) as direct:
+    with ParallelEvaluator(LiquidPlatform()) as direct:
         reference = direct.measure_sweep(workload, configs)
 
     with tempfile.TemporaryDirectory(dir=str(tmp_path)) as tmp_dir:

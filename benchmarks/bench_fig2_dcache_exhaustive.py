@@ -21,7 +21,6 @@ paper-shape assertions that need benchmark-scale traces are skipped.
 
 import time
 
-import pytest
 from bench_sweep_throughput import per_config_reference_timing
 from conftest import SMOKE, emit
 
@@ -103,7 +102,7 @@ def test_fig2_engine_wall_clock_improvement(benchmark, workloads):
     pr1_result, pr1_seconds = _timed_sweep(workload, ways_threshold=1)
     kernel_result, kernel_seconds = _timed_sweep(workload)
 
-    with ParallelEvaluator(LiquidPlatform(), workers=2) as engine:
+    with ParallelEvaluator(LiquidPlatform()) as engine:
         start = time.perf_counter()
         engine_result = benchmark.pedantic(
             dcache_exhaustive, args=(engine, workload), rounds=1, iterations=1)
@@ -114,7 +113,7 @@ def test_fig2_engine_wall_clock_improvement(benchmark, workloads):
           f"\n  seed (scalar loop, sequential)        {scalar_seconds:8.2f}s"
           f"\n  PR 1 (ways==1 vectorized, sequential) {pr1_seconds:8.2f}s"
           f"\n  kernel (columnar, sequential)         {kernel_seconds:8.2f}s"
-          f"\n  kernel + engine ({engine.workers} workers)           {engine_seconds:8.2f}s"
+          f"\n  kernel + engine                       {engine_seconds:8.2f}s"
           f"\n  speedup vs seed {scalar_seconds / engine_seconds:5.2f}x,"
           f" vs PR 1 {pr1_seconds / engine_seconds:5.2f}x"
           f" (sequential kernel alone {pr1_seconds / kernel_seconds:5.2f}x)")
@@ -124,18 +123,13 @@ def test_fig2_engine_wall_clock_improvement(benchmark, workloads):
     assert engine_result.data["rows"] == pr1_result.data["rows"]
     assert engine_result.data["rows"] == kernel_result.data["rows"]
     # the set-associative kernel must beat PR 1's scalar set-associative loop
-    # even without worker processes
     assert kernel_seconds < pr1_seconds, (
         f"columnar kernel sweep ({kernel_seconds:.2f}s) not faster than "
         f"the PR 1 baseline ({pr1_seconds:.2f}s)")
-    assert engine.stats.workers == 2
     assert engine.stats.cache_groups > 0
     if SMOKE:
-        return  # at smoke scale pool startup dwarfs the work; the sequential
-                # kernel assertion above already guards the hot path
-    if engine.stats.parallel_simulations == 0:
-        pytest.skip("process pool unavailable in this environment; "
-                    "worker wall-clock comparison not meaningful")
+        return  # smoke-scale wall clocks are too small to compare; the
+                # sequential kernel assertion above guards the hot path
     assert engine_seconds < scalar_seconds, (
         f"engine sweep ({engine_seconds:.2f}s) not faster than "
         f"seed scalar sweep ({scalar_seconds:.2f}s)")

@@ -7,7 +7,7 @@ tracing *enabled* a span records two clock reads and one small record
 append -- at batch/group granularity, never per cache access.
 
 This benchmark measures the Figure-2 BLASTN dcache sweep through a fresh
-single-process :class:`~repro.engine.parallel.ParallelEvaluator` with
+:class:`~repro.engine.parallel.ParallelEvaluator` with
 tracing off and with tracing on, in interleaved pairs (both sides of a
 pair see the same background load), takes each side's best-of-``REPS``
 per pair and the median pair ratio, and asserts the traced sweep stays
@@ -61,10 +61,10 @@ def fig2_grid(platform):
 
 
 def sweep_seconds(workload, configs) -> float:
-    """Best-of-``REPS`` wall-clock of one cold single-process sweep."""
+    """Best-of-``REPS`` wall-clock of one cold engine sweep."""
     best = float("inf")
     for _ in range(REPS):
-        with ParallelEvaluator(LiquidPlatform(), workers=1) as evaluator:
+        with ParallelEvaluator(LiquidPlatform()) as evaluator:
             start = time.perf_counter()
             evaluator.measure_sweep(workload, configs)
             best = min(best, time.perf_counter() - start)

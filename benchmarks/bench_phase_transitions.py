@@ -32,9 +32,7 @@ from repro.workloads import phase_scenarios
 
 def test_phase_transitions_cold_vs_warm(benchmark):
     scenarios = phase_scenarios(small=SMOKE)
-    # workers=1 keeps the phase chains inline, where decode accounting is
-    # exact; the chain replay itself is the cheap part once views exist
-    with ParallelEvaluator(LiquidPlatform(), workers=1) as engine:
+    with ParallelEvaluator(LiquidPlatform()) as engine:
         result = benchmark.pedantic(
             phase_transition_study, args=(engine, scenarios), rounds=1, iterations=1)
         stats = engine.stats

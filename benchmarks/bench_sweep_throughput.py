@@ -23,17 +23,15 @@ The variants, one per kernel lane plus the engine paths:
   cross-config lane (one rank-synchronous replay for the whole grid);
 * ``jit`` -- the Numba event-loop lane, recorded only when Numba is
   importable on the host;
-* ``batched_arena`` -- ``measure_sweep`` through a
-  :class:`ParallelEvaluator` in the default adaptive-arena mode: the
-  publish cost model decides per batch whether shared-memory publishing
-  and worker fan-out pay for themselves, and small grids replay inline.
+* ``engine`` -- ``measure_sweep`` through a :class:`ParallelEvaluator`
+  (store/dedup planning plus shared-decode replay groups, in process).
 
-All variants must agree bit for bit at every scale, and the adaptive
-engine path must stay within noise of the sequential batched path
-(``ARENA_FLOOR``) -- the cost model exists precisely so the arena can
-never *lose* on grids too small to amortise it.  Wall-clock speedup
-floors only run at benchmark scale (``REPRO_BENCH_SMOKE=1`` keeps the
-equality, shared-memory-hygiene and arena-floor assertions), except the
+All variants must agree bit for bit at every scale, and the engine path
+must stay within noise of the sequential batched path
+(``ENGINE_FLOOR``): its planning may never cost more than it saves.
+Wall-clock speedup floors only run at benchmark scale
+(``REPRO_BENCH_SMOKE=1`` keeps the equality and engine-floor
+assertions), except the
 replay-bound lane microbench at the bottom, whose ≥``REPLAY_FLOOR``x
 cross-config floor holds at smoke scale too and is what the CI
 perf-smoke job enforces.
@@ -43,7 +41,6 @@ trajectory of the sweep path is machine readable across PRs.
 """
 
 import contextlib
-import glob
 import itertools
 import json
 import os
@@ -59,7 +56,7 @@ from repro.config import (
     base_configuration,
 )
 from repro.config.leon_space import Multiplier
-from repro.engine import ParallelEvaluator, arena_available
+from repro.engine import ParallelEvaluator
 from repro.microarch.cache import CacheConfig, Replacement
 from repro.microarch.cachekernel import (
     KERNEL_LANE_ENV,
@@ -83,10 +80,9 @@ SPEEDUP_FLOOR = 5.0
 #: The cross-config lane's end-to-end floor on the geometry-dense
 #: Figure-2 grid (full scale; the committed trajectory targets ≥4x).
 CROSSCONFIG_GRID_FLOOR = 3.0
-#: The adaptive engine path may never fall below this fraction of the
-#: sequential batched path's throughput -- at ANY scale (the cost model
-#: is what makes this hold on grids too small to amortise publishing).
-ARENA_FLOOR = 0.95
+#: The engine path may never fall below this fraction of the sequential
+#: batched path's throughput -- at ANY scale.
+ENGINE_FLOOR = 0.95
 #: The cross-config lane's replay-only floor (microbench).  The committed
 #: full-scale trajectory holds the 3x bar; the smoke leg keeps a margin
 #: below it because the lane's stacked state arrays make it more
@@ -100,8 +96,8 @@ REPLAY_FLOOR = 2.5 if SMOKE else 3.0
 #: warmup); full scale stays single-shot, matching the historical
 #: methodology.
 REPS = 5 if SMOKE else 1
-#: Repetitions for the interleaved batched/arena pairs that feed the
-#: ``ARENA_FLOOR`` ratio: a single pair is one ~100ms sample of a
+#: Repetitions for the interleaved batched/engine pairs that feed the
+#: ``ENGINE_FLOOR`` ratio: a single pair is one ~100ms sample of a
 #: drifting shared host, so even full scale takes the median of three.
 PAIR_REPS = max(REPS, 3)
 
@@ -181,18 +177,10 @@ def best_of(fn, reps=REPS):
     return result, seconds
 
 
-def run_arena_variant(workload, configs, linesizes, cold=True):
-    """One adaptive-engine sweep: returns (result, seconds, stats dict).
-
-    ``cold`` marks the first run against this workload instance: the
-    host pays one decode per (kind, linesize) group; repeat runs (the
-    smoke-scale best-of repetitions) find the views already cached on
-    the trace and must decode nothing at all.
-    """
-    with ParallelEvaluator(LiquidPlatform(), workers=2) as engine:
-        # spawn any long-lived engine state on an off-grid batch first, so a
-        # steady-state sweep is what gets timed (under the adaptive cost
-        # model a small warmup simply replays inline)
+def run_engine_variant(workload, configs):
+    """One engine sweep: returns (result, seconds, stats dict)."""
+    with ParallelEvaluator(LiquidPlatform()) as engine:
+        # an off-grid batch first, so a steady-state sweep is what gets timed
         warmup = [base_configuration().replace(
             dcache_sets=sets, dcache_setsize_kb=32 if SMOKE else 16,
             dcache_replacement="lru") for sets in (2, 3)]
@@ -200,18 +188,6 @@ def run_arena_variant(workload, configs, linesizes, cold=True):
         engine.measure_sweep(workload, warmup)
         result, seconds = timed(lambda: engine.measure_sweep(workload, configs))
         stats = engine.stats.as_dict()
-        if arena_available():
-            # published and inline batches alike never decode in a worker,
-            # and the host decodes each (kind, linesize) group exactly once
-            # across the warmup + timed batches
-            assert engine.stats.worker_decodes == 0
-            assert engine.stats.host_decodes == (len(linesizes) if cold else 0)
-            if engine.stats.arena_skipped:
-                # the cost model ran the batches inline: nothing published,
-                # no pool fan-out
-                assert engine.stats.parallel_simulations == 0
-            else:
-                assert engine.stats.arena_segments > 0
         emit(engine_report(engine))
     return result, seconds, stats
 
@@ -243,15 +219,15 @@ def run_variants(fresh_workload, configs):
                 lambda: LiquidPlatform().measure_sweep(workload, configs))
 
     # the engine variant gets its own workload instance whose views are NOT
-    # pre-decoded: the timed sweep pays the real cold-sweep decode cost, and
-    # the decode accounting is exact.  The plain batched baseline and the
-    # engine reps run as interleaved pairs: the two sides of the
-    # ARENA_FLOOR assertion then sample the host's background load at the
+    # pre-decoded: the first timed sweep pays the real cold-sweep decode
+    # cost.  The plain batched baseline and the engine reps run as
+    # interleaved pairs: the two sides of the ENGINE_FLOOR assertion then
+    # sample the host's background load at the
     # same moments, instead of phases seconds apart that a load spike can
     # skew one-sidedly
-    arena_workload = fresh_workload()
-    arena_workload.trace()
-    batched_seconds = arena_seconds = None
+    engine_workload = fresh_workload()
+    engine_workload.trace()
+    batched_seconds = engine_seconds = None
     pair_ratios = []
     for rep in range(PAIR_REPS):
         with kernel_lane_env(LANE_NUMPY):
@@ -260,24 +236,24 @@ def run_variants(fresh_workload, configs):
         assert batched == scalar, "batched sweep diverges from the scalar path"
         batched_seconds = seconds if batched_seconds is None else min(
             batched_seconds, seconds)
-        arena_result, arena_rep_seconds, stats = run_arena_variant(
-            arena_workload, configs, linesizes, cold=(rep == 0))
-        arena_seconds = arena_rep_seconds if arena_seconds is None else min(
-            arena_seconds, arena_rep_seconds)
+        engine_result, engine_rep_seconds, stats = run_engine_variant(
+            engine_workload, configs)
+        engine_seconds = engine_rep_seconds if engine_seconds is None else min(
+            engine_seconds, engine_rep_seconds)
         # each rep's plain/engine pair ran back to back, so their ratio is
         # taken under the same background load; the median over the pairs
-        # is what the ARENA_FLOOR asserts (a best-of/best-of quotient
+        # is what the ENGINE_FLOOR asserts (a best-of/best-of quotient
         # would compare two different moments of a drifting host)
-        pair_ratios.append(seconds / arena_rep_seconds)
+        pair_ratios.append(seconds / engine_rep_seconds)
     results["batched"] = batched
     timings["batched"] = batched_seconds
-    results["batched_arena"] = arena_result
-    timings["batched_arena"] = arena_seconds
-    arena_ratio = sorted(pair_ratios)[len(pair_ratios) // 2]
+    results["engine"] = engine_result
+    timings["engine"] = engine_seconds
+    engine_ratio = sorted(pair_ratios)[len(pair_ratios) // 2]
 
     for variant, result in results.items():
         assert result == scalar, f"{variant} sweep diverges from the scalar path"
-    return stats, timings, arena_ratio
+    return stats, timings, engine_ratio
 
 
 def report(name, configs, timings):
@@ -288,11 +264,11 @@ def report(name, configs, timings):
     lines.append(
         f"  speedup batched {timings['scalar'] / timings['batched']:.2f}x, "
         f"crossconfig {timings['scalar'] / timings['crossconfig']:.2f}x, "
-        f"arena {timings['scalar'] / timings['batched_arena']:.2f}x vs scalar")
+        f"engine {timings['scalar'] / timings['engine']:.2f}x vs scalar")
     print("\n".join(lines))
 
 
-def to_entry(configs, timings, stats=None, arena_ratio=None):
+def to_entry(configs, timings, stats=None, engine_ratio=None):
     entry = {
         "points": len(configs),
         "variants": {
@@ -305,11 +281,11 @@ def to_entry(configs, timings, stats=None, arena_ratio=None):
         "speedup_batched_vs_scalar": round(timings["scalar"] / timings["batched"], 2),
         "speedup_crossconfig_vs_scalar": round(
             timings["scalar"] / timings["crossconfig"], 2),
-        "speedup_arena_vs_scalar": round(
-            timings["scalar"] / timings["batched_arena"], 2),
-        "arena_vs_batched": round(
-            arena_ratio if arena_ratio is not None
-            else timings["batched"] / timings["batched_arena"], 2),
+        "speedup_engine_vs_scalar": round(
+            timings["scalar"] / timings["engine"], 2),
+        "engine_vs_batched": round(
+            engine_ratio if engine_ratio is not None
+            else timings["batched"] / timings["engine"], 2),
     }
     if "jit" in timings:
         entry["speedup_jit_vs_scalar"] = round(
@@ -342,7 +318,6 @@ def test_sweep_throughput_trajectory():
         return source()["blastn"]
 
     platform = LiquidPlatform()
-    shm_before = set(glob.glob("/dev/shm/psm_*"))
 
     fig2 = fig2_grid(platform)
     fig2_stats, fig2_timings, fig2_ratio = run_variants(fresh_blastn, fig2)
@@ -352,10 +327,6 @@ def test_sweep_throughput_trajectory():
     pipe_stats, pipe_timings, pipe_ratio = run_variants(fresh_blastn, pipeline)
     report("Pipeline-parameter sweep (timing-dense)", pipeline, pipe_timings)
 
-    # no shared-memory segment survives the evaluators
-    leaked = set(glob.glob("/dev/shm/psm_*")) - shm_before
-    assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
-
     payload = {
         "smoke": SMOKE,
         "workload": "blastn",
@@ -364,23 +335,22 @@ def test_sweep_throughput_trajectory():
         "pipeline_grid": to_entry(pipeline, pipe_timings, pipe_stats, pipe_ratio),
         "speedup_floor": SPEEDUP_FLOOR,
         "crossconfig_grid_floor": CROSSCONFIG_GRID_FLOOR,
-        "arena_floor": ARENA_FLOOR,
+        "engine_floor": ENGINE_FLOOR,
     }
     result_path().write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\nwrote {result_path()}")
 
-    # the adaptive engine path may never lose to the sequential batched
-    # path -- at ANY scale; the cost model skips publishing exactly when
-    # a grid is too small for it to pay.  The asserted ratio is the
-    # median over the interleaved per-rep pairs, so both sides of every
-    # sample saw the same background load.
+    # the engine path may never lose to the sequential batched path -- at
+    # ANY scale.  The asserted ratio is the median over the interleaved
+    # per-rep pairs, so both sides of every sample saw the same background
+    # load.
     for name, ratio in (("figure2", fig2_ratio), ("pipeline", pipe_ratio)):
-        assert ratio >= ARENA_FLOOR, (
-            f"adaptive arena path on the {name} grid is {ratio:.2f}x the "
-            f"batched path, below the {ARENA_FLOOR}x floor")
+        assert ratio >= ENGINE_FLOOR, (
+            f"engine path on the {name} grid is {ratio:.2f}x the "
+            f"batched path, below the {ENGINE_FLOOR}x floor")
 
     if SMOKE:
-        return  # CI smoke checks equality + hygiene; wall clock is meaningless
+        return  # CI smoke checks equality; wall clock is meaningless
     # the broadcast path must never lose to the per-config loop, even on the
     # geometry-dense grid where cache replay dominates ...
     assert fig2_timings["batched"] < fig2_timings["scalar"], (
@@ -436,7 +406,7 @@ def test_crossconfig_replay_microbench():
     # interleave the two lanes' repetitions so each speedup sample
     # compares wall clocks taken under the same background load, then
     # take the median ratio: one load spike spoils one pair, not the
-    # verdict (same estimator as the ARENA_FLOOR assertion)
+    # verdict (same estimator as the ENGINE_FLOOR assertion)
     per_config_seconds = crossconfig_seconds = None
     pair_ratios = []
     for _ in range(PAIR_REPS):
@@ -481,7 +451,7 @@ def test_crossconfig_replay_microbench():
 def test_sweep_path_wired_into_figure2_driver(workloads):
     """The Figure-2 driver routes through measure_sweep and stays bit-identical."""
     workload = workloads["arith" if SMOKE else "blastn"]
-    with ParallelEvaluator(LiquidPlatform(), workers=2, arena=True) as engine:
+    with ParallelEvaluator(LiquidPlatform()) as engine:
         swept = dcache_exhaustive(engine, workload)
         assert engine.stats.sweep_batches == 1
         assert engine.stats.sweep_evaluations == len(swept.data["rows"])

@@ -2,8 +2,8 @@
 """End-to-end checks against a *live* tuning service (CI ``service`` job).
 
 Expects a server already listening (``run_experiments.py --serve``);
-this script is purely a client plus one local re-computation.  Two
-subcommands, run in sequence by the workflow:
+this script is purely a client plus one local re-computation.  One
+subcommand:
 
 ``sweep``
     Submits the default Figure-2 sweep for ``--workload``, waits for
@@ -13,17 +13,6 @@ subcommands, run in sequence by the workflow:
     asserts **zero new evaluations**: ``cache_simulations`` and
     ``store_writes`` in ``/metrics`` are unchanged, and the second
     job's results equal the first's byte for byte.
-
-``respawn``
-    Run *after* the workflow SIGKILLs one of the server's pool worker
-    processes.  Submits a sweep for the *same* workload over fresh
-    configurations -- same workload so the resident pool (whose dead
-    worker is the point) is reused rather than rebuilt for a new trace
-    payload, fresh configurations so the memo/store layers cannot
-    answer and the pool must actually run.  Asserts the supervisor
-    noticed and recovered: the job is ``done`` with a full result set
-    and ``/metrics`` reports ``pool_breaks >= 1`` and
-    ``supervisor.restarts >= 1``.
 """
 
 import argparse
@@ -59,7 +48,7 @@ def check_sweep(client, args):
     configs = figure2_grid(platform)
     assert first["total"] == len(configs), (first["total"], len(configs))
     store = ResultStore()
-    with ParallelEvaluator(platform, workers=1, store=store) as direct:
+    with ParallelEvaluator(platform, store=store) as direct:
         expected = [store.encode(workload, measurement)
                     for measurement in direct.measure_sweep(workload, configs)]
     assert _canon(first["results"]) == _canon(expected), (
@@ -80,29 +69,9 @@ def check_sweep(client, args):
           f"{before['cache_simulations']} before the first job)")
 
 
-def check_respawn(client, args):
-    # the Figure-2 grid the sweep check drained varies only the dcache
-    # geometry, so varying icache_sets yields buildable rows no memo or
-    # store layer can answer
-    fresh = [{"icache_sets": sets} for sets in (2, 3, 4)]
-    job = client.wait(
-        client.submit_sweep(args.workload, configs=fresh)["id"],
-        timeout=args.timeout)
-    assert job["status"] == "done", job
-    assert len(job["results"]) == job["total"] > 0, job
-    metrics = client.metrics()
-    breaks = metrics["engine"]["pool_breaks"]
-    restarts = metrics["supervisor"]["restarts"]
-    assert breaks >= 1, f"pool break not observed (pool_breaks={breaks})"
-    assert restarts >= 1, f"supervisor never respawned (restarts={restarts})"
-    print(f"respawn ok: job completed {job['total']}/{job['total']} after a "
-          f"SIGKILLed worker (pool_breaks={breaks}, "
-          f"supervisor_restarts={restarts})")
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("check", choices=("sweep", "respawn"))
+    parser.add_argument("check", choices=("sweep",))
     parser.add_argument("--url", default="http://127.0.0.1:8023")
     parser.add_argument("--workload", default="blastn")
     parser.add_argument("--scale", default="small",
@@ -113,7 +82,7 @@ def main(argv=None):
 
     client = ServiceClient(args.url)
     assert client.health(), f"no live service at {args.url}"
-    (check_sweep if args.check == "sweep" else check_respawn)(client, args)
+    check_sweep(client, args)
     return 0
 
 

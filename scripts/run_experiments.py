@@ -6,7 +6,6 @@ in EXPERIMENTS.md; the pytest-benchmark harness in ``benchmarks/`` wraps
 the same drivers.
 
 The measurement layer runs through the evaluation engine: pass
-``--workers N`` to fan cache simulations out over N worker processes,
 ``--store PATH`` to persist measurements (JSON-lines, or SQLite when the
 path ends in ``.sqlite``/``.db``; either makes a full reproduction
 resumable and shareable across runs), ``--profile`` to print per-stage
@@ -16,14 +15,16 @@ vs warm-chained per-phase miss rates of the multi-phase scenarios), or
 grids (the Figure 2/4 sweeps) go through the broadcast-batched
 ``measure_sweep`` fast path by default; ``--no-sweep`` forces the
 per-configuration loop (the two are bit-identical).  Engine statistics
-(dedup hits, store hits, workers, wall clock) are printed at the end.
+(dedup hits, store hits, decode groups, wall clock) are printed at the
+end.
 
 Distributed campaign mode (``--grid-db PATH``) replaces the experiment
 suite with the pull-based campaign queue: ``--register`` writes the
 Figure-2 configuration grid of the selected workloads into the database
 as open experiment rows, any number of concurrent ``--claim`` processes
 (same machine or any host sharing the file) atomically claim and
-evaluate batches until the grid is drained, ``--status`` prints the row
+evaluate batches until the grid is drained (more ``--claim``
+processes are how a campaign scales out), ``--status`` prints the row
 counts (``--assert-drained`` makes it a CI gate, ``--json`` emits the
 machine-readable snapshot, ``--watch`` live-renders the draining grid
 with per-worker heartbeat health), and ``--reset-failed`` reopens
@@ -33,14 +34,13 @@ database's ``measurements`` table, bit-identical to a direct
 
 Resident service mode (``--serve``) turns the process into the
 always-on tuning service: ``POST /sweep`` and ``POST /tune`` jobs run
-on ONE supervised resident evaluator (pool respawn with backoff after
-worker crashes, graceful SIGTERM drain), repeat queries answer from the
+on ONE resident evaluator (SIGTERM drains queued jobs before the
+process exits), repeat queries answer from the
 store by trace fingerprint, and with ``--grid-db`` sweep jobs become
 campaign rows drained cooperatively with any CLI ``--claim`` workers.
 
 Observability: ``--trace out.json`` records nested wall/CPU spans of
-every pipeline stage -- across the worker pool, with per-process lanes
--- and writes a Chrome trace-event file loadable in Perfetto
+every pipeline stage and writes a Chrome trace-event file loadable in Perfetto
 (``.jsonl`` writes raw span records instead); ``--profile`` adds the
 metrics-registry dump next to the per-stage wall-clock table.
 """
@@ -50,7 +50,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 import time
 
@@ -77,9 +76,6 @@ from repro.analysis import (
 
 def parse_args() -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument(
-        "--workers", type=int, default=os.cpu_count() or 1,
-        help="worker processes for parallel cache simulation (default: CPU count)")
     parser.add_argument(
         "--store", metavar="PATH", default=None,
         help="persistent result store; measurements found there are not re-simulated "
@@ -186,11 +182,11 @@ def parse_args() -> argparse.Namespace:
     service = parser.add_argument_group(
         "resident tuning service",
         "serve POST /sweep, POST /tune, GET /jobs/<id> and GET /metrics over "
-        "one resident supervised evaluator until SIGTERM")
+        "one resident evaluator until SIGTERM")
     service.add_argument(
         "--serve", action="store_true",
         help="run the always-on tuning service instead of the experiment "
-             "suite; honours --workers, --store and --scale, and with "
+             "suite; honours --store and --scale, and with "
              "--grid-db runs sweep jobs as campaign rows shared with "
              "--claim workers")
     service.add_argument(
@@ -199,12 +195,6 @@ def parse_args() -> argparse.Namespace:
     service.add_argument(
         "--port", type=int, default=8023,
         help="service port (default: 8023; 0 picks an ephemeral port)")
-    service.add_argument(
-        "--serve-arena", choices=("auto", "force", "off"), default="auto",
-        help="shared-memory trace arena policy for the resident evaluator "
-             "(auto: per-host cost model may answer small batches inline; "
-             "off: no arena but every eligible batch uses the pool -- the "
-             "deterministic choice the CI service job kills workers under)")
     args = parser.parse_args()
     if args.profile and args.sequential:
         parser.error("--profile requires the engine backend; drop --sequential")
@@ -228,18 +218,12 @@ def parse_args() -> argparse.Namespace:
 
 @contextlib.contextmanager
 def managed_backend(args: argparse.Namespace, *, with_store: bool = True):
-    """A measurement backend whose worker pool is always shut down on exit.
-
-    Engine backends own a process pool; leaking it to ``__del__`` keeps
-    workers alive until interpreter teardown, so every consumer goes
-    through this context manager (the evaluator-hygiene test asserts
-    the pool is gone afterwards).
-    """
+    """The measurement backend the flags select, closed on exit."""
     if args.sequential:
         yield LiquidPlatform()
         return
     store = open_store(args.store) if (args.store and with_store) else None
-    with ParallelEvaluator(LiquidPlatform(), workers=args.workers, store=store) as backend:
+    with ParallelEvaluator(LiquidPlatform(), store=store) as backend:
         yield backend
 
 
@@ -298,7 +282,7 @@ def campaign_main(args: argparse.Namespace) -> None:
             worker = CampaignWorker(
                 grid, workloads, worker_id=args.worker_id, batch=args.batch,
                 lease_seconds=args.lease, max_attempts=args.max_attempts,
-                workers=args.workers, heartbeat_seconds=args.heartbeat,
+                heartbeat_seconds=args.heartbeat,
                 platform=platform)
             try:
                 report = worker.run(max_batches=args.max_batches)
@@ -376,11 +360,8 @@ def main() -> None:
         if args.serve:
             from repro.service.server import serve
 
-            serve(host=args.host, port=args.port, workers=args.workers,
-                  scale=args.scale, store_path=args.store,
-                  grid_path=args.grid_db,
-                  arena={"auto": None, "force": True,
-                         "off": False}[args.serve_arena])
+            serve(host=args.host, port=args.port, scale=args.scale,
+                  store_path=args.store, grid_path=args.grid_db)
         elif args.grid_db:
             campaign_main(args)
         elif args.only == "fig2":

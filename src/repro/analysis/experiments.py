@@ -520,7 +520,7 @@ def scalability_study(
     """Section 3's feasibility claim: campaign size is linear, not exponential.
 
     When ``platform`` is an engine backend, the engine's own accounting
-    (deduplication, store hits, worker pool) is reported next to the
+    (deduplication, store hits, decode groups) is reported next to the
     paper's build/run counts.
     """
     space = leon_parameter_space()
@@ -558,7 +558,7 @@ def scalability_study(
 
 
 def engine_report(platform: EvaluationBackend) -> ExperimentResult:
-    """Evaluation-engine accounting: dedup/store hits, worker pool, wall clock."""
+    """Evaluation-engine accounting: dedup/store hits, decode groups, wall clock."""
     stats = getattr(platform, "stats", None)
     if not isinstance(stats, EngineStats):
         raise ValueError("engine_report requires a backend with EngineStats accounting")

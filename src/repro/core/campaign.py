@@ -12,9 +12,9 @@ the scalability benchmark can report them.
 The campaign submits the base configuration and every perturbation as
 **one batch** through the backend's
 :meth:`~repro.engine.backend.EvaluationBackend.measure_many`, so a
-parallel backend (:class:`~repro.engine.ParallelEvaluator`) can
-deduplicate and fan the underlying simulations out over worker
-processes; :meth:`OneFactorCampaign.run_many` extends the batch across
+batching backend (:class:`~repro.engine.ParallelEvaluator`) can
+deduplicate the underlying simulations and share their trace decodes;
+:meth:`OneFactorCampaign.run_many` extends the batch across
 several workloads at once.
 """
 
@@ -146,7 +146,7 @@ class OneFactorCampaign:
         """Run the campaign for several workloads as one concurrent batch.
 
         With a batch-capable backend the cache simulations of every
-        workload share one worker pool; with a plain platform this
+        workload are planned as one batch; with a plain platform this
         degrades to sequential per-workload runs.  Results are keyed by
         workload name; :attr:`records` afterwards holds the records of the
         *last* workload in iteration order (matching repeated :meth:`run`

@@ -138,9 +138,9 @@ class MicroarchTuner:
     ) -> Dict[str, CostModel]:
         """One-factor campaigns for several workloads as a single batch.
 
-        With an engine backend the measurement work of every workload
-        shares one worker pool (and one persistent store); the models are
-        keyed by workload name and individually identical to
+        With an engine backend the measurement work of every workload is
+        planned as one batch (and shares one persistent store); the
+        models are keyed by workload name and individually identical to
         :meth:`build_model` output.
         """
         return self.campaign.run_many(workloads, parameters=parameters)

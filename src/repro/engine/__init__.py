@@ -1,29 +1,24 @@
-"""Evaluation engine: batched, parallel, persistent configuration measurement.
+"""Evaluation engine: batched, persistent configuration measurement.
 
 The engine layer sits between the measurement consumers (campaign, tuner,
 experiment drivers) and the build-and-measure platform.  It turns *sets*
 of requested evaluations into the minimum amount of actual simulation
 work: duplicates are collapsed, previously persisted results are loaded
-from a :class:`~repro.engine.store.ResultStore`, and the remaining
-independent cache simulations are fanned out over a process pool by the
-:class:`~repro.engine.parallel.ParallelEvaluator`.
+from a :class:`~repro.engine.store.ResultStore`, and the remaining cache
+simulations are replayed in shared-decode groups by the
+:class:`~repro.engine.parallel.ParallelEvaluator`, in the calling
+process.  A campaign scales out as several processes claiming rows of
+one :class:`~repro.engine.campaign.CampaignGrid`.
 
 Every backend -- the sequential :class:`~repro.platform.LiquidPlatform`
-and the parallel evaluator alike -- satisfies the structural
+and the batching evaluator alike -- satisfies the structural
 :class:`~repro.engine.backend.EvaluationBackend` protocol, so consumers
 are written once against the protocol and scaled by swapping the backend.
 """
 
-from repro.engine.arena import (
-    ArenaBlock,
-    TraceArena,
-    arena_available,
-    calibrate_threshold,
-)
 from repro.engine.backend import EngineStats, EvaluationBackend
 from repro.engine.campaign import CampaignGrid, CampaignReport, CampaignWorker
 from repro.engine.parallel import ParallelEvaluator
-from repro.engine.supervisor import EvaluatorSupervisor, SupervisorStopped
 from repro.engine.store import (
     ResultStore,
     ResultStoreBase,
@@ -35,18 +30,12 @@ from repro.engine.store import (
 )
 
 __all__ = [
-    "ArenaBlock",
     "CampaignGrid",
     "CampaignReport",
     "CampaignWorker",
     "EngineStats",
     "EvaluationBackend",
-    "EvaluatorSupervisor",
     "ParallelEvaluator",
-    "SupervisorStopped",
-    "TraceArena",
-    "arena_available",
-    "calibrate_threshold",
     "ResultStore",
     "ResultStoreBase",
     "SqliteResultStore",

@@ -1,459 +1,12 @@
-"""Zero-copy shared-memory trace arena.
+"""Two names kept for the pinned benchmark harness; nothing here is used.
 
-The parallel evaluator's workers replay *decoded* columnar trace views;
-the decode is a property of ``(trace, kind, linesize)`` only.  Before the
-arena, every worker process received the raw trace arrays by pickle (the
-pool initializer) and re-decoded each shared-decode group it touched, so
-a batch fanned over N workers paid up to N decodes per group.  The arena
-removes both copies:
-
-* the parent publishes the raw trace columns *and* the decoded
-  :class:`~repro.microarch.cachekernel.ColumnarTrace` views into
-  :class:`multiprocessing.shared_memory.SharedMemory` segments;
-* workers attach by segment name and wrap the buffers in NumPy arrays
-  without copying -- a multi-config batch therefore decodes **once per
-  host**, and the per-worker trace registry holds page-shared views
-  instead of pickled duplicates;
-* the parent owns every segment and unlinks them all deterministically
-  in :meth:`TraceArena.close` (called from
-  ``ParallelEvaluator.close``/``__exit__``), so no ``/dev/shm`` segment
-  survives the evaluator.
-
-An :class:`ArenaBlock` is the small picklable handle shipped to workers:
-segment name plus the field layout (name, dtype, length, byte offset)
-and scalar metadata.  Attachments are cached per process, and attached
-arrays are marked read-only -- the arena is strictly a publish-once,
-read-many structure.
+The engine runs in one process and publishes no shared-memory trace
+arena.  ``perfbench/run.py`` still imports these two constants and sets
+the environment variable before each run; the variable is read by
+nothing.  Delete this module once the harness stops importing it.
 """
 
-from __future__ import annotations
-
-import atexit
-import gc
-import json
-import os
-import socket
-import time
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
-
-import numpy as np
-
-from repro.obs.metrics import get_registry
-from repro.obs.tracer import span
-
-try:  # pragma: no cover - shared_memory ships with CPython >= 3.8
-    from multiprocessing import shared_memory as _shm
-except ImportError:  # pragma: no cover
-    _shm = None
-
-__all__ = [
-    "ARENA_CALIBRATION_CACHE_ENV",
-    "ARENA_THRESHOLD_ENV",
-    "ArenaBlock",
-    "DEFAULT_PUBLISH_THRESHOLD",
-    "REFERENCE_PUBLISH_BANDWIDTH",
-    "TraceArena",
-    "arena_available",
-    "attach",
-    "attach_view",
-    "calibrate_threshold",
-    "measure_publish_bandwidth",
-    "publish_threshold",
-    "publish_worthwhile",
-]
-
-#: Byte alignment of each field within a segment (numpy-friendly).
-_ALIGN = 16
-
-#: Segment names created by arenas of THIS process (attach consults this:
-#: a creator re-attaching its own segment must leave the single tracker
-#: registration for unlink to consume).
-_CREATED: set = set()
-
-
-@dataclass(frozen=True)
-class ArenaBlock:
-    """Picklable handle of one published segment (layout + metadata)."""
-
-    #: Shared-memory segment name (attachable from any process on the host).
-    segment: str
-    #: Field layout: ``(field name, dtype string, length, byte offset)``.
-    fields: Tuple[Tuple[str, str, int, int], ...]
-    #: Scalar metadata (e.g. line size and access counts of a view).
-    meta: Tuple[Tuple[str, int], ...]
-    #: Total segment size in bytes.
-    nbytes: int
-
-    def meta_dict(self) -> Dict[str, int]:
-        return dict(self.meta)
-
-
-# -- publish cost model ------------------------------------------------------------------
-
-#: Environment override for the publish threshold (an integer; ``0`` makes
-#: every batch publish).
+#: Environment variable name ``perfbench/run.py`` sets (read by nothing).
 ARENA_THRESHOLD_ENV = "REPRO_ARENA_THRESHOLD"
-#: Default publish threshold on ``trace bytes x cache-job count``.
-#:
-#: The calibration: publishing costs one copy of the trace columns plus
-#: the decoded views (tens of milliseconds for multi-megabyte traces) and
-#: the worker fan-out costs pool submission latency, while it saves
-#: per-worker re-decodes whose cost also scales with trace bytes and
-#: amortises over the batch's job count.  On the paper's workloads the
-#: break-even sits around a few hundred megabyte-jobs: the geometry-dense
-#: Figure-2 grid (a ~4.5 MB blastn trace x ~20 jobs ~ 9e7) loses to the
-#: inline replay, while campaign-scale grids (hundreds of geometries)
-#: clear it comfortably.
+#: Value ``perfbench/run.py`` assigns to :data:`ARENA_THRESHOLD_ENV`.
 DEFAULT_PUBLISH_THRESHOLD = 1 << 28
-
-
-def publish_threshold(override: Optional[int] = None) -> int:
-    """The effective publish threshold (argument > environment > default)."""
-    if override is not None:
-        return int(override)
-    env = os.environ.get(ARENA_THRESHOLD_ENV, "").strip()
-    return int(env) if env else DEFAULT_PUBLISH_THRESHOLD
-
-
-def publish_worthwhile(
-    trace_bytes: int, job_count: int, threshold: Optional[int] = None
-) -> bool:
-    """True when a batch is big enough for shared-memory publishing to pay.
-
-    The model is deliberately simple -- the product of the trace bytes to
-    be shared and the cache jobs that would share them, against a
-    calibrated threshold -- because both the publish cost (copying) and
-    the avoided cost (per-worker decodes) scale with exactly that
-    product.  A non-positive threshold means "always publish".
-    """
-    effective = publish_threshold(threshold)
-    if effective <= 0:
-        return True
-    return trace_bytes * max(job_count, 0) >= effective
-
-
-#: Environment override for the calibration cache file location.
-ARENA_CALIBRATION_CACHE_ENV = "REPRO_ARENA_CALIBRATION_CACHE"
-#: Publish bandwidth (bytes/sec) of the host the default threshold was
-#: calibrated on.  :func:`calibrate_threshold` scales the default by the
-#: ratio of this to the measured bandwidth: a host that publishes slower
-#: needs a proportionally larger batch before publishing pays.
-REFERENCE_PUBLISH_BANDWIDTH = 2.0e9
-#: Bytes copied by one calibration probe publish (large enough to
-#: amortise segment-creation overhead, small enough to stay millisecond
-#: scale).
-_PROBE_BYTES = 1 << 22
-#: Calibrated thresholds are clamped to this range so a wildly noisy
-#: probe can never disable the arena outright or force publishing of
-#: trivial batches.
-_THRESHOLD_BOUNDS = (1 << 24, 1 << 32)
-
-#: Process-level memo of the calibrated threshold (one probe per process
-#: at most; usually zero thanks to the per-host cache file).
-_CALIBRATED: Optional[int] = None
-
-
-def _calibration_cache_path() -> str:
-    override = os.environ.get(ARENA_CALIBRATION_CACHE_ENV, "").strip()
-    if override:
-        return override
-    return os.path.join(
-        os.path.expanduser("~"), ".cache", "repro", "arena_threshold.json")
-
-
-def measure_publish_bandwidth(
-    probe_bytes: int = _PROBE_BYTES, reps: int = 3
-) -> float:
-    """Measured shared-memory publish bandwidth of this host (bytes/sec).
-
-    Publishes a probe array into a fresh segment ``reps`` times and takes
-    the best wall clock (first publishes absorb allocator and page-fault
-    warmup).  Every probe segment is unlinked before returning.
-    """
-    payload = np.zeros(max(1, probe_bytes // 8), dtype=np.int64)
-    best = float("inf")
-    arena = TraceArena()
-    try:
-        for _ in range(max(1, reps)):
-            start = time.perf_counter()
-            arena.publish({"probe": payload})
-            best = min(best, time.perf_counter() - start)
-    finally:
-        arena.close()
-    return payload.nbytes / max(best, 1e-9)
-
-
-def calibrate_threshold(*, force: bool = False) -> int:
-    """The adaptive publish threshold, calibrated by a measured probe.
-
-    Resolution order mirrors :func:`publish_threshold`: an explicit
-    ``REPRO_ARENA_THRESHOLD`` environment override always wins
-    unchanged.  Otherwise the threshold is
-    ``DEFAULT_PUBLISH_THRESHOLD x (reference bandwidth / measured
-    bandwidth)`` -- a host that publishes into shared memory at half the
-    calibration host's speed needs twice the batch before publishing
-    pays -- clamped to a sane range and cached per host: first in this
-    process, then in a small JSON file (``~/.cache/repro/``, overridable
-    via ``REPRO_ARENA_CALIBRATION_CACHE``) keyed by hostname so one
-    probe serves every campaign worker on the machine.  ``force=True``
-    re-probes and rewrites the cache.  Hosts without shared memory fall
-    back to the static default.
-    """
-    global _CALIBRATED
-    env = os.environ.get(ARENA_THRESHOLD_ENV, "").strip()
-    if env:
-        return int(env)
-    if _CALIBRATED is not None and not force:
-        return _CALIBRATED
-    host = socket.gethostname()
-    cache_path = _calibration_cache_path()
-    if not force:
-        try:
-            with open(cache_path, "r", encoding="utf-8") as handle:
-                entry = json.load(handle)
-            if entry.get("host") == host:
-                _CALIBRATED = int(entry["threshold"])
-                return _CALIBRATED
-        except (OSError, ValueError, KeyError, TypeError):
-            pass  # missing/stale cache: fall through to the probe
-    if not arena_available():
-        _CALIBRATED = DEFAULT_PUBLISH_THRESHOLD
-        return _CALIBRATED
-    bandwidth = measure_publish_bandwidth()
-    low, high = _THRESHOLD_BOUNDS
-    threshold = int(DEFAULT_PUBLISH_THRESHOLD
-                    * REFERENCE_PUBLISH_BANDWIDTH / bandwidth)
-    _CALIBRATED = max(low, min(high, threshold))
-    try:
-        directory = os.path.dirname(cache_path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(cache_path, "w", encoding="utf-8") as handle:
-            json.dump({"host": host, "threshold": _CALIBRATED,
-                       "publish_bandwidth": round(bandwidth)}, handle)
-    except OSError:  # pragma: no cover - read-only home: memo still applies
-        pass
-    return _CALIBRATED
-
-
-def arena_available() -> bool:
-    """True when shared-memory segments can be created on this host."""
-    if _shm is None:
-        return False
-    try:
-        probe = _shm.SharedMemory(create=True, size=16)
-    except (OSError, PermissionError):  # pragma: no cover - restricted sandboxes
-        return False
-    try:
-        probe.close()
-        probe.unlink()
-    except OSError:  # pragma: no cover
-        pass
-    return True
-
-
-class TraceArena:
-    """Parent-side owner of the published segments.
-
-    The arena creates segments, copies arrays in, and releases its NumPy
-    views immediately, so :meth:`close` can always close and unlink every
-    segment (a retained exported buffer would make ``mmap.close`` fail).
-    """
-
-    def __init__(self):
-        if _shm is None:  # pragma: no cover
-            raise OSError("multiprocessing.shared_memory is unavailable")
-        self._segments: Dict[str, "_shm.SharedMemory"] = {}
-        self.published_bytes = 0
-
-    # -- publishing ------------------------------------------------------------------
-
-    def publish(
-        self,
-        arrays: Mapping[str, np.ndarray],
-        meta: Optional[Mapping[str, int]] = None,
-    ) -> ArenaBlock:
-        """Copy ``arrays`` into one fresh segment and return its handle."""
-        layout: List[Tuple[str, str, int, int]] = []
-        offset = 0
-        contiguous = {name: np.ascontiguousarray(a) for name, a in arrays.items()}
-        for name, array in contiguous.items():
-            offset = -(-offset // _ALIGN) * _ALIGN  # round up
-            layout.append((name, array.dtype.str, int(array.shape[0]), offset))
-            offset += array.nbytes
-        with span("publish", fields=len(layout), bytes=max(1, offset)):
-            segment = _shm.SharedMemory(create=True, size=max(1, offset))
-            try:
-                for (name, dtype, length, field_offset), array in zip(
-                        layout, contiguous.values()):
-                    if length:
-                        dst = np.frombuffer(
-                            segment.buf, dtype=np.dtype(dtype),
-                            count=length, offset=field_offset)
-                        dst[:] = array
-                        del dst  # release the exported buffer so close() stays legal
-            except Exception:  # pragma: no cover - publish must not leak the segment
-                segment.close()
-                segment.unlink()
-                raise
-        self._segments[segment.name] = segment
-        _CREATED.add(segment.name)
-        self.published_bytes += max(1, offset)
-        registry = get_registry()
-        registry.counter("arena.publishes").inc()
-        registry.histogram("arena.publish_bytes").observe(max(1, offset))
-        return ArenaBlock(
-            segment=segment.name,
-            fields=tuple(layout),
-            meta=tuple(sorted((meta or {}).items())),
-            nbytes=max(1, offset),
-        )
-
-    def publish_view(self, view) -> ArenaBlock:
-        """Publish a decoded :class:`~repro.microarch.cachekernel.ColumnarTrace`."""
-        return self.publish(
-            {
-                "event_line": view.event_line,
-                "event_first_read": view.event_first_read,
-                "event_last_pos": view.event_last_pos,
-                "event_writes_before_read": view.event_writes_before_read,
-            },
-            meta={
-                "linesize_bytes": view.linesize_bytes,
-                "accesses": view.accesses,
-                "write_accesses": view.write_accesses,
-            },
-        )
-
-    def publish_trace(
-        self,
-        pcs: np.ndarray,
-        data_addresses: np.ndarray,
-        data_is_write: np.ndarray,
-    ) -> ArenaBlock:
-        """Publish the raw trace columns the worker registry used to pickle."""
-        return self.publish({
-            "pcs": pcs,
-            "data_addresses": data_addresses,
-            "data_is_write": data_is_write,
-        })
-
-    # -- lifecycle -------------------------------------------------------------------
-
-    @property
-    def segment_names(self) -> Tuple[str, ...]:
-        return tuple(self._segments)
-
-    @property
-    def segment_count(self) -> int:
-        return len(self._segments)
-
-    def close(self) -> None:
-        """Close and unlink every published segment (idempotent)."""
-        for name, segment in self._segments.items():
-            try:
-                segment.close()
-            except (OSError, BufferError):  # pragma: no cover
-                pass
-            try:
-                segment.unlink()
-            except OSError:  # pragma: no cover - already gone
-                pass
-            _CREATED.discard(name)
-        self._segments.clear()
-
-
-# -- worker-side attachment ------------------------------------------------------------
-
-#: Per-process attachments: segment name -> (SharedMemory, field arrays).
-_ATTACHED: Dict[str, Tuple[object, Dict[str, np.ndarray]]] = {}
-#: Per-process reconstructed ColumnarTrace views, keyed by segment name so a
-#: view's per-set caches survive across tasks.
-_ATTACHED_VIEWS: Dict[str, object] = {}
-_CLEANUP_REGISTERED = False
-
-
-def _cleanup_attachments() -> None:  # pragma: no cover - runs at interpreter exit
-    """Drop array views, then close the attachments (best effort)."""
-    _ATTACHED_VIEWS.clear()
-    segments = [segment for segment, _ in _ATTACHED.values()]
-    _ATTACHED.clear()
-    gc.collect()
-    for segment in segments:
-        try:
-            segment.close()
-        except (OSError, BufferError):
-            pass
-
-
-def attach(block: ArenaBlock) -> Dict[str, np.ndarray]:
-    """Attach a published block; returns zero-copy read-only field arrays.
-
-    Attachments are cached per process and stay mapped until the process
-    exits (an :mod:`atexit` hook closes them).  Ownership stays with the
-    parent -- no attaching process may ever unlink.  The resource-tracker
-    bookkeeping that attach performs (Python <= 3.12 registers attaches
-    too) depends on the start method: under *fork* every process shares
-    the parent's tracker, so the attach-register is an idempotent set-add
-    that the parent's unlink removes once; under *spawn* (or any
-    non-fork method) each child runs its own tracker, which would unlink
-    the still-published segment when the child exits, so the attach is
-    unregistered from the child's tracker immediately.
-    """
-    global _CLEANUP_REGISTERED
-    cached = _ATTACHED.get(block.segment)
-    if cached is not None:
-        return cached[1]
-    registry = get_registry()
-    registry.counter("arena.attaches").inc()
-    registry.histogram("arena.attach_bytes").observe(block.nbytes)
-    segment = _shm.SharedMemory(name=block.segment)
-    try:
-        import multiprocessing
-
-        if (block.segment not in _CREATED
-                and multiprocessing.get_start_method(allow_none=True) != "fork"):
-            # pragma: no cover - Linux CI runs fork; exercised on spawn hosts
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(segment._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker layout varies per platform
-        pass
-    arrays: Dict[str, np.ndarray] = {}
-    for name, dtype, length, offset in block.fields:
-        array = np.frombuffer(
-            segment.buf, dtype=np.dtype(dtype), count=length, offset=offset)
-        array.flags.writeable = False
-        arrays[name] = array
-    _ATTACHED[block.segment] = (segment, arrays)
-    if not _CLEANUP_REGISTERED:
-        atexit.register(_cleanup_attachments)
-        _CLEANUP_REGISTERED = True
-    return arrays
-
-
-def attach_view(block: ArenaBlock):
-    """Attach a published columnar view as a shared ColumnarTrace.
-
-    The reconstructed view is cached per process by segment name, so its
-    per-set potential-miss caches (built lazily during replay) persist
-    across tasks exactly like a locally decoded view's would.
-    """
-    view = _ATTACHED_VIEWS.get(block.segment)
-    if view is None:
-        from repro.microarch.cachekernel import ColumnarTrace
-
-        arrays = attach(block)
-        meta = block.meta_dict()
-        view = ColumnarTrace(
-            linesize_bytes=meta["linesize_bytes"],
-            accesses=meta["accesses"],
-            write_accesses=meta["write_accesses"],
-            event_line=arrays["event_line"],
-            event_first_read=arrays["event_first_read"],
-            event_last_pos=arrays["event_last_pos"],
-            event_writes_before_read=arrays["event_writes_before_read"],
-        )
-        _ATTACHED_VIEWS[block.segment] = view
-    return view

@@ -5,8 +5,8 @@
 structural :class:`~typing.Protocol`: the sequential
 :class:`~repro.platform.LiquidPlatform` satisfies it natively, and the
 :class:`~repro.engine.parallel.ParallelEvaluator` wraps a platform to add
-deduplication, persistence and process-level parallelism behind the same
-five methods.  Consumers express *sets* of evaluations through
+deduplication, persistence and shared-decode batching behind the same
+methods.  Consumers express *sets* of evaluations through
 :meth:`EvaluationBackend.measure_many` instead of looping over
 :meth:`EvaluationBackend.measure`, which is what lets a backend batch.
 """
@@ -91,24 +91,21 @@ class EngineStats:
     """Work accounting of one :class:`~repro.engine.parallel.ParallelEvaluator`.
 
     The counters quantify how much simulation the engine *avoided*
-    (deduplication and store hits) versus how much it actually ran, and
-    how: ``cache_simulations`` counts distinct cache replays, of which
-    ``parallel_simulations`` went through the worker pool.
+    (deduplication and store hits) versus how much it actually ran:
+    ``cache_simulations`` counts distinct cache replays and
+    ``cache_groups`` the shared decodes they were batched into.
 
     ``EngineStats`` is a *typed view* over a
     :class:`~repro.obs.metrics.MetricsRegistry`: every scalar field below
     is mirrored into a registry gauge named ``engine.<field>`` on
     assignment, stage timings feed ``stage.<name>`` histograms, and the
-    registry additionally absorbs the untyped metrics of the run (arena
-    publish/attach byte histograms, campaign claim shapes, worker-side
-    deltas merged home at task boundaries).  :meth:`snapshot` reads the
+    registry additionally absorbs the untyped metrics of the run (store
+    lock retries, campaign claim shapes).  :meth:`snapshot` reads the
     typed fields back *from the registry*, and its keys are asserted
     equal to the dataclass fields in the test suite -- the two surfaces
     cannot drift.
     """
 
-    #: Worker processes the evaluator may use.
-    workers: int = 1
     #: Total measurements requested through the batch API.
     requested: int = 0
     #: Requests answered by collapsing duplicates within a batch.
@@ -124,46 +121,20 @@ class EngineStats:
     recipe_misses: int = 0
     #: Distinct cache simulations executed on behalf of the batches.
     cache_simulations: int = 0
-    #: Cache simulations executed by the worker pool (rest ran inline).
-    parallel_simulations: int = 0
     #: Shared-decode groups -- distinct ``(trace, kind, linesize)`` decodes --
     #: the cache simulations were batched into.
     cache_groups: int = 0
     #: Warm phase-chain replays executed on behalf of phased batches.
     phase_chains: int = 0
     #: Per-phase columnar decodes paid for those chains.  Decodes are a
-    #: property of ``(trace, kind, linesize, phase)`` -- times the workers
-    #: that touched the group when a pool fans the chains out -- and never
-    #: scale with the number of configurations; the phase-transition
-    #: benchmark asserts this on the single-worker path, where the count
-    #: is exact.
+    #: property of ``(trace, kind, linesize, phase)`` and never scale with
+    #: the number of configurations; the phase-transition benchmark
+    #: asserts this.
     phase_decodes: int = 0
     #: Broadcast-batched sweep calls served and configurations evaluated
     #: through :func:`~repro.microarch.timing.evaluate_many`.
     sweep_batches: int = 0
     sweep_evaluations: int = 0
-    #: Columnar decodes performed in the parent process.  With the arena on,
-    #: these are the *only* decodes of a batch -- workers attach the
-    #: published views zero-copy -- so "one decode per host" is exactly
-    #: ``host_decodes == cache_groups`` with ``worker_decodes == 0``.
-    host_decodes: int = 0
-    #: Columnar decodes performed inside worker processes (the non-arena
-    #: pool path pays up to one per worker per shared-decode group).
-    worker_decodes: int = 0
-    #: Shared-memory segments currently published by the evaluator's arena,
-    #: and the bytes they hold (0 when the arena is off or closed).
-    arena_segments: int = 0
-    arena_bytes: int = 0
-    #: Batches whose shared-memory publish (and worker fan-out) the adaptive
-    #: cost model skipped because trace bytes x job count fell below the
-    #: publish threshold -- the audit trail of the arena's cost model.
-    arena_skipped: int = 0
-    #: Effective publish threshold (trace bytes x jobs) of the adaptive
-    #: arena cost model -- the calibrated per-host value from
-    #: :func:`~repro.engine.arena.calibrate_threshold` unless an explicit
-    #: override or the ``REPRO_ARENA_THRESHOLD`` environment variable
-    #: pinned it (0 until the first adaptive decision).
-    arena_threshold: int = 0
     #: Campaign-grid sharding accounting (see
     #: :class:`~repro.engine.campaign.CampaignWorker`): claim transactions
     #: issued, experiment rows claimed by them, SQLite lock conflicts
@@ -175,17 +146,6 @@ class EngineStats:
     claim_rows: int = 0
     claim_conflicts: int = 0
     claim_requeues: int = 0
-    #: Worker-pool lifecycle accounting of a resident evaluator: process
-    #: pools spawned over the evaluator's lifetime (a long-lived service
-    #: respawns after workload changes or pool failures), pools lost to
-    #: ``BrokenProcessPool``/``OSError`` (the batch that observed the
-    #: break completed inline), and supervised restarts performed by an
-    #: :class:`~repro.engine.supervisor.EvaluatorSupervisor` (each one
-    #: paid a backoff delay; capped, after which the supervisor degrades
-    #: the evaluator to inline-only).
-    pool_spawns: int = 0
-    pool_breaks: int = 0
-    supervisor_restarts: int = 0
     #: Resolved cache-kernel replay lane of the most recent batch
     #: (``crossconfig``/``numpy``/``jit``; see
     #: :func:`~repro.microarch.cachekernel.kernel_lane`).
@@ -197,13 +157,11 @@ class EngineStats:
     #: Per-stage wall-clock, accumulated across batches and disjoint where
     #: the engine can observe the stages directly.  Stages recorded by the
     #: engine itself: ``trace_generation``, ``cache_simulation``,
-    #: ``model_build``, ``sweep_evaluate``, ``phase_decode``,
-    #: ``phase_chain``, ``arena_publish`` and ``worker_decode``
-    #: (worker-side decode wall-clock, cumulative across the pool); the
-    #: tuner adds ``model_build`` and ``solve`` around its campaign and
-    #: solver passes.  Each accumulation also feeds a ``stage.<name>``
-    #: histogram on :attr:`registry`, so per-batch distributions survive
-    #: next to these sums.
+    #: ``model_build``, ``sweep_evaluate``, ``phase_decode`` and
+    #: ``phase_chain``; the tuner adds ``model_build`` and ``solve``
+    #: around its campaign and solver passes.  Each accumulation also
+    #: feeds a ``stage.<name>`` histogram on :attr:`registry`, so
+    #: per-batch distributions survive next to these sums.
     stage_seconds: Dict[str, float] = field(default_factory=dict)
     #: The backing metrics registry of this stats view (excluded from
     #: equality/repr: two runs doing the same work compare equal even
@@ -265,8 +223,7 @@ class EngineStats:
         return (
             f"engine: {self.requested} requests, {self.dedup_hits} dedup hits, "
             f"{self.store_hits} store hits, {self.cache_simulations} cache sims "
-            f"({self.parallel_simulations} parallel on {self.workers} workers), "
-            f"{self.wall_seconds:.2f}s"
+            f"in {self.cache_groups} decode groups, {self.wall_seconds:.2f}s"
         )
 
 

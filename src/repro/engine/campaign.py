@@ -569,13 +569,15 @@ class CampaignWorker:
 
     Parameters mirror the CLI: ``batch`` rows per claim, ``lease_seconds``
     before another worker may steal a silent claim, ``max_attempts``
-    per row before it rests in ``failed``, ``workers`` processes inside
-    this worker's own evaluator (default 1: the campaign process is the
-    unit of parallelism; raise it when one worker owns a whole machine),
-    and ``heartbeat_seconds`` between liveness upserts into the grid's
+    per row before it rests in ``failed``, and ``heartbeat_seconds`` between liveness upserts into the grid's
     ``heartbeats`` table (0 disables them; a beat is also written at
     loop entry and on exit so even instant drains leave a row for the
-    dashboard).
+    dashboard).  The campaign process is the unit of parallelism: run
+    more ``--claim`` processes against the same database to drain faster.
+
+    ``workers`` is accepted and ignored.  It is kept only because the
+    pinned benchmark harness (``perfbench/scenarios.py``) still passes it;
+    remove it once the harness no longer does.
     """
 
     def __init__(
@@ -604,8 +606,7 @@ class CampaignWorker:
         self._loop_start = 0.0
         self._last_beat = 0.0
         if evaluator is not None:
-            # a resident engine (e.g. the tuning service's supervised
-            # evaluator) drains the grid: its store must already write
+            # a resident engine (e.g. the tuning service's evaluator) drains the grid: its store must already write
             # into the campaign database so results land where claims do
             if evaluator.store is None:
                 raise ValueError(
@@ -614,15 +615,12 @@ class CampaignWorker:
             self.platform = evaluator.platform
             self.store = evaluator.store
             self.evaluator = evaluator
-            self._owns_evaluator = False
         else:
             self.platform = platform or LiquidPlatform()
             self.store = store or SqliteResultStore(
                 grid.path, device=self.platform.device,
                 timing_parameters=self.platform.timing_parameters)
-            self.evaluator = ParallelEvaluator(
-                self.platform, workers=workers, store=self.store)
-            self._owns_evaluator = True
+            self.evaluator = ParallelEvaluator(self.platform, store=self.store)
         grid.bind_platform(self.platform.device, self.platform.timing_parameters)
         #: fingerprint -> workload this worker can evaluate (fingerprinting
         #: generates each trace once; the evaluations need it anyway)
@@ -633,13 +631,7 @@ class CampaignWorker:
     # -- lifecycle -------------------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down an owned evaluator pool/arena (the grid stays open).
-
-        Injected evaluators belong to their supervisor/service and stay
-        resident across many drains; closing is the owner's job.
-        """
-        if self._owns_evaluator:
-            self.evaluator.close()
+        """Nothing to release: the grid stays open, the evaluator owns nothing."""
 
     def __enter__(self) -> "CampaignWorker":
         return self

@@ -134,20 +134,6 @@ class ExecutionTrace:
         """True when :meth:`columnar_view` would be answered from the cache."""
         return (kind, linesize_bytes) in self._views
 
-    def transfer_nbytes(self) -> int:
-        """Memoised byte size of the ``(pcs, data_addresses, data_is_write)`` columns.
-
-        The arena cost model consults this on every sweep; the masked
-        data columns cost milliseconds to materialise, so the size is
-        computed once per trace instead of once per publish decision.
-        """
-        nbytes = self._derived.get("transfer_nbytes")
-        if nbytes is None:
-            nbytes = (self.pcs.nbytes + self.data_addresses.nbytes
-                      + self.data_is_write.nbytes)
-            self._derived["transfer_nbytes"] = nbytes
-        return nbytes
-
     def count(self, op_class: OpClass) -> int:
         """Number of executed instructions of one timing class."""
         return int(np.count_nonzero(self.op_classes == op_class.value))

@@ -1,11 +1,11 @@
 """Zero-dependency telemetry: span tracer, metrics registry, dashboard.
 
 The observability layer of the evaluation stack, threaded through the
-engine, kernel, arena, store and campaign modules:
+engine, kernel, store and campaign modules:
 
 * :mod:`repro.obs.tracer` -- nested wall/CPU spans with structured
-  attributes, per-process lanes merged across the worker pool, exported
-  as Chrome trace-event JSON (Perfetto-loadable) or JSONL;
+  attributes, exported as Chrome trace-event JSON (Perfetto-loadable)
+  or JSONL;
 * :mod:`repro.obs.metrics` -- counters/gauges/histograms behind one
   mergeable registry; :class:`~repro.engine.backend.EngineStats` is a
   typed view over it;

@@ -2,7 +2,7 @@
 
 The registry is the engine's single metrics surface: ad-hoc accounting
 (:class:`~repro.engine.backend.EngineStats` fields, stage wall-clock,
-arena publish/attach sizes, campaign claim shapes) all lands here, so
+store lock retries, campaign claim shapes) all lands here, so
 one :meth:`MetricsRegistry.snapshot` call answers "what has this engine
 done" uniformly for the ``--profile`` dump, the experiment tables and
 the campaign heartbeats.
@@ -15,13 +15,13 @@ Three metric kinds:
 * :class:`Histogram` -- streaming count/total/min/max of observations
   (``observe``), summarised without storing samples.
 
-Cross-process collection mirrors the tracer: worker processes observe
-into their process-local registry (:func:`get_registry`),
-:meth:`MetricsRegistry.drain` the typed deltas at task boundaries, ship
-them home inside task results, and the host folds them in with
-:meth:`MetricsRegistry.merge` -- counters add, gauges last-write-wins,
-histograms merge their summaries.  Everything is plain data and cheap:
-an observation is one dict lookup and a few float ops.
+Library code without an engine reference observes into the process
+registry (:func:`get_registry`).  At batch end the engine takes its
+typed deltas with :meth:`MetricsRegistry.drain` and folds them into its
+own registry with :meth:`MetricsRegistry.merge` -- counters add, gauges
+last-write-wins, histograms merge their summaries.
+Everything is plain data and cheap: an observation is one dict lookup
+and a few float ops.
 """
 
 from __future__ import annotations
@@ -207,10 +207,10 @@ class MetricsRegistry:
         return "\n".join(lines)
 
 
-#: The process registry: instrumentation that has no better home (arena
-#: attach in worker processes, store lock retries) observes here; worker
-#: deltas are drained at task boundaries and merged into the owning
-#: engine's :class:`~repro.engine.backend.EngineStats` registry.
+#: The process registry: instrumentation that has no better home (store
+#: lock retries) observes here; its deltas are drained at
+#: batch end and merged into the owning engine's
+#: :class:`~repro.engine.backend.EngineStats` registry.
 _REGISTRY = MetricsRegistry()
 
 
@@ -220,7 +220,7 @@ def get_registry() -> MetricsRegistry:
 
 
 def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Install ``registry`` as the process registry (tests, worker init)."""
+    """Install ``registry`` as the process registry (tests)."""
     global _REGISTRY
     _REGISTRY = registry
     return registry

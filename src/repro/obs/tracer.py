@@ -8,27 +8,18 @@ anywhere in the evaluation stack opens spans through the module-level
         view = decode_trace(...)
 
 A span records wall-clock and CPU time plus arbitrary structured
-attributes, and knows its nesting depth, process and thread, so a merged
-stream of spans from many processes renders as parallel per-process
-lanes.  The default process tracer is *disabled*: :func:`span` then
-returns a shared no-op context manager, so always-on instrumentation
-costs one attribute check per call site -- cheap enough to leave in every
-hot path that runs at batch/group granularity.
-
-Cross-process collection is pull-based: worker processes trace into
-their own (process-local) tracer, :meth:`Tracer.drain` the finished
-spans at task boundaries, and ship them back as part of the task result;
-the host calls :meth:`Tracer.absorb` to merge them.  Because every
-record carries the pid/tid it was produced on and a shared wall-clock
-(``time.time``) timestamp, the merged timeline is correct without any
-clock coordination beyond the host's own.
+attributes, and knows its nesting depth, process and thread.  The
+default process tracer is *disabled*: :func:`span` then returns a
+shared no-op context manager, so always-on instrumentation costs one
+attribute check per call site -- cheap enough to leave in every hot path
+that runs at batch/group granularity.
 
 Exporters:
 
 * :meth:`Tracer.export_chrome` writes the Chrome trace-event format
   (``{"traceEvents": [...]}`` with ``ph: "X"`` complete events), directly
   loadable in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``;
-  process-name metadata labels the host and worker lanes.
+  process-name metadata labels each process lane.
 * :meth:`Tracer.export_jsonl` writes one raw :class:`SpanRecord` per
   line for ad-hoc analysis.
 
@@ -44,7 +35,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, IO, Iterable, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, IO, List, Optional, Sequence, Union
 
 __all__ = [
     "SpanRecord",
@@ -66,8 +57,7 @@ class SpanRecord:
     ``ts`` is a shared wall-clock (``time.time``) timestamp so records
     from different processes on one host order correctly; ``wall`` and
     ``cpu`` are high-resolution durations (``perf_counter`` /
-    ``process_time`` deltas).  Records are plain data -- picklable, so
-    worker processes ship them back inside task results.
+    ``process_time`` deltas).
     """
 
     name: str
@@ -143,7 +133,7 @@ class _ActiveSpan:
 
 
 class Tracer:
-    """Collects nested spans for one process; merge point for worker spans.
+    """Collects nested spans for one process.
 
     ``sink``, when given, is called with every completed
     :class:`SpanRecord` in addition to the in-memory buffer -- the hook
@@ -180,17 +170,6 @@ class Tracer:
         if self._sink is not None:
             self._sink(record)
 
-    # -- cross-process merge ---------------------------------------------------------------
-
-    def drain(self) -> List[SpanRecord]:
-        """Return and clear the buffered records (worker task boundaries)."""
-        records, self.records = self.records, []
-        return records
-
-    def absorb(self, records: Iterable[SpanRecord]) -> None:
-        """Merge records produced elsewhere (worker processes) into this tracer."""
-        self.records.extend(records)
-
     # -- exporters -------------------------------------------------------------------------
 
     def chrome_events(self) -> List[Dict[str, Any]]:
@@ -209,7 +188,7 @@ class Tracer:
                 "args": {**record.attrs, "cpu_ms": round(record.cpu * 1e3, 3)},
             })
         for pid in sorted({record.pid for record in self.records}):
-            label = "host" if pid == host_pid else f"worker {pid}"
+            label = "host" if pid == host_pid else f"process {pid}"
             events.append({
                 "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
                 "args": {"name": label},
@@ -286,7 +265,7 @@ def validate_chrome_trace(path: str) -> Dict[str, Any]:
 
     Raises :class:`ValueError` on any shape violation; returns a summary
     (event count, distinct pids, span-name counts) that the CI
-    observability job asserts worker lanes and span coverage on.
+    observability job asserts span coverage on.
     """
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)

@@ -41,7 +41,7 @@ from repro.workloads.phased import PhasedWorkload
 __all__ = ["LiquidPlatform", "CacheJob", "PhaseJob", "job_group_key", "plan_job_groups"]
 
 #: One outstanding cache simulation: ``(workload_fingerprint, "icache"|"dcache",
-#: geometry)``.  The engine layer fans these out over worker processes and
+#: geometry)``.  The engine layer batches these across workloads and
 #: installs the resulting statistics back into the platform's memo store.
 #: Keys use :meth:`~repro.workloads.base.Workload.fingerprint` rather than the
 #: workload name so same-named workloads with different traces never alias.
@@ -61,8 +61,8 @@ def job_group_key(job: CacheJob) -> Tuple[str, str, int]:
     Jobs with the same key replay one decoded
     :class:`~repro.microarch.cachekernel.ColumnarTrace`; this is the
     single definition of "same group" used by the platform's batch
-    simulation, the parallel engine's chunk planner and the arena's
-    published-view keys, so a planning change cannot desynchronise them.
+    simulation and the engine's batch planner, so a planning change
+    cannot desynchronise them.
     """
     workload_key, kind, cache_cfg = job
     return (workload_key, kind, cache_cfg.linesize_bytes)
@@ -222,7 +222,7 @@ class LiquidPlatform:
         self._cache_runs.setdefault(job, statistics)
 
     def simulate_cache_job(self, workload: Workload, job: CacheJob) -> CacheStatistics:
-        """Run one cache job in-process (the engine's worker does the same remotely)."""
+        """Run one cache job in isolation (the per-configuration path)."""
         _, kind, cache_cfg = job
         view = workload.columnar_view(kind, cache_cfg.linesize_bytes)
         return Cache(cache_cfg).simulate_view(view)
@@ -425,8 +425,8 @@ class LiquidPlatform:
                    [c for c in unique if (workload_key, c) not in self._runs])
         if missing:
             # one planning pass serves both the job dispatch and the
-            # statistics-pair assembly below (an engine that already fanned
-            # the jobs out over its pool finds nothing left to simulate)
+            # statistics-pair assembly below (an engine that already ran
+            # the jobs finds nothing left to simulate)
             if cache_pairs is not None and len(cache_pairs) == len(missing) == len(configs):
                 key_pairs = cache_pairs
                 jobs = [key for key in dict.fromkeys(

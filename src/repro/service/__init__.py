@@ -3,11 +3,11 @@
 The paper's method is a batch pipeline -- trace once, sweep
 configurations, solve -- but serving that evaluation to heavy repeat
 traffic needs a process that stays up: one resident
-:class:`~repro.engine.parallel.ParallelEvaluator` (supervised by an
-:class:`~repro.engine.supervisor.EvaluatorSupervisor`) with the trace
-arena attached, the platform memos warm and the persistent store
-answering repeat queries by trace fingerprint, so a sweep a million
-users re-submit costs one evaluation.
+:class:`~repro.engine.parallel.ParallelEvaluator` with the platform
+memos warm and the persistent store answering repeat queries by trace
+fingerprint, so a sweep a million users re-submit costs one evaluation.
+The service evaluates in its own process; to add capacity, point CLI
+``--claim`` workers at the campaign database it serves from.
 
 Three modules:
 

@@ -1,9 +1,9 @@
 """The always-on tuning service: HTTP jobs over one resident engine.
 
 :class:`TuningService` is the HTTP-free application object -- it owns
-the resident platform, the persistent store, the supervised evaluator
-and the job queue, and can be driven directly from tests without a
-socket.  The thin stdlib HTTP layer (:func:`make_server`, built on
+the resident platform, the persistent store, the evaluator and the job
+queue, and can be driven directly from tests without a socket.  The
+thin stdlib HTTP layer (:func:`make_server`, built on
 ``ThreadingHTTPServer``) maps five routes onto it:
 
 * ``POST /sweep`` -- evaluate a ``{workload} x {configurations}`` grid
@@ -13,15 +13,14 @@ socket.  The thin stdlib HTTP layer (:func:`make_server`, built on
 * ``GET /jobs`` and ``GET /jobs/<id>`` -- job status with incremental
   results: a long sweep streams its finished batches before the job is
   done.
-* ``GET /metrics`` -- engine statistics, the full metrics registry,
-  supervisor health and job counts in one JSON document.
+* ``GET /metrics`` -- engine statistics, the full metrics registry and
+  job counts in one JSON document.
 * ``GET /healthz`` -- liveness.
 
 Repeat traffic is the point: the service keeps ONE
-:class:`~repro.engine.supervisor.EvaluatorSupervisor` (hence one
-worker pool, one shared-memory arena, one store, warm platform memos)
-across every job, and results are keyed by trace fingerprint +
-configuration + platform context in the store -- so re-submitting an
+:class:`~repro.engine.parallel.ParallelEvaluator` (hence one store and
+warm platform memos) across every job, and results are keyed by trace
+fingerprint + configuration + platform context in the store -- so re-submitting an
 identical sweep answers from the store with zero new evaluations, bit
 for bit identical to the first answer *and* to a direct
 ``measure_sweep`` call.  Sweep results on the wire are exactly the
@@ -39,6 +38,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import signal
+import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -57,13 +58,13 @@ from repro.core.weights import (
     Weights,
 )
 from repro.engine.campaign import CampaignGrid, CampaignWorker
+from repro.engine.parallel import ParallelEvaluator
 from repro.engine.store import (
     ResultStore,
     ResultStoreBase,
     SqliteResultStore,
     open_store,
 )
-from repro.engine.supervisor import EvaluatorSupervisor
 from repro.platform.liquid import LiquidPlatform
 from repro.service.jobs import Job, JobManager
 from repro.workloads import small_workloads, standard_workloads
@@ -115,9 +116,6 @@ class TuningService:
 
     Parameters
     ----------
-    workers:
-        Worker processes of the resident evaluator (default: evaluator's
-        own default).
     scale:
         Workload registry served: ``"standard"`` (benchmark traces) or
         ``"small"`` (quick smoke traces; the test/CI default).
@@ -132,23 +130,16 @@ class TuningService:
     sweep_chunk:
         Configurations per evaluation batch of a direct (non-grid)
         sweep job; smaller chunks stream results sooner.
-    arena:
-        Forwarded to the evaluator (``None`` probes shared memory and
-        applies the adaptive publish cost model; tests pass ``False``
-        to force every batch through the worker pool deterministically).
     """
 
     def __init__(
         self,
         *,
-        workers: Optional[int] = None,
         scale: str = "small",
         store_path: Optional[str] = None,
         grid_path: Optional[str] = None,
         platform: Optional[LiquidPlatform] = None,
-        max_restarts: int = 5,
         sweep_chunk: int = 16,
-        arena: Optional[bool] = None,
     ):
         if scale not in ("standard", "small"):
             raise ValueError(f"unknown workload scale: {scale!r}")
@@ -166,9 +157,7 @@ class TuningService:
         else:
             store = ResultStore()
         self.store = store
-        self.supervisor = EvaluatorSupervisor(
-            self.platform, workers=workers, store=store, arena=arena,
-            max_restarts=max_restarts)
+        self.evaluator = ParallelEvaluator(self.platform, store=store)
         self.workloads: Dict[str, Workload] = (
             small_workloads() if scale == "small" else standard_workloads())
         self.space = leon_parameter_space()
@@ -178,14 +167,13 @@ class TuningService:
     # -- lifecycle -------------------------------------------------------------------------
 
     def start(self) -> "TuningService":
-        self.supervisor.start()
         self.jobs.start()
         return self
 
     def stop(self, *, drain: bool = True) -> None:
         """Finish queued jobs (unless ``drain=False``), then tear down."""
         self.jobs.stop(drain=drain)
-        self.supervisor.stop()
+        self.evaluator.close()
         if self.grid is not None:
             self.grid.close()
 
@@ -268,11 +256,10 @@ class TuningService:
 
     def metrics(self) -> Dict[str, Any]:
         """Everything ``GET /metrics`` reports, as one JSON document."""
-        stats = self.supervisor.stats
+        stats = self.evaluator.stats
         return {
             "engine": stats.as_dict(),
             "registry": stats.registry.snapshot(),
-            "supervisor": self.supervisor.snapshot(),
             "jobs": self.jobs.counts(),
             "store": {"records": len(self.store)},
         }
@@ -298,16 +285,11 @@ class TuningService:
             # pure re-read -- and if a foreign worker still holds a row,
             # evaluating it here is deterministic duplicate work, never
             # wrong data
-        encoded = []
         for start in range(0, len(configs), self.sweep_chunk):
             chunk = configs[start:start + self.sweep_chunk]
-            measurements = self.supervisor.measure_sweep(workload, chunk)
-            records = [self.store.encode(workload, m) for m in measurements]
-            encoded.extend(records)
-            self.jobs.append_results(job, records)
-        self.jobs.annotate(
-            job, pool_breaks=self.supervisor.stats.pool_breaks,
-            supervisor_restarts=self.supervisor.stats.supervisor_restarts)
+            measurements = self.evaluator.measure_sweep(workload, chunk)
+            self.jobs.append_results(
+                job, [self.store.encode(workload, m) for m in measurements])
 
     def _drain_grid(
         self, job: Job, workload: Workload, configs: Sequence[Configuration]
@@ -318,7 +300,7 @@ class TuningService:
         added = grid.register(workload, configs)
         self.jobs.annotate(job, grid_rows_added=added)
         worker = CampaignWorker(
-            grid, [workload], evaluator=self.supervisor,
+            grid, [workload], evaluator=self.evaluator,
             worker_id=f"service:{job.id}", batch=self.sweep_chunk,
             heartbeat_seconds=15.0)
         while True:
@@ -337,7 +319,7 @@ class TuningService:
         weights = self._weights(job.payload)
         parameters = job.payload.get("parameters")
         verify = bool(job.payload.get("verify", False))
-        tuner = MicroarchTuner(self.supervisor, self.space)
+        tuner = MicroarchTuner(self.evaluator, self.space)
         result = tuner.tune(
             workload, weights, parameters=parameters, verify=verify)
         record: Dict[str, Any] = {
@@ -469,36 +451,28 @@ def serve(
     *,
     host: str = "127.0.0.1",
     port: int = 8023,
-    workers: Optional[int] = None,
     scale: str = "small",
     store_path: Optional[str] = None,
     grid_path: Optional[str] = None,
-    arena: Optional[bool] = None,
     install_signals: bool = True,
     announce=print,
 ) -> None:
     """Run the tuning service until SIGTERM/SIGINT, then drain and exit.
 
     The accept loop runs on a background thread; the main thread parks
-    on the supervisor's ``stop_requested`` flag.  The signal handler
-    only flips that flag (``HTTPServer.shutdown`` *waits* for the serve
-    loop and would deadlock called from a handler on the serving
-    thread), so shutdown is: flag flips -> main thread stops the accept
-    loop -> queued jobs finish -> the resident evaluator closes with
-    its workers joined.
+    on a stop event.  The signal handler only sets that event
+    (``HTTPServer.shutdown`` *waits* for the serve loop and would
+    deadlock called from a handler on the serving thread), so shutdown
+    is: event set -> main thread stops the accept loop -> queued jobs
+    finish -> the service closes.  Nothing is killed mid-job.
     """
-    import threading
-    import time as _time
-
     service = TuningService(
-        workers=workers, scale=scale, store_path=store_path,
-        grid_path=grid_path, arena=arena)
+        scale=scale, store_path=store_path, grid_path=grid_path)
     httpd = make_server(service, host=host, port=port)
+    stop = threading.Event()
     if install_signals:
-        import signal as _signal
-
-        service.supervisor.install_signal_handlers(
-            signals=(_signal.SIGTERM, _signal.SIGINT))
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            signal.signal(signum, lambda signum, frame: stop.set())
     service.start()
     announce(f"tuning service on http://{httpd.server_address[0]}:"
              f"{httpd.server_address[1]} "
@@ -509,8 +483,8 @@ def serve(
         name="service-http", daemon=True)
     accept_loop.start()
     try:
-        while not service.supervisor.stop_requested:
-            _time.sleep(0.2)
+        while not stop.wait(0.2):
+            pass
     except KeyboardInterrupt:  # pragma: no cover - interactive path
         pass
     finally:

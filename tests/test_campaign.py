@@ -41,7 +41,6 @@ def grid_configs(base_config, count=6):
 
 def drain(grid, workload, **kwargs):
     """Run one worker to completion and return its report."""
-    kwargs.setdefault("workers", 1)
     max_batches = kwargs.pop("max_batches", None)
     with CampaignWorker(grid, [workload], **kwargs) as worker:
         return worker.run(max_batches=max_batches)
@@ -215,7 +214,6 @@ class TestCrashRecovery:
 
 class TestFailureRetry:
     def _broken_worker(self, grid, workload, error, **kwargs):
-        kwargs.setdefault("workers", 1)
         worker = CampaignWorker(grid, [workload], **kwargs)
 
         def explode(workload, configs):
@@ -260,7 +258,7 @@ class TestFailureRetry:
         configs = grid_configs(base_config, 4)
         with CampaignGrid(str(tmp_path / "grid.sqlite")) as grid:
             grid.register(arith_small, configs)
-            with CampaignWorker(grid, [arith_small], workers=1) as worker:
+            with CampaignWorker(grid, [arith_small]) as worker:
                 def interrupt(workload, configs):
                     raise KeyboardInterrupt
                 worker.evaluator.measure_sweep = interrupt
@@ -286,7 +284,7 @@ class TestResultsMatchDirectSweep:
             assert grid.status()[STATUS_DONE] == len(configs)
             assert report.engine["claim_rows"] == len(configs)
 
-        with ParallelEvaluator(LiquidPlatform(), workers=1) as direct:
+        with ParallelEvaluator(LiquidPlatform()) as direct:
             reference = direct.measure_sweep(arith_small, configs)
 
         platform = LiquidPlatform()
@@ -330,8 +328,7 @@ class TestCampaignCli:
         assert undrained.returncode != 0
 
         claim = self._run("--grid-db", db, "--claim", "--grid-scale", "small",
-                          "--grid-workloads", "arith", "--workers", "1",
-                          "--batch", "8")
+                          "--grid-workloads", "arith", "--batch", "8")
         assert claim.returncode == 0, claim.stderr
         assert "0 failed" in claim.stdout
 

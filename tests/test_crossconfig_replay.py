@@ -1,4 +1,4 @@
-"""Bit-identity of the cross-config and JIT replay lanes, and the arena cost model.
+"""Bit-identity of the cross-config and JIT replay lanes.
 
 The round-3 kernel lanes must be indistinguishable from the scalar
 reference loop (``Cache.simulate(vectorized=False)``) in every
@@ -16,10 +16,6 @@ from ``conftest`` through:
   identical function object is what gets compiled;
 * :func:`~repro.microarch.cachekernel.simulate_many` under every lane
   selection, including the ``REPRO_KERNEL_LANE`` environment knob.
-
-The arena tests pin the adaptive publish cost model: skip decisions may
-change *where* a batch replays (inline versus pooled, published or not)
-but never *what* it measures.
 """
 
 import numpy as np
@@ -30,12 +26,6 @@ from conftest import SET_ASSOCIATIVE_WAYS, to_arrays, trace_strategy
 
 from repro.config import Replacement
 from repro.engine import ParallelEvaluator
-from repro.engine.arena import (
-    ARENA_THRESHOLD_ENV,
-    DEFAULT_PUBLISH_THRESHOLD,
-    publish_threshold,
-    publish_worthwhile,
-)
 from repro.errors import ConfigurationError
 from repro.microarch import cachekernel
 from repro.microarch.cache import Cache, CacheConfig
@@ -323,85 +313,13 @@ class TestKernelLaneResolution:
         monkeypatch.setenv(KERNEL_LANE_ENV, LANE_CROSSCONFIG)
         assert simulate_many(view, configs) == reference
 
-
-# -- adaptive arena cost model -----------------------------------------------------------
-
-class TestPublishCostModel:
-    def test_default_threshold(self, monkeypatch):
-        monkeypatch.delenv(ARENA_THRESHOLD_ENV, raising=False)
-        assert publish_threshold() == DEFAULT_PUBLISH_THRESHOLD
-
-    def test_environment_override(self, monkeypatch):
-        monkeypatch.setenv(ARENA_THRESHOLD_ENV, "1024")
-        assert publish_threshold() == 1024
-
-    def test_argument_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(ARENA_THRESHOLD_ENV, "1024")
-        assert publish_threshold(2048) == 2048
-
-    def test_product_rule(self, monkeypatch):
-        monkeypatch.delenv(ARENA_THRESHOLD_ENV, raising=False)
-        assert publish_worthwhile(1000, 10, threshold=10_000)
-        assert not publish_worthwhile(1000, 9, threshold=10_000)
-        assert not publish_worthwhile(1000, 0, threshold=10_000)
-
-    def test_non_positive_threshold_always_publishes(self):
-        assert publish_worthwhile(0, 0, threshold=0)
-        assert publish_worthwhile(1, 1, threshold=-5)
-
-
-class TestArenaSkipEquivalence:
-    """Skip decisions change the execution shape, never the measurements."""
-
-    def _configs(self):
+    def test_kernel_lane_recorded_in_stats(self):
         from repro.config import base_configuration
 
         base = base_configuration()
-        return [
-            base.replace(dcache_sets=2, dcache_replacement=Replacement.RANDOM),
-            base.replace(dcache_sets=2, dcache_replacement=Replacement.LRR),
-            base.replace(dcache_sets=4, dcache_replacement=Replacement.LRU),
-            base.replace(dcache_sets=3, dcache_setsize_kb=2),
-        ]
-
-    def test_skipped_batch_identical_to_published_and_plain_pool(self):
-        workload = ArithWorkload(iterations=120)
-        configs = self._configs()
-        reference = LiquidPlatform().measure_many(workload, configs)
-
-        # adaptive mode with an unreachable threshold: every batch skips
-        with ParallelEvaluator(LiquidPlatform(), workers=2,
-                               arena_threshold=1 << 62) as skipping:
-            assert skipping.measure_many(workload, configs) == reference
-            assert skipping.stats.arena_skipped > 0
-            assert skipping.stats.parallel_simulations == 0  # ran inline
-            assert skipping.stats.arena_segments == 0  # nothing published
-
-        # adaptive mode pinned to always-publish: pooled, zero-copy views
-        with ParallelEvaluator(LiquidPlatform(), workers=2,
-                               arena_threshold=0) as publishing:
-            assert publishing.measure_many(workload, configs) == reference
-            assert publishing.stats.arena_skipped == 0
-
-        # explicit arena=False: pooled without publishing, never skips
-        with ParallelEvaluator(LiquidPlatform(), workers=2,
-                               arena=False) as plain:
-            assert plain.measure_many(workload, configs) == reference
-            assert plain.stats.arena_skipped == 0
-            assert plain.stats.arena_segments == 0
-
-    def test_forced_arena_never_skips(self):
-        workload = ArithWorkload(iterations=120)
-        configs = self._configs()
-        reference = LiquidPlatform().measure_many(workload, configs)
-        with ParallelEvaluator(LiquidPlatform(), workers=2, arena=True,
-                               arena_threshold=1 << 62) as engine:
-            assert engine.measure_many(workload, configs) == reference
-            assert engine.stats.arena_skipped == 0
-
-    def test_kernel_lane_recorded_in_stats(self):
-        workload = ArithWorkload(iterations=120)
-        with ParallelEvaluator(LiquidPlatform(), workers=1) as engine:
-            engine.measure_many(workload, self._configs())
+        configs = [base.replace(dcache_sets=2, dcache_replacement=Replacement.RANDOM),
+                   base.replace(dcache_sets=4, dcache_replacement=Replacement.LRU)]
+        with ParallelEvaluator(LiquidPlatform()) as engine:
+            engine.measure_many(ArithWorkload(iterations=120), configs)
             assert engine.stats.kernel_lane == kernel_lane()
             assert engine.stats.as_dict()["kernel_lane"] == kernel_lane()

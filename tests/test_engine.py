@@ -1,9 +1,9 @@
-"""Engine equivalence suite: batched/parallel/store-backed == sequential.
+"""Engine equivalence suite: batched/store-backed == sequential.
 
 The hard guarantee of the evaluation engine is that *how* a measurement
-is obtained -- one at a time, batched, deduplicated, fanned out over
-worker processes, or loaded back from a persistent store -- never changes
-*what* is measured.  Every test here compares engine output against the
+is obtained -- one at a time, batched, deduplicated, replayed in
+shared-decode groups, or loaded back from a persistent store -- never
+changes *what* is measured.  Every test here compares engine output against the
 sequential :class:`LiquidPlatform` reference bit-for-bit (dataclass
 equality covers cycle counts, cache hit/miss statistics including the
 seeded RANDOM replacement, resource reports and the full cycle
@@ -11,8 +11,10 @@ breakdown), across all four paper workloads.
 """
 
 import ast
-import gc
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -51,7 +53,7 @@ class TestProtocol:
         assert isinstance(ParallelEvaluator(), EvaluationBackend)
 
     def test_engine_delegates_single_shot_api(self, base_config):
-        engine = ParallelEvaluator(workers=1)
+        engine = ParallelEvaluator()
         assert engine.fits(base_config)
         assert engine.build(base_config).luts == LiquidPlatform().build(base_config).luts
         assert engine.effort() == {"builds": 1, "runs": 0}
@@ -82,20 +84,17 @@ class TestBatching:
 class TestParallelEquivalence:
     def test_parallel_batch_identical_to_sequential(self, base_config, small_workload_map):
         configs = variant_configs(base_config)
-        # arena_threshold=0 pins the adaptive cost model to "always publish"
-        # so this test keeps exercising the pooled path on tiny batches
-        engine = ParallelEvaluator(workers=2, arena_threshold=0)
+        engine = ParallelEvaluator()
         for name, workload in small_workload_map.items():
             sequential = LiquidPlatform().measure_many(workload, configs)
             parallel = engine.measure_many(workload, configs)
             assert parallel == sequential, f"engine diverged on workload {name}"
-        assert engine.stats.parallel_simulations > 0
         assert engine.stats.dedup_hits == len(small_workload_map)
 
     def test_multi_workload_batch_identical_to_sequential(self, base_config,
                                                           small_workload_map):
         configs = variant_configs(base_config)
-        engine = ParallelEvaluator(workers=2)
+        engine = ParallelEvaluator()
         combined = engine.measure_many_multi(
             {w: configs for w in small_workload_map.values()})
         for name, workload in small_workload_map.items():
@@ -104,7 +103,7 @@ class TestParallelEquivalence:
 
     def test_same_named_workloads_coexist_in_one_batch(self, base_config):
         small, large = ArithWorkload(iterations=60), ArithWorkload(iterations=140)
-        engine = ParallelEvaluator(workers=1)
+        engine = ParallelEvaluator()
         combined = engine.measure_many_multi({small: [base_config], large: [base_config]})
         assert combined[small][0] == LiquidPlatform().measure(small, base_config)
         assert combined[large][0] == LiquidPlatform().measure(large, base_config)
@@ -115,12 +114,12 @@ class TestStoreEquivalence:
     def test_store_round_trip_identical(self, tmp_path, base_config, small_workload_map):
         path = str(tmp_path / "results.jsonl")
         configs = variant_configs(base_config)
-        writer = ParallelEvaluator(workers=1, store=ResultStore(path))
+        writer = ParallelEvaluator(store=ResultStore(path))
         first = {name: writer.measure_many(w, configs)
                  for name, w in small_workload_map.items()}
         assert writer.stats.store_hits == 0
 
-        reader = ParallelEvaluator(workers=1, store=ResultStore(path))
+        reader = ParallelEvaluator(store=ResultStore(path))
         for name, workload in small_workload_map.items():
             replayed = reader.measure_many(workload, configs)
             assert replayed == first[name]
@@ -134,7 +133,7 @@ class TestStoreEquivalence:
                                                         arith_small):
         """A run killed mid-append must not make the store unloadable."""
         path = str(tmp_path / "results.jsonl")
-        writer = ParallelEvaluator(workers=1, store=ResultStore(path))
+        writer = ParallelEvaluator(store=ResultStore(path))
         expected = writer.measure(arith_small, base_config)
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"truncated": \n')          # killed mid-append
@@ -147,8 +146,8 @@ class TestStoreEquivalence:
         path = str(tmp_path / "results.jsonl")
         small, large = ArithWorkload(iterations=50), ArithWorkload(iterations=120)
         assert workload_fingerprint(small) != workload_fingerprint(large)
-        ParallelEvaluator(workers=1, store=ResultStore(path)).measure(small, base_config)
-        reader = ParallelEvaluator(workers=1, store=ResultStore(path))
+        ParallelEvaluator(store=ResultStore(path)).measure(small, base_config)
+        reader = ParallelEvaluator(store=ResultStore(path))
         measurement = reader.measure(large, base_config)
         assert reader.stats.store_hits == 0
         assert measurement == LiquidPlatform().measure(large, base_config)
@@ -164,7 +163,7 @@ class TestSqliteStore:
     def test_round_trip_identical(self, tmp_path, base_config, arith_small):
         path = str(tmp_path / "results.sqlite")
         store = SqliteResultStore(path)
-        expected = ParallelEvaluator(workers=1, store=store).measure(
+        expected = ParallelEvaluator(store=store).measure(
             arith_small, base_config)
         assert len(store) == 1
         reloaded = SqliteResultStore(path)
@@ -176,12 +175,12 @@ class TestSqliteStore:
                                                     small_workload_map):
         path = str(tmp_path / "results.db")
         configs = variant_configs(base_config)
-        writer = ParallelEvaluator(workers=1, store=open_store(path))
+        writer = ParallelEvaluator(store=open_store(path))
         first = {name: writer.measure_many(w, configs)
                  for name, w in small_workload_map.items()}
         assert writer.stats.store_hits == 0
 
-        reader = ParallelEvaluator(workers=1, store=open_store(path))
+        reader = ParallelEvaluator(store=open_store(path))
         for name, workload in small_workload_map.items():
             assert reader.measure_many(workload, configs) == first[name]
         assert reader.platform.effort()["runs"] == 0
@@ -200,17 +199,17 @@ class TestSqliteStore:
 
         path = str(tmp_path / "results.sqlite")
         slow = LiquidPlatform(timing_parameters=TimingParameters(memory_latency=40))
-        writer = ParallelEvaluator(slow, workers=1, store=SqliteResultStore(path))
+        writer = ParallelEvaluator(slow, store=SqliteResultStore(path))
         slow_measurement = writer.measure(arith_small, base_config)
 
-        default_reader = ParallelEvaluator(workers=1, store=SqliteResultStore(path))
+        default_reader = ParallelEvaluator(store=SqliteResultStore(path))
         default_measurement = default_reader.measure(arith_small, base_config)
         assert default_reader.stats.store_hits == 0
         assert default_measurement.cycles < slow_measurement.cycles
 
         slow_reader = ParallelEvaluator(
             LiquidPlatform(timing_parameters=TimingParameters(memory_latency=40)),
-            workers=1, store=SqliteResultStore(path))
+            store=SqliteResultStore(path))
         assert slow_reader.measure(arith_small, base_config) == slow_measurement
         assert slow_reader.stats.store_hits == 1
 
@@ -223,7 +222,7 @@ class TestCampaignAndTuner:
         model_sequential = campaign.run(arith_small, parameters=(
             "dcache_sets", "dcache_setsize_kb", "dcache_replacement"))
 
-        engine = ParallelEvaluator(workers=2)
+        engine = ParallelEvaluator()
         batched = OneFactorCampaign(engine).run(arith_small, parameters=(
             "dcache_sets", "dcache_setsize_kb", "dcache_replacement"))
 
@@ -236,7 +235,7 @@ class TestCampaignAndTuner:
         individual = {
             name: OneFactorCampaign(LiquidPlatform()).run(w, parameters=params)
             for name, w in small_workload_map.items()}
-        engine = ParallelEvaluator(workers=2)
+        engine = ParallelEvaluator()
         combined = OneFactorCampaign(engine).run_many(
             small_workload_map.values(), parameters=params)
         assert set(combined) == set(individual)
@@ -248,7 +247,7 @@ class TestCampaignAndTuner:
         params = ("dcache_sets", "dcache_setsize_kb")
         sequential = MicroarchTuner(LiquidPlatform()).tune(
             arith_small, RUNTIME_OPTIMIZATION, parameters=params)
-        engine = MicroarchTuner(ParallelEvaluator(workers=2)).tune(
+        engine = MicroarchTuner(ParallelEvaluator()).tune(
             arith_small, RUNTIME_OPTIMIZATION, parameters=params)
         assert engine.configuration == sequential.configuration
         assert engine.actual == sequential.actual
@@ -263,23 +262,23 @@ class TestStaleness:
 
         path = str(tmp_path / "results.jsonl")
         slow = LiquidPlatform(timing_parameters=TimingParameters(memory_latency=40))
-        writer = ParallelEvaluator(slow, workers=1, store=ResultStore(path))
+        writer = ParallelEvaluator(slow, store=ResultStore(path))
         slow_measurement = writer.measure(arith_small, base_config)
 
-        default_reader = ParallelEvaluator(workers=1, store=ResultStore(path))
+        default_reader = ParallelEvaluator(store=ResultStore(path))
         default_measurement = default_reader.measure(arith_small, base_config)
         assert default_reader.stats.store_hits == 0
         assert default_measurement.cycles < slow_measurement.cycles
 
         slow_reader = ParallelEvaluator(
             LiquidPlatform(timing_parameters=TimingParameters(memory_latency=40)),
-            workers=1, store=ResultStore(path))
+            store=ResultStore(path))
         assert slow_reader.measure(arith_small, base_config) == slow_measurement
         assert slow_reader.stats.store_hits == 1
 
     def test_worker_pool_tracks_trace_changes_of_same_named_workloads(self, base_config):
-        """Re-measuring under a reused pool must not replay a stale trace."""
-        engine = ParallelEvaluator(workers=2)
+        """Re-measuring on a reused evaluator must not replay a stale trace."""
+        engine = ParallelEvaluator()
         first = ArithWorkload(iterations=60)
         engine.measure_many(first, [base_config, base_config.replace(dcache_sets=2)])
 
@@ -287,82 +286,31 @@ class TestStaleness:
         batch = [base_config,                   # overlaps the first workload's configs
                  base_config.replace(dcache_sets=4),
                  base_config.replace(dcache_setsize_kb=16)]
-        through_pool = engine.measure_many(second, batch)
+        batched = engine.measure_many(second, batch)
         sequential = LiquidPlatform().measure_many(second, batch)
-        assert through_pool == sequential
+        assert batched == sequential
         engine.close()
 
 
 class TestEvaluatorHygiene:
-    """Worker pools are shut down deterministically, never left to __del__."""
-
-    def test_context_manager_shuts_down_the_pool(self, base_config, arith_small):
-        configs = [base_config, base_config.replace(dcache_sets=2),
-                   base_config.replace(dcache_setsize_kb=8)]
-        with ParallelEvaluator(workers=2) as engine:
-            engine.measure_many(arith_small, configs)
-            pool = engine._pool
-        assert engine._pool is None, "exiting the context must shut the pool down"
-        if pool is not None:  # pool may be absent where process spawning is blocked
-            assert pool._shutdown_thread or pool._processes is not None
-
     def test_close_is_idempotent_and_evaluator_stays_usable(self, base_config,
                                                             arith_small):
-        engine = ParallelEvaluator(workers=2)
+        engine = ParallelEvaluator()
         engine.close()
         engine.close()
-        # a closed evaluator restarts lazily instead of failing
         measurement = engine.measure(arith_small, base_config)
         engine.close()
         assert measurement == LiquidPlatform().measure(arith_small, base_config)
 
-    def test_gc_finalizer_never_joins_workers(self):
-        """A collected evaluator must not block on pool shutdown.
-
-        ``shutdown(wait=True)`` from ``__del__`` can hang interpreter
-        teardown on a wedged worker; the finalizer must always pass
-        ``wait=False`` (explicit ``close()`` keeps waiting, below).
-        """
-
-        class RecordingPool:
-            calls = []  # survives the evaluator's collection
-
-            def shutdown(self, wait=True):
-                RecordingPool.calls.append(wait)
-
-        RecordingPool.calls = []
-        engine = ParallelEvaluator(workers=2)
-        engine._pool = RecordingPool()
-        del engine
-        gc.collect()
-        assert RecordingPool.calls == [False], \
-            "the finalizer joined (or never shut down) the worker pool"
-
-    def test_explicit_close_still_joins_workers(self):
-        class RecordingPool:
-            def __init__(self):
-                self.calls = []
-
-            def shutdown(self, wait=True):
-                self.calls.append(wait)
-
-        engine = ParallelEvaluator(workers=2)
-        pool = RecordingPool()
-        engine._pool = pool
-        engine.close()
-        assert pool.calls == [True]
-        engine._pool = pool
-        engine.close(wait=False)
-        assert pool.calls == [True, False]
-
     def test_scripts_and_benchmarks_context_manage_every_evaluator(self):
         """Every ParallelEvaluator in scripts/ and benchmarks/ is a `with` item.
 
-        Relying on ``__del__`` keeps worker processes alive until
-        interpreter teardown; this source-level guard fails when a new
-        script or benchmark constructs an evaluator outside a ``with``
-        statement (or the ``managed_backend`` helper, which itself uses
-        one).
+        The evaluator holds nothing to release today, but its lifecycle
+        is part of the backend contract; this source-level guard fails
+        when a new script or benchmark constructs an evaluator outside a
+        ``with`` statement (or the ``managed_backend`` helper, which
+        itself uses one), so a backend that does own resources can be
+        swapped in without auditing every caller.
         """
         root = pathlib.Path(__file__).resolve().parent.parent
         offenders = []
@@ -381,13 +329,31 @@ class TestEvaluatorHygiene:
                             and id(node) not in managed):
                         offenders.append(f"{path.name}:{node.lineno}")
         assert not offenders, (
-            "ParallelEvaluator constructed outside a context manager "
-            f"(pool shutdown would rely on __del__): {offenders}")
+            f"ParallelEvaluator constructed outside a context manager: {offenders}")
+
+
+class TestSingleProcessEngine:
+    def test_imports_load_no_process_pool_or_shared_memory(self):
+        """The engine evaluates in-process: importing the package, the
+        engine and the service must not load the process-pool executor
+        or the shared-memory module (a fresh interpreter, so modules
+        other tests imported do not count)."""
+        probe = (
+            "import sys, repro, repro.engine, repro.service.server\n"
+            "loaded = [m for m in ('multiprocessing.shared_memory',\n"
+            "                      'concurrent.futures.process') if m in sys.modules]\n"
+            "assert not loaded, loaded\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "src")
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert result.returncode == 0, result.stderr
 
 
 class TestEngineStats:
     def test_stats_accounting(self, base_config, arith_small):
-        engine = ParallelEvaluator(workers=2)
+        engine = ParallelEvaluator()
         configs = [base_config, base_config, base_config.replace(dcache_sets=2)]
         engine.measure_many(arith_small, configs)
         stats = engine.stats
@@ -407,7 +373,7 @@ class TestEngineStats:
         # a private instance: trace_generation is only accounted when the
         # simulator actually runs, and the session fixture's trace is cached
         workload = ArithWorkload(iterations=200)
-        engine = ParallelEvaluator(workers=1)
+        engine = ParallelEvaluator()
         engine.measure_many(workload, [base_config])
         stages = engine.stats.stage_report()
         for stage in ("trace_generation", "cache_simulation", "model_build"):
@@ -419,7 +385,7 @@ class TestEngineStats:
         assert "solve" in engine.stats.stage_report()
 
     def test_second_batch_reuses_memoised_results(self, base_config, arith_small):
-        engine = ParallelEvaluator(workers=1)
+        engine = ParallelEvaluator()
         engine.measure_many(arith_small, [base_config])
         before = engine.stats.cache_simulations
         engine.measure_many(arith_small, [base_config])

@@ -1,9 +1,8 @@
 """The unified telemetry layer: tracer, metrics registry, dashboard.
 
 These tests pin the observability contracts: spans nest and record
-correct depth/attrs, disabled tracing is a true no-op, worker spans
-survive the pool fan-out without loss and merge into distinct per-pid
-lanes of a schema-valid Chrome trace, the typed :class:`EngineStats`
+correct depth/attrs, disabled tracing is a true no-op, exports are
+schema-valid Chrome traces with labelled process lanes, the typed :class:`EngineStats`
 view can never drift from its backing registry (snapshot keys ==
 dataclass fields), stage spans reconcile with ``stage_seconds``,
 campaign workers persist heartbeat rows that the dashboard ages into
@@ -27,7 +26,6 @@ from repro.engine import CampaignGrid, CampaignWorker, ParallelEvaluator
 from repro.engine.backend import EngineStats
 from repro.obs import (
     MetricsRegistry,
-    Tracer,
     disable_tracing,
     enable_tracing,
     get_registry,
@@ -112,20 +110,6 @@ class TestTracer:
         assert by_name["boom"].attrs["error"] == "ValueError"
         assert by_name["after"].depth == 0
 
-    def test_drain_clears_and_absorb_merges(self):
-        worker = Tracer(enabled=True)
-        with worker.span("remote"):
-            pass
-        shipped = worker.drain()
-        assert [r.name for r in shipped] == ["remote"]
-        assert worker.records == []
-
-        host = enable_tracing()
-        with span("local"):
-            pass
-        host.absorb(shipped)
-        assert sorted(r.name for r in host.records) == ["local", "remote"]
-
     def test_sink_streams_completed_records(self):
         seen = []
         enable_tracing(sink=seen.append)
@@ -140,7 +124,7 @@ class TestTracer:
         fake = tracer.records[0].__class__(
             name="remote", ts=tracer.records[0].ts, wall=0.001, cpu=0.001,
             depth=0, pid=os.getpid() + 1, tid=1, attrs={})
-        tracer.absorb([fake])
+        tracer.records.append(fake)
         path = tmp_path / "trace.json"
         count = tracer.export_chrome(str(path))
         summary = validate_chrome_trace(str(path))
@@ -149,7 +133,7 @@ class TestTracer:
         assert len(summary["pids"]) == 2
         labels = {e["args"]["name"] for e in
                   json.loads(path.read_text())["traceEvents"] if e["ph"] == "M"}
-        assert labels == {"host", f"worker {os.getpid() + 1}"}
+        assert labels == {"host", f"process {os.getpid() + 1}"}
 
     def test_jsonl_export_is_one_record_per_line(self, tmp_path):
         tracer = enable_tracing()
@@ -270,73 +254,12 @@ class TestEngineStatsRegistry:
         assert all(not isinstance(v, dict) for v in row.values())
 
 
-# -- cross-process tracing through the worker pool -----------------------------------------
-
-
-class TestCrossProcessTracing:
-    def test_pool_fanout_loses_no_spans_and_leaks_nothing(
-            self, tmp_path, base_config, fresh_arith):
-        before = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
-        tracer = enable_tracing()
-        configs = grid_configs(base_config)
-        with ParallelEvaluator(LiquidPlatform(), workers=2,
-                               arena_threshold=0) as evaluator:
-            evaluator.measure_sweep(fresh_arith, configs)
-            stats = evaluator.stats
-        disable_tracing()
-
-        by_name = {}
-        for record in tracer.records:
-            by_name.setdefault(record.name, []).append(record)
-        # every replayed configuration is accounted for by a replay span:
-        # a lost worker result would show up as a shortfall here
-        replayed = sum(r.attrs["configs"] for r in by_name.get("replay", []))
-        assert replayed == stats.cache_simulations
-        assert stats.parallel_simulations > 0
-        # the arena path decodes once on the host, replays in the workers
-        host = os.getpid()
-        assert {r.pid for r in by_name["decode"]} == {host}
-        worker_pids = {r.pid for r in by_name["replay"]}
-        assert host not in worker_pids and len(worker_pids) >= 1
-        assert len({r.pid for r in tracer.records}) >= 2
-        for stage in ("trace_generation", "cache_simulation", "sweep_evaluate",
-                      "arena_publish", "publish", "timing_eval",
-                      "functional_sim"):
-            assert stage in by_name, f"missing '{stage}' spans"
-
-        # worker metric deltas merged home alongside the spans
-        assert stats.registry.snapshot()["arena.publishes"] > 0
-
-        path = tmp_path / "sweep.json"
-        tracer.export_chrome(str(path))
-        summary = validate_chrome_trace(str(path))
-        assert summary["spans"] == len(tracer.records)
-        assert len(summary["pids"]) >= 2
-
-        # close() tore down the pool and every shared-memory segment
-        assert stats.arena_segments == 0
-        if os.path.isdir("/dev/shm"):
-            assert set(os.listdir("/dev/shm")) - before == set()
-
-    def test_pool_respawns_when_tracing_toggles(self, base_config, arith_small):
-        configs = grid_configs(base_config, 4)
-        with ParallelEvaluator(LiquidPlatform(), workers=2,
-                               arena_threshold=0) as evaluator:
-            evaluator.measure_sweep(arith_small, configs)
-            assert get_tracer().records == []
-            tracer = enable_tracing()
-            evaluator.measure_sweep(
-                arith_small, grid_configs(base_config, 6)[4:])
-            assert any(r.name == "replay" and r.pid != os.getpid()
-                       for r in tracer.records)
-
-
 class TestSpanTreeTiming:
     def test_stage_spans_reconcile_with_stage_seconds(
             self, base_config, fresh_arith):
         tracer = enable_tracing()
         configs = grid_configs(base_config)
-        with ParallelEvaluator(LiquidPlatform(), workers=1) as evaluator:
+        with ParallelEvaluator(LiquidPlatform()) as evaluator:
             evaluator.measure_sweep(fresh_arith, configs)
             stats = evaluator.stats
         spans = {}
@@ -349,18 +272,23 @@ class TestSpanTreeTiming:
             assert spans[stage] >= stats.stage_seconds[stage]
             assert spans[stage] - stats.stage_seconds[stage] < 0.05
 
-    def test_pipeline_spans_name_what_they_time(self, fresh_arith):
+    def test_pipeline_spans_name_what_they_time(self, base_config, fresh_arith):
         """functional_sim carries the workload and its size; solve is the
-        BINLP solve of a tune (the sweep's timing model is timing_eval,
-        checked with the pool fan-out above)."""
+        BINLP solve of a tune; the cache_simulation stage carries the
+        workload and its job count on both engine paths (the tune's
+        ``measure_many_multi`` and a ``measure_sweep``)."""
         from repro import RUNTIME_OPTIMIZATION, MicroarchTuner
         from repro.analysis import DCACHE_STUDY_PARAMETERS
 
         tracer = enable_tracing()
-        with ParallelEvaluator(LiquidPlatform(), workers=1) as evaluator:
+        with ParallelEvaluator(LiquidPlatform()) as evaluator:
             MicroarchTuner(evaluator).tune(
                 fresh_arith, RUNTIME_OPTIMIZATION,
                 parameters=DCACHE_STUDY_PARAMETERS, verify=False)
+        tuned = len(tracer.records)
+        with ParallelEvaluator(LiquidPlatform()) as evaluator:
+            evaluator.measure_sweep(fresh_arith, grid_configs(base_config))
+            swept_jobs = evaluator.stats.cache_simulations
         by_name = {}
         for record in tracer.records:
             by_name.setdefault(record.name, []).append(record)
@@ -373,6 +301,12 @@ class TestSpanTreeTiming:
         [solve] = by_name["solve"]
         assert solve.attrs["workload"] == fresh_arith.name
         assert solve.attrs["variables"] > 0
+        caches = by_name["cache_simulation"]
+        [swept] = [r for r in tracer.records[tuned:] if r.name == "cache_simulation"]
+        assert len(caches) > 1
+        assert all(r.attrs["workload"] == fresh_arith.name for r in caches)
+        assert all(isinstance(r.attrs["jobs"], int) for r in caches)
+        assert swept.attrs["jobs"] == swept_jobs > 0
 
 
 # -- campaign heartbeats and the dashboard -------------------------------------------------
@@ -398,7 +332,7 @@ class TestHeartbeats:
         with CampaignGrid(str(tmp_path / "grid.sqlite")) as grid:
             grid.register(arith_small, grid_configs(base_config, 4))
             with CampaignWorker(grid, [arith_small], worker_id="beater",
-                                workers=1, heartbeat_seconds=0.01) as worker:
+                                heartbeat_seconds=0.01) as worker:
                 report = worker.run()
             beats = grid.worker_heartbeats()
         assert report.done == 4

@@ -166,16 +166,14 @@ class TestPhasedMeasurement:
     def test_engine_phased_results_identical_to_sequential(self, drr_phased):
         configs = self.configs()
         sequential = LiquidPlatform().measure_phases(drr_phased, configs)
-        for workers in (1, 2):
-            with ParallelEvaluator(workers=workers) as engine:
-                parallel = engine.measure_phases(drr_phased, configs)
-                assert parallel == sequential, f"diverged with {workers} workers"
-                assert engine.stats.phase_chains > 0
+        with ParallelEvaluator() as engine:
+            assert engine.measure_phases(drr_phased, configs) == sequential
+            assert engine.stats.phase_chains > 0
 
     def test_engine_composition_scenario_matches_sequential(self, switch_scenario):
         configs = self.configs()[:2]
         sequential = LiquidPlatform().measure_phases(switch_scenario, configs)
-        with ParallelEvaluator(workers=2) as engine:
+        with ParallelEvaluator() as engine:
             assert engine.measure_phases(switch_scenario, configs) == sequential
 
     def test_phase_chains_are_memoised(self, drr_phased):
@@ -190,7 +188,7 @@ class TestPhasedMeasurement:
         # a fresh split: the decode accounting reads the instance's view cache
         drr_phased = PhasedWorkload.split_at_labels(
             drr_small, ("enqueue", "service"), ("service_phase",))
-        with ParallelEvaluator(workers=1) as engine:
+        with ParallelEvaluator() as engine:
             engine.measure_phases(drr_phased, self.configs())
             first = engine.stats.phase_decodes
             assert first == 2 * drr_phased.phase_count  # icache + dcache linesize
@@ -207,9 +205,9 @@ class TestPhasedMeasurement:
 
         path = str(tmp_path / "phased.sqlite")
         configs = self.configs()
-        with ParallelEvaluator(workers=1, store=open_store(path)) as writer:
+        with ParallelEvaluator(store=open_store(path)) as writer:
             first = writer.measure_phases(drr_phased, configs)
-        with ParallelEvaluator(workers=1, store=open_store(path)) as reader:
+        with ParallelEvaluator(store=open_store(path)) as reader:
             replayed = reader.measure_phases(drr_phased, configs)
             assert replayed == first
             assert reader.stats.store_hits == 3  # unique configs from the store

@@ -41,8 +41,8 @@ class TestTwoEvaluatorsOneStore:
         grid = config_grid(base_config, 9)
         shard_a, shard_b = grid[:6], grid[3:]  # overlap on grid[3:6]
 
-        first = ParallelEvaluator(workers=1, store=SqliteResultStore(path))
-        second = ParallelEvaluator(workers=1, store=SqliteResultStore(path))
+        first = ParallelEvaluator(store=SqliteResultStore(path))
+        second = ParallelEvaluator(store=SqliteResultStore(path))
         with first, second:
             results_a = first.measure_many(arith_small, shard_a)
             results_b = second.measure_many(arith_small, shard_b)
@@ -52,7 +52,7 @@ class TestTwoEvaluatorsOneStore:
         # both evaluators agree bit-for-bit on the overlapping configurations
         assert results_a[3:] == results_b[:3]
 
-        with ParallelEvaluator(workers=1, store=SqliteResultStore(path)) as reader:
+        with ParallelEvaluator(store=SqliteResultStore(path)) as reader:
             resumed = reader.measure_many(arith_small, grid)
             assert resumed[:6] == results_a
             assert resumed[3:] == results_b
@@ -64,8 +64,8 @@ class TestTwoEvaluatorsOneStore:
                                                                 arith_small):
         path = str(tmp_path / "interleaved.db")
         grid = config_grid(base_config, 6)
-        first = ParallelEvaluator(workers=1, store=open_store(path))
-        second = ParallelEvaluator(workers=1, store=open_store(path))
+        first = ParallelEvaluator(store=open_store(path))
+        second = ParallelEvaluator(store=open_store(path))
         with first, second:
             for i, config in enumerate(grid):  # strict alternation
                 (first if i % 2 == 0 else second).measure(arith_small, config)

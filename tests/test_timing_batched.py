@@ -171,12 +171,11 @@ def test_platform_sweep_property_identical(arith_small, configs):
     assert sweep == scalar
 
 
-@pytest.mark.parametrize("workers,arena", [(1, False), (2, False), (2, True)])
-def test_engine_sweep_identical(small_workload_map, base_config, workers, arena):
+def test_engine_sweep_identical(small_workload_map, base_config):
     configs = sweep_grid(base_config)
     for workload in small_workload_map.values():
         reference = LiquidPlatform().measure_many(workload, configs)
-        with ParallelEvaluator(LiquidPlatform(), workers=workers, arena=arena) as engine:
+        with ParallelEvaluator(LiquidPlatform()) as engine:
             assert engine.measure_sweep(workload, configs) == reference
             assert engine.stats.sweep_batches == 1
             assert engine.stats.sweep_evaluations == len(set(
@@ -192,12 +191,10 @@ def test_engine_sweep_uses_store(tmp_path, base_config):
     store_path = str(tmp_path / "sweep.jsonl")
     from repro.engine import open_store
 
-    with ParallelEvaluator(LiquidPlatform(), workers=1,
-                           store=open_store(store_path)) as first:
+    with ParallelEvaluator(LiquidPlatform(), store=open_store(store_path)) as first:
         assert first.measure_sweep(workload, configs) == reference
         assert first.stats.store_writes > 0
-    with ParallelEvaluator(LiquidPlatform(), workers=1,
-                           store=open_store(store_path)) as second:
+    with ParallelEvaluator(LiquidPlatform(), store=open_store(store_path)) as second:
         assert second.measure_sweep(workload, configs) == reference
         assert second.stats.store_hits == len({c.key() for c in configs})
         assert second.stats.sweep_evaluations == 0

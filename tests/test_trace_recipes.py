@@ -65,7 +65,7 @@ def tuning_summary(result):
 
 
 def tune_all(apps, store):
-    with ParallelEvaluator(LiquidPlatform(), workers=1, store=store) as evaluator:
+    with ParallelEvaluator(LiquidPlatform(), store=store) as evaluator:
         tuner = MicroarchTuner(evaluator)
         results = [tuner.tune(app, RUNTIME_OPTIMIZATION, verify=True) for app in apps]
     return evaluator.stats, [tuning_summary(result) for result in results]
@@ -81,12 +81,12 @@ def grid(count):
 def test_recipe_resolved_fingerprint_equals_the_simulated_one(name, simulations):
     store = open_store(None)
     cold = SMALL[name]()
-    ParallelEvaluator(workers=1, store=store).measure_many(cold, grid(1))
+    ParallelEvaluator(store=store).measure_many(cold, grid(1))
     assert store.trace_fingerprint(cold.recipe()) == cold.fingerprint()
 
     simulations.clear()
     warm = SMALL[name]()
-    engine = ParallelEvaluator(workers=1, store=store)
+    engine = ParallelEvaluator(store=store)
     engine.measure_many(warm, grid(1))
     assert simulations == [] and not warm.has_trace()
     assert warm.fingerprint() == cold.fingerprint()
@@ -116,11 +116,11 @@ def test_warm_store_tunes_without_simulating(tmp_path, filename, simulations):
 
 def test_store_miss_simulates_and_matches_the_bare_platform(simulations):
     store = open_store(None)
-    ParallelEvaluator(workers=1, store=store).measure_many(SMALL["drr"](), grid(2))
+    ParallelEvaluator(store=store).measure_many(SMALL["drr"](), grid(2))
 
     simulations.clear()
     workload = SMALL["drr"]()
-    engine = ParallelEvaluator(workers=1, store=store)
+    engine = ParallelEvaluator(store=store)
     configs = grid(5)
     measured = engine.measure_many(workload, configs)
     assert len(simulations) == 1
@@ -130,14 +130,14 @@ def test_store_miss_simulates_and_matches_the_bare_platform(simulations):
     platform = LiquidPlatform()
     assert measured == [platform.measure(reference, config) for config in configs]
     # the sweep path resolves through the same planning
-    sweep = ParallelEvaluator(workers=1, store=store).measure_sweep(SMALL["drr"](), grid(6))
+    sweep = ParallelEvaluator(store=store).measure_sweep(SMALL["drr"](), grid(6))
     assert sweep == [platform.measure(reference, config) for config in grid(6)]
 
 
 def test_tampered_recipe_row_raises_on_a_miss(tmp_path):
     path = str(tmp_path / "store.sqlite")
     store = open_store(path)
-    ParallelEvaluator(workers=1, store=store).measure_many(SMALL["arith"](), grid(1))
+    ParallelEvaluator(store=store).measure_many(SMALL["arith"](), grid(1))
     store.close()
     conn = sqlite3.connect(path)
     with conn:
@@ -146,7 +146,7 @@ def test_tampered_recipe_row_raises_on_a_miss(tmp_path):
 
     workload = SMALL["arith"]()
     store = open_store(path)
-    engine = ParallelEvaluator(workers=1, store=store)
+    engine = ParallelEvaluator(store=store)
     with pytest.raises(TraceIdentityError, match="recipe row"):
         engine.measure_many(workload, grid(1))
     assert engine.stats.store_writes == 0
@@ -181,7 +181,7 @@ def test_phased_workloads_still_simulate_with_identical_results(tmp_path, simula
         store = open_store(path)
         scenarios = phase_scenarios(small=True)
         simulations.clear()
-        with ParallelEvaluator(workers=1, store=store) as engine:
+        with ParallelEvaluator(store=store) as engine:
             results.append([engine.measure_phases(scenario, configs)
                             for scenario in scenarios.values()])
         assert all(scenario.recipe() is None for scenario in scenarios.values())
@@ -194,13 +194,13 @@ def test_phased_workloads_still_simulate_with_identical_results(tmp_path, simula
 
 def test_warm_run_opens_no_trace_generation_span():
     store = open_store(None)
-    ParallelEvaluator(workers=1, store=store).measure_many(SMALL["frag"](), grid(2))
+    ParallelEvaluator(store=store).measure_many(SMALL["frag"](), grid(2))
     tracer = enable_tracing()
     try:
-        ParallelEvaluator(workers=1, store=store).measure_sweep(SMALL["frag"](), grid(2))
+        ParallelEvaluator(store=store).measure_sweep(SMALL["frag"](), grid(2))
         assert not [r for r in tracer.records if r.name in ("trace_generation",
                                                              "functional_sim")]
-        ParallelEvaluator(workers=1, store=store).measure_sweep(SMALL["frag"](), grid(3))
+        ParallelEvaluator(store=store).measure_sweep(SMALL["frag"](), grid(3))
         [stage] = [r for r in tracer.records if r.name == "trace_generation"]
         assert stage.attrs["workload"] == "frag"
     finally:
