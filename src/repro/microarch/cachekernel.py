@@ -322,7 +322,30 @@ def replay(
     # the scalar reference pre-draws one victim per *access* regardless of
     # policy or use; match it so the stream position stays identical
     random_victims = rng.integers(0, config.ways, size=n) if config.ways > 1 else None
+    return _replay(view, config, state, random_victims, lane)
 
+
+def _cold_victims(view: ColumnarTrace, config: CacheConfig,
+                  draws: Dict[Tuple[int, int], np.ndarray]) -> Optional[np.ndarray]:
+    """RANDOM victims of a cold replay whose state is thrown away.
+
+    A cold stream depends only on (seed, ways) and the access count, so
+    one batch shares one draw per (seed, ways).  LRU and LRR never read
+    the victims, so nothing is drawn: no one sees their generator.
+    """
+    if config.ways == 1 or config.replacement != Replacement.RANDOM:
+        return None
+    key = (config.seed, config.ways)
+    victims = draws.get(key)
+    if victims is None:
+        victims = np.random.default_rng(config.seed).integers(
+            0, config.ways, size=view.accesses)
+        draws[key] = victims
+    return victims
+
+
+def _replay(view, config, state, random_victims, lane=None) -> CacheStatistics:
+    n = view.accesses
     if n == 0:
         return CacheStatistics(0, 0, 0, 0, 0)
     if config.ways == 1:
@@ -365,6 +388,14 @@ def simulate_many(
     """
     resolved = kernel_lane(lane)
     configs = list(configs)
+    draws: Dict[Tuple[int, int], np.ndarray] = {}
+
+    def cold(config: CacheConfig) -> CacheStatistics:
+        if view.linesize_bytes != config.linesize_bytes:
+            return replay(view, config)  # raises the linesize error
+        return _replay(view, config, fresh_state(config),
+                       _cold_victims(view, config, draws), resolved)
+
     with span("replay", configs=len(configs), lane=resolved,
               linesize=view.linesize_bytes):
         if resolved == LANE_CROSSCONFIG and view.accesses and len(view):
@@ -372,14 +403,14 @@ def simulate_many(
             if len(associative) >= 2:
                 results: List[Optional[CacheStatistics]] = [None] * len(configs)
                 stacked, _ = replay_many_associative(
-                    view, [configs[i] for i in associative])
+                    view, [configs[i] for i in associative], draws=draws)
                 for i, statistics in zip(associative, stacked):
                     results[i] = statistics
                 for i, config in enumerate(configs):
                     if results[i] is None:
-                        results[i] = replay(view, config, lane=resolved)
+                        results[i] = cold(config)
                 return results
-        return [replay(view, config, lane=resolved) for config in configs]
+        return [cold(config) for config in configs]
 
 
 def replay_chain(
@@ -771,7 +802,8 @@ def _replay_tail_serial(rest, m_row, m_tag, m_read, m_code, m_rv, m_last1,
 
 
 def replay_many_associative(
-    view: ColumnarTrace, configs: Sequence[CacheConfig]
+    view: ColumnarTrace, configs: Sequence[CacheConfig],
+    *, draws: Optional[Dict[Tuple[int, int], np.ndarray]] = None,
 ) -> Tuple[List[CacheStatistics], List[KernelState]]:
     """Replay one decoded trace against many cold associative geometries at once.
 
@@ -791,7 +823,9 @@ def replay_many_associative(
     statistics, the same final (unpadded) :class:`KernelState`, and the
     same per-config seeded RANDOM victim stream (each configuration
     draws its full positional victim array exactly like :func:`replay`).
-    Returns ``(statistics, states)`` in input order.
+    Returns ``(statistics, states)`` in input order.  With ``draws`` (a
+    batch's shared victim memo, see :func:`_cold_victims`) no generator
+    is advanced and the returned states carry ``rng=None``.
     """
     configs = list(configs)
     if not configs:
@@ -819,7 +853,8 @@ def replay_many_associative(
                        dtype=np.int64)
     max_ways = int(ways_arr.max())
     max_sets = int(lpw_arr.max())
-    rngs = [np.random.default_rng(c.seed) for c in configs]
+    rngs = [np.random.default_rng(c.seed) if draws is None else None
+            for c in configs]
 
     # merged rank-ordered event stream: concatenate every config's
     # rank-ordered arrays, then stable-sort by rank so slice k holds the
@@ -837,9 +872,6 @@ def replay_many_associative(
                 np.arange(len(sv.rank_bounds) - 1, dtype=np.int64),
                 np.diff(sv.rank_bounds))
             rank_id_cache[lpw] = rank_ids
-        # full positional draw, exactly like replay(), so the per-config
-        # generator ends at the identical stream position
-        draws = rngs[c].integers(0, int(ways_arr[c]), size=n)
         rank_parts.append(rank_ids)
         cidx_parts.append(np.full(len(rank_ids), c, dtype=np.int64))
         set_parts.append(sv.r_set)
@@ -848,9 +880,15 @@ def replay_many_associative(
         last_parts.append(sv.r_last_pos)
         wpre_parts.append(sv.r_w_pre)
         read_parts.append(sv.r_has_read)
+        if draws is None:
+            # full positional draw, exactly like replay(), so the per-config
+            # generator ends at the identical stream position
+            victims = rngs[c].integers(0, int(ways_arr[c]), size=n)
+        else:
+            victims = _cold_victims(view, config, draws)
         if codes[c] == _POLICY_RANDOM:
             # the clip only touches read-less events, which never fill
-            rv_parts.append(draws[np.minimum(sv.r_first_read, n - 1)])
+            rv_parts.append(victims[np.minimum(sv.r_first_read, n - 1)])
         else:
             rv_parts.append(np.zeros(len(rank_ids), dtype=np.int64))
 

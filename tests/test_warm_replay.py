@@ -25,6 +25,7 @@ from repro.microarch.cachekernel import (
     replay,
     replay_chain,
     replay_phases,
+    simulate_many,
 )
 
 any_geometry = geometry_strategy(ways=ALL_WAYS)
@@ -246,3 +247,33 @@ def test_chain_matches_warm_oracle_on_paper_workload_traces(small_workload_map,
 
         single = Cache(config).simulate(addresses, writes)
         assert sum(s.misses for s in chain_stats) == single.misses, name
+
+
+@given(geometry=geometry_strategy(ways=(2, 3, 4)), phased=phased_trace())
+@settings(max_examples=40, deadline=None)
+def test_warm_chain_after_batch_replay_matches_scalar_oracle(geometry, phased):
+    """A batch replay shares one cold victim draw per (seed, ways) across
+    its RANDOM configurations; the generators of later stateful replays
+    must not notice.  A warm chain run after a batch over the same views
+    still equals the scalar warm oracle, RANDOM stream position included."""
+    config = CacheConfig(**geometry)
+    trace, bounds = phased
+    addresses, writes = to_arrays(trace)
+    views = phase_views(addresses, writes, bounds, config.linesize_bytes)
+    batch = [config, CacheConfig(**{**geometry, "setsize_kb": 1}),
+             CacheConfig(**{**geometry, "replacement": Replacement.LRU})]
+    for view in views:
+        simulate_many(view, batch)
+
+    chain_stats, state = replay_chain(views, config)
+
+    oracle = Cache(config)
+    oracle_stats = [
+        oracle.simulate(addresses[lo:hi], writes[lo:hi], vectorized=False)
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    assert chain_stats == oracle_stats
+    assert_state_matches_cache(state, oracle)
+    for view in views:
+        assert simulate_many(view, batch) == [Cache(c).simulate_view(view)
+                                              for c in batch]
