@@ -1,28 +1,23 @@
-"""Sweep-measurement throughput across the cache-kernel replay lanes.
+"""Sweep-measurement throughput of the measurement paths, plus a replay microbench.
 
 Measures configs/sec of the measurement path on two sweep shapes:
 
 * the **Figure-2 exhaustive dcache grid** (geometry-dense: every point is
-  a distinct data-cache geometry, so trace-driven cache replay dominates
-  and the cross-config rank-synchronous lane shares the replay loop
-  itself across the whole grid);
+  a distinct data-cache geometry, so trace-driven cache replay is a
+  large share of the cost);
 * a **pipeline-parameter sweep** (the dense regime of the one-factor
   campaigns and the BINLP tuner: hundreds of configurations share a
   handful of cache geometries, so the per-configuration timing-model
   loop *is* the cost, and the broadcast path collapses it into a few
   array operations).
 
-The variants, one per kernel lane plus the engine paths:
+The variants:
 
 * ``scalar`` -- the faithful per-configuration baseline: ``measure_many``
   with the unmemoised :meth:`TimingModel.evaluate_reference` per point
-  and the per-config ``numpy`` replay lane (the pre-sweep behaviour);
+  (the pre-sweep behaviour);
 * ``batched`` -- the sequential :meth:`LiquidPlatform.measure_sweep`
-  broadcast path, still on the ``numpy`` replay lane;
-* ``crossconfig`` -- the same broadcast path on the default
-  cross-config lane (one rank-synchronous replay for the whole grid);
-* ``jit`` -- the Numba event-loop lane, recorded only when Numba is
-  importable on the host;
+  broadcast path;
 * ``engine`` -- ``measure_sweep`` through a :class:`ParallelEvaluator`
   (store/dedup planning plus shared-decode replay groups, in process).
 
@@ -31,10 +26,10 @@ must stay within noise of the sequential batched path
 (``ENGINE_FLOOR``): its planning may never cost more than it saves.
 Wall-clock speedup floors only run at benchmark scale
 (``REPRO_BENCH_SMOKE=1`` keeps the equality and engine-floor
-assertions), except the
-replay-bound lane microbench at the bottom, whose ≥``REPLAY_FLOOR``x
-cross-config floor holds at smoke scale too and is what the CI
-perf-smoke job enforces.
+assertions), except the replay microbench at the bottom, which times
+the compiled replay loop against the scalar reference
+``Cache.simulate(vectorized=False)`` on the full-size trace at every
+scale (``REPLAY_FLOOR``).
 
 Results are written to ``benchmarks/BENCH_sweep.json`` so the perf
 trajectory of the sweep path is machine readable across PRs.
@@ -43,8 +38,8 @@ trajectory of the sweep path is machine readable across PRs.
 import contextlib
 import itertools
 import json
-import os
 import pathlib
+import statistics
 import time
 
 from conftest import SMOKE, emit
@@ -57,16 +52,8 @@ from repro.config import (
 )
 from repro.config.leon_space import Multiplier
 from repro.engine import ParallelEvaluator
-from repro.microarch.cache import CacheConfig, Replacement
-from repro.microarch.cachekernel import (
-    KERNEL_LANE_ENV,
-    LANE_CROSSCONFIG,
-    LANE_JIT,
-    LANE_NUMPY,
-    decode_trace,
-    jit_available,
-    simulate_many,
-)
+from repro.microarch.cache import Cache, CacheConfig, Replacement
+from repro.microarch.cachekernel import decode_trace, simulate_many
 from repro.microarch.timing import TimingModel
 from repro.platform import LiquidPlatform
 
@@ -77,29 +64,24 @@ SMOKE_RESULT_PATH = RESULT_PATH.with_name("BENCH_sweep.smoke.json")
 #: The ≥5x configs/sec acceptance floor for the broadcast path on the
 #: timing-dominated sweep regime.
 SPEEDUP_FLOOR = 5.0
-#: The cross-config lane's end-to-end floor on the geometry-dense
-#: Figure-2 grid (full scale; the committed trajectory targets ≥4x).
-CROSSCONFIG_GRID_FLOOR = 3.0
 #: The engine path may never fall below this fraction of the sequential
 #: batched path's throughput -- at ANY scale.
 ENGINE_FLOOR = 0.95
-#: The cross-config lane's replay-only floor (microbench).  The committed
-#: full-scale trajectory holds the 3x bar; the smoke leg keeps a margin
-#: below it because the lane's stacked state arrays make it more
-#: sensitive to memory-bandwidth contention on shared CI runners (a real
-#: regression -- the lane falling back to per-config replay -- shows up
-#: as ~1x, far below either floor).
-REPLAY_FLOOR = 2.5 if SMOKE else 3.0
-#: Best-of repetitions for the cheap sequential variants at smoke scale
-#: (tiny grids make single-shot wall clocks noisy, and the first couple
-#: of repetitions in a fresh process absorb lazy-import and allocator
-#: warmup); full scale stays single-shot, matching the historical
-#: methodology.
-REPS = 5 if SMOKE else 1
-#: Repetitions for the interleaved batched/engine pairs that feed the
-#: ``ENGINE_FLOOR`` ratio: a single pair is one ~100ms sample of a
-#: drifting shared host, so even full scale takes the median of three.
-PAIR_REPS = max(REPS, 3)
+#: Per-geometry speedup floor of the compiled replay loop over the
+#: scalar reference loop (microbench).  Measured 670-920x on a shared
+#: 2-vCPU x86-64 host (gcc 12, -O2); the floor leaves ~5x headroom for
+#: slower or busier CI runners.  A loop that stopped being compiled
+#: would land near 1x.
+REPLAY_FLOOR = 100.0
+#: Interleaved batched/engine pairs that feed the ``ENGINE_FLOOR`` ratio,
+#: per grid: a single pair is one ~100ms sample of a drifting shared
+#: host, so even full scale takes the median of several (more at smoke
+#: scale, where tiny grids make single runs noisier).  The pipeline
+#: grid's ratio sits near the floor (three pairs landed on either side
+#: of it), so it takes the median of fifteen.
+PAIR_REPS = {"figure2": 5 if SMOKE else 3, "pipeline": 15}
+#: Runs of the compiled batch in the replay microbench (median taken).
+REPS_COMPILED = 9
 
 
 @contextlib.contextmanager
@@ -117,20 +99,6 @@ def per_config_reference_timing():
         yield
     finally:
         TimingModel.evaluate = original
-
-
-@contextlib.contextmanager
-def kernel_lane_env(lane):
-    """Pin the replay lane via the environment, exactly like a user would."""
-    saved = os.environ.get(KERNEL_LANE_ENV)
-    os.environ[KERNEL_LANE_ENV] = lane
-    try:
-        yield
-    finally:
-        if saved is None:
-            del os.environ[KERNEL_LANE_ENV]
-        else:
-            os.environ[KERNEL_LANE_ENV] = saved
 
 
 def fig2_grid(platform):
@@ -167,16 +135,6 @@ def timed(fn):
     return result, time.perf_counter() - start
 
 
-def best_of(fn, reps=REPS):
-    """Best wall clock over ``reps`` runs (each run a fresh measurement)."""
-    result, seconds = timed(fn)
-    for _ in range(reps - 1):
-        again, again_seconds = timed(fn)
-        assert again == result, "repeated run diverged"
-        seconds = min(seconds, again_seconds)
-    return result, seconds
-
-
 def run_engine_variant(workload, configs):
     """One engine sweep: returns (result, seconds, stats dict)."""
     with ParallelEvaluator(LiquidPlatform()) as engine:
@@ -192,8 +150,8 @@ def run_engine_variant(workload, configs):
     return result, seconds, stats
 
 
-def run_variants(fresh_workload, configs):
-    """Measure the grid through every lane/path; returns (stats, timings)."""
+def run_variants(fresh_workload, configs, pair_reps):
+    """Measure the grid through every path; returns (stats, timings, ratio)."""
     # the config-independent trace and its columnar decodes are shared by
     # every variant in the real flow; pre-warm them for the sequential
     # variants so the comparison times the measurement path, not trace
@@ -205,18 +163,9 @@ def run_variants(fresh_workload, configs):
     for kind, linesize in sorted(linesizes):
         workload.columnar_view(kind, linesize)
 
-    with per_config_reference_timing(), kernel_lane_env(LANE_NUMPY):
+    with per_config_reference_timing():
         scalar, scalar_seconds = timed(
             lambda: LiquidPlatform().measure_many(workload, configs))
-    with kernel_lane_env(LANE_CROSSCONFIG):
-        cross, cross_seconds = best_of(
-            lambda: LiquidPlatform().measure_sweep(workload, configs))
-    timings = {"scalar": scalar_seconds, "crossconfig": cross_seconds}
-    results = {"crossconfig": cross}
-    if jit_available():
-        with kernel_lane_env(LANE_JIT):
-            results["jit"], timings["jit"] = best_of(
-                lambda: LiquidPlatform().measure_sweep(workload, configs))
 
     # the engine variant gets its own workload instance whose views are NOT
     # pre-decoded: the first timed sweep pays the real cold-sweep decode
@@ -229,15 +178,15 @@ def run_variants(fresh_workload, configs):
     engine_workload.trace()
     batched_seconds = engine_seconds = None
     pair_ratios = []
-    for rep in range(PAIR_REPS):
-        with kernel_lane_env(LANE_NUMPY):
-            batched, seconds = timed(
-                lambda: LiquidPlatform().measure_sweep(workload, configs))
+    for rep in range(pair_reps):
+        batched, seconds = timed(
+            lambda: LiquidPlatform().measure_sweep(workload, configs))
         assert batched == scalar, "batched sweep diverges from the scalar path"
         batched_seconds = seconds if batched_seconds is None else min(
             batched_seconds, seconds)
         engine_result, engine_rep_seconds, stats = run_engine_variant(
             engine_workload, configs)
+        assert engine_result == scalar, "engine sweep diverges from the scalar path"
         engine_seconds = engine_rep_seconds if engine_seconds is None else min(
             engine_seconds, engine_rep_seconds)
         # each rep's plain/engine pair ran back to back, so their ratio is
@@ -245,15 +194,9 @@ def run_variants(fresh_workload, configs):
         # is what the ENGINE_FLOOR asserts (a best-of/best-of quotient
         # would compare two different moments of a drifting host)
         pair_ratios.append(seconds / engine_rep_seconds)
-    results["batched"] = batched
-    timings["batched"] = batched_seconds
-    results["engine"] = engine_result
-    timings["engine"] = engine_seconds
-    engine_ratio = sorted(pair_ratios)[len(pair_ratios) // 2]
-
-    for variant, result in results.items():
-        assert result == scalar, f"{variant} sweep diverges from the scalar path"
-    return stats, timings, engine_ratio
+    timings = {"scalar": scalar_seconds, "batched": batched_seconds,
+               "engine": engine_seconds}
+    return stats, timings, statistics.median(pair_ratios)
 
 
 def report(name, configs, timings):
@@ -263,13 +206,12 @@ def report(name, configs, timings):
             f"  {variant:<14} {seconds:8.3f}s  {len(configs) / seconds:10.1f} configs/sec")
     lines.append(
         f"  speedup batched {timings['scalar'] / timings['batched']:.2f}x, "
-        f"crossconfig {timings['scalar'] / timings['crossconfig']:.2f}x, "
         f"engine {timings['scalar'] / timings['engine']:.2f}x vs scalar")
     print("\n".join(lines))
 
 
-def to_entry(configs, timings, stats=None, engine_ratio=None):
-    entry = {
+def to_entry(configs, timings, stats, engine_ratio):
+    return {
         "points": len(configs),
         "variants": {
             variant: {
@@ -279,20 +221,11 @@ def to_entry(configs, timings, stats=None, engine_ratio=None):
             for variant, seconds in timings.items()
         },
         "speedup_batched_vs_scalar": round(timings["scalar"] / timings["batched"], 2),
-        "speedup_crossconfig_vs_scalar": round(
-            timings["scalar"] / timings["crossconfig"], 2),
         "speedup_engine_vs_scalar": round(
             timings["scalar"] / timings["engine"], 2),
-        "engine_vs_batched": round(
-            engine_ratio if engine_ratio is not None
-            else timings["batched"] / timings["engine"], 2),
+        "engine_vs_batched": round(engine_ratio, 2),
+        "engine": stats,
     }
-    if "jit" in timings:
-        entry["speedup_jit_vs_scalar"] = round(
-            timings["scalar"] / timings["jit"], 2)
-    if stats is not None:
-        entry["engine"] = stats
-    return entry
 
 
 def result_path():
@@ -320,22 +253,23 @@ def test_sweep_throughput_trajectory():
     platform = LiquidPlatform()
 
     fig2 = fig2_grid(platform)
-    fig2_stats, fig2_timings, fig2_ratio = run_variants(fresh_blastn, fig2)
+    fig2_stats, fig2_timings, fig2_ratio = run_variants(
+        fresh_blastn, fig2, PAIR_REPS["figure2"])
     report("Figure-2 dcache grid (geometry-dense)", fig2, fig2_timings)
 
     pipeline = pipeline_grid(platform)
-    pipe_stats, pipe_timings, pipe_ratio = run_variants(fresh_blastn, pipeline)
+    pipe_stats, pipe_timings, pipe_ratio = run_variants(
+        fresh_blastn, pipeline, PAIR_REPS["pipeline"])
     report("Pipeline-parameter sweep (timing-dense)", pipeline, pipe_timings)
 
     payload = {
         "smoke": SMOKE,
         "workload": "blastn",
-        "jit_available": jit_available(),
         "figure2_grid": to_entry(fig2, fig2_timings, fig2_stats, fig2_ratio),
         "pipeline_grid": to_entry(pipeline, pipe_timings, pipe_stats, pipe_ratio),
         "speedup_floor": SPEEDUP_FLOOR,
-        "crossconfig_grid_floor": CROSSCONFIG_GRID_FLOOR,
         "engine_floor": ENGINE_FLOOR,
+        "engine_floor_pairs": PAIR_REPS,
     }
     result_path().write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\nwrote {result_path()}")
@@ -356,11 +290,6 @@ def test_sweep_throughput_trajectory():
     assert fig2_timings["batched"] < fig2_timings["scalar"], (
         f"batched Figure-2 sweep ({fig2_timings['batched']:.3f}s) not faster "
         f"than the per-config baseline ({fig2_timings['scalar']:.3f}s)")
-    # ... the cross-config lane must clear its floor on that same grid ...
-    cross_speedup = fig2_timings["scalar"] / fig2_timings["crossconfig"]
-    assert cross_speedup >= CROSSCONFIG_GRID_FLOOR, (
-        f"cross-config Figure-2 sweep speedup {cross_speedup:.2f}x below the "
-        f"{CROSSCONFIG_GRID_FLOOR}x floor")
     # ... and on the timing-dense sweep regime it must clear the 5x floor
     speedup = pipe_timings["scalar"] / pipe_timings["batched"]
     assert speedup >= SPEEDUP_FLOOR, (
@@ -368,20 +297,18 @@ def test_sweep_throughput_trajectory():
         f"{SPEEDUP_FLOOR}x floor")
 
 
-def test_crossconfig_replay_microbench():
-    """Replay-only lane comparison on the Figure-2 dcache geometries.
+def test_replay_microbench():
+    """Replay only: the compiled loop against the scalar reference loop.
 
     Strips the timing model, tracing and planning away: the benchmark-
-    scale BLASTN data trace decoded once, replayed by
-    :func:`simulate_many` under the per-config ``numpy`` lane versus the
-    cross-config lane, over every associative Figure-2 dcache geometry
-    under each replacement policy (LEON2's LRR is 2-way only).  Real
-    traces are what the lane is built for -- their skewed set pressure
-    produces many narrow ranks, exactly the fixed-overhead regime the
-    merged loop amortises -- so the microbench always runs the full-size
-    trace; replay alone is fast enough that the ≥``REPLAY_FLOOR``x floor
-    is enforced at smoke scale too, which is what the CI perf-smoke job
-    checks.
+    scale BLASTN data trace decoded once and replayed over every
+    associative Figure-2 dcache geometry under each replacement policy
+    (LEON2's LRR is 2-way only), by :func:`simulate_many` and by
+    ``Cache.simulate(vectorized=False)``, the scalar per-access oracle.
+    The scalar pass runs once (it is seconds long); the compiled batch
+    takes the median of ``REPS_COMPILED`` runs.  Both always use the
+    full-size trace, so the ≥``REPLAY_FLOOR``x floor is enforced at
+    smoke scale too.
     """
     from repro.workloads import standard_workloads
 
@@ -394,58 +321,38 @@ def test_crossconfig_replay_microbench():
         if ways > 1 and (policy != Replacement.LRR or ways == 2)
     ]
     trace = standard_workloads()["blastn"].trace()
-    accesses = len(trace.data_addresses)
-    view = decode_trace(trace.data_addresses, trace.data_is_write,
-                        linesize_bytes=linesize_words * 4)
+    addresses, writes = trace.data_addresses, trace.data_is_write
+    view = decode_trace(addresses, writes, linesize_bytes=linesize_words * 4)
 
-    # untimed warm pass per lane: set views are a property of the view and
-    # are shared by both lanes in the real flow
-    reference = simulate_many(view, configs, lane=LANE_NUMPY)
-    assert simulate_many(view, configs, lane=LANE_CROSSCONFIG) == reference
-
-    # interleave the two lanes' repetitions so each speedup sample
-    # compares wall clocks taken under the same background load, then
-    # take the median ratio: one load spike spoils one pair, not the
-    # verdict (same estimator as the ENGINE_FLOOR assertion)
-    per_config_seconds = crossconfig_seconds = None
-    pair_ratios = []
-    for _ in range(PAIR_REPS):
-        _, numpy_seconds = timed(
-            lambda: simulate_many(view, configs, lane=LANE_NUMPY))
-        per_config_seconds = numpy_seconds if per_config_seconds is None else min(
-            per_config_seconds, numpy_seconds)
-        _, seconds = timed(
-            lambda: simulate_many(view, configs, lane=LANE_CROSSCONFIG))
-        crossconfig_seconds = seconds if crossconfig_seconds is None else min(
-            crossconfig_seconds, seconds)
-        pair_ratios.append(numpy_seconds / seconds)
-    speedup = sorted(pair_ratios)[len(pair_ratios) // 2]
+    # untimed warm pass: set views are a property of the view and are
+    # shared by every geometry with that set count in the real flow
+    compiled = simulate_many(view, configs)
+    scalar, scalar_seconds = timed(lambda: [
+        Cache(config).simulate(addresses, writes, vectorized=False)
+        for config in configs])
+    assert compiled == scalar, "compiled replay diverges from the scalar loop"
+    compiled_seconds = statistics.median(
+        timed(lambda: simulate_many(view, configs))[1]
+        for _ in range(REPS_COMPILED))
+    speedup = scalar_seconds / compiled_seconds
 
     entry = {
         "geometries": len(configs),
-        "accesses": accesses,
-        "per_config_seconds": round(per_config_seconds, 4),
-        "crossconfig_seconds": round(crossconfig_seconds, 4),
-        "per_config_configs_per_sec": round(len(configs) / per_config_seconds, 1),
-        "crossconfig_configs_per_sec": round(len(configs) / crossconfig_seconds, 1),
-        "speedup": round(speedup, 2),
+        "accesses": len(addresses),
+        "scalar_seconds": round(scalar_seconds, 4),
+        "compiled_seconds": round(compiled_seconds, 5),
+        "scalar_configs_per_sec": round(len(configs) / scalar_seconds, 1),
+        "compiled_configs_per_sec": round(len(configs) / compiled_seconds, 1),
+        "speedup": round(speedup, 1),
         "floor": REPLAY_FLOOR,
     }
-    if jit_available():
-        _, jit_seconds = best_of(
-            lambda: simulate_many(view, configs, lane=LANE_JIT), reps=3)
-        entry["jit_seconds"] = round(jit_seconds, 4)
-        entry["jit_configs_per_sec"] = round(len(configs) / jit_seconds, 1)
-        assert simulate_many(view, configs, lane=LANE_JIT) == reference
-
-    print(f"\nreplay microbench: {len(configs)} geometries x {accesses} accesses: "
-          f"per-config {per_config_seconds:.3f}s, crossconfig "
-          f"{crossconfig_seconds:.3f}s ({speedup:.2f}x)")
+    print(f"\nreplay microbench: {len(configs)} geometries x {len(addresses)} "
+          f"accesses: scalar {scalar_seconds:.3f}s, compiled "
+          f"{compiled_seconds * 1e3:.2f}ms ({speedup:.0f}x)")
     merge_payload("replay_microbench", entry)
 
     assert speedup >= REPLAY_FLOOR, (
-        f"cross-config replay speedup {speedup:.2f}x below the "
-        f"{REPLAY_FLOOR}x floor")
+        f"compiled replay speedup {speedup:.1f}x below the {REPLAY_FLOOR}x floor")
 
 
 def test_sweep_path_wired_into_figure2_driver(workloads):

@@ -146,10 +146,6 @@ class EngineStats:
     claim_rows: int = 0
     claim_conflicts: int = 0
     claim_requeues: int = 0
-    #: Resolved cache-kernel replay lane of the most recent batch
-    #: (``crossconfig``/``numpy``/``jit``; see
-    #: :func:`~repro.microarch.cachekernel.kernel_lane`).
-    kernel_lane: str = ""
     #: Batch calls served.
     batches: int = 0
     #: Wall-clock seconds spent inside the batch API.

@@ -32,7 +32,6 @@ from repro.config.configuration import Configuration
 from repro.engine.backend import EngineStats
 from repro.engine.store import ResultStoreBase
 from repro.fpga.report import ResourceReport
-from repro.microarch.cachekernel import kernel_lane
 from repro.microarch.statistics import ExecutionStatistics
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import span
@@ -383,7 +382,6 @@ class ParallelEvaluator:
         if not jobs:
             return
         self.stats.cache_simulations += len(jobs)
-        self.stats.kernel_lane = kernel_lane()
         workloads_by_key = {w.fingerprint(): w for w in batches}
         groups = plan_job_groups(jobs)
         self.stats.cache_groups += len(groups)

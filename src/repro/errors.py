@@ -39,6 +39,15 @@ class SimulationError(ReproError):
     """
 
 
+class KernelBuildError(ReproError):
+    """The compiled cache replay loop could not be built, loaded or called.
+
+    Raised when no C compiler is on ``PATH``, when compilation fails, when
+    the build cache directory is unsafe, or when replay state arrays do
+    not have the layout the compiled loop requires.
+    """
+
+
 class VerificationError(ReproError):
     """A workload produced results that do not match its reference output."""
 

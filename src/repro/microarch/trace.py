@@ -186,11 +186,12 @@ class ExecutionTrace:
         view = self._views.get(key)
         if view is None:
             if kind == "icache":
-                view = decode_trace(self.pcs, linesize_bytes=linesize_bytes)
+                view = decode_trace(self.pcs, linesize_bytes=linesize_bytes,
+                                    workload=self.name)
             elif kind == "dcache":
                 view = decode_trace(
                     self.data_addresses, self.data_is_write,
-                    linesize_bytes=linesize_bytes)
+                    linesize_bytes=linesize_bytes, workload=self.name)
             else:
                 raise ValueError(f"unknown cache kind {kind!r}")
             self._views[key] = view

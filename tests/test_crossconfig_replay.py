@@ -1,60 +1,46 @@
-"""Bit-identity of the cross-config and JIT replay lanes.
+"""Differential suite: the compiled replay loop against both oracles.
 
-The round-3 kernel lanes must be indistinguishable from the scalar
-reference loop (``Cache.simulate(vectorized=False)``) in every
-observable: hit/miss statistics field for field, the final tag/age/FIFO
-state of every configuration in a merged batch, the replay tick, and the
-position of each configuration's seeded RANDOM victim stream.  The
-hypothesis suites below drive the shared randomized geometries/traces
-from ``conftest`` through:
+Every replay runs through one compiled C loop
+(:mod:`repro.microarch.native`).  It must be indistinguishable from
 
-* :func:`~repro.microarch.cachekernel.replay_many_associative` -- the
-  rank-synchronous cross-config lane, on mixed-geometry batches;
-* the JIT event loop (:func:`~repro.microarch.cachekernel._replay_events_loop`)
-  run as plain Python, which pins the lane's semantics on hosts without
-  Numba -- CI runs the same tests with Numba installed, where the
-  identical function object is what gets compiled;
-* :func:`~repro.microarch.cachekernel.simulate_many` under every lane
-  selection, including the ``REPRO_KERNEL_LANE`` environment knob.
+* the scalar per-access loop, ``Cache.simulate(vectorized=False)``, and
+* the per-event Python loop it was ported from
+  (``reference_replay.replay_events_loop``),
+
+in every observable: statistics field for field, the final tag/age/FIFO
+state, the replay tick and the position of each configuration's seeded
+RANDOM victim stream.  The hypothesis suites cover ways 1-4 under LRU,
+LRR and RANDOM, batches that mix set counts, warm multi-phase chains and
+degenerate (empty, write-only, single-event) traces.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import SET_ASSOCIATIVE_WAYS, to_arrays, trace_strategy
+from conftest import ALL_WAYS, to_arrays, trace_strategy
+from reference_replay import reference_replay
 
 from repro.config import Replacement
-from repro.engine import ParallelEvaluator
-from repro.errors import ConfigurationError
-from repro.microarch import cachekernel
+from repro.errors import ConfigurationError, KernelBuildError
 from repro.microarch.cache import Cache, CacheConfig
 from repro.microarch.cachekernel import (
-    DEFAULT_LANE,
-    KERNEL_LANE_ENV,
-    LANE_CROSSCONFIG,
-    LANE_JIT,
-    LANE_NUMPY,
+    KernelState,
     decode_trace,
-    jit_available,
-    kernel_lane,
+    fresh_state,
     replay,
-    replay_many_associative,
+    replay_chain,
     simulate_many,
 )
-from repro.platform import LiquidPlatform
-from repro.workloads import ArithWorkload
 
 
-def config_batch_strategy(min_size=2, max_size=5, ways=SET_ASSOCIATIVE_WAYS,
+def config_batch_strategy(min_size=2, max_size=6, ways=ALL_WAYS,
                           replacements=Replacement.ALL):
     """Mixed-geometry batches sharing one line size (the grouping invariant).
 
-    Way counts, way sizes and replacement policies vary freely within a
-    batch -- exactly the shape :func:`replay_many_associative` merges --
-    while the line size is drawn once because a decoded view is a
-    property of the line size.  ``replacements`` restricts the policies
-    (a single one gives the homogeneous groups the kernel special-cases).
+    Way counts, way sizes (so set counts) and replacement policies vary
+    freely within a batch, while the line size is drawn once because a
+    decoded view is a property of the line size.
     """
     geometry = st.fixed_dictionaries({
         "ways": st.sampled_from(list(ways)),
@@ -75,147 +61,145 @@ def scalar_oracle(config, addresses, writes):
     return stats, cache
 
 
-def assert_state_matches_oracle(state, cache):
-    """A merged-replay ``KernelState`` must equal the oracle cache bit for bit."""
-    np.testing.assert_array_equal(state.tags, cache._tags)
-    np.testing.assert_array_equal(state.age, cache._age)
-    np.testing.assert_array_equal(state.fifo, cache._fifo)
-    assert state.tick == cache._tick
-    assert state.rng.bit_generator.state == cache._rng.bit_generator.state
+def assert_states_equal(state, other):
+    """Two kernel states (or a state and a Cache's stores) agree bit for bit."""
+    tags, age, fifo, tick, rng = (
+        (other._tags, other._age, other._fifo, other._tick, other._rng)
+        if isinstance(other, Cache)
+        else (other.tags, other.age, other.fifo, other.tick, other.rng))
+    np.testing.assert_array_equal(state.tags, tags)
+    np.testing.assert_array_equal(state.age, age)
+    np.testing.assert_array_equal(state.fifo, fifo)
+    assert state.tick == tick
+    assert state.rng.bit_generator.state == rng.bit_generator.state
 
 
-class _plain_jit_loop:
-    """Context manager forcing the JIT lane to run the plain-Python loop.
-
-    Hosts without Numba resolve ``lane="jit"`` to the default lane; the
-    tests instead install :func:`cachekernel._replay_events_loop` as the
-    "compiled" loop so the full JIT dispatch path runs everywhere.  When
-    Numba *is* available (the CI leg) the real compiled loop is left in
-    place -- same function, compiled.
-    """
-
-    def __enter__(self):
-        self._saved = cachekernel._JIT_LOOP
-        if not jit_available():
-            cachekernel._JIT_LOOP = cachekernel._replay_events_loop
-        return self
-
-    def __exit__(self, *exc_info):
-        cachekernel._JIT_LOOP = self._saved
+def assert_matches_both_oracles(config, addresses, writes):
+    """Compiled replay == event-loop oracle == scalar oracle, state included."""
+    view = decode_trace(addresses, writes, linesize_bytes=config.linesize_bytes)
+    compiled_state, python_state = fresh_state(config), fresh_state(config)
+    compiled = replay(view, config, state=compiled_state)
+    python = reference_replay(view, config, python_state)
+    ref_stats, ref_cache = scalar_oracle(config, addresses, writes)
+    assert compiled == python == ref_stats
+    assert_states_equal(compiled_state, python_state)
+    assert_states_equal(compiled_state, ref_cache)
 
 
-# -- cross-config merged replay ----------------------------------------------------------
+# -- single geometries against both oracles ----------------------------------------------
+
+@given(configs=config_batch_strategy(min_size=1, max_size=3),
+       trace=trace_strategy())
+@settings(max_examples=60, deadline=None)
+def test_compiled_loop_matches_both_oracles(configs, trace):
+    addresses, writes = to_arrays(trace)
+    for config in configs:
+        assert_matches_both_oracles(config, addresses, writes)
+
+
+@pytest.mark.parametrize("ways", ALL_WAYS)
+@pytest.mark.parametrize("replacement", sorted(Replacement.ALL))
+@pytest.mark.parametrize("trace", [
+    [],
+    [(0, False)],
+    [(0, True)],
+    [(a, True) for a in range(0, 4096, 4)],
+    [(8, False)] * 5 + [(8, True)] * 3,
+], ids=["empty", "single-read", "single-write", "write-only", "single-line-run"])
+def test_degenerate_traces_match_both_oracles(ways, replacement, trace):
+    config = CacheConfig(ways=ways, setsize_kb=1, linesize_words=4,
+                         replacement=replacement)
+    assert_matches_both_oracles(config, *to_arrays(trace))
+
+
+@given(configs=config_batch_strategy(min_size=1, max_size=2),
+       trace=trace_strategy(max_size=300),
+       cuts=st.lists(st.floats(0, 1), max_size=4))
+@settings(max_examples=50, deadline=None)
+def test_warm_chains_match_both_oracles(configs, trace, cuts):
+    """Multi-phase warm chains: compiled chain == Python chain == scalar cache
+    fed phase by phase, after every phase and in the final state."""
+    addresses, writes = to_arrays(trace)
+    n = len(addresses)
+    bounds = [0, *sorted(int(c * n) for c in cuts), n]
+    for config in configs:
+        views = [decode_trace(addresses[lo:hi], writes[lo:hi],
+                              linesize_bytes=config.linesize_bytes)
+                 for lo, hi in zip(bounds, bounds[1:])]
+        compiled, state = replay_chain(views, config)
+        python_state = fresh_state(config)
+        python = [reference_replay(view, config, python_state) for view in views]
+        oracle = Cache(config)
+        scalar = [oracle.simulate(addresses[lo:hi], writes[lo:hi], vectorized=False)
+                  for lo, hi in zip(bounds, bounds[1:])]
+        assert compiled == python == scalar
+        assert_states_equal(state, python_state)
+        assert_states_equal(state, oracle)
+
+
+# -- batches -----------------------------------------------------------------------------
 
 @given(configs=config_batch_strategy(), trace=trace_strategy())
 @settings(max_examples=40, deadline=None)
 def test_crossconfig_batch_matches_scalar_oracle(configs, trace):
-    """Merged stats AND every unpadded final state equal the scalar loop's."""
+    """A mixed batch (set counts, ways, policies) equals the scalar loop."""
     addresses, writes = to_arrays(trace)
     view = decode_trace(addresses, writes,
                         linesize_bytes=configs[0].linesize_bytes)
-
-    stats, states = replay_many_associative(view, configs)
-
-    assert len(stats) == len(states) == len(configs)
-    for config, stat, state in zip(configs, stats, states):
-        ref_stats, ref_cache = scalar_oracle(config, addresses, writes)
-        assert stat == ref_stats
-        assert_state_matches_oracle(state, ref_cache)
+    assert simulate_many(view, configs) == [
+        scalar_oracle(config, addresses, writes)[0] for config in configs]
 
 
-@given(configs=config_batch_strategy(min_size=2, max_size=4),
-       trace=trace_strategy(max_size=200))
-@settings(max_examples=25, deadline=None)
-def test_crossconfig_hybrid_phases_each_match_oracle(configs, trace):
-    """Both halves of the hybrid loop are the same machine.
-
-    The merged replay runs a vectorized rank loop while ranks are wide
-    and serializes the narrow tail.  Pinning the switch point to its
-    extremes forces each phase to replay the *whole* stream -- tiny
-    hypothesis traces would otherwise mostly exercise the tail -- and
-    both must agree with the scalar oracle bit for bit.
-    """
-    addresses, writes = to_arrays(trace)
-    view = decode_trace(addresses, writes,
-                        linesize_bytes=configs[0].linesize_bytes)
-    saved = cachekernel._TAIL_SWITCH
-    results = []
-    try:
-        for switch in (0, 1 << 30):
-            cachekernel._TAIL_SWITCH = switch
-            results.append(replay_many_associative(view, configs))
-    finally:
-        cachekernel._TAIL_SWITCH = saved
-    for stats, states in results:
-        for config, stat, state in zip(configs, stats, states):
-            ref_stats, ref_cache = scalar_oracle(config, addresses, writes)
-            assert stat == ref_stats
-            assert_state_matches_oracle(state, ref_cache)
-
-
-@given(configs=config_batch_strategy(min_size=2, max_size=4),
+@given(configs=config_batch_strategy(min_size=2, max_size=5),
        trace=trace_strategy(max_size=200))
 @settings(max_examples=25, deadline=None)
 def test_crossconfig_batch_matches_per_config_replay(configs, trace):
-    """The merged loop and N independent replay() calls are interchangeable."""
+    """The batch (shared cold victim draws, no generators) and N stateful
+    replay() calls (each drawing from its own generator) agree."""
     addresses, writes = to_arrays(trace)
     view = decode_trace(addresses, writes,
                         linesize_bytes=configs[0].linesize_bytes)
-
-    merged_stats, merged_states = replay_many_associative(view, configs)
-    for config, stat, state in zip(configs, merged_stats, merged_states):
-        solo_state = cachekernel.fresh_state(config)
-        solo_stat = replay(view, config, state=solo_state, lane=LANE_NUMPY)
-        assert stat == solo_stat
-        np.testing.assert_array_equal(state.tags, solo_state.tags)
-        np.testing.assert_array_equal(state.age, solo_state.age)
-        np.testing.assert_array_equal(state.fifo, solo_state.fifo)
-        assert state.tick == solo_state.tick
-        assert (state.rng.bit_generator.state
-                == solo_state.rng.bit_generator.state)
+    assert simulate_many(view, configs) == [replay(view, c) for c in configs]
 
 
 @given(configs=config_batch_strategy(min_size=1, max_size=5,
                                      replacements=[Replacement.LRU]),
        seed=st.integers(0, 2**32 - 1),
        length=st.integers(200, 2500),
-       words=st.sampled_from([1 << 9, 1 << 11, 1 << 13]),
-       switch=st.sampled_from([2, 8, cachekernel._TAIL_SWITCH]))
+       words=st.sampled_from([1 << 9, 1 << 11, 1 << 13]))
 @settings(max_examples=30, deadline=None)
-def test_all_lru_batch_matches_per_config_replay(configs, seed, length, words, switch):
-    """Homogeneous-LRU groups take the kernel's lean path through both loop halves.
-
-    Long traces over a wide address range fill sets during the
-    vectorized ranks and keep missing into them in the serial tail, so
-    the tail must see every fill the lean path made: a set it took for
-    cold would overwrite a valid way instead of evicting the LRU line.
-    """
+def test_all_lru_batch_matches_per_config_replay(configs, seed, length, words):
+    """Long traces over a wide address range fill every set and keep
+    evicting from it, so LRU victim choice is exercised at depth."""
     rng = np.random.default_rng(seed)
     addresses = rng.integers(0, words, size=length) * 4
     writes = rng.random(length) < 0.3
     view = decode_trace(addresses, writes,
                         linesize_bytes=configs[0].linesize_bytes)
-    saved = cachekernel._TAIL_SWITCH
-    try:
-        cachekernel._TAIL_SWITCH = switch
-        merged_stats, merged_states = replay_many_associative(view, configs)
-    finally:
-        cachekernel._TAIL_SWITCH = saved
-    for config, stat, state in zip(configs, merged_stats, merged_states):
-        solo_state = cachekernel.fresh_state(config)
-        assert stat == replay(view, config, state=solo_state, lane=LANE_NUMPY)
-        np.testing.assert_array_equal(state.tags, solo_state.tags)
-        np.testing.assert_array_equal(state.age, solo_state.age)
+    batch = simulate_many(view, configs)
+    for config, stat in zip(configs, batch):
+        state = fresh_state(config)
+        assert stat == replay(view, config, state=state)
+        python_state = fresh_state(config)
+        assert stat == reference_replay(view, config, python_state)
+        assert_states_equal(state, python_state)
 
 
-def test_crossconfig_rejects_direct_mapped_and_mismatched_linesize():
-    view = decode_trace(np.asarray([0, 4, 8], dtype=np.int64), linesize_bytes=16)
-    with pytest.raises(ConfigurationError):
-        replay_many_associative(view, [CacheConfig(ways=1, setsize_kb=1,
-                                                   linesize_words=4)])
-    with pytest.raises(ConfigurationError):
-        replay_many_associative(view, [CacheConfig(ways=2, setsize_kb=1,
-                                                   linesize_words=8)])
+@given(configs=config_batch_strategy(min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1),
+       length=st.integers(200, 2000),
+       words=st.sampled_from([1 << 9, 1 << 11]),
+       run=st.sampled_from([1, 3]))
+@settings(max_examples=30, deadline=None)
+def test_long_traces_match_both_oracles(configs, seed, length, words, run):
+    """Uniform traces that keep every set full, so each policy's victim
+    choice decides most fills; ``run`` repeats accesses so chains have a
+    first read well before their last access (RANDOM draws at the first)."""
+    rng = np.random.default_rng(seed)
+    addresses = np.repeat(rng.integers(0, words, size=length // run) * 4, run)
+    writes = rng.random(len(addresses)) < 0.3
+    for config in configs:
+        assert_matches_both_oracles(config, addresses, writes)
 
 
 def test_crossconfig_empty_trace_yields_cold_states():
@@ -223,103 +207,35 @@ def test_crossconfig_empty_trace_yields_cold_states():
     configs = [CacheConfig(ways=2, setsize_kb=1, linesize_words=4),
                CacheConfig(ways=4, setsize_kb=2, linesize_words=4,
                            replacement=Replacement.LRU)]
-    stats, states = replay_many_associative(view, configs)
-    for config, stat, state in zip(configs, stats, states):
-        assert stat.accesses == 0 and stat.misses == 0
+    assert all(s.accesses == 0 and s.misses == 0
+               for s in simulate_many(view, configs))
+    for config in configs:
+        state = fresh_state(config)
+        replay(view, config, state=state)
         assert (state.tags == -1).all()
         assert state.tick == 0
 
 
-# -- lane selection and equivalence ------------------------------------------------------
-
-@given(configs=config_batch_strategy(min_size=2, max_size=4,
-                                     ways=(1,) + SET_ASSOCIATIVE_WAYS),
-       trace=trace_strategy(max_size=250))
-@settings(max_examples=25, deadline=None)
-def test_simulate_many_identical_across_all_lanes(configs, trace):
-    """numpy, crossconfig and jit lanes agree on mixed direct/associative batches."""
-    addresses, writes = to_arrays(trace)
-    view = decode_trace(addresses, writes,
-                        linesize_bytes=configs[0].linesize_bytes)
-
-    reference = simulate_many(view, configs, lane=LANE_NUMPY)
-    assert simulate_many(view, configs, lane=LANE_CROSSCONFIG) == reference
-    with _plain_jit_loop():
-        assert simulate_many(view, configs, lane=LANE_JIT) == reference
+def test_batch_rejects_mismatched_linesize():
+    view = decode_trace(np.asarray([0, 4, 8], dtype=np.int64), linesize_bytes=16)
+    with pytest.raises(ConfigurationError):
+        simulate_many(view, [CacheConfig(ways=2, setsize_kb=1, linesize_words=8)])
+    with pytest.raises(ConfigurationError):
+        replay(view, CacheConfig(ways=1, setsize_kb=1, linesize_words=8))
 
 
-@given(configs=config_batch_strategy(min_size=2, max_size=3),
-       trace=trace_strategy(max_size=200))
-@settings(max_examples=20, deadline=None)
-def test_jit_event_loop_matches_scalar_oracle(configs, trace):
-    """The (Numba-compilable) event loop is bit-identical, state included."""
-    addresses, writes = to_arrays(trace)
-    view = decode_trace(addresses, writes,
-                        linesize_bytes=configs[0].linesize_bytes)
-    with _plain_jit_loop():
-        for config in configs:
-            state = cachekernel.fresh_state(config)
-            stats = replay(view, config, state=state, lane=LANE_JIT)
-            ref_stats, ref_cache = scalar_oracle(config, addresses, writes)
-            assert stats == ref_stats
-            assert_state_matches_oracle(state, ref_cache)
+# -- the wrapper guards the C loop's trusted indices -------------------------------------
 
-
-class TestKernelLaneResolution:
-    def test_default_lane_is_crossconfig(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_LANE_ENV, raising=False)
-        assert kernel_lane() == LANE_CROSSCONFIG == DEFAULT_LANE
-
-    def test_environment_selects_lane(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_LANE_ENV, "numpy")
-        assert kernel_lane() == LANE_NUMPY
-
-    def test_argument_overrides_environment(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_LANE_ENV, "numpy")
-        assert kernel_lane(LANE_CROSSCONFIG) == LANE_CROSSCONFIG
-
-    def test_case_and_whitespace_insensitive(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_LANE_ENV, raising=False)
-        assert kernel_lane(" NumPy ") == LANE_NUMPY
-
-    def test_numba_is_an_alias_for_jit(self):
-        with _plain_jit_loop():
-            assert kernel_lane("numba") == LANE_JIT
-            assert kernel_lane("jit") == LANE_JIT
-
-    def test_unknown_lane_raises(self):
-        with pytest.raises(ConfigurationError):
-            kernel_lane("vulkan")
-
-    def test_jit_falls_back_to_default_when_unavailable(self, monkeypatch):
-        monkeypatch.setattr(cachekernel, "_JIT_LOOP", False)
-        assert not jit_available()
-        assert kernel_lane(LANE_JIT) == DEFAULT_LANE
-
-    def test_jit_resolves_when_available(self):
-        with _plain_jit_loop():
-            assert jit_available()
-            assert kernel_lane(LANE_JIT) == LANE_JIT
-
-    def test_environment_drives_simulate_many(self, monkeypatch):
-        """The env knob reaches the dispatch itself, not just the resolver."""
-        addresses = np.arange(0, 4096, 16, dtype=np.int64)
-        view = decode_trace(addresses, linesize_bytes=16)
-        configs = [CacheConfig(ways=2, setsize_kb=1, linesize_words=4),
-                   CacheConfig(ways=4, setsize_kb=1, linesize_words=4,
-                               replacement=Replacement.LRU)]
-        monkeypatch.setenv(KERNEL_LANE_ENV, LANE_NUMPY)
-        reference = simulate_many(view, configs)
-        monkeypatch.setenv(KERNEL_LANE_ENV, LANE_CROSSCONFIG)
-        assert simulate_many(view, configs) == reference
-
-    def test_kernel_lane_recorded_in_stats(self):
-        from repro.config import base_configuration
-
-        base = base_configuration()
-        configs = [base.replace(dcache_sets=2, dcache_replacement=Replacement.RANDOM),
-                   base.replace(dcache_sets=4, dcache_replacement=Replacement.LRU)]
-        with ParallelEvaluator(LiquidPlatform()) as engine:
-            engine.measure_many(ArithWorkload(iterations=120), configs)
-            assert engine.stats.kernel_lane == kernel_lane()
-            assert engine.stats.as_dict()["kernel_lane"] == kernel_lane()
+@pytest.mark.parametrize("corrupt", [
+    lambda s: KernelState(s.tags.astype(np.int32), s.age, s.fifo, rng=s.rng),
+    lambda s: KernelState(np.asfortranarray(s.tags), s.age, s.fifo, rng=s.rng),
+    lambda s: KernelState(s.tags[:-1], s.age, s.fifo, rng=s.rng),
+    lambda s: KernelState(s.tags, s.age[:, :1].copy(), s.fifo, rng=s.rng),
+    lambda s: KernelState(s.tags, s.age, s.fifo[:-1], rng=s.rng),
+    lambda s: KernelState(s.tags, s.age, s.fifo + 2, rng=s.rng),
+], ids=["dtype", "fortran-order", "rows", "ways", "fifo", "fifo-range"])
+def test_state_layout_is_checked_before_the_loop_runs(corrupt):
+    config = CacheConfig(ways=2, setsize_kb=1, linesize_words=4)
+    view = decode_trace(np.arange(0, 8192, 4, dtype=np.int64), linesize_bytes=16)
+    with pytest.raises(KernelBuildError, match="C-contiguous int64|fifo pointers"):
+        replay(view, config, state=corrupt(fresh_state(config)))

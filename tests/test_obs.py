@@ -233,10 +233,8 @@ class TestEngineStatsRegistry:
     def test_assignment_writes_through_to_gauges(self):
         stats = EngineStats()
         stats.requested = 17
-        stats.kernel_lane = "numpy"
         assert stats.registry.snapshot()["engine.requested"] == 17
         assert stats.snapshot()["requested"] == 17
-        assert stats.snapshot()["kernel_lane"] == "numpy"
 
     def test_add_stage_feeds_sums_and_histograms(self):
         stats = EngineStats()
@@ -276,7 +274,8 @@ class TestSpanTreeTiming:
         """functional_sim carries the workload and its size; solve is the
         BINLP solve of a tune; the cache_simulation stage carries the
         workload and its job count on both engine paths (the tune's
-        ``measure_many_multi`` and a ``measure_sweep``)."""
+        ``measure_many_multi`` and a ``measure_sweep``); decode and replay
+        carry the workload, and replay no longer names a lane."""
         from repro import RUNTIME_OPTIMIZATION, MicroarchTuner
         from repro.analysis import DCACHE_STUDY_PARAMETERS
 
@@ -307,6 +306,11 @@ class TestSpanTreeTiming:
         assert all(r.attrs["workload"] == fresh_arith.name for r in caches)
         assert all(isinstance(r.attrs["jobs"], int) for r in caches)
         assert swept.attrs["jobs"] == swept_jobs > 0
+        for name in ("decode", "replay"):
+            assert by_name[name], name
+            assert all(r.attrs["workload"] == fresh_arith.name
+                       for r in by_name[name]), name
+        assert all("lane" not in r.attrs for r in by_name["replay"])
 
 
 # -- campaign heartbeats and the dashboard -------------------------------------------------
