@@ -68,7 +68,7 @@ SPEEDUP_FLOOR = 5.0
 #: batched path's throughput -- at ANY scale.
 ENGINE_FLOOR = 0.95
 #: Per-geometry speedup floor of the compiled replay loop over the
-#: scalar reference loop (microbench).  Measured 670-920x on a shared
+#: scalar reference loop (microbench).  Measured 600-920x on a shared
 #: 2-vCPU x86-64 host (gcc 12, -O2); the floor leaves ~5x headroom for
 #: slower or busier CI runners.  A loop that stopped being compiled
 #: would land near 1x.

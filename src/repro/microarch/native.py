@@ -121,14 +121,7 @@ def _library_path() -> tuple:
 
 
 def _build(compiler: str, target: Path) -> None:
-    directory = target.parent
-    directory.mkdir(mode=0o700, parents=True, exist_ok=True)
-    info = directory.stat()
-    if info.st_uid != os.getuid() or info.st_mode & 0o022:
-        raise KernelBuildError(
-            f"refusing to build into {directory}: it must be owned by this "
-            f"user and not writable by group or others")
-    fd, source = tempfile.mkstemp(prefix=".replay-", suffix=".c", dir=directory)
+    fd, source = tempfile.mkstemp(prefix=".replay-", suffix=".c", dir=target.parent)
     output = source[:-2] + ".so"
     try:
         with os.fdopen(fd, "w") as handle:
@@ -152,6 +145,13 @@ def _load():
             import ctypes
 
             compiler, path = _library_path()
+            # a library anyone else can replace would run their code here
+            path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+            info = path.parent.stat()
+            if info.st_uid != os.getuid() or info.st_mode & 0o022:
+                raise KernelBuildError(
+                    f"refusing to use {path.parent}: it must be owned by this "
+                    f"user and not writable by group or others")
             if not path.exists():
                 _build(compiler, path)
             try:

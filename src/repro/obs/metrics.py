@@ -10,8 +10,7 @@ the campaign heartbeats.
 Three metric kinds:
 
 * :class:`Counter` -- monotone event count (``inc``);
-* :class:`Gauge` -- last-written value of anything (numbers or strings,
-  e.g. the resolved kernel lane);
+* :class:`Gauge` -- last-written value of anything (numbers or strings);
 * :class:`Histogram` -- streaming count/total/min/max of observations
   (``observe``), summarised without storing samples.
 

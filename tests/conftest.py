@@ -35,7 +35,7 @@ def geometry_strategy(ways=ALL_WAYS):
 
     ``ways`` restricts the associativity (pass ``(1,)`` for the
     direct-mapped corner, :data:`SET_ASSOCIATIVE_WAYS` for the
-    rank-synchronous replay).  Small way sizes force conflicts, evictions
+    set-associative cases).  Small way sizes force conflicts, evictions
     and policy decisions on the small traces below.
     """
     return st.fixed_dictionaries({

@@ -202,6 +202,20 @@ def test_long_traces_match_both_oracles(configs, seed, length, words, run):
         assert_matches_both_oracles(config, addresses, writes)
 
 
+def test_random_batch_shares_victim_draws_only_within_seed_and_ways():
+    """Cold RANDOM configurations share one victim draw per (seed, ways):
+    a batch mixing ways, set counts and seeds on a trace that evicts
+    constantly must equal per-configuration replays with their own
+    generators."""
+    rng = np.random.default_rng(7)
+    addresses = np.repeat(rng.integers(0, 1 << 11, size=1500) * 4, 2)
+    writes = rng.random(len(addresses)) < 0.3
+    view = decode_trace(addresses, writes, linesize_bytes=16)
+    configs = [CacheConfig(ways=ways, setsize_kb=size, linesize_words=4, seed=seed)
+               for seed in (0xC0FFEE, 1) for ways in ALL_WAYS for size in (1, 2)]
+    assert simulate_many(view, configs) == [replay(view, c) for c in configs]
+
+
 def test_crossconfig_empty_trace_yields_cold_states():
     view = decode_trace(np.asarray([], dtype=np.int64), linesize_bytes=16)
     configs = [CacheConfig(ways=2, setsize_kb=1, linesize_words=4),

@@ -147,3 +147,13 @@ def test_a_corrupt_cached_library_fails_with_a_clear_error(tmp_path, monkeypatch
     view = decode_trace(np.arange(0, 64, 4, dtype=np.int64), linesize_bytes=16)
     with pytest.raises(KernelBuildError, match="delete the file to rebuild"):
         simulate_many(view, [CacheConfig(ways=1, setsize_kb=1, linesize_words=4)])
+
+
+def test_a_shared_writable_cache_directory_is_refused(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(native, "_replay", None)
+    (tmp_path / "cache" / "repro").mkdir(parents=True)
+    (tmp_path / "cache" / "repro").chmod(0o777)
+    view = decode_trace(np.arange(0, 64, 4, dtype=np.int64), linesize_bytes=16)
+    with pytest.raises(KernelBuildError, match="not writable by group or others"):
+        simulate_many(view, [CacheConfig(ways=1, setsize_kb=1, linesize_words=4)])
