@@ -39,7 +39,7 @@ class SimulationError(ReproError):
     """
 
 
-class KernelBuildError(ReproError):
+class ReplayKernelError(ReproError):
     """The compiled cache replay loop could not be built, loaded or called.
 
     Raised when no C compiler is on ``PATH``, when compilation fails, when

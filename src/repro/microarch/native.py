@@ -5,7 +5,7 @@ Every cache replay runs through one small C function,
 kept in ``tests/reference_replay.py`` as its oracle.  It is compiled on
 first use with ``cc -O2 -shared -fPIC`` and loaded with :mod:`ctypes`;
 there is no fallback implementation, so a host without a C compiler
-fails with :class:`~repro.errors.KernelBuildError` on the first replay.
+fails with :class:`~repro.errors.ReplayKernelError` on the first replay.
 
 The shared object is cached per user in ``$XDG_CACHE_HOME/repro``
 (default ``~/.cache/repro``, created with mode 0700), named by a sha256
@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.errors import KernelBuildError
+from repro.errors import ReplayKernelError
 
 __all__ = ["CFLAGS", "COMPILER", "REPLAY_SOURCE", "replay_events"]
 
@@ -109,7 +109,7 @@ def _library_path() -> tuple:
     """
     compiler = shutil.which(COMPILER)
     if compiler is None:
-        raise KernelBuildError(
+        raise ReplayKernelError(
             f"no C compiler: {COMPILER!r} was not found on PATH; the cache "
             f"replay loop is compiled on first use and has no fallback")
     real = os.path.realpath(compiler)
@@ -129,7 +129,7 @@ def _build(compiler: str, target: Path) -> None:
         done = subprocess.run([compiler, *CFLAGS, "-o", output, source],
                               capture_output=True, text=True)
         if done.returncode != 0:
-            raise KernelBuildError(
+            raise ReplayKernelError(
                 f"{compiler} failed to build the replay loop:\n{done.stderr}")
         os.replace(output, target)
     finally:
@@ -149,7 +149,7 @@ def _load():
             path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
             info = path.parent.stat()
             if info.st_uid != os.getuid() or info.st_mode & 0o022:
-                raise KernelBuildError(
+                raise ReplayKernelError(
                     f"refusing to use {path.parent}: it must be owned by this "
                     f"user and not writable by group or others")
             if not path.exists():
@@ -157,7 +157,7 @@ def _load():
             try:
                 function = ctypes.CDLL(str(path)).replay_events
             except (OSError, AttributeError) as exc:
-                raise KernelBuildError(
+                raise ReplayKernelError(
                     f"cannot load the replay loop from {path} ({exc}); "
                     f"delete the file to rebuild it") from exc
             i64, ptr = ctypes.c_int64, ctypes.c_void_p
@@ -173,7 +173,7 @@ def _address(array: np.ndarray, shape: tuple, name: str, writeable=False) -> int
     if (not isinstance(array, np.ndarray) or array.dtype != np.int64
             or array.shape != shape or not array.flags.c_contiguous
             or (writeable and not array.flags.writeable)):
-        raise KernelBuildError(
+        raise ReplayKernelError(
             f"{name} must be a {'writeable ' if writeable else ''}C-contiguous "
             f"int64 array of shape {shape}, got {getattr(array, 'dtype', None)} "
             f"{getattr(array, 'shape', None)}")
@@ -200,7 +200,7 @@ def replay_events(sv, accesses: int, tags: np.ndarray, age: np.ndarray,
              _address(age, lines + (ways,), "age", True),
              _address(fifo, lines, "fifo", True)]
     if lines_per_way and (fifo.min() < 0 or fifo.max() >= ways):
-        raise KernelBuildError(f"fifo pointers must lie in [0, {ways})")
+        raise ReplayKernelError(f"fifo pointers must lie in [0, {ways})")
     if policy == POLICY_RANDOM and ways > 1:
         victim_address = _address(victims, (accesses,), "victims")
     else:

@@ -22,7 +22,7 @@ from conftest import ALL_WAYS, to_arrays, trace_strategy
 from reference_replay import reference_replay
 
 from repro.config import Replacement
-from repro.errors import ConfigurationError, KernelBuildError
+from repro.errors import ConfigurationError, ReplayKernelError
 from repro.microarch.cache import Cache, CacheConfig
 from repro.microarch.cachekernel import (
     KernelState,
@@ -251,5 +251,5 @@ def test_batch_rejects_mismatched_linesize():
 def test_state_layout_is_checked_before_the_loop_runs(corrupt):
     config = CacheConfig(ways=2, setsize_kb=1, linesize_words=4)
     view = decode_trace(np.arange(0, 8192, 4, dtype=np.int64), linesize_bytes=16)
-    with pytest.raises(KernelBuildError, match="C-contiguous int64|fifo pointers"):
+    with pytest.raises(ReplayKernelError, match="C-contiguous int64|fifo pointers"):
         replay(view, config, state=corrupt(fresh_state(config)))

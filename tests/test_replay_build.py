@@ -16,7 +16,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from repro.errors import KernelBuildError
+from repro.errors import ReplayKernelError
 from repro.microarch import native
 from repro.microarch.cache import CacheConfig
 from repro.microarch.cachekernel import decode_trace, simulate_many
@@ -99,7 +99,7 @@ def test_missing_compiler_fails_with_a_clear_error(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     monkeypatch.setattr(native, "_replay", None)
     view = decode_trace(np.arange(0, 64, 4, dtype=np.int64), linesize_bytes=16)
-    with pytest.raises(KernelBuildError, match="'cc' was not found on PATH"):
+    with pytest.raises(ReplayKernelError, match="'cc' was not found on PATH"):
         simulate_many(view, [CacheConfig(ways=1, setsize_kb=1, linesize_words=4)])
     assert built_libraries(tmp_path / "cache") == []
 
@@ -145,7 +145,7 @@ def test_a_corrupt_cached_library_fails_with_a_clear_error(tmp_path, monkeypatch
     path.parent.mkdir(parents=True)
     path.write_bytes(b"not a shared object")
     view = decode_trace(np.arange(0, 64, 4, dtype=np.int64), linesize_bytes=16)
-    with pytest.raises(KernelBuildError, match="delete the file to rebuild"):
+    with pytest.raises(ReplayKernelError, match="delete the file to rebuild"):
         simulate_many(view, [CacheConfig(ways=1, setsize_kb=1, linesize_words=4)])
 
 
@@ -155,5 +155,5 @@ def test_a_shared_writable_cache_directory_is_refused(tmp_path, monkeypatch):
     (tmp_path / "cache" / "repro").mkdir(parents=True)
     (tmp_path / "cache" / "repro").chmod(0o777)
     view = decode_trace(np.arange(0, 64, 4, dtype=np.int64), linesize_bytes=16)
-    with pytest.raises(KernelBuildError, match="not writable by group or others"):
+    with pytest.raises(ReplayKernelError, match="not writable by group or others"):
         simulate_many(view, [CacheConfig(ways=1, setsize_kb=1, linesize_words=4)])
