@@ -17,7 +17,7 @@ Correctness is asserted unconditionally, at every scale:
   the whole table -- claim exclusivity means no row is ever evaluated
   twice);
 * the campaign database's measurements are bit-identical to a direct
-  ``measure_sweep`` of the same grid.
+  ``measure_many`` of the same grid.
 
 The wall-clock floor is honest about hardware: two workers can only beat
 one where two cores exist.  ``SPEEDUP_FLOOR`` (>= 1.6x) is asserted at
@@ -160,7 +160,7 @@ def test_campaign_grid_scaling(tmp_path):
     workload = fresh_blastn()
 
     with ParallelEvaluator(LiquidPlatform()) as direct:
-        reference = direct.measure_sweep(workload, configs)
+        reference = direct.measure_many(workload, configs)
 
     with tempfile.TemporaryDirectory(dir=str(tmp_path)) as tmp_dir:
         # interleaved solo/multi pairs: both sides of each repetition see
@@ -180,7 +180,7 @@ def test_campaign_grid_scaling(tmp_path):
             store.bind_platform(platform.device, platform.timing_parameters)
             for config, expected in zip(configs, reference):
                 assert store.get(workload, config) == expected, (
-                    "campaign measurement diverges from direct measure_sweep")
+                    "campaign measurement diverges from direct measure_many")
             store.close()
 
     speedup = solo_seconds / multi_seconds

@@ -6,7 +6,10 @@ and the BRAM utilisation spans roughly 47%..90% of the device.
 
 The second benchmark measures the evaluation-engine hot path on the same
 sweep against two historical baselines, asserting wall-clock improvements
-on bit-identical results:
+on bit-identical results.  Both baselines measure one configuration at a
+time through the test suite's per-configuration oracle
+(``reference_measurements`` with its unmemoised scalar timing model), as
+those eras did:
 
 * the *seed* baseline runs every dcache point through the scalar
   per-access reference loop (the original behaviour);
@@ -21,8 +24,9 @@ paper-shape assertions that need benchmark-scale traces are skipped.
 
 import time
 
-from bench_sweep_throughput import per_config_reference_timing
+from bench_sweep_throughput import fig2_grid
 from conftest import SMOKE, emit
+from reference_timing import reference_measurements, replay_geometry
 
 from repro.analysis import dcache_exhaustive, engine_report
 from repro.engine import ParallelEvaluator
@@ -50,47 +54,56 @@ def test_fig2_blastn_dcache_exhaustive(benchmark, platform, workloads):
     assert max(r["bram_percent"] for r in rows) > 85
 
 
-def _scalar_dcache_job(ways_threshold):
-    """A ``simulate_cache_job`` override forcing the scalar loop on dcache points.
+def _scalar_dcache_replay(ways_threshold):
+    """A cache replay forcing the scalar per-access loop on dcache points.
 
     ``ways_threshold=0`` recreates the seed (every dcache point scalar);
     ``ways_threshold=1`` recreates PR 1 (only set-associative points
     scalar, direct-mapped stays vectorized).  Instruction-cache points
-    keep the default path in both eras, which had read-only fast paths.
+    keep the default replay in both eras, which had read-only fast paths.
     """
 
-    def simulate_cache_job(self, workload, job):
-        _, kind, cache_cfg = job
-        if kind == "dcache" and cache_cfg.ways > ways_threshold:
+    def replay(workload, kind, geometry):
+        if kind == "dcache" and geometry.ways > ways_threshold:
             trace = workload.trace()
-            return Cache(cache_cfg).simulate(
+            return Cache(geometry).simulate(
                 trace.data_addresses, trace.data_is_write, vectorized=False)
-        return LiquidPlatform.simulate_cache_job(self, workload, job)
+        return replay_geometry(workload, kind, geometry)
 
-    return simulate_cache_job
+    return replay
 
 
-def _timed_sweep(workload, *, ways_threshold=None):
-    """One sequential Figure-2 sweep on a fresh platform; returns (result, seconds).
+def _rows(measurements):
+    """Figure-2 table rows of per-configuration measurements."""
+    return [{
+        "sets": m.configuration.dcache_sets,
+        "setsize_kb": m.configuration.dcache_setsize_kb,
+        "cycles": m.cycles,
+        "seconds": m.seconds,
+        "lut_percent": m.lut_percent,
+        "bram_percent": m.bram_percent,
+    } for m in measurements]
 
-    Historical baselines (``ways_threshold`` given) also run the
-    per-configuration measurement loop with the unmemoised reference
-    timing model -- the seed and PR 1 eras had neither the broadcast
-    sweep path nor the trace feature memos.
+
+def _timed_baseline(workload, ways_threshold):
+    """One historical Figure-2 sweep, a configuration at a time; (rows, seconds).
+
+    The seed and PR 1 eras had neither the broadcast timing model nor the
+    trace feature memos, so the baselines run the per-configuration
+    oracle with the era's dcache replay.
     """
-    platform = LiquidPlatform()
-    if ways_threshold is not None:
-        platform.simulate_cache_job = _scalar_dcache_job(ways_threshold).__get__(platform)
-        # grouped batching would bypass the override; fall back to per-job
-        platform.simulate_cache_jobs = (
-            lambda w, jobs: {job: platform.simulate_cache_job(w, job) for job in jobs})
-        with per_config_reference_timing():
-            start = time.perf_counter()
-            result = dcache_exhaustive(platform, workload, sweep=False)
-            return result, time.perf_counter() - start
     start = time.perf_counter()
-    result = dcache_exhaustive(platform, workload)
-    return result, time.perf_counter() - start
+    measurements = reference_measurements(
+        workload, fig2_grid(LiquidPlatform()),
+        replay=_scalar_dcache_replay(ways_threshold))
+    return _rows(measurements), time.perf_counter() - start
+
+
+def _timed_sweep(workload):
+    """One Figure-2 sweep on a fresh bare platform; returns (rows, seconds)."""
+    start = time.perf_counter()
+    result = dcache_exhaustive(LiquidPlatform(), workload)
+    return result.data["rows"], time.perf_counter() - start
 
 
 def test_fig2_engine_wall_clock_improvement(benchmark, workloads):
@@ -98,9 +111,9 @@ def test_fig2_engine_wall_clock_improvement(benchmark, workloads):
     workload = workloads["blastn"]
     workload.trace()  # the config-independent trace is shared; keep it out of the timing
 
-    scalar_result, scalar_seconds = _timed_sweep(workload, ways_threshold=0)
-    pr1_result, pr1_seconds = _timed_sweep(workload, ways_threshold=1)
-    kernel_result, kernel_seconds = _timed_sweep(workload)
+    scalar_rows, scalar_seconds = _timed_baseline(workload, ways_threshold=0)
+    pr1_rows, pr1_seconds = _timed_baseline(workload, ways_threshold=1)
+    kernel_rows, kernel_seconds = _timed_sweep(workload)
 
     with ParallelEvaluator(LiquidPlatform()) as engine:
         start = time.perf_counter()
@@ -110,18 +123,18 @@ def test_fig2_engine_wall_clock_improvement(benchmark, workloads):
 
     emit(engine_report(engine))
     print(f"\nFigure 2 sweep wall-clock:"
-          f"\n  seed (scalar loop, sequential)        {scalar_seconds:8.2f}s"
-          f"\n  PR 1 (ways==1 vectorized, sequential) {pr1_seconds:8.2f}s"
-          f"\n  kernel (columnar, sequential)         {kernel_seconds:8.2f}s"
+          f"\n  seed (scalar loop, per config)        {scalar_seconds:8.2f}s"
+          f"\n  PR 1 (ways==1 vectorized, per config) {pr1_seconds:8.2f}s"
+          f"\n  kernel (columnar, bare platform)      {kernel_seconds:8.2f}s"
           f"\n  kernel + engine                       {engine_seconds:8.2f}s"
           f"\n  speedup vs seed {scalar_seconds / engine_seconds:5.2f}x,"
           f" vs PR 1 {pr1_seconds / engine_seconds:5.2f}x"
-          f" (sequential kernel alone {pr1_seconds / kernel_seconds:5.2f}x)")
+          f" (bare-platform kernel alone {pr1_seconds / kernel_seconds:5.2f}x)")
 
     # bit-identical sweeps first: correctness holds in every environment
-    assert engine_result.data["rows"] == scalar_result.data["rows"]
-    assert engine_result.data["rows"] == pr1_result.data["rows"]
-    assert engine_result.data["rows"] == kernel_result.data["rows"]
+    assert engine_result.data["rows"] == scalar_rows
+    assert engine_result.data["rows"] == pr1_rows
+    assert engine_result.data["rows"] == kernel_rows
     # the set-associative kernel must beat PR 1's scalar set-associative loop
     assert kernel_seconds < pr1_seconds, (
         f"columnar kernel sweep ({kernel_seconds:.2f}s) not faster than "
@@ -129,7 +142,7 @@ def test_fig2_engine_wall_clock_improvement(benchmark, workloads):
     assert engine.stats.cache_groups > 0
     if SMOKE:
         return  # smoke-scale wall clocks are too small to compare; the
-                # sequential kernel assertion above guards the hot path
+                # bare-platform kernel assertion above guards the hot path
     assert engine_seconds < scalar_seconds, (
         f"engine sweep ({engine_seconds:.2f}s) not faster than "
         f"seed scalar sweep ({scalar_seconds:.2f}s)")

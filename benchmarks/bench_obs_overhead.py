@@ -66,7 +66,7 @@ def sweep_seconds(workload, configs) -> float:
     for _ in range(REPS):
         with ParallelEvaluator(LiquidPlatform()) as evaluator:
             start = time.perf_counter()
-            evaluator.measure_sweep(workload, configs)
+            evaluator.measure_many(workload, configs)
             best = min(best, time.perf_counter() - start)
     return best
 

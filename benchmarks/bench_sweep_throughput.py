@@ -13,17 +13,20 @@ Measures configs/sec of the measurement path on two sweep shapes:
 
 The variants:
 
-* ``scalar`` -- the faithful per-configuration baseline: ``measure_many``
-  with the unmemoised :meth:`TimingModel.evaluate_reference` per point
-  (the pre-sweep behaviour);
-* ``batched`` -- the sequential :meth:`LiquidPlatform.measure_sweep`
-  broadcast path;
-* ``engine`` -- ``measure_sweep`` through a :class:`ParallelEvaluator`
-  (store/dedup planning plus shared-decode replay groups, in process).
+* ``scalar`` -- the per-configuration baseline: the test suite's
+  ``reference_measurements`` oracle, which replays each cache geometry
+  once and times every point with the unmemoised scalar timing model
+  (the pre-broadcast behaviour);
+* ``batched`` -- :meth:`LiquidPlatform.measure_many`, the one
+  measurement path (one planning pass, shared-decode replay, one
+  broadcast timing evaluation);
+* ``engine`` -- ``measure_many`` through a :class:`ParallelEvaluator`
+  (store/dedup planning on top of the same path, in process).
 
 All variants must agree bit for bit at every scale, and the engine path
-must stay within noise of the sequential batched path
-(``ENGINE_FLOOR``): its planning may never cost more than it saves.
+must stay within noise of the bare platform (``ENGINE_FLOOR``): it plans
+each batch once and hands that plan to the platform, so its bookkeeping
+may never cost more than it saves.
 Wall-clock speedup floors only run at benchmark scale
 (``REPRO_BENCH_SMOKE=1`` keeps the equality and engine-floor
 assertions), except the replay microbench at the bottom, which times
@@ -35,7 +38,6 @@ Results are written to ``benchmarks/BENCH_sweep.json`` so the perf
 trajectory of the sweep path is machine readable across PRs.
 """
 
-import contextlib
 import itertools
 import json
 import pathlib
@@ -43,6 +45,7 @@ import statistics
 import time
 
 from conftest import SMOKE, emit
+from reference_timing import reference_measurements
 
 from repro.analysis import dcache_exhaustive, engine_report
 from repro.config import (
@@ -54,7 +57,6 @@ from repro.config.leon_space import Multiplier
 from repro.engine import ParallelEvaluator
 from repro.microarch.cache import Cache, CacheConfig, Replacement
 from repro.microarch.cachekernel import decode_trace, simulate_many
-from repro.microarch.timing import TimingModel
 from repro.platform import LiquidPlatform
 
 #: Committed full-scale trajectory; smoke runs write the sibling
@@ -64,8 +66,8 @@ SMOKE_RESULT_PATH = RESULT_PATH.with_name("BENCH_sweep.smoke.json")
 #: The ≥5x configs/sec acceptance floor for the broadcast path on the
 #: timing-dominated sweep regime.
 SPEEDUP_FLOOR = 5.0
-#: The engine path may never fall below this fraction of the sequential
-#: batched path's throughput -- at ANY scale.
+#: The engine path may never fall below this fraction of the bare
+#: platform's throughput -- at ANY scale.
 ENGINE_FLOOR = 0.95
 #: Per-geometry speedup floor of the compiled replay loop over the
 #: scalar reference loop (microbench).  Measured 600-920x on a shared
@@ -82,23 +84,6 @@ REPLAY_FLOOR = 100.0
 PAIR_REPS = {"figure2": 5 if SMOKE else 3, "pipeline": 15}
 #: Runs of the compiled batch in the replay microbench (median taken).
 REPS_COMPILED = 9
-
-
-@contextlib.contextmanager
-def per_config_reference_timing():
-    """Run the platform with the pre-sweep per-configuration timing path.
-
-    ``evaluate_reference`` recomputes every trace reduction per call --
-    histogram, hazard counts, the scalar window-trap walk, the latency
-    dict rebuilds -- exactly like the original ``TimingModel.evaluate``
-    did, making the scalar baseline faithful to the pre-batching code.
-    """
-    original = TimingModel.evaluate
-    TimingModel.evaluate = TimingModel.evaluate_reference
-    try:
-        yield
-    finally:
-        TimingModel.evaluate = original
 
 
 def fig2_grid(platform):
@@ -143,8 +128,8 @@ def run_engine_variant(workload, configs):
             dcache_sets=sets, dcache_setsize_kb=32 if SMOKE else 16,
             dcache_replacement="lru") for sets in (2, 3)]
         warmup = [c for c in warmup if engine.fits(c)]
-        engine.measure_sweep(workload, warmup)
-        result, seconds = timed(lambda: engine.measure_sweep(workload, configs))
+        engine.measure_many(workload, warmup)
+        result, seconds = timed(lambda: engine.measure_many(workload, configs))
         stats = engine.stats.as_dict()
         emit(engine_report(engine))
     return result, seconds, stats
@@ -153,9 +138,9 @@ def run_engine_variant(workload, configs):
 def run_variants(fresh_workload, configs, pair_reps):
     """Measure the grid through every path; returns (stats, timings, ratio)."""
     # the config-independent trace and its columnar decodes are shared by
-    # every variant in the real flow; pre-warm them for the sequential
-    # variants so the comparison times the measurement path, not trace
-    # generation
+    # every variant in the real flow; pre-warm them for the scalar and
+    # platform variants so the comparison times the measurement path, not
+    # trace generation
     workload = fresh_workload()
     workload.trace()
     linesizes = {("icache", c.icache_linesize_words * 4) for c in configs}
@@ -163,9 +148,7 @@ def run_variants(fresh_workload, configs, pair_reps):
     for kind, linesize in sorted(linesizes):
         workload.columnar_view(kind, linesize)
 
-    with per_config_reference_timing():
-        scalar, scalar_seconds = timed(
-            lambda: LiquidPlatform().measure_many(workload, configs))
+    scalar, scalar_seconds = timed(lambda: reference_measurements(workload, configs))
 
     # the engine variant gets its own workload instance whose views are NOT
     # pre-decoded: the first timed sweep pays the real cold-sweep decode
@@ -180,7 +163,7 @@ def run_variants(fresh_workload, configs, pair_reps):
     pair_ratios = []
     for rep in range(pair_reps):
         batched, seconds = timed(
-            lambda: LiquidPlatform().measure_sweep(workload, configs))
+            lambda: LiquidPlatform().measure_many(workload, configs))
         assert batched == scalar, "batched sweep diverges from the scalar path"
         batched_seconds = seconds if batched_seconds is None else min(
             batched_seconds, seconds)
@@ -274,7 +257,7 @@ def test_sweep_throughput_trajectory():
     result_path().write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\nwrote {result_path()}")
 
-    # the engine path may never lose to the sequential batched path -- at
+    # the engine path may never lose to the bare platform -- at
     # ANY scale.  The asserted ratio is the median over the interleaved
     # per-rep pairs, so both sides of every sample saw the same background
     # load.
@@ -356,11 +339,14 @@ def test_replay_microbench():
 
 
 def test_sweep_path_wired_into_figure2_driver(workloads):
-    """The Figure-2 driver routes through measure_sweep and stays bit-identical."""
+    """The Figure-2 driver measures its grid as one batch, bit-identical to
+    the per-configuration oracle."""
     workload = workloads["arith" if SMOKE else "blastn"]
     with ParallelEvaluator(LiquidPlatform()) as engine:
         swept = dcache_exhaustive(engine, workload)
-        assert engine.stats.sweep_batches == 1
+        assert engine.stats.batches == 1
         assert engine.stats.sweep_evaluations == len(swept.data["rows"])
-    scalar = dcache_exhaustive(LiquidPlatform(), workload, sweep=False)
-    assert swept.data["rows"] == scalar.data["rows"]
+    reference = reference_measurements(workload, fig2_grid(LiquidPlatform()))
+    assert [(row["cycles"], row["lut_percent"], row["bram_percent"])
+            for row in swept.data["rows"]] == [
+        (m.cycles, m.lut_percent, m.bram_percent) for m in reference]

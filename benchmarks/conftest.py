@@ -15,6 +15,8 @@ scale behind the ``SMOKE`` flag.
 from __future__ import annotations
 
 import os
+import pathlib
+import sys
 
 import pytest
 
@@ -24,6 +26,10 @@ from repro.workloads import small_workloads, standard_workloads
 
 #: True when the reduced-scale CI smoke mode is active.
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
+
+# the per-configuration reference oracles (``reference_timing``) live with
+# the test suite; appended, so this directory's ``conftest`` still wins
+sys.path.append(str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
 
 
 @pytest.fixture(scope="session")

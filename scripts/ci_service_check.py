@@ -8,7 +8,7 @@ subcommand:
 ``sweep``
     Submits the default Figure-2 sweep for ``--workload``, waits for
     it, recomputes the same sweep with a direct in-process
-    ``measure_sweep`` (no store, no service) and asserts the wire
+    ``measure_many`` (no store, no service) and asserts the wire
     records are bit-identical.  Then resubmits the identical sweep and
     asserts **zero new evaluations**: ``cache_simulations`` and
     ``store_writes`` in ``/metrics`` are unchanged, and the second
@@ -50,9 +50,9 @@ def check_sweep(client, args):
     store = ResultStore()
     with ParallelEvaluator(platform, store=store) as direct:
         expected = [store.encode(workload, measurement)
-                    for measurement in direct.measure_sweep(workload, configs)]
+                    for measurement in direct.measure_many(workload, configs)]
     assert _canon(first["results"]) == _canon(expected), (
-        "served sweep differs from a direct measure_sweep")
+        "served sweep differs from a direct measure_many")
 
     # identical resubmit: answered from memo/store, zero new evaluations
     second = client.wait(client.submit_sweep(args.workload)["id"],
@@ -64,7 +64,7 @@ def check_sweep(client, args):
         "resubmitted sweep wrote new rows", mid, after)
     assert _canon(second["results"]) == _canon(first["results"])
     print(f"sweep ok: {len(expected)} records bit-identical to direct "
-          f"measure_sweep; resubmit cost 0 new evaluations "
+          f"measure_many; resubmit cost 0 new evaluations "
           f"({after['cache_simulations']} simulations total, was "
           f"{before['cache_simulations']} before the first job)")
 

@@ -5,18 +5,16 @@ This is the non-pytest entry point used to regenerate the numbers quoted
 in EXPERIMENTS.md; the pytest-benchmark harness in ``benchmarks/`` wraps
 the same drivers.
 
-The measurement layer runs through the evaluation engine: pass
-``--store PATH`` to persist measurements (JSON-lines, or SQLite when the
-path ends in ``.sqlite``/``.db``; either makes a full reproduction
-resumable and shareable across runs), ``--profile`` to print per-stage
-wall-clock, ``--phases`` to add the phase-transition study (cold-start
-vs warm-chained per-phase miss rates of the multi-phase scenarios), or
-``--sequential`` to fall back to the bare platform.  Dense configuration
-grids (the Figure 2/4 sweeps) go through the broadcast-batched
-``measure_sweep`` fast path by default; ``--no-sweep`` forces the
-per-configuration loop (the two are bit-identical).  Engine statistics
-(dedup hits, store hits, decode groups, wall clock) are printed at the
-end.
+Every measurement runs through the evaluation engine, one batch at a
+time: each batch is planned once, its distinct cache geometries replay
+in shared-decode groups and the timing model evaluates the whole batch
+in one broadcast.  Pass ``--store PATH`` to persist measurements
+(JSON-lines, or SQLite when the path ends in ``.sqlite``/``.db``; either
+makes a full reproduction resumable and shareable across runs),
+``--profile`` to print per-stage wall-clock, or ``--phases`` to add the
+phase-transition study (cold-start vs warm-chained per-phase miss rates
+of the multi-phase scenarios).  Engine statistics (dedup hits, store
+hits, decode groups, wall clock) are printed at the end.
 
 Distributed campaign mode (``--grid-db PATH``) replaces the experiment
 suite with the pull-based campaign queue: ``--register`` writes the
@@ -30,7 +28,7 @@ machine-readable snapshot, ``--watch`` live-renders the draining grid
 with per-worker heartbeat health), and ``--reset-failed`` reopens
 failed rows with a fresh attempt budget.  Results land in the same
 database's ``measurements`` table, bit-identical to a direct
-``measure_sweep``.
+``measure_many``.
 
 Resident service mode (``--serve``) turns the process into the
 always-on tuning service: ``POST /sweep`` and ``POST /tune`` jobs run
@@ -81,26 +79,18 @@ def parse_args() -> argparse.Namespace:
         help="persistent result store; measurements found there are not re-simulated "
              "(JSON-lines by default, SQLite when PATH ends in .sqlite/.db)")
     parser.add_argument(
-        "--sequential", action="store_true",
-        help="bypass the engine and evaluate through the bare LiquidPlatform")
-    parser.add_argument(
         "--profile", action="store_true",
         help="print per-stage wall-clock (trace generation, cache simulation, "
-             "model build, solve) from the engine statistics")
+             "sweep evaluation, solve) from the engine statistics")
     parser.add_argument(
         "--phases", action="store_true",
         help="add the phase-transition study: cold-start vs warm-chained "
              "per-phase miss rates of the multi-phase workload scenarios")
     parser.add_argument(
-        "--sweep", action=argparse.BooleanOptionalAction, default=True,
-        help="route dense configuration grids (Figures 2/4) through the "
-             "broadcast-batched measure_sweep fast path (bit-identical to "
-             "the per-configuration path; --no-sweep disables it)")
-    parser.add_argument(
         "--trace", metavar="PATH", default=None,
-        help="record pipeline spans (host and worker processes) and write a "
-             "Chrome trace-event file at exit -- load it in Perfetto; a "
-             ".jsonl suffix writes raw span records instead")
+        help="record pipeline spans and write a Chrome trace-event file at "
+             "exit -- load it in Perfetto; a .jsonl suffix writes raw span "
+             "records instead")
     parser.add_argument(
         "--only", choices=("fig2",), default=None,
         help="run a single experiment instead of the full suite "
@@ -196,8 +186,6 @@ def parse_args() -> argparse.Namespace:
         "--port", type=int, default=8023,
         help="service port (default: 8023; 0 picks an ephemeral port)")
     args = parser.parse_args()
-    if args.profile and args.sequential:
-        parser.error("--profile requires the engine backend; drop --sequential")
     campaign_actions = (args.register, args.claim, args.status, args.reset_failed)
     if any(campaign_actions) and not args.grid_db:
         parser.error("campaign actions require --grid-db PATH")
@@ -207,8 +195,6 @@ def parse_args() -> argparse.Namespace:
     if args.serve and any(campaign_actions):
         parser.error("--serve runs its own campaign worker; drop "
                      "--register/--claim/--status/--reset-failed")
-    if args.serve and args.sequential:
-        parser.error("--serve requires the engine backend; drop --sequential")
     if (args.json or args.watch) and not args.status:
         parser.error("--json/--watch modify --status; add --status")
     if args.json and args.watch:
@@ -218,10 +204,7 @@ def parse_args() -> argparse.Namespace:
 
 @contextlib.contextmanager
 def managed_backend(args: argparse.Namespace, *, with_store: bool = True):
-    """The measurement backend the flags select, closed on exit."""
-    if args.sequential:
-        yield LiquidPlatform()
-        return
+    """The engine over ``--store`` (unless ``with_store`` is off), closed on exit."""
     store = open_store(args.store) if (args.store and with_store) else None
     with ParallelEvaluator(LiquidPlatform(), store=store) as backend:
         yield backend
@@ -334,21 +317,20 @@ def suite_fig2(args: argparse.Namespace) -> None:
     """The reduced ``--only fig2`` run: one BLASTN dcache exhaustive sweep.
 
     The CI observability job uses this with ``--scale small --trace`` to
-    exercise the full decode/publish/replay/solve pipeline (worker lanes
-    included) in seconds instead of minutes.
+    exercise the trace generation, decode, replay and timing stages in
+    seconds instead of minutes.
     """
     start = time.time()
     workloads = (small_workloads() if args.scale == "small"
                  else standard_workloads())
     with managed_backend(args) as platform:
-        result = dcache_exhaustive(platform, workloads["blastn"], sweep=args.sweep)
+        result = dcache_exhaustive(platform, workloads["blastn"])
         print(f"\n{'#' * 80}\n# Figure 2: BLASTN dcache exhaustive "
               f"({args.scale} scale)\n{'#' * 80}")
         print(result.render())
-        if not args.sequential:
-            print(platform.stats.summary())
-            if args.profile:
-                print_stage_profile(platform)
+        print(platform.stats.summary())
+        if args.profile:
+            print_stage_profile(platform)
     print(f"\nTotal wall clock: {time.time() - start:.1f}s")
 
 
@@ -383,9 +365,9 @@ def suite_main(args: argparse.Namespace) -> None:
 
     with managed_backend(args) as platform:
         show(parameter_space_summary(), "Figure 1: parameter space")
-        show(dcache_exhaustive(platform, workloads["blastn"], sweep=args.sweep),
+        show(dcache_exhaustive(platform, workloads["blastn"]),
              "Figure 2: BLASTN dcache exhaustive")
-        fig4 = dcache_study(platform, workloads, sweep=args.sweep)
+        fig4 = dcache_study(platform, workloads)
         show(fig4, "Figures 3/4: dcache exhaustive vs optimizer")
         fig5 = runtime_optimization(platform, workloads)
         show(fig5, "Figure 5: application runtime optimization (w1=100, w2=1)")
@@ -404,11 +386,10 @@ def suite_main(args: argparse.Namespace) -> None:
         show(approximation_ablation(fig5.data["results"]["drr"]),
              "Approximation ablation (DRR)")
         show(solver_ablation(fig5.data["models"]["blastn"]), "Solver ablation (BLASTN)")
-        if not args.sequential:
-            show(engine_report(platform), "Evaluation engine statistics")
-            print(platform.stats.summary())
-            if args.profile:
-                print_stage_profile(platform)
+        show(engine_report(platform), "Evaluation engine statistics")
+        print(platform.stats.summary())
+        if args.profile:
+            print_stage_profile(platform)
     print(f"\nTotal wall clock: {time.time() - start:.1f}s")
 
 

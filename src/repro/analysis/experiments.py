@@ -138,16 +138,12 @@ def dcache_exhaustive(
     *,
     set_counts: Sequence[int] = CACHE_SET_COUNTS,
     set_sizes: Sequence[int] = CACHE_SET_SIZES_KB,
-    sweep: bool = True,
 ) -> ExperimentResult:
     """Figure 2: exhaustive sweep of dcache {sets x set size} for one workload.
 
-    The buildable grid points are submitted as one batch, so an engine
-    backend simulates the distinct cache geometries in parallel.  By
-    default the batch goes through the backend's broadcast-batched
-    ``measure_sweep`` fast path (bit-identical to the per-configuration
-    path); ``sweep=False`` forces the per-configuration ``measure_many``
-    loop, e.g. for baseline benchmarking.
+    The buildable grid points are submitted as one ``measure_many``
+    batch: the distinct cache geometries replay in shared-decode groups
+    and the timing model evaluates the whole grid in one broadcast.
     """
     base = base_configuration()
     table = Table(
@@ -158,9 +154,7 @@ def dcache_exhaustive(
         for sets, size in itertools.product(set_counts, set_sizes)
     ]
     points = [(sets, size, config) for sets, size, config in points if platform.fits(config)]
-    measure = platform.measure_sweep if sweep and hasattr(
-        platform, "measure_sweep") else platform.measure_many
-    measurements = measure(workload, [config for _, _, config in points])
+    measurements = platform.measure_many(workload, [config for _, _, config in points])
     rows: List[Dict[str, Any]] = []
     for (sets, size, _), measurement in zip(points, measurements):
         row = {
@@ -244,8 +238,6 @@ def dcache_study(
     platform: EvaluationBackend,
     workloads: Mapping[str, Workload],
     weights: Weights = RUNTIME_ONLY,
-    *,
-    sweep: bool = True,
 ) -> ExperimentResult:
     """Figure 4 (and the Section 5 analysis): exhaustive vs optimizer on the dcache space."""
     table = Table(
@@ -254,7 +246,7 @@ def dcache_study(
          "lut_percent", "bram_percent"])
     data: Dict[str, Any] = {}
     for workload in _ordered(workloads):
-        exhaustive = dcache_exhaustive(platform, workload, sweep=sweep)
+        exhaustive = dcache_exhaustive(platform, workload)
         optimizer = dcache_optimizer(platform, workload, weights)
         best = exhaustive.data["best"]
         table.add_mapping({"workload": workload.name, "method": "exhaustive", **best})
@@ -294,8 +286,7 @@ def optimization_study(
     """Full-space optimisation for every workload (Figures 5 and 7).
 
     The one-factor campaigns of all workloads without a pre-built model
-    are submitted as a single multi-workload batch, so an engine backend
-    runs them concurrently.
+    share one perturbation plan and run as one batch per workload.
     """
     tuner = MicroarchTuner(platform)
     ordered = _ordered(workloads)

@@ -10,12 +10,10 @@ paper, and :meth:`OneFactorCampaign.effort` exposes the actual counts so
 the scalability benchmark can report them.
 
 The campaign submits the base configuration and every perturbation as
-**one batch** through the backend's
-:meth:`~repro.engine.backend.EvaluationBackend.measure_many`, so a
-batching backend (:class:`~repro.engine.ParallelEvaluator`) can
-deduplicate the underlying simulations and share their trace decodes;
-:meth:`OneFactorCampaign.run_many` extends the batch across
-several workloads at once.
+**one batch** per workload through the backend's
+:meth:`~repro.engine.backend.EvaluationBackend.measure_many`, so the
+underlying simulations are deduplicated, share their trace decodes and
+are timed in one broadcast evaluation.
 """
 
 from __future__ import annotations
@@ -143,27 +141,19 @@ class OneFactorCampaign:
         *,
         parameters: Optional[Iterable[str]] = None,
     ) -> Dict[str, CostModel]:
-        """Run the campaign for several workloads as one concurrent batch.
+        """Run the campaign for several workloads, one batch per workload.
 
-        With a batch-capable backend the cache simulations of every
-        workload are planned as one batch; with a plain platform this
-        degrades to sequential per-workload runs.  Results are keyed by
-        workload name; :attr:`records` afterwards holds the records of the
-        *last* workload in iteration order (matching repeated :meth:`run`
-        calls).
+        The perturbation space is planned (and fit-screened) once for all
+        of them.  Results are keyed by workload name; :attr:`records`
+        afterwards holds the records of the *last* workload in iteration
+        order (matching repeated :meth:`run` calls).
         """
-        workloads = list(workloads)
         space, variables, configurations = self._plan(parameters=parameters)
-        batch_api = getattr(self.platform, "measure_many_multi", None)
-        if batch_api is not None:
-            by_workload = batch_api({w: configurations for w in workloads})
-        else:
-            by_workload = {
-                w: self.platform.measure_many(w, configurations) for w in workloads}
         models: Dict[str, CostModel] = {}
         for workload in workloads:
             model, records = self._assemble(
-                workload, space, variables, by_workload[workload])
+                workload, space, variables,
+                self.platform.measure_many(workload, configurations))
             models[workload.name] = model
             self._records = records
         return models

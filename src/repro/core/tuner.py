@@ -136,12 +136,11 @@ class MicroarchTuner:
         *,
         parameters: Optional[Iterable[str]] = None,
     ) -> Dict[str, CostModel]:
-        """One-factor campaigns for several workloads as a single batch.
+        """One-factor campaigns for several workloads.
 
-        With an engine backend the measurement work of every workload is
-        planned as one batch (and shares one persistent store); the
-        models are keyed by workload name and individually identical to
-        :meth:`build_model` output.
+        The perturbation space is planned once and each workload's
+        campaign is one batch; the models are keyed by workload name and
+        individually identical to :meth:`build_model` output.
         """
         return self.campaign.run_many(workloads, parameters=parameters)
 

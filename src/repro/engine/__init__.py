@@ -10,8 +10,8 @@ simulations are replayed in shared-decode groups by the
 process.  A campaign scales out as several processes claiming rows of
 one :class:`~repro.engine.campaign.CampaignGrid`.
 
-Every backend -- the sequential :class:`~repro.platform.LiquidPlatform`
-and the batching evaluator alike -- satisfies the structural
+Every backend -- the bare :class:`~repro.platform.LiquidPlatform` and
+the store-backed evaluator alike -- satisfies the structural
 :class:`~repro.engine.backend.EvaluationBackend` protocol, so consumers
 are written once against the protocol and scaled by swapping the backend.
 """

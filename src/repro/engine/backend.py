@@ -2,13 +2,13 @@
 
 :class:`EvaluationBackend` is the seam between measurement consumers
 (campaign, tuner, experiment drivers) and measurement providers.  It is a
-structural :class:`~typing.Protocol`: the sequential
+structural :class:`~typing.Protocol`: the bare
 :class:`~repro.platform.LiquidPlatform` satisfies it natively, and the
 :class:`~repro.engine.parallel.ParallelEvaluator` wraps a platform to add
-deduplication, persistence and shared-decode batching behind the same
-methods.  Consumers express *sets* of evaluations through
-:meth:`EvaluationBackend.measure_many` instead of looping over
-:meth:`EvaluationBackend.measure`, which is what lets a backend batch.
+persistence and engine accounting behind the same methods.  Both measure
+through one path -- :meth:`EvaluationBackend.measure_many`, which plans a
+batch once and evaluates it in one broadcast; :meth:`measure` is a batch
+of one.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Any, Dict, List, Protocol, Sequence, runtime_checkable
 
 from repro.config.configuration import Configuration
 from repro.fpga.report import ResourceReport
-from repro.microarch.statistics import ExecutionStatistics
 from repro.obs.metrics import MetricsRegistry
 from repro.platform.measurement import Measurement
 from repro.workloads.base import Workload
@@ -31,7 +30,7 @@ class EvaluationBackend(Protocol):
     """Black-box build-and-measure service (the paper's platform role).
 
     Implementations must be *deterministic*: measuring the same
-    (workload, configuration) pair through any backend, batched or not,
+    (workload, configuration) pair through any backend, in any batch,
     must produce an identical :class:`~repro.platform.Measurement` --
     including the seeded RANDOM-replacement cache simulations.
     """
@@ -40,31 +39,14 @@ class EvaluationBackend(Protocol):
         """Synthesise a configuration (memoised)."""
         ...
 
-    def profile(self, workload: Workload, config: Configuration) -> ExecutionStatistics:
-        """Cycle-accurate profile of ``workload`` on ``config`` (memoised)."""
-        ...
-
     def measure(self, workload: Workload, config: Configuration) -> Measurement:
-        """Build ``config`` and run ``workload`` on it."""
+        """Build ``config`` and run ``workload`` on it (a batch of one)."""
         ...
 
     def measure_many(
         self, workload: Workload, configs: Sequence[Configuration]
     ) -> List[Measurement]:
         """Measure a batch of configurations; results align with ``configs``."""
-        ...
-
-    def measure_sweep(
-        self, workload: Workload, configs: Sequence[Configuration]
-    ) -> List[Measurement]:
-        """Measure a configuration grid through the broadcast-batched path.
-
-        Semantically identical to :meth:`measure_many` -- same results,
-        bit for bit, same memo sharing -- but implementations may
-        evaluate the timing model for the whole grid as array operations
-        (one trace feature vector broadcast over compiled configuration
-        columns) instead of once per configuration.
-        """
         ...
 
     def measure_phases(self, workload, configs: Sequence[Configuration]) -> List:
@@ -131,9 +113,9 @@ class EngineStats:
     #: the number of configurations; the phase-transition benchmark
     #: asserts this.
     phase_decodes: int = 0
-    #: Broadcast-batched sweep calls served and configurations evaluated
-    #: through :func:`~repro.microarch.timing.evaluate_many`.
-    sweep_batches: int = 0
+    #: Configurations evaluated through
+    #: :func:`~repro.microarch.timing.evaluate_many` (memo and store hits
+    #: excluded).
     sweep_evaluations: int = 0
     #: Campaign-grid sharding accounting (see
     #: :class:`~repro.engine.campaign.CampaignWorker`): claim transactions
@@ -153,9 +135,8 @@ class EngineStats:
     #: Per-stage wall-clock, accumulated across batches and disjoint where
     #: the engine can observe the stages directly.  Stages recorded by the
     #: engine itself: ``trace_generation``, ``cache_simulation``,
-    #: ``model_build``, ``sweep_evaluate``, ``phase_decode`` and
-    #: ``phase_chain``; the tuner adds ``model_build`` and ``solve``
-    #: around its campaign and solver passes.  Each accumulation also
+    #: ``sweep_evaluate``, ``phase_decode`` and ``phase_chain``; the tuner
+    #: adds ``solve`` around its solver pass.  Each accumulation also
     #: feeds a ``stage.<name>`` histogram on :attr:`registry`, so
     #: per-batch distributions survive next to these sums.
     stage_seconds: Dict[str, float] = field(default_factory=dict)

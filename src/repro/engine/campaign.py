@@ -6,9 +6,8 @@ campaign *registers* its full configuration grid as rows of an
 :class:`~repro.engine.store.SqliteResultStore` keeps its measurements
 in, and any number of :class:`CampaignWorker` processes -- in one
 terminal, many terminals, or many hosts sharing the file -- *claim*
-batches of open rows, evaluate them through the existing
-:meth:`~repro.engine.parallel.ParallelEvaluator.measure_sweep` fast
-path, and write the results back into ``measurements`` keyed exactly
+batches of open rows, evaluate them through
+:meth:`~repro.engine.parallel.ParallelEvaluator.measure_many`, and write the results back into ``measurements`` keyed exactly
 like a direct sweep would.  A campaign is therefore resumable (kill
 everything, restart, nothing done is redone) and shardable (N workers
 drain one grid cooperatively) without any coordinator process.
@@ -556,7 +555,7 @@ class CampaignWorker:
     attempt budget is spent, claims one batch of open rows (restricted to
     the workloads it was constructed with, matched by trace fingerprint),
     evaluates the batch through
-    :meth:`ParallelEvaluator.measure_sweep` -- results land in the
+    :meth:`ParallelEvaluator.measure_many` -- results land in the
     campaign database's ``measurements`` table via the evaluator's store,
     bit-identical to a direct sweep -- and marks the rows done.  When no
     row is claimable it reopens retryable failed rows once, and exits
@@ -741,7 +740,7 @@ class CampaignWorker:
             workload = self.workloads[fingerprint]
             ids = [row.rowid for row in group]
             try:
-                self.evaluator.measure_sweep(
+                self.evaluator.measure_many(
                     workload, [row.configuration for row in group])
             except KeyboardInterrupt:
                 self.grid.release(ids)

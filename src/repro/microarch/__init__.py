@@ -15,7 +15,7 @@ from repro.microarch.statistics import (
     ExecutionStatistics,
     cycles_to_seconds,
 )
-from repro.microarch.timing import TimingModel, TimingParameters, count_window_traps
+from repro.microarch.timing import TimingParameters, count_window_traps, evaluate_many
 from repro.microarch.trace import ExecutionTrace
 
 __all__ = [
@@ -34,8 +34,8 @@ __all__ = [
     "DEFAULT_CLOCK_MHZ",
     "ExecutionStatistics",
     "cycles_to_seconds",
-    "TimingModel",
     "TimingParameters",
     "count_window_traps",
+    "evaluate_many",
     "ExecutionTrace",
 ]

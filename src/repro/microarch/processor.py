@@ -17,7 +17,7 @@ from repro.isa.program import Program
 from repro.microarch.cache import Cache, CacheConfig, CacheStatistics
 from repro.microarch.functional import FunctionalSimulator, SimulationResult
 from repro.microarch.statistics import ExecutionStatistics
-from repro.microarch.timing import TimingModel, TimingParameters
+from repro.microarch.timing import TimingParameters, evaluate_many
 from repro.microarch.trace import ExecutionTrace
 
 __all__ = ["ProcessorModel", "ProgramRun"]
@@ -41,7 +41,6 @@ class ProcessorModel:
     ):
         self.config = config
         self.timing_parameters = timing_parameters or TimingParameters()
-        self._timing = TimingModel(config, self.timing_parameters)
 
     # -- cache construction -------------------------------------------------------------
 
@@ -72,8 +71,8 @@ class ProcessorModel:
         memoised cache simulations, since many configurations share the
         same cache geometry.
         """
-        icache_stats, dcache_stats = cache_stats or self.simulate_caches(trace)
-        return self._timing.evaluate(trace, icache_stats, dcache_stats)
+        pair = cache_stats or self.simulate_caches(trace)
+        return evaluate_many(trace, [self.config], [pair], self.timing_parameters)[0]
 
     def run_program(self, program: Program) -> ProgramRun:
         """Functionally execute ``program`` and profile it on this configuration."""

@@ -1,9 +1,9 @@
 """Cycle-level timing model of the LEON-like integer pipeline.
 
 The timing model replays a configuration-independent
-:class:`~repro.microarch.trace.ExecutionTrace` against one
-:class:`~repro.config.Configuration` and produces the cycle count the
-paper's profiler would report.  Every reconfigurable parameter of the
+:class:`~repro.microarch.trace.ExecutionTrace` against a grid of
+:class:`~repro.config.Configuration` objects (:func:`evaluate_many`) and
+produces the cycle count the paper's profiler would report for each.  Every reconfigurable parameter of the
 paper's Figure 1 that affects runtime has a term here:
 
 ===========================  =====================================================
@@ -47,9 +47,7 @@ from repro.microarch.trace import ExecutionTrace
 
 __all__ = [
     "TimingParameters",
-    "TimingModel",
     "count_window_traps",
-    "count_window_traps_reference",
     "evaluate_many",
 ]
 
@@ -115,34 +113,6 @@ class TimingParameters:
         return self.memory_latency + self.word_transfer * linesize_words
 
 
-def count_window_traps_reference(
-    window_events: np.ndarray, windows: int
-) -> Tuple[int, int]:
-    """Scalar per-event reference of :func:`count_window_traps`.
-
-    Kept as the oracle of the vectorized walk (the property suite replays
-    random SAVE/RESTORE streams through both) and as the faithful
-    per-configuration baseline of the sweep benchmarks.
-    """
-    usable = max(1, windows - 1)
-    overflows = 0
-    underflows = 0
-    depth = 0
-    resident_base = 0
-    for event in window_events:
-        if event > 0:
-            depth += 1
-            if depth - resident_base >= usable:
-                overflows += 1
-                resident_base += 1
-        else:
-            depth -= 1
-            if depth < resident_base:
-                underflows += 1
-                resident_base -= 1
-    return overflows, underflows
-
-
 def count_window_traps(window_events: np.ndarray, windows: int) -> Tuple[int, int]:
     """Count register-window overflow and underflow traps.
 
@@ -191,150 +161,6 @@ def count_window_traps(window_events: np.ndarray, windows: int) -> Tuple[int, in
     return overflows, underflows
 
 
-class TimingModel:
-    """Computes the cycle count of a trace on one configuration."""
-
-    def __init__(self, config: Configuration, parameters: TimingParameters | None = None):
-        self.config = config
-        self.parameters = parameters or TimingParameters()
-
-    def evaluate(
-        self,
-        trace: ExecutionTrace,
-        icache_stats: CacheStatistics,
-        dcache_stats: CacheStatistics,
-    ) -> ExecutionStatistics:
-        """Combine the trace and cache statistics into a cycle count.
-
-        The configuration-independent trace reductions come from the
-        memoised :meth:`ExecutionTrace.features
-        <repro.microarch.trace.ExecutionTrace.features>` vector and the
-        per-window-count trap memo, so a sweep pays for them once; the
-        result is bit-identical to :meth:`evaluate_reference`.
-        """
-        cfg = self.config
-        p = self.parameters
-        f = trace.features()
-
-        breakdown: Dict[str, int] = {}
-        breakdown["base"] = f.instruction_count  # one cycle per issued instruction
-
-        # instruction fetch misses
-        icache_penalty = p.line_fill_penalty(cfg.icache_linesize_words)
-        breakdown["icache_misses"] = icache_stats.read_misses * icache_penalty
-
-        # data cache: only load misses stall (write-through, no allocate)
-        dcache_penalty = p.line_fill_penalty(cfg.dcache_linesize_words)
-        breakdown["dcache_misses"] = dcache_stats.read_misses * dcache_penalty
-
-        # load/store structural costs
-        loads = f.count(OpClass.LOAD)
-        stores = f.count(OpClass.STORE)
-        breakdown["load_access"] = 0 if cfg.dcache_fast_read else loads * p.slow_read_extra
-        breakdown["store_access"] = 0 if cfg.dcache_fast_write else stores * p.slow_write_extra
-
-        # load-use interlock
-        breakdown["load_use_stalls"] = f.load_use_hazards * (cfg.load_delay - 1)
-
-        # multiply / divide latency
-        breakdown["multiply"] = f.count(OpClass.MUL) * p.multiplier_latency(cfg.multiplier)
-        breakdown["divide"] = f.count(OpClass.DIV) * p.divider_latency(cfg.divider)
-
-        # control transfer penalties
-        penalty = p.taken_penalty_fast if cfg.fast_jump else p.taken_penalty_slow
-        breakdown["control_transfer"] = _taken_transfers(f) * penalty
-
-        # condition-code hazards
-        breakdown["icc_stalls"] = 0 if cfg.icc_hold else f.cc_branch_hazards * p.icc_stall
-
-        # decode bubbles
-        breakdown["decode"] = (
-            0 if cfg.fast_decode else _complex_instructions(f) * p.slow_decode_extra)
-
-        # register window traps (memoised per window count on the trace)
-        overflows, underflows = trace.window_trap_counts(cfg.register_windows)
-        breakdown["window_traps"] = (
-            overflows * p.window_overflow_cost + underflows * p.window_underflow_cost)
-
-        cycles = int(sum(breakdown.values()))
-        return ExecutionStatistics(
-            workload=trace.name,
-            configuration=cfg,
-            instruction_count=f.instruction_count,
-            cycles=cycles,
-            cycle_breakdown=breakdown,
-            icache=icache_stats,
-            dcache=dcache_stats,
-            window_overflows=overflows,
-            window_underflows=underflows,
-        )
-
-    def evaluate_reference(
-        self,
-        trace: ExecutionTrace,
-        icache_stats: CacheStatistics,
-        dcache_stats: CacheStatistics,
-    ) -> ExecutionStatistics:
-        """Unmemoised per-configuration evaluation (the pre-sweep behaviour).
-
-        Recomputes every trace reduction from the raw arrays on each call
-        -- histogram, hazard counts and the scalar window-trap walk --
-        exactly like the original per-configuration path did.  This is
-        the oracle of the batched-path property tests and the honest
-        baseline of the sweep-throughput benchmark.
-        """
-        cfg = self.config
-        p = self.parameters
-        counts = np.bincount(trace.op_classes, minlength=len(OpClass))
-        n_instr = trace.instruction_count
-
-        breakdown: Dict[str, int] = {}
-        breakdown["base"] = n_instr
-        breakdown["icache_misses"] = (
-            icache_stats.read_misses * p.line_fill_penalty(cfg.icache_linesize_words))
-        breakdown["dcache_misses"] = (
-            dcache_stats.read_misses * p.line_fill_penalty(cfg.dcache_linesize_words))
-        loads = int(counts[OpClass.LOAD.value])
-        stores = int(counts[OpClass.STORE.value])
-        breakdown["load_access"] = 0 if cfg.dcache_fast_read else loads * p.slow_read_extra
-        breakdown["store_access"] = 0 if cfg.dcache_fast_write else stores * p.slow_write_extra
-        load_use = int(np.count_nonzero(trace.load_use_hazard))
-        breakdown["load_use_stalls"] = load_use * (cfg.load_delay - 1)
-        breakdown["multiply"] = (
-            int(counts[OpClass.MUL.value]) * dict(p.multiplier_extra)[cfg.multiplier])
-        breakdown["divide"] = (
-            int(counts[OpClass.DIV.value]) * dict(p.divider_extra)[cfg.divider])
-        taken = int(counts[OpClass.BRANCH_TAKEN.value]
-                    + counts[OpClass.CALL.value] + counts[OpClass.JUMP.value])
-        penalty = p.taken_penalty_fast if cfg.fast_jump else p.taken_penalty_slow
-        breakdown["control_transfer"] = taken * penalty
-        cc_hazards = int(np.count_nonzero(trace.cc_branch_hazard))
-        breakdown["icc_stalls"] = 0 if cfg.icc_hold else cc_hazards * p.icc_stall
-        complex_instrs = int(
-            counts[OpClass.SETHI.value] + counts[OpClass.SAVE.value]
-            + counts[OpClass.RESTORE.value] + counts[OpClass.CALL.value]
-            + counts[OpClass.JUMP.value] + counts[OpClass.BRANCH_TAKEN.value]
-            + counts[OpClass.BRANCH_UNTAKEN.value])
-        breakdown["decode"] = 0 if cfg.fast_decode else complex_instrs * p.slow_decode_extra
-        overflows, underflows = count_window_traps_reference(
-            trace.window_events, cfg.register_windows)
-        breakdown["window_traps"] = (
-            overflows * p.window_overflow_cost + underflows * p.window_underflow_cost)
-
-        cycles = int(sum(breakdown.values()))
-        return ExecutionStatistics(
-            workload=trace.name,
-            configuration=cfg,
-            instruction_count=n_instr,
-            cycles=cycles,
-            cycle_breakdown=breakdown,
-            icache=icache_stats,
-            dcache=dcache_stats,
-            window_overflows=overflows,
-            window_underflows=underflows,
-        )
-
-
 def _taken_transfers(f) -> int:
     """Taken control transfers: taken branches, calls and jumps."""
     return f.count(OpClass.BRANCH_TAKEN) + f.count(OpClass.CALL) + f.count(OpClass.JUMP)
@@ -348,8 +174,8 @@ def _complex_instructions(f) -> int:
         + f.count(OpClass.BRANCH_TAKEN) + f.count(OpClass.BRANCH_UNTAKEN))
 
 
-#: Cycle-breakdown category order of :meth:`TimingModel.evaluate`, shared by
-#: :func:`evaluate_many` so batched breakdown dicts iterate identically.
+#: Cycle-breakdown category order: every breakdown dict :func:`evaluate_many`
+#: returns iterates in this order.
 BREAKDOWN_CATEGORIES: Tuple[str, ...] = (
     "base", "icache_misses", "dcache_misses", "load_access", "store_access",
     "load_use_stalls", "multiply", "divide", "control_transfer", "icc_stalls",
@@ -368,9 +194,10 @@ def evaluate_many(
     ``configs``.  The trace is summarised once into its feature vector;
     the configuration grid is compiled into NumPy coefficient columns and
     every cycle-breakdown term is produced for the whole grid as one
-    array operation.  Results are bit-identical -- cycles, the full
-    ``cycle_breakdown``, and the window-trap counts -- to calling
-    :meth:`TimingModel.evaluate` once per configuration.
+    array operation.  This is the only production timing model: a single
+    configuration is a grid of one.  Results are bit-identical -- cycles,
+    the full ``cycle_breakdown``, and the window-trap counts -- to the
+    unmemoised per-configuration oracle the test suite keeps.
     """
     p = parameters or TimingParameters()
     n = len(configs)

@@ -23,7 +23,7 @@ warm platform memos) across every job, and results are keyed by trace
 fingerprint + configuration + platform context in the store -- so re-submitting an
 identical sweep answers from the store with zero new evaluations, bit
 for bit identical to the first answer *and* to a direct
-``measure_sweep`` call.  Sweep results on the wire are exactly the
+``measure_many`` call.  Sweep results on the wire are exactly the
 store's encoded records (:meth:`ResultStoreBase.encode`), which is what
 makes that equality a one-line comparison.
 
@@ -197,7 +197,12 @@ class TuningService:
                 f"(have: {', '.join(sorted(self.workloads))})") from None
 
     def _configs(self, payload: Dict[str, Any]) -> List[Configuration]:
-        """Sweep targets: explicit config dicts, or the Figure-2 grid."""
+        """Sweep targets: explicit config dicts, or the Figure-2 grid.
+
+        Every explicit configuration must be valid and buildable on the
+        platform's device, so a sweep that would fail midway is refused
+        at submission instead.
+        """
         raw = payload.get("configs")
         if raw is None:
             return figure2_grid(self.platform)
@@ -209,10 +214,16 @@ class TuningService:
             if not isinstance(entry, dict):
                 raise ServiceBadRequest(f"configs[{index}] is not an object")
             try:
-                configs.append(base.replace(**entry))
+                config = base.replace(**entry)
             except Exception as exc:
                 raise ServiceBadRequest(
                     f"configs[{index}] is invalid: {exc}") from None
+            if not self.platform.fits(config):
+                report = self.platform.synthesis.synthesize(config)
+                raise ServiceBadRequest(
+                    f"configs[{index}] does not fit on "
+                    f"{self.platform.device.name}: {report.summary()}")
+            configs.append(config)
         return configs
 
     def _weights(self, payload: Dict[str, Any]) -> Weights:
@@ -237,8 +248,11 @@ class TuningService:
     # -- job submission --------------------------------------------------------------------
 
     def submit_sweep(self, payload: Dict[str, Any]) -> Job:
-        """Validate and enqueue a sweep job (validation errors raise now,
-        before the caller gets a job id -- a queued job never 400s)."""
+        """Validate and enqueue a sweep job.
+
+        Validation errors -- unknown workload, malformed or unbuildable
+        configurations -- raise now, before the caller gets a job id, so
+        a queued job never fails validation."""
         self._workload(payload)
         self._configs(payload)
         return self.jobs.submit("sweep", payload)
@@ -287,7 +301,7 @@ class TuningService:
             # wrong data
         for start in range(0, len(configs), self.sweep_chunk):
             chunk = configs[start:start + self.sweep_chunk]
-            measurements = self.evaluator.measure_sweep(workload, chunk)
+            measurements = self.evaluator.measure_many(workload, chunk)
             self.jobs.append_results(
                 job, [self.store.encode(workload, m) for m in measurements])
 

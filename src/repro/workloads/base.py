@@ -118,9 +118,9 @@ class Workload(ABC):
 
         Delegates to :meth:`ExecutionTrace.features
         <repro.microarch.trace.ExecutionTrace.features>`; this is the
-        summary the broadcast-batched sweep path
+        summary the broadcast timing model
         (:func:`~repro.microarch.timing.evaluate_many`) multiplies
-        against a compiled configuration grid, so a sweep reduces the
+        against a compiled configuration grid, so a batch reduces the
         trace once, not once per configuration.
         """
         return self.trace().features()

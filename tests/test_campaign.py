@@ -7,8 +7,8 @@ make that sound: registration is idempotent, concurrent claimants never
 receive the same row, a worker that dies mid-claim loses its lease and
 the rows complete elsewhere, failing rows retry up to the attempt cap
 and then rest in ``failed``, interrupts hand claims straight back, and a
-drained campaign's measurements are bit-identical to a direct
-``measure_sweep`` of the same grid.
+drained campaign's measurements are bit-identical to the
+per-configuration reference measurements of the same grid.
 """
 
 import multiprocessing
@@ -20,7 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine import CampaignGrid, CampaignWorker, ParallelEvaluator
+from reference_timing import reference_measurements
+from repro.engine import CampaignGrid, CampaignWorker
 from repro.engine.campaign import STATUS_DONE, STATUS_FAILED, STATUS_OPEN
 from repro.engine.store import SqliteResultStore, config_key_string
 from repro.platform import LiquidPlatform
@@ -219,7 +220,7 @@ class TestFailureRetry:
         def explode(workload, configs):
             raise RuntimeError(error)
 
-        worker.evaluator.measure_sweep = explode
+        worker.evaluator.measure_many = explode
         return worker
 
     def test_failing_rows_retry_to_the_attempt_cap_then_rest(
@@ -261,7 +262,7 @@ class TestFailureRetry:
             with CampaignWorker(grid, [arith_small]) as worker:
                 def interrupt(workload, configs):
                     raise KeyboardInterrupt
-                worker.evaluator.measure_sweep = interrupt
+                worker.evaluator.measure_many = interrupt
                 with pytest.raises(KeyboardInterrupt):
                     worker.run()
             counts = grid.status()
@@ -275,7 +276,7 @@ class TestFailureRetry:
 class TestResultsMatchDirectSweep:
     def test_campaign_measurements_are_bit_identical(self, tmp_path,
                                                      base_config, arith_small):
-        """A drained campaign's store equals a direct measure_sweep."""
+        """A drained campaign's store equals the per-configuration oracle."""
         path = str(tmp_path / "grid.sqlite")
         configs = grid_configs(base_config)
         with CampaignGrid(path) as grid:
@@ -284,8 +285,7 @@ class TestResultsMatchDirectSweep:
             assert grid.status()[STATUS_DONE] == len(configs)
             assert report.engine["claim_rows"] == len(configs)
 
-        with ParallelEvaluator(LiquidPlatform()) as direct:
-            reference = direct.measure_sweep(arith_small, configs)
+        reference = reference_measurements(arith_small, configs)
 
         platform = LiquidPlatform()
         store = SqliteResultStore(path)

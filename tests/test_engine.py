@@ -1,13 +1,15 @@
-"""Engine equivalence suite: batched/store-backed == sequential.
+"""Engine equivalence suite: batched/store-backed == per-configuration.
 
 The hard guarantee of the evaluation engine is that *how* a measurement
 is obtained -- one at a time, batched, deduplicated, replayed in
 shared-decode groups, or loaded back from a persistent store -- never
-changes *what* is measured.  Every test here compares engine output against the
-sequential :class:`LiquidPlatform` reference bit-for-bit (dataclass
+changes *what* is measured.  Tests of the measurement assembly compare
+engine and platform output against the per-configuration oracle
+(``reference_timing.reference_measurements``) bit for bit (dataclass
 equality covers cycle counts, cache hit/miss statistics including the
 seeded RANDOM replacement, resource reports and the full cycle
-breakdown), across all four paper workloads.
+breakdown), across all four paper workloads; tests of the store, dedup
+and recipes compare against the bare :class:`LiquidPlatform`.
 """
 
 import ast
@@ -18,6 +20,7 @@ import sys
 
 import pytest
 
+from reference_timing import reference_measurements
 from repro.config import Replacement, base_configuration
 from repro.core import MicroarchTuner, OneFactorCampaign, RUNTIME_OPTIMIZATION
 from repro.engine import (
@@ -69,6 +72,7 @@ class TestBatching:
         assert platform.effort()["runs"] == len(configs) - 1
         loop = LiquidPlatform()
         assert results == [loop.measure(arith_small, c) for c in configs]
+        assert results == reference_measurements(arith_small, configs)
 
     def test_fits_shares_synthesis_with_build(self, base_config):
         platform = LiquidPlatform()
@@ -86,28 +90,34 @@ class TestParallelEquivalence:
         configs = variant_configs(base_config)
         engine = ParallelEvaluator()
         for name, workload in small_workload_map.items():
-            sequential = LiquidPlatform().measure_many(workload, configs)
+            reference = reference_measurements(workload, configs)
             parallel = engine.measure_many(workload, configs)
-            assert parallel == sequential, f"engine diverged on workload {name}"
+            assert parallel == reference, f"engine diverged on workload {name}"
         assert engine.stats.dedup_hits == len(small_workload_map)
 
     def test_multi_workload_batch_identical_to_sequential(self, base_config,
                                                           small_workload_map):
+        """Batches of several workloads interleaved on one engine, each
+        split in two, never mix up their memos."""
         configs = variant_configs(base_config)
         engine = ParallelEvaluator()
-        combined = engine.measure_many_multi(
-            {w: configs for w in small_workload_map.values()})
-        for name, workload in small_workload_map.items():
-            sequential = LiquidPlatform().measure_many(workload, configs)
-            assert combined[workload] == sequential
+        workloads = list(small_workload_map.values())
+        halves = (configs[:4], configs[4:])
+        measured = {w: [] for w in workloads}
+        for half in halves:
+            for workload in workloads:
+                measured[workload] += engine.measure_many(workload, half)
+        for workload in workloads:
+            assert measured[workload] == reference_measurements(workload, configs)
 
     def test_same_named_workloads_coexist_in_one_batch(self, base_config):
         small, large = ArithWorkload(iterations=60), ArithWorkload(iterations=140)
         engine = ParallelEvaluator()
-        combined = engine.measure_many_multi({small: [base_config], large: [base_config]})
-        assert combined[small][0] == LiquidPlatform().measure(small, base_config)
-        assert combined[large][0] == LiquidPlatform().measure(large, base_config)
-        assert combined[small][0].cycles != combined[large][0].cycles
+        first = engine.measure(small, base_config)
+        second = engine.measure(large, base_config)
+        assert first == reference_measurements(small, [base_config])[0]
+        assert second == reference_measurements(large, [base_config])[0]
+        assert first.cycles != second.cycles
 
 
 class TestStoreEquivalence:
@@ -229,6 +239,9 @@ class TestCampaignAndTuner:
         assert batched.base == model_sequential.base
         assert batched.deltas == model_sequential.deltas
         assert batched.measurements == model_sequential.measurements
+        configs = [m.configuration for m in (batched.base, *batched.measurements)]
+        assert [batched.base, *batched.measurements] == \
+            reference_measurements(arith_small, configs)
 
     def test_run_many_matches_individual_runs(self, small_workload_map):
         params = ("dcache_sets", "dcache_setsize_kb")
@@ -287,8 +300,7 @@ class TestStaleness:
                  base_config.replace(dcache_sets=4),
                  base_config.replace(dcache_setsize_kb=16)]
         batched = engine.measure_many(second, batch)
-        sequential = LiquidPlatform().measure_many(second, batch)
-        assert batched == sequential
+        assert batched == reference_measurements(second, batch)
         engine.close()
 
 
@@ -376,9 +388,10 @@ class TestEngineStats:
         engine = ParallelEvaluator()
         engine.measure_many(workload, [base_config])
         stages = engine.stats.stage_report()
-        for stage in ("trace_generation", "cache_simulation", "model_build"):
+        for stage in ("trace_generation", "cache_simulation", "sweep_evaluate"):
             assert stage in stages
             assert stages[stage] >= 0.0
+        assert "model_build" not in stages
         tuner = MicroarchTuner(engine)
         tuner.tune(workload, RUNTIME_OPTIMIZATION,
                    parameters=("dcache_sets",), verify=False)

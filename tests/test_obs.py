@@ -258,7 +258,7 @@ class TestSpanTreeTiming:
         tracer = enable_tracing()
         configs = grid_configs(base_config)
         with ParallelEvaluator(LiquidPlatform()) as evaluator:
-            evaluator.measure_sweep(fresh_arith, configs)
+            evaluator.measure_many(fresh_arith, configs)
             stats = evaluator.stats
         spans = {}
         for record in tracer.records:
@@ -273,8 +273,8 @@ class TestSpanTreeTiming:
     def test_pipeline_spans_name_what_they_time(self, base_config, fresh_arith):
         """functional_sim carries the workload and its size; solve is the
         BINLP solve of a tune; the cache_simulation stage carries the
-        workload and its job count on both engine paths (the tune's
-        ``measure_many_multi`` and a ``measure_sweep``); decode and replay
+        workload and its job count on every batch (the tune's campaign
+        and verification batches and a grid sweep); decode and replay
         carry the workload, and replay no longer names a lane."""
         from repro import RUNTIME_OPTIMIZATION, MicroarchTuner
         from repro.analysis import DCACHE_STUDY_PARAMETERS
@@ -286,7 +286,7 @@ class TestSpanTreeTiming:
                 parameters=DCACHE_STUDY_PARAMETERS, verify=False)
         tuned = len(tracer.records)
         with ParallelEvaluator(LiquidPlatform()) as evaluator:
-            evaluator.measure_sweep(fresh_arith, grid_configs(base_config))
+            evaluator.measure_many(fresh_arith, grid_configs(base_config))
             swept_jobs = evaluator.stats.cache_simulations
         by_name = {}
         for record in tracer.records:

@@ -3,14 +3,16 @@
 Covers the :class:`~repro.workloads.phased.PhasedWorkload` abstraction
 (splits, compositions, bounds, views, fingerprints) and the platform /
 engine phased measurement path: the overall measurement of a phased
-workload must be bit-identical to the plain measurement, engine and
-sequential phased results must agree, and warm chains must reuse decoded
-phase views instead of re-decoding per configuration.
+workload must be bit-identical to the plain measurement and to the
+per-configuration oracle, engine and bare-platform phased results must
+agree, and warm chains must reuse decoded phase views instead of
+re-decoding per configuration.
 """
 
 import numpy as np
 import pytest
 
+from reference_timing import reference_measurements
 from repro.config import base_configuration
 from repro.engine import ParallelEvaluator
 from repro.errors import ConfigurationError
@@ -166,6 +168,8 @@ class TestPhasedMeasurement:
     def test_engine_phased_results_identical_to_sequential(self, drr_phased):
         configs = self.configs()
         sequential = LiquidPlatform().measure_phases(drr_phased, configs)
+        assert [result.measurement for result in sequential] == \
+            reference_measurements(drr_phased, configs)
         with ParallelEvaluator() as engine:
             assert engine.measure_phases(drr_phased, configs) == sequential
             assert engine.stats.phase_chains > 0

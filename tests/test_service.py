@@ -4,7 +4,8 @@ These tests pin the properties that make an always-on evaluation
 service sound: jobs run FIFO on one resident engine and stream
 incremental results; an identical re-submitted sweep answers from the
 store with *zero* new evaluations, bit for bit identical to the first
-answer and to a direct ``measure_sweep``; the HTTP layer round-trips all
+answer and to the per-configuration reference measurements; unbuildable
+sweeps are refused at submission; the HTTP layer round-trips all
 of that through a real socket; SIGTERM drains the served process; and a
 grid-backed service drains the same campaign queue a CLI ``--claim``
 worker would.
@@ -24,7 +25,9 @@ from urllib.parse import urlsplit
 
 import pytest
 
-from repro.engine import CampaignGrid, ParallelEvaluator
+from reference_timing import reference_measurements
+from repro.config import check_rules
+from repro.engine import CampaignGrid
 from repro.engine.campaign import STATUS_DONE
 from repro.platform import LiquidPlatform
 from repro.service import ServiceClient, ServiceError, TuningService, make_server
@@ -122,7 +125,7 @@ class TestServiceJobs:
             assert json.dumps(first["results"], sort_keys=True) == \
                 json.dumps(second["results"], sort_keys=True)
 
-    def test_sweep_records_equal_a_direct_measure_sweep(
+    def test_sweep_records_equal_the_reference_measurements(
             self, base_config, small_workload_map):
         payload = sweep_payload(small_workload_map["arith"], base_config)
         with TuningService(scale="small") as service:
@@ -132,9 +135,8 @@ class TestServiceJobs:
             served = wait_for(service, service.submit_sweep(payload).id)
             configs = [base_config.replace(**entry)
                        for entry in payload["configs"]]
-            with ParallelEvaluator(LiquidPlatform()) as direct:
-                expected = [service.store.encode(workload, m)
-                            for m in direct.measure_sweep(workload, configs)]
+            expected = [service.store.encode(workload, m)
+                        for m in reference_measurements(workload, configs)]
         assert json.dumps(served["results"], sort_keys=True) == \
             json.dumps(expected, sort_keys=True)
 
@@ -215,6 +217,24 @@ class TestServiceHttp:
         metrics = client.metrics()
         assert set(metrics) == {"engine", "registry", "jobs", "store"}
         assert "engine.requested" in metrics["registry"]
+
+    def test_unbuildable_sweep_is_refused_at_submit(
+            self, live_service, base_config, small_workload_map):
+        """A rule-valid config over the device's BRAM gets a 400 naming it,
+        and no job is created (it used to fail midway through the sweep)."""
+        service, client = live_service
+        configs = sweep_payload(small_workload_map["arith"], base_config)["configs"]
+        oversized = {"icache_sets": 2, "icache_setsize_kb": 32,
+                     "dcache_sets": 1, "dcache_setsize_kb": 1}
+        assert not check_rules(base_config.replace(**oversized))
+        with pytest.raises(ServiceError) as refused:
+            client.submit_sweep("arith", configs=configs + [oversized])
+        assert refused.value.status == 400
+        message = str(refused.value)
+        assert f"configs[{len(configs)}] does not fit" in message
+        assert "BRAM" in message
+        assert service.jobs.list_jobs() == []
+        assert service.metrics()["engine"]["requested"] == 0
 
     def test_http_errors_map_to_status_codes(self, live_service):
         _, client = live_service

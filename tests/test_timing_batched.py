@@ -1,14 +1,13 @@
-"""Broadcast-batched measurement path == per-configuration path, bit for bit.
+"""The broadcast timing model == the per-configuration oracle, bit for bit.
 
-The sweep fast path factors the timing evaluation of a configuration grid
-into one trace feature vector broadcast over compiled configuration
-columns (:func:`repro.microarch.timing.evaluate_many`) and routes batches
-through :meth:`LiquidPlatform.measure_sweep` /
-:meth:`ParallelEvaluator.measure_sweep`.  Its contract is bit-identity
-with the per-configuration reference: cycles, the full
-``cycle_breakdown``, the window-trap counts, and whole
-:class:`Measurement` records (resource reports and seeded cache
-statistics included) must match the scalar path exactly, over
+Every measurement is timed by :func:`repro.microarch.timing.evaluate_many`,
+which factors a configuration grid into one trace feature vector
+broadcast over compiled configuration columns, and every batch reaches it
+through ``LiquidPlatform.measure_many`` / ``ParallelEvaluator.measure_many``.
+Its contract is bit-identity with the unmemoised per-configuration oracle
+in ``reference_timing.py``: cycles, the full ``cycle_breakdown``, the
+window-trap counts, and whole :class:`Measurement` records (resource
+reports and seeded cache statistics included) must match, over
 hypothesis-generated configuration grids and all four paper workloads.
 """
 
@@ -17,16 +16,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import config_grid_strategy, window_events_strategy
+from reference_timing import (
+    cache_statistics,
+    count_window_traps_reference,
+    evaluate_reference,
+    reference_measurements,
+)
 from repro.config import REGISTER_WINDOW_COUNTS, Replacement, base_configuration
 from repro.config.leon_space import Divider, Multiplier
 from repro.engine import ParallelEvaluator
-from repro.microarch.timing import (
-    TimingModel,
-    TimingParameters,
-    count_window_traps,
-    count_window_traps_reference,
-    evaluate_many,
-)
+from repro.microarch.processor import ProcessorModel
+from repro.microarch.timing import TimingParameters, count_window_traps, evaluate_many
 from repro.platform import LiquidPlatform
 from repro.workloads import ArithWorkload
 
@@ -100,37 +100,40 @@ def test_latency_lookups_match_tables_and_preserve_identity():
 # -- evaluate_many vs the per-configuration reference -----------------------------------
 
 
-@pytest.fixture(scope="module")
-def stats_platform():
-    """Shared cache-statistics provider (fit deliberately not enforced)."""
-    return LiquidPlatform(enforce_fit=False)
-
-
 @given(configs=config_grid_strategy(max_size=5))
 @settings(max_examples=30, deadline=None)
-def test_evaluate_many_matches_reference(stats_platform, arith_small, configs):
+def test_evaluate_many_matches_reference(arith_small, configs):
     trace = arith_small.trace()
-    pairs = [stats_platform._cache_statistics(arith_small, c) for c in configs]
+    pairs = [cache_statistics(arith_small, c) for c in configs]
     batched = evaluate_many(trace, configs, pairs)
     for config, pair, result in zip(configs, pairs, batched):
-        reference = TimingModel(config).evaluate_reference(trace, *pair)
+        reference = evaluate_reference(trace, config, *pair)
         assert result == reference
         assert result.cycles == reference.cycles
         assert dict(result.cycle_breakdown) == dict(reference.cycle_breakdown)
         assert (result.window_overflows, result.window_underflows) == \
             (reference.window_overflows, reference.window_underflows)
-        # the memoised single-shot path agrees too
-        assert TimingModel(config).evaluate(trace, *pair) == reference
+        # a single configuration is a grid of one
+        assert ProcessorModel(config).evaluate(trace, pair) == reference
 
 
-def test_evaluate_many_all_workloads(small_workload_map, stats_platform, base_config):
+def test_evaluate_many_all_workloads(small_workload_map, base_config):
     configs = sweep_grid(base_config)
     for workload in small_workload_map.values():
         trace = workload.trace()
-        pairs = [stats_platform._cache_statistics(workload, c) for c in configs]
+        pairs = [cache_statistics(workload, c) for c in configs]
         batched = evaluate_many(trace, configs, pairs)
         for config, pair, result in zip(configs, pairs, batched):
-            assert result == TimingModel(config).evaluate_reference(trace, *pair)
+            assert result == evaluate_reference(trace, config, *pair)
+
+
+def test_evaluate_many_follows_timing_parameters(arith_small, base_config):
+    trace = arith_small.trace()
+    slow = TimingParameters(memory_latency=40, window_overflow_cost=60)
+    configs = sweep_grid(base_config)
+    pairs = [cache_statistics(arith_small, c) for c in configs]
+    for config, pair, result in zip(configs, pairs, evaluate_many(trace, configs, pairs, slow)):
+        assert result == evaluate_reference(trace, config, *pair, slow)
 
 
 def test_evaluate_many_empty_and_misaligned(arith_small):
@@ -140,14 +143,14 @@ def test_evaluate_many_empty_and_misaligned(arith_small):
         evaluate_many(trace, [base_configuration()], [])
 
 
-# -- measure_sweep == measure_many -------------------------------------------------------
+# -- measure_many == the per-configuration oracle ----------------------------------------
 
 
 def test_platform_sweep_identical_to_measure_many(small_workload_map, base_config):
     configs = sweep_grid(base_config)
     for workload in small_workload_map.values():
-        assert LiquidPlatform().measure_sweep(workload, configs) == \
-            LiquidPlatform().measure_many(workload, configs)
+        assert LiquidPlatform().measure_many(workload, configs) == \
+            reference_measurements(workload, configs)
 
 
 def test_platform_sweep_shares_memos_with_per_config_path(arith_small, base_config):
@@ -155,29 +158,29 @@ def test_platform_sweep_shares_memos_with_per_config_path(arith_small, base_conf
     platform = LiquidPlatform()
     first = platform.measure(arith_small, configs[2])  # pre-warm one grid point
     runs_before = platform.run_count
-    results = platform.measure_sweep(arith_small, configs)
+    results = platform.measure_many(arith_small, configs)
     assert results[2] == first
     distinct = len({c.key() for c in configs})
     assert platform.run_count == runs_before + distinct - 1
-    # batched=False falls back to the per-config loop on the same memos
-    assert platform.measure_sweep(arith_small, configs, batched=False) == results
+    # a repeated batch is answered from the memos alone
+    assert platform.measure_many(arith_small, configs) == results
+    assert platform.run_count == runs_before + distinct - 1
 
 
 @given(configs=config_grid_strategy(min_size=1, max_size=6))
 @settings(max_examples=15, deadline=None)
 def test_platform_sweep_property_identical(arith_small, configs):
-    scalar = LiquidPlatform(enforce_fit=False).measure_many(arith_small, configs)
-    sweep = LiquidPlatform(enforce_fit=False).measure_sweep(arith_small, configs)
-    assert sweep == scalar
+    sweep = LiquidPlatform(enforce_fit=False).measure_many(arith_small, configs)
+    assert sweep == reference_measurements(arith_small, configs)
 
 
 def test_engine_sweep_identical(small_workload_map, base_config):
     configs = sweep_grid(base_config)
     for workload in small_workload_map.values():
-        reference = LiquidPlatform().measure_many(workload, configs)
+        reference = reference_measurements(workload, configs)
         with ParallelEvaluator(LiquidPlatform()) as engine:
-            assert engine.measure_sweep(workload, configs) == reference
-            assert engine.stats.sweep_batches == 1
+            assert engine.measure_many(workload, configs) == reference
+            assert engine.stats.batches == 1
             assert engine.stats.sweep_evaluations == len(set(
                 c.key() for c in configs))
             assert engine.stats.dedup_hits == len(configs) - len(set(
@@ -187,14 +190,14 @@ def test_engine_sweep_identical(small_workload_map, base_config):
 def test_engine_sweep_uses_store(tmp_path, base_config):
     workload = ArithWorkload(iterations=200)
     configs = sweep_grid(base_config)
-    reference = LiquidPlatform().measure_many(workload, configs)
+    reference = reference_measurements(workload, configs)
     store_path = str(tmp_path / "sweep.jsonl")
     from repro.engine import open_store
 
     with ParallelEvaluator(LiquidPlatform(), store=open_store(store_path)) as first:
-        assert first.measure_sweep(workload, configs) == reference
+        assert first.measure_many(workload, configs) == reference
         assert first.stats.store_writes > 0
     with ParallelEvaluator(LiquidPlatform(), store=open_store(store_path)) as second:
-        assert second.measure_sweep(workload, configs) == reference
+        assert second.measure_many(workload, configs) == reference
         assert second.stats.store_hits == len({c.key() for c in configs})
         assert second.stats.sweep_evaluations == 0

@@ -129,8 +129,8 @@ def test_store_miss_simulates_and_matches_the_bare_platform(simulations):
     reference = SMALL["drr"]()
     platform = LiquidPlatform()
     assert measured == [platform.measure(reference, config) for config in configs]
-    # the sweep path resolves through the same planning
-    sweep = ParallelEvaluator(store=store).measure_sweep(SMALL["drr"](), grid(6))
+    # a fresh engine resolves through the same planning
+    sweep = ParallelEvaluator(store=store).measure_many(SMALL["drr"](), grid(6))
     assert sweep == [platform.measure(reference, config) for config in grid(6)]
 
 
@@ -197,10 +197,10 @@ def test_warm_run_opens_no_trace_generation_span():
     ParallelEvaluator(store=store).measure_many(SMALL["frag"](), grid(2))
     tracer = enable_tracing()
     try:
-        ParallelEvaluator(store=store).measure_sweep(SMALL["frag"](), grid(2))
+        ParallelEvaluator(store=store).measure_many(SMALL["frag"](), grid(2))
         assert not [r for r in tracer.records if r.name in ("trace_generation",
                                                              "functional_sim")]
-        ParallelEvaluator(store=store).measure_sweep(SMALL["frag"](), grid(3))
+        ParallelEvaluator(store=store).measure_many(SMALL["frag"](), grid(3))
         [stage] = [r for r in tracer.records if r.name == "trace_generation"]
         assert stage.attrs["workload"] == "frag"
     finally:
