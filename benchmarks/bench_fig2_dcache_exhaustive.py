@@ -26,11 +26,11 @@ import time
 
 from bench_sweep_throughput import fig2_grid
 from conftest import SMOKE, emit
+from reference_replay import simulate_accesses
 from reference_timing import reference_measurements, replay_geometry
 
 from repro.analysis import dcache_exhaustive, engine_report
 from repro.engine import ParallelEvaluator
-from repro.microarch.cache import Cache
 from repro.platform import LiquidPlatform
 
 
@@ -58,16 +58,18 @@ def _scalar_dcache_replay(ways_threshold):
     """A cache replay forcing the scalar per-access loop on dcache points.
 
     ``ways_threshold=0`` recreates the seed (every dcache point scalar);
-    ``ways_threshold=1`` recreates PR 1 (only set-associative points
-    scalar, direct-mapped stays vectorized).  Instruction-cache points
-    keep the default replay in both eras, which had read-only fast paths.
+    ``ways_threshold=1`` recreates the direct-mapped-only era (only
+    set-associative points scalar, direct-mapped stays on the kernel).
+    Instruction-cache points keep the default replay in both eras, which
+    had read-only fast paths.  The scalar loop is the test suite's
+    per-access oracle, ``reference_replay.simulate_accesses``.
     """
 
     def replay(workload, kind, geometry):
         if kind == "dcache" and geometry.ways > ways_threshold:
             trace = workload.trace()
-            return Cache(geometry).simulate(
-                trace.data_addresses, trace.data_is_write, vectorized=False)
+            return simulate_accesses(
+                geometry, trace.data_addresses, trace.data_is_write)
         return replay_geometry(workload, kind, geometry)
 
     return replay
@@ -124,7 +126,7 @@ def test_fig2_engine_wall_clock_improvement(benchmark, workloads):
     emit(engine_report(engine))
     print(f"\nFigure 2 sweep wall-clock:"
           f"\n  seed (scalar loop, per config)        {scalar_seconds:8.2f}s"
-          f"\n  PR 1 (ways==1 vectorized, per config) {pr1_seconds:8.2f}s"
+          f"\n  ways==1 on the kernel, per config     {pr1_seconds:8.2f}s"
           f"\n  kernel (columnar, bare platform)      {kernel_seconds:8.2f}s"
           f"\n  kernel + engine                       {engine_seconds:8.2f}s"
           f"\n  speedup vs seed {scalar_seconds / engine_seconds:5.2f}x,"

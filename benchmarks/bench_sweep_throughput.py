@@ -30,8 +30,8 @@ may never cost more than it saves.
 Wall-clock speedup floors only run at benchmark scale
 (``REPRO_BENCH_SMOKE=1`` keeps the equality and engine-floor
 assertions), except the replay microbench at the bottom, which times
-the compiled replay loop against the scalar reference
-``Cache.simulate(vectorized=False)`` on the full-size trace at every
+the compiled replay loop against the test suite's per-access oracle
+``reference_replay.simulate_accesses`` on the full-size trace at every
 scale (``REPLAY_FLOOR``).
 
 Results are written to ``benchmarks/BENCH_sweep.json`` so the perf
@@ -45,6 +45,7 @@ import statistics
 import time
 
 from conftest import SMOKE, emit
+from reference_replay import simulate_accesses
 from reference_timing import reference_measurements
 
 from repro.analysis import dcache_exhaustive, engine_report
@@ -55,7 +56,7 @@ from repro.config import (
 )
 from repro.config.leon_space import Multiplier
 from repro.engine import ParallelEvaluator
-from repro.microarch.cache import Cache, CacheConfig, Replacement
+from repro.microarch.cache import CacheConfig, Replacement
 from repro.microarch.cachekernel import decode_trace, simulate_many
 from repro.platform import LiquidPlatform
 
@@ -287,7 +288,7 @@ def test_replay_microbench():
     scale BLASTN data trace decoded once and replayed over every
     associative Figure-2 dcache geometry under each replacement policy
     (LEON2's LRR is 2-way only), by :func:`simulate_many` and by
-    ``Cache.simulate(vectorized=False)``, the scalar per-access oracle.
+    ``reference_replay.simulate_accesses``, the scalar per-access oracle.
     The scalar pass runs once (it is seconds long); the compiled batch
     takes the median of ``REPS_COMPILED`` runs.  Both always use the
     full-size trace, so the ≥``REPLAY_FLOOR``x floor is enforced at
@@ -311,8 +312,7 @@ def test_replay_microbench():
     # shared by every geometry with that set count in the real flow
     compiled = simulate_many(view, configs)
     scalar, scalar_seconds = timed(lambda: [
-        Cache(config).simulate(addresses, writes, vectorized=False)
-        for config in configs])
+        simulate_accesses(config, addresses, writes) for config in configs])
     assert compiled == scalar, "compiled replay diverges from the scalar loop"
     compiled_seconds = statistics.median(
         timed(lambda: simulate_many(view, configs))[1]

@@ -39,7 +39,6 @@ from repro.core import (
 )
 from repro.engine import EngineStats, EvaluationBackend, ParallelEvaluator, ResultStore
 from repro.fpga import SynthesisModel, XCV2000E
-from repro.microarch import ProcessorModel
 from repro.platform import LiquidPlatform, Measurement, PhasedMeasurement
 
 __version__ = "1.0.0"
@@ -61,7 +60,6 @@ __all__ = [
     "build_problem",
     "SynthesisModel",
     "XCV2000E",
-    "ProcessorModel",
     "LiquidPlatform",
     "Measurement",
     "PhasedMeasurement",

@@ -344,14 +344,18 @@ class CampaignGrid:
             (time.time(), worker_id),
             guard="status = 'claimed' AND worker = ?", on_conflict=on_conflict)
 
-    def mark_failed(self, ids: Sequence[int], error: str, *, on_conflict=None) -> int:
-        """Move claimed rows to ``failed``, recording the error text."""
+    def mark_failed(self, ids: Sequence[int], worker_id: str, error: str, *,
+                    on_conflict=None) -> int:
+        """Move claimed rows to ``failed`` (only rows this worker still
+        holds), recording the error text."""
         return self._update_rows(
             ids, "status = 'failed', finished_at = ?, error = ?",
-            (time.time(), error[:500]), on_conflict=on_conflict)
+            (time.time(), error[:500], worker_id),
+            guard="status = 'claimed' AND worker = ?", on_conflict=on_conflict)
 
-    def release(self, ids: Sequence[int], *, on_conflict=None) -> int:
-        """Return claimed rows to ``open`` without burning their attempt.
+    def release(self, ids: Sequence[int], worker_id: str, *, on_conflict=None) -> int:
+        """Return claimed rows this worker still holds to ``open`` without
+        burning their attempt.
 
         This is the *clean* hand-back (interrupt, shutdown): the claim
         did not fail, so the attempt spent on it is refunded -- unlike
@@ -360,7 +364,8 @@ class CampaignGrid:
         """
         return self._update_rows(
             ids, "status = 'open', worker = NULL, claimed_at = NULL,"
-                 " attempts = MAX(attempts - 1, 0)", on_conflict=on_conflict)
+                 " attempts = MAX(attempts - 1, 0)", (worker_id,),
+            guard="status = 'claimed' AND worker = ?", on_conflict=on_conflict)
 
     def release_worker(self, worker_id: str) -> int:
         """Release every row still claimed by ``worker_id`` (shutdown path)."""
@@ -743,11 +748,11 @@ class CampaignWorker:
                 self.evaluator.measure_many(
                     workload, [row.configuration for row in group])
             except KeyboardInterrupt:
-                self.grid.release(ids)
+                self.grid.release(ids, self.worker_id)
                 raise
             except Exception as exc:
                 self.grid.mark_failed(
-                    ids, repr(exc), on_conflict=self._count_conflict)
+                    ids, self.worker_id, repr(exc), on_conflict=self._count_conflict)
                 self.report.failed += len(ids)
                 continue
             done = self.grid.mark_done(

@@ -1,6 +1,6 @@
 """Cycle-level microarchitecture simulation: caches, pipeline timing, traces."""
 
-from repro.microarch.cache import Cache, CacheConfig, CacheStatistics
+from repro.microarch.cache import CacheConfig, CacheStatistics
 from repro.microarch.cachekernel import (
     ColumnarTrace,
     decode_trace,
@@ -9,7 +9,6 @@ from repro.microarch.cachekernel import (
 )
 from repro.microarch.functional import FunctionalSimulator, SimulationResult
 from repro.microarch.memory import Memory
-from repro.microarch.processor import ProcessorModel, ProgramRun
 from repro.microarch.statistics import (
     DEFAULT_CLOCK_MHZ,
     ExecutionStatistics,
@@ -19,7 +18,6 @@ from repro.microarch.timing import TimingParameters, count_window_traps, evaluat
 from repro.microarch.trace import ExecutionTrace
 
 __all__ = [
-    "Cache",
     "CacheConfig",
     "CacheStatistics",
     "ColumnarTrace",
@@ -29,8 +27,6 @@ __all__ = [
     "FunctionalSimulator",
     "SimulationResult",
     "Memory",
-    "ProcessorModel",
-    "ProgramRun",
     "DEFAULT_CLOCK_MHZ",
     "ExecutionStatistics",
     "cycles_to_seconds",

@@ -1,4 +1,4 @@
-"""Set-associative cache models (LEON instruction and data caches).
+"""Cache geometry and hit/miss statistics (LEON instruction and data caches).
 
 Terminology follows LEON/the paper: a cache is organised as ``sets``
 *ways* (1 to 4, 1 meaning direct mapped), each way ("set" in LEON speak)
@@ -11,21 +11,21 @@ The data cache is write-through with no write-allocate, which matches
 LEON2: stores update the cache on a hit and go straight to memory on a
 miss without fetching the line, so only *load* misses stall the pipeline
 for a line fill.
+
+Replay -- turning a trace into :class:`CacheStatistics` for one
+:class:`CacheConfig` -- is :mod:`repro.microarch.cachekernel`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
-
-import numpy as np
 
 from repro.config.configuration import Configuration
 from repro.config.leon_space import Replacement
 from repro.errors import ConfigurationError
 
-__all__ = ["CacheConfig", "CacheStatistics", "Cache"]
+__all__ = ["CacheConfig", "CacheStatistics"]
 
 
 @dataclass(frozen=True)
@@ -115,216 +115,3 @@ class CacheStatistics:
     @property
     def read_miss_rate(self) -> float:
         return self.read_misses / self.read_accesses if self.read_accesses else 0.0
-
-
-class Cache:
-    """Trace-driven set-associative cache simulator."""
-
-    def __init__(self, config: CacheConfig):
-        self.config = config
-        lines = config.lines_per_way
-        ways = config.ways
-        # tag store: -1 means invalid
-        self._tags = np.full((lines, ways), -1, dtype=np.int64)
-        # per-line replacement state: LRU ages or LRR/FIFO pointer
-        self._age = np.zeros((lines, ways), dtype=np.int64)
-        self._fifo = np.zeros(lines, dtype=np.int64)
-        self._rng = np.random.default_rng(config.seed)
-        self._tick = 0
-
-    # -- single access -----------------------------------------------------------------
-
-    def access(self, address: int, *, write: bool = False) -> bool:
-        """Access one address; returns ``True`` on a hit.
-
-        Write misses do not allocate (write-through, no write-allocate).
-        """
-        cfg = self.config
-        line_number = address // cfg.linesize_bytes
-        index = line_number % cfg.lines_per_way
-        tag = line_number // cfg.lines_per_way
-        tags_row = self._tags[index]
-        self._tick += 1
-
-        for way in range(cfg.ways):
-            if tags_row[way] == tag:
-                if cfg.replacement == Replacement.LRU:
-                    self._age[index, way] = self._tick
-                return True
-
-        # miss
-        if write:
-            return False
-        self._fill(index, tag)
-        return False
-
-    def _fill(self, index: int, tag: int) -> None:
-        cfg = self.config
-        tags_row = self._tags[index]
-        # prefer an invalid way
-        for way in range(cfg.ways):
-            if tags_row[way] == -1:
-                tags_row[way] = tag
-                self._age[index, way] = self._tick
-                if cfg.replacement == Replacement.LRR:
-                    self._fifo[index] = (way + 1) % cfg.ways
-                return
-        if cfg.replacement == Replacement.RANDOM:
-            victim = int(self._rng.integers(cfg.ways)) if cfg.ways > 1 else 0
-        elif cfg.replacement == Replacement.LRR:
-            victim = int(self._fifo[index])
-            self._fifo[index] = (victim + 1) % cfg.ways
-        else:  # LRU
-            victim = int(np.argmin(self._age[index]))
-        tags_row[victim] = tag
-        self._age[index, victim] = self._tick
-
-    # -- trace simulation ----------------------------------------------------------------
-
-    def simulate(
-        self,
-        addresses: np.ndarray,
-        writes: Optional[np.ndarray] = None,
-        *,
-        vectorized: Optional[bool] = None,
-    ) -> CacheStatistics:
-        """Simulate a full address trace and return hit/miss statistics.
-
-        Parameters
-        ----------
-        addresses:
-            Effective byte addresses in access order.
-        writes:
-            Optional boolean array aligned with ``addresses``; ``True``
-            marks a store.  When omitted every access is a read (the
-            instruction-cache case).
-        vectorized:
-            ``None`` (default) dispatches to the columnar kernel layer
-            (:mod:`repro.microarch.cachekernel`); ``False`` forces the
-            scalar per-access reference loop (the oracle of the kernel
-            property tests and the hot-path benchmarks).
-        """
-        cfg = self.config
-        if vectorized is not False:
-            from repro.microarch.cachekernel import decode_trace
-
-            view = decode_trace(addresses, writes, linesize_bytes=cfg.linesize_bytes)
-            return self.simulate_view(view)
-
-        lines_per_way = cfg.lines_per_way
-        line_numbers = np.asarray(addresses, dtype=np.int64) // cfg.linesize_bytes
-        indices = line_numbers % lines_per_way
-        tags = line_numbers // lines_per_way
-        if writes is None:
-            writes_arr = np.zeros(len(line_numbers), dtype=bool)
-        else:
-            writes_arr = np.asarray(writes, dtype=bool)
-            if writes_arr.shape != line_numbers.shape:
-                raise ConfigurationError("writes mask must match the address trace length")
-
-        read_misses = 0
-        write_misses = 0
-        write_total = int(np.count_nonzero(writes_arr))
-
-        # local bindings for speed in the hot loop
-        tag_store = self._tags
-        age = self._age
-        fifo = self._fifo
-        ways = cfg.ways
-        replacement = cfg.replacement
-        lru = replacement == Replacement.LRU
-        lrr = replacement == Replacement.LRR
-        rng = self._rng
-        tick = self._tick
-        # pre-draw random victims to keep the loop allocation free
-        random_victims = (
-            rng.integers(0, ways, size=len(line_numbers)) if ways > 1 else None)
-
-        for i in range(len(line_numbers)):
-            index = indices[i]
-            tag = tags[i]
-            row = tag_store[index]
-            tick += 1
-            hit = False
-            for way in range(ways):
-                if row[way] == tag:
-                    hit = True
-                    if lru:
-                        age[index, way] = tick
-                    break
-            if hit:
-                continue
-            if writes_arr[i]:
-                write_misses += 1
-                continue  # no write allocate
-            read_misses += 1
-            # fill: invalid way first, then policy victim
-            victim = -1
-            for way in range(ways):
-                if row[way] == -1:
-                    victim = way
-                    break
-            if victim < 0:
-                if lru:
-                    victim = int(np.argmin(age[index]))
-                elif lrr:
-                    victim = int(fifo[index])
-                    fifo[index] = (victim + 1) % ways
-                else:
-                    victim = int(random_victims[i]) if random_victims is not None else 0
-            row[victim] = tag
-            age[index, victim] = tick
-
-        self._tick = tick
-        accesses = len(line_numbers)
-        return CacheStatistics(
-            accesses=accesses,
-            read_accesses=accesses - write_total,
-            write_accesses=write_total,
-            read_misses=read_misses,
-            write_misses=write_misses,
-        )
-
-    # -- columnar kernel dispatch --------------------------------------------------------
-
-    def simulate_view(self, view) -> CacheStatistics:
-        """Replay a pre-decoded :class:`~repro.microarch.cachekernel.ColumnarTrace`.
-
-        This is the batch-friendly entry point: callers that evaluate
-        many geometries against one trace decode it once per line size
-        (see :meth:`ExecutionTrace.columnar_view
-        <repro.microarch.trace.ExecutionTrace.columnar_view>`) and hand
-        the shared view to each cache.  The replay mutates this cache's
-        tag/age/FIFO stores and PRNG exactly like the scalar loop, so
-        interleaving ``simulate`` and ``simulate_view`` calls is sound.
-        """
-        from repro.microarch import cachekernel
-
-        state = cachekernel.KernelState(self._tags, self._age, self._fifo, self._tick)
-        statistics = cachekernel.replay(view, self.config, state=state, rng=self._rng)
-        self._tick = state.tick
-        return statistics
-
-    def simulate_phases(self, phases) -> "list[CacheStatistics]":
-        """Warm-chained replay of a sequence of program phases.
-
-        ``phases`` is a sequence of either pre-decoded
-        :class:`~repro.microarch.cachekernel.ColumnarTrace` views or
-        ``(addresses, writes)`` pairs (``writes`` may be ``None``).  Each
-        phase replays against the cache state the previous one left
-        behind, so the per-phase statistics describe a continuously-warm
-        cache; their totals are bit-identical to one :meth:`simulate`
-        call over the concatenated trace.
-        """
-        from repro.microarch.cachekernel import ColumnarTrace, decode_trace
-
-        statistics = []
-        for phase in phases:
-            if isinstance(phase, ColumnarTrace):
-                view = phase
-            else:
-                addresses, writes = phase
-                view = decode_trace(
-                    addresses, writes, linesize_bytes=self.config.linesize_bytes)
-            statistics.append(self.simulate_view(view))
-        return statistics

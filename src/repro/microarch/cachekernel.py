@@ -1,8 +1,10 @@
 """Columnar cache-simulation kernel: decode once, replay many.
 
-This module is the pure-function layer underneath
-:class:`~repro.microarch.cache.Cache`.  It splits trace-driven cache
-simulation into two stages with very different sharing profiles:
+Every cache statistic the platform measures comes from this module,
+replayed over :meth:`ExecutionTrace.columnar_view
+<repro.microarch.trace.ExecutionTrace.columnar_view>`.  It splits
+trace-driven cache simulation into two stages with very different
+sharing profiles:
 
 * **Decode** (:func:`decode_trace`) is a property of the *trace and the
   line size only*: byte addresses become cache-line numbers, and maximal
@@ -24,9 +26,9 @@ simulation into two stages with very different sharing profiles:
   with LRU / LRR(FIFO) / RANDOM victim selection, for every
   associativity, direct mapped included.
 
-The replay is bit-identical to the scalar per-access reference loop in
-:meth:`Cache.simulate(vectorized=False) <repro.microarch.cache.Cache.simulate>`
-and to the per-event loop in ``tests/reference_replay.py``: statistics,
+The replay is bit-identical to the two scalar oracles in
+``tests/reference_replay.py``, the per-access loop and the per-event
+loop the C source was ported from: statistics,
 final tag/age/FIFO state, and the seeded RANDOM stream (victims are
 pre-drawn positionally, one per *access*, exactly like the reference)
 all match, which ``tests/test_crossconfig_replay.py`` property-tests for
@@ -204,7 +206,7 @@ def _decode_trace(
 
 @dataclass
 class KernelState:
-    """Mutable replay state, layout-compatible with :class:`Cache`'s stores."""
+    """Mutable per-geometry cache state that a warm :func:`replay` carries."""
 
     #: ``(lines_per_way, ways)`` tag store; -1 marks an invalid way.
     tags: np.ndarray
@@ -215,8 +217,9 @@ class KernelState:
     #: Accesses replayed so far (ages are ticks: position + tick + 1).
     tick: int = 0
     #: RANDOM-victim stream position, carried so a chained replay keeps
-    #: drawing where the previous phase stopped (``None`` for callers that
-    #: manage their own generator, e.g. :class:`~repro.microarch.cache.Cache`).
+    #: drawing where the previous phase stopped.  :func:`replay` always
+    #: draws from it; ``None`` only in the throwaway states of cold batch
+    #: replays, which never draw from a state.
     rng: Optional[np.random.Generator] = None
 
 
@@ -231,7 +234,7 @@ def _cold_state(config: CacheConfig) -> KernelState:
 
 
 def fresh_state(config: CacheConfig) -> KernelState:
-    """Cold-cache state for one geometry (what a fresh :class:`Cache` holds)."""
+    """Cold-cache state for one geometry with its own seeded generator."""
     state = _cold_state(config)
     state.rng = np.random.default_rng(config.seed)
     return state
@@ -241,25 +244,20 @@ def replay(
     view: ColumnarTrace,
     config: CacheConfig,
     state: Optional[KernelState] = None,
-    rng: Optional[np.random.Generator] = None,
 ) -> CacheStatistics:
     """Replay a decoded trace against one geometry, mutating ``state``.
 
-    With ``state``/``rng`` omitted the replay starts from a cold cache
-    with the geometry's own seeded PRNG -- exactly what a fresh
-    :class:`~repro.microarch.cache.Cache` would do.  Passing the state of
-    a previous replay continues against the warm cache (its own ``rng``
-    keeps the RANDOM victim stream in step); an explicit ``rng`` argument
-    overrides the state's generator.
+    With ``state`` omitted the replay starts from a cold cache with the
+    geometry's own seeded PRNG (:func:`fresh_state`).  Passing the state
+    of a previous replay continues against the warm cache; its ``rng``
+    keeps the RANDOM victim stream in step.
     """
     _check_linesize(view, config)
     if state is None:
         state = fresh_state(config)
-    if rng is None:
-        rng = state.rng if state.rng is not None else np.random.default_rng(config.seed)
     # the scalar reference pre-draws one victim per *access* regardless of
     # policy or use; match it so the stream position stays identical
-    random_victims = (rng.integers(0, config.ways, size=view.accesses)
+    random_victims = (state.rng.integers(0, config.ways, size=view.accesses)
                       if config.ways > 1 else None)
     return _replay(view, config, state, random_victims)
 
@@ -323,10 +321,10 @@ def simulate_many(
 ) -> List[CacheStatistics]:
     """Replay one decoded trace against many cold-cache configurations.
 
-    Equivalent to ``[Cache(c).simulate(addresses, writes) for c in configs]``
-    but the columnar decode is paid once for the whole batch, the per-set
-    views once per set count, and the cold RANDOM victim draw once per
-    (seed, ways); cold LRU/LRR configurations draw nothing.  Every configuration must share the view's line size
+    Equivalent to ``[replay(view, c) for c in configs]``, but no
+    configuration seeds a generator: the cold RANDOM victim draw is shared
+    per (seed, ways) and cold LRU/LRR configurations draw nothing.
+    Every configuration must share the view's line size
     (group by line size before calling; :meth:`LiquidPlatform.simulate_cache_jobs
     <repro.platform.liquid.LiquidPlatform.simulate_cache_jobs>` does).
     """
@@ -433,6 +431,9 @@ class _SetView:
 
 
 def _build_set_view(view: ColumnarTrace, lines_per_way: int) -> _SetView:
+    if len(view) == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return _SetView(empty, empty, empty, empty, empty)
     n = view.accesses
     indices = view.event_line % lines_per_way
     # the narrowest unsigned dtype lets NumPy's stable sort use radix

@@ -7,9 +7,9 @@ memoised across tests within a session.
 The hypothesis strategies below are the single source of randomized
 cache geometries and address/write-mix traces, shared by the cache
 property suites (``test_cache.py``, ``test_cache_vectorized.py``,
-``test_warm_replay.py``): every suite drives the same trace shapes, so a
-kernel change that survives one suite cannot dodge the others on
-distribution differences.
+``test_crossconfig_replay.py``, ``test_warm_replay.py``): every suite
+drives the same trace shapes, so a kernel change that survives one suite
+cannot dodge the others on distribution differences.
 """
 
 from __future__ import annotations
@@ -19,8 +19,10 @@ import pytest
 from hypothesis import strategies as st
 
 from repro.config import Replacement, base_configuration, leon_parameter_space
+from repro.isa.program import Program
 from repro.platform import LiquidPlatform
 from repro.workloads import ArithWorkload, BlastnWorkload, DrrWorkload, FragWorkload
+from repro.workloads.base import Workload
 
 # -- randomized cache geometries and traces (hypothesis strategies) ------------------------
 
@@ -94,6 +96,40 @@ def window_events_strategy(max_size=200):
     return st.lists(
         st.sampled_from([1, -1]), min_size=0, max_size=max_size,
     ).map(lambda events: np.asarray(events, dtype=np.int8))
+
+
+def assert_states_equal(state, other):
+    """Two :class:`~repro.microarch.cachekernel.KernelState` objects agree
+    bit for bit: tags, ages, FIFO pointers, tick and RANDOM stream position."""
+    np.testing.assert_array_equal(state.tags, other.tags)
+    np.testing.assert_array_equal(state.age, other.age)
+    np.testing.assert_array_equal(state.fifo, other.fifo)
+    assert state.tick == other.tick
+    assert state.rng.bit_generator.state == other.rng.bit_generator.state
+
+
+class ProgramWorkload(Workload):
+    """A workload around one assembled program, with nothing to verify.
+
+    Lets a test measure an ad-hoc program through
+    :meth:`LiquidPlatform.measure <repro.platform.LiquidPlatform.measure>`,
+    the one measurement path; the workload (and trace) name is the
+    program's.
+    """
+
+    def __init__(self, program: Program, **kwargs):
+        super().__init__(**kwargs)
+        self.name = program.name
+        self._given_program = program
+
+    def build_program(self) -> Program:
+        return self._given_program
+
+    def reference(self):
+        return {}
+
+    def extract_results(self, result):
+        return {}
 
 
 def to_arrays(trace):

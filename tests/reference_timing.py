@@ -27,7 +27,8 @@ import numpy as np
 from repro.config.configuration import Configuration
 from repro.fpga.synthesis import SynthesisModel
 from repro.isa.instructions import OpClass
-from repro.microarch.cache import Cache, CacheConfig, CacheStatistics
+from repro.microarch.cache import CacheConfig, CacheStatistics
+from repro.microarch.cachekernel import replay
 from repro.microarch.statistics import ExecutionStatistics
 from repro.microarch.timing import TimingParameters
 from repro.microarch.trace import ExecutionTrace
@@ -124,9 +125,8 @@ def evaluate_reference(
 
 
 def replay_geometry(workload, kind: str, geometry: CacheConfig) -> CacheStatistics:
-    """One cache replay: a fresh :class:`Cache` over the decoded trace view."""
-    view = workload.columnar_view(kind, geometry.linesize_bytes)
-    return Cache(geometry).simulate_view(view)
+    """One cold cache replay of the workload's decoded ``kind`` view."""
+    return replay(workload.columnar_view(kind, geometry.linesize_bytes), geometry)
 
 
 def cache_statistics(workload, config: Configuration) -> Tuple[CacheStatistics, CacheStatistics]:

@@ -1,4 +1,4 @@
-"""Tests for the set-associative cache models."""
+"""Tests for the set-associative cache geometry, statistics and replay behaviour."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,15 @@ from conftest import address_strategy
 
 from repro.config import Replacement, base_configuration
 from repro.errors import ConfigurationError
-from repro.microarch.cache import Cache, CacheConfig, CacheStatistics
+from repro.microarch.cache import CacheConfig, CacheStatistics
+from repro.microarch.cachekernel import decode_trace, simulate_many
 
 
 def simulate(config: CacheConfig, addresses, writes=None) -> CacheStatistics:
-    return Cache(config).simulate(np.asarray(addresses, dtype=np.int64), writes)
+    """Cold-cache statistics of one geometry through the production replay."""
+    view = decode_trace(np.asarray(addresses, dtype=np.int64), writes,
+                        linesize_bytes=config.linesize_bytes)
+    return simulate_many(view, [config])[0]
 
 
 class TestCacheConfig:

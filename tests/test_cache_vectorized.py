@@ -1,38 +1,48 @@
-"""Equivalence of the columnar cache kernel with the scalar reference.
+"""Equivalence of the columnar cache kernel with the per-access oracle.
 
-The kernel replay in :mod:`repro.microarch.cachekernel` must be
-bit-identical to the per-access reference loop
-(``Cache.simulate(vectorized=False)``) -- the hit/miss statistics
-field for field, the final tag/age/FIFO state, and the position of the
-seeded RANDOM victim stream -- for any trace (mixed reads and writes),
-any replacement policy and any associativity.  The hypothesis tests
-below drive randomized traces through the scalar oracles: the forced
-``simulate(vectorized=False)`` loop and, for the direct-mapped corner,
-the one-access-at-a-time ``Cache.access()`` API.
+The kernel replay in :mod:`repro.microarch.cachekernel` (the vectorized
+decode plus the compiled loop) must be bit-identical to the per-access
+reference loop ``reference_replay.simulate_accesses`` -- the hit/miss
+statistics field for field, the final tag/age/FIFO state, and the
+position of the seeded RANDOM victim stream -- for any trace (mixed
+reads and writes), any replacement policy and any associativity.  The
+hypothesis tests below drive randomized traces through the oracle whole
+and, for the direct-mapped corner, one access at a time.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from conftest import SET_ASSOCIATIVE_WAYS, geometry_strategy, to_arrays, trace_strategy
+from conftest import (
+    SET_ASSOCIATIVE_WAYS,
+    assert_states_equal,
+    geometry_strategy,
+    to_arrays,
+    trace_strategy,
+)
+from reference_replay import cold_state, simulate_accesses
 
 from repro.config import Replacement
-from repro.microarch.cache import Cache, CacheConfig
-from repro.microarch.cachekernel import decode_trace, simulate_many
+from repro.errors import ConfigurationError
+from repro.microarch.cache import CacheConfig
+from repro.microarch.cachekernel import decode_trace, fresh_state, replay, simulate_many
+
+
+def kernel_replay(config: CacheConfig, addresses, writes, state):
+    """Decode a raw trace and replay it through the kernel, mutating ``state``."""
+    view = decode_trace(addresses, writes, linesize_bytes=config.linesize_bytes)
+    return replay(view, config, state=state)
 
 
 def scalar_reference(config: CacheConfig, addresses, writes):
-    """Hit/miss counts via the single-access API (the slowest, simplest oracle)."""
-    cache = Cache(config)
+    """Hit/miss counts fed to the oracle one access at a time (the simplest form)."""
+    state = cold_state(config)
     read_misses = write_misses = 0
     for address, write in zip(addresses, writes):
-        hit = cache.access(int(address), write=bool(write))
-        if not hit:
-            if write:
-                write_misses += 1
-            else:
-                read_misses += 1
-    return read_misses, write_misses, cache._tags.copy()
+        stats = simulate_accesses(config, [address], [write], state)
+        read_misses += stats.read_misses
+        write_misses += stats.write_misses
+    return read_misses, write_misses, state.tags.copy()
 
 
 # wide addresses exercise tag widths; the shared default (1 << 10) forces conflicts
@@ -48,14 +58,14 @@ def test_direct_mapped_vectorized_matches_scalar_access_loop(geometry, trace):
 
     ref_read, ref_write, ref_tags = scalar_reference(config, addresses, writes)
 
-    vec_cache = Cache(config)
-    stats = vec_cache.simulate(addresses, writes, vectorized=True)
+    state = fresh_state(config)
+    stats = kernel_replay(config, addresses, writes, state)
 
     assert stats.read_misses == ref_read
     assert stats.write_misses == ref_write
     assert stats.accesses == len(trace)
     assert stats.write_accesses == int(writes.sum())
-    np.testing.assert_array_equal(vec_cache._tags, ref_tags)
+    np.testing.assert_array_equal(state.tags, ref_tags)
 
 
 @given(geometry=geometry, trace=traces)
@@ -64,33 +74,32 @@ def test_direct_mapped_vectorized_matches_forced_scalar_simulate(geometry, trace
     config = CacheConfig(**geometry)
     addresses, writes = to_arrays(trace)
 
-    scalar_cache = Cache(config)
-    scalar_stats = scalar_cache.simulate(addresses, writes, vectorized=False)
-    vec_cache = Cache(config)
-    vec_stats = vec_cache.simulate(addresses, writes)
+    scalar_state = cold_state(config)
+    scalar_stats = simulate_accesses(config, addresses, writes, scalar_state)
+    kernel_state = fresh_state(config)
+    kernel_stats = kernel_replay(config, addresses, writes, kernel_state)
 
-    assert vec_stats == scalar_stats
-    np.testing.assert_array_equal(vec_cache._tags, scalar_cache._tags)
+    assert kernel_stats == scalar_stats
+    np.testing.assert_array_equal(kernel_state.tags, scalar_state.tags)
+
+
+def replay_twice(simulate, config, state, trace_a, trace_b):
+    """Two back-to-back replays against one state; (statistics, state)."""
+    stats = [simulate(config, *to_arrays(trace), state) for trace in (trace_a, trace_b)]
+    return stats, state
 
 
 @given(trace_a=traces, trace_b=traces)
 @settings(max_examples=25, deadline=None)
 def test_vectorized_path_preserves_state_across_calls(trace_a, trace_b):
-    """Back-to-back simulate() calls must see the tag store left by the first."""
+    """Back-to-back replays must see the tag store left by the first."""
     config = CacheConfig(ways=1, setsize_kb=1, linesize_words=4)
-
-    def run(vectorized):
-        cache = Cache(config)
-        out = []
-        for trace in (trace_a, trace_b):
-            addresses, writes = to_arrays(trace)
-            out.append(cache.simulate(addresses, writes, vectorized=vectorized))
-        return out, cache._tags.copy()
-
-    vec_stats, vec_tags = run(vectorized=True)
-    ref_stats, ref_tags = run(vectorized=False)
-    assert vec_stats == ref_stats
-    np.testing.assert_array_equal(vec_tags, ref_tags)
+    kernel_stats, kernel_state = replay_twice(
+        kernel_replay, config, fresh_state(config), trace_a, trace_b)
+    ref_stats, ref_state = replay_twice(
+        simulate_accesses, config, cold_state(config), trace_a, trace_b)
+    assert kernel_stats == ref_stats
+    np.testing.assert_array_equal(kernel_state.tags, ref_state.tags)
 
 
 def test_read_only_trace_uses_direct_mapped_path():
@@ -99,7 +108,8 @@ def test_read_only_trace_uses_direct_mapped_path():
     # two lines mapping to the same index, accessed alternately: all misses
     stride = config.lines_per_way * config.linesize_bytes
     addresses = np.asarray([0, stride] * 10, dtype=np.int64)
-    stats = Cache(config).simulate(addresses)
+    view = decode_trace(addresses, linesize_bytes=config.linesize_bytes)
+    stats = simulate_many(view, [config])[0]
     assert stats.read_misses == 20
     assert stats.hits == 0
 
@@ -112,16 +122,6 @@ set_associative_geometry = geometry_strategy(ways=SET_ASSOCIATIVE_WAYS)
 mixed_traces = trace_strategy()
 
 
-def assert_state_identical(kernel_cache, scalar_cache):
-    """Every replacement-relevant piece of cache state must match bit for bit."""
-    np.testing.assert_array_equal(kernel_cache._tags, scalar_cache._tags)
-    np.testing.assert_array_equal(kernel_cache._age, scalar_cache._age)
-    np.testing.assert_array_equal(kernel_cache._fifo, scalar_cache._fifo)
-    assert kernel_cache._tick == scalar_cache._tick
-    assert (kernel_cache._rng.bit_generator.state
-            == scalar_cache._rng.bit_generator.state)
-
-
 @given(geometry=set_associative_geometry, trace=mixed_traces)
 @settings(max_examples=120, deadline=None)
 def test_set_associative_kernel_matches_scalar_reference(geometry, trace):
@@ -129,39 +129,32 @@ def test_set_associative_kernel_matches_scalar_reference(geometry, trace):
     config = CacheConfig(**geometry)
     addresses, writes = to_arrays(trace)
 
-    scalar_cache = Cache(config)
-    scalar_stats = scalar_cache.simulate(addresses, writes, vectorized=False)
-    kernel_cache = Cache(config)
-    kernel_stats = kernel_cache.simulate(addresses, writes)
+    scalar_state = cold_state(config)
+    scalar_stats = simulate_accesses(config, addresses, writes, scalar_state)
+    kernel_state = fresh_state(config)
+    kernel_stats = kernel_replay(config, addresses, writes, kernel_state)
 
     assert kernel_stats == scalar_stats  # dataclass equality: every field
-    assert_state_identical(kernel_cache, scalar_cache)
+    assert_states_equal(kernel_state, scalar_state)
 
 
 @given(geometry=set_associative_geometry, trace_a=mixed_traces, trace_b=mixed_traces)
 @settings(max_examples=40, deadline=None)
 def test_set_associative_kernel_preserves_state_across_calls(geometry, trace_a, trace_b):
-    """Back-to-back simulate() calls must see the warm state left by the first."""
+    """Back-to-back replays must see the warm state left by the first."""
     config = CacheConfig(**geometry)
-
-    def run(vectorized):
-        cache = Cache(config)
-        out = []
-        for trace in (trace_a, trace_b):
-            addresses, writes = to_arrays(trace)
-            out.append(cache.simulate(addresses, writes, vectorized=vectorized))
-        return out, cache
-
-    kernel_stats, kernel_cache = run(vectorized=None)
-    scalar_stats, scalar_cache = run(vectorized=False)
+    kernel_stats, kernel_state = replay_twice(
+        kernel_replay, config, fresh_state(config), trace_a, trace_b)
+    scalar_stats, scalar_state = replay_twice(
+        simulate_accesses, config, cold_state(config), trace_a, trace_b)
     assert kernel_stats == scalar_stats
-    assert_state_identical(kernel_cache, scalar_cache)
+    assert_states_equal(kernel_state, scalar_state)
 
 
 @given(trace=mixed_traces)
 @settings(max_examples=25, deadline=None)
 def test_simulate_many_matches_fresh_per_config_simulation(trace):
-    """One decoded view replayed against many geometries == N fresh caches."""
+    """One decoded view replayed against many geometries == N cold oracles."""
     addresses, writes = to_arrays(trace)
     configs = [
         CacheConfig(ways=ways, setsize_kb=size, linesize_words=8, replacement=policy)
@@ -171,10 +164,7 @@ def test_simulate_many_matches_fresh_per_config_simulation(trace):
     ]
     view = decode_trace(addresses, writes, linesize_bytes=32)
     batched = simulate_many(view, configs)
-    reference = [
-        Cache(config).simulate(addresses, writes, vectorized=False)
-        for config in configs
-    ]
+    reference = [simulate_accesses(config, addresses, writes) for config in configs]
     assert batched == reference
 
 
@@ -187,14 +177,14 @@ def test_decoded_view_compresses_consecutive_same_line_runs():
     assert len(view) == 32  # one event per 8-word line
     assert view.compression == pytest.approx(8.0)
     stats = simulate_many(view, [config])[0]
-    assert stats == Cache(config).simulate(addresses, vectorized=False)
+    assert stats == simulate_accesses(config, addresses)
 
 
 def test_kernel_rejects_mismatched_linesize_view():
     config = CacheConfig(ways=2, setsize_kb=1, linesize_words=8)
     view = decode_trace(np.asarray([0, 4, 8], dtype=np.int64), linesize_bytes=16)
-    with pytest.raises(Exception):
-        Cache(config).simulate_view(view)
+    with pytest.raises(ConfigurationError):
+        replay(view, config)
 
 
 @pytest.mark.parametrize("geometry", [
@@ -209,16 +199,19 @@ def test_kernel_matches_scalar_on_all_paper_workload_traces(small_workload_map,
 
     Both the instruction-fetch stream (read-only, long same-line runs)
     and the data stream (mixed loads/stores, write-through no-allocate)
-    of every paper workload must replay bit-identically.
+    of every paper workload must replay bit-identically from the
+    workload's own cached columnar views, the ones measurements replay.
     """
     config = CacheConfig(**geometry)
     for name, workload in small_workload_map.items():
         trace = workload.trace()
-        for addresses, writes in ((trace.pcs, None),
-                                  (trace.data_addresses, trace.data_is_write)):
-            scalar_cache = Cache(config)
-            scalar_stats = scalar_cache.simulate(addresses, writes, vectorized=False)
-            kernel_cache = Cache(config)
-            kernel_stats = kernel_cache.simulate(addresses, writes)
+        for kind, addresses, writes in (
+                ("icache", trace.pcs, None),
+                ("dcache", trace.data_addresses, trace.data_is_write)):
+            scalar_state = cold_state(config)
+            scalar_stats = simulate_accesses(config, addresses, writes, scalar_state)
+            kernel_state = fresh_state(config)
+            kernel_stats = replay(workload.columnar_view(kind, config.linesize_bytes),
+                                  config, state=kernel_state)
             assert kernel_stats == scalar_stats, f"kernel diverged on {name}"
-            assert_state_identical(kernel_cache, scalar_cache)
+            assert_states_equal(kernel_state, scalar_state)

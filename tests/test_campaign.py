@@ -96,7 +96,7 @@ class TestClaiming:
             grid.register(arith_small, grid_configs(base_config, 3))
             rows = grid.claim("w1", batch=3)
             assert all(row.attempts == 1 for row in rows)
-            grid.release([row.rowid for row in rows])
+            grid.release([row.rowid for row in rows], "w1")
             # a clean hand-back does not burn the attempt budget
             assert all(row.attempts == 1
                        for row in grid.claim("w2", batch=3))
@@ -158,6 +158,24 @@ class TestCrashRecovery:
             # the vanished worker's attempt stayed burnt (no refund)
             assert all(row[2] >= 1 for row in grid._conn.execute(
                 "SELECT id, status, attempts FROM experiments"))
+
+    def test_expired_worker_cannot_fail_or_release_reclaimed_rows(
+            self, tmp_path, base_config, arith_small):
+        """Once a lease expires and another worker reclaims the rows, the
+        first worker's failure or hand-back touches nothing: the rows
+        settle only as their current holder says."""
+        with CampaignGrid(str(tmp_path / "grid.sqlite")) as grid:
+            grid.register(arith_small, grid_configs(base_config, 4))
+            ids = sorted(row.rowid for row in grid.claim("A", batch=4))
+            assert len(ids) == 4
+            assert grid.reclaim_stale(0.0) == 4
+            assert sorted(row.rowid for row in grid.claim("B", batch=4)) == ids
+            assert grid.mark_failed(ids, "A", "boom") == 0
+            assert grid.release(ids, "A") == 0
+            assert grid.mark_done(ids, "B") == 4
+            counts = grid.status()
+            assert counts[STATUS_DONE] == 4
+            assert counts[STATUS_FAILED] == 0
 
     def test_unexpired_lease_is_respected(self, tmp_path, base_config,
                                           arith_small):
@@ -374,11 +392,11 @@ class TestAttemptAccountingAtTheCap:
             grid.register(arith_small, grid_configs(base_config, 2))
             rows = grid.claim("w1", batch=100)
             ids = [row.rowid for row in rows]
-            assert grid.release(ids) == 2
+            assert grid.release(ids, "w1") == 2
             assert set(self._attempts(grid).values()) == {0}
             # releasing rows that are no longer claimed is a no-op, not
             # a second refund driving the counter negative
-            assert grid.release(ids) == 0
+            assert grid.release(ids, "w1") == 0
             assert grid.release_worker("w1") == 0
             assert set(self._attempts(grid).values()) == {0}
             # even a row whose counter was never bumped (crash between
@@ -402,7 +420,7 @@ class TestAttemptAccountingAtTheCap:
             rows = grid.claim("w2", batch=100, max_attempts=cap)
             assert len(rows) == 2                       # attempts: 2 (at cap)
             assert set(self._attempts(grid).values()) == {cap}
-            assert grid.release([row.rowid for row in rows]) == 2  # refund: 1
+            assert grid.release([row.rowid for row in rows], "w2") == 2  # refund: 1
             assert set(self._attempts(grid).values()) == {1}
             # the refunded attempt is claimable again, back to the cap
             rows = grid.claim("w3", batch=100, max_attempts=cap)

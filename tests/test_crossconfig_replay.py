@@ -3,7 +3,7 @@
 Every replay runs through one compiled C loop
 (:mod:`repro.microarch.native`).  It must be indistinguishable from
 
-* the scalar per-access loop, ``Cache.simulate(vectorized=False)``, and
+* the scalar per-access loop, ``reference_replay.simulate_accesses``, and
 * the per-event Python loop it was ported from
   (``reference_replay.replay_events_loop``),
 
@@ -18,12 +18,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import ALL_WAYS, to_arrays, trace_strategy
-from reference_replay import reference_replay
+from conftest import ALL_WAYS, assert_states_equal, to_arrays, trace_strategy
+from reference_replay import cold_state, reference_replay, simulate_accesses
 
 from repro.config import Replacement
 from repro.errors import ConfigurationError, ReplayKernelError
-from repro.microarch.cache import Cache, CacheConfig
+from repro.microarch.cache import CacheConfig
 from repro.microarch.cachekernel import (
     KernelState,
     decode_trace,
@@ -54,36 +54,17 @@ def config_batch_strategy(min_size=2, max_size=6, ways=ALL_WAYS,
         CacheConfig(linesize_words=drawn[0], **g) for g in drawn[1]])
 
 
-def scalar_oracle(config, addresses, writes):
-    """The forced scalar loop: statistics plus the full final cache."""
-    cache = Cache(config)
-    stats = cache.simulate(addresses, writes, vectorized=False)
-    return stats, cache
-
-
-def assert_states_equal(state, other):
-    """Two kernel states (or a state and a Cache's stores) agree bit for bit."""
-    tags, age, fifo, tick, rng = (
-        (other._tags, other._age, other._fifo, other._tick, other._rng)
-        if isinstance(other, Cache)
-        else (other.tags, other.age, other.fifo, other.tick, other.rng))
-    np.testing.assert_array_equal(state.tags, tags)
-    np.testing.assert_array_equal(state.age, age)
-    np.testing.assert_array_equal(state.fifo, fifo)
-    assert state.tick == tick
-    assert state.rng.bit_generator.state == rng.bit_generator.state
-
-
 def assert_matches_both_oracles(config, addresses, writes):
     """Compiled replay == event-loop oracle == scalar oracle, state included."""
     view = decode_trace(addresses, writes, linesize_bytes=config.linesize_bytes)
     compiled_state, python_state = fresh_state(config), fresh_state(config)
     compiled = replay(view, config, state=compiled_state)
     python = reference_replay(view, config, python_state)
-    ref_stats, ref_cache = scalar_oracle(config, addresses, writes)
-    assert compiled == python == ref_stats
+    scalar_state = cold_state(config)
+    scalar = simulate_accesses(config, addresses, writes, scalar_state)
+    assert compiled == python == scalar
     assert_states_equal(compiled_state, python_state)
-    assert_states_equal(compiled_state, ref_cache)
+    assert_states_equal(compiled_state, scalar_state)
 
 
 # -- single geometries against both oracles ----------------------------------------------
@@ -129,12 +110,13 @@ def test_warm_chains_match_both_oracles(configs, trace, cuts):
         compiled, state = replay_chain(views, config)
         python_state = fresh_state(config)
         python = [reference_replay(view, config, python_state) for view in views]
-        oracle = Cache(config)
-        scalar = [oracle.simulate(addresses[lo:hi], writes[lo:hi], vectorized=False)
+        scalar_state = cold_state(config)
+        scalar = [simulate_accesses(config, addresses[lo:hi], writes[lo:hi],
+                                    scalar_state)
                   for lo, hi in zip(bounds, bounds[1:])]
         assert compiled == python == scalar
         assert_states_equal(state, python_state)
-        assert_states_equal(state, oracle)
+        assert_states_equal(state, scalar_state)
 
 
 # -- batches -----------------------------------------------------------------------------
@@ -147,7 +129,7 @@ def test_crossconfig_batch_matches_scalar_oracle(configs, trace):
     view = decode_trace(addresses, writes,
                         linesize_bytes=configs[0].linesize_bytes)
     assert simulate_many(view, configs) == [
-        scalar_oracle(config, addresses, writes)[0] for config in configs]
+        simulate_accesses(config, addresses, writes) for config in configs]
 
 
 @given(configs=config_batch_strategy(min_size=2, max_size=5),
@@ -228,6 +210,18 @@ def test_crossconfig_empty_trace_yields_cold_states():
         replay(view, config, state=state)
         assert (state.tags == -1).all()
         assert state.tick == 0
+
+
+def test_set_view_of_an_eventless_trace_is_empty(arith_small):
+    """Arith makes no data accesses, so its dcache view has no events."""
+    views = [arith_small.trace().columnar_view("dcache", 32),
+             decode_trace(np.asarray([], dtype=np.int64), linesize_bytes=16)]
+    for view in views:
+        assert len(view) == 0
+        set_view = view.set_view(32)
+        for column in (set_view.set_index, set_view.tag, set_view.first_read,
+                       set_view.last_pos, set_view.w_pre):
+            assert column.shape == (0,)
 
 
 def test_batch_rejects_mismatched_linesize():

@@ -6,7 +6,10 @@ randomized.  This suite pins the *absolute* hit/miss numbers of a small
 fixed configuration grid per workload in a committed JSON fixture, so a
 kernel refactor that silently changes results -- e.g. by perturbing the
 seeded RANDOM victim stream -- fails fast and points at the exact
-(workload, cache, configuration) cell that moved.
+(workload, cache, configuration) cell that moved.  The numbers come from
+:meth:`LiquidPlatform.simulate_cache_jobs
+<repro.platform.liquid.LiquidPlatform.simulate_cache_jobs>`, the replay
+every measurement uses.
 
 It also pins the trace fingerprint of each workload, at test size and at
 the default (standard) size, keyed by ``SIMULATOR_VERSION``.  Result
@@ -33,8 +36,9 @@ import pathlib
 import pytest
 
 from repro.config import Replacement
-from repro.microarch.cache import Cache, CacheConfig
+from repro.microarch.cache import CacheConfig
 from repro.microarch.functional import SIMULATOR_VERSION
+from repro.platform import LiquidPlatform
 from repro.workloads import standard_workloads
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "cache_golden.json"
@@ -68,20 +72,20 @@ def stats_dict(stats) -> dict:
 
 
 def compute_golden(workloads) -> dict:
+    platform = LiquidPlatform()
     golden = {}
     for name, workload in sorted(workloads.items()):
-        trace = workload.trace()
-        per_workload = {}
-        for config in GOLDEN_CONFIGS:
-            icache = Cache(config).simulate(trace.pcs)
-            dcache = Cache(config).simulate(trace.data_addresses, trace.data_is_write)
-            per_workload[config_label(config)] = {
-                "icache": stats_dict(icache),
-                "dcache": stats_dict(dcache),
-            }
+        key = workload.fingerprint()
+        jobs = [(key, kind, config)
+                for config in GOLDEN_CONFIGS for kind in ("icache", "dcache")]
+        runs = platform.simulate_cache_jobs(workload, jobs)
         golden[name] = {
-            "instructions": trace.instruction_count,
-            "configs": per_workload,
+            "instructions": workload.trace().instruction_count,
+            "configs": {
+                config_label(config): {
+                    kind: stats_dict(runs[(key, kind, config)])
+                    for kind in ("icache", "dcache")}
+                for config in GOLDEN_CONFIGS},
         }
     return golden
 

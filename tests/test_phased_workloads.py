@@ -16,7 +16,6 @@ from reference_timing import reference_measurements
 from repro.config import base_configuration
 from repro.engine import ParallelEvaluator
 from repro.errors import ConfigurationError
-from repro.microarch.cache import Cache, CacheConfig
 from repro.platform import LiquidPlatform, PhasedMeasurement
 from repro.workloads import (
     ArithWorkload,
@@ -227,21 +226,3 @@ class TestPhasedMeasurement:
         assert warm.misses < cold.misses, (
             "resuming blastn after a context switch should reuse cached state")
 
-
-class TestCacheLevelPhases:
-    def test_simulate_phases_accepts_views_and_arrays(self, drr_small):
-        trace = drr_small.trace()
-        config = CacheConfig(ways=2, setsize_kb=1, linesize_words=4)
-        n = len(trace.data_addresses)
-        phases = [(trace.data_addresses[:n // 2], trace.data_is_write[:n // 2]),
-                  (trace.data_addresses[n // 2:], trace.data_is_write[n // 2:])]
-
-        by_arrays = Cache(config).simulate_phases(phases)
-        from repro.microarch.cachekernel import decode_trace
-        views = [decode_trace(a, w, linesize_bytes=config.linesize_bytes)
-                 for a, w in phases]
-        by_views = Cache(config).simulate_phases(views)
-        assert by_arrays == by_views
-
-        single = Cache(config).simulate(trace.data_addresses, trace.data_is_write)
-        assert sum(s.misses for s in by_arrays) == single.misses

@@ -1,10 +1,17 @@
-"""Tests for the ProcessorModel facade (caches + timing on whole programs)."""
+"""Whole programs measured on the LEON processor model through the platform.
+
+Each test wraps an assembled program in a ``ProgramWorkload`` and
+measures it with :meth:`LiquidPlatform.measure
+<repro.platform.LiquidPlatform.measure>`, the one measurement path
+(functional simulation, cache replay, broadcast timing).
+"""
 
 import pytest
+from conftest import ProgramWorkload
 
-from repro.config import base_configuration
 from repro.isa import Assembler
-from repro.microarch import ProcessorModel
+from repro.microarch.timing import evaluate_many
+from repro.platform import LiquidPlatform
 
 
 @pytest.fixture(scope="module")
@@ -25,37 +32,46 @@ def program():
     return asm.assemble()
 
 
+def run(program, config):
+    """A fresh workload and platform; (functional result, statistics)."""
+    workload = ProgramWorkload(program)
+    measurement = LiquidPlatform().measure(workload, config)
+    return workload.run_functional(), measurement.statistics
+
+
 class TestProcessorModel:
     def test_run_program_produces_consistent_results(self, program, base_config):
-        run = ProcessorModel(base_config).run_program(program)
-        assert run.functional.register("g2") == sum(range(256))
-        assert run.statistics.cycles > run.statistics.instruction_count
-        assert run.statistics.workload == "processor-test"
+        functional, statistics = run(program, base_config)
+        assert functional.register("g2") == sum(range(256))
+        assert statistics.cycles > statistics.instruction_count
+        assert statistics.workload == "processor-test"
 
     def test_cache_statistics_reflect_the_access_stream(self, program, base_config):
-        run = ProcessorModel(base_config).run_program(program)
+        _, statistics = run(program, base_config)
         # 256 sequential word loads over 1 KB: one miss per 32-byte line
-        assert run.statistics.dcache is not None
-        assert run.statistics.dcache.read_misses == 1024 // 32
-        assert run.statistics.icache is not None
-        assert run.statistics.icache.read_misses >= 1
+        assert statistics.dcache is not None
+        assert statistics.dcache.read_misses == 1024 // 32
+        assert statistics.icache is not None
+        assert statistics.icache.read_misses >= 1
 
     def test_evaluate_accepts_precomputed_cache_statistics(self, program, base_config):
-        model = ProcessorModel(base_config)
-        trace = model.run_program(program).functional.trace
-        cache_stats = model.simulate_caches(trace)
-        direct = model.evaluate(trace)
-        reused = model.evaluate(trace, cache_stats)
-        assert direct.cycles == reused.cycles
+        """The measurement == the timing model over separately replayed caches."""
+        workload = ProgramWorkload(program)
+        measured = LiquidPlatform().measure(workload, base_config).statistics
+        platform = LiquidPlatform()
+        [(ikey, dkey)], jobs = platform.cache_plan(workload, [base_config])
+        runs = platform.simulate_cache_jobs(workload, jobs)
+        [evaluated] = evaluate_many(workload.trace(), [base_config],
+                                    [(runs[ikey], runs[dkey])])
+        assert evaluated == measured
 
     def test_different_configurations_share_functional_behaviour(self, program, base_config):
-        fast = ProcessorModel(base_config.replace(dcache_fast_read=True)).run_program(program)
-        slow = ProcessorModel(base_config).run_program(program)
-        assert fast.functional.register("g2") == slow.functional.register("g2")
-        assert fast.statistics.cycles < slow.statistics.cycles
+        fast_functional, fast = run(program, base_config.replace(dcache_fast_read=True))
+        slow_functional, slow = run(program, base_config)
+        assert fast_functional.register("g2") == slow_functional.register("g2")
+        assert fast.cycles < slow.cycles
 
     def test_smaller_line_size_lowers_miss_penalty_but_raises_misses(self, program, base_config):
-        long_lines = ProcessorModel(base_config).run_program(program).statistics
-        short_lines = ProcessorModel(
-            base_config.replace(dcache_linesize_words=4)).run_program(program).statistics
+        _, long_lines = run(program, base_config)
+        _, short_lines = run(program, base_config.replace(dcache_linesize_words=4))
         assert short_lines.dcache.read_misses > long_lines.dcache.read_misses

@@ -2,19 +2,15 @@
 
 import numpy as np
 import pytest
+from conftest import ProgramWorkload
 
-from repro.config import base_configuration
 from repro.isa import Assembler
-from repro.microarch import (
-    FunctionalSimulator,
-    ProcessorModel,
-    TimingParameters,
-    count_window_traps,
-)
+from repro.microarch import TimingParameters, count_window_traps
+from repro.platform import LiquidPlatform
 
 
 @pytest.fixture(scope="module")
-def memory_trace():
+def memory_workload():
     """A small program with loads, stores, multiplies, branches and a call."""
     asm = Assembler("timing")
     asm.data_label("buffer")
@@ -34,11 +30,19 @@ def memory_trace():
     asm.label("leaf")
     asm.save(96)
     asm.ret()
-    return FunctionalSimulator(asm.assemble()).run().trace
+    return ProgramWorkload(asm.assemble())
 
 
-def cycles(config, trace):
-    return ProcessorModel(config).evaluate(trace).cycles
+@pytest.fixture(scope="module")
+def measure(memory_workload):
+    """Statistics of the memory workload on one configuration (one platform)."""
+    platform = LiquidPlatform()
+    return lambda config: platform.measure(memory_workload, config).statistics
+
+
+@pytest.fixture(scope="module")
+def cycles(measure):
+    return lambda config: measure(config).cycles
 
 
 class TestWindowTraps:
@@ -91,55 +95,46 @@ class TestTimingParameters:
 class TestConfigurationEffects:
     """Each runtime-relevant parameter must move the cycle count in the right direction."""
 
-    def test_cycles_equal_breakdown_sum(self, memory_trace, base_config):
-        stats = ProcessorModel(base_config).evaluate(memory_trace)
+    def test_cycles_equal_breakdown_sum(self, measure, memory_workload, base_config):
+        stats = measure(base_config)
         assert stats.cycles == sum(stats.cycle_breakdown.values())
-        assert stats.instruction_count == len(memory_trace)
+        assert stats.instruction_count == len(memory_workload.trace())
         assert stats.cpi >= 1.0
 
-    def test_faster_multiplier_reduces_cycles(self, memory_trace, base_config):
-        slow = cycles(base_config.replace(multiplier="iterative"), memory_trace)
-        default = cycles(base_config, memory_trace)
-        fast = cycles(base_config.replace(multiplier="m32x32"), memory_trace)
+    def test_faster_multiplier_reduces_cycles(self, cycles, base_config):
+        slow = cycles(base_config.replace(multiplier="iterative"))
+        default = cycles(base_config)
+        fast = cycles(base_config.replace(multiplier="m32x32"))
         assert fast < default < slow
 
-    def test_removing_divider_only_hurts_divides(self, memory_trace, base_config):
+    def test_removing_divider_only_hurts_divides(self, cycles, base_config):
         # the trace contains no divides, so removing the divider is free
-        assert cycles(base_config.replace(divider="none"), memory_trace) == cycles(
-            base_config, memory_trace)
+        assert cycles(base_config.replace(divider="none")) == cycles(base_config)
 
-    def test_fast_read_and_write_reduce_cycles(self, memory_trace, base_config):
-        assert cycles(base_config.replace(dcache_fast_read=True), memory_trace) < cycles(
-            base_config, memory_trace)
-        assert cycles(base_config.replace(dcache_fast_write=True), memory_trace) < cycles(
-            base_config, memory_trace)
+    def test_fast_read_and_write_reduce_cycles(self, cycles, base_config):
+        assert cycles(base_config.replace(dcache_fast_read=True)) < cycles(base_config)
+        assert cycles(base_config.replace(dcache_fast_write=True)) < cycles(base_config)
 
-    def test_load_delay_two_penalises_load_use(self, memory_trace, base_config):
-        assert cycles(base_config.replace(load_delay=2), memory_trace) > cycles(
-            base_config, memory_trace)
+    def test_load_delay_two_penalises_load_use(self, cycles, base_config):
+        assert cycles(base_config.replace(load_delay=2)) > cycles(base_config)
 
-    def test_disabling_fast_jump_increases_cycles(self, memory_trace, base_config):
-        assert cycles(base_config.replace(fast_jump=False), memory_trace) > cycles(
-            base_config, memory_trace)
+    def test_disabling_fast_jump_increases_cycles(self, cycles, base_config):
+        assert cycles(base_config.replace(fast_jump=False)) > cycles(base_config)
 
-    def test_disabling_icc_hold_increases_cycles(self, memory_trace, base_config):
-        assert cycles(base_config.replace(icc_hold=False), memory_trace) > cycles(
-            base_config, memory_trace)
+    def test_disabling_icc_hold_increases_cycles(self, cycles, base_config):
+        assert cycles(base_config.replace(icc_hold=False)) > cycles(base_config)
 
-    def test_disabling_fast_decode_increases_cycles(self, memory_trace, base_config):
-        assert cycles(base_config.replace(fast_decode=False), memory_trace) > cycles(
-            base_config, memory_trace)
+    def test_disabling_fast_decode_increases_cycles(self, cycles, base_config):
+        assert cycles(base_config.replace(fast_decode=False)) > cycles(base_config)
 
-    def test_register_windows_do_not_hurt_shallow_code(self, memory_trace, base_config):
-        assert cycles(base_config.replace(register_windows=32), memory_trace) == cycles(
-            base_config, memory_trace)
+    def test_register_windows_do_not_hurt_shallow_code(self, cycles, base_config):
+        assert cycles(base_config.replace(register_windows=32)) == cycles(base_config)
 
-    def test_infer_mult_div_has_no_runtime_effect(self, memory_trace, base_config):
-        assert cycles(base_config.replace(infer_mult_div=False), memory_trace) == cycles(
-            base_config, memory_trace)
+    def test_infer_mult_div_has_no_runtime_effect(self, cycles, base_config):
+        assert cycles(base_config.replace(infer_mult_div=False)) == cycles(base_config)
 
-    def test_statistics_summary_and_seconds(self, memory_trace, base_config):
-        stats = ProcessorModel(base_config).evaluate(memory_trace)
+    def test_statistics_summary_and_seconds(self, measure, base_config):
+        stats = measure(base_config)
         assert stats.seconds > 0
         assert "cycles" in stats.summary()
         assert stats.runtime_delta_percent(stats) == 0.0

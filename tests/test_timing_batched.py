@@ -25,7 +25,6 @@ from reference_timing import (
 from repro.config import REGISTER_WINDOW_COUNTS, Replacement, base_configuration
 from repro.config.leon_space import Divider, Multiplier
 from repro.engine import ParallelEvaluator
-from repro.microarch.processor import ProcessorModel
 from repro.microarch.timing import TimingParameters, count_window_traps, evaluate_many
 from repro.platform import LiquidPlatform
 from repro.workloads import ArithWorkload
@@ -113,8 +112,6 @@ def test_evaluate_many_matches_reference(arith_small, configs):
         assert dict(result.cycle_breakdown) == dict(reference.cycle_breakdown)
         assert (result.window_overflows, result.window_underflows) == \
             (reference.window_overflows, reference.window_underflows)
-        # a single configuration is a grid of one
-        assert ProcessorModel(config).evaluate(trace, pair) == reference
 
 
 def test_evaluate_many_all_workloads(small_workload_map, base_config):

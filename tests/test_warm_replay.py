@@ -3,10 +3,10 @@
 The hard guarantee of :func:`~repro.microarch.cachekernel.replay_chain`
 is that cutting a trace into phases and replaying them against one
 continuously-warm cache changes *nothing* observable: the per-phase
-statistics match a scalar :class:`Cache` fed phase by phase (the warm
-oracle), their totals match the single-shot replay of the concatenated
-trace, and the final tag/age/FIFO state and the seeded RANDOM victim
-stream are identical -- for every associativity (1..4 ways), every
+statistics match the per-access oracle fed phase by phase against one
+state (the warm oracle), their totals match the single-shot replay of
+the concatenated trace, and the final tag/age/FIFO state and the seeded
+RANDOM victim stream are identical -- for every associativity (1..4 ways), every
 replacement policy and arbitrary mixed read/write traces with arbitrary
 cut points (including empty phases and cuts through same-line runs).
 """
@@ -14,11 +14,18 @@ cut points (including empty phases and cuts through same-line runs).
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from conftest import ALL_WAYS, geometry_strategy, to_arrays, trace_strategy
+from conftest import (
+    ALL_WAYS,
+    assert_states_equal,
+    geometry_strategy,
+    to_arrays,
+    trace_strategy,
+)
+from reference_replay import cold_state, simulate_accesses
 
 from repro.config import Replacement
 from repro.errors import ConfigurationError
-from repro.microarch.cache import Cache, CacheConfig
+from repro.microarch.cache import CacheConfig
 from repro.microarch.cachekernel import (
     decode_trace,
     fresh_state,
@@ -53,13 +60,12 @@ def phase_views(addresses, writes, bounds, linesize_bytes):
     ]
 
 
-def assert_state_matches_cache(state, cache):
-    """Kernel chain state must equal a Cache's stores bit for bit."""
-    np.testing.assert_array_equal(state.tags, cache._tags)
-    np.testing.assert_array_equal(state.age, cache._age)
-    np.testing.assert_array_equal(state.fifo, cache._fifo)
-    assert state.tick == cache._tick
-    assert state.rng.bit_generator.state == cache._rng.bit_generator.state
+def warm_oracle(config, addresses, writes, bounds):
+    """The per-access oracle fed phase by phase against one state."""
+    state = cold_state(config)
+    stats = [simulate_accesses(config, addresses[lo:hi], writes[lo:hi], state)
+             for lo, hi in zip(bounds, bounds[1:])]
+    return stats, state
 
 
 @given(geometry=any_geometry, phased=phased_trace())
@@ -73,14 +79,10 @@ def test_replay_chain_matches_scalar_warm_oracle(geometry, phased):
     views = phase_views(addresses, writes, bounds, config.linesize_bytes)
     chain_stats, state = replay_chain(views, config)
 
-    oracle = Cache(config)
-    oracle_stats = [
-        oracle.simulate(addresses[lo:hi], writes[lo:hi], vectorized=False)
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
+    oracle_stats, oracle_state = warm_oracle(config, addresses, writes, bounds)
 
     assert chain_stats == oracle_stats  # per-phase, field for field
-    assert_state_matches_cache(state, oracle)
+    assert_states_equal(state, oracle_state)
 
 
 @given(geometry=any_geometry, phased=phased_trace())
@@ -136,30 +138,6 @@ def test_replay_chain_state_extends_across_calls(geometry, phased):
 
 @given(geometry=any_geometry, phased=phased_trace(max_cuts=3))
 @settings(max_examples=60, deadline=None)
-def test_cache_simulate_phases_matches_chain_and_sequential_simulate(geometry, phased):
-    """The Cache-level phase API == replay_chain == repeated simulate()."""
-    config = CacheConfig(**geometry)
-    trace, bounds = phased
-    addresses, writes = to_arrays(trace)
-    phases = [(addresses[lo:hi], writes[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-
-    phased_cache = Cache(config)
-    phased_stats = phased_cache.simulate_phases(phases)
-
-    views = phase_views(addresses, writes, bounds, config.linesize_bytes)
-    chain_stats, state = replay_chain(views, config)
-    assert phased_stats == chain_stats
-    np.testing.assert_array_equal(phased_cache._tags, state.tags)
-
-    sequential_cache = Cache(config)
-    sequential_stats = [sequential_cache.simulate(a, w) for a, w in phases]
-    assert phased_stats == sequential_stats
-    np.testing.assert_array_equal(phased_cache._tags, sequential_cache._tags)
-    np.testing.assert_array_equal(phased_cache._age, sequential_cache._age)
-
-
-@given(geometry=any_geometry, phased=phased_trace(max_cuts=3))
-@settings(max_examples=60, deadline=None)
 def test_replay_phases_cold_equals_fresh_per_phase_replays(geometry, phased):
     """PhaseReplay.cold restarts each phase; .warm is the chain; totals agree."""
     config = CacheConfig(**geometry)
@@ -171,7 +149,9 @@ def test_replay_phases_cold_equals_fresh_per_phase_replays(geometry, phased):
     assert list(result.warm) == replay_chain(views, config)[0]
     assert list(result.cold) == [replay(view, config) for view in views]
 
-    single = Cache(config).simulate(addresses, writes)
+    single = simulate_many(
+        decode_trace(addresses, writes, linesize_bytes=config.linesize_bytes),
+        [config])[0]
     assert result.warm_total() == single
 
 
@@ -205,11 +185,10 @@ def test_empty_phases_do_not_disturb_the_chain(replacement):
     chain_stats, state = replay_chain([empty, full, empty], config)
     assert chain_stats[0].accesses == 0 and chain_stats[2].accesses == 0
 
-    single_cache = Cache(config)
-    single = single_cache.simulate(addresses, writes)
+    single_state = fresh_state(config)
+    single = replay(full, config, state=single_state)
     assert chain_stats[1] == single
-    np.testing.assert_array_equal(state.tags, single_cache._tags)
-    assert state.rng.bit_generator.state == single_cache._rng.bit_generator.state
+    assert_states_equal(state, single_state)
 
 
 @pytest.mark.parametrize("geometry", [
@@ -237,15 +216,12 @@ def test_chain_matches_warm_oracle_on_paper_workload_traces(small_workload_map,
         views = phase_views(addresses, writes, bounds, config.linesize_bytes)
         chain_stats, state = replay_chain(views, config)
 
-        oracle = Cache(config)
-        oracle_stats = [
-            oracle.simulate(addresses[lo:hi], writes[lo:hi], vectorized=False)
-            for lo, hi in zip(bounds, bounds[1:])
-        ]
+        oracle_stats, oracle_state = warm_oracle(config, addresses, writes, bounds)
         assert chain_stats == oracle_stats, f"chain diverged on {name}"
-        assert_state_matches_cache(state, oracle)
+        assert_states_equal(state, oracle_state)
 
-        single = Cache(config).simulate(addresses, writes)
+        single = replay(workload.columnar_view("dcache", config.linesize_bytes),
+                        config)
         assert sum(s.misses for s in chain_stats) == single.misses, name
 
 
@@ -267,13 +243,8 @@ def test_warm_chain_after_batch_replay_matches_scalar_oracle(geometry, phased):
 
     chain_stats, state = replay_chain(views, config)
 
-    oracle = Cache(config)
-    oracle_stats = [
-        oracle.simulate(addresses[lo:hi], writes[lo:hi], vectorized=False)
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
+    oracle_stats, oracle_state = warm_oracle(config, addresses, writes, bounds)
     assert chain_stats == oracle_stats
-    assert_state_matches_cache(state, oracle)
+    assert_states_equal(state, oracle_state)
     for view in views:
-        assert simulate_many(view, batch) == [Cache(c).simulate_view(view)
-                                              for c in batch]
+        assert simulate_many(view, batch) == [replay(view, c) for c in batch]
