@@ -50,7 +50,7 @@ from repro.config import (
     base_configuration,
 )
 from repro.engine import CampaignGrid, CampaignWorker, ParallelEvaluator
-from repro.engine.store import SqliteResultStore
+from repro.engine.store import ResultStore
 from repro.platform import LiquidPlatform
 
 #: Committed full-scale trajectory; smoke runs write the sibling.
@@ -176,7 +176,7 @@ def test_campaign_grid_scaling(tmp_path):
 
         # both campaign databases hold exactly the direct sweep's numbers
         for path in (solo_path, multi_path):
-            store = SqliteResultStore(path)
+            store = ResultStore(path)
             store.bind_platform(platform.device, platform.timing_parameters)
             for config, expected in zip(configs, reference):
                 assert store.get(workload, config) == expected, (

@@ -8,9 +8,10 @@ the same drivers.
 Every measurement runs through the evaluation engine, one batch at a
 time: each batch is planned once, its distinct cache geometries replay
 in shared-decode groups and the timing model evaluates the whole batch
-in one broadcast.  Pass ``--store PATH`` to persist measurements
-(JSON-lines, or SQLite when the path ends in ``.sqlite``/``.db``; either
-makes a full reproduction resumable and shareable across runs),
+in one broadcast.  Pass ``--store PATH`` (a SQLite file) to persist the
+trace summaries and per-geometry cache statistics every measurement is
+derived from (a full reproduction becomes resumable and shareable across
+runs; ``--audit-store FRACTION`` re-derives a sample of those rows),
 ``--profile`` to print per-stage wall-clock, or ``--phases`` to add the
 phase-transition study (cold-start vs warm-chained per-phase miss rates
 of the multi-phase scenarios).  Engine statistics (dedup hits, store
@@ -27,8 +28,8 @@ counts (``--assert-drained`` makes it a CI gate, ``--json`` emits the
 machine-readable snapshot, ``--watch`` live-renders the draining grid
 with per-worker heartbeat health), and ``--reset-failed`` reopens
 failed rows with a fresh attempt budget.  Results land in the same
-database's ``measurements`` table, bit-identical to a direct
-``measure_many``.
+database as store rows, from which every measurement is assembled
+bit-identical to a direct ``measure_many``.
 
 Resident service mode (``--serve``) turns the process into the
 always-on tuning service: ``POST /sweep`` and ``POST /tune`` jobs run
@@ -76,8 +77,13 @@ def parse_args() -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument(
         "--store", metavar="PATH", default=None,
-        help="persistent result store; measurements found there are not re-simulated "
-             "(JSON-lines by default, SQLite when PATH ends in .sqlite/.db)")
+        help="persistent SQLite result store (.sqlite/.sqlite3/.db): the trace "
+             "summaries and cache statistics found there are not re-simulated")
+    parser.add_argument(
+        "--audit-store", metavar="FRACTION", type=float, default=None,
+        help="instead of running experiments, replay a seeded FRACTION (0-1] "
+             "of the --store's cache rows for the --scale workloads, recompute "
+             "their trace summaries, and exit 1 on any mismatch")
     parser.add_argument(
         "--profile", action="store_true",
         help="print per-stage wall-clock (trace generation, cache simulation, "
@@ -98,14 +104,14 @@ def parse_args() -> argparse.Namespace:
     parser.add_argument(
         "--scale", choices=("standard", "small"), default="standard",
         help="workload scale of the experiment suite (small = quick smoke "
-             "traces; only honoured with --only)")
+             "traces; honoured with --only, --serve and --audit-store)")
     grid = parser.add_argument_group(
         "distributed campaign grid",
         "register a configuration grid in a shared SQLite database and drain "
         "it with any number of concurrent --claim workers")
     grid.add_argument(
         "--grid-db", metavar="PATH", default=None,
-        help="campaign database (grid rows and measurements share this file); "
+        help="campaign database (grid rows and result-store rows share this file); "
              "selects campaign mode instead of the experiment suite")
     grid.add_argument(
         "--register", action="store_true",
@@ -114,7 +120,7 @@ def parse_args() -> argparse.Namespace:
     grid.add_argument(
         "--claim", action="store_true",
         help="run one campaign worker: claim open row batches, evaluate them, "
-             "write measurements back, until nothing is claimable")
+             "write their result-store rows back, until nothing is claimable")
     grid.add_argument(
         "--status", action="store_true",
         help="print row counts by status and recent failures")
@@ -199,6 +205,11 @@ def parse_args() -> argparse.Namespace:
         parser.error("--json/--watch modify --status; add --status")
     if args.json and args.watch:
         parser.error("--json and --watch are mutually exclusive")
+    if args.audit_store is not None:
+        if not args.store:
+            parser.error("--audit-store requires --store PATH")
+        if not 0.0 < args.audit_store <= 1.0:
+            parser.error("--audit-store FRACTION must be in (0, 1]")
     return args
 
 
@@ -313,6 +324,17 @@ def campaign_main(args: argparse.Namespace) -> None:
                          f"of {counts['total']} rows not done")
 
 
+def audit_main(args: argparse.Namespace) -> None:
+    """``--audit-store``: re-derive a sample of the store's rows, exit 1 on drift."""
+    workloads = (small_workloads() if args.scale == "small"
+                 else standard_workloads())
+    with contextlib.closing(open_store(args.store)) as store:
+        audited, mismatches = store.audit(workloads.values(), args.audit_store)
+    print(f"audit: {audited} stored rows re-derived, {mismatches} mismatches")
+    if mismatches:
+        sys.exit(1)
+
+
 def suite_fig2(args: argparse.Namespace) -> None:
     """The reduced ``--only fig2`` run: one BLASTN dcache exhaustive sweep.
 
@@ -344,6 +366,8 @@ def main() -> None:
 
             serve(host=args.host, port=args.port, scale=args.scale,
                   store_path=args.store, grid_path=args.grid_db)
+        elif args.audit_store is not None:
+            audit_main(args)
         elif args.grid_db:
             campaign_main(args)
         elif args.only == "fig2":

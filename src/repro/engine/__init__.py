@@ -3,9 +3,9 @@
 The engine layer sits between the measurement consumers (campaign, tuner,
 experiment drivers) and the build-and-measure platform.  It turns *sets*
 of requested evaluations into the minimum amount of actual simulation
-work: duplicates are collapsed, previously persisted results are loaded
-from a :class:`~repro.engine.store.ResultStore`, and the remaining cache
-simulations are replayed in shared-decode groups by the
+work: duplicates are collapsed, previously persisted trace summaries and
+cache statistics are loaded from a :class:`~repro.engine.store.ResultStore`,
+and the remaining cache simulations are replayed in shared-decode groups by the
 :class:`~repro.engine.parallel.ParallelEvaluator`, in the calling
 process.  A campaign scales out as several processes claiming rows of
 one :class:`~repro.engine.campaign.CampaignGrid`.
@@ -21,8 +21,6 @@ from repro.engine.campaign import CampaignGrid, CampaignReport, CampaignWorker
 from repro.engine.parallel import ParallelEvaluator
 from repro.engine.store import (
     ResultStore,
-    ResultStoreBase,
-    SqliteResultStore,
     busy_retry,
     connect_sqlite,
     open_store,
@@ -37,8 +35,6 @@ __all__ = [
     "EvaluationBackend",
     "ParallelEvaluator",
     "ResultStore",
-    "ResultStoreBase",
-    "SqliteResultStore",
     "busy_retry",
     "connect_sqlite",
     "open_store",

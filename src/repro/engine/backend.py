@@ -92,9 +92,10 @@ class EngineStats:
     requested: int = 0
     #: Requests answered by collapsing duplicates within a batch.
     dedup_hits: int = 0
-    #: Requests answered from the persistent result store.
+    #: Configurations measured from cache rows read from the persistent
+    #: result store (none of their geometries replayed in this engine).
     store_hits: int = 0
-    #: Measurements appended to the persistent result store.
+    #: Rows -- cache geometries and trace summaries -- written to the store.
     store_writes: int = 0
     #: Workload trace fingerprints resolved from the store's recipe rows
     #: (no functional simulation needed to key the lookups), and recipe
@@ -114,8 +115,8 @@ class EngineStats:
     #: asserts this.
     phase_decodes: int = 0
     #: Configurations evaluated through
-    #: :func:`~repro.microarch.timing.evaluate_many` (memo and store hits
-    #: excluded).
+    #: :func:`~repro.microarch.timing.evaluate_many` (in-process memo hits
+    #: excluded; store hits are timed like any other configuration).
     sweep_evaluations: int = 0
     #: Campaign-grid sharding accounting (see
     #: :class:`~repro.engine.campaign.CampaignWorker`): claim transactions
@@ -134,8 +135,9 @@ class EngineStats:
     wall_seconds: float = 0.0
     #: Per-stage wall-clock, accumulated across batches and disjoint where
     #: the engine can observe the stages directly.  Stages recorded by the
-    #: engine itself: ``trace_generation``, ``cache_simulation``,
-    #: ``sweep_evaluate``, ``phase_decode`` and ``phase_chain``; the tuner
+    #: engine itself: ``trace_generation``, ``store_io`` (the batch's
+    #: store read and write), ``cache_simulation``, ``sweep_evaluate``,
+    #: ``phase_decode`` and ``phase_chain``; the tuner
     #: adds ``solve`` around its solver pass.  Each accumulation also
     #: feeds a ``stage.<name>`` histogram on :attr:`registry`, so
     #: per-batch distributions survive next to these sums.

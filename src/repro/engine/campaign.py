@@ -3,12 +3,13 @@
 PyExperimenter-style horizontal scaling for configuration sweeps: a
 campaign *registers* its full configuration grid as rows of an
 ``experiments`` table inside the same SQLite file the
-:class:`~repro.engine.store.SqliteResultStore` keeps its measurements
-in, and any number of :class:`CampaignWorker` processes -- in one
-terminal, many terminals, or many hosts sharing the file -- *claim*
-batches of open rows, evaluate them through
-:meth:`~repro.engine.parallel.ParallelEvaluator.measure_many`, and write the results back into ``measurements`` keyed exactly
-like a direct sweep would.  A campaign is therefore resumable (kill
+:class:`~repro.engine.store.ResultStore` keeps its trace summaries and
+cache statistics in, and any number of :class:`CampaignWorker`
+processes -- in one terminal, many terminals, or many hosts sharing the
+file -- *claim* batches of open rows, evaluate them through
+:meth:`~repro.engine.parallel.ParallelEvaluator.measure_many`, and write
+the rows a batch produced back into the store's tables, exactly like a
+direct sweep would.  A campaign is therefore resumable (kill
 everything, restart, nothing done is redone) and shardable (N workers
 drain one grid cooperatively) without any coordinator process.
 
@@ -38,7 +39,7 @@ The moving parts:
   :meth:`CampaignGrid.reset_failed` (the operator's ``--reset-failed``)
   clears the counter and starts over.
 
-Crash safety of results: a worker writes measurements (through the
+Crash safety of results: a worker writes its batch's rows (through the
 evaluator's store) *before* marking rows done, so a crash between the
 two leaves rows to be claimed again -- and because every evaluation is
 deterministic and store writes are ``INSERT OR IGNORE``, re-evaluating a
@@ -64,7 +65,7 @@ from repro.config.leon_space import leon_parameter_space
 from repro.config.parameters import ParameterSpace
 from repro.engine.parallel import ParallelEvaluator
 from repro.engine.store import (
-    SqliteResultStore,
+    ResultStore,
     busy_retry,
     config_key_string,
     connect_sqlite,
@@ -126,10 +127,9 @@ class CampaignGrid:
 
     Opens (and creates on demand) the ``experiments`` table inside
     ``path`` -- normally the same SQLite file as the campaign's
-    :class:`~repro.engine.store.SqliteResultStore`, so grid and results
+    :class:`~repro.engine.store.ResultStore`, so grid and results
     travel together.  Rows are keyed ``(context, fingerprint, config
-    key)`` exactly like measurements: registering the same grid twice is
-    a no-op, and a calibration change (different platform context)
+    key)``: registering the same grid twice is a no-op, and a calibration change (different platform context)
     starts a fresh campaign in the same file without touching the old
     one's rows.
     """
@@ -560,8 +560,10 @@ class CampaignWorker:
     attempt budget is spent, claims one batch of open rows (restricted to
     the workloads it was constructed with, matched by trace fingerprint),
     evaluates the batch through
-    :meth:`ParallelEvaluator.measure_many` -- results land in the
-    campaign database's ``measurements`` table via the evaluator's store,
+    :meth:`ParallelEvaluator.measure_many` -- the batch's cache
+    statistics and trace summary land in the campaign database via the
+    evaluator's store, so :meth:`ResultStore.get
+    <repro.engine.store.ResultStore.get>` assembles every done row
     bit-identical to a direct sweep -- and marks the rows done.  When no
     row is claimable it reopens retryable failed rows once, and exits
     when the grid has nothing left for it.
@@ -597,7 +599,7 @@ class CampaignWorker:
         workers: int = 1,
         heartbeat_seconds: float = 15.0,
         platform: Optional[LiquidPlatform] = None,
-        store: Optional[SqliteResultStore] = None,
+        store: Optional[ResultStore] = None,
         evaluator=None,
     ):
         self.grid = grid
@@ -621,9 +623,7 @@ class CampaignWorker:
             self.evaluator = evaluator
         else:
             self.platform = platform or LiquidPlatform()
-            self.store = store or SqliteResultStore(
-                grid.path, device=self.platform.device,
-                timing_parameters=self.platform.timing_parameters)
+            self.store = store or ResultStore(grid.path)
             self.evaluator = ParallelEvaluator(self.platform, store=self.store)
         grid.bind_platform(self.platform.device, self.platform.timing_parameters)
         #: fingerprint -> workload this worker can evaluate (fingerprinting

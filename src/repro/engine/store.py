@@ -1,65 +1,77 @@
-"""Persistent measurement stores (JSON-lines and SQLite backends).
+"""The persistent result store: trace reductions, not measurements.
 
-A store plays the role PyExperimenter-style harnesses give their result
-database: a campaign writes every :class:`~repro.platform.Measurement` it
-produces, keyed by ``(workload fingerprint, configuration key)``, and any
-later campaign -- in this process or another -- pulls finished results
-instead of re-simulating them.  That makes full paper reproductions
-resumable and lets several runs share one cache directory.
+A measurement is synthesis plus the timing model evaluated over two
+reductions of the workload's execution trace: one
+:class:`~repro.microarch.trace.TraceSummary` (name, feature vector,
+register-window trap table) and one
+:class:`~repro.microarch.cache.CacheStatistics` per cache geometry the
+configuration uses.  Synthesis and the timing model are cheap arithmetic;
+the trace and the replays are not.  The store therefore keeps exactly
+those sufficient statistics, in one SQLite file:
 
-Two backends implement the same interface (:class:`ResultStoreBase`):
-the append-only JSON-lines :class:`ResultStore` (default, human
-greppable, safely shareable via append) and :class:`SqliteResultStore`
-(indexed lookups without loading the whole file, suited to large
-campaign archives).  :func:`open_store` picks by file extension.
+* ``summaries``: one row per trace -- the trace's name, its
+  :meth:`~repro.microarch.trace.ExecutionTrace.features` and its
+  18-entry window-trap table;
+* ``cache_stats``: one row per ``(trace, kind, geometry)`` -- the five
+  counts of one replay;
+* ``traces``: the map from a workload's
+  :meth:`~repro.workloads.base.Workload.recipe` (a digest of its program,
+  instruction budget and simulator version) to its trace fingerprint, so
+  a warm run keys its reads without running the functional simulator.
 
-Two details keep lookups sound:
+Nothing derived from a configuration, the synthesis model, the device
+or the timing calibration is persisted: a run under different
+:class:`~repro.microarch.timing.TimingParameters` or another device
+re-derives every measurement from the same rows.  What is persisted --
+the replay counts, the feature vector and the trap table, which is the
+timing model's window-trap walk
+(:func:`~repro.microarch.timing.count_window_traps`) run once per window
+count -- is versioned instead.  The reductions are keyed by the trace
+fingerprint (a digest of the trace itself, so a scaled-down workload
+never aliases the full-size one of the same name) and by
+:data:`~repro.microarch.cachekernel.KERNEL_VERSION`; a lookup reads only
+rows of the current version, so a replay, feature or trap-walk change
+that bumps the version orphans every older row instead of serving it
+(``tests/test_golden_numbers.py`` pins the golden files and the summary
+rows per version, so such a change without a bump fails).
+Rows are deterministic results, so concurrent writers (campaign workers
+on several hosts sharing one file) agree and insert with ``INSERT OR
+IGNORE``.
 
-* The *workload fingerprint* hashes the workload's execution trace, not
-  just its name, so a scaled-down test workload never aliases the
-  benchmark-scale workload of the same name.
-* Every record carries a *context* digest of the platform's device and
-  timing parameters, so stores survive calibration changes without
-  serving stale measurements.
-
-Next to the measurements every store keeps *trace identities*: the map
-from a workload's :meth:`~repro.workloads.base.Workload.recipe` (a digest
-of its program, instruction budget and simulator version) to its trace
-fingerprint.  A run over a store that has seen a workload resolves the
-fingerprint from the recipe and keys its lookups without running the
-functional simulator; identities do not depend on the platform, so they
-carry no context.
-
-Records round-trip exactly (all persisted fields are ints, strings and
-mappings thereof), so a store-served measurement compares equal to a
-freshly simulated one -- the engine equivalence tests assert this.
+The engine reads one workload's rows once per batch (:meth:`ResultStore.load`),
+unless its memos already answer the whole batch, and writes every row of
+the batch the store lacked in one transaction (:meth:`ResultStore.write`).  A file written in the older
+per-configuration layout (a ``measurements`` table) raises
+:class:`~repro.errors.StoreFormatError` instead of being migrated.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import random
 import sqlite3
 import time
-from typing import Any, Callable, Dict, Optional, Tuple, TypeVar
+from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
 from repro.config.configuration import Configuration
+from repro.errors import StoreFormatError
 from repro.fpga.device import FpgaDevice, XCV2000E
-from repro.fpga.report import ResourceReport
-from repro.microarch.cache import CacheStatistics
-from repro.microarch.statistics import ExecutionStatistics
+from repro.microarch.cache import CacheConfig, CacheStatistics
+from repro.microarch.cachekernel import KERNEL_VERSION
 from repro.microarch.timing import TimingParameters
+from repro.microarch.trace import TraceFeatures, TraceSummary
 from repro.obs.metrics import get_registry
+from repro.platform.liquid import CacheJob, LiquidPlatform
 from repro.platform.measurement import Measurement
 from repro.workloads.base import Workload
 
 __all__ = [
     "ResultStore",
-    "ResultStoreBase",
     "SqliteResultStore",
     "busy_retry",
     "config_key_string",
@@ -69,10 +81,47 @@ __all__ = [
     "platform_context",
 ]
 
-#: File extensions that select the SQLite backend in :func:`open_store`.
+#: File extensions :func:`open_store` accepts (every store is SQLite).
 SQLITE_EXTENSIONS = (".sqlite", ".sqlite3", ".db")
 
 _T = TypeVar("_T")
+
+_SCHEMA = (
+    "CREATE TABLE IF NOT EXISTS summaries ("
+    " kernel INTEGER NOT NULL,"
+    " fingerprint TEXT NOT NULL,"
+    " name TEXT NOT NULL,"
+    " instruction_count INTEGER NOT NULL,"
+    " load_use_hazards INTEGER NOT NULL,"
+    " cc_branch_hazards INTEGER NOT NULL,"
+    " class_counts TEXT NOT NULL,"
+    " window_traps TEXT NOT NULL,"
+    " PRIMARY KEY (kernel, fingerprint))",
+    "CREATE TABLE IF NOT EXISTS cache_stats ("
+    " kernel INTEGER NOT NULL,"
+    " fingerprint TEXT NOT NULL,"
+    " kind TEXT NOT NULL,"
+    " ways INTEGER NOT NULL,"
+    " setsize_kb INTEGER NOT NULL,"
+    " linesize_words INTEGER NOT NULL,"
+    " replacement TEXT NOT NULL,"
+    " seed INTEGER NOT NULL,"
+    " accesses INTEGER NOT NULL,"
+    " read_accesses INTEGER NOT NULL,"
+    " write_accesses INTEGER NOT NULL,"
+    " read_misses INTEGER NOT NULL,"
+    " write_misses INTEGER NOT NULL,"
+    " PRIMARY KEY (kernel, fingerprint, kind, ways, setsize_kb,"
+    "              linesize_words, replacement, seed))",
+    "CREATE TABLE IF NOT EXISTS traces ("
+    " recipe TEXT PRIMARY KEY,"
+    " fingerprint TEXT NOT NULL)",
+)
+
+_SUMMARY_COLUMNS = ("name, instruction_count, load_use_hazards, cc_branch_hazards,"
+                    " class_counts, window_traps")
+_GEOMETRY_COLUMNS = "kind, ways, setsize_kb, linesize_words, replacement, seed"
+_COUNT_COLUMNS = "accesses, read_accesses, write_accesses, read_misses, write_misses"
 
 
 def connect_sqlite(path: str, *, busy_timeout_ms: int = 10_000) -> sqlite3.Connection:
@@ -182,10 +231,6 @@ def config_key_string(config: Configuration) -> str:
     return json.dumps(config.key(), sort_keys=True, default=_jsonable)
 
 
-#: Backwards-compatible private alias (internal callers predate the export).
-_config_key_string = config_key_string
-
-
 def _jsonable(value: Any) -> Any:
     if isinstance(value, np.integer):
         return int(value)
@@ -206,18 +251,43 @@ def _cache_stats_dict(stats: Optional[CacheStatistics]) -> Optional[Dict[str, in
     }
 
 
-def _cache_stats_from(data: Optional[Dict[str, int]]) -> Optional[CacheStatistics]:
-    return None if data is None else CacheStatistics(**data)
+def _summary_row(summary: TraceSummary) -> Tuple:
+    """The ``summaries`` columns (after the key) of one trace summary."""
+    features = summary.features
+    return (summary.name, features.instruction_count, features.load_use_hazards,
+            features.cc_branch_hazards,
+            json.dumps([int(count) for count in features.class_counts]),
+            json.dumps([list(entry) for entry in summary.window_traps]))
 
 
-class ResultStoreBase:
-    """Context stamping and measurement (de)serialisation shared by backends.
+def _summary_from(row: Sequence) -> TraceSummary:
+    name, instructions, load_use, cc_branch, class_counts, window_traps = row
+    return TraceSummary(
+        name=name,
+        features=TraceFeatures(
+            instruction_count=instructions,
+            class_counts=np.array(json.loads(class_counts), dtype=np.int64),
+            load_use_hazards=load_use,
+            cc_branch_hazards=cc_branch),
+        window_traps=tuple(tuple(entry) for entry in json.loads(window_traps)))
 
-    Concrete backends provide :meth:`put`, :meth:`get`, ``__len__``,
-    ``__contains__`` and the trace-identity pair :meth:`trace_fingerprint`
-    / :meth:`put_trace`; the base class owns the platform-context handling
-    so every backend keys records identically and survives calibration
-    changes the same way.
+
+def _run_from(fingerprint: str, row: Sequence) -> Tuple[CacheJob, CacheStatistics]:
+    kind, ways, setsize_kb, linesize_words, replacement, seed = row[:6]
+    geometry = CacheConfig(ways=ways, setsize_kb=setsize_kb,
+                           linesize_words=linesize_words,
+                           replacement=replacement, seed=seed)
+    return (fingerprint, kind, geometry), CacheStatistics(*row[6:])
+
+
+class ResultStore:
+    """SQLite store of trace summaries and per-geometry cache statistics.
+
+    ``path=None`` keeps the store in memory (one process, no file).
+    ``device`` and ``timing_parameters`` are not part of any key; they
+    select the platform :meth:`get` assembles measurements on and the
+    ``context`` digest :meth:`encode` stamps on wire records.  The engine
+    rebinds both to its platform (:meth:`bind_platform`).
     """
 
     def __init__(
@@ -229,53 +299,165 @@ class ResultStoreBase:
     ):
         self.path = path
         self.device = device
-        self.context = platform_context(device, timing_parameters or TimingParameters())
+        self.timing_parameters = timing_parameters or TimingParameters()
+        self.context = platform_context(device, self.timing_parameters)
+        self._reader: Optional[LiquidPlatform] = None
+        try:
+            self._conn = connect_sqlite(path or ":memory:")
+            tables = {name for (name,) in self._conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'")}
+        except sqlite3.DatabaseError as exc:
+            if "not a database" not in str(exc):
+                raise
+            raise StoreFormatError(
+                f"{path} is not a SQLite result store; delete it or choose "
+                "another path") from None
+        if "measurements" in tables:
+            self._conn.close()
+            raise StoreFormatError(
+                f"{path} holds per-configuration measurement records from an "
+                "older result-store layout, which this version does not read; "
+                "delete the file or choose another path")
+        for statement in _SCHEMA:
+            self._conn.execute(statement)
+        self._conn.commit()
 
     def bind_platform(self, device: FpgaDevice, timing_parameters: TimingParameters) -> None:
-        """Re-key the store to a platform's actual device and timing calibration.
+        """Assemble and encode under a platform's device and calibration.
 
-        The engine calls this so that records are always stamped with --
-        and looked up under -- the wrapped platform's context, not this
-        store's constructor defaults.
+        Rows are calibration-free, so this changes no lookup; it only
+        keeps :meth:`get` and :meth:`encode` consistent with the engine's
+        platform.
         """
-        context = platform_context(device, timing_parameters)
-        if context == self.context and device == self.device:
+        if device == self.device and timing_parameters == self.timing_parameters:
             return
         self.device = device
-        self.context = context
-        self._context_changed()
+        self.timing_parameters = timing_parameters
+        self.context = platform_context(device, timing_parameters)
+        self._reader = None
 
-    def _context_changed(self) -> None:
-        """Backend hook: the context filter changed after construction."""
+    def close(self) -> None:
+        """Close the underlying database connection."""
+        self._conn.close()
+
+    def __len__(self) -> int:
+        """Cache-statistics rows of the current kernel version."""
+        row = self._conn.execute(
+            "SELECT COUNT(*) FROM cache_stats WHERE kernel = ?",
+            (KERNEL_VERSION,)).fetchone()
+        return int(row[0])
+
+    # -- trace identities ------------------------------------------------------------------
 
     def trace_fingerprint(self, recipe: str) -> Optional[str]:
         """The trace fingerprint recorded for a workload recipe, or ``None``."""
-        raise NotImplementedError
+        row = self._conn.execute(
+            "SELECT fingerprint FROM traces WHERE recipe = ?", (recipe,)).fetchone()
+        return None if row is None else row[0]
 
-    def put_trace(self, recipe: str, fingerprint: str) -> None:
-        """Record a recipe's trace fingerprint (a recorded one is kept)."""
-        raise NotImplementedError
+    # -- batch I/O -------------------------------------------------------------------------
 
-    # -- measurement (de)serialisation ---------------------------------------------------
+    def load(self, fingerprint: str
+             ) -> Tuple[Optional[TraceSummary], Dict[CacheJob, CacheStatistics]]:
+        """Every row of one trace: its summary (or ``None``) and cache runs.
+
+        One read round of two ``SELECT``s; the runs are keyed like the
+        platform's :data:`~repro.platform.liquid.CacheJob` memo, ready for
+        :meth:`~repro.platform.liquid.LiquidPlatform.install_cache_runs`.
+        """
+        key = (KERNEL_VERSION, fingerprint)
+        row = self._conn.execute(
+            f"SELECT {_SUMMARY_COLUMNS} FROM summaries"
+            " WHERE kernel = ? AND fingerprint = ?", key).fetchone()
+        runs = dict(_run_from(fingerprint, stored) for stored in self._conn.execute(
+            f"SELECT {_GEOMETRY_COLUMNS}, {_COUNT_COLUMNS} FROM cache_stats"
+            " WHERE kernel = ? AND fingerprint = ?", key))
+        return (None if row is None else _summary_from(row)), runs
+
+    def write(
+        self,
+        fingerprint: str,
+        runs: Mapping[CacheJob, CacheStatistics],
+        *,
+        summary: Optional[TraceSummary] = None,
+        recipe: Optional[str] = None,
+    ) -> int:
+        """Persist one batch's new rows in one transaction.
+
+        ``runs`` are cache runs of the trace ``fingerprint``; ``summary``
+        and the ``recipe`` identity row are written when given.  Rows
+        already present are kept (``INSERT OR IGNORE``: every row is a
+        deterministic result, so racing writers agree).  Returns the
+        number of summary and cache rows inserted.
+        """
+        cache_rows = [
+            (KERNEL_VERSION, fingerprint, kind, geometry.ways, geometry.setsize_kb,
+             geometry.linesize_words, geometry.replacement, geometry.seed,
+             stats.accesses, stats.read_accesses, stats.write_accesses,
+             stats.read_misses, stats.write_misses)
+            for (_, kind, geometry), stats in runs.items()]
+
+        def transact() -> int:
+            with self._conn:
+                written = 0
+                if recipe is not None:
+                    self._conn.execute(
+                        "INSERT OR IGNORE INTO traces (recipe, fingerprint)"
+                        " VALUES (?, ?)", (recipe, fingerprint))
+                if summary is not None:
+                    written += self._conn.execute(
+                        f"INSERT OR IGNORE INTO summaries (kernel, fingerprint,"
+                        f" {_SUMMARY_COLUMNS}) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                        (KERNEL_VERSION, fingerprint, *_summary_row(summary))).rowcount
+                if cache_rows:
+                    written += self._conn.executemany(
+                        f"INSERT OR IGNORE INTO cache_stats (kernel, fingerprint,"
+                        f" {_GEOMETRY_COLUMNS}, {_COUNT_COLUMNS})"
+                        " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                        cache_rows).rowcount
+                return written
+
+        # campaign workers on other hosts write the same file concurrently;
+        # residual lock timeouts are retried instead of dropping the rows
+        return busy_retry(transact)
+
+    # -- measurements ----------------------------------------------------------------------
+
+    def get(self, workload: Workload, config: Configuration) -> Optional[Measurement]:
+        """The measurement of ``(workload, config)`` assembled from stored rows.
+
+        ``None`` unless the store holds the workload's summary and both of
+        the configuration's cache geometries.  The measurement is built on
+        this store's device and timing parameters, exactly as a platform
+        with those would measure it.
+        """
+        if self._reader is None:
+            self._reader = LiquidPlatform(
+                self.device, timing_parameters=self.timing_parameters)
+        reader = self._reader
+        [pair], jobs = reader.cache_plan(workload, [config])
+        if jobs or not reader.has_summary(workload):
+            summary, runs = self.load(workload.fingerprint())
+            if summary is None:
+                return None
+            reader.install_summary(workload.fingerprint(), summary)
+            reader.install_cache_runs(runs)
+            if reader.pending_jobs(jobs):
+                return None
+        return reader.assemble(workload, [config], [pair])[0]
 
     def encode(self, workload: Workload, measurement: Measurement) -> Dict[str, Any]:
-        """Public record form of one measurement.
+        """Plain-data record of one measurement (the service's wire format).
 
-        Exactly the context-stamped plain-data record the backends
-        persist -- also the tuning service's wire format, which is what
-        makes "the HTTP result equals the stored record equals a direct
-        sweep, bit for bit" a single comparison.
+        Stamped with the ``context`` digest of this store's device and
+        timing parameters.  Records are never persisted; the format is
+        what "the HTTP result equals a direct sweep, bit for bit" compares.
         """
-        return self._encode(workload, measurement)
-
-    def _encode(self, workload: Workload, measurement: Measurement) -> Dict[str, Any]:
-        """Serialise one measurement into a context-stamped plain-data record."""
-        fingerprint = workload_fingerprint(workload)
         statistics = measurement.statistics
         return {
             "context": self.context,
-            "fingerprint": fingerprint,
-            "config_key": _config_key_string(measurement.configuration),
+            "fingerprint": workload_fingerprint(workload),
+            "config_key": config_key_string(measurement.configuration),
             "workload": measurement.workload,
             "config": measurement.configuration.as_dict(),
             "resources": {
@@ -300,233 +482,59 @@ class ResultStoreBase:
             },
         }
 
-    def _measurement_from(self, record: Dict[str, Any], config: Configuration) -> Measurement:
-        if record["resources"]["device"] != self.device.name:  # pragma: no cover - guard
-            raise ValueError("stored measurement targets a different device")
-        resources = ResourceReport(
-            device=self.device,
-            luts=record["resources"]["luts"],
-            brams=record["resources"]["brams"],
-            lut_breakdown=record["resources"]["lut_breakdown"],
-            bram_breakdown=record["resources"]["bram_breakdown"],
-        )
-        stats = record["statistics"]
-        statistics = ExecutionStatistics(
-            workload=stats.get("workload", record["workload"]),
-            configuration=config,
-            instruction_count=stats["instruction_count"],
-            cycles=stats["cycles"],
-            cycle_breakdown=stats["cycle_breakdown"],
-            icache=_cache_stats_from(stats["icache"]),
-            dcache=_cache_stats_from(stats["dcache"]),
-            window_overflows=stats["window_overflows"],
-            window_underflows=stats["window_underflows"],
-        )
-        return Measurement(
-            workload=record["workload"],
-            configuration=config,
-            resources=resources,
-            statistics=statistics,
-        )
+    # -- audit -----------------------------------------------------------------------------
+
+    def audit(self, workloads: Iterable[Workload], fraction: float) -> Tuple[int, int]:
+        """Re-derive a sample of stored rows and compare bit for bit.
+
+        For every workload whose recipe the store knows, a ``fraction``
+        of its cache rows (at least one when it has any; the sample is
+        seeded by the trace fingerprint) is replayed again
+        through :meth:`LiquidPlatform.simulate_cache_jobs
+        <repro.platform.liquid.LiquidPlatform.simulate_cache_jobs>` and its
+        summary is recomputed from the trace.  Returns ``(audited,
+        mismatches)`` and counts both as ``store.audits`` and
+        ``store.audit_mismatches`` in the process metrics registry.
+        """
+        platform = LiquidPlatform()
+        audited = mismatches = 0
+        for workload in workloads:
+            recipe = workload.recipe()
+            fingerprint = None if recipe is None else self.trace_fingerprint(recipe)
+            if fingerprint is None:
+                continue
+            if not workload.has_fingerprint():
+                workload.adopt_fingerprint(fingerprint)
+            summary, runs = self.load(fingerprint)
+            if summary is not None:
+                audited += 1
+                mismatches += _summary_row(summary) != _summary_row(
+                    workload.trace().summary())
+            jobs = sorted(runs, key=lambda job: (job[1], repr(job[2])))
+            count = min(len(jobs), math.ceil(fraction * len(jobs)))
+            sample = random.Random(fingerprint).sample(jobs, count)
+            replayed = platform.simulate_cache_jobs(workload, sample)
+            audited += len(sample)
+            mismatches += sum(replayed[job] != runs[job] for job in sample)
+        registry = get_registry()
+        registry.counter("store.audits").inc(audited)
+        registry.counter("store.audit_mismatches").inc(mismatches)
+        return audited, mismatches
 
 
-class ResultStore(ResultStoreBase):
-    """Append-only JSON-lines store of measurements.
+#: The name the benchmark harness imports; the same class.
+SqliteResultStore = ResultStore
 
-    ``path=None`` keeps the store purely in memory (deduplication within
-    one process without touching the filesystem); with a path, records
-    are appended as they are produced and re-read on open, last record
-    per key winning.
+
+def open_store(path: Optional[str], **kwargs: Any) -> ResultStore:
+    """Open the result store at ``path`` (``None``: in memory).
+
+    Only SQLite paths are accepted (``.sqlite``, ``.sqlite3``, ``.db``);
+    any other extension raises :class:`~repro.errors.StoreFormatError`.
+    Keyword arguments pass through to :class:`ResultStore`.
     """
-
-    def __init__(
-        self,
-        path: Optional[str] = None,
-        *,
-        device: FpgaDevice = XCV2000E,
-        timing_parameters: Optional[TimingParameters] = None,
-    ):
-        super().__init__(path, device=device, timing_parameters=timing_parameters)
-        self._records: Dict[Tuple[str, str], Dict[str, Any]] = {}
-        self._traces: Dict[str, str] = {}
-        if path and os.path.exists(path):
-            self._load(path)
-
-    def _context_changed(self) -> None:
-        """A context change re-reads the file under the new filter."""
-        self._records.clear()
-        if self.path and os.path.exists(self.path):
-            self._load(self.path)
-
-    # -- persistence ------------------------------------------------------------------
-
-    def _load(self, path: str) -> None:
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    if "recipe" in record:
-                        self._traces.setdefault(record["recipe"], record["fingerprint"])
-                        continue
-                    key = (record["fingerprint"], record["config_key"])
-                except (ValueError, KeyError, TypeError):
-                    # a run killed mid-append leaves a truncated last line;
-                    # losing one record must not make the store unloadable
-                    continue
-                if record.get("context") != self.context:
-                    continue
-                self._records[key] = record
-
-    def _append(self, record: Dict[str, Any]) -> None:
-        if not self.path:
-            return
-        directory = os.path.dirname(self.path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, default=_jsonable) + "\n")
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __contains__(self, key: Tuple[str, str]) -> bool:
-        return key in self._records
-
-    # -- store interface -----------------------------------------------------------------
-
-    def put(self, workload: Workload, measurement: Measurement) -> bool:
-        """Persist one measurement; returns ``False`` when already stored."""
-        key = (workload_fingerprint(workload),
-               _config_key_string(measurement.configuration))
-        if key in self._records:
-            return False  # cheap membership test before the full encode
-        record = self._encode(workload, measurement)
-        self._records[key] = record
-        self._append(record)
-        return True
-
-    def get(self, workload: Workload, config: Configuration) -> Optional[Measurement]:
-        """The stored measurement for ``(workload, config)``, or ``None``."""
-        key = (workload_fingerprint(workload), _config_key_string(config))
-        record = self._records.get(key)
-        if record is None:
-            return None
-        return self._measurement_from(record, config)
-
-    def trace_fingerprint(self, recipe: str) -> Optional[str]:
-        return self._traces.get(recipe)
-
-    def put_trace(self, recipe: str, fingerprint: str) -> None:
-        if recipe not in self._traces:
-            self._traces[recipe] = fingerprint
-            self._append({"recipe": recipe, "fingerprint": fingerprint})
-
-
-class SqliteResultStore(ResultStoreBase):
-    """SQLite-backed measurement store behind the same interface.
-
-    Records live in one ``measurements`` table keyed by ``(context,
-    fingerprint, config_key)``, so lookups are indexed instead of
-    replaying a whole JSON-lines file, and stores written under several
-    platform calibrations coexist in one database file.  Selected by
-    :func:`open_store` when the path ends in ``.sqlite``/``.db``.
-    """
-
-    def __init__(
-        self,
-        path: str,
-        *,
-        device: FpgaDevice = XCV2000E,
-        timing_parameters: Optional[TimingParameters] = None,
-    ):
-        super().__init__(path, device=device, timing_parameters=timing_parameters)
-        self._conn = connect_sqlite(path)
-        self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS measurements ("
-            " context TEXT NOT NULL,"
-            " fingerprint TEXT NOT NULL,"
-            " config_key TEXT NOT NULL,"
-            " record TEXT NOT NULL,"
-            " PRIMARY KEY (context, fingerprint, config_key))")
-        self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS traces ("
-            " recipe TEXT PRIMARY KEY,"
-            " fingerprint TEXT NOT NULL)")
-        self._conn.commit()
-
-    # a context change needs no hook: every query filters on the live context
-
-    def close(self) -> None:
-        """Close the underlying database connection."""
-        self._conn.close()
-
-    def __len__(self) -> int:
-        row = self._conn.execute(
-            "SELECT COUNT(*) FROM measurements WHERE context = ?",
-            (self.context,)).fetchone()
-        return int(row[0])
-
-    def __contains__(self, key: Tuple[str, str]) -> bool:
-        fingerprint, config_key = key
-        row = self._conn.execute(
-            "SELECT 1 FROM measurements"
-            " WHERE context = ? AND fingerprint = ? AND config_key = ?",
-            (self.context, fingerprint, config_key)).fetchone()
-        return row is not None
-
-    def put(self, workload: Workload, measurement: Measurement) -> bool:
-        """Persist one measurement; returns ``False`` when already stored."""
-        record = self._encode(workload, measurement)
-
-        def write() -> bool:
-            cursor = self._conn.execute(
-                "INSERT OR IGNORE INTO measurements"
-                " (context, fingerprint, config_key, record) VALUES (?, ?, ?, ?)",
-                (self.context, record["fingerprint"], record["config_key"],
-                 json.dumps(record, default=_jsonable)))
-            self._conn.commit()
-            return cursor.rowcount > 0
-
-        # campaign workers on other hosts write the same file concurrently;
-        # residual lock timeouts are retried instead of dropping the result
-        return busy_retry(write)
-
-    def get(self, workload: Workload, config: Configuration) -> Optional[Measurement]:
-        """The stored measurement for ``(workload, config)``, or ``None``."""
-        row = self._conn.execute(
-            "SELECT record FROM measurements"
-            " WHERE context = ? AND fingerprint = ? AND config_key = ?",
-            (self.context, workload_fingerprint(workload),
-             _config_key_string(config))).fetchone()
-        if row is None:
-            return None
-        return self._measurement_from(json.loads(row[0]), config)
-
-    def trace_fingerprint(self, recipe: str) -> Optional[str]:
-        row = self._conn.execute(
-            "SELECT fingerprint FROM traces WHERE recipe = ?", (recipe,)).fetchone()
-        return None if row is None else row[0]
-
-    def put_trace(self, recipe: str, fingerprint: str) -> None:
-        def write() -> None:
-            self._conn.execute(
-                "INSERT OR IGNORE INTO traces (recipe, fingerprint) VALUES (?, ?)",
-                (recipe, fingerprint))
-            self._conn.commit()
-
-        busy_retry(write)
-
-
-def open_store(path: Optional[str], **kwargs: Any) -> ResultStoreBase:
-    """Open the result-store backend matching ``path``'s extension.
-
-    ``.sqlite``/``.sqlite3``/``.db`` select :class:`SqliteResultStore`;
-    anything else (including ``None`` for in-memory) gets the JSON-lines
-    :class:`ResultStore`.  Keyword arguments pass through to the backend.
-    """
-    if path and path.lower().endswith(SQLITE_EXTENSIONS):
-        return SqliteResultStore(path, **kwargs)
+    if path and not path.lower().endswith(SQLITE_EXTENSIONS):
+        raise StoreFormatError(
+            f"{path}: result stores are SQLite files; use one of the "
+            f"extensions {', '.join(SQLITE_EXTENSIONS)}")
     return ResultStore(path, **kwargs)

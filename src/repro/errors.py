@@ -74,3 +74,14 @@ class OptimizationError(ReproError):
 
 class MeasurementError(ReproError):
     """The measurement platform failed to build or profile a configuration."""
+
+
+class StoreFormatError(ReproError):
+    """A result-store path holds something this version cannot read.
+
+    Raised for a file that is not a SQLite database, for a store written
+    in an older layout (per-configuration ``measurements`` records), and
+    for a path whose extension selects no store backend.  Stores are
+    never migrated silently: the message names the file and says how to
+    start over.
+    """

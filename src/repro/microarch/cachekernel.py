@@ -62,6 +62,7 @@ from repro.microarch.cache import CacheConfig, CacheStatistics
 from repro.obs.tracer import span
 
 __all__ = [
+    "KERNEL_VERSION",
     "ColumnarTrace",
     "KernelState",
     "PhaseReplay",
@@ -72,6 +73,16 @@ __all__ = [
     "replay_phases",
     "simulate_many",
 ]
+
+#: Version of every trace reduction a result store persists: the replay
+#: statistics of a cache geometry and the trace summary the timing model
+#: reads (feature vector and the window-trap table of
+#: :func:`~repro.microarch.timing.count_window_traps`).  Stores key their
+#: rows on it and read only rows of the current version, so bump it
+#: whenever replay, feature or trap-walk semantics change (the golden-file
+#: and summary-row pins in ``tests/test_golden_numbers.py`` enforce this):
+#: rows written before the change are then never served.
+KERNEL_VERSION = 1
 
 _POLICY_CODES = {Replacement.LRU: native.POLICY_LRU,
                  Replacement.LRR: native.POLICY_LRR,

@@ -1,9 +1,11 @@
 """Cycle-level timing model of the LEON-like integer pipeline.
 
-The timing model replays a configuration-independent
-:class:`~repro.microarch.trace.ExecutionTrace` against a grid of
-:class:`~repro.config.Configuration` objects (:func:`evaluate_many`) and
-produces the cycle count the paper's profiler would report for each.  Every reconfigurable parameter of the
+The timing model evaluates the summary of a configuration-independent
+:class:`~repro.microarch.trace.ExecutionTrace` (its
+:class:`~repro.microarch.trace.TraceSummary`) plus per-configuration
+cache statistics against a grid of :class:`~repro.config.Configuration`
+objects (:func:`evaluate_many`) and produces the cycle count the paper's
+profiler would report for each.  Every reconfigurable parameter of the
 paper's Figure 1 that affects runtime has a term here:
 
 ===========================  =====================================================
@@ -43,7 +45,7 @@ from repro.config.leon_space import Divider, Multiplier
 from repro.isa.instructions import OpClass
 from repro.microarch.cache import CacheStatistics
 from repro.microarch.statistics import ExecutionStatistics
-from repro.microarch.trace import ExecutionTrace
+from repro.microarch.trace import TraceSummary
 
 __all__ = [
     "TimingParameters",
@@ -183,21 +185,24 @@ BREAKDOWN_CATEGORIES: Tuple[str, ...] = (
 
 
 def evaluate_many(
-    trace: ExecutionTrace,
+    summary: TraceSummary,
     configs: Sequence[Configuration],
     cache_stats: Sequence[Tuple[CacheStatistics, CacheStatistics]],
     parameters: Optional[TimingParameters] = None,
 ) -> List[ExecutionStatistics]:
     """Broadcast-batched timing evaluation of one trace over a config grid.
 
-    ``cache_stats`` holds the ``(icache, dcache)`` statistics aligned with
-    ``configs``.  The trace is summarised once into its feature vector;
-    the configuration grid is compiled into NumPy coefficient columns and
-    every cycle-breakdown term is produced for the whole grid as one
-    array operation.  This is the only production timing model: a single
-    configuration is a grid of one.  Results are bit-identical -- cycles,
-    the full ``cycle_breakdown``, and the window-trap counts -- to the
-    unmemoised per-configuration oracle the test suite keeps.
+    ``summary`` is the trace's :class:`~repro.microarch.trace.TraceSummary`
+    (:meth:`ExecutionTrace.summary
+    <repro.microarch.trace.ExecutionTrace.summary>`, or the row a result
+    store kept of it) and ``cache_stats`` holds the ``(icache, dcache)``
+    statistics aligned with ``configs``.  The configuration grid is
+    compiled into NumPy coefficient columns and every cycle-breakdown
+    term is produced for the whole grid as one array operation.  This is
+    the only production timing model: a single configuration is a grid of
+    one.  Results are bit-identical -- cycles, the full
+    ``cycle_breakdown``, and the window-trap counts -- to the unmemoised
+    per-configuration oracle the test suite keeps.
     """
     p = parameters or TimingParameters()
     n = len(configs)
@@ -205,7 +210,7 @@ def evaluate_many(
         return []
     if len(cache_stats) != n:
         raise ValueError("cache_stats must align with configs")
-    f = trace.features()
+    f = summary.features
 
     def column(getter) -> np.ndarray:
         return np.fromiter((getter(c) for c in configs), dtype=np.int64, count=n)
@@ -243,12 +248,12 @@ def evaluate_many(
         column(lambda c: c.fast_decode).astype(bool),
         0, _complex_instructions(f) * p.slow_decode_extra)
 
-    # window traps: one memoised walk per distinct window count in the grid
+    # window traps: one table lookup per distinct window count in the grid
     windows_col = column(lambda c: c.register_windows)
     overflows = np.empty(n, dtype=np.int64)
     underflows = np.empty(n, dtype=np.int64)
     for windows in np.unique(windows_col):
-        over, under = trace.window_trap_counts(int(windows))
+        over, under = summary.window_trap_counts(int(windows))
         mask = windows_col == windows
         overflows[mask] = over
         underflows[mask] = under
@@ -263,7 +268,7 @@ def evaluate_many(
     for i, config in enumerate(configs):
         breakdown = {name: int(terms[name][i]) for name in BREAKDOWN_CATEGORIES}
         results.append(ExecutionStatistics(
-            workload=trace.name,
+            workload=summary.name,
             configuration=config,
             instruction_count=f.instruction_count,
             cycles=int(cycles[i]),

@@ -20,11 +20,13 @@ from typing import Dict, Tuple
 
 import numpy as np
 
+from repro.config.leon_space import REGISTER_WINDOW_COUNTS
 from repro.isa.instructions import OpClass
 
 __all__ = [
     "ExecutionTrace",
     "TraceFeatures",
+    "TraceSummary",
     "concatenate_traces",
     "slice_trace",
 ]
@@ -53,6 +55,32 @@ class TraceFeatures:
     def count(self, op_class: OpClass) -> int:
         """Executed instructions of one timing class."""
         return int(self.class_counts[op_class.value])
+
+
+@dataclass(frozen=True)
+class TraceSummary:
+    """Everything the timing model reads from a trace, and nothing else.
+
+    The trace's name (the workload every statistic reports), its
+    :class:`TraceFeatures` and the register-window trap table: the
+    ``(windows, overflows, underflows)`` walk for every window count of
+    the parameter space.  It is a few hundred bytes where the trace is
+    megabytes, so a result store persists it and a warm run times any
+    configuration without simulating
+    (:func:`~repro.microarch.timing.evaluate_many` consumes only this).
+    """
+
+    name: str
+    features: TraceFeatures
+    #: ``(windows, overflows, underflows)`` per window count, ascending.
+    window_traps: Tuple[Tuple[int, int, int], ...]
+
+    def window_trap_counts(self, windows: int) -> Tuple[int, int]:
+        """``(overflows, underflows)`` for one configured window count."""
+        for count, overflows, underflows in self.window_traps:
+            if count == windows:
+                return overflows, underflows
+        raise KeyError(f"no window-trap count for {windows} register windows")
 
 
 @dataclass(frozen=True)
@@ -129,6 +157,17 @@ class ExecutionTrace:
             counts = count_window_traps(self.window_events, windows)
             self._derived[key] = counts
         return counts
+
+    def summary(self) -> TraceSummary:
+        """Memoised :class:`TraceSummary`: name, features and trap table."""
+        summary = self._derived.get("summary")
+        if summary is None:
+            summary = TraceSummary(
+                name=self.name, features=self.features(),
+                window_traps=tuple((windows, *self.window_trap_counts(windows))
+                                   for windows in REGISTER_WINDOW_COUNTS))
+            self._derived["summary"] = summary
+        return summary
 
     def has_columnar_view(self, kind: str, linesize_bytes: int) -> bool:
         """True when :meth:`columnar_view` would be answered from the cache."""

@@ -15,14 +15,18 @@ the chip resources.  :class:`LiquidPlatform` provides the same black-box
 Builds and measurements are memoised exactly like the real platform
 caches bitstreams: the campaign asks for many configurations that share
 cache geometries, and re-simulating them would dominate the cost of the
-experiments.  The platform also counts how many *distinct* builds and
-runs were needed, which is the quantity the paper's scalability argument
-(linear versus exponential) is about.
+experiments.  A run's cost is the trace plus one replay per cache
+geometry; the memos keep exactly those reductions (one trace summary per
+workload, one :class:`~repro.microarch.cache.CacheStatistics` per
+geometry), and a result store persists the same two, so synthesis and
+the timing model are cheap arithmetic on top.  The platform also counts
+how many *distinct* builds and runs were needed, which is the quantity
+the paper's scalability argument (linear versus exponential) is about.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.config.configuration import Configuration
 from repro.errors import MeasurementError
@@ -33,6 +37,7 @@ from repro.microarch.cache import CacheConfig, CacheStatistics
 from repro.microarch.cachekernel import PhaseReplay, replay_phases, simulate_many
 from repro.microarch.statistics import ExecutionStatistics
 from repro.microarch.timing import TimingParameters, evaluate_many
+from repro.microarch.trace import TraceSummary
 from repro.obs.tracer import span
 from repro.platform.measurement import Measurement, PhasedMeasurement
 from repro.workloads.base import Workload
@@ -100,6 +105,10 @@ class LiquidPlatform:
         self._runs: Dict[Tuple, ExecutionStatistics] = {}
         self._cache_runs: Dict[Tuple, CacheStatistics] = {}
         self._phase_runs: Dict[Tuple, PhaseReplay] = {}
+        # trace summary per workload fingerprint: with the cache runs, all
+        # a measurement needs, so a workload whose summary and geometries
+        # were installed from a result store is measured without its trace
+        self._summaries: Dict[str, TraceSummary] = {}
         # (icache, dcache) CacheConfig pair per configuration key: the
         # planner re-derives job keys for every batch, and building the
         # geometry dataclasses dominates that planning cost
@@ -179,6 +188,30 @@ class LiquidPlatform:
                 jobs.append(key)
         return key_pairs, jobs
 
+    def has_summary(self, workload: Workload) -> bool:
+        """True when :meth:`summary` will not need the workload's trace."""
+        return workload.fingerprint() in self._summaries
+
+    def summary(self, workload: Workload) -> TraceSummary:
+        """The memoised :class:`~repro.microarch.trace.TraceSummary` of a workload."""
+        fingerprint = workload.fingerprint()
+        summary = self._summaries.get(fingerprint)
+        if summary is None:
+            summary = self._summaries[fingerprint] = workload.trace().summary()
+        return summary
+
+    def install_summary(self, fingerprint: str, summary: TraceSummary) -> None:
+        """Install a trace summary (e.g. a stored one) into the memo."""
+        self._summaries.setdefault(fingerprint, summary)
+
+    def pending_jobs(self, jobs: Sequence[CacheJob]) -> List[CacheJob]:
+        """The jobs of a :meth:`cache_plan` whose runs are still not installed."""
+        return [job for job in jobs if job not in self._cache_runs]
+
+    def cache_runs(self, jobs: Iterable[CacheJob]) -> Dict[CacheJob, CacheStatistics]:
+        """The installed runs of ``jobs`` (every one must be installed)."""
+        return {job: self._cache_runs[job] for job in jobs}
+
     def is_measured(self, workload: Workload, config: Configuration) -> bool:
         """True when :meth:`measure` would be answered entirely from memos."""
         return ((workload.fingerprint(), config) in self._runs
@@ -245,11 +278,10 @@ class LiquidPlatform:
 
         ``key_pairs`` are the :meth:`cache_plan` pairs aligned with
         ``configs``.  The configurations not measured before are evaluated
-        in one :func:`~repro.microarch.timing.evaluate_many` broadcast --
-        the trace is summarised into one feature vector and each cycle
-        term is a single array operation over the batch.  The engine
-        calls this directly with the plan of its own batch, so a batch is
-        planned once.
+        in one :func:`~repro.microarch.timing.evaluate_many` broadcast
+        over the workload's :meth:`summary` -- each cycle term is a single
+        array operation over the batch.  The engine calls this directly
+        with the plan of its own batch, so a batch is planned once.
         """
         workload_key = workload.fingerprint()
         reports = [self.build(config) for config in configs]
@@ -260,7 +292,7 @@ class LiquidPlatform:
             cache_runs = self._cache_runs
             with span("timing_eval", configs=len(fresh), workload=workload.name):
                 evaluated = evaluate_many(
-                    workload.trace(), [config for config, _ in fresh],
+                    self.summary(workload), [config for config, _ in fresh],
                     [(cache_runs[ikey], cache_runs[dkey]) for _, (ikey, dkey) in fresh],
                     self.timing_parameters)
             for (config, _), statistics in zip(fresh, evaluated):

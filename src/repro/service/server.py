@@ -19,13 +19,15 @@ thin stdlib HTTP layer (:func:`make_server`, built on
 
 Repeat traffic is the point: the service keeps ONE
 :class:`~repro.engine.parallel.ParallelEvaluator` (hence one store and
-warm platform memos) across every job, and results are keyed by trace
-fingerprint + configuration + platform context in the store -- so re-submitting an
-identical sweep answers from the store with zero new evaluations, bit
-for bit identical to the first answer *and* to a direct
-``measure_many`` call.  Sweep results on the wire are exactly the
-store's encoded records (:meth:`ResultStoreBase.encode`), which is what
-makes that equality a one-line comparison.
+warm platform memos) across every job, and the store keeps each trace's
+summary and cache statistics -- so re-submitting an identical sweep
+answers from the memos with zero new evaluations, and a new
+configuration over known cache geometries costs only the timing model,
+bit for bit identical to the first answer *and* to a direct
+``measure_many`` call.  Sweep results on the wire are the store's
+encoded records (:meth:`ResultStore.encode
+<repro.engine.store.ResultStore.encode>`), which is what makes that
+equality a one-line comparison.
 
 When the service is given a campaign database (``grid_path``), sweep
 jobs are registered as campaign-grid rows and drained through a
@@ -59,12 +61,7 @@ from repro.core.weights import (
 )
 from repro.engine.campaign import CampaignGrid, CampaignWorker
 from repro.engine.parallel import ParallelEvaluator
-from repro.engine.store import (
-    ResultStore,
-    ResultStoreBase,
-    SqliteResultStore,
-    open_store,
-)
+from repro.engine.store import ResultStore, open_store
 from repro.platform.liquid import LiquidPlatform
 from repro.service.jobs import Job, JobManager
 from repro.workloads import small_workloads, standard_workloads
@@ -98,6 +95,11 @@ def figure2_grid(platform: LiquidPlatform) -> List[Configuration]:
 #: Largest request body the HTTP layer reads, in bytes (larger ones get 413).
 MAX_BODY_BYTES = 1 << 20
 
+#: Most configurations one sweep job may list (longer lists get 413 at
+#: submission).  Bounds the job's memory and its result record; every
+#: cache geometry of the LEON space (under 300 configurations) fits.
+MAX_SWEEP_CONFIGS = 4096
+
 
 class ServiceBadRequest(ValueError):
     """A malformed job payload (mapped to HTTP 400)."""
@@ -106,7 +108,8 @@ class ServiceBadRequest(ValueError):
 
 
 class ServicePayloadTooLarge(ServiceBadRequest):
-    """A request body over :data:`MAX_BODY_BYTES` (mapped to HTTP 413)."""
+    """A body over :data:`MAX_BODY_BYTES`, or a sweep over
+    :data:`MAX_SWEEP_CONFIGS` configurations (mapped to HTTP 413)."""
 
     status = 413
 
@@ -120,9 +123,9 @@ class TuningService:
         Workload registry served: ``"standard"`` (benchmark traces) or
         ``"small"`` (quick smoke traces; the test/CI default).
     store_path:
-        Persistent result store path (JSON-lines or SQLite by suffix).
-        Ignored when ``grid_path`` is given; default is an in-memory
-        store (memoisation still works within the service's lifetime).
+        Persistent result store path (a SQLite file).  Ignored when
+        ``grid_path`` is given; default is an in-memory store
+        (memoisation still works within the service's lifetime).
     grid_path:
         Campaign database.  Sweep jobs then run as campaign-grid rows,
         shared with any CLI ``--claim`` workers on the same file, and
@@ -149,13 +152,9 @@ class TuningService:
             self.grid = CampaignGrid(grid_path)
             self.grid.bind_platform(
                 self.platform.device, self.platform.timing_parameters)
-            store: ResultStoreBase = SqliteResultStore(
-                grid_path, device=self.platform.device,
-                timing_parameters=self.platform.timing_parameters)
-        elif store_path:
-            store = open_store(store_path)
+            store = ResultStore(grid_path)
         else:
-            store = ResultStore()
+            store = open_store(store_path)
         self.store = store
         self.evaluator = ParallelEvaluator(self.platform, store=store)
         self.workloads: Dict[str, Workload] = (
@@ -208,6 +207,10 @@ class TuningService:
             return figure2_grid(self.platform)
         if not isinstance(raw, list) or not raw:
             raise ServiceBadRequest("'configs' must be a non-empty list")
+        if len(raw) > MAX_SWEEP_CONFIGS:
+            raise ServicePayloadTooLarge(
+                f"'configs' lists {len(raw)} configurations; a sweep takes at "
+                f"most {MAX_SWEEP_CONFIGS}")
         base = base_configuration()
         configs = []
         for index, entry in enumerate(raw):

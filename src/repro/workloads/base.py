@@ -113,18 +113,6 @@ class Workload(ABC):
         """
         return self.trace().columnar_view(kind, linesize_bytes)
 
-    def features(self):
-        """Memoised configuration-independent feature vector of the trace.
-
-        Delegates to :meth:`ExecutionTrace.features
-        <repro.microarch.trace.ExecutionTrace.features>`; this is the
-        summary the broadcast timing model
-        (:func:`~repro.microarch.timing.evaluate_many`) multiplies
-        against a compiled configuration grid, so a batch reduces the
-        trace once, not once per configuration.
-        """
-        return self.trace().features()
-
     def recipe(self) -> Optional[str]:
         """Digest of everything this workload's execution trace depends on.
 

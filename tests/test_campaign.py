@@ -23,7 +23,7 @@ import pytest
 from reference_timing import reference_measurements
 from repro.engine import CampaignGrid, CampaignWorker
 from repro.engine.campaign import STATUS_DONE, STATUS_FAILED, STATUS_OPEN
-from repro.engine.store import SqliteResultStore, config_key_string
+from repro.engine.store import ResultStore, config_key_string
 from repro.platform import LiquidPlatform
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -306,7 +306,7 @@ class TestResultsMatchDirectSweep:
         reference = reference_measurements(arith_small, configs)
 
         platform = LiquidPlatform()
-        store = SqliteResultStore(path)
+        store = ResultStore(path)
         store.bind_platform(platform.device, platform.timing_parameters)
         for config, expected in zip(configs, reference):
             assert store.get(arith_small, config) == expected

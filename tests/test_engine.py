@@ -15,6 +15,7 @@ and recipes compare against the bare :class:`LiquidPlatform`.
 import ast
 import os
 import pathlib
+import sqlite3
 import subprocess
 import sys
 
@@ -24,16 +25,21 @@ from reference_timing import reference_measurements
 from repro.config import Replacement, base_configuration
 from repro.core import MicroarchTuner, OneFactorCampaign, RUNTIME_OPTIMIZATION
 from repro.engine import (
+    CampaignGrid,
     EngineStats,
     EvaluationBackend,
     ParallelEvaluator,
     ResultStore,
-    SqliteResultStore,
     open_store,
 )
+from repro.engine import store as store_module
 from repro.engine.store import workload_fingerprint
+from repro.errors import StoreFormatError
+from repro.fpga.device import FpgaDevice
+from repro.microarch.cachekernel import KERNEL_VERSION
+from repro.obs import disable_tracing, enable_tracing, get_registry
 from repro.platform import LiquidPlatform
-from repro.workloads import ArithWorkload
+from repro.workloads import ArithWorkload, small_workloads
 
 
 def variant_configs(base):
@@ -122,7 +128,7 @@ class TestParallelEquivalence:
 
 class TestStoreEquivalence:
     def test_store_round_trip_identical(self, tmp_path, base_config, small_workload_map):
-        path = str(tmp_path / "results.jsonl")
+        path = str(tmp_path / "results.sqlite")
         configs = variant_configs(base_config)
         writer = ParallelEvaluator(store=ResultStore(path))
         first = {name: writer.measure_many(w, configs)
@@ -135,25 +141,12 @@ class TestStoreEquivalence:
             assert replayed == first[name]
             sequential = LiquidPlatform().measure_many(workload, configs)
             assert replayed == sequential
-        # everything came from the store: no profiling runs at all
-        assert reader.platform.effort()["runs"] == 0
+        # everything came from the store: no cache replays at all
+        assert reader.stats.cache_simulations == 0
         assert reader.stats.store_hits == len(small_workload_map) * 7  # unique configs
 
-    def test_store_survives_truncated_and_foreign_lines(self, tmp_path, base_config,
-                                                        arith_small):
-        """A run killed mid-append must not make the store unloadable."""
-        path = str(tmp_path / "results.jsonl")
-        writer = ParallelEvaluator(store=ResultStore(path))
-        expected = writer.measure(arith_small, base_config)
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"truncated": \n')          # killed mid-append
-            handle.write('{"context": "other"}\n')    # different platform context
-        reloaded = ResultStore(path)
-        assert len(reloaded) == 1
-        assert reloaded.get(arith_small, base_config) == expected
-
     def test_store_never_aliases_workloads_of_different_scale(self, tmp_path, base_config):
-        path = str(tmp_path / "results.jsonl")
+        path = str(tmp_path / "results.sqlite")
         small, large = ArithWorkload(iterations=50), ArithWorkload(iterations=120)
         assert workload_fingerprint(small) != workload_fingerprint(large)
         ParallelEvaluator(store=ResultStore(path)).measure(small, base_config)
@@ -165,21 +158,25 @@ class TestStoreEquivalence:
 
 class TestSqliteStore:
     def test_open_store_selects_backend_by_extension(self, tmp_path):
-        assert isinstance(open_store(str(tmp_path / "a.sqlite")), SqliteResultStore)
-        assert isinstance(open_store(str(tmp_path / "a.db")), SqliteResultStore)
-        assert isinstance(open_store(str(tmp_path / "a.jsonl")), ResultStore)
-        assert isinstance(open_store(None), ResultStore)  # in-memory default
+        for name in ("a.sqlite", "a.sqlite3", "a.db"):
+            store = open_store(str(tmp_path / name))
+            assert isinstance(store, ResultStore)
+            assert store.path == str(tmp_path / name)
+        assert store_module.SqliteResultStore is ResultStore  # the harness name
+        memory = open_store(None)  # in-memory default
+        assert isinstance(memory, ResultStore) and memory.path is None
 
     def test_round_trip_identical(self, tmp_path, base_config, arith_small):
         path = str(tmp_path / "results.sqlite")
-        store = SqliteResultStore(path)
+        store = ResultStore(path)
         expected = ParallelEvaluator(store=store).measure(
             arith_small, base_config)
-        assert len(store) == 1
-        reloaded = SqliteResultStore(path)
+        assert len(store) == 2  # the icache and the dcache geometry
+        reloaded = ResultStore(path)
         replayed = reloaded.get(arith_small, base_config)
         assert replayed == expected
         assert replayed == LiquidPlatform().measure(arith_small, base_config)
+        assert reloaded.get(arith_small, base_config.replace(dcache_sets=2)) is None
 
     def test_resume_answers_from_store_without_runs(self, tmp_path, base_config,
                                                     small_workload_map):
@@ -193,35 +190,232 @@ class TestSqliteStore:
         reader = ParallelEvaluator(store=open_store(path))
         for name, workload in small_workload_map.items():
             assert reader.measure_many(workload, configs) == first[name]
-        assert reader.platform.effort()["runs"] == 0
+        assert reader.stats.cache_simulations == 0
         assert reader.stats.store_hits == len(small_workload_map) * 7  # unique configs
 
-    def test_put_deduplicates(self, tmp_path, base_config, arith_small):
-        store = SqliteResultStore(str(tmp_path / "results.sqlite"))
-        measurement = LiquidPlatform().measure(arith_small, base_config)
-        assert store.put(arith_small, measurement) is True
-        assert store.put(arith_small, measurement) is False
-        assert len(store) == 1
+    def test_write_deduplicates(self, tmp_path, base_config, arith_small):
+        store = ResultStore(str(tmp_path / "results.sqlite"))
+        platform = LiquidPlatform()
+        _, jobs = platform.cache_plan(arith_small, [base_config])
+        runs = platform.simulate_cache_jobs(arith_small, jobs)
+        summary = arith_small.trace().summary()
+        fingerprint = arith_small.fingerprint()
+        assert store.write(fingerprint, runs, summary=summary) == 3
+        assert store.write(fingerprint, runs, summary=summary) == 0
+        assert len(store) == 2
+        loaded_summary, loaded_runs = store.load(fingerprint)
+        assert loaded_runs == runs
+        assert loaded_summary.window_traps == summary.window_traps
 
     def test_context_filter_follows_platform_calibration(self, tmp_path, base_config,
                                                          arith_small):
+        """Rows written under one calibration never leak its cycle counts into
+        a reader with another: the store holds cache outcomes only, and each
+        reader times them with its own parameters."""
         from repro.microarch.timing import TimingParameters
 
         path = str(tmp_path / "results.sqlite")
         slow = LiquidPlatform(timing_parameters=TimingParameters(memory_latency=40))
-        writer = ParallelEvaluator(slow, store=SqliteResultStore(path))
+        writer = ParallelEvaluator(slow, store=ResultStore(path))
         slow_measurement = writer.measure(arith_small, base_config)
 
-        default_reader = ParallelEvaluator(store=SqliteResultStore(path))
+        default_reader = ParallelEvaluator(store=ResultStore(path))
         default_measurement = default_reader.measure(arith_small, base_config)
-        assert default_reader.stats.store_hits == 0
+        assert default_reader.stats.cache_simulations == 0
         assert default_measurement.cycles < slow_measurement.cycles
+        assert default_measurement == LiquidPlatform().measure(arith_small, base_config)
 
         slow_reader = ParallelEvaluator(
             LiquidPlatform(timing_parameters=TimingParameters(memory_latency=40)),
-            store=SqliteResultStore(path))
+            store=ResultStore(path))
         assert slow_reader.measure(arith_small, base_config) == slow_measurement
+        assert slow_reader.stats.cache_simulations == 0
         assert slow_reader.stats.store_hits == 1
+
+
+class TestStoreFormat:
+    def test_open_store_refuses_other_extensions(self, tmp_path):
+        with pytest.raises(StoreFormatError, match=r"\.sqlite, \.sqlite3, \.db"):
+            open_store(str(tmp_path / "results.jsonl"))
+        assert not (tmp_path / "results.jsonl").exists()
+
+    def test_per_configuration_layout_is_refused_not_migrated(self, tmp_path):
+        path = tmp_path / "old.sqlite"
+        conn = sqlite3.connect(path)
+        with conn:
+            conn.execute("CREATE TABLE measurements (context TEXT, fingerprint TEXT,"
+                         " config_key TEXT, record TEXT)")
+        conn.close()
+        with pytest.raises(StoreFormatError) as error:
+            open_store(str(path))
+        assert str(path) in str(error.value)
+        assert "delete" in str(error.value) and "another path" in str(error.value)
+        conn = sqlite3.connect(path)
+        tables = {name for (name,) in conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'")}
+        conn.close()
+        assert tables == {"measurements"}  # untouched
+
+    def test_a_file_that_is_not_sqlite_is_refused(self, tmp_path):
+        path = tmp_path / "notes.db"
+        path.write_text('{"not": "a database"}\n' * 100)
+        with pytest.raises(StoreFormatError, match="not a SQLite result store"):
+            open_store(str(path))
+
+    @pytest.mark.parametrize("grid_first", [True, False])
+    def test_fresh_file_shared_with_a_campaign_grid_opens(self, tmp_path, base_config,
+                                                          arith_small, grid_first):
+        path = str(tmp_path / "campaign.sqlite")
+        if grid_first:
+            grid, store = CampaignGrid(path), open_store(path)
+        else:
+            store, grid = open_store(path), CampaignGrid(path)
+        with grid:
+            assert grid.register(arith_small, [base_config]) == 1
+            ParallelEvaluator(store=store).measure(arith_small, base_config)
+            assert len(store) == 2
+        store.close()
+
+    def test_rows_of_another_kernel_version_are_never_served(
+            self, tmp_path, monkeypatch, base_config, arith_small):
+        path = str(tmp_path / "results.sqlite")
+        expected = ParallelEvaluator(store=open_store(path)).measure(
+            arith_small, base_config)
+        monkeypatch.setattr(store_module, "KERNEL_VERSION", KERNEL_VERSION + 1)
+        store = open_store(path)
+        assert len(store) == 0
+        assert store.load(arith_small.fingerprint()) == (None, {})
+        reader = ParallelEvaluator(store=store)
+        assert reader.measure(arith_small, base_config) == expected
+        assert reader.stats.store_hits == 0 and reader.stats.cache_simulations == 2
+        assert len(store) == 2
+
+
+class TestStoreIO:
+    """A batch reads a workload's rows at most once and commits at most once."""
+
+    @staticmethod
+    def record_statements(store):
+        statements = []
+        store._conn.set_trace_callback(statements.append)
+        return statements
+
+    @staticmethod
+    def count(statements, prefix, table=""):
+        return sum(1 for sql in statements
+                   if sql.lstrip().upper().startswith(prefix) and table in sql)
+
+    def test_one_read_round_and_one_commit_per_batch(self, tmp_path, base_config):
+        path = str(tmp_path / "results.sqlite")
+        configs = variant_configs(base_config)
+        workload = ArithWorkload(iterations=90)
+        store = open_store(path)
+        statements = self.record_statements(store)
+        ParallelEvaluator(store=store).measure_many(workload, configs)
+        assert self.count(statements, "SELECT", "summaries") == 1
+        assert self.count(statements, "SELECT", "cache_stats") == 1
+        assert self.count(statements, "COMMIT") == 1
+        store.close()
+
+        # a warm batch over a new store reads the rows once, writes nothing
+        store = open_store(path)
+        statements = self.record_statements(store)
+        engine = ParallelEvaluator(store=store)
+        warm = ArithWorkload(iterations=90)
+        engine.measure_many(warm, configs)
+        assert self.count(statements, "SELECT", "traces") == 1  # the recipe
+        assert self.count(statements, "SELECT", "summaries") == 1
+        assert self.count(statements, "SELECT", "cache_stats") == 1
+        assert self.count(statements, "COMMIT") == 0
+        assert self.count(statements, "INSERT") == 0
+        assert engine.stats.cache_simulations == 0
+
+        # a batch the memos answer touches the store not at all
+        statements.clear()
+        engine.measure_many(warm, configs[:3] + [base_config.replace(multiplier="m32x32",
+                                                                     dcache_sets=2)])
+        assert statements == []
+        store.close()
+
+    def test_rows_the_wrapped_platform_already_held_are_written(self, tmp_path,
+                                                                base_config):
+        path = str(tmp_path / "results.sqlite")
+        configs = variant_configs(base_config)
+        platform = LiquidPlatform()
+        workload = ArithWorkload(iterations=90)
+        platform.measure_many(workload, configs[:2])  # summary + 3 geometries in memo
+        with ParallelEvaluator(platform, store=open_store(path)) as engine:
+            measured = engine.measure_many(workload, configs)
+        key_pairs, _ = platform.cache_plan(workload, configs)
+        geometries = {job for pair in key_pairs for job in pair}
+        assert engine.stats.store_writes == len(geometries) + 1  # and the summary
+
+        with ParallelEvaluator(store=open_store(path)) as warm:
+            assert warm.measure_many(ArithWorkload(iterations=90), configs) == measured
+        assert warm.stats.cache_simulations == 0
+
+    def test_store_io_stage_times_reads_and_writes(self, tmp_path, base_config):
+        tracer = enable_tracing()
+        try:
+            with ParallelEvaluator(store=open_store(None)) as engine:
+                engine.measure_many(ArithWorkload(iterations=90),
+                                    variant_configs(base_config))
+            spans = [r for r in tracer.records if r.name == "store_io"]
+        finally:
+            disable_tracing()
+        read, write = spans
+        assert read.attrs == {"workload": "arith", "rows_read": 0, "rows_written": 0}
+        assert write.attrs["rows_written"] == engine.stats.store_writes
+        assert write.attrs["rows_written"] == engine.stats.cache_simulations + 1
+        assert engine.stats.stage_seconds["store_io"] > 0
+
+
+class TestStoreAudit:
+    def populate(self, path, base_config):
+        workload = small_workloads()["arith"]
+        with ParallelEvaluator(store=open_store(path)) as engine:
+            engine.measure_many(workload, variant_configs(base_config))
+        return engine.stats.cache_simulations
+
+    def test_audit_passes_on_an_intact_store(self, tmp_path, base_config):
+        path = str(tmp_path / "results.sqlite")
+        rows = self.populate(path, base_config)
+        store = open_store(path)
+        assert store.audit(small_workloads().values(), 1.0) == (rows + 1, 0)
+        audited, mismatches = store.audit(small_workloads().values(), 0.25)
+        assert mismatches == 0 and 1 < audited < rows + 1
+        store.close()
+
+    def test_corrupted_row_fails_the_audit(self, tmp_path, base_config):
+        path = str(tmp_path / "results.sqlite")
+        self.populate(path, base_config)
+        conn = sqlite3.connect(path)
+        with conn:
+            conn.execute("UPDATE cache_stats SET read_misses = read_misses + 1"
+                         " WHERE rowid = (SELECT MIN(rowid) FROM cache_stats)")
+        conn.close()
+        get_registry().drain()
+        store = open_store(path)
+        audited, mismatches = store.audit(small_workloads().values(), 1.0)
+        assert mismatches == 1
+        counters = get_registry().drain()
+        assert counters["store.audits"]["value"] == audited
+        assert counters["store.audit_mismatches"]["value"] == 1
+        store._conn.execute("UPDATE summaries SET cc_branch_hazards = cc_branch_hazards + 1")
+        store._conn.commit()
+        assert store.audit(small_workloads().values(), 1.0) == (audited, 2)
+        store.close()
+
+        script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / \
+            "run_experiments.py"
+        src = str(script.parent.parent / "src")
+        result = subprocess.run(
+            [sys.executable, str(script), "--scale", "small", "--store", path,
+             "--audit-store", "1.0"],
+            capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert result.returncode == 1, result.stdout + result.stderr
+        assert "2 mismatches" in result.stdout
 
 
 class TestCampaignAndTuner:
@@ -270,24 +464,30 @@ class TestCampaignAndTuner:
 class TestStaleness:
     def test_store_context_follows_platform_calibration(self, tmp_path, base_config,
                                                         arith_small):
-        """A store must never serve measurements from a differently calibrated platform."""
+        """A store reopened under other timing parameters or another device
+        answers exactly like a fresh platform with those: it persists no
+        calibration-dependent number, so it has nothing stale to serve."""
         from repro.microarch.timing import TimingParameters
 
-        path = str(tmp_path / "results.jsonl")
-        slow = LiquidPlatform(timing_parameters=TimingParameters(memory_latency=40))
-        writer = ParallelEvaluator(slow, store=ResultStore(path))
-        slow_measurement = writer.measure(arith_small, base_config)
-
-        default_reader = ParallelEvaluator(store=ResultStore(path))
-        default_measurement = default_reader.measure(arith_small, base_config)
-        assert default_reader.stats.store_hits == 0
-        assert default_measurement.cycles < slow_measurement.cycles
-
-        slow_reader = ParallelEvaluator(
-            LiquidPlatform(timing_parameters=TimingParameters(memory_latency=40)),
-            store=ResultStore(path))
-        assert slow_reader.measure(arith_small, base_config) == slow_measurement
-        assert slow_reader.stats.store_hits == 1
+        path = str(tmp_path / "results.sqlite")
+        configs = variant_configs(base_config)
+        slow_parameters = TimingParameters(memory_latency=40, window_overflow_cost=60)
+        bigger = FpgaDevice(name="bigger", luts=80_000, brams=320)
+        writer = ParallelEvaluator(
+            LiquidPlatform(timing_parameters=slow_parameters), store=open_store(path))
+        writer.measure_many(arith_small, configs)
+        for platform_args in ({}, {"timing_parameters": slow_parameters},
+                              {"device": bigger}):
+            reader = ParallelEvaluator(LiquidPlatform(**platform_args),
+                                       store=open_store(path))
+            measured = reader.measure_many(arith_small, configs)
+            assert measured == LiquidPlatform(**platform_args).measure_many(
+                arith_small, configs)
+            assert reader.stats.cache_simulations == 0
+            assert reader.stats.store_hits == 7
+            get = open_store(path, **platform_args).get(arith_small, configs[1])
+            assert get == measured[1]
+        assert measured[0].resources.device == bigger
 
     def test_worker_pool_tracks_trace_changes_of_same_named_workloads(self, base_config):
         """Re-measuring on a reused evaluator must not replay a stale trace."""

@@ -27,22 +27,54 @@ cache fixture is rewritten; the fingerprint fixture only gains an entry
 for a new ``SIMULATOR_VERSION`` -- new trace semantics under an
 unchanged version are refused, because persisted recipe rows would then
 name fingerprints the simulator no longer produces.
+
+Result stores persist cache statistics and trace summaries under
+:data:`~repro.microarch.cachekernel.KERNEL_VERSION`, so every golden
+file's sha256 is pinned per kernel version as well: a golden file that
+changes without a version bump fails here, before any store can serve a
+row of the old semantics.  The persisted trace summaries (feature vector
+and the register-window trap table of the timing model's trap walk) are
+pinned the same way, as one sha256 of their ``summaries`` rows over the
+small workloads and a deep-recursion trace (the paper workloads never
+nest deep enough to trap).  After bumping the version, add its hashes to
+:data:`GOLDEN_SHA256` and :data:`SUMMARY_SHA256`.
 """
 
+import hashlib
 import json
 import os
 import pathlib
 
+import numpy as np
 import pytest
 
 from repro.config import Replacement
+from repro.engine.store import _summary_row
 from repro.microarch.cache import CacheConfig
+from repro.microarch.cachekernel import KERNEL_VERSION
 from repro.microarch.functional import SIMULATOR_VERSION
+from repro.microarch.trace import ExecutionTrace
 from repro.platform import LiquidPlatform
 from repro.workloads import standard_workloads
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "cache_golden.json"
 FINGERPRINT_PATH = pathlib.Path(__file__).parent / "golden" / "trace_fingerprints.json"
+
+#: sha256 of every ``golden/*.json`` file, per ``KERNEL_VERSION``.
+GOLDEN_SHA256 = {
+    1: {
+        "cache_golden.json":
+            "ea6b35cb22543b9e8596e2f2235db19964f5c54e43207316043dabfc15e93b38",
+        "trace_fingerprints.json":
+            "4944b413690010ebe5a44f29cf43bd9bd4dcd08447b7cd2b739bc1d098500e6a",
+    },
+}
+
+#: sha256 of the ``summaries`` rows of the small workloads and
+#: :func:`deep_recursion_trace`, per ``KERNEL_VERSION``.
+SUMMARY_SHA256 = {
+    1: "9413f716514dab8c00c8fabe01042604432e66e3befd1a91696b8f5127b88040",
+}
 
 #: The pinned configuration grid: every replacement policy, the
 #: direct-mapped corner, odd associativity, and both line sizes.
@@ -140,3 +172,42 @@ def test_golden_grid_covers_the_policy_and_associativity_space():
     assert policies == set(Replacement.ALL)
     assert {c.ways for c in GOLDEN_CONFIGS} == {1, 2, 3, 4}
     assert {c.linesize_words for c in GOLDEN_CONFIGS} == {4, 8}
+
+
+def test_golden_files_are_pinned_to_the_kernel_version():
+    """Changing a golden file requires a KERNEL_VERSION bump."""
+    assert KERNEL_VERSION in GOLDEN_SHA256, (
+        f"no golden hashes for KERNEL_VERSION {KERNEL_VERSION}; add them")
+    actual = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+              for path in sorted(GOLDEN_PATH.parent.glob("*.json"))}
+    assert actual == GOLDEN_SHA256[KERNEL_VERSION], (
+        "a golden file changed under an unchanged KERNEL_VERSION: bump it in "
+        "repro/microarch/cachekernel.py so stores stop serving old rows")
+
+
+def deep_recursion_trace(like: ExecutionTrace) -> ExecutionTrace:
+    """``like``'s instruction stream with a call depth that traps at every window count.
+
+    Nests 40 frames deep twice, then oscillates at the spill boundary of
+    the smallest register file, so the trap table has no zero row.
+    """
+    events = np.array(([1] * 40 + [-1] * 40) * 2 + [1] * 8 + [-1, 1] * 5 + [-1] * 8,
+                      dtype=np.int8)
+    return ExecutionTrace(
+        pcs=like.pcs, op_classes=like.op_classes, mem_addrs=like.mem_addrs,
+        load_use_hazard=like.load_use_hazard, cc_branch_hazard=like.cc_branch_hazard,
+        window_events=events, name="deep_recursion")
+
+
+def test_summary_rows_are_pinned_to_the_kernel_version(small_workload_map):
+    """Changing a persisted summary (features or trap table) requires a bump."""
+    rows = {name: _summary_row(workload.trace().summary())
+            for name, workload in sorted(small_workload_map.items())}
+    deep = deep_recursion_trace(small_workload_map["arith"].trace()).summary()
+    assert all(overflows and underflows for _, overflows, underflows in deep.window_traps)
+    rows["deep_recursion"] = _summary_row(deep)
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == SUMMARY_SHA256.get(KERNEL_VERSION), (
+        "a persisted trace summary changed under an unchanged KERNEL_VERSION: "
+        "bump it in repro/microarch/cachekernel.py so stores stop serving old "
+        f"rows, then pin {digest} for the new version")

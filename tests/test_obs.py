@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine import CampaignGrid, CampaignWorker, ParallelEvaluator
+from repro.engine import CampaignGrid, CampaignWorker, ParallelEvaluator, open_store
 from repro.engine.backend import EngineStats
 from repro.obs import (
     MetricsRegistry,
@@ -257,13 +257,20 @@ class TestSpanTreeTiming:
             self, base_config, fresh_arith):
         tracer = enable_tracing()
         configs = grid_configs(base_config)
-        with ParallelEvaluator(LiquidPlatform()) as evaluator:
+        with ParallelEvaluator(LiquidPlatform(), store=open_store(None)) as evaluator:
             evaluator.measure_many(fresh_arith, configs)
             stats = evaluator.stats
         spans = {}
         for record in tracer.records:
             spans[record.name] = spans.get(record.name, 0.0) + record.wall
-        for stage in ("trace_generation", "cache_simulation", "sweep_evaluate"):
+        # store_io: the batch read and the batch write, timed apart from
+        # the timing model (sweep_evaluate times only the assembly)
+        store_spans = [r for r in tracer.records if r.name == "store_io"]
+        assert [(r.attrs["rows_read"], r.attrs["rows_written"] > 0)
+                for r in store_spans] == [(0, False), (0, True)]
+        assert all(r.attrs["workload"] == fresh_arith.name for r in store_spans)
+        for stage in ("trace_generation", "cache_simulation", "sweep_evaluate",
+                      "store_io"):
             assert stage in stats.stage_seconds
             # the span and the stage share one timed region; the span
             # closes a hair later, so it may only exceed by bookkeeping

@@ -214,7 +214,7 @@ class TestPhasedMeasurement:
             replayed = reader.measure_phases(drr_phased, configs)
             assert replayed == first
             assert reader.stats.store_hits == 3  # unique configs from the store
-            assert reader.platform.effort()["runs"] == 0
+            assert reader.stats.cache_simulations == 0
 
     def test_warm_chain_observes_the_phase_transition(self, switch_scenario):
         """The resumed phase must hit on state its first run left behind."""

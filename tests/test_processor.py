@@ -61,7 +61,7 @@ class TestProcessorModel:
         platform = LiquidPlatform()
         [(ikey, dkey)], jobs = platform.cache_plan(workload, [base_config])
         runs = platform.simulate_cache_jobs(workload, jobs)
-        [evaluated] = evaluate_many(workload.trace(), [base_config],
+        [evaluated] = evaluate_many(workload.trace().summary(), [base_config],
                                     [(runs[ikey], runs[dkey])])
         assert evaluated == measured
 

@@ -32,7 +32,7 @@ from repro.engine.campaign import STATUS_DONE
 from repro.platform import LiquidPlatform
 from repro.service import ServiceClient, ServiceError, TuningService, make_server
 from repro.service.jobs import JobManager
-from repro.service.server import MAX_BODY_BYTES, figure2_grid
+from repro.service.server import MAX_BODY_BYTES, MAX_SWEEP_CONFIGS, figure2_grid
 
 
 def wait_for(job_manager_service, job_id, timeout=120.0):
@@ -113,7 +113,8 @@ class TestServiceJobs:
             assert first["status"] == "done"
             assert first["done"] == first["total"] == len(payload["configs"])
             before = service.metrics()["engine"]
-            assert before["store_writes"] == len(payload["configs"])
+            # one row per replayed geometry plus the trace summary
+            assert before["store_writes"] == before["cache_simulations"] + 1
             second = wait_for(service, service.submit_sweep(payload).id)
             # zero new evaluations: the resident memo/store layers
             # answered the whole job (nothing simulated, nothing written)
@@ -233,6 +234,17 @@ class TestServiceHttp:
         message = str(refused.value)
         assert f"configs[{len(configs)}] does not fit" in message
         assert "BRAM" in message
+        assert service.jobs.list_jobs() == []
+        assert service.metrics()["engine"]["requested"] == 0
+
+    def test_oversized_sweep_list_is_refused_with_413(self, live_service):
+        """A configs list over MAX_SWEEP_CONFIGS is refused at submit."""
+        service, client = live_service
+        assert MAX_SWEEP_CONFIGS >= 288  # every cache geometry in one sweep
+        with pytest.raises(ServiceError) as refused:
+            client.submit_sweep("arith", configs=[{}] * (MAX_SWEEP_CONFIGS + 1))
+        assert refused.value.status == 413
+        assert str(MAX_SWEEP_CONFIGS) in str(refused.value)
         assert service.jobs.list_jobs() == []
         assert service.metrics()["engine"]["requested"] == 0
 

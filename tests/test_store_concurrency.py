@@ -1,13 +1,13 @@
 """Concurrent access to one shared SQLite result store.
 
 Large campaigns shard their configuration space across several evaluator
-processes that share one ``.sqlite`` store (the resumability story of
-ROADMAP's sharding follow-up).  These tests drive two evaluators -- and,
-separately, many raw writer threads -- against a single database file and
-assert the invariants that make sharing sound: no lost rows, no
-duplicated rows (the ``(context, fingerprint, config_key)`` primary key
-deduplicates racing writers), and a resuming evaluator answers entirely
-from the store regardless of which writer produced each row.
+processes that share one ``.sqlite`` store.  These tests drive two
+evaluators -- and, separately, many raw writer threads -- against a
+single database file and assert the invariants that make sharing sound:
+no lost rows, no duplicated rows (the ``(kernel, fingerprint, kind,
+geometry)`` primary key deduplicates racing writers), and a resuming
+evaluator answers entirely from the store regardless of which writer
+produced each row.
 """
 
 import random
@@ -17,7 +17,7 @@ import threading
 import pytest
 
 from repro.config import base_configuration
-from repro.engine import ParallelEvaluator, SqliteResultStore, busy_retry, open_store
+from repro.engine import ParallelEvaluator, ResultStore, busy_retry, open_store
 from repro.engine.store import workload_fingerprint
 from repro.platform import LiquidPlatform
 
@@ -41,23 +41,24 @@ class TestTwoEvaluatorsOneStore:
         grid = config_grid(base_config, 9)
         shard_a, shard_b = grid[:6], grid[3:]  # overlap on grid[3:6]
 
-        first = ParallelEvaluator(store=SqliteResultStore(path))
-        second = ParallelEvaluator(store=SqliteResultStore(path))
+        first = ParallelEvaluator(store=ResultStore(path))
+        second = ParallelEvaluator(store=ResultStore(path))
         with first, second:
             results_a = first.measure_many(arith_small, shard_a)
             results_b = second.measure_many(arith_small, shard_b)
 
-        # the overlap was measured twice but stored once: 9 rows, not 12
-        assert len(SqliteResultStore(path)) == len(grid)
+        # the overlap was replayed twice but stored once: one row per dcache
+        # geometry (9, not 12) plus the shared icache geometry
+        assert len(ResultStore(path)) == len(grid) + 1
         # both evaluators agree bit-for-bit on the overlapping configurations
         assert results_a[3:] == results_b[:3]
 
-        with ParallelEvaluator(store=SqliteResultStore(path)) as reader:
+        with ParallelEvaluator(store=ResultStore(path)) as reader:
             resumed = reader.measure_many(arith_small, grid)
             assert resumed[:6] == results_a
             assert resumed[3:] == results_b
             assert reader.stats.store_hits == len(grid)
-            assert reader.platform.effort()["runs"] == 0  # no re-simulation
+            assert reader.stats.cache_simulations == 0  # no re-simulation
 
     def test_interleaved_writers_see_each_others_rows_on_reload(self, tmp_path,
                                                                 base_config,
@@ -69,8 +70,8 @@ class TestTwoEvaluatorsOneStore:
         with first, second:
             for i, config in enumerate(grid):  # strict alternation
                 (first if i % 2 == 0 else second).measure(arith_small, config)
-        store = SqliteResultStore(path)
-        assert len(store) == len(grid)
+        store = ResultStore(path)
+        assert len(store) == len(grid) + 1  # the dcache geometries + one icache
         for config in grid:
             assert store.get(arith_small, config) is not None
 
@@ -82,17 +83,22 @@ class TestThreadedWriters:
         """Many threads, own connections, same file, overlapping rows."""
         path = str(tmp_path / "threads.sqlite")
         grid = config_grid(base_config, 10)
-        # measure once up front; the race under test is the store, not the sim
-        measurements = LiquidPlatform().measure_many(arith_small, grid)
+        # replay once up front; the race under test is the store, not the sim
+        platform = LiquidPlatform()
+        _, jobs = platform.cache_plan(arith_small, grid)
+        runs = platform.simulate_cache_jobs(arith_small, jobs)
+        summary = arith_small.trace().summary()
+        fingerprint = workload_fingerprint(arith_small)
         errors = []
 
         def writer(offset):
             try:
-                store = SqliteResultStore(path)  # one connection per thread
-                # every thread writes the full set, starting at its own offset
-                for i in range(len(grid)):
-                    index = (offset + i) % len(grid)
-                    store.put(arith_small, measurements[index])
+                store = ResultStore(path)  # one connection per thread
+                # every thread writes the full set, one row per transaction,
+                # starting at its own offset
+                for i in range(len(jobs)):
+                    job = jobs[(offset + i) % len(jobs)]
+                    store.write(fingerprint, {job: runs[job]}, summary=summary)
                 store.close()
             except Exception as error:  # pragma: no cover - failure reporting
                 errors.append(error)
@@ -105,12 +111,12 @@ class TestThreadedWriters:
             thread.join()
 
         assert not errors, f"writer thread failed: {errors[0]!r}"
-        store = SqliteResultStore(path)
-        assert len(store) == len(grid)  # every row exactly once
-        fingerprint = workload_fingerprint(arith_small)
-        for config, expected in zip(grid, measurements):
-            from repro.engine.store import _config_key_string
-            assert (fingerprint, _config_key_string(config)) in store
+        store = ResultStore(path)
+        assert len(store) == len(jobs)  # every row exactly once
+        stored_summary, stored_runs = store.load(fingerprint)
+        assert stored_runs == runs
+        assert stored_summary.window_traps == summary.window_traps
+        for config, expected in zip(grid, platform.measure_many(arith_small, grid)):
             assert store.get(arith_small, config) == expected
 
 

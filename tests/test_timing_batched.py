@@ -76,7 +76,7 @@ def test_window_trap_counts_memoised_per_trace(arith_small):
 
 
 def test_workload_features_shared_with_trace(arith_small):
-    features = arith_small.features()
+    features = arith_small.trace().summary().features
     assert features is arith_small.trace().features()  # one memo, shared
     assert features.instruction_count == arith_small.trace().instruction_count
     assert int(features.class_counts.sum()) == features.instruction_count
@@ -104,7 +104,7 @@ def test_latency_lookups_match_tables_and_preserve_identity():
 def test_evaluate_many_matches_reference(arith_small, configs):
     trace = arith_small.trace()
     pairs = [cache_statistics(arith_small, c) for c in configs]
-    batched = evaluate_many(trace, configs, pairs)
+    batched = evaluate_many(trace.summary(), configs, pairs)
     for config, pair, result in zip(configs, pairs, batched):
         reference = evaluate_reference(trace, config, *pair)
         assert result == reference
@@ -119,7 +119,7 @@ def test_evaluate_many_all_workloads(small_workload_map, base_config):
     for workload in small_workload_map.values():
         trace = workload.trace()
         pairs = [cache_statistics(workload, c) for c in configs]
-        batched = evaluate_many(trace, configs, pairs)
+        batched = evaluate_many(trace.summary(), configs, pairs)
         for config, pair, result in zip(configs, pairs, batched):
             assert result == evaluate_reference(trace, config, *pair)
 
@@ -129,15 +129,16 @@ def test_evaluate_many_follows_timing_parameters(arith_small, base_config):
     slow = TimingParameters(memory_latency=40, window_overflow_cost=60)
     configs = sweep_grid(base_config)
     pairs = [cache_statistics(arith_small, c) for c in configs]
-    for config, pair, result in zip(configs, pairs, evaluate_many(trace, configs, pairs, slow)):
+    for config, pair, result in zip(configs, pairs,
+                                    evaluate_many(trace.summary(), configs, pairs, slow)):
         assert result == evaluate_reference(trace, config, *pair, slow)
 
 
 def test_evaluate_many_empty_and_misaligned(arith_small):
     trace = arith_small.trace()
-    assert evaluate_many(trace, [], []) == []
+    assert evaluate_many(trace.summary(), [], []) == []
     with pytest.raises(ValueError):
-        evaluate_many(trace, [base_configuration()], [])
+        evaluate_many(trace.summary(), [base_configuration()], [])
 
 
 # -- measure_many == the per-configuration oracle ----------------------------------------
@@ -188,7 +189,7 @@ def test_engine_sweep_uses_store(tmp_path, base_config):
     workload = ArithWorkload(iterations=200)
     configs = sweep_grid(base_config)
     reference = reference_measurements(workload, configs)
-    store_path = str(tmp_path / "sweep.jsonl")
+    store_path = str(tmp_path / "sweep.sqlite")
     from repro.engine import open_store
 
     with ParallelEvaluator(LiquidPlatform(), store=open_store(store_path)) as first:
@@ -197,4 +198,6 @@ def test_engine_sweep_uses_store(tmp_path, base_config):
     with ParallelEvaluator(LiquidPlatform(), store=open_store(store_path)) as second:
         assert second.measure_many(workload, configs) == reference
         assert second.stats.store_hits == len({c.key() for c in configs})
-        assert second.stats.sweep_evaluations == 0
+        # the stored rows replace every replay; timing is re-evaluated
+        assert second.stats.cache_simulations == 0
+        assert second.stats.store_writes == 0

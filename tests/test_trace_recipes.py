@@ -23,6 +23,7 @@ from repro.obs.tracer import disable_tracing, enable_tracing
 from repro.platform import LiquidPlatform
 from repro.workloads import ArithWorkload, BlastnWorkload, DrrWorkload, FragWorkload
 from repro.workloads import base as workload_base
+from repro.workloads import drr_enqueue_service
 from repro.workloads.phased import phase_scenarios
 
 #: Fresh instances of the test suite's four small workloads (the session
@@ -38,11 +39,6 @@ SMALL = {
 
 def small_suite():
     return [make() for make in SMALL.values()]
-
-
-def close(store):
-    """Close a store's file handle (the JSON-lines backend holds none)."""
-    getattr(store, "close", lambda: None)()
 
 
 @pytest.fixture()
@@ -93,18 +89,18 @@ def test_recipe_resolved_fingerprint_equals_the_simulated_one(name, simulations)
     assert (engine.stats.recipe_hits, engine.stats.recipe_misses) == (1, 0)
 
 
-@pytest.mark.parametrize("filename", ["store.sqlite", "store.jsonl"])
+@pytest.mark.parametrize("filename", ["store.sqlite", "store.db"])
 def test_warm_store_tunes_without_simulating(tmp_path, filename, simulations):
     path = str(tmp_path / filename)
     store = open_store(path)
     cold_stats, cold = tune_all(small_suite(), store)
     assert cold_stats.recipe_misses == 4 and cold_stats.recipe_hits == 0
-    close(store)
+    store.close()
 
     simulations.clear()
     store = open_store(path)  # a new process would reopen the file
     stats, warm = tune_all(small_suite(), store)
-    close(store)
+    store.close()
     assert simulations == []
     assert warm == cold
     assert stats.recipe_hits == 4 and stats.recipe_misses == 0
@@ -112,6 +108,32 @@ def test_warm_store_tunes_without_simulating(tmp_path, filename, simulations):
     assert "trace_generation" not in stats.stage_seconds
     snapshot = stats.registry.snapshot()
     assert snapshot["engine.recipe_hits"] == 4
+
+
+@pytest.mark.parametrize("name", sorted(SMALL) + ["drr-phased"])
+def test_warm_store_records_equal_the_cold_run(tmp_path, name, simulations):
+    """A warm run over a store file encodes exactly the cold run's records
+    and replays nothing; a workload with a recipe simulates nothing either
+    (a phased composition has none, so it may simulate to find its
+    fingerprint)."""
+    make = SMALL.get(name) or (lambda: drr_enqueue_service(packet_count=60))
+    path = str(tmp_path / "store.sqlite")
+    configs = grid(8) + [base_configuration().replace(
+        icache_sets=2, icache_replacement="lru", register_windows=16)]
+    records = []
+    for run in ("cold", "warm"):
+        store = open_store(path)
+        workload = make()
+        simulations.clear()
+        with ParallelEvaluator(store=store) as engine:
+            records.append([store.encode(workload, measurement)
+                            for measurement in engine.measure_many(workload, configs)])
+        store.close()
+    assert records[0] == records[1]
+    assert engine.stats.cache_simulations == 0
+    assert engine.stats.store_hits == len(configs)
+    if workload.recipe() is not None:
+        assert simulations == []
 
 
 def test_store_miss_simulates_and_matches_the_bare_platform(simulations):
