@@ -19,12 +19,22 @@ sharing profiles:
   exhaustive dcache sweep decodes each workload trace twice (one per
   line size) instead of once per configuration.
 
-* **Replay** (:func:`replay`) turns the surviving potential-miss events
-  into hit/miss statistics for one concrete geometry.  Events are
-  grouped by set once per set count (:meth:`ColumnarTrace.set_view`),
-  then one compiled C loop (:mod:`repro.microarch.native`) walks them
+* **Replay** (:func:`replay`, :func:`simulate_many`) turns the surviving
+  potential-miss events into hit/miss statistics for concrete
+  geometries.  Events are grouped by set once per set count
+  (:meth:`ColumnarTrace.set_view`), then one compiled C loop walks them
   with LRU / LRR(FIFO) / RANDOM victim selection, for every
-  associativity, direct mapped included.
+  associativity, direct mapped included.  A cold batch replays every
+  geometry of one set count in one native call.
+
+Decode, grouping and replay all run in the C library of
+:mod:`repro.microarch.native`; this module plans the calls.  Three
+things are cached, none of which can go stale: a trace's decoded views
+(per line size, on the :class:`~repro.microarch.trace.ExecutionTrace`,
+which is immutable), each view's set views (per set count, on the
+frozen :class:`ColumnarTrace`, each array exactly one entry per chain),
+and the cold RANDOM victim streams (:data:`_COLD_VICTIMS`, one per
+(seed, ways), a pure function of the two).
 
 The replay is bit-identical to the two scalar oracles in
 ``tests/reference_replay.py``, the per-access loop and the per-event
@@ -59,6 +69,7 @@ from repro.config.leon_space import Replacement
 from repro.errors import ConfigurationError
 from repro.microarch import native
 from repro.microarch.cache import CacheConfig, CacheStatistics
+from repro.obs.metrics import get_registry
 from repro.obs.tracer import span
 
 __all__ = [
@@ -131,8 +142,11 @@ class ColumnarTrace:
         """
         view = self._set_views.get(lines_per_way)
         if view is None:
-            view = _build_set_view(self, lines_per_way)
+            view = _SetView(native.build_set_view(
+                self.event_line, self.event_first_read, self.event_last_pos,
+                self.event_writes_before_read, self.accesses, lines_per_way))
             self._set_views[lines_per_way] = view
+            get_registry().counter("replay.set_views_built").inc()
         return view
 
     @property
@@ -161,58 +175,17 @@ def decode_trace(
     size replays the same decoded view.  ``workload`` names the trace's
     workload on the ``decode`` and ``replay`` spans.
     """
+    addresses = np.ascontiguousarray(addresses, dtype=np.int64)
+    if writes is not None:
+        writes = np.ascontiguousarray(writes, dtype=bool)
+        if writes.shape != addresses.shape:
+            raise ConfigurationError("writes mask must match the address trace length")
     with span("decode", workload=workload, linesize=linesize_bytes) as decode_span:
-        view = _decode_trace(addresses, writes, linesize_bytes=linesize_bytes,
+        columns, write_count = native.decode_runs(addresses, writes, linesize_bytes)
+        view = ColumnarTrace(linesize_bytes, len(addresses), write_count, *columns,
                              workload=workload)
         decode_span.set(accesses=view.accesses, events=len(view))
         return view
-
-
-def _decode_trace(
-    addresses: np.ndarray,
-    writes: Optional[np.ndarray],
-    *,
-    linesize_bytes: int,
-    workload: str,
-) -> ColumnarTrace:
-    addresses = np.asarray(addresses, dtype=np.int64)
-    n = len(addresses)
-    if writes is None:
-        writes_arr = np.zeros(n, dtype=bool)
-    else:
-        writes_arr = np.asarray(writes, dtype=bool)
-        if writes_arr.shape != addresses.shape:
-            raise ConfigurationError("writes mask must match the address trace length")
-    write_total = int(np.count_nonzero(writes_arr))
-    lines = addresses // linesize_bytes
-    if n == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return ColumnarTrace(linesize_bytes, 0, 0, empty, empty, empty, empty,
-                             workload)
-
-    boundary = np.empty(n, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = lines[1:] != lines[:-1]
-    run_start = np.flatnonzero(boundary)
-    run_end = np.append(run_start[1:], n)  # exclusive
-
-    positions = np.arange(n, dtype=np.int64)
-    # first read of each run: min over read positions, n as "no read" sentinel
-    read_positions = np.where(writes_arr, n, positions)
-    first_read = np.minimum.reduceat(read_positions, run_start)
-    # every access before a run's first read is a write by construction
-    writes_before = np.where(first_read < n, first_read - run_start, run_end - run_start)
-
-    return ColumnarTrace(
-        linesize_bytes=linesize_bytes,
-        accesses=n,
-        write_accesses=write_total,
-        event_line=lines[run_start],
-        event_first_read=first_read,
-        event_last_pos=run_end - 1,
-        event_writes_before_read=writes_before,
-        workload=workload,
-    )
 
 
 @dataclass
@@ -225,30 +198,22 @@ class KernelState:
     age: np.ndarray
     #: Per-set LRR/FIFO replacement pointer.
     fifo: np.ndarray
+    #: RANDOM-victim stream position, carried so a chained replay keeps
+    #: drawing where the previous phase stopped.
+    rng: np.random.Generator
     #: Accesses replayed so far (ages are ticks: position + tick + 1).
     tick: int = 0
-    #: RANDOM-victim stream position, carried so a chained replay keeps
-    #: drawing where the previous phase stopped.  :func:`replay` always
-    #: draws from it; ``None`` only in the throwaway states of cold batch
-    #: replays, which never draw from a state.
-    rng: Optional[np.random.Generator] = None
 
 
-def _cold_state(config: CacheConfig) -> KernelState:
-    """Cold tag/age/FIFO stores without a generator (for discarded states)."""
+def fresh_state(config: CacheConfig) -> KernelState:
+    """Cold-cache state for one geometry with its own seeded generator."""
     lines = config.lines_per_way
     return KernelState(
         tags=np.full((lines, config.ways), -1, dtype=np.int64),
         age=np.zeros((lines, config.ways), dtype=np.int64),
         fifo=np.zeros(lines, dtype=np.int64),
+        rng=np.random.default_rng(config.seed),
     )
-
-
-def fresh_state(config: CacheConfig) -> KernelState:
-    """Cold-cache state for one geometry with its own seeded generator."""
-    state = _cold_state(config)
-    state.rng = np.random.default_rng(config.seed)
-    return state
 
 
 def replay(
@@ -270,35 +235,52 @@ def replay(
     # policy or use; match it so the stream position stays identical
     random_victims = (state.rng.integers(0, config.ways, size=view.accesses)
                       if config.ways > 1 else None)
-    return _replay(view, config, state, random_victims)
+    misses = native.replay_events(
+        view.set_view(config.lines_per_way).columns, view.accesses, state.tags,
+        state.age, state.fifo, random_victims, state.tick + 1, config.lines_per_way,
+        config.ways, _POLICY_CODES[config.replacement])
+    state.tick += view.accesses
+    return _statistics(view, misses)
 
 
-def _cold_victims(view: ColumnarTrace, config: CacheConfig,
-                  draws: Dict[Tuple[int, int, int], np.ndarray]) -> Optional[np.ndarray]:
+#: Cold RANDOM victim streams, one per ``(seed, ways)``: the draw
+#: ``default_rng(seed).integers(0, ways, size=n)`` at the longest ``n``
+#: requested so far.  A shorter draw is a prefix of a longer one (bounded
+#: integers consume the bit stream value by value), so slicing serves
+#: every trace exactly.  Worst case: 8 bytes per access of the longest
+#: trace replayed cold, per distinct ``(seed, ways)`` -- 3.7 MB per pair
+#: for a 464k-access trace.  Replaced, never mutated, so a reader keeps
+#: a valid array whatever another thread stores.
+_COLD_VICTIMS: Dict[Tuple[int, int], np.ndarray] = {}
+
+
+def _cold_victims(config: CacheConfig, accesses: int) -> Optional[np.ndarray]:
     """RANDOM victims of a cold replay whose state is thrown away.
 
-    A cold stream depends only on (seed, ways) and the access count, so
-    one batch shares one draw per (seed, ways, accesses).  LRU and LRR
-    never read the victims, so nothing is drawn: no one sees their
-    generator.
+    A cold stream depends only on (seed, ways) and the access count.  LRU
+    and LRR never read the victims, so nothing is drawn: no one sees
+    their generator.
     """
     if config.ways == 1 or config.replacement != Replacement.RANDOM:
         return None
-    key = (config.seed, config.ways, view.accesses)
-    victims = draws.get(key)
-    if victims is None:
+    key = (config.seed, config.ways)
+    victims = _COLD_VICTIMS.get(key)
+    if victims is None or len(victims) < accesses:
         victims = np.random.default_rng(config.seed).integers(
-            0, config.ways, size=view.accesses)
-        draws[key] = victims
-    return victims
+            0, config.ways, size=accesses)
+        _COLD_VICTIMS[key] = victims
+    return victims[:accesses]
 
 
-def _replay_cold(view: ColumnarTrace, config: CacheConfig,
-                 draws: Dict[Tuple[int, int, int], np.ndarray]) -> CacheStatistics:
-    """Statistics of a cold replay whose final state nobody reads."""
-    _check_linesize(view, config)
-    return _replay(view, config, _cold_state(config),
-                   _cold_victims(view, config, draws))
+def _replay_group(view: ColumnarTrace, lines_per_way: int,
+                  configs: Sequence[CacheConfig]) -> List[CacheStatistics]:
+    """Cold replays of geometries sharing ``lines_per_way``: one native call."""
+    misses = native.replay_cold(
+        view.set_view(lines_per_way).columns, view.accesses, lines_per_way,
+        [(config.ways, _POLICY_CODES[config.replacement],
+          _cold_victims(config, view.accesses)) for config in configs])
+    get_registry().counter("replay.native_calls").inc()
+    return [_statistics(view, pair) for pair in misses]
 
 
 def _check_linesize(view: ColumnarTrace, config: CacheConfig) -> None:
@@ -308,22 +290,14 @@ def _check_linesize(view: ColumnarTrace, config: CacheConfig) -> None:
             f"configuration expects {config.linesize_bytes}")
 
 
-def _replay(view: ColumnarTrace, config: CacheConfig, state: KernelState,
-            random_victims: Optional[np.ndarray]) -> CacheStatistics:
+def _statistics(view: ColumnarTrace, misses: Sequence[int]) -> CacheStatistics:
     n = view.accesses
-    if n == 0:
-        return CacheStatistics(0, 0, 0, 0, 0)
-    read_misses, write_misses = native.replay_events(
-        view.set_view(config.lines_per_way), n, state.tags, state.age, state.fifo,
-        random_victims, state.tick + 1, config.lines_per_way, config.ways,
-        _POLICY_CODES[config.replacement])
-    state.tick += n
     return CacheStatistics(
         accesses=n,
         read_accesses=n - view.write_accesses,
         write_accesses=view.write_accesses,
-        read_misses=read_misses,
-        write_misses=write_misses,
+        read_misses=misses[0],
+        write_misses=misses[1],
     )
 
 
@@ -333,17 +307,30 @@ def simulate_many(
     """Replay one decoded trace against many cold-cache configurations.
 
     Equivalent to ``[replay(view, c) for c in configs]``, but no
-    configuration seeds a generator: the cold RANDOM victim draw is shared
-    per (seed, ways) and cold LRU/LRR configurations draw nothing.
+    configuration seeds a generator (the cold RANDOM victim draw is shared
+    per (seed, ways) and cold LRU/LRR configurations draw nothing), and
+    the configurations of one set count replay in one native call.
     Every configuration must share the view's line size
     (group by line size before calling; :meth:`LiquidPlatform.simulate_cache_jobs
     <repro.platform.liquid.LiquidPlatform.simulate_cache_jobs>` does).
     """
     configs = list(configs)
-    draws: Dict[Tuple[int, int, int], np.ndarray] = {}
+    for config in configs:
+        _check_linesize(view, config)
+    groups: Dict[int, List[int]] = {}
+    for position, config in enumerate(configs):
+        groups.setdefault(config.lines_per_way, []).append(position)
+    results: List[Optional[CacheStatistics]] = [None] * len(configs)
     with span("replay", workload=view.workload, configs=len(configs),
-              linesize=view.linesize_bytes):
-        return [_replay_cold(view, config, draws) for config in configs]
+              linesize=view.linesize_bytes) as replay_span:
+        built = sum(lines_per_way not in view._set_views for lines_per_way in groups)
+        for lines_per_way, positions in groups.items():
+            statistics = _replay_group(view, lines_per_way,
+                                       [configs[p] for p in positions])
+            for position, stats in zip(positions, statistics):
+                results[position] = stats
+        replay_span.set(set_views_built=built, native_calls=len(groups))
+    return results
 
 
 def replay_chain(
@@ -409,11 +396,11 @@ def replay_phases(
     workload = views[0].workload if views else ""
     with span("replay_phases", workload=workload, phases=len(views),
               ways=config.ways):
-        warm, _ = replay_chain(views, config)
-        draws: Dict[Tuple[int, int, int], np.ndarray] = {}
+        warm, _ = replay_chain(views, config)  # checks every view's line size
         return PhaseReplay(
             warm=tuple(warm),
-            cold=tuple(_replay_cold(view, config, draws) for view in views),
+            cold=tuple(_replay_group(view, config.lines_per_way, [config])[0]
+                       for view in views),
         )
 
 
@@ -431,55 +418,16 @@ class _SetView:
     change except at the chain's first read -- the same algebra that
     collapses same-line runs at decode time, applied after the set
     mapping is known.  A chain without a read has ``first_read ==
-    accesses``.
+    accesses``.  Built by :func:`native.build_set_view
+    <repro.microarch.native.build_set_view>`; the oracle is
+    ``reference_set_view`` in ``tests/reference_replay.py``.
     """
 
-    set_index: np.ndarray
-    tag: np.ndarray
-    first_read: np.ndarray
-    last_pos: np.ndarray
-    w_pre: np.ndarray
+    #: ``(5, chains)`` int64 rows, exactly one column per chain.
+    columns: np.ndarray
 
-
-def _build_set_view(view: ColumnarTrace, lines_per_way: int) -> _SetView:
-    if len(view) == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return _SetView(empty, empty, empty, empty, empty)
-    n = view.accesses
-    indices = view.event_line % lines_per_way
-    # the narrowest unsigned dtype lets NumPy's stable sort use radix
-    # sort (8/16-bit keys): ~10x faster than sorting int64 set indices
-    order = np.argsort(indices.astype(np.min_scalar_type(lines_per_way - 1)),
-                       kind="stable")
-    idx_s = indices[order]
-    line_s = view.event_line[order]
-    first_read_s = view.event_first_read[order]
-    w_pre_s = view.event_writes_before_read[order]
-    events = len(idx_s)
-
-    # chains: consecutive events on the same line within the same set
-    chain_start = np.empty(events, dtype=bool)
-    chain_start[0] = True
-    chain_start[1:] = (idx_s[1:] != idx_s[:-1]) | (line_s[1:] != line_s[:-1])
-    starts = np.flatnonzero(chain_start)
-    ends = np.append(starts[1:], events) - 1
-    chain_id = np.cumsum(chain_start) - 1
-
-    # a chain member's leading writes can only miss while no earlier chain
-    # member carried a read; compute "read seen before me, within my chain"
-    # with a per-chain running minimum (the id*big offset confines the
-    # accumulate to one chain: earlier chains' values are strictly larger)
-    big = n + 1
-    running_min = np.minimum.accumulate(first_read_s - chain_id * big)
-    prior = np.empty(events, dtype=np.int64)
-    prior[0] = big
-    prior[1:] = running_min[:-1] + chain_id[1:] * big
-    no_read_before = prior >= n
-
-    return _SetView(
-        set_index=idx_s[starts],
-        tag=line_s[starts] // lines_per_way,
-        first_read=np.minimum.reduceat(first_read_s, starts),
-        last_pos=view.event_last_pos[order][ends],
-        w_pre=np.add.reduceat(np.where(no_read_before, w_pre_s, 0), starts),
-    )
+    set_index = property(lambda self: self.columns[0], doc="Set of each chain.")
+    tag = property(lambda self: self.columns[1], doc="Tag of each chain's line.")
+    first_read = property(lambda self: self.columns[2], doc="First read position.")
+    last_pos = property(lambda self: self.columns[3], doc="Last access position.")
+    w_pre = property(lambda self: self.columns[4], doc="Writes before any read.")

@@ -1,7 +1,10 @@
 """Byte-addressable main memory for the functional simulator.
 
-The memory is a flat little-endian byte array sized by the program's
-:class:`~repro.isa.program.MemoryLayout`.  It performs bounds and
+The memory is a flat little-endian byte image sized by the program's
+:class:`~repro.isa.program.MemoryLayout`, backed by a private anonymous
+:class:`mmap.mmap`: the operating system maps zero pages on first touch,
+so a run pays for (and a kept result holds) only the pages it used, not
+the whole address space.  It performs bounds and
 alignment checking so buggy workload programs fail loudly instead of
 corrupting the simulation, and it exposes convenience readers that the
 workload verification hooks use to inspect results.
@@ -9,6 +12,7 @@ workload verification hooks use to inspect results.
 
 from __future__ import annotations
 
+import mmap
 from typing import Iterable, List, Sequence
 
 from repro.errors import SimulationError
@@ -26,7 +30,7 @@ class Memory:
         if size <= 0:
             raise SimulationError("memory size must be positive")
         self.size = size
-        self._data = bytearray(size)
+        self._data = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
 
     # -- construction ---------------------------------------------------------------
 
@@ -40,8 +44,13 @@ class Memory:
         return memory
 
     @property
-    def buffer(self) -> bytearray:
-        """The backing little-endian bytes (the simulator indexes them directly)."""
+    def buffer(self) -> mmap.mmap:
+        """The backing little-endian bytes, zero until written.
+
+        The simulator indexes them through memoryviews it releases when
+        its run ends; :meth:`mmap.mmap.close` raises :class:`BufferError`
+        while any view is still exported.
+        """
         return self._data
 
     # -- bounds / alignment -------------------------------------------------------------

@@ -1,20 +1,37 @@
-"""The compiled cache replay loop: C source, build cache and ctypes binding.
+"""The compiled cache-simulation library: C source, build cache and ctypes binding.
 
-Every cache replay runs through one small C function,
-:data:`REPLAY_SOURCE`, a line-for-line port of the scalar per-event loop
-kept in ``tests/reference_replay.py`` as its oracle.  It is compiled on
-first use with ``cc -O2 -shared -fPIC`` and loaded with :mod:`ctypes`;
-there is no fallback implementation, so a host without a C compiler
-fails with :class:`~repro.errors.ReplayKernelError` on the first replay.
+Every step between a recorded address trace and its cache statistics
+runs in one small C library, :data:`REPLAY_SOURCE`, with four entry
+points, each checked bit for bit against a NumPy or Python oracle in
+``tests/reference_replay.py``:
+
+* ``decode_runs`` -- the run decode of :func:`~repro.microarch.cachekernel.decode_trace`
+  (oracle ``reference_decode``);
+* ``build_set_view`` -- the set grouping behind
+  :meth:`~repro.microarch.cachekernel.ColumnarTrace.set_view`: events
+  bucketed by ``line % lines_per_way`` in trace order, then chain
+  collapse, in two linear passes (oracle ``reference_set_view``);
+* ``replay_events`` -- the per-event replay loop, a line-for-line port
+  of ``replay_events_loop``, for a warm state kept in Python;
+* ``replay_cold`` -- the same loop for every cold geometry of one set
+  count in one call, with the throwaway states allocated in C.
+
+It is compiled on first use with ``cc -O2 -shared -fPIC`` and loaded
+with :mod:`ctypes`; there is no fallback implementation, so a host
+without a C compiler fails with :class:`~repro.errors.ReplayKernelError`
+on the first decode.  The C code trusts its indices, so the wrappers
+here check every array they pass (dtype, shape, contiguity) and size
+every output.
 
 The shared object is cached per user in ``$XDG_CACHE_HOME/repro``
 (default ``~/.cache/repro``, created with mode 0700), named by a sha256
 of the source, the flags and the compiler's identity (its resolved path,
 size and modification time, read without running it).  A warm process
 therefore loads the cached library without spawning anything, and a
-compiler upgrade or a source change builds a new one.  Builds write to
-a temporary file in the cache directory and ``os.replace`` it into
-place, so concurrent processes filling an empty cache all succeed.
+compiler upgrade or a source change builds a new one: a cached library
+can never be stale.  Builds write to a temporary file in the cache
+directory and ``os.replace`` it into place, so concurrent processes
+filling an empty cache all succeed.
 """
 
 from __future__ import annotations
@@ -26,12 +43,14 @@ import subprocess
 import tempfile
 import threading
 from pathlib import Path
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ReplayKernelError
 
-__all__ = ["CFLAGS", "COMPILER", "REPLAY_SOURCE", "replay_events"]
+__all__ = ["CFLAGS", "COMPILER", "REPLAY_SOURCE", "build_set_view", "decode_runs",
+           "replay_cold", "replay_events"]
 
 #: Policy codes shared with the C source.
 POLICY_LRU, POLICY_LRR, POLICY_RANDOM = 0, 1, 2
@@ -41,16 +60,123 @@ CFLAGS = ("-O2", "-shared", "-fPIC")
 
 REPLAY_SOURCE = r"""
 #include <stdint.h>
+#include <stdlib.h>
 
-/* Replay set-grouped potential-miss events against one cache geometry.
-   tags/age are (sets, ways) row-major, fifo is per set; an event without
-   a read has first_read == accesses.  Returns read and write misses. */
-void replay_events(int64_t events, const int64_t *set_index, const int64_t *tag,
-                   const int64_t *first_read, const int64_t *last_pos,
-                   const int64_t *w_pre, int64_t accesses, int64_t *tags,
-                   int64_t *age, int64_t *fifo, const int64_t *victims,
-                   int64_t tick0, int64_t ways, int64_t policy, int64_t *misses)
+/* floor(a / b) and its non-negative remainder, as Python's // and % (b > 0) */
+static inline int64_t floor_divmod(int64_t a, int64_t b, int64_t *rem)
 {
+    int64_t q = a / b, r = a % b;
+    if (r < 0) { q--; r += b; }
+    *rem = r;
+    return q;
+}
+
+/* Run-compress an address trace at one line size: one event per maximal
+   run of consecutive same-line accesses, with the run's line, the position
+   of its first read (n when it has none), its last position and the writes
+   before its first read, written to four rows of n entries in out.  writes
+   is a 0/1 byte per access, or NULL when every access is a read.  Returns
+   the event count and stores the number of writes in *write_total. */
+int64_t decode_runs(int64_t n, const int64_t *addresses, const uint8_t *writes,
+                    int64_t linesize, int64_t *out, int64_t *write_total)
+{
+    int64_t *line = out, *first_read = out + n, *last_pos = out + 2 * n, *w_pre = out + 3 * n;
+    int64_t e = -1, write_count = 0, rem;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t l = floor_divmod(addresses[i], linesize, &rem);
+        if (e < 0 || l != line[e]) {
+            e++;
+            line[e] = l;
+            first_read[e] = n;
+            w_pre[e] = 0;
+        }
+        last_pos[e] = i;
+        if (writes && writes[i]) {
+            write_count++;
+            if (first_read[e] == n)
+                w_pre[e]++;
+        } else if (first_read[e] == n) {
+            first_read[e] = i;
+        }
+    }
+    *write_total = write_count;
+    return e + 1;
+}
+
+/* Group decoded events by set (line % lines_per_way, each set's events in
+   trace order, sets ascending) and collapse every maximal chain of
+   consecutive same-line events within a set into one event: the minimum
+   first read, the last position, and the leading writes of the members
+   before any member's read.  The output is five rows of `events` entries
+   (set, tag, first read, last position, writes before the read), filled
+   with the chains packed at the front of each row; returns the chain
+   count, or -1 when scratch memory cannot be allocated. */
+int64_t build_set_view(int64_t events, const int64_t *line, const int64_t *first_read,
+                       const int64_t *last_pos, const int64_t *w_pre, int64_t accesses,
+                       int64_t lines_per_way, int64_t *out)
+{
+    int64_t *next = calloc(lines_per_way, sizeof *next);
+    int64_t *open = malloc(lines_per_way * sizeof *open);
+    int64_t chains = 0, s, t;
+    if (!next || !open) {
+        free(next);
+        free(open);
+        return -1;
+    }
+    /* pass 1: chains per set (open holds each set's last event) */
+    for (s = 0; s < lines_per_way; s++)
+        open[s] = -1;
+    for (int64_t e = 0; e < events; e++) {
+        floor_divmod(line[e], lines_per_way, &s);
+        if (open[s] < 0 || line[open[s]] != line[e]) {
+            next[s]++;
+            chains++;
+        }
+        open[s] = e;
+    }
+    /* each set's first output slot */
+    for (int64_t start = 0, k = 0; k < lines_per_way; k++) {
+        int64_t count = next[k];
+        next[k] = start;
+        start += count;
+        open[k] = -1;
+    }
+    /* pass 2: fill the chains (open holds each set's current chain) */
+    int64_t *set_index = out, *tag = out + chains, *chain_first_read = out + 2 * chains,
+            *chain_last_pos = out + 3 * chains, *chain_w_pre = out + 4 * chains;
+    for (int64_t e = 0; e < events; e++) {
+        t = floor_divmod(line[e], lines_per_way, &s);
+        int64_t c = open[s];
+        if (c < 0 || tag[c] != t) {
+            c = open[s] = next[s]++;
+            set_index[c] = s;
+            tag[c] = t;
+            chain_first_read[c] = first_read[e];
+            chain_w_pre[c] = w_pre[e];
+        } else {
+            if (chain_first_read[c] >= accesses)  /* no read in the chain yet */
+                chain_w_pre[c] += w_pre[e];
+            if (first_read[e] < chain_first_read[c])
+                chain_first_read[c] = first_read[e];
+        }
+        chain_last_pos[c] = last_pos[e];
+    }
+    free(next);
+    free(open);
+    return chains;
+}
+
+/* Replay a set view (five rows of `events` entries, as build_set_view
+   writes them) against one cache geometry.  tags/age are (sets, ways)
+   row-major, fifo is per set; an event without a read has
+   first_read == accesses.  Stores read and write misses in misses[0..1]. */
+void replay_events(int64_t events, const int64_t *view, int64_t accesses,
+                   int64_t *tags, int64_t *age, int64_t *fifo,
+                   const int64_t *victims, int64_t tick0, int64_t ways,
+                   int64_t policy, int64_t *misses)
+{
+    const int64_t *set_index = view, *tag = view + events, *first_read = view + 2 * events,
+                  *last_pos = view + 3 * events, *w_pre = view + 4 * events;
     int64_t read_misses = 0, write_misses = 0;
     for (int64_t e = 0; e < events; e++) {
         int64_t s = set_index[e], t = tag[e], w, victim = -1;
@@ -88,10 +214,50 @@ void replay_events(int64_t events, const int64_t *set_index, const int64_t *tag,
     misses[0] = read_misses;
     misses[1] = write_misses;
 }
+
+/* Cold replays of one set view against `configs` geometries that share
+   lines_per_way.  geometry holds (ways, policy, victims address) per
+   configuration, the address 0 unless it draws RANDOM victims.  Every
+   replay starts from an empty cache; the states are discarded.  Stores
+   configuration k's read and write misses in misses[2k..2k+1]; returns
+   -1 when the states cannot be allocated. */
+int64_t replay_cold(int64_t events, const int64_t *view, int64_t accesses,
+                    int64_t lines_per_way, int64_t configs, const int64_t *geometry,
+                    int64_t *misses)
+{
+    int64_t most = 1;
+    for (int64_t k = 0; k < configs; k++)
+        if (geometry[3 * k] > most) most = geometry[3 * k];
+    int64_t *tags = malloc(lines_per_way * most * sizeof *tags);
+    int64_t *age = malloc(lines_per_way * most * sizeof *age);
+    int64_t *fifo = malloc(lines_per_way * sizeof *fifo);
+    if (!tags || !age || !fifo) {
+        free(tags);
+        free(age);
+        free(fifo);
+        return -1;
+    }
+    for (int64_t k = 0; k < configs; k++) {
+        int64_t ways = geometry[3 * k];
+        /* every way starts invalid, and a fill writes its age before LRU
+           can compare it, so ages need no reset */
+        for (int64_t i = 0; i < lines_per_way * ways; i++)
+            tags[i] = -1;
+        for (int64_t s = 0; s < lines_per_way; s++)
+            fifo[s] = 0;
+        replay_events(events, view, accesses, tags, age, fifo,
+                      (const int64_t *)(intptr_t)geometry[3 * k + 2], 1, ways,
+                      geometry[3 * k + 1], misses + 2 * k);
+    }
+    free(tags);
+    free(age);
+    free(fifo);
+    return 0;
+}
 """
 
 _lock = threading.Lock()
-_replay = None  # the bound C function, set on first use
+_library = None  # the loaded library, its functions typed, set on first use
 
 
 def _cache_dir() -> Path:
@@ -139,9 +305,9 @@ def _build(compiler: str, target: Path) -> None:
 
 
 def _load():
-    global _replay
+    global _library
     with _lock:
-        if _replay is None:
+        if _library is None:
             import ctypes
 
             compiler, path = _library_path()
@@ -154,33 +320,91 @@ def _load():
                     f"user and not writable by group or others")
             if not path.exists():
                 _build(compiler, path)
+            i64, ptr = ctypes.c_int64, ctypes.c_void_p
+            signatures = {
+                "decode_runs": ([i64, ptr, ptr, i64, ptr, ptr], i64),
+                "build_set_view": ([i64, ptr, ptr, ptr, ptr, i64, i64, ptr], i64),
+                "replay_events": ([i64, ptr, i64, ptr, ptr, ptr, ptr, i64, i64, i64,
+                                   ptr], None),
+                "replay_cold": ([i64, ptr, i64, i64, i64, ptr, ptr], i64),
+            }
             try:
-                function = ctypes.CDLL(str(path)).replay_events
+                library = ctypes.CDLL(str(path))
+                for name, (argtypes, restype) in signatures.items():
+                    function = getattr(library, name)
+                    function.argtypes = argtypes
+                    function.restype = restype
             except (OSError, AttributeError) as exc:
                 raise ReplayKernelError(
                     f"cannot load the replay loop from {path} ({exc}); "
                     f"delete the file to rebuild it") from exc
-            i64, ptr = ctypes.c_int64, ctypes.c_void_p
-            function.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, i64, ptr, ptr, ptr,
-                                 ptr, i64, i64, i64, ptr]
-            function.restype = None
-            _replay = function
-    return _replay
+            _library = library
+    return _library
 
 
-def _address(array: np.ndarray, shape: tuple, name: str, writeable=False) -> int:
-    """Base address of a C-contiguous int64 array of ``shape`` (else raise)."""
-    if (not isinstance(array, np.ndarray) or array.dtype != np.int64
+def _address(array: np.ndarray, shape: tuple, name: str, writeable=False,
+             dtype=np.int64) -> int:
+    """Base address of a C-contiguous ``dtype`` array of ``shape`` (else raise)."""
+    if (not isinstance(array, np.ndarray) or array.dtype != dtype
             or array.shape != shape or not array.flags.c_contiguous
             or (writeable and not array.flags.writeable)):
         raise ReplayKernelError(
             f"{name} must be a {'writeable ' if writeable else ''}C-contiguous "
-            f"int64 array of shape {shape}, got {getattr(array, 'dtype', None)} "
-            f"{getattr(array, 'shape', None)}")
+            f"{np.dtype(dtype)} array of shape {shape}, got "
+            f"{getattr(array, 'dtype', None)} {getattr(array, 'shape', None)}")
     return array.ctypes.data
 
 
-def replay_events(sv, accesses: int, tags: np.ndarray, age: np.ndarray,
+def decode_runs(addresses: np.ndarray, writes: Optional[np.ndarray],
+                linesize: int) -> Tuple[np.ndarray, int]:
+    """Run-compress an address trace; returns ``(columns, write_count)``.
+
+    ``columns`` is a ``(4, events)`` int64 array holding, per run of
+    consecutive same-line accesses, its line, first read position
+    (``len(addresses)`` when it has none), last position and the writes
+    before its first read.  ``writes`` is a bool mask or ``None`` (all
+    reads).
+    """
+    n = len(addresses)
+    first = _address(addresses, (n,), "addresses")
+    mask = None if writes is None else _address(writes, (n,), "writes", dtype=np.bool_)
+    if linesize <= 0:
+        raise ReplayKernelError(f"line size must be positive, got {linesize}")
+    scratch = np.empty((4, n), dtype=np.int64)
+    write_count = np.zeros(1, dtype=np.int64)
+    events = _load().decode_runs(n, first, mask, linesize, scratch.ctypes.data,
+                                 write_count.ctypes.data)
+    return scratch[:, :events].copy(), int(write_count[0])
+
+
+def build_set_view(line: np.ndarray, first_read: np.ndarray, last_pos: np.ndarray,
+                   w_pre: np.ndarray, accesses: int, lines_per_way: int) -> np.ndarray:
+    """Chain-collapsed, set-grouped events as a ``(5, chains)`` int64 array.
+
+    The rows are set index, tag, first read, last position and writes
+    before the first read; the array holds exactly the chains, no slack.
+    """
+    events = (len(line),)
+    columns = [_address(column, events, name) for column, name in
+               ((line, "line"), (first_read, "first_read"), (last_pos, "last_pos"),
+                (w_pre, "w_pre"))]
+    if lines_per_way <= 0:
+        raise ReplayKernelError(f"lines_per_way must be positive, got {lines_per_way}")
+    scratch = np.empty(5 * events[0], dtype=np.int64)
+    chains = _load().build_set_view(events[0], *columns, accesses, lines_per_way,
+                                    scratch.ctypes.data)
+    if chains < 0:
+        raise MemoryError(f"no memory for a {lines_per_way}-set view")
+    return scratch[:5 * chains].reshape(5, chains).copy()
+
+
+def _view_address(view: np.ndarray) -> Tuple[int, int]:
+    """``(chains, address)`` of a ``build_set_view`` array."""
+    chains = view.shape[1] if view.ndim == 2 else -1
+    return chains, _address(view, (5, chains), "set view")
+
+
+def replay_events(view: np.ndarray, accesses: int, tags: np.ndarray, age: np.ndarray,
                   fifo: np.ndarray, victims, tick0: int, lines_per_way: int,
                   ways: int, policy: int) -> tuple:
     """Run the compiled loop over one set view; returns ``(read, write)`` misses.
@@ -192,10 +416,8 @@ def replay_events(sv, accesses: int, tags: np.ndarray, age: np.ndarray,
     construction (``set_index < lines_per_way``, ``first_read <=
     accesses``).
     """
-    events = (len(sv.set_index),)
+    chains, view_address = _view_address(view)
     lines = (lines_per_way,)
-    arguments = [_address(getattr(sv, name), events, name)
-                 for name in ("set_index", "tag", "first_read", "last_pos", "w_pre")]
     state = [_address(tags, lines + (ways,), "tags", True),
              _address(age, lines + (ways,), "age", True),
              _address(fifo, lines, "fifo", True)]
@@ -206,6 +428,37 @@ def replay_events(sv, accesses: int, tags: np.ndarray, age: np.ndarray,
     else:
         victim_address = None
     misses = np.zeros(2, dtype=np.int64)
-    _load()(events[0], *arguments, accesses, *state, victim_address, tick0, ways,
-            policy, misses.ctypes.data)
+    _load().replay_events(chains, view_address, accesses, *state, victim_address,
+                          tick0, ways, policy, misses.ctypes.data)
     return int(misses[0]), int(misses[1])
+
+
+def replay_cold(view: np.ndarray, accesses: int, lines_per_way: int,
+                geometries: Sequence[Tuple[int, int, Optional[np.ndarray]]]) -> List[List[int]]:
+    """Cold replays of one set view, one per ``(ways, policy, victims)``.
+
+    Every geometry shares ``lines_per_way``; each replay starts from an
+    empty cache whose state C allocates and discards.  ``victims`` is
+    the RANDOM stream (at least one per access) of a RANDOM geometry
+    with more than one way, else ``None``.  Returns ``[read, write]``
+    misses per geometry, in order.
+    """
+    chains, view_address = _view_address(view)
+    rows = []
+    for ways, policy, victims in geometries:
+        if ways < 1 or policy not in (POLICY_LRU, POLICY_LRR, POLICY_RANDOM):
+            raise ReplayKernelError(f"bad geometry: {ways} ways, policy {policy}")
+        if policy == POLICY_RANDOM and ways > 1:
+            size = len(victims) if isinstance(victims, np.ndarray) else 0
+            if size < accesses:
+                raise ReplayKernelError(
+                    f"victims must hold one per access ({accesses}), got {size}")
+            rows.append((ways, policy, _address(victims, (size,), "victims")))
+        else:
+            rows.append((ways, policy, 0))
+    geometry = np.array(rows, dtype=np.int64)
+    misses = np.empty((len(rows), 2), dtype=np.int64)
+    if _load().replay_cold(chains, view_address, accesses, lines_per_way, len(rows),
+                           geometry.ctypes.data, misses.ctypes.data) < 0:
+        raise MemoryError(f"no memory for {lines_per_way}-set cache states")
+    return misses.tolist()

@@ -1,22 +1,26 @@
-"""Reference replay loops: the oracles of the compiled C replay.
+"""Reference replay paths: the oracles of the compiled C library.
 
-Two scalar statements of the replay semantics, each independent of the
-production path but the decoded view:
+NumPy and scalar statements of the replay semantics, each independent of
+the production path (:mod:`repro.microarch.native`):
 
+* :func:`reference_decode` is the NumPy run decode the C ``decode_runs``
+  replaced, and :func:`reference_set_view` the NumPy set grouping (a
+  stable argsort by set, then chain collapse) that ``build_set_view``
+  replaced; ``test_native_builders.py`` checks both bit for bit.
 * :func:`simulate_accesses` walks the raw address trace one access at a
   time against a :class:`~repro.microarch.cachekernel.KernelState`; it
   shares nothing with the kernel but the state layout, and repeated
   calls on one state continue against the warm cache.
 * :func:`replay_events_loop` walks a set-grouped
   :class:`~repro.microarch.cachekernel._SetView`; it is the plain Python
-  source the C loop in :mod:`repro.microarch.native` was ported from
-  line for line (:func:`reference_replay` drives it like
+  source the C loop was ported from line for line
+  (:func:`reference_replay` drives it like
   :func:`~repro.microarch.cachekernel.replay`).
 
 The differential suites (``test_crossconfig_replay.py``,
 ``test_cache_vectorized.py``, ``test_warm_replay.py``) compare the
-compiled loop with both; the replay benchmarks time it against
-:func:`simulate_accesses`.
+compiled loop with both replay oracles; the replay benchmarks time it
+against :func:`simulate_accesses`.
 """
 
 from __future__ import annotations
@@ -28,11 +32,91 @@ import numpy as np
 from repro.config import Replacement
 from repro.errors import ConfigurationError
 from repro.microarch.cache import CacheConfig, CacheStatistics
-from repro.microarch.cachekernel import KernelState
+from repro.microarch.cachekernel import ColumnarTrace, KernelState
 
-__all__ = ["cold_state", "reference_replay", "replay_events_loop", "simulate_accesses"]
+__all__ = ["cold_state", "reference_decode", "reference_replay", "reference_set_view",
+           "replay_events_loop", "simulate_accesses"]
 
 _POLICY_CODES = {Replacement.LRU: 0, Replacement.LRR: 1, Replacement.RANDOM: 2}
+
+
+def reference_decode(addresses, writes=None, *, linesize_bytes) -> ColumnarTrace:
+    """NumPy run decode: one event per maximal run of same-line accesses."""
+    addresses = np.asarray(addresses, dtype=np.int64)
+    n = len(addresses)
+    writes_arr = (np.zeros(n, dtype=bool) if writes is None
+                  else np.asarray(writes, dtype=bool))
+    lines = addresses // linesize_bytes
+    if n == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return ColumnarTrace(linesize_bytes, 0, 0, empty, empty, empty, empty)
+
+    boundary = np.empty(n, dtype=bool)
+    boundary[0] = True
+    boundary[1:] = lines[1:] != lines[:-1]
+    run_start = np.flatnonzero(boundary)
+    run_end = np.append(run_start[1:], n)  # exclusive
+
+    positions = np.arange(n, dtype=np.int64)
+    # first read of each run: min over read positions, n as "no read" sentinel
+    read_positions = np.where(writes_arr, n, positions)
+    first_read = np.minimum.reduceat(read_positions, run_start)
+    # every access before a run's first read is a write by construction
+    writes_before = np.where(first_read < n, first_read - run_start, run_end - run_start)
+    return ColumnarTrace(
+        linesize_bytes=linesize_bytes,
+        accesses=n,
+        write_accesses=int(np.count_nonzero(writes_arr)),
+        event_line=lines[run_start],
+        event_first_read=first_read,
+        event_last_pos=run_end - 1,
+        event_writes_before_read=writes_before,
+    )
+
+
+def reference_set_view(view: ColumnarTrace, lines_per_way: int) -> np.ndarray:
+    """NumPy set grouping: ``(5, chains)`` rows like ``_SetView.columns``.
+
+    A stable argsort of the events by set, then maximal chains of
+    consecutive same-line events within a set collapse into one event.
+    """
+    if len(view) == 0:
+        return np.empty((5, 0), dtype=np.int64)
+    n = view.accesses
+    indices = view.event_line % lines_per_way
+    order = np.argsort(indices, kind="stable")
+    idx_s = indices[order]
+    line_s = view.event_line[order]
+    first_read_s = view.event_first_read[order]
+    w_pre_s = view.event_writes_before_read[order]
+    events = len(idx_s)
+
+    # chains: consecutive events on the same line within the same set
+    chain_start = np.empty(events, dtype=bool)
+    chain_start[0] = True
+    chain_start[1:] = (idx_s[1:] != idx_s[:-1]) | (line_s[1:] != line_s[:-1])
+    starts = np.flatnonzero(chain_start)
+    ends = np.append(starts[1:], events) - 1
+    chain_id = np.cumsum(chain_start) - 1
+
+    # a chain member's leading writes can only miss while no earlier chain
+    # member carried a read; compute "read seen before me, within my chain"
+    # with a per-chain running minimum (the id*big offset confines the
+    # accumulate to one chain: earlier chains' values are strictly larger)
+    big = n + 1
+    running_min = np.minimum.accumulate(first_read_s - chain_id * big)
+    prior = np.empty(events, dtype=np.int64)
+    prior[0] = big
+    prior[1:] = running_min[:-1] + chain_id[1:] * big
+    no_read_before = prior >= n
+
+    return np.stack([
+        idx_s[starts],
+        line_s[starts] // lines_per_way,
+        np.minimum.reduceat(first_read_s, starts),
+        view.event_last_pos[order][ends],
+        np.add.reduceat(np.where(no_read_before, w_pre_s, 0), starts),
+    ])
 
 
 def replay_events_loop(set_index, tag, first_read, last_pos, w_pre, has_read,

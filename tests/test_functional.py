@@ -7,7 +7,8 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.isa import Assembler, OpClass
-from repro.microarch import FunctionalSimulator
+from repro.microarch import FunctionalSimulator, functional
+from repro.obs import disable_tracing, enable_tracing
 
 
 def run(asm):
@@ -305,5 +306,65 @@ def test_a_run_leaves_no_cyclic_garbage(small_workload_map, name):
         assert gc.collect() == 0
     finally:
         gc.enable()
-    result.memory.buffer.append(0)  # raises BufferError while a view is exported
+    result.memory.buffer.close()  # raises BufferError while a view is exported
 
+
+
+# -- the code cache ---------------------------------------------------------------------
+
+
+def loop_program(start):
+    asm = Assembler("t")
+    asm.set("g1", start)
+    asm.set("g2", 0)
+    asm.label("loop")
+    asm.add("g2", "g2", "g1")
+    asm.subcc("g1", "g1", 1)
+    asm.bne("loop")
+    asm.halt()
+    return asm.assemble()
+
+
+def traced_run(program):
+    """Run ``program``; its result and its functional_sim span's attributes."""
+    tracer = enable_tracing()
+    try:
+        result = FunctionalSimulator(program).run()
+    finally:
+        disable_tracing()
+    [record] = [r for r in tracer.records if r.name == "functional_sim"]
+    return result, record.attrs
+
+
+def test_a_second_run_compiles_no_block_and_matches_the_first(blastn_small):
+    program = blastn_small.program
+    first, _ = traced_run(program)
+    second, attrs = traced_run(program)
+    assert attrs["blocks_compiled"] == 0 and attrs["blocks_reused"] > 0
+    for column in ("pcs", "op_classes", "mem_addrs", "load_use_hazard",
+                   "cc_branch_hazard", "window_events"):
+        np.testing.assert_array_equal(getattr(second.trace, column),
+                                      getattr(first.trace, column))
+    assert second.registers.values == first.registers.values
+    assert bytes(second.memory.buffer) == bytes(first.memory.buffer)
+
+
+def test_a_changed_immediate_recompiles_only_its_block():
+    traced_run(loop_program(10))
+    result, attrs = traced_run(loop_program(11))
+    # the entry block holds the immediate; the loop and HALT blocks are reused
+    assert (attrs["blocks_compiled"], attrs["blocks_reused"]) == (1, 2)
+    assert result.register("g2") == sum(range(1, 12))
+
+
+def test_the_code_cache_never_exceeds_its_bound(monkeypatch):
+    monkeypatch.setattr(functional, "_CODE_CACHE", {})
+    monkeypatch.setattr(functional, "CODE_CACHE_SIZE", 4)
+    for start in range(1, 8):
+        assert FunctionalSimulator(loop_program(start)).run().register("g2") == sum(
+            range(1, start + 1))
+        assert len(functional._CODE_CACHE) <= 4
+    assert len(functional._CODE_CACHE) == 4
+    # the newest entries survive: the last program's blocks are all reused
+    _, attrs = traced_run(loop_program(7))
+    assert attrs["blocks_compiled"] == 0

@@ -60,6 +60,12 @@ def built_libraries(cache_home):
     return sorted(os.listdir(directory)) if directory.exists() else []
 
 
+def replay_once():
+    """Decode a short trace and replay it: the decode is the first native call."""
+    view = decode_trace(np.arange(0, 64, 4, dtype=np.int64), linesize_bytes=16)
+    simulate_many(view, [CacheConfig(ways=1, setsize_kb=1, linesize_words=4)])
+
+
 def run_child(code, env):
     return subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120)
@@ -97,17 +103,16 @@ def test_missing_compiler_fails_with_a_clear_error(tmp_path, monkeypatch):
     empty.mkdir()
     monkeypatch.setenv("PATH", str(empty))
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    monkeypatch.setattr(native, "_replay", None)
-    view = decode_trace(np.arange(0, 64, 4, dtype=np.int64), linesize_bytes=16)
+    monkeypatch.setattr(native, "_library", None)
     with pytest.raises(ReplayKernelError, match="'cc' was not found on PATH"):
-        simulate_many(view, [CacheConfig(ways=1, setsize_kb=1, linesize_words=4)])
+        replay_once()
     assert built_libraries(tmp_path / "cache") == []
 
 
 def test_import_neither_compiles_nor_loads_the_library(tmp_path):
     probe = ("import repro, repro.engine, repro.service.server\n"
              "from repro.microarch import native\n"
-             "assert native._replay is None\n")
+             "assert native._library is None\n")
     result = run_child(probe, child_env(tmp_path / "cache"))
     assert result.returncode == 0, result.stderr
     assert not (tmp_path / "cache").exists()
@@ -127,7 +132,7 @@ def test_all_store_hit_tune_never_compiles(tmp_path):
             MicroarchTuner(evaluator).tune(
                 ArithWorkload(iterations=120), RUNTIME_OPTIMIZATION, verify=True)
         store.close()
-        print(native._replay is None)
+        print(native._library is None)
     """)
     cold = run_child(tune, child_env(tmp_path / "cold-cache"))
     assert cold.returncode == 0, cold.stderr
@@ -140,20 +145,18 @@ def test_all_store_hit_tune_never_compiles(tmp_path):
 
 def test_a_corrupt_cached_library_fails_with_a_clear_error(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    monkeypatch.setattr(native, "_replay", None)
+    monkeypatch.setattr(native, "_library", None)
     _, path = native._library_path()
     path.parent.mkdir(parents=True)
     path.write_bytes(b"not a shared object")
-    view = decode_trace(np.arange(0, 64, 4, dtype=np.int64), linesize_bytes=16)
     with pytest.raises(ReplayKernelError, match="delete the file to rebuild"):
-        simulate_many(view, [CacheConfig(ways=1, setsize_kb=1, linesize_words=4)])
+        replay_once()
 
 
 def test_a_shared_writable_cache_directory_is_refused(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    monkeypatch.setattr(native, "_replay", None)
+    monkeypatch.setattr(native, "_library", None)
     (tmp_path / "cache" / "repro").mkdir(parents=True)
     (tmp_path / "cache" / "repro").chmod(0o777)
-    view = decode_trace(np.arange(0, 64, 4, dtype=np.int64), linesize_bytes=16)
     with pytest.raises(ReplayKernelError, match="not writable by group or others"):
-        simulate_many(view, [CacheConfig(ways=1, setsize_kb=1, linesize_words=4)])
+        replay_once()
