@@ -162,14 +162,12 @@ def _coupling_constraints(space: PerturbationSpace) -> List[LinearConstraint]:
             for value, index in sets_vars.items():
                 if value >= 2:
                     coefficients[index] = -1.0
-            bound = 0.0
-            if len(coefficients) == 1:
-                # no multi-set variable in the space: LRU is unavailable
-                bound = 0.0
+            # with no multi-set variable in the space this reads lru <= 0:
+            # LRU is unavailable
             constraints.append(LinearConstraint(
                 name=f"{cache}_lru_requires_multiway",
                 coefficients=coefficients,
-                bound=bound,
+                bound=0.0,
             ))
     return constraints
 

@@ -9,8 +9,12 @@ configurations -- this is the feasibility/scalability argument of the
 paper, and :meth:`OneFactorCampaign.effort` exposes the actual counts so
 the scalability benchmark can report them.
 
-The campaign submits the base configuration and every perturbation as
-**one batch** per workload through the backend's
+The configurations of a campaign do not depend on the application, so
+a campaign object plans them once per parameter restriction: the
+perturbation space, its configurations and their fit screen are reused
+by every later run (one tuner tunes a whole suite on one plan).
+Each run submits the base configuration and every perturbation as
+**one batch** through the backend's
 :meth:`~repro.engine.backend.EvaluationBackend.measure_many`, so the
 underlying simulations are deduplicated, share their trace decodes and
 are timed in one broadcast evaluation.
@@ -19,14 +23,16 @@ are timed in one broadcast evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.config.configuration import Configuration
 from repro.config.leon_space import leon_parameter_space
 from repro.config.parameters import ParameterSpace
-from repro.config.perturbation import PerturbationSpace, PerturbationVariable
+from repro.config.perturbation import PerturbationSpace
 from repro.errors import MeasurementError
 from repro.engine.backend import EvaluationBackend
+from repro.obs.metrics import get_registry
+from repro.obs.tracer import span
 from repro.platform.measurement import CostDelta, Measurement
 from repro.core.model import CostModel
 from repro.workloads.base import Workload
@@ -45,8 +51,17 @@ class CampaignRecord:
     delta: CostDelta
 
 
+#: A campaign plan: the perturbation space and the batch every run of the
+#: campaign measures (the base configuration, then one per variable).
+Plan = Tuple[PerturbationSpace, Tuple[Configuration, ...]]
+
+
 class OneFactorCampaign:
-    """Runs the linear measurement campaign for one or more workloads."""
+    """Runs the linear measurement campaign for one or more workloads.
+
+    A campaign is bound to one backend and one parameter space, so its
+    plan for a parameter restriction never changes: it is made once.
+    """
 
     def __init__(
         self,
@@ -56,6 +71,7 @@ class OneFactorCampaign:
         self.platform = platform
         self.parameter_space = parameter_space or leon_parameter_space()
         self._records: List[CampaignRecord] = []
+        self._plans: Dict[Optional[FrozenSet[str]], Plan] = {}
 
     # -- planning --------------------------------------------------------------------------
 
@@ -64,54 +80,37 @@ class OneFactorCampaign:
         *,
         parameters: Optional[Iterable[str]] = None,
         perturbation_space: Optional[PerturbationSpace] = None,
-    ) -> Tuple[PerturbationSpace, List[PerturbationVariable], List[Configuration]]:
-        """The batch of configurations one campaign run needs, base first.
+    ) -> Plan:
+        """The perturbation space and the batch one run measures, base first.
 
         Every perturbation is screened with the backend's (memoised)
         :meth:`fits` before anything is measured: the paper excludes
         unbuildable values a priori (e.g. a 64 KB set size), and with the
-        default LEON space every perturbation fits.
+        default LEON space every perturbation fits.  Plans are memoised
+        by the restriction (``None`` or the set of ``parameters``); a
+        caller-built ``perturbation_space`` is planned afresh, and a plan
+        whose screen fails is not kept.
         """
-        space = perturbation_space or PerturbationSpace(self.parameter_space, parameters)
-        variables: List[PerturbationVariable] = []
-        configurations: List[Configuration] = [space.base]
-        for variable, configuration in space.iter_single_configurations():
-            if not self.platform.fits(configuration):
-                raise MeasurementError(
-                    f"perturbation {variable.label} does not fit on the device; "
-                    f"exclude the value from the parameter space")
-            variables.append(variable)
-            configurations.append(configuration)
-        return space, variables, configurations
-
-    @staticmethod
-    def _assemble(
-        workload: Workload,
-        space: PerturbationSpace,
-        variables: List[PerturbationVariable],
-        measurements: List[Measurement],
-    ) -> Tuple[CostModel, List[CampaignRecord]]:
-        base_measurement, perturbed = measurements[0], measurements[1:]
-        deltas: List[CostDelta] = []
-        records: List[CampaignRecord] = []
-        for variable, measurement in zip(variables, perturbed):
-            delta = measurement.delta(base_measurement)
-            deltas.append(delta)
-            records.append(CampaignRecord(
-                index=variable.index,
-                label=variable.label,
-                configuration=measurement.configuration,
-                measurement=measurement,
-                delta=delta,
-            ))
-        model = CostModel(
-            workload=workload.name,
-            space=space,
-            base=base_measurement,
-            deltas=tuple(deltas),
-            measurements=tuple(perturbed),
-        )
-        return model, records
+        key = None if parameters is None else frozenset(parameters)
+        plan = None if perturbation_space is not None else self._plans.get(key)
+        reused = plan is not None
+        with span("campaign_plan", reused=reused) as plan_span:
+            if plan is None:
+                space = perturbation_space or PerturbationSpace(self.parameter_space, key)
+                configurations = [space.base]
+                for variable, configuration in space.iter_single_configurations():
+                    if not self.platform.fits(configuration):
+                        raise MeasurementError(
+                            f"perturbation {variable.label} does not fit on the device; "
+                            f"exclude the value from the parameter space")
+                    configurations.append(configuration)
+                plan = (space, tuple(configurations))
+                if perturbation_space is None:
+                    self._plans[key] = plan
+            plan_span.set(variables=len(plan[0]), configs=len(plan[1]))
+        get_registry().counter(
+            "campaign.plans_reused" if reused else "campaign.plans_built").inc()
+        return plan
 
     # -- execution -------------------------------------------------------------------------
 
@@ -128,12 +127,17 @@ class OneFactorCampaign:
         dcache-only study of the paper's Section 5); alternatively a
         pre-built ``perturbation_space`` can be supplied.
         """
-        space, variables, configurations = self._plan(
+        space, configurations = self._plan(
             parameters=parameters, perturbation_space=perturbation_space)
-        measurements = self.platform.measure_many(workload, configurations)
-        model, records = self._assemble(workload, space, variables, measurements)
-        self._records = records
-        return model
+        base, *perturbed = self.platform.measure_many(workload, configurations)
+        deltas = tuple(measurement.delta(base) for measurement in perturbed)
+        self._records = [
+            CampaignRecord(index=variable.index, label=variable.label,
+                           configuration=measurement.configuration,
+                           measurement=measurement, delta=delta)
+            for variable, measurement, delta in zip(space, perturbed, deltas)]
+        return CostModel(workload=workload.name, space=space, base=base,
+                         deltas=deltas, measurements=tuple(perturbed))
 
     def run_many(
         self,
@@ -143,20 +147,14 @@ class OneFactorCampaign:
     ) -> Dict[str, CostModel]:
         """Run the campaign for several workloads, one batch per workload.
 
-        The perturbation space is planned (and fit-screened) once for all
-        of them.  Results are keyed by workload name; :attr:`records`
-        afterwards holds the records of the *last* workload in iteration
-        order (matching repeated :meth:`run` calls).
+        Results are keyed by workload name and equal to repeated
+        :meth:`run` calls, which share one plan; :attr:`records`
+        afterwards holds the records of the *last* workload.
         """
-        space, variables, configurations = self._plan(parameters=parameters)
-        models: Dict[str, CostModel] = {}
-        for workload in workloads:
-            model, records = self._assemble(
-                workload, space, variables,
-                self.platform.measure_many(workload, configurations))
-            models[workload.name] = model
-            self._records = records
-        return models
+        # read once: a generator of parameter names serves every workload
+        restriction = None if parameters is None else frozenset(parameters)
+        return {workload.name: self.run(workload, parameters=restriction)
+                for workload in workloads}
 
     # -- reporting ------------------------------------------------------------------------------
 

@@ -138,9 +138,9 @@ class MicroarchTuner:
     ) -> Dict[str, CostModel]:
         """One-factor campaigns for several workloads.
 
-        The perturbation space is planned once and each workload's
-        campaign is one batch; the models are keyed by workload name and
-        individually identical to :meth:`build_model` output.
+        Every campaign of a tuner shares one plan per parameter
+        restriction and each workload's campaign is one batch; the models
+        are keyed by workload name and identical to :meth:`build_model`.
         """
         return self.campaign.run_many(workloads, parameters=parameters)
 

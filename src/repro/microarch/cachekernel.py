@@ -150,11 +150,6 @@ class ColumnarTrace:
         return view
 
     @property
-    def event_has_read(self) -> np.ndarray:
-        """Boolean mask of events whose run contains at least one read."""
-        return self.event_first_read < self.accesses
-
-    @property
     def compression(self) -> float:
         """Accesses per event (1.0 means no consecutive same-line runs)."""
         return self.accesses / len(self) if len(self) else 1.0

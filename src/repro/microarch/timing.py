@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -184,6 +185,14 @@ BREAKDOWN_CATEGORIES: Tuple[str, ...] = (
     "decode", "window_traps")
 
 
+#: The configuration fields :func:`evaluate_many` reads in one pass; the
+#: last three become the window-trap counts and the two latencies.
+_TIMING_FIELDS = itemgetter(
+    "icache_linesize_words", "dcache_linesize_words", "dcache_fast_read",
+    "dcache_fast_write", "load_delay", "fast_jump", "icc_hold", "fast_decode",
+    "register_windows", "multiplier", "divider")
+
+
 def evaluate_many(
     summary: TraceSummary,
     configs: Sequence[Configuration],
@@ -196,11 +205,15 @@ def evaluate_many(
     (:meth:`ExecutionTrace.summary
     <repro.microarch.trace.ExecutionTrace.summary>`, or the row a result
     store kept of it) and ``cache_stats`` holds the ``(icache, dcache)``
-    statistics aligned with ``configs``.  The configuration grid is
-    compiled into NumPy coefficient columns and every cycle-breakdown
-    term is produced for the whole grid as one array operation.  This is
-    the only production timing model: a single configuration is a grid of
-    one.  Results are bit-identical -- cycles, the full
+    statistics aligned with ``configs``.  The grid is read in one pass
+    into one ``(n, 14)`` coefficient matrix (the timing fields, with the
+    window count as its two trap counts and the multiplier and divider as
+    latencies, then both caches' read misses), every cycle-breakdown term
+    is one array operation over its columns, and the results come from
+    one ``tolist()`` of the term table, so every number in them is an
+    ``int``.
+    This is the only production timing model: a single configuration is
+    a grid of one.  Results are bit-identical -- cycles, the full
     ``cycle_breakdown``, and the window-trap counts -- to the unmemoised
     per-configuration oracle the test suite keeps.
     """
@@ -212,70 +225,54 @@ def evaluate_many(
         raise ValueError("cache_stats must align with configs")
     f = summary.features
 
-    def column(getter) -> np.ndarray:
-        return np.fromiter((getter(c) for c in configs), dtype=np.int64, count=n)
+    multiplier, divider = p.multiplier_latency, p.divider_latency
+    traps = summary.window_trap_counts  # memoised per window count in the summary
 
-    icache_read_misses = np.fromiter(
-        (s[0].read_misses for s in cache_stats), dtype=np.int64, count=n)
-    dcache_read_misses = np.fromiter(
-        (s[1].read_misses for s in cache_stats), dtype=np.int64, count=n)
+    def coefficients(config, stats):
+        fields = _TIMING_FIELDS(config.as_dict())
+        return (*fields[:8], *traps(fields[8]), multiplier(fields[9]), divider(fields[10]),
+                stats[0].read_misses, stats[1].read_misses)
+
+    (icache_linesize, dcache_linesize, fast_read, fast_write, load_delay, fast_jump,
+     icc_hold, fast_decode, overflows, underflows, multiply_latency, divide_latency,
+     icache_read_misses, dcache_read_misses) = np.array(
+        [coefficients(config, stats) for config, stats in zip(configs, cache_stats)],
+        dtype=np.int64).T
 
     terms: Dict[str, np.ndarray] = {}
     terms["base"] = np.full(n, f.instruction_count, dtype=np.int64)
     # line_fill_penalty is pure arithmetic, so it broadcasts over the columns
-    terms["icache_misses"] = icache_read_misses * p.line_fill_penalty(
-        column(lambda c: c.icache_linesize_words))
-    terms["dcache_misses"] = dcache_read_misses * p.line_fill_penalty(
-        column(lambda c: c.dcache_linesize_words))
-    terms["load_access"] = np.where(
-        column(lambda c: c.dcache_fast_read).astype(bool),
-        0, f.count(OpClass.LOAD) * p.slow_read_extra)
+    terms["icache_misses"] = icache_read_misses * p.line_fill_penalty(icache_linesize)
+    terms["dcache_misses"] = dcache_read_misses * p.line_fill_penalty(dcache_linesize)
+    terms["load_access"] = np.where(fast_read, 0, f.count(OpClass.LOAD) * p.slow_read_extra)
     terms["store_access"] = np.where(
-        column(lambda c: c.dcache_fast_write).astype(bool),
-        0, f.count(OpClass.STORE) * p.slow_write_extra)
-    terms["load_use_stalls"] = f.load_use_hazards * (column(lambda c: c.load_delay) - 1)
-    terms["multiply"] = f.count(OpClass.MUL) * column(
-        lambda c: p.multiplier_latency(c.multiplier))
-    terms["divide"] = f.count(OpClass.DIV) * column(
-        lambda c: p.divider_latency(c.divider))
+        fast_write, 0, f.count(OpClass.STORE) * p.slow_write_extra)
+    terms["load_use_stalls"] = f.load_use_hazards * (load_delay - 1)
+    terms["multiply"] = f.count(OpClass.MUL) * multiply_latency
+    terms["divide"] = f.count(OpClass.DIV) * divide_latency
     terms["control_transfer"] = _taken_transfers(f) * np.where(
-        column(lambda c: c.fast_jump).astype(bool),
-        p.taken_penalty_fast, p.taken_penalty_slow)
-    terms["icc_stalls"] = np.where(
-        column(lambda c: c.icc_hold).astype(bool),
-        0, f.cc_branch_hazards * p.icc_stall)
+        fast_jump, p.taken_penalty_fast, p.taken_penalty_slow)
+    terms["icc_stalls"] = np.where(icc_hold, 0, f.cc_branch_hazards * p.icc_stall)
     terms["decode"] = np.where(
-        column(lambda c: c.fast_decode).astype(bool),
-        0, _complex_instructions(f) * p.slow_decode_extra)
-
-    # window traps: one table lookup per distinct window count in the grid
-    windows_col = column(lambda c: c.register_windows)
-    overflows = np.empty(n, dtype=np.int64)
-    underflows = np.empty(n, dtype=np.int64)
-    for windows in np.unique(windows_col):
-        over, under = summary.window_trap_counts(int(windows))
-        mask = windows_col == windows
-        overflows[mask] = over
-        underflows[mask] = under
+        fast_decode, 0, _complex_instructions(f) * p.slow_decode_extra)
     terms["window_traps"] = (
         overflows * p.window_overflow_cost + underflows * p.window_underflow_cost)
 
-    cycles = np.zeros(n, dtype=np.int64)
-    for name in BREAKDOWN_CATEGORIES:
-        cycles += terms[name]
-
-    results: List[ExecutionStatistics] = []
-    for i, config in enumerate(configs):
-        breakdown = {name: int(terms[name][i]) for name in BREAKDOWN_CATEGORIES}
-        results.append(ExecutionStatistics(
+    categories = len(BREAKDOWN_CATEGORIES)
+    table = np.array([*(terms[name] for name in BREAKDOWN_CATEGORIES), overflows, underflows])
+    cycles = table[:categories].sum(axis=0).tolist()
+    return [
+        ExecutionStatistics(
             workload=summary.name,
             configuration=config,
             instruction_count=f.instruction_count,
-            cycles=int(cycles[i]),
-            cycle_breakdown=breakdown,
-            icache=cache_stats[i][0],
-            dcache=cache_stats[i][1],
-            window_overflows=int(overflows[i]),
-            window_underflows=int(underflows[i]),
-        ))
-    return results
+            cycles=total,
+            cycle_breakdown=dict(zip(BREAKDOWN_CATEGORIES, row)),
+            icache=icache,
+            dcache=dcache,
+            window_overflows=row[categories],
+            window_underflows=row[categories + 1],
+        )
+        for config, (icache, dcache), row, total in zip(
+            configs, cache_stats, table.T.tolist(), cycles)
+    ]

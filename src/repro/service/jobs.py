@@ -11,6 +11,8 @@ threads can snapshot any job mid-run and see a consistent view --
 including *incremental results*: the executors append measurement
 records batch by batch, which is what lets ``GET /jobs/<id>`` stream
 progress on a long sweep instead of answering only at the end.
+At most :data:`MAX_FINISHED_JOBS` finished jobs are kept, the oldest
+evicted first; queued and running jobs are never evicted.
 """
 
 from __future__ import annotations
@@ -19,16 +21,20 @@ import queue
 import threading
 import time
 import uuid
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-__all__ = ["Job", "JobManager",
+__all__ = ["Job", "JobManager", "MAX_FINISHED_JOBS",
            "JOB_QUEUED", "JOB_RUNNING", "JOB_DONE", "JOB_FAILED"]
 
 JOB_QUEUED = "queued"
 JOB_RUNNING = "running"
 JOB_DONE = "done"
 JOB_FAILED = "failed"
+
+#: Finished (done or failed) jobs a manager keeps before evicting the oldest.
+MAX_FINISHED_JOBS = 1024
 
 
 @dataclass
@@ -66,6 +72,7 @@ class JobManager:
         self._executor = executor
         self._queue: "queue.Queue[Optional[str]]" = queue.Queue()
         self._jobs: Dict[str, Job] = {}
+        self._finished: "deque[str]" = deque()  # finished job ids, oldest first
         self._lock = threading.RLock()
         self._idle = threading.Event()
         self._idle.set()
@@ -184,17 +191,17 @@ class JobManager:
             with self._lock:
                 job.status = JOB_RUNNING
                 job.started_at = time.time()
+            error = None
             try:
                 self._executor(job)
             except Exception as exc:
-                with self._lock:
-                    job.status = JOB_FAILED
-                    job.error = repr(exc)
-                    job.finished_at = time.time()
-            else:
-                with self._lock:
-                    job.status = JOB_DONE
-                    job.finished_at = time.time()
-            finally:
-                if self._queue.empty():
-                    self._idle.set()
+                error = repr(exc)
+            with self._lock:
+                job.status = JOB_DONE if error is None else JOB_FAILED
+                job.error = error
+                job.finished_at = time.time()
+                self._finished.append(job.id)
+                while len(self._finished) > MAX_FINISHED_JOBS:
+                    del self._jobs[self._finished.popleft()]
+            if self._queue.empty():
+                self._idle.set()

@@ -1,5 +1,7 @@
 """Tests for the cost model (rho/lambda/beta) and the BINLP formulation."""
 
+import dataclasses
+
 import pytest
 
 from repro.config import PerturbationSpace, leon_parameter_space
@@ -12,8 +14,9 @@ from repro.core import (
     build_problem,
 )
 from repro.core.model import CostModel
+from repro.core.solvers import BranchAndBoundSolver, ExhaustiveSolver
 from repro.errors import OptimizationError
-from repro.platform import LiquidPlatform
+from repro.platform import CostDelta, LiquidPlatform
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +200,30 @@ class TestBinlpProblem:
         )
         assert "bram_capacity" in nonlinear.violations(selection)
         assert "bram_capacity" not in linear.violations(selection)
+
+    def test_replacement_without_set_variables_is_never_selected(self, arith_small):
+        """With no ``dcache_sets`` variable in the space, LRR is unavailable and
+        LRU's multiway constraint reads ``lru <= 0``: neither policy can be
+        chosen, even when both would pay off."""
+        model = OneFactorCampaign(LiquidPlatform()).run(
+            arith_small, parameters=("dcache_replacement",))
+        space = model.space
+        lrr = space.find("dcache_replacement", "lrr").index
+        lru = space.find("dcache_replacement", "lru").index
+        # pretend both policies make the program faster for free
+        model = dataclasses.replace(
+            model, deltas=tuple(CostDelta(rho=-5.0, lam=0.0, beta=0.0) for _ in space))
+        for weights in (RUNTIME_OPTIMIZATION, RESOURCE_OPTIMIZATION, RUNTIME_ONLY):
+            problem = build_problem(model, weights)
+            constraints = {c.name: c for c in problem.linear_constraints}
+            assert dict(constraints["dcache_lrr_unavailable"].coefficients) == {lrr: 1.0}
+            lru_rule = constraints["dcache_lru_requires_multiway"]
+            assert (dict(lru_rule.coefficients), lru_rule.bound) == ({lru: 1.0}, 0.0)
+            for solver in (BranchAndBoundSolver(), ExhaustiveSolver()):
+                assert solver.solve(problem).selection == ()
+            # without the coupling rules one of the policies would be chosen
+            free = dataclasses.replace(problem, linear_constraints=())
+            assert ExhaustiveSolver().solve(free).selection in ((lrr,), (lru,))
 
     def test_empty_selection_is_always_feasible(self, campaign_model):
         for weights in (RUNTIME_OPTIMIZATION, RESOURCE_OPTIMIZATION, RUNTIME_ONLY):

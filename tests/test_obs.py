@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.tuner import MicroarchTuner
 from repro.engine import CampaignGrid, CampaignWorker, ParallelEvaluator, open_store
 from repro.engine.backend import EngineStats
 from repro.obs import (
@@ -339,6 +340,24 @@ class TestSpanTreeTiming:
             spans = [r for r in tracer.records if r.name == name]
             # a counter that stayed at zero is not drained into the engine
             assert registry.get(f"{name}.{key}", 0) == sum(r.attrs[key] for r in spans), key
+
+
+    def test_campaign_plan_says_whether_it_was_reused(self, arith_small):
+        """A tuner plans once per restriction; the ``campaign_plan`` span
+        and the ``campaign.plans_*`` counters (``--profile``,
+        ``GET /metrics``) show which runs reused the plan."""
+        tracer = enable_tracing()
+        with ParallelEvaluator(LiquidPlatform()) as evaluator:
+            tuner = MicroarchTuner(evaluator)
+            for _ in range(3):
+                model = tuner.build_model(arith_small, parameters=("dcache_sets",))
+            registry = evaluator.stats.registry.snapshot()
+        plans = [r for r in tracer.records if r.name == "campaign_plan"]
+        assert [r.attrs["reused"] for r in plans] == [False, True, True]
+        assert all(r.attrs["variables"] == len(model.measurements) for r in plans)
+        assert all(r.attrs["configs"] == len(model.measurements) + 1 for r in plans)
+        assert registry["campaign.plans_built"] == 1
+        assert registry["campaign.plans_reused"] == 2
 
 
 # -- campaign heartbeats and the dashboard -------------------------------------------------

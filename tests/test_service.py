@@ -31,6 +31,7 @@ from repro.engine import CampaignGrid
 from repro.engine.campaign import STATUS_DONE
 from repro.platform import LiquidPlatform
 from repro.service import ServiceClient, ServiceError, TuningService, make_server
+from repro.service import jobs as service_jobs
 from repro.service.jobs import JobManager
 from repro.service.server import MAX_BODY_BYTES, MAX_SWEEP_CONFIGS, figure2_grid
 
@@ -101,6 +102,38 @@ class TestJobManager:
         assert manager.drain(timeout=10.0)
         manager.stop()
         assert manager.snapshot(job)["results"] == ["first", "second"]
+
+
+    def test_finished_jobs_are_bounded_oldest_first(self, monkeypatch):
+        monkeypatch.setattr(service_jobs, "MAX_FINISHED_JOBS", 3)
+        gate = threading.Event()
+        release = threading.Event()
+
+        def executor(job):
+            if job.payload.get("block"):
+                gate.set()
+                assert release.wait(timeout=10.0)
+
+        manager = JobManager(executor)
+        manager.start()
+        quick = [manager.submit("sweep", {}) for _ in range(6)]
+        running = manager.submit("sweep", {"block": True})
+        queued = [manager.submit("sweep", {}) for _ in range(2)]
+        assert gate.wait(timeout=10.0)
+        # six finished, three kept: the oldest went first; nothing unfinished went
+        assert [manager.get(job.id) for job in quick[:3]] == [None] * 3
+        assert all(manager.get(job.id) is job for job in quick[3:])
+        assert manager.get(running.id).status == "running"
+        assert all(manager.get(job.id).status == "queued" for job in queued)
+        assert len(manager._jobs) == 6
+        release.set()
+        assert manager.drain(timeout=10.0)
+        manager.stop()
+        assert len(manager._jobs) == 3
+        assert [job["id"] for job in manager.list_jobs()] == \
+            [running.id] + [job.id for job in queued]
+        assert manager.counts() == {"queued": 0, "running": 0, "done": 3,
+                                    "failed": 0, "total": 3}
 
 
 class TestServiceJobs:

@@ -22,10 +22,20 @@ from reference_timing import (
     evaluate_reference,
     reference_measurements,
 )
-from repro.config import REGISTER_WINDOW_COUNTS, Replacement, base_configuration
+from repro.config import (
+    CACHE_LINE_SIZES_WORDS,
+    REGISTER_WINDOW_COUNTS,
+    Replacement,
+    base_configuration,
+)
 from repro.config.leon_space import Divider, Multiplier
 from repro.engine import ParallelEvaluator
-from repro.microarch.timing import TimingParameters, count_window_traps, evaluate_many
+from repro.microarch.timing import (
+    BREAKDOWN_CATEGORIES,
+    TimingParameters,
+    count_window_traps,
+    evaluate_many,
+)
 from repro.platform import LiquidPlatform
 from repro.workloads import ArithWorkload
 
@@ -122,6 +132,38 @@ def test_evaluate_many_all_workloads(small_workload_map, base_config):
         batched = evaluate_many(trace.summary(), configs, pairs)
         for config, pair, result in zip(configs, pairs, batched):
             assert result == evaluate_reference(trace, config, *pair)
+
+
+def coefficient_grid(base):
+    """Every value of every column of evaluate_many's coefficient matrix."""
+    values = {
+        "multiplier": Multiplier.ALL,
+        "divider": Divider.ALL,
+        "register_windows": REGISTER_WINDOW_COUNTS,
+        "icache_linesize_words": CACHE_LINE_SIZES_WORDS,
+        "dcache_linesize_words": CACHE_LINE_SIZES_WORDS,
+        "load_delay": (1, 2),
+    }
+    for name in ("dcache_fast_read", "dcache_fast_write", "fast_jump", "icc_hold",
+                 "fast_decode"):
+        values[name] = (False, True)
+    return [base.replace(**{name: value})
+            for name, options in values.items() for value in options]
+
+
+def test_coefficient_matrix_covers_every_timing_value(small_workload_map, base_config):
+    configs = coefficient_grid(base_config)
+    for workload in small_workload_map.values():
+        trace = workload.trace()
+        pairs = [cache_statistics(workload, c) for c in configs]
+        batched = evaluate_many(trace.summary(), configs, pairs)
+        for config, pair, result in zip(configs, pairs, batched):
+            assert result == evaluate_reference(trace, config, *pair)
+            # the store encoder and Measurement equality need plain ints
+            numbers = (result.cycles, result.window_overflows, result.window_underflows,
+                       *result.cycle_breakdown.values())
+            assert all(type(number) is int for number in numbers)
+            assert tuple(result.cycle_breakdown) == BREAKDOWN_CATEGORIES
 
 
 def test_evaluate_many_follows_timing_parameters(arith_small, base_config):

@@ -14,7 +14,8 @@ from repro import (
 )
 from repro.analysis import DCACHE_STUDY_PARAMETERS
 from repro.config import check_rules
-from repro.errors import OptimizationError
+from repro.config.perturbation import PerturbationSpace
+from repro.errors import MeasurementError, OptimizationError
 
 
 @pytest.fixture(scope="module")
@@ -116,3 +117,75 @@ class TestDcacheStudy:
         result = tuner.tune(arith_small, RUNTIME_ONLY, parameters=DCACHE_STUDY_PARAMETERS)
         assert result.actual is not None
         assert result.actual.cycles == result.base.cycles
+
+
+class TestPlanOnce:
+    """A tuner plans its one-factor batch once per parameter restriction."""
+
+    @pytest.fixture
+    def fits_calls(self, monkeypatch):
+        calls = []
+        fits = LiquidPlatform.fits
+
+        def counting(platform, config):
+            calls.append(config)
+            return fits(platform, config)
+
+        monkeypatch.setattr(LiquidPlatform, "fits", counting)
+        return calls
+
+    def test_one_tuner_equals_fresh_tuners(self, small_workload_map):
+        shared = MicroarchTuner(LiquidPlatform())
+        for workload in small_workload_map.values():
+            reused = shared.tune(workload, RUNTIME_OPTIMIZATION)
+            fresh = MicroarchTuner(LiquidPlatform()).tune(workload, RUNTIME_OPTIMIZATION)
+            assert reused.configuration == fresh.configuration
+            assert reused.selection == fresh.selection
+            assert reused.solution.objective == fresh.solution.objective
+            assert reused.predicted == fresh.predicted
+            assert reused.model.deltas == fresh.model.deltas
+            assert reused.base == fresh.base
+            assert reused.actual == fresh.actual
+
+    def test_one_plan_per_restriction(self, fits_calls, arith_small, drr_small):
+        tuner = MicroarchTuner(LiquidPlatform())
+        model = tuner.build_model(arith_small)
+        assert len(fits_calls) == len(model.measurements)
+        tuner.build_model(drr_small)
+        assert len(fits_calls) == len(model.measurements)
+
+        restricted = tuner.build_model(
+            arith_small, parameters=(name for name in DCACHE_STUDY_PARAMETERS))
+        planned = len(fits_calls)
+        assert planned == len(model.measurements) + len(restricted.measurements)
+        again = tuner.build_model(
+            drr_small, parameters=list(reversed(DCACHE_STUDY_PARAMETERS)))
+        models = tuner.build_models([arith_small, drr_small],
+                                    parameters=DCACHE_STUDY_PARAMETERS)
+        assert len(fits_calls) == planned
+        assert again.space is restricted.space is models["drr"].space
+
+    def test_an_explicit_space_bypasses_the_memo(self, fits_calls, arith_small):
+        tuner = MicroarchTuner(LiquidPlatform())
+        space = PerturbationSpace(tuner.parameter_space, DCACHE_STUDY_PARAMETERS)
+        for _ in range(2):
+            tuner.campaign.run(arith_small, perturbation_space=space)
+        assert len(fits_calls) == 2 * len(space)
+        tuner.build_model(arith_small, parameters=DCACHE_STUDY_PARAMETERS)
+        assert len(fits_calls) == 3 * len(space)
+        # the explicit space was never stored as the unrestricted plan
+        full = tuner.build_model(arith_small)
+        assert full.space is not space
+        assert len(fits_calls) == 3 * len(space) + len(full.space)
+
+    def test_a_failed_screen_is_not_cached(self, monkeypatch, arith_small):
+        platform = LiquidPlatform()
+        tuner = MicroarchTuner(platform)
+        rejected = base_configuration().replace(dcache_setsize_kb=32)
+        fits = platform.fits
+        monkeypatch.setattr(platform, "fits", lambda config: config != rejected and fits(config))
+        with pytest.raises(MeasurementError, match="does not fit"):
+            tuner.build_model(arith_small, parameters=DCACHE_STUDY_PARAMETERS)
+        monkeypatch.setattr(platform, "fits", fits)
+        model = tuner.build_model(arith_small, parameters=DCACHE_STUDY_PARAMETERS)
+        assert rejected in [m.configuration for m in model.measurements]
