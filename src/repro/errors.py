@@ -40,11 +40,12 @@ class SimulationError(ReproError):
 
 
 class ReplayKernelError(ReproError):
-    """The compiled cache replay loop could not be built, loaded or called.
+    """The compiled simulation library could not be built, loaded or called.
 
-    Raised when no C compiler is on ``PATH``, when compilation fails, when
-    the build cache directory is unsafe, or when replay state arrays do
-    not have the layout the compiled loop requires.
+    The library holds the functional simulator's interpreter loop and the
+    cache replay loop.  Raised when no C compiler is on ``PATH``, when
+    compilation fails, when the build cache directory is unsafe, or when
+    the arrays handed to it do not have the layout the C code requires.
     """
 
 

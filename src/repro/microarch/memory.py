@@ -47,9 +47,9 @@ class Memory:
     def buffer(self) -> mmap.mmap:
         """The backing little-endian bytes, zero until written.
 
-        The simulator indexes them through memoryviews it releases when
-        its run ends; :meth:`mmap.mmap.close` raises :class:`BufferError`
-        while any view is still exported.
+        The simulator's C loop writes them through their address, exported
+        only while it runs; :meth:`mmap.mmap.close` raises
+        :class:`BufferError` while any export is alive.
         """
         return self._data
 

@@ -1,12 +1,16 @@
-"""The compiled cache-simulation library: C source, build cache and ctypes binding.
+"""The compiled simulation library: C source, build cache and ctypes binding.
 
-Every step between a recorded address trace and its cache statistics
-runs in one small C library, :data:`REPLAY_SOURCE`, with four entry
-points, each checked bit for bit against a NumPy or Python oracle in
-``tests/reference_replay.py``:
+Every native step from a program to its cache statistics runs in one
+small C library, :data:`REPLAY_SOURCE`, with five entry points, each
+checked bit for bit against a Python or NumPy oracle in ``tests/``:
 
+* ``run_program`` -- the functional simulator's interpreter loop: runs a
+  pre-decoded program (one row of :data:`RUN_COLUMNS` per static
+  instruction) to HALT, writing the executed instruction indices, the
+  load/store addresses and the branch outcomes (oracle
+  ``ReferenceSimulator`` in ``tests/reference_simulator.py``);
 * ``decode_runs`` -- the run decode of :func:`~repro.microarch.cachekernel.decode_trace`
-  (oracle ``reference_decode``);
+  (oracle ``reference_decode`` in ``tests/reference_replay.py``);
 * ``build_set_view`` -- the set grouping behind
   :meth:`~repro.microarch.cachekernel.ColumnarTrace.set_view`: events
   bucketed by ``line % lines_per_way`` in trace order, then chain
@@ -19,9 +23,9 @@ points, each checked bit for bit against a NumPy or Python oracle in
 It is compiled on first use with ``cc -O2 -shared -fPIC`` and loaded
 with :mod:`ctypes`; there is no fallback implementation, so a host
 without a C compiler fails with :class:`~repro.errors.ReplayKernelError`
-on the first decode.  The C code trusts its indices, so the wrappers
-here check every array they pass (dtype, shape, contiguity) and size
-every output.
+on the first simulation or decode.  The C code trusts its indices, so
+the wrappers here check every array they pass (dtype, shape, contiguity,
+index ranges) and size every output; C allocates no output buffer.
 
 The shared object is cached per user in ``$XDG_CACHE_HOME/repro``
 (default ``~/.cache/repro``, created with mode 0700), named by a sha256
@@ -43,24 +47,240 @@ import subprocess
 import tempfile
 import threading
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ReplayKernelError
 
-__all__ = ["CFLAGS", "COMPILER", "REPLAY_SOURCE", "build_set_view", "decode_runs",
-           "replay_cold", "replay_events"]
+__all__ = ["CFLAGS", "COMPILER", "OPCODES", "REPLAY_SOURCE", "RUN_COLUMNS", "Run",
+           "build_set_view", "decode_runs", "replay_cold", "replay_events", "run_program"]
 
 #: Policy codes shared with the C source.
 POLICY_LRU, POLICY_LRR, POLICY_RANDOM = 0, 1, 2
 
+#: ``run_program`` operations, by code: the names of their
+#: :class:`~repro.isa.instructions.Op` members, then FAULT, which stops
+#: the run at its row (an unimplemented operation, or a program counter
+#: outside the text segment).
+OPCODES = ("ADD", "ADDCC", "SUB", "SUBCC", "AND", "ANDCC", "OR", "ORCC", "XOR", "XORCC",
+           "SLL", "SRL", "SRA", "SETHI", "UMUL", "SMUL", "UDIV", "SDIV",
+           "LD", "LDUB", "LDUH", "LDSB", "LDSH", "ST", "STB", "STH",
+           "BRANCH", "CALL", "JMPL", "RET", "RETL", "SAVE", "RESTORE", "NOP", "HALT",
+           "FAULT")
+
+#: Columns of one decoded instruction: the opcode; the destination (or a
+#: store's data) register and the two sources as their
+#: :data:`~repro.isa.registers.REGISTER_SLOTS` ``(offset, mask)`` (RS2 -1:
+#: the second operand is IMM); the immediate as 32 bits (SETHI's: the value
+#: it sets); SDIV's signed immediate divisor; a branch's or call's target
+#: row; a branch's 16-bit condition mask over ``N<<3 | Z<<2 | V<<1 | C``
+#: (-1: an unknown condition).
+RUN_COLUMNS = ("OP", "RD", "RD_MASK", "RS1", "RS1_MASK", "RS2", "RS2_MASK", "IMM",
+               "DIVISOR", "TARGET", "COND")
+
+#: ``run_program``'s state vector: the next (or faulting) row, the packed
+#: condition codes, the window base, the register slots in use, the
+#: instructions executed, the target of a computed jump that left the text
+#: segment, a refused access's address and size, and the entries one call
+#: wrote to each output.
+RUN_STATE = ("ROW", "ICC", "BASE", "USED", "EXECUTED", "PC", "ADDRESS", "SIZE",
+             "INDICES", "ADDRESSES", "OUTCOMES")
+
+#: Why ``run_program`` returned: HALT executed; the budget is spent; the
+#: row ``state[ROW]`` faults; an access was refused; RESTORE or RET below
+#: the initial window; the output buffers are full; a SAVE needs more
+#: register slots.  The last two resume.
+RUN_STATUSES = ("HALT", "BUDGET", "FAULT", "MEMORY", "UNDERFLOW", "FULL", "REGISTERS")
+(RUN_HALT, RUN_BUDGET, RUN_FAULT, RUN_MEMORY, RUN_UNDERFLOW, RUN_FULL,
+ RUN_REGISTERS) = range(len(RUN_STATUSES))
+
+#: Entries of the first output buffers of a run, and register slots of
+#: its first register file (the globals and eight windows); both double
+#: as a run needs more.
+_FIRST_OUTPUTS = 1 << 12
+_FIRST_REGISTERS = 32 + 16 * 8
+
 COMPILER = "cc"
 CFLAGS = ("-O2", "-shared", "-fPIC")
 
-REPLAY_SOURCE = r"""
-#include <stdint.h>
-#include <stdlib.h>
+
+def _enum(prefix: str, names: Sequence[str]) -> str:
+    return "enum { " + ", ".join(prefix + name for name in names) + " };\n"
+
+
+REPLAY_SOURCE = (
+    "#include <stdint.h>\n#include <stdlib.h>\n#include <string.h>\n"
+    + _enum("OP_", OPCODES) + _enum("C_", RUN_COLUMNS + ("WIDTH",))
+    + _enum("S_", RUN_STATE) + _enum("RUN_", RUN_STATUSES) + r"""
+/* The packed N and Z flags of a result */
+#define NZ(r) (((r) >> 28 & 8) | ((r) == 0) << 2)
+
+/* Run a decoded program from row state[S_ROW] until HALT, a fault, the
+   budget of executed instructions or a full buffer, and store the state
+   back, so a call after RUN_FULL or RUN_REGISTERS resumes the run.  code
+   holds C_WIDTH columns per row: rows [0, n) are the text segment, row n
+   (falling off its end), row n + 1 (a computed jump outside it, to
+   state[S_PC]) and any later rows (static targets outside it) are FAULT
+   rows.  A register is the slot (base & mask) + offset of regs, whose
+   first state[S_USED] slots are in use and the rest zero; slot 0 is %g0,
+   so a write to it is undone.  Each executed instruction appends its row
+   to indices, each load and store its address to addresses and each
+   branch its outcome to outcomes; all three hold `capacity` entries, so
+   one check per instruction keeps them in bounds. */
+int64_t run_program(const int64_t *code, int64_t n, int64_t text_base,
+                    uint8_t *memory, int64_t memory_size, uint32_t *regs,
+                    int64_t reg_capacity, int64_t budget, int64_t capacity,
+                    int64_t *indices, uint32_t *addresses, uint8_t *outcomes,
+                    int64_t *state)
+{
+    int64_t k = state[S_ROW], base = state[S_BASE], used = state[S_USED];
+    int64_t executed = state[S_EXECUTED], ni = 0, na = 0, nb = 0, size = 0, status;
+    int64_t limit = budget - executed < capacity ? budget - executed : capacity;
+    uint32_t icc = (uint32_t)state[S_ICC], a = 0;
+
+/* check a `bytes`-wide access at x + y and record its address */
+#define ACCESS(bytes)                                                        \
+    a = x + y;                                                               \
+    size = bytes;                                                            \
+    if ((a & (bytes - 1)) || (int64_t)a > memory_size - bytes)               \
+        goto memory_fault;                                                   \
+    addresses[na++] = a
+/* continue at the row of pc, or fault there when it is outside the text */
+#define JUMP(pc)                                                             \
+    do {                                                                     \
+        int64_t offset = (int64_t)(pc) - text_base;                          \
+        if ((offset & 3) || offset < 0 || offset >= 4 * n) {                 \
+            state[S_PC] = (pc);                                              \
+            next = n + 1;                                                    \
+        } else {                                                             \
+            next = offset >> 2;                                              \
+        }                                                                    \
+    } while (0)
+
+    for (;;) {
+        if (ni >= limit) {
+            status = executed >= budget ? RUN_BUDGET : RUN_FULL;
+            goto out;
+        }
+        const int64_t *c = code + k * C_WIDTH;
+        uint32_t x = regs[(base & c[C_RS1_MASK]) + c[C_RS1]];
+        uint32_t y = c[C_RS2] < 0 ? (uint32_t)c[C_IMM]
+                                  : regs[(base & c[C_RS2_MASK]) + c[C_RS2]];
+        uint32_t *rd = regs + (base & c[C_RD_MASK]) + c[C_RD];
+        uint32_t v = 0, link = (uint32_t)(text_base + 4 * (k + 1));
+        int64_t next = k + 1;
+        switch (c[C_OP]) {
+        case OP_ADD: v = x + y; break;
+        case OP_ADDCC: {
+            uint64_t sum = (uint64_t)x + y;
+            v = (uint32_t)sum;
+            icc = NZ(v) | ((~(x ^ y) & (x ^ v)) >> 30 & 2) | (uint32_t)(sum >> 32);
+            break;
+        }
+        case OP_SUB: v = x - y; break;
+        case OP_SUBCC:
+            v = x - y;
+            icc = NZ(v) | (((x ^ y) & (x ^ v)) >> 30 & 2) | (y > x);
+            break;
+        case OP_AND: v = x & y; break;
+        case OP_ANDCC: v = x & y; icc = NZ(v); break;
+        case OP_OR: v = x | y; break;
+        case OP_ORCC: v = x | y; icc = NZ(v); break;
+        case OP_XOR: v = x ^ y; break;
+        case OP_XORCC: v = x ^ y; icc = NZ(v); break;
+        case OP_SLL: v = x << (y & 31); break;
+        case OP_SRL: v = x >> (y & 31); break;
+        case OP_SRA: v = (uint32_t)((int32_t)x >> (y & 31)); break;
+        case OP_SETHI: v = (uint32_t)c[C_IMM]; break;
+        case OP_UMUL: case OP_SMUL: v = x * y; break;  /* equal low 32 bits */
+        case OP_UDIV:
+            if (!y) goto fault;
+            v = x / y;
+            break;
+        case OP_SDIV: {
+            /* on magnitudes; an immediate divisor keeps its own sign */
+            int64_t p = (int32_t)x, d = c[C_RS2] < 0 ? c[C_DIVISOR] : (int32_t)y;
+            if (!y || !d) goto fault;
+            uint64_t q = (uint64_t)(p < 0 ? -p : p) / (uint64_t)(d < 0 ? -d : d);
+            v = (uint32_t)((p < 0) != (d < 0) ? -q : q);
+            break;
+        }
+        case OP_LD: ACCESS(4); memcpy(&v, memory + a, 4); break;
+        case OP_LDUB: ACCESS(1); v = memory[a]; break;
+        case OP_LDUH: { uint16_t h; ACCESS(2); memcpy(&h, memory + a, 2); v = h; break; }
+        case OP_LDSB: ACCESS(1); v = (uint32_t)(int32_t)(int8_t)memory[a]; break;
+        case OP_LDSH: { int16_t h; ACCESS(2); memcpy(&h, memory + a, 2);
+                        v = (uint32_t)(int32_t)h; break; }
+        case OP_ST: ACCESS(4); memcpy(memory + a, rd, 4); goto done;
+        case OP_STB: ACCESS(1); memory[a] = (uint8_t)*rd; goto done;
+        case OP_STH: { uint16_t h = (uint16_t)*rd; ACCESS(2); memcpy(memory + a, &h, 2);
+                       goto done; }
+        case OP_BRANCH:
+            if (c[C_COND] < 0) goto fault;
+            outcomes[nb] = c[C_COND] >> icc & 1;
+            if (outcomes[nb++]) next = c[C_TARGET];
+            goto done;
+        case OP_CALL: v = link; next = c[C_TARGET]; break;
+        case OP_JMPL: v = link; JUMP(x + y); break;
+        case OP_RETL: JUMP(x); goto done;
+        case OP_RET:
+            if (!base) goto underflow;
+            base -= 16;
+            JUMP(x);
+            goto done;
+        case OP_SAVE:
+            if (base + 48 > reg_capacity) {
+                status = RUN_REGISTERS;
+                goto out;
+            }
+            v = x + y;
+            base += 16;
+            if (base + 32 > used) used = base + 32;
+            rd = regs + (base & c[C_RD_MASK]) + c[C_RD];  /* in the new window */
+            break;
+        case OP_RESTORE:
+            if (!base) goto underflow;
+            v = x + y;
+            base -= 16;
+            rd = regs + (base & c[C_RD_MASK]) + c[C_RD];
+            break;
+        case OP_NOP: goto done;
+        case OP_HALT:
+            indices[ni++] = k;
+            executed++;
+            status = RUN_HALT;
+            goto out;
+        default: goto fault;
+        }
+        *rd = v;
+        regs[0] = 0;
+    done:
+        indices[ni++] = k;
+        executed++;
+        k = next;
+    }
+memory_fault:
+    state[S_ADDRESS] = a;
+    state[S_SIZE] = size;
+    status = RUN_MEMORY;
+    goto out;
+underflow:
+    status = RUN_UNDERFLOW;
+    goto out;
+fault:
+    status = RUN_FAULT;
+out:
+    state[S_ROW] = k;
+    state[S_ICC] = icc;
+    state[S_BASE] = base;
+    state[S_USED] = used;
+    state[S_EXECUTED] = executed;
+    state[S_INDICES] = ni;
+    state[S_ADDRESSES] = na;
+    state[S_OUTCOMES] = nb;
+    return status;
+}
 
 /* floor(a / b) and its non-negative remainder, as Python's // and % (b > 0) */
 static inline int64_t floor_divmod(int64_t a, int64_t b, int64_t *rem)
@@ -254,7 +474,7 @@ int64_t replay_cold(int64_t events, const int64_t *view, int64_t accesses,
     free(fifo);
     return 0;
 }
-"""
+""")
 
 _lock = threading.Lock()
 _library = None  # the loaded library, its functions typed, set on first use
@@ -276,8 +496,9 @@ def _library_path() -> tuple:
     compiler = shutil.which(COMPILER)
     if compiler is None:
         raise ReplayKernelError(
-            f"no C compiler: {COMPILER!r} was not found on PATH; the cache "
-            f"replay loop is compiled on first use and has no fallback")
+            f"no C compiler: {COMPILER!r} was not found on PATH; the functional "
+            f"simulator and the cache replay loop are compiled on first use "
+            f"and have no fallback")
     real = os.path.realpath(compiler)
     info = os.stat(real)
     key = hashlib.sha256("\0".join(
@@ -296,7 +517,7 @@ def _build(compiler: str, target: Path) -> None:
                               capture_output=True, text=True)
         if done.returncode != 0:
             raise ReplayKernelError(
-                f"{compiler} failed to build the replay loop:\n{done.stderr}")
+                f"{compiler} failed to build the simulation library:\n{done.stderr}")
         os.replace(output, target)
     finally:
         for leftover in (source, output):
@@ -322,6 +543,8 @@ def _load():
                 _build(compiler, path)
             i64, ptr = ctypes.c_int64, ctypes.c_void_p
             signatures = {
+                "run_program": ([ptr, i64, i64, ptr, i64, ptr, i64, i64, i64, ptr, ptr,
+                                 ptr, ptr], i64),
                 "decode_runs": ([i64, ptr, ptr, i64, ptr, ptr], i64),
                 "build_set_view": ([i64, ptr, ptr, ptr, ptr, i64, i64, ptr], i64),
                 "replay_events": ([i64, ptr, i64, ptr, ptr, ptr, ptr, i64, i64, i64,
@@ -336,8 +559,8 @@ def _load():
                     function.restype = restype
             except (OSError, AttributeError) as exc:
                 raise ReplayKernelError(
-                    f"cannot load the replay loop from {path} ({exc}); "
-                    f"delete the file to rebuild it") from exc
+                    f"cannot load the functional simulator and cache replay "
+                    f"library from {path} ({exc}); delete the file to rebuild it") from exc
             _library = library
     return _library
 
@@ -353,6 +576,79 @@ def _address(array: np.ndarray, shape: tuple, name: str, writeable=False,
             f"{np.dtype(dtype)} array of shape {shape}, got "
             f"{getattr(array, 'dtype', None)} {getattr(array, 'shape', None)}")
     return array.ctypes.data
+
+
+class Run(NamedTuple):
+    """How a :func:`run_program` run ended, and what it recorded."""
+
+    status: int             #: a ``RUN_*`` code: HALT, BUDGET, FAULT, MEMORY or UNDERFLOW
+    state: Dict[str, int]   #: the final state vector, by :data:`RUN_STATE` name
+    registers: np.ndarray   #: the uint32 register slots in use
+    indices: np.ndarray     #: the row of each executed instruction (int64)
+    addresses: np.ndarray   #: the address of each executed load and store (uint32)
+    outcomes: np.ndarray    #: whether each executed branch was taken (bool)
+
+
+def run_program(code: np.ndarray, text_rows: int, entry: int, text_base: int, memory,
+                registers: np.ndarray, budget: int) -> Run:
+    """Run a decoded program from row ``entry`` to HALT or its first fault.
+
+    ``code`` holds one :data:`RUN_COLUMNS` row per instruction of the
+    text segment, then at least the two FAULT rows the C source names,
+    then one per static target outside the text.  ``memory`` is the
+    writeable buffer of the program's memory image (exported only while
+    the loop runs) and ``registers`` the initial uint32 register slots
+    (at least the globals and window 0).  The register file and the
+    outputs start small and double whenever the loop stops for room, so
+    they grow with what was executed, never with ``budget``.
+    """
+    rows = code.shape[0] if code.ndim == 2 else -1
+    table = _address(code, (rows, len(RUN_COLUMNS)), "program")
+    column = dict(zip(RUN_COLUMNS, code.T))
+    slots_in = [column[name] for name in ("RD", "RS1")]
+    masks = [column[name] for name in ("RD_MASK", "RS1_MASK", "RS2_MASK")]
+    if (text_rows < 0 or rows < text_rows + 2 or not 0 <= entry < rows
+            or ((column["OP"] < 0) | (column["OP"] >= len(OPCODES))).any()
+            or (column["OP"][text_rows:] != OPCODES.index("FAULT")).any()
+            or ((column["TARGET"] < 0) | (column["TARGET"] >= rows)).any()
+            or ((column["COND"] < -1) | (column["COND"] > 0xFFFF)).any()
+            or any(((slot < 0) | (slot >= 32)).any() for slot in slots_in)
+            or ((column["RS2"] < -1) | (column["RS2"] >= 32)).any()
+            or any(((mask != 0) & (mask != -1)).any() for mask in masks)
+            or (np.abs(column["DIVISOR"]) > 1 << 40).any()):
+        raise ReplayKernelError(f"program rows out of range for {text_rows} instructions")
+    if len(registers) < 32:
+        raise ReplayKernelError(f"need at least 32 register slots, got {len(registers)}")
+    slots = np.zeros(max(_FIRST_REGISTERS, len(registers)), dtype=np.uint32)
+    slots[:len(registers)] = registers
+    state = np.zeros(len(RUN_STATE), dtype=np.int64)
+    state[RUN_STATE.index("ROW")] = entry
+    state[RUN_STATE.index("USED")] = len(registers)
+    counts = [RUN_STATE.index(name) for name in ("INDICES", "ADDRESSES", "OUTCOMES")]
+    library = _load()
+    capacity, parts = _FIRST_OUTPUTS, []
+    image = np.frombuffer(memory, dtype=np.uint8)
+    try:
+        image_address = _address(image, image.shape, "memory", True, np.uint8)
+        while True:
+            outputs = (np.empty(capacity, dtype=np.int64),
+                       np.empty(capacity, dtype=np.uint32), np.empty(capacity, dtype=np.bool_))
+            status = library.run_program(
+                table, text_rows, text_base, image_address, len(image), slots.ctypes.data,
+                len(slots), min(budget, 1 << 62), capacity,
+                *(output.ctypes.data for output in outputs), state.ctypes.data)
+            parts.append([output[:state[count]] for output, count in zip(outputs, counts)])
+            if status == RUN_FULL:
+                capacity *= 2
+            elif status == RUN_REGISTERS:
+                slots = np.concatenate([slots, np.zeros_like(slots)])
+            else:
+                break
+    finally:
+        del image  # release the buffer export: the caller may close the buffer
+    columns = [np.concatenate(part) if len(parts) > 1 else part[0] for part in zip(*parts)]
+    final = dict(zip(RUN_STATE, state.tolist()))
+    return Run(status, final, slots[:final["USED"]], *columns)
 
 
 def decode_runs(addresses: np.ndarray, writes: Optional[np.ndarray],

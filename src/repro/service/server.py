@@ -160,6 +160,9 @@ class TuningService:
         self.workloads: Dict[str, Workload] = (
             small_workloads() if scale == "small" else standard_workloads())
         self.space = leon_parameter_space()
+        # one tuner, so every tune job reuses its one-factor plans; jobs run
+        # one at a time on the job thread
+        self.tuner = MicroarchTuner(self.evaluator, self.space)
         self.sweep_chunk = max(1, sweep_chunk)
         self.jobs = JobManager(self._execute)
 
@@ -336,8 +339,7 @@ class TuningService:
         weights = self._weights(job.payload)
         parameters = job.payload.get("parameters")
         verify = bool(job.payload.get("verify", False))
-        tuner = MicroarchTuner(self.evaluator, self.space)
-        result = tuner.tune(
+        result = self.tuner.tune(
             workload, weights, parameters=parameters, verify=verify)
         record: Dict[str, Any] = {
             "workload": result.workload,

@@ -1,14 +1,15 @@
 """Tests for the functional simulator (architectural behaviour and trace recording)."""
 
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import ReplayKernelError, SimulationError
 from repro.isa import Assembler, OpClass
-from repro.microarch import FunctionalSimulator, functional
-from repro.obs import disable_tracing, enable_tracing
+from repro.microarch import FunctionalSimulator, functional, native
+from repro.microarch.memory import Memory
 
 
 def run(asm):
@@ -290,7 +291,7 @@ class TestTraceRecording:
 
 @pytest.mark.parametrize("name", ["arith", "blastn", "drr", "frag"])
 def test_a_run_leaves_no_cyclic_garbage(small_workload_map, name):
-    """A run's generated code and streams are freed by refcount alone.
+    """A run's decoded program and streams are freed by refcount alone.
 
     A long-running worker simulates many workloads; state that only the
     cyclic collector can free would pile up between its passes.  The
@@ -310,61 +311,55 @@ def test_a_run_leaves_no_cyclic_garbage(small_workload_map, name):
 
 
 
-# -- the code cache ---------------------------------------------------------------------
+# -- run to run -------------------------------------------------------------------------
 
 
-def loop_program(start):
-    asm = Assembler("t")
-    asm.set("g1", start)
-    asm.set("g2", 0)
-    asm.label("loop")
-    asm.add("g2", "g2", "g1")
-    asm.subcc("g1", "g1", 1)
-    asm.bne("loop")
-    asm.halt()
-    return asm.assemble()
-
-
-def traced_run(program):
-    """Run ``program``; its result and its functional_sim span's attributes."""
-    tracer = enable_tracing()
-    try:
-        result = FunctionalSimulator(program).run()
-    finally:
-        disable_tracing()
-    [record] = [r for r in tracer.records if r.name == "functional_sim"]
-    return result, record.attrs
-
-
-def test_a_second_run_compiles_no_block_and_matches_the_first(blastn_small):
-    program = blastn_small.program
-    first, _ = traced_run(program)
-    second, attrs = traced_run(program)
-    assert attrs["blocks_compiled"] == 0 and attrs["blocks_reused"] > 0
+def test_two_runs_of_one_program_give_equal_results(blastn_small):
+    """A run keeps no state between runs: the second equals the first."""
+    simulator = FunctionalSimulator(blastn_small.program,
+                                    max_instructions=blastn_small.max_instructions)
+    first, second = simulator.run(), simulator.run()
     for column in ("pcs", "op_classes", "mem_addrs", "load_use_hazard",
                    "cc_branch_hazard", "window_events"):
         np.testing.assert_array_equal(getattr(second.trace, column),
                                       getattr(first.trace, column))
     assert second.registers.values == first.registers.values
+    assert second.registers.base == first.registers.base
     assert bytes(second.memory.buffer) == bytes(first.memory.buffer)
+    assert second.memory is not first.memory
 
 
-def test_a_changed_immediate_recompiles_only_its_block():
-    traced_run(loop_program(10))
-    result, attrs = traced_run(loop_program(11))
-    # the entry block holds the immediate; the loop and HALT blocks are reused
-    assert (attrs["blocks_compiled"], attrs["blocks_reused"]) == (1, 2)
-    assert result.register("g2") == sum(range(1, 12))
+def test_a_huge_budget_allocates_by_what_runs():
+    """No buffer is sized by the instruction budget, only by what executes."""
+    asm = Assembler("t")
+    for _ in range(9):
+        asm.nop()
+    asm.halt()
+    simulator = FunctionalSimulator(asm.assemble(), max_instructions=10**9)
+    simulator.run()  # load the library outside the measurement
+    tracemalloc.start()
+    try:
+        result = simulator.run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.instruction_count == 10
+    assert peak < 1 << 20, peak
 
 
-def test_the_code_cache_never_exceeds_its_bound(monkeypatch):
-    monkeypatch.setattr(functional, "_CODE_CACHE", {})
-    monkeypatch.setattr(functional, "CODE_CACHE_SIZE", 4)
-    for start in range(1, 8):
-        assert FunctionalSimulator(loop_program(start)).run().register("g2") == sum(
-            range(1, start + 1))
-        assert len(functional._CODE_CACHE) <= 4
-    assert len(functional._CODE_CACHE) == 4
-    # the newest entries survive: the last program's blocks are all reused
-    _, attrs = traced_run(loop_program(7))
-    assert attrs["blocks_compiled"] == 0
+
+@pytest.mark.parametrize("column,row,value", [
+    ("TARGET", 0, 99), ("OP", -1, 0), ("RS1", 0, 32), ("RD_MASK", 0, 5), ("COND", 0, 1 << 16)])
+def test_the_interpreter_refuses_rows_it_cannot_run_safely(column, row, value):
+    """The C loop trusts its row indices, so the wrapper checks them first."""
+    asm = Assembler("t")
+    asm.set("g1", 7)
+    asm.halt()
+    program = asm.assemble()
+    code, entry, _ = functional._decode(program)
+    code[row, native.RUN_COLUMNS.index(column)] = value
+    memory = Memory.for_program(program)
+    with pytest.raises(ReplayKernelError):
+        native.run_program(code, len(program.instructions), entry, 0, memory.buffer,
+                           np.zeros(32, dtype=np.uint32), 100)
+    memory.buffer.close()

@@ -1,8 +1,9 @@
-"""Differential suite: the block-compiled simulator against the reference interpreter.
+"""Differential suite: the compiled interpreter against the reference interpreter.
 
-:class:`~repro.microarch.functional.FunctionalSimulator` compiles each
-program into one function per basic block and derives its trace columns
-from the executed blocks; ``reference_simulator.ReferenceSimulator``
+:class:`~repro.microarch.functional.FunctionalSimulator` runs each
+program in the C interpreter loop of :mod:`repro.microarch.native` and
+derives its trace columns from the executed instruction indices;
+``reference_simulator.ReferenceSimulator``
 is the original per-instruction interpreter.  On the four applications,
 the phased scenarios and hypothesis-generated programs the two must
 agree bit for bit: all six trace columns (dtype and values), the final
@@ -129,6 +130,9 @@ ERROR_PROGRAMS = {
     "word-misaligned": lambda a: (a.set("g1", 0x80002), a.st("g2", "g1", 0), a.halt()),
     "half-misaligned": lambda a: (a.set("g1", 0x80001), a.ldsh("g2", "g1", 0), a.halt()),
     "udiv-by-zero": lambda a: (a.set("g1", 7), a.udiv("g2", "g1", "g0"), a.halt()),
+    "udiv-by-a-register-holding-zero": lambda a: (
+        a.set("g1", 7), a.set("g3", 5), a.sub("g3", "g3", 5), a.udiv("g2", "g1", "g3"),
+        a.halt()),
     "sdiv-by-zero-immediate": lambda a: (a.sdiv("g2", "g1", 0), a.halt()),
     "restore-underflow": lambda a: (a.restore(), a.halt()),
     "ret-underflow": lambda a: (a.ret(), a.halt()),
@@ -156,6 +160,105 @@ MID_BLOCK_PROGRAMS = {
         a.ld("g3", "g4", 0), a.subcc("g0", "g3", 5), a.bne("done"), a.st("g3", "g4", 4),
         a.label("done"), a.halt()),
 }
+
+
+def _recursion(a, depth=300):
+    """sum(range(depth + 1)) by a call per level: ``depth`` nested windows."""
+    a.set("o0", depth)
+    a.call("sum")
+    a.mov("g1", "o0")
+    a.halt()
+    a.label("sum")
+    a.save(96)
+    a.add("l0", "i0", 1000)   # a distinct value in every window
+    a.cmp("i0", 0)
+    a.be("bottom")
+    a.sub("o0", "i0", 1)
+    a.call("sum")
+    a.add("i0", "o0", "i0")
+    a.ret()
+    a.label("bottom")
+    a.ret()
+
+
+def _nested_windows(a, depth=300):
+    """``depth`` SAVEs in a loop, then as many RESTOREs writing each window."""
+    a.set("g1", depth)
+    a.label("down")
+    a.save(96)
+    a.add("l0", "g1", 7)
+    a.add("o3", "g1", "g1")
+    a.subcc("g1", "g1", 1)
+    a.bne("down")
+    a.set("g1", depth)
+    a.label("up")
+    a.add("g2", "g2", "l0")
+    a.restore("o4", "g1", 3)
+    a.subcc("g1", "g1", 1)
+    a.bne("up")
+    a.halt()
+
+
+def _shifts(a, count):
+    a.set("g1", 0x80000001)
+    a.set("g2", count)
+    a.sll("g3", "g1", "g2")
+    a.srl("g4", "g1", "g2")
+    a.sra("g5", "g1", "g2")
+    a.set("g1", 0x40000002)
+    a.sra("g6", "g1", "g2")
+    a.halt()
+
+
+#: Corner cases of the interpreter that reach HALT: register files deeper
+#: than its first allocation, signed division at its limits, shift counts
+#: past the register width and sign-extending loads.
+EDGE_PROGRAMS = {
+    "nested-save-restore-300": _nested_windows,
+    "sdiv-limits": lambda a: (
+        a.set("g1", 0x80000000), a.set("g2", -1), a.sdiv("g3", "g1", "g2"),
+        a.sdiv("g4", "g1", -1), a.sdiv("g5", "g1", 1), a.set("g2", 0x7FFFFFFF),
+        a.sdiv("g6", "g1", "g2"), a.halt()),
+    "sdiv-negative-immediate": lambda a: (
+        a.set("g1", 100), a.sdiv("g3", "g1", -7), a.set("g1", -100),
+        a.sdiv("g4", "g1", -7), a.sdiv("g5", "g1", 7), a.sdiv("g6", "g1", -4096),
+        a.sdiv("g7", "g1", -100), a.halt()),
+    **{f"shift-by-register-{count:#x}": (lambda a, count=count: _shifts(a, count))
+       for count in (0, 1, 31, 32, 33, 63, 0xFFFFFFFF)},
+    "signed-loads-of-negative-values": lambda a: (
+        a.data_label("values"), a.byte_data([0x80, 0xFF, 0x7F, 0x80, 0xFE, 0xFF, 0x00, 0x80]),
+        a.set("g1", "values"), a.ldsb("g2", "g1", 0), a.ldsb("g3", "g1", 1),
+        a.ldsb("g4", "g1", 2), a.ldsh("g5", "g1", 0), a.ldsh("g6", "g1", 2),
+        a.ldsh("g7", "g1", 4), a.ldsh("o0", "g1", 6), a.ldub("o1", "g1", 0),
+        a.lduh("o2", "g1", 6), a.halt()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_PROGRAMS))
+def test_edge_cases_match_reference(case):
+    actual, _ = run_both(_program(EDGE_PROGRAMS[case]))
+    assert actual is not None
+
+
+def test_sdiv_immediates_beyond_32_bits_keep_their_value():
+    """An SDIV immediate divides by its own value, not by its low 32 bits
+    read as signed (programs built without the assembler can hold any)."""
+    program = Program(instructions=(
+        Instruction(Op.SETHI, rd=1, imm=0x1FFFFF),       # g1 = -2048
+        Instruction(Op.SDIV, rd=2, rs1=1, imm=0xFFFFFFF9),
+        Instruction(Op.SDIV, rd=3, rs1=1, imm=-(1 << 31) - 5),
+        Instruction(Op.SDIV, rd=4, rs1=1, imm=(1 << 40) + 3),
+        Instruction(Op.SDIV, rd=5, rs1=1, imm=-(1 << 40) - 3),
+        Instruction(Op.HALT)))
+    actual, _ = run_both(program)
+    assert [actual.register(f"g{k}") for k in range(2, 6)] == [0, 0, 0, 0]
+
+
+def test_deep_recursion_matches_reference():
+    """301 windows: more than the interpreter's first register allocation."""
+    actual, _ = run_both(_program(_recursion))
+    assert actual.register("g1") == sum(range(301))
+    assert actual.max_window_depth == 301
 
 
 @pytest.mark.parametrize("case", sorted(ERROR_PROGRAMS))
@@ -202,6 +305,18 @@ def test_accesses_at_the_end_of_memory(op, width):
     assert run_both(_program(lambda a: build(a, 0))) == (None, None)
 
 
+@pytest.mark.parametrize("op,width,past", [
+    (op, width, past) for op, width in (("lduh", 2), ("ld", 4), ("sth", 2), ("st", 4))
+    for past in range(1, width)])
+def test_accesses_straddling_the_end_of_memory(op, width, past):
+    """An access that starts inside memory but ends ``past`` bytes beyond
+    it: out of range wins over misaligned in the message."""
+    size = MemoryLayout().memory_size
+    program = _program(lambda a: (a.sethi("g1", size >> 11),
+                                  getattr(a, op)("g2", "g1", past - width), a.halt()))
+    assert run_both(program) == (None, None)
+
+
 def test_condition_tables_match_reference():
     """Every branch condition's truth table against the reference predicate."""
     for condition in CONDITION_CODES:
@@ -214,10 +329,10 @@ def test_condition_tables_match_reference():
 @pytest.mark.parametrize("budget,completes", [(1, False), (2, False), (3, False), (4, True),
                                              (5, True)])
 def test_budget_counts_the_halt(budget, completes):
-    """A budget of four runs the HALT of a four-instruction block.
+    """A budget of four runs the HALT of a four-instruction program.
 
-    A budget ending inside a block runs only that block's prefix, so a
-    fault later in the block never wins over the budget error.
+    The budget counts every instruction: a fault at instruction four
+    raises when the budget reaches four, the budget error before that.
     """
     program = _program(lambda a: (a.nop(), a.nop(), a.nop(), a.halt()))
     actual, _ = run_both(program, max_instructions=budget)
@@ -226,6 +341,15 @@ def test_budget_counts_the_halt(budget, completes):
     with pytest.raises(SimulationError, match="division" if completes else "budget"):
         FunctionalSimulator(faulting, max_instructions=budget).run()
     assert run_both(faulting, max_instructions=budget) == (None, None)
+
+
+@pytest.mark.parametrize("name", ["arith", "frag"])
+def test_a_budget_of_exactly_the_instruction_count_completes(small_workload_map, name):
+    program = small_workload_map[name].program
+    count = ReferenceSimulator(program).run().instruction_count
+    actual, _ = run_both(program, max_instructions=count)
+    assert actual.instruction_count == count
+    assert run_both(program, max_instructions=count - 1) == (None, None)
 
 
 # -- generated programs ------------------------------------------------------------------

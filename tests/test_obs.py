@@ -321,21 +321,20 @@ class TestSpanTreeTiming:
         assert all("lane" not in r.attrs for r in by_name["replay"])
 
     def test_setup_counts_show_whether_setup_was_paid(self, base_config, fresh_arith):
-        """functional_sim says how many blocks it compiled and reused, replay
-        how many set views it built and native calls it made, and the
-        engine registry (``--profile``, ``GET /metrics``) sums both."""
+        """functional_sim says how many instructions it ran, replay how many
+        set views it built and native calls it made, and the engine
+        registry (``--profile``, ``GET /metrics``) sums both."""
         tracer = enable_tracing()
         with ParallelEvaluator(LiquidPlatform()) as evaluator:
             evaluator.measure_many(fresh_arith, grid_configs(base_config))
             registry = evaluator.stats.registry.snapshot()
         [simulation] = [r for r in tracer.records if r.name == "functional_sim"]
         replays = [r for r in tracer.records if r.name == "replay"]
-        assert simulation.attrs["blocks_compiled"] + simulation.attrs["blocks_reused"] > 0
+        assert simulation.attrs["instructions"] == fresh_arith.trace().instruction_count > 0
         assert replays and all(r.attrs["native_calls"] >= 1 for r in replays)
         assert all(0 <= r.attrs["set_views_built"] <= r.attrs["native_calls"]
                    for r in replays)
-        for name, key in (("functional_sim", "blocks_compiled"),
-                          ("functional_sim", "blocks_reused"),
+        for name, key in (("functional_sim", "instructions"),
                           ("replay", "set_views_built"), ("replay", "native_calls")):
             spans = [r for r in tracer.records if r.name == name]
             # a counter that stayed at zero is not drained into the engine

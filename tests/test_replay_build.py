@@ -1,6 +1,7 @@
-"""The compiled replay loop's build cache.
+"""The compiled simulation library's build cache.
 
-The loop is compiled on first use into a per-user cache keyed by the
+The library (the functional simulator's interpreter loop and the cache
+replay loops) is compiled on first use into a per-user cache keyed by the
 source, the flags and the compiler, then loaded with ctypes.  These tests
 run fresh interpreters against a private ``XDG_CACHE_HOME`` and count
 compiler runs through a logging ``cc`` wrapper placed first on ``PATH``.
@@ -17,9 +18,11 @@ import numpy as np
 import pytest
 
 from repro.errors import ReplayKernelError
-from repro.microarch import native
+from repro.isa import Assembler
+from repro.microarch import FunctionalSimulator, native
 from repro.microarch.cache import CacheConfig
 from repro.microarch.cachekernel import decode_trace, simulate_many
+from repro.microarch.memory import Memory
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -106,6 +109,32 @@ def test_missing_compiler_fails_with_a_clear_error(tmp_path, monkeypatch):
     monkeypatch.setattr(native, "_library", None)
     with pytest.raises(ReplayKernelError, match="'cc' was not found on PATH"):
         replay_once()
+    assert built_libraries(tmp_path / "cache") == []
+
+
+def test_missing_compiler_fails_the_first_simulation_clearly(tmp_path, monkeypatch):
+    """The simulator makes the first native call of a cold run: it must fail
+    with the same error, and leave its memory image closable."""
+    empty = tmp_path / "empty-bin"
+    empty.mkdir()
+    monkeypatch.setenv("PATH", str(empty))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(native, "_library", None)
+    images = []
+    for_program = Memory.for_program.__func__
+
+    def recording(cls, program):
+        images.append(for_program(cls, program))
+        return images[-1]
+
+    monkeypatch.setattr(Memory, "for_program", classmethod(recording))
+    asm = Assembler("t")
+    asm.set("g1", 7)
+    asm.halt()
+    with pytest.raises(ReplayKernelError, match="functional simulator"):
+        FunctionalSimulator(asm.assemble()).run()
+    [memory] = images
+    memory.buffer.close()  # raises BufferError while a view is exported
     assert built_libraries(tmp_path / "cache") == []
 
 

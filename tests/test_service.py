@@ -26,6 +26,7 @@ from urllib.parse import urlsplit
 import pytest
 
 from reference_timing import reference_measurements
+from repro import RESOURCE_OPTIMIZATION, RUNTIME_OPTIMIZATION, MicroarchTuner
 from repro.config import check_rules
 from repro.engine import CampaignGrid
 from repro.engine.campaign import STATUS_DONE
@@ -194,6 +195,36 @@ class TestServiceJobs:
             assert record["workload"] == "arith"
             assert set(record["configuration"]) >= {"dcache_sets"}
             assert "runtime_percent" in record["predicted"]
+
+    def test_tune_jobs_share_one_tuner_and_match_fresh_tuners(self):
+        """Every tune job of a service reuses its one-factor plan, and each
+        answers what a fresh tuner on a fresh engine recommends."""
+        parameters = ["dcache_sets", "dcache_setsize_kb"]
+        presets = {"runtime": RUNTIME_OPTIMIZATION, "resources": RESOURCE_OPTIMIZATION}
+        with TuningService(scale="small") as service:
+            jobs = [service.submit_tune({"workload": "arith", "weights": preset,
+                                         "parameters": parameters})
+                    for preset in presets]
+            done = [wait_for(service, job.id, timeout=300.0) for job in jobs]
+            registry = service.metrics()["registry"]
+            workload = service.workloads["arith"]
+        assert registry["campaign.plans_built"] == 1
+        assert registry["campaign.plans_reused"] >= 1
+        for snapshot, weights in zip(done, presets.values()):
+            assert snapshot["status"] == "done", snapshot.get("error")
+            (record,) = snapshot["results"]
+            fresh = MicroarchTuner(LiquidPlatform()).tune(
+                workload, weights, parameters=parameters, verify=False)
+            assert record["configuration"] == fresh.configuration.as_dict()
+            assert record["changed_parameters"] == {
+                name: {"base": base, "tuned": tuned}
+                for name, (base, tuned) in fresh.changed_parameters().items()}
+            assert record["predicted"] == {
+                "runtime_percent": fresh.predicted.runtime_percent,
+                "runtime_cycles": fresh.predicted.runtime_cycles,
+                "lut_percent": fresh.predicted.lut_percent_linear,
+                "bram_percent": fresh.predicted.bram_percent_nonlinear,
+            }
 
     def test_bad_payloads_are_rejected_at_submit_time(self):
         with TuningService(scale="small") as service:
