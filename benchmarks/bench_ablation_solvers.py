@@ -2,9 +2,10 @@
 
 The paper solves the formulation with a commercial MINLP solver; our
 branch-and-bound replaces it.  This benchmark shows it dominates the naive
-baselines on every workload's problem instance while exploring only a few
-thousand nodes, i.e. the constrained formulation (not brute force) is what
-makes the approach work.
+baselines on every workload's problem instance while exploring at most
+about a hundred nodes (BLASTN 97, DRR 31, FRAG and Arith only the root),
+i.e. the constrained formulation (not brute force) is what makes the
+approach work.
 """
 
 from conftest import emit
@@ -27,4 +28,4 @@ def test_solver_ablation(benchmark, figure5):
         bnb = data["branch-and-bound"]
         assert bnb["objective"] <= data["greedy"]["objective"] + 1e-9, name
         assert bnb["objective"] <= data["random-search"]["objective"] + 1e-9, name
-        assert bnb["nodes"] < 100_000, name
+        assert bnb["nodes"] < 1_000, name

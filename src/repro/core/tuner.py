@@ -169,7 +169,8 @@ class MicroarchTuner:
                 model, weights, lut_nonlinear=lut_nonlinear, bram_nonlinear=bram_nonlinear)
             solution = self.solver.solve(problem)
             self._record_stage("solve", time.perf_counter() - solve_start)
-            solve_span.set(variables=problem.variable_count)
+            solve_span.set(variables=problem.variable_count,
+                           nodes=solution.nodes_explored, optimal=solution.optimal)
         configuration = require_valid(model.space.apply(solution.selection))
         predicted = predict_costs(model, solution.selection)
         actual = self.platform.measure(workload, configuration) if verify else None

@@ -308,6 +308,8 @@ class TestSpanTreeTiming:
         [solve] = by_name["solve"]
         assert solve.attrs["workload"] == fresh_arith.name
         assert solve.attrs["variables"] > 0
+        assert solve.attrs["nodes"] >= 1
+        assert solve.attrs["optimal"] is True
         caches = by_name["cache_simulation"]
         [swept] = [r for r in tracer.records[tuned:] if r.name == "cache_simulation"]
         assert len(caches) > 1

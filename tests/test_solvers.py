@@ -6,13 +6,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import PerturbationSpace, leon_parameter_space
-from repro.core.binlp import BilinearConstraint, BinlpProblem, LinearConstraint
+from repro.core.binlp import (
+    BilinearConstraint,
+    BinlpProblem,
+    LinearConstraint,
+    _coupling_constraints,
+    build_problem,
+)
 from repro.core.solvers import (
     BranchAndBoundSolver,
     ExhaustiveSolver,
     GreedyIndependentSolver,
     RandomSearchSolver,
 )
+from repro.core.tuner import MicroarchTuner
 from repro.core.weights import RUNTIME_OPTIMIZATION
 from repro.errors import OptimizationError
 
@@ -81,7 +88,90 @@ class TestAgainstBruteForce:
         assert bnb.objective <= solution.objective + 1e-9
 
 
+TWO_CACHE_PARAMETERS = [f"{cache}_{name}" for cache in ("icache", "dcache")
+                        for name in ("sets", "setsize_kb", "replacement")]
+
+
+def two_cache_problem(objective, lut, size_weights, bram_linear, lut_bound, bram_bound):
+    """Both caches' structure groups (5,184 combinations) under the real coupling rules.
+
+    The LUT budget is linear; the BRAM budget has the paper's bilinear
+    form, one ``(1 + sum position*x_sets) * (sum beta*x_size)`` product per
+    cache plus linear terms for the set-count and replacement variables.
+    Every coefficient is an integer, so each constraint value is exact,
+    and objective ``i`` carries its own binary fraction ``2**-(8 + i)``, so
+    no two selections tie and the optimal selection is unique.
+    """
+    space = PerturbationSpace(leon_parameter_space(), TWO_CACHE_PARAMETERS)
+    products = []
+    size_indices = []
+    for cache in ("icache", "dcache"):
+        sets_idx = [v.index for v in space.variables_for(f"{cache}_sets")]
+        size_idx = [v.index for v in space.variables_for(f"{cache}_setsize_kb")]
+        size_indices += size_idx
+        products.append((1.0, {i: float(pos + 1) for pos, i in enumerate(sets_idx)},
+                         {i: size_weights[i] for i in size_idx}))
+    linear = {i: bram_linear[i] for i in range(len(space)) if i not in size_indices}
+    return BinlpProblem(
+        space=space,
+        objective=tuple(value + 2.0 ** -(8 + i) for i, value in enumerate(objective)),
+        groups=tuple(g.variable_indices for g in space.groups),
+        linear_constraints=tuple(_coupling_constraints(space)),
+        resource_constraints=(
+            BilinearConstraint("lut_capacity", (), dict(enumerate(lut)), lut_bound),
+            BilinearConstraint("bram_capacity", tuple(products), linear, bram_bound),
+        ),
+        weights=RUNTIME_OPTIMIZATION,
+        name="two-cache",
+    )
+
+
+def integers(low, high):
+    return st.lists(st.integers(low, high).map(float), min_size=20, max_size=20)
+
+
+class TestTwoCacheAgainstBruteForce:
+    # negative set-size weights (smaller sets) and small BRAM budgets put the
+    # least bilinear product at the largest undecided set count, so a bound
+    # that misses a corner of the factors' ranges prunes the optimum
+    @settings(max_examples=25, deadline=None)
+    @given(objective=integers(-50, 20), lut=integers(-4, 8), size_weights=integers(-16, 16),
+           bram_linear=integers(-3, 6), lut_bound=st.integers(0, 12).map(float),
+           bram_bound=st.integers(0, 6).map(float))
+    def test_branch_and_bound_matches_exhaustive(
+            self, objective, lut, size_weights, bram_linear, lut_bound, bram_bound):
+        problem = two_cache_problem(
+            objective, lut, size_weights, bram_linear, lut_bound, bram_bound)
+        assert len(problem.space) == 20 and len(problem.linear_constraints) == 4
+        bnb = BranchAndBoundSolver().solve(problem)
+        exhaustive = ExhaustiveSolver().solve(problem)
+        assert exhaustive.nodes_explored == 5184
+        assert bnb.optimal and problem.is_feasible(bnb.selection)
+        assert bnb.selection == exhaustive.selection
+        assert bnb.objective == exhaustive.objective
+
+    def test_budgets_bind(self):
+        # the unconstrained optimum (best sets, size and replacement of both
+        # caches) breaks both budgets, so the search must trade it away
+        objective = [-30.0, -31.0, -32.0, -1.0, -2.0, -3.0, -4.0, -40.0, -5.0, -6.0] * 2
+        lut = [1.0] * 20
+        problem = two_cache_problem(objective, lut, [4.0] * 20, [1.0] * 20, 3.0, 12.0)
+        unconstrained = [min(g, key=lambda i: objective[i]) for g in problem.groups]
+        assert {"lut_capacity", "bram_capacity"} <= set(problem.violations(unconstrained))
+        bnb = BranchAndBoundSolver().solve(problem)
+        exhaustive = ExhaustiveSolver().solve(problem)
+        assert (bnb.selection, bnb.objective) == (exhaustive.selection, exhaustive.objective)
+
+
 class TestSolverBehaviour:
+    def test_search_prunes_on_resources(self, platform, drr_small):
+        # DRR's unconstrained cache choice overflows BRAM: bounding the
+        # bilinear products at every node prunes the cache prefixes early
+        model = MicroarchTuner(platform).build_model(drr_small)
+        solution = BranchAndBoundSolver().solve(build_problem(model, RUNTIME_OPTIMIZATION))
+        assert solution.optimal
+        assert solution.nodes_explored <= 150
+
     def test_no_improving_variable_keeps_the_base(self):
         problem = make_problem([5.0] * 8)
         for solver in (BranchAndBoundSolver(), ExhaustiveSolver(),
