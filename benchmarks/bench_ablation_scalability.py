@@ -11,7 +11,6 @@ scalability report shows how the measurement layer itself scales.
 from conftest import emit
 
 from repro.analysis import scalability_study
-from repro.engine import ParallelEvaluator
 from repro.platform import LiquidPlatform
 
 
@@ -31,9 +30,9 @@ def test_scalability_of_the_campaign(benchmark, workloads):
 
 def test_scalability_of_the_campaign_through_the_engine(benchmark, workloads):
     """Same campaign, batched through the engine."""
-    with ParallelEvaluator(LiquidPlatform()) as engine:
-        result = benchmark.pedantic(
-            scalability_study, args=(engine, workloads["frag"]), rounds=1, iterations=1)
+    engine = LiquidPlatform()
+    result = benchmark.pedantic(
+        scalability_study, args=(engine, workloads["frag"]), rounds=1, iterations=1)
     emit(result)
 
     sequential = scalability_study(LiquidPlatform(), workloads["frag"])

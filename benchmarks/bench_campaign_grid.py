@@ -49,7 +49,7 @@ from repro.config import (
     CACHE_SET_SIZES_KB,
     base_configuration,
 )
-from repro.engine import CampaignGrid, CampaignWorker, ParallelEvaluator
+from repro.engine import CampaignGrid, CampaignWorker
 from repro.engine.store import ResultStore
 from repro.platform import LiquidPlatform
 
@@ -159,8 +159,8 @@ def test_campaign_grid_scaling(tmp_path):
     configs = fig2_grid(platform)
     workload = fresh_blastn()
 
-    with ParallelEvaluator(LiquidPlatform()) as direct:
-        reference = direct.measure_many(workload, configs)
+    direct = LiquidPlatform()
+    reference = direct.measure_many(workload, configs)
 
     with tempfile.TemporaryDirectory(dir=str(tmp_path)) as tmp_dir:
         # interleaved solo/multi pairs: both sides of each repetition see

@@ -30,7 +30,6 @@ from reference_replay import simulate_accesses
 from reference_timing import reference_measurements, replay_geometry
 
 from repro.analysis import dcache_exhaustive, engine_report
-from repro.engine import ParallelEvaluator
 from repro.platform import LiquidPlatform
 
 
@@ -117,11 +116,11 @@ def test_fig2_engine_wall_clock_improvement(benchmark, workloads):
     pr1_rows, pr1_seconds = _timed_baseline(workload, ways_threshold=1)
     kernel_rows, kernel_seconds = _timed_sweep(workload)
 
-    with ParallelEvaluator(LiquidPlatform()) as engine:
-        start = time.perf_counter()
-        engine_result = benchmark.pedantic(
-            dcache_exhaustive, args=(engine, workload), rounds=1, iterations=1)
-        engine_seconds = time.perf_counter() - start
+    engine = LiquidPlatform()
+    start = time.perf_counter()
+    engine_result = benchmark.pedantic(
+        dcache_exhaustive, args=(engine, workload), rounds=1, iterations=1)
+    engine_seconds = time.perf_counter() - start
 
     emit(engine_report(engine))
     print(f"\nFigure 2 sweep wall-clock:"

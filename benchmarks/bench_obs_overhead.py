@@ -6,8 +6,8 @@ enough to leave compiled into every hot path: with tracing *disabled*
 tracing *enabled* a span records two clock reads and one small record
 append -- at batch/group granularity, never per cache access.
 
-This benchmark measures the Figure-2 BLASTN dcache sweep through a fresh
-:class:`~repro.engine.parallel.ParallelEvaluator` with
+This benchmark measures the Figure-2 BLASTN dcache sweep on a fresh
+:class:`~repro.platform.LiquidPlatform` with
 tracing off and with tracing on, in interleaved pairs (both sides of a
 pair see the same background load), takes each side's best-of-``REPS``
 per pair and the median pair ratio, and asserts the traced sweep stays
@@ -33,7 +33,6 @@ from repro.config import (
     CACHE_SET_SIZES_KB,
     base_configuration,
 )
-from repro.engine import ParallelEvaluator
 from repro.obs import disable_tracing, enable_tracing, get_tracer
 from repro.platform import LiquidPlatform
 from repro.workloads import small_workloads, standard_workloads
@@ -64,10 +63,10 @@ def sweep_seconds(workload, configs) -> float:
     """Best-of-``REPS`` wall-clock of one cold engine sweep."""
     best = float("inf")
     for _ in range(REPS):
-        with ParallelEvaluator(LiquidPlatform()) as evaluator:
-            start = time.perf_counter()
-            evaluator.measure_many(workload, configs)
-            best = min(best, time.perf_counter() - start)
+        platform = LiquidPlatform()
+        start = time.perf_counter()
+        platform.measure_many(workload, configs)
+        best = min(best, time.perf_counter() - start)
     return best
 
 

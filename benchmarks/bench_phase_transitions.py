@@ -25,17 +25,16 @@ Set ``REPRO_BENCH_SMOKE=1`` to run the scenarios at test scale.
 from conftest import SMOKE, emit
 
 from repro.analysis import phase_transition_study
-from repro.engine import ParallelEvaluator
 from repro.platform import LiquidPlatform
 from repro.workloads import phase_scenarios
 
 
 def test_phase_transitions_cold_vs_warm(benchmark):
     scenarios = phase_scenarios(small=SMOKE)
-    with ParallelEvaluator(LiquidPlatform()) as engine:
-        result = benchmark.pedantic(
-            phase_transition_study, args=(engine, scenarios), rounds=1, iterations=1)
-        stats = engine.stats
+    engine = LiquidPlatform()
+    result = benchmark.pedantic(
+        phase_transition_study, args=(engine, scenarios), rounds=1, iterations=1)
+    stats = engine.stats
     emit(result)
     stages = stats.stage_report()
     print(f"\nphase chains: {stats.phase_chains}, phase decodes: {stats.phase_decodes}"

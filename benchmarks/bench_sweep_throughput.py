@@ -20,13 +20,14 @@ The variants:
 * ``batched`` -- :meth:`LiquidPlatform.measure_many`, the one
   measurement path (one planning pass, shared-decode replay, one
   broadcast timing evaluation);
-* ``engine`` -- ``measure_many`` through a :class:`ParallelEvaluator`
-  (store/dedup planning on top of the same path, in process).
+* ``engine`` -- the same ``measure_many`` on a platform warmed by an
+  off-grid batch first.  Since the store-backed evaluator was folded
+  into :class:`LiquidPlatform` this times the same object as
+  ``batched``; the variant and its ``ENGINE_FLOOR`` stay until the
+  committed ``BENCH_sweep.json`` is regenerated.
 
-All variants must agree bit for bit at every scale, and the engine path
-must stay within noise of the bare platform (``ENGINE_FLOOR``): it plans
-each batch once and hands that plan to the platform, so its bookkeeping
-may never cost more than it saves.
+All variants must agree bit for bit at every scale, and the engine
+variant must stay within noise of ``batched`` (``ENGINE_FLOOR``).
 Wall-clock speedup floors only run at benchmark scale
 (``REPRO_BENCH_SMOKE=1`` keeps the equality and engine-floor
 assertions), except the replay microbench at the bottom, which times
@@ -55,7 +56,6 @@ from repro.config import (
     base_configuration,
 )
 from repro.config.leon_space import Multiplier
-from repro.engine import ParallelEvaluator
 from repro.microarch.cache import CacheConfig, Replacement
 from repro.microarch.cachekernel import decode_trace, simulate_many
 from repro.platform import LiquidPlatform
@@ -123,16 +123,16 @@ def timed(fn):
 
 def run_engine_variant(workload, configs):
     """One engine sweep: returns (result, seconds, stats dict)."""
-    with ParallelEvaluator(LiquidPlatform()) as engine:
-        # an off-grid batch first, so a steady-state sweep is what gets timed
-        warmup = [base_configuration().replace(
-            dcache_sets=sets, dcache_setsize_kb=32 if SMOKE else 16,
-            dcache_replacement="lru") for sets in (2, 3)]
-        warmup = [c for c in warmup if engine.fits(c)]
-        engine.measure_many(workload, warmup)
-        result, seconds = timed(lambda: engine.measure_many(workload, configs))
-        stats = engine.stats.as_dict()
-        emit(engine_report(engine))
+    engine = LiquidPlatform()
+    # an off-grid batch first, so a steady-state sweep is what gets timed
+    warmup = [base_configuration().replace(
+        dcache_sets=sets, dcache_setsize_kb=32 if SMOKE else 16,
+        dcache_replacement="lru") for sets in (2, 3)]
+    warmup = [c for c in warmup if engine.fits(c)]
+    engine.measure_many(workload, warmup)
+    result, seconds = timed(lambda: engine.measure_many(workload, configs))
+    stats = engine.stats.as_dict()
+    emit(engine_report(engine))
     return result, seconds, stats
 
 
@@ -342,10 +342,10 @@ def test_sweep_path_wired_into_figure2_driver(workloads):
     """The Figure-2 driver measures its grid as one batch, bit-identical to
     the per-configuration oracle."""
     workload = workloads["arith" if SMOKE else "blastn"]
-    with ParallelEvaluator(LiquidPlatform()) as engine:
-        swept = dcache_exhaustive(engine, workload)
-        assert engine.stats.batches == 1
-        assert engine.stats.sweep_evaluations == len(swept.data["rows"])
+    engine = LiquidPlatform()
+    swept = dcache_exhaustive(engine, workload)
+    assert engine.stats.batches == 1
+    assert engine.stats.sweep_evaluations == len(swept.data["rows"])
     reference = reference_measurements(workload, fig2_grid(LiquidPlatform()))
     assert [(row["cycles"], row["lut_percent"], row["bram_percent"])
             for row in swept.data["rows"]] == [

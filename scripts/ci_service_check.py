@@ -8,7 +8,7 @@ subcommand:
 ``sweep``
     Submits the default Figure-2 sweep for ``--workload``, waits for
     it, recomputes the same sweep with a direct in-process
-    ``measure_many`` (no store, no service) and asserts the wire
+    ``measure_many`` (an in-memory store, no service) and asserts the wire
     records are bit-identical.  Then resubmits the identical sweep and
     asserts **zero new evaluations**: ``cache_simulations`` and
     ``store_writes`` in ``/metrics`` are unchanged, and the second
@@ -22,7 +22,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.engine import ParallelEvaluator, ResultStore  # noqa: E402
+from repro.engine import ResultStore  # noqa: E402
 from repro.platform import LiquidPlatform  # noqa: E402
 from repro.service.client import ServiceClient  # noqa: E402
 from repro.service.server import figure2_grid  # noqa: E402
@@ -41,16 +41,16 @@ def check_sweep(client, args):
     mid = client.metrics()["engine"]
 
     # the same sweep, recomputed from scratch in this process
-    platform = LiquidPlatform()
+    store = ResultStore()
+    direct = LiquidPlatform(store=store)
     registry = (small_workloads() if args.scale == "small"
                 else standard_workloads())
     workload = registry[args.workload]
-    configs = figure2_grid(platform)
+    configs = figure2_grid(direct)
     assert first["total"] == len(configs), (first["total"], len(configs))
-    store = ResultStore()
-    with ParallelEvaluator(platform, store=store) as direct:
-        expected = [store.encode(workload, measurement)
-                    for measurement in direct.measure_many(workload, configs)]
+    expected = [store.encode(workload, measurement)
+                for measurement in direct.measure_many(workload, configs)]
+    store.close()
     assert _canon(first["results"]) == _canon(expected), (
         "served sweep differs from a direct measure_many")
 

@@ -33,7 +33,7 @@ bit-identical to a direct ``measure_many``.
 
 Resident service mode (``--serve``) turns the process into the
 always-on tuning service: ``POST /sweep`` and ``POST /tune`` jobs run
-on ONE resident evaluator (SIGTERM drains queued jobs before the
+on ONE resident platform (SIGTERM drains queued jobs before the
 process exits), repeat queries answer from the
 store by trace fingerprint, and with ``--grid-db`` sweep jobs become
 campaign rows drained cooperatively with any CLI ``--claim`` workers.
@@ -52,7 +52,7 @@ import json
 import sys
 import time
 
-from repro.engine import CampaignGrid, CampaignWorker, ParallelEvaluator, open_store
+from repro.engine import CampaignGrid, CampaignWorker, open_store
 from repro.service.server import figure2_grid
 from repro.obs import enable_tracing, get_tracer
 from repro.platform import LiquidPlatform
@@ -178,7 +178,7 @@ def parse_args() -> argparse.Namespace:
     service = parser.add_argument_group(
         "resident tuning service",
         "serve POST /sweep, POST /tune, GET /jobs/<id> and GET /metrics over "
-        "one resident evaluator until SIGTERM")
+        "one resident platform until SIGTERM")
     service.add_argument(
         "--serve", action="store_true",
         help="run the always-on tuning service instead of the experiment "
@@ -215,14 +215,17 @@ def parse_args() -> argparse.Namespace:
 
 @contextlib.contextmanager
 def managed_backend(args: argparse.Namespace, *, with_store: bool = True):
-    """The engine over ``--store`` (unless ``with_store`` is off), closed on exit."""
+    """The platform over ``--store`` (unless ``with_store`` is off); the store closes on exit."""
     store = open_store(args.store) if (args.store and with_store) else None
-    with ParallelEvaluator(LiquidPlatform(), store=store) as backend:
-        yield backend
+    try:
+        yield LiquidPlatform(store=store)
+    finally:
+        if store is not None:
+            store.close()
 
 
-def print_stage_profile(platform) -> None:
-    """Per-stage wall-clock table of an engine backend (``--profile``)."""
+def print_stage_profile(platform: LiquidPlatform) -> None:
+    """Per-stage wall-clock table of the platform's statistics (``--profile``)."""
     stages = platform.stats.stage_report()
     print(f"\n{'#' * 80}\n# Pipeline stage profile\n{'#' * 80}")
     if not stages:

@@ -37,8 +37,9 @@ from repro.core import (
     Weights,
     build_problem,
 )
-from repro.engine import EngineStats, EvaluationBackend, ParallelEvaluator, ResultStore
+from repro.engine import ResultStore
 from repro.fpga import SynthesisModel, XCV2000E
+from repro.obs import EngineStats
 from repro.platform import LiquidPlatform, Measurement, PhasedMeasurement
 
 __version__ = "1.0.0"
@@ -64,8 +65,6 @@ __all__ = [
     "Measurement",
     "PhasedMeasurement",
     "EngineStats",
-    "EvaluationBackend",
-    "ParallelEvaluator",
     "ResultStore",
     "__version__",
 ]

@@ -47,8 +47,8 @@ from repro.core import (
     build_problem,
 )
 from repro.core.model import CostModel
-from repro.engine.backend import EngineStats, EvaluationBackend
 from repro.microarch.statistics import cycles_to_seconds
+from repro.platform.liquid import LiquidPlatform
 from repro.workloads import WORKLOAD_ORDER
 from repro.workloads.base import Workload
 from repro.analysis.tables import Table
@@ -133,7 +133,7 @@ def parameter_space_summary() -> ExperimentResult:
 # --------------------------------------------------------------------------- Figure 2 --
 
 def dcache_exhaustive(
-    platform: EvaluationBackend,
+    platform: LiquidPlatform,
     workload: Workload,
     *,
     set_counts: Sequence[int] = CACHE_SET_COUNTS,
@@ -180,7 +180,7 @@ def dcache_exhaustive(
 # --------------------------------------------------------------------------- Figure 3 --
 
 def dcache_optimizer(
-    platform: EvaluationBackend,
+    platform: LiquidPlatform,
     workload: Workload,
     weights: Weights = RUNTIME_ONLY,
 ) -> ExperimentResult:
@@ -235,7 +235,7 @@ def dcache_optimizer(
 # --------------------------------------------------------------------------- Figure 4 --
 
 def dcache_study(
-    platform: EvaluationBackend,
+    platform: LiquidPlatform,
     workloads: Mapping[str, Workload],
     weights: Weights = RUNTIME_ONLY,
 ) -> ExperimentResult:
@@ -276,7 +276,7 @@ def dcache_study(
 # ----------------------------------------------------------------------- Figures 5 & 7 --
 
 def optimization_study(
-    platform: EvaluationBackend,
+    platform: LiquidPlatform,
     workloads: Mapping[str, Workload],
     weights: Weights,
     *,
@@ -368,7 +368,7 @@ def optimization_study(
 
 
 def runtime_optimization(
-    platform: EvaluationBackend,
+    platform: LiquidPlatform,
     workloads: Mapping[str, Workload],
     *,
     models: Optional[Mapping[str, CostModel]] = None,
@@ -379,7 +379,7 @@ def runtime_optimization(
 
 
 def resource_optimization(
-    platform: EvaluationBackend,
+    platform: LiquidPlatform,
     workloads: Mapping[str, Workload],
     *,
     models: Optional[Mapping[str, CostModel]] = None,
@@ -417,7 +417,7 @@ def perturbation_costs(result: TuningResult) -> ExperimentResult:
 # --------------------------------------------------------------------- phase transitions --
 
 def phase_transition_study(
-    platform: EvaluationBackend,
+    platform: LiquidPlatform,
     scenarios: Mapping[str, Workload],
     *,
     set_counts: Sequence[int] = CACHE_SET_COUNTS,
@@ -505,14 +505,13 @@ def phase_transition_study(
 # --------------------------------------------------------------------- scalability claim --
 
 def scalability_study(
-    platform: EvaluationBackend,
+    platform: LiquidPlatform,
     workload: Workload,
 ) -> ExperimentResult:
     """Section 3's feasibility claim: campaign size is linear, not exponential.
 
-    When ``platform`` is an engine backend, the engine's own accounting
-    (deduplication, store hits, decode groups) is reported next to the
-    paper's build/run counts.
+    The platform's own accounting (deduplication, store hits, decode
+    groups) is reported next to the paper's build/run counts.
     """
     space = leon_parameter_space()
     tuner = MicroarchTuner(platform)
@@ -539,20 +538,15 @@ def scalability_study(
         "seconds": elapsed,
         "configs_per_second": throughput,
     }
-    tables = [table]
-    stats = getattr(platform, "stats", None)
-    if isinstance(stats, EngineStats):
-        engine = engine_report(platform)
-        tables.extend(engine.tables)
-        data["engine"] = engine.data["engine"]
-    return ExperimentResult(experiment="scalability", tables=tables, data=data)
+    engine = engine_report(platform)
+    data["engine"] = engine.data["engine"]
+    return ExperimentResult(
+        experiment="scalability", tables=[table, *engine.tables], data=data)
 
 
-def engine_report(platform: EvaluationBackend) -> ExperimentResult:
+def engine_report(platform: LiquidPlatform) -> ExperimentResult:
     """Evaluation-engine accounting: dedup/store hits, decode groups, wall clock."""
-    stats = getattr(platform, "stats", None)
-    if not isinstance(stats, EngineStats):
-        raise ValueError("engine_report requires a backend with EngineStats accounting")
+    stats = platform.stats
     table = Table("Evaluation engine statistics", ["quantity", "value"])
     for key, value in stats.as_dict().items():
         table.add_row([key, value])

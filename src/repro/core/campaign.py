@@ -14,8 +14,8 @@ a campaign object plans them once per parameter restriction: the
 perturbation space, its configurations and their fit screen are reused
 by every later run (one tuner tunes a whole suite on one plan).
 Each run submits the base configuration and every perturbation as
-**one batch** through the backend's
-:meth:`~repro.engine.backend.EvaluationBackend.measure_many`, so the
+**one batch** through the platform's
+:meth:`~repro.platform.liquid.LiquidPlatform.measure_many`, so the
 underlying simulations are deduplicated, share their trace decodes and
 are timed in one broadcast evaluation.
 """
@@ -30,9 +30,9 @@ from repro.config.leon_space import leon_parameter_space
 from repro.config.parameters import ParameterSpace
 from repro.config.perturbation import PerturbationSpace
 from repro.errors import MeasurementError
-from repro.engine.backend import EvaluationBackend
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import span
+from repro.platform.liquid import LiquidPlatform
 from repro.platform.measurement import CostDelta, Measurement
 from repro.core.model import CostModel
 from repro.workloads.base import Workload
@@ -59,13 +59,13 @@ Plan = Tuple[PerturbationSpace, Tuple[Configuration, ...]]
 class OneFactorCampaign:
     """Runs the linear measurement campaign for one or more workloads.
 
-    A campaign is bound to one backend and one parameter space, so its
+    A campaign is bound to one platform and one parameter space, so its
     plan for a parameter restriction never changes: it is made once.
     """
 
     def __init__(
         self,
-        platform: EvaluationBackend,
+        platform: LiquidPlatform,
         parameter_space: Optional[ParameterSpace] = None,
     ):
         self.platform = platform
@@ -83,7 +83,7 @@ class OneFactorCampaign:
     ) -> Plan:
         """The perturbation space and the batch one run measures, base first.
 
-        Every perturbation is screened with the backend's (memoised)
+        Every perturbation is screened with the platform's (memoised)
         :meth:`fits` before anything is measured: the paper excludes
         unbuildable values a priori (e.g. a 64 KB set size), and with the
         default LEON space every perturbation fits.  Plans are memoised

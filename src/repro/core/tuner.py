@@ -25,7 +25,6 @@ from repro.config.configuration import Configuration
 from repro.config.leon_space import leon_parameter_space
 from repro.config.parameters import ParameterSpace
 from repro.config.rules import require_valid
-from repro.engine.backend import EngineStats, EvaluationBackend
 from repro.errors import OptimizationError
 from repro.obs.tracer import span
 from repro.platform.liquid import LiquidPlatform
@@ -107,7 +106,7 @@ class MicroarchTuner:
 
     def __init__(
         self,
-        platform: Optional[EvaluationBackend] = None,
+        platform: Optional[LiquidPlatform] = None,
         parameter_space: Optional[ParameterSpace] = None,
         solver: Optional[Any] = None,
     ):
@@ -115,12 +114,6 @@ class MicroarchTuner:
         self.parameter_space = parameter_space or leon_parameter_space()
         self.solver = solver or BranchAndBoundSolver()
         self.campaign = OneFactorCampaign(self.platform, self.parameter_space)
-
-    def _record_stage(self, stage: str, seconds: float) -> None:
-        """Account a pipeline stage on an engine backend's statistics, if any."""
-        stats = getattr(self.platform, "stats", None)
-        if isinstance(stats, EngineStats):
-            stats.add_stage(stage, seconds)
 
     # -- pipeline --------------------------------------------------------------------------------
 
@@ -168,7 +161,7 @@ class MicroarchTuner:
             problem = build_problem(
                 model, weights, lut_nonlinear=lut_nonlinear, bram_nonlinear=bram_nonlinear)
             solution = self.solver.solve(problem)
-            self._record_stage("solve", time.perf_counter() - solve_start)
+            self.platform.stats.add_stage("solve", time.perf_counter() - solve_start)
             solve_span.set(variables=problem.variable_count,
                            nodes=solution.nodes_explored, optimal=solution.optimal)
         configuration = require_valid(model.space.apply(solution.selection))

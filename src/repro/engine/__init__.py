@@ -1,24 +1,20 @@
-"""Evaluation engine: batched, persistent configuration measurement.
+"""Persistence and distribution around the one measuring platform.
 
-The engine layer sits between the measurement consumers (campaign, tuner,
-experiment drivers) and the build-and-measure platform.  It turns *sets*
-of requested evaluations into the minimum amount of actual simulation
-work: duplicates are collapsed, previously persisted trace summaries and
-cache statistics are loaded from a :class:`~repro.engine.store.ResultStore`,
-and the remaining cache simulations are replayed in shared-decode groups by the
-:class:`~repro.engine.parallel.ParallelEvaluator`, in the calling
-process.  A campaign scales out as several processes claiming rows of
-one :class:`~repro.engine.campaign.CampaignGrid`.
-
-Every backend -- the bare :class:`~repro.platform.LiquidPlatform` and
-the store-backed evaluator alike -- satisfies the structural
-:class:`~repro.engine.backend.EvaluationBackend` protocol, so consumers
-are written once against the protocol and scaled by swapping the backend.
+Every measurement runs on :class:`~repro.platform.LiquidPlatform`: it
+collapses duplicates, plans a batch once, replays the missing cache
+geometries in shared-decode groups and times the batch in one broadcast.
+Constructed with ``store=``, the platform also reads the trace summaries,
+cache statistics and recipes persisted in a
+:class:`~repro.engine.store.ResultStore` instead of simulating them, and
+writes the new ones back.  This package holds that store and the
+campaign queue: a campaign scales out as several processes claiming rows
+of one :class:`~repro.engine.campaign.CampaignGrid`, each measuring on
+its own store-backed platform.
 """
 
-from repro.engine.backend import EngineStats, EvaluationBackend
+import contextlib
+
 from repro.engine.campaign import CampaignGrid, CampaignReport, CampaignWorker
-from repro.engine.parallel import ParallelEvaluator
 from repro.engine.store import (
     ResultStore,
     busy_retry,
@@ -26,17 +22,26 @@ from repro.engine.store import (
     open_store,
     workload_fingerprint,
 )
+from repro.platform.liquid import LiquidPlatform
 
 __all__ = [
     "CampaignGrid",
     "CampaignReport",
     "CampaignWorker",
-    "EngineStats",
-    "EvaluationBackend",
-    "ParallelEvaluator",
     "ResultStore",
     "busy_retry",
     "connect_sqlite",
     "open_store",
     "workload_fingerprint",
 ]
+
+
+def ParallelEvaluator(platform=None, *, store=None):  # noqa: N802 - the harness's name
+    """``LiquidPlatform(store=store)`` under the benchmark harness's old name.
+
+    Exists only for the pinned harness (``perfbench/``), which still opens it
+    with ``with``; ROADMAP item 1 deletes it.
+    """
+    platform = platform or LiquidPlatform()
+    return contextlib.nullcontext(LiquidPlatform(
+        platform.device, platform.synthesis, platform.timing_parameters, store=store))

@@ -6,8 +6,8 @@ campaign *registers* its full configuration grid as rows of an
 :class:`~repro.engine.store.ResultStore` keeps its trace summaries and
 cache statistics in, and any number of :class:`CampaignWorker`
 processes -- in one terminal, many terminals, or many hosts sharing the
-file -- *claim* batches of open rows, evaluate them through
-:meth:`~repro.engine.parallel.ParallelEvaluator.measure_many`, and write
+file -- *claim* batches of open rows, evaluate them through a store-backed
+:meth:`~repro.platform.liquid.LiquidPlatform.measure_many`, and write
 the rows a batch produced back into the store's tables, exactly like a
 direct sweep would.  A campaign is therefore resumable (kill
 everything, restart, nothing done is redone) and shardable (N workers
@@ -40,13 +40,13 @@ The moving parts:
   clears the counter and starts over.
 
 Crash safety of results: a worker writes its batch's rows (through the
-evaluator's store) *before* marking rows done, so a crash between the
+platform's store) *before* marking rows done, so a crash between the
 two leaves rows to be claimed again -- and because every evaluation is
 deterministic and store writes are ``INSERT OR IGNORE``, re-evaluating a
 row is wasted work but never wrong data.
 
-Sharding overhead is auditable through the evaluator's
-:class:`~repro.engine.backend.EngineStats`: ``claim_batches`` /
+Sharding overhead is auditable through the platform's
+:class:`~repro.obs.metrics.EngineStats`: ``claim_batches`` /
 ``claim_rows`` / ``claim_conflicts`` / ``claim_requeues``.
 """
 
@@ -63,7 +63,6 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.config.configuration import Configuration
 from repro.config.leon_space import leon_parameter_space
 from repro.config.parameters import ParameterSpace
-from repro.engine.parallel import ParallelEvaluator
 from repro.engine.store import (
     ResultStore,
     busy_retry,
@@ -544,7 +543,7 @@ class CampaignReport:
     reopened: int = 0
     #: Wall-clock seconds inside the pull loop.
     wall_seconds: float = 0.0
-    #: Final evaluator accounting (:meth:`EngineStats.as_dict`).
+    #: Final platform accounting (:meth:`EngineStats.as_dict`).
     engine: Dict[str, Any] = field(default_factory=dict)
 
     def summary(self) -> str:
@@ -559,10 +558,10 @@ class CampaignWorker:
     The worker repeatedly: reclaims stale leases, retires rows whose
     attempt budget is spent, claims one batch of open rows (restricted to
     the workloads it was constructed with, matched by trace fingerprint),
-    evaluates the batch through
-    :meth:`ParallelEvaluator.measure_many` -- the batch's cache
-    statistics and trace summary land in the campaign database via the
-    evaluator's store, so :meth:`ResultStore.get
+    evaluates the batch through its platform's
+    :meth:`~repro.platform.liquid.LiquidPlatform.measure_many` -- the
+    batch's cache statistics and trace summary land in the campaign
+    database via the platform's store, so :meth:`ResultStore.get
     <repro.engine.store.ResultStore.get>` assembles every done row
     bit-identical to a direct sweep -- and marks the rows done.  When no
     row is claimable it reopens retryable failed rows once, and exits
@@ -580,6 +579,14 @@ class CampaignWorker:
     loop entry and on exit so even instant drains leave a row for the
     dashboard).  The campaign process is the unit of parallelism: run
     more ``--claim`` processes against the same database to drain faster.
+
+    ``platform`` measures the claims when it has a store (the tuning
+    service drains its sweeps on its resident platform); that store must
+    write into the campaign database so results land where claims do.
+    Otherwise the worker measures on its own platform, with the given
+    platform's device and calibration, over a
+    :class:`~repro.engine.store.ResultStore` it opens on ``grid.path``
+    and closes in :meth:`close`.
 
     ``workers`` is accepted and ignored.  It is kept only because the
     pinned benchmark harness (``perfbench/scenarios.py``) still passes it;
@@ -599,8 +606,6 @@ class CampaignWorker:
         workers: int = 1,
         heartbeat_seconds: float = 15.0,
         platform: Optional[LiquidPlatform] = None,
-        store: Optional[ResultStore] = None,
-        evaluator=None,
     ):
         self.grid = grid
         self.worker_id = worker_id or default_worker_id()
@@ -611,20 +616,15 @@ class CampaignWorker:
         self.heartbeat_seconds = max(0.0, heartbeat_seconds)
         self._loop_start = 0.0
         self._last_beat = 0.0
-        if evaluator is not None:
-            # a resident engine (e.g. the tuning service's evaluator) drains the grid: its store must already write
-            # into the campaign database so results land where claims do
-            if evaluator.store is None:
-                raise ValueError(
-                    "an injected campaign evaluator needs a store bound "
-                    "to the campaign database")
-            self.platform = evaluator.platform
-            self.store = evaluator.store
-            self.evaluator = evaluator
-        else:
-            self.platform = platform or LiquidPlatform()
-            self.store = store or ResultStore(grid.path)
-            self.evaluator = ParallelEvaluator(self.platform, store=self.store)
+        #: the store this worker opened (and closes); never a caller's
+        self._opened_store: Optional[ResultStore] = None
+        if platform is None or platform.store is None:
+            device, timing = ((XCV2000E, None) if platform is None
+                              else (platform.device, platform.timing_parameters))
+            self._opened_store = ResultStore(grid.path)
+            platform = LiquidPlatform(
+                device, timing_parameters=timing, store=self._opened_store)
+        self.platform = platform
         grid.bind_platform(self.platform.device, self.platform.timing_parameters)
         #: fingerprint -> workload this worker can evaluate (fingerprinting
         #: generates each trace once; the evaluations need it anyway)
@@ -635,7 +635,10 @@ class CampaignWorker:
     # -- lifecycle -------------------------------------------------------------------------
 
     def close(self) -> None:
-        """Nothing to release: the grid stays open, the evaluator owns nothing."""
+        """Close the store the worker opened; the grid and a caller's store stay open."""
+        if self._opened_store is not None:
+            self._opened_store.close()
+            self._opened_store = None
 
     def __enter__(self) -> "CampaignWorker":
         return self
@@ -646,7 +649,7 @@ class CampaignWorker:
     # -- the pull loop ---------------------------------------------------------------------
 
     def _count_conflict(self) -> None:
-        self.evaluator.stats.claim_conflicts += 1
+        self.platform.stats.claim_conflicts += 1
 
     def _beat(self, *, force: bool = False) -> None:
         """Upsert this worker's heartbeat row when the interval elapsed.
@@ -669,7 +672,7 @@ class CampaignWorker:
                 batches=report.batches, claimed=report.claimed,
                 done=report.done, failed=report.failed,
                 rows_per_sec=round(rate, 3),
-                engine=self.evaluator.stats.as_dict(),
+                engine=self.platform.stats.as_dict(),
                 on_conflict=self._count_conflict)
         except Exception:  # pragma: no cover - liveness must not kill work
             return
@@ -681,7 +684,7 @@ class CampaignWorker:
         Returns the :class:`CampaignReport`; also leaves it on
         ``self.report`` for callers that stream progress.
         """
-        stats = self.evaluator.stats
+        stats = self.platform.stats
         report = self.report
         start = time.perf_counter()
         self._loop_start = time.monotonic()
@@ -745,7 +748,7 @@ class CampaignWorker:
             workload = self.workloads[fingerprint]
             ids = [row.rowid for row in group]
             try:
-                self.evaluator.measure_many(
+                self.platform.measure_many(
                     workload, [row.configuration for row in group])
             except KeyboardInterrupt:
                 self.grid.release(ids, self.worker_id)

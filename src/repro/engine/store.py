@@ -38,7 +38,7 @@ Rows are deterministic results, so concurrent writers (campaign workers
 on several hosts sharing one file) agree and insert with ``INSERT OR
 IGNORE``.
 
-The engine reads one workload's rows once per batch (:meth:`ResultStore.load`),
+A store-backed platform reads one workload's rows once per batch (:meth:`ResultStore.load`),
 unless its memos already answer the whole batch, and writes every row of
 the batch the store lacked in one transaction (:meth:`ResultStore.write`).  A file written in the older
 per-configuration layout (a ``measurements`` table) raises
@@ -178,9 +178,9 @@ def busy_retry(
     the race once the timeout expires under heavy multi-worker
     contention.  This wrapper retries exactly those ``database is
     locked``/``busy`` failures (anything else propagates immediately),
-    and reports each conflict through ``on_conflict`` so the engine's
+    and reports each conflict through ``on_conflict`` so the platform's
     claim-contention accounting
-    (:attr:`~repro.engine.backend.EngineStats.claim_conflicts`) stays
+    (:attr:`~repro.obs.metrics.EngineStats.claim_conflicts`) stays
     truthful.
 
     The delays use *decorrelated jitter* rather than pure exponential
@@ -286,8 +286,9 @@ class ResultStore:
     ``path=None`` keeps the store in memory (one process, no file).
     ``device`` and ``timing_parameters`` are not part of any key; they
     select the platform :meth:`get` assembles measurements on and the
-    ``context`` digest :meth:`encode` stamps on wire records.  The engine
-    rebinds both to its platform (:meth:`bind_platform`).
+    ``context`` digest :meth:`encode` stamps on wire records.  A
+    :class:`~repro.platform.liquid.LiquidPlatform` constructed over the
+    store rebinds both to its own (:meth:`bind_platform`).
     """
 
     def __init__(
@@ -326,8 +327,8 @@ class ResultStore:
         """Assemble and encode under a platform's device and calibration.
 
         Rows are calibration-free, so this changes no lookup; it only
-        keeps :meth:`get` and :meth:`encode` consistent with the engine's
-        platform.
+        keeps :meth:`get` and :meth:`encode` consistent with the platform
+        that measures over the store.
         """
         if device == self.device and timing_parameters == self.timing_parameters:
             return

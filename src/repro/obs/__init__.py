@@ -7,8 +7,8 @@ engine, kernel, store and campaign modules:
   attributes, exported as Chrome trace-event JSON (Perfetto-loadable)
   or JSONL;
 * :mod:`repro.obs.metrics` -- counters/gauges/histograms behind one
-  mergeable registry; :class:`~repro.engine.backend.EngineStats` is a
-  typed view over it;
+  mergeable registry; :class:`~repro.obs.metrics.EngineStats`, the
+  platform's work accounting, is a typed view over it;
 * :mod:`repro.obs.dashboard` -- the live ``--status --watch`` view of a
   draining campaign grid, built from grid rows and worker heartbeats in
   the campaign's own SQLite file.
@@ -20,6 +20,7 @@ are plain dict lookups.
 
 from repro.obs.metrics import (
     Counter,
+    EngineStats,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -40,6 +41,7 @@ from repro.obs.tracer import (
 
 __all__ = [
     "Counter",
+    "EngineStats",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

@@ -18,15 +18,43 @@ cache geometries, and re-simulating them would dominate the cost of the
 experiments.  A run's cost is the trace plus one replay per cache
 geometry; the memos keep exactly those reductions (one trace summary per
 workload, one :class:`~repro.microarch.cache.CacheStatistics` per
-geometry), and a result store persists the same two, so synthesis and
-the timing model are cheap arithmetic on top.  The platform also counts
-how many *distinct* builds and runs were needed, which is the quantity
-the paper's scalability argument (linear versus exponential) is about.
+geometry), and an optional result store persists the same two, so
+synthesis and the timing model are cheap arithmetic on top.
+
+A batch (:meth:`LiquidPlatform.measure_many`) is measured in these steps:
+
+1. build every distinct configuration (fit enforcement raises before
+   anything is simulated);
+2. resolve the workload's trace fingerprint -- from the store's recipe
+   row when it has one, otherwise by simulating;
+3. plan the batch once: the distinct cache geometries and the trace
+   summary it needs that the memos lack;
+4. if anything is lacking, read the workload's stored rows once (the
+   ``store_io`` stage) and install them in the memos -- what the store
+   holds is never simulated;
+5. replay what is still missing in shared-decode groups (the
+   ``cache_simulation`` stage): every job of a group shares one ``(trace
+   fingerprint, kind, linesize)`` key, so the trace is decoded into its
+   columnar view once and the whole geometry list replays against it;
+6. time every new configuration in one broadcast
+   :func:`~repro.microarch.timing.evaluate_many` call
+   (``sweep_evaluate``);
+7. write the new rows, and the summary if it is new, in one transaction
+   (``store_io`` again).
+
+The platform accounts its work in :attr:`LiquidPlatform.stats`,
+including how many *distinct* builds and runs were needed, which is the
+quantity the paper's scalability argument (linear versus exponential)
+is about.  It runs in the calling process; a campaign scales out as
+more row claimers (``run_experiments.py --claim``) sharing one campaign
+database.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+import time
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.config.configuration import Configuration
 from repro.errors import MeasurementError
@@ -38,10 +66,14 @@ from repro.microarch.cachekernel import PhaseReplay, replay_phases, simulate_man
 from repro.microarch.statistics import ExecutionStatistics
 from repro.microarch.timing import TimingParameters, evaluate_many
 from repro.microarch.trace import TraceSummary
+from repro.obs.metrics import EngineStats, get_registry
 from repro.obs.tracer import span
 from repro.platform.measurement import Measurement, PhasedMeasurement
 from repro.workloads.base import Workload
 from repro.workloads.phased import PhasedWorkload
+
+if TYPE_CHECKING:  # the store module imports this one
+    from repro.engine.store import ResultStore
 
 __all__ = ["LiquidPlatform", "CacheJob", "PhaseJob", "job_group_key", "plan_job_groups"]
 
@@ -82,7 +114,15 @@ def plan_job_groups(jobs: Sequence[CacheJob]) -> Dict[Tuple[str, str, int], List
 
 
 class LiquidPlatform:
-    """Black-box build-and-measure service used by the optimisation campaign."""
+    """Black-box build-and-measure service used by the optimisation campaign.
+
+    ``store`` is an optional persistent
+    :class:`~repro.engine.store.ResultStore`: the trace summaries, cache
+    geometries and recipes found there are never simulated, and new ones
+    are written back, which makes campaigns resumable.  The store is
+    bound to this platform's device and calibration; the caller that
+    opened it closes it.
+    """
 
     def __init__(
         self,
@@ -91,11 +131,16 @@ class LiquidPlatform:
         timing_parameters: Optional[TimingParameters] = None,
         *,
         enforce_fit: bool = True,
+        store: Optional["ResultStore"] = None,
     ):
         self.device = device
         self.synthesis = synthesis_model or SynthesisModel(device)
         self.timing_parameters = timing_parameters or TimingParameters()
         self.enforce_fit = enforce_fit
+        self.store = store
+        if store is not None:
+            store.bind_platform(device, self.timing_parameters)
+        self.stats = EngineStats()
         # memoisation stores, keyed by the Configuration itself (or with it):
         # hashing it reuses its cached key hash, so per-grid-point
         # membership probes cost a dict lookup, not a walk over every
@@ -113,9 +158,13 @@ class LiquidPlatform:
         # planner re-derives job keys for every batch, and building the
         # geometry dataclasses dominates that planning cost
         self._cache_cfg_memo: Dict[Configuration, Tuple[CacheConfig, CacheConfig]] = {}
-        # effort accounting
+        #: cache runs installed from the store (not simulated here): a
+        #: configuration measured from these alone is a store hit
+        self._stored: Set[CacheJob] = set()
+        #: fingerprint -> recipe of simulated workloads whose identity row
+        #: is not written yet (it goes out with the batch's rows)
+        self._recipes: Dict[str, str] = {}
         self.build_count = 0
-        self.run_count = 0
 
     # -- synthesis ------------------------------------------------------------------------
 
@@ -208,15 +257,6 @@ class LiquidPlatform:
         """The jobs of a :meth:`cache_plan` whose runs are still not installed."""
         return [job for job in jobs if job not in self._cache_runs]
 
-    def cache_runs(self, jobs: Iterable[CacheJob]) -> Dict[CacheJob, CacheStatistics]:
-        """The installed runs of ``jobs`` (every one must be installed)."""
-        return {job: self._cache_runs[job] for job in jobs}
-
-    def is_measured(self, workload: Workload, config: Configuration) -> bool:
-        """True when :meth:`measure` would be answered entirely from memos."""
-        return ((workload.fingerprint(), config) in self._runs
-                and config in self._built)
-
     def install_cache_runs(self, runs: Dict[CacheJob, CacheStatistics]) -> None:
         """Install simulated cache results into the memo store."""
         for job, statistics in runs.items():
@@ -251,21 +291,51 @@ class LiquidPlatform:
     ) -> List[Measurement]:
         """Measure a batch of configurations; results align with ``configs``.
 
-        Duplicates are measured once.  Every unique configuration is
-        built first (fit enforcement raises before anything replays), the
-        cache runs the batch lacks are planned once with
-        :meth:`cache_plan` and replayed in shared-decode groups through
-        :meth:`simulate_cache_jobs`, and :meth:`assemble` evaluates the
-        timing model for the whole batch at once.  All memo stores are
-        shared across batches.
+        The batch is planned once (see the module docstring): duplicates
+        collapse, every distinct configuration is built, the store's rows
+        for the workload are read once if the memos lack anything, the
+        cache runs still missing replay in shared-decode groups,
+        :meth:`assemble` times the batch in one broadcast from the same
+        plan, and the new rows are written in one transaction.  All memo
+        stores are shared across batches.
         """
+        start = time.perf_counter()
+        stats = self.stats
+        stats.batches += 1
         unique = list(dict.fromkeys(configs))
+        stats.requested += len(configs)
+        stats.dedup_hits += len(configs) - len(unique)
         for config in unique:
             self.build(config)
+        self._resolve(workload)
         key_pairs, jobs = self.cache_plan(workload, unique)
-        if jobs:
-            self.install_cache_runs(self.simulate_cache_jobs(workload, jobs))
-        measured = dict(zip(unique, self.assemble(workload, unique, key_pairs)))
+        if self.store is not None:
+            summary_unstored, unstored = False, []
+            if jobs or not self.has_summary(workload):
+                summary_unstored, unstored = self._load(workload, key_pairs)
+                jobs = self.pending_jobs(jobs)
+            workload_key, stored = workload.fingerprint(), self._stored
+            stats.store_hits += sum(
+                1 for config, (ikey, dkey) in zip(unique, key_pairs)
+                if ikey in stored and dkey in stored
+                and (workload_key, config) not in self._runs)
+        if jobs or not self.has_summary(workload):
+            self._simulate(workload)
+
+        with self._stage("cache_simulation", workload=workload.name) as stage:
+            stage.set(jobs=len(jobs))
+            if jobs:
+                stats.cache_simulations += len(jobs)
+                stats.cache_groups += len({job_group_key(job) for job in jobs})
+                self.install_cache_runs(self.simulate_cache_jobs(workload, jobs))
+
+        with self._stage("sweep_evaluate", configs=len(unique)):
+            measured = dict(zip(unique, self.assemble(workload, unique, key_pairs)))
+        if self.store is not None:
+            self._write(workload, summary_unstored, unstored)
+
+        stats.wall_seconds += time.perf_counter() - start
+        self._merge_host_metrics()
         return [measured[config] for config in configs]
 
     def assemble(
@@ -280,8 +350,9 @@ class LiquidPlatform:
         ``configs``.  The configurations not measured before are evaluated
         in one :func:`~repro.microarch.timing.evaluate_many` broadcast
         over the workload's :meth:`summary` -- each cycle term is a single
-        array operation over the batch.  The engine calls this directly
-        with the plan of its own batch, so a batch is planned once.
+        array operation over the batch -- and counted as
+        :attr:`EngineStats.sweep_evaluations
+        <repro.obs.metrics.EngineStats.sweep_evaluations>`.
         """
         workload_key = workload.fingerprint()
         reports = [self.build(config) for config in configs]
@@ -297,7 +368,7 @@ class LiquidPlatform:
                     self.timing_parameters)
             for (config, _), statistics in zip(fresh, evaluated):
                 runs[(workload_key, config)] = statistics
-            self.run_count += len(fresh)
+            self.stats.sweep_evaluations += len(fresh)
         return [
             Measurement(
                 workload=workload.name,
@@ -307,6 +378,106 @@ class LiquidPlatform:
             )
             for config, report in zip(configs, reports)
         ]
+
+    def _resolve(self, workload: Workload) -> None:
+        """Make the workload's trace fingerprint known, simulating only if needed.
+
+        A workload the store has seen resolves its fingerprint from its
+        :meth:`~repro.workloads.base.Workload.recipe` without simulating;
+        the functional simulator then runs only if some row is missing,
+        and its trace checks the adopted fingerprint before anything is
+        evaluated.  Any other workload simulates here (its fingerprint
+        keys the rows), and its recipe row is written with the batch.
+        """
+        if workload.has_fingerprint():
+            return
+        store = self.store
+        recipe = workload.recipe() if store is not None else None
+        fingerprint = None if recipe is None else store.trace_fingerprint(recipe)
+        if fingerprint is not None:
+            self.stats.recipe_hits += 1
+            workload.adopt_fingerprint(fingerprint)
+            return
+        self._simulate(workload)
+        if recipe is not None:
+            self.stats.recipe_misses += 1
+            self._recipes[workload.fingerprint()] = recipe
+
+    def _load(self, workload: Workload, key_pairs: Sequence[Tuple[CacheJob, CacheJob]]
+              ) -> Tuple[bool, List[CacheJob]]:
+        """Read the workload's stored rows once and install them in the memos.
+
+        Returns what the store lacks of this batch: whether the summary
+        row is missing, and the batch's cache jobs that have no row.
+        :meth:`_write` persists both after the batch, whether the batch
+        computes them or the memos already held them (runs measured
+        before the platform's store held them).
+        """
+        fingerprint = workload.fingerprint()
+        with self._stage("store_io", workload=workload.name) as stage:
+            summary, runs = self.store.load(fingerprint)
+            stage.set(rows_read=len(runs) + (summary is not None), rows_written=0)
+        if summary is not None:
+            self.install_summary(fingerprint, summary)
+        self._stored.update(self.pending_jobs(runs))
+        self.install_cache_runs(runs)
+        needed = dict.fromkeys(job for pair in key_pairs for job in pair)
+        return summary is None, [job for job in needed if job not in runs]
+
+    def _write(self, workload: Workload, summary_unstored: bool,
+               unstored: Sequence[CacheJob]) -> None:
+        """Write what the store lacked (and a pending recipe row) in one transaction."""
+        fingerprint = workload.fingerprint()
+        recipe = self._recipes.get(fingerprint)
+        if not unstored and not summary_unstored and recipe is None:
+            return
+        with self._stage("store_io", workload=workload.name) as stage:
+            written = self.store.write(
+                fingerprint, {job: self._cache_runs[job] for job in unstored},
+                summary=self.summary(workload) if summary_unstored else None,
+                recipe=recipe)
+            stage.set(rows_read=0, rows_written=written)
+        self._recipes.pop(fingerprint, None)
+        self.stats.store_writes += written
+
+    def _simulate(self, workload: Workload) -> None:
+        """Run the functional simulator if the workload lacks a trace.
+
+        The ``trace_generation`` stage opens only when it does, tagged
+        with the workload's name, so a batch served entirely by recipe
+        rows and store hits reports no trace-generation time at all.
+        """
+        if not workload.has_trace():
+            with self._stage("trace_generation", workload=workload.name):
+                workload.trace()
+
+    @contextmanager
+    def _stage(self, name: str, **attrs):
+        """Time one pipeline stage: a span plus the ``stage_seconds`` sum.
+
+        The span and the accumulated stage share one clock read, so the
+        span tree of a traced run reconciles with ``stats.stage_seconds``
+        exactly (a property the observability tests assert).
+        """
+        with span(name, **attrs) as opened:
+            start = time.perf_counter()
+            try:
+                yield opened
+            finally:
+                self.stats.add_stage(name, time.perf_counter() - start)
+
+    def _merge_host_metrics(self) -> None:
+        """Fold the process-global metrics into this platform's registry.
+
+        Library layers without a platform reference (store lock retries,
+        replay and simulator counters) count into the process registry;
+        draining it at batch end parents those metrics under
+        :attr:`EngineStats.registry <repro.obs.metrics.EngineStats.registry>`
+        without double counting across batches or platforms.
+        """
+        deltas = get_registry().drain()
+        if deltas:
+            self.stats.registry.merge(deltas)
 
     # -- warm phase chains -----------------------------------------------------------------
 
@@ -376,16 +547,32 @@ class LiquidPlatform:
     ) -> List[PhasedMeasurement]:
         """Measure a batch of configurations with per-phase cache views.
 
-        The overall measurement of each configuration is exactly
-        :meth:`measure_many` (warm-chain totals are bit-identical to the
-        single-shot replay of the concatenated trace); the phased result
-        adds the warm-chained and cold-started per-phase statistics.
+        The overall measurements run through :meth:`measure_many`
+        unchanged (store lookups, dedup and the shared-decode cache jobs
+        all apply -- warm-chain totals are bit-identical to the
+        single-shot replay of the concatenated trace, so persisted rows
+        stay valid).  The warm phase chains are planned as their own
+        jobs, grouped by ``(trace fingerprint, kind, linesize)`` so each
+        phase is decoded once per group (``phase_decode``; each fresh
+        decode counts in :attr:`EngineStats.phase_decodes
+        <repro.obs.metrics.EngineStats.phase_decodes>`) and every
+        configuration's cache state stays resident across its chain
+        (``phase_chain``).
         """
-        measurements = self.measure_many(workload, configs)
-        self.install_phase_runs(self.simulate_phase_chains(
-            workload, self.phase_requests(workload, configs)))
-        return self.phased(workload, configs, measurements)
+        overall = self.measure_many(workload, configs)
+        jobs = self.phase_requests(workload, configs)
+        with self._stage("phase_chain", jobs=len(jobs)):
+            if jobs:
+                self.stats.phase_chains += len(jobs)
+                with self._stage("phase_decode"):
+                    for kind, linesize in {(kind, cfg.linesize_bytes) for _, kind, cfg in jobs}:
+                        if not workload.has_phase_views(kind, linesize):
+                            self.stats.phase_decodes += workload.phase_count
+                        workload.phase_views(kind, linesize)
+                self.install_phase_runs(self.simulate_phase_chains(workload, jobs))
+        self._merge_host_metrics()
+        return self.phased(workload, configs, overall)
 
     def effort(self) -> Dict[str, int]:
         """Distinct builds and runs performed so far (scalability accounting)."""
-        return {"builds": self.build_count, "runs": self.run_count}
+        return {"builds": self.build_count, "runs": self.stats.sweep_evaluations}

@@ -1,8 +1,8 @@
 """In-process job queue of the tuning service.
 
 One executor thread drains a FIFO of submitted jobs against the single
-resident evaluator -- serialising jobs is deliberate: two jobs
-interleaving on one evaluator would only fight over the same cores
+resident platform -- serialising jobs is deliberate: two jobs
+interleaving on one platform would only fight over the same cores
 while wrecking the per-job accounting the service reports.
 
 Jobs are plain state machines (``queued -> running -> done | failed``)

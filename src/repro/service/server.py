@@ -1,10 +1,10 @@
-"""The always-on tuning service: HTTP jobs over one resident engine.
+"""The always-on tuning service: HTTP jobs over one resident platform.
 
 :class:`TuningService` is the HTTP-free application object -- it owns
-the resident platform, the persistent store, the evaluator and the job
-queue, and can be driven directly from tests without a socket.  The
-thin stdlib HTTP layer (:func:`make_server`, built on
-``ThreadingHTTPServer``) maps five routes onto it:
+the resident store-backed platform and the job queue, and can be
+driven directly from tests without a socket.  The thin stdlib HTTP
+layer (:func:`make_server`, built on ``ThreadingHTTPServer``) maps five
+routes onto it:
 
 * ``POST /sweep`` -- evaluate a ``{workload} x {configurations}`` grid
   (the Figure-2 dcache grid by default); returns a job id immediately.
@@ -18,8 +18,8 @@ thin stdlib HTTP layer (:func:`make_server`, built on
 * ``GET /healthz`` -- liveness.
 
 Repeat traffic is the point: the service keeps ONE
-:class:`~repro.engine.parallel.ParallelEvaluator` (hence one store and
-warm platform memos) across every job, and the store keeps each trace's
+:class:`~repro.platform.liquid.LiquidPlatform` (hence one store and
+warm memos) across every job, and the store keeps each trace's
 summary and cache statistics -- so re-submitting an identical sweep
 answers from the memos with zero new evaluations, and a new
 configuration over known cache geometries costs only the timing model,
@@ -32,7 +32,7 @@ equality a one-line comparison.
 When the service is given a campaign database (``grid_path``), sweep
 jobs are registered as campaign-grid rows and drained through a
 :class:`~repro.engine.campaign.CampaignWorker` running on the resident
-evaluator -- so CLI ``--claim`` workers pointed at the same file pull
+platform -- so CLI ``--claim`` workers pointed at the same file pull
 from the same queue as the service, and either side may finish any row.
 """
 
@@ -60,7 +60,6 @@ from repro.core.weights import (
     Weights,
 )
 from repro.engine.campaign import CampaignGrid, CampaignWorker
-from repro.engine.parallel import ParallelEvaluator
 from repro.engine.store import ResultStore, open_store
 from repro.platform.liquid import LiquidPlatform
 from repro.service.jobs import Job, JobManager
@@ -141,28 +140,26 @@ class TuningService:
         scale: str = "small",
         store_path: Optional[str] = None,
         grid_path: Optional[str] = None,
-        platform: Optional[LiquidPlatform] = None,
         sweep_chunk: int = 16,
     ):
         if scale not in ("standard", "small"):
             raise ValueError(f"unknown workload scale: {scale!r}")
-        self.platform = platform or LiquidPlatform()
         self.grid: Optional[CampaignGrid] = None
         if grid_path:
             self.grid = CampaignGrid(grid_path)
+            self.store = ResultStore(grid_path)
+        else:
+            self.store = open_store(store_path)
+        self.platform = LiquidPlatform(store=self.store)
+        if self.grid is not None:
             self.grid.bind_platform(
                 self.platform.device, self.platform.timing_parameters)
-            store = ResultStore(grid_path)
-        else:
-            store = open_store(store_path)
-        self.store = store
-        self.evaluator = ParallelEvaluator(self.platform, store=store)
         self.workloads: Dict[str, Workload] = (
             small_workloads() if scale == "small" else standard_workloads())
         self.space = leon_parameter_space()
         # one tuner, so every tune job reuses its one-factor plans; jobs run
         # one at a time on the job thread
-        self.tuner = MicroarchTuner(self.evaluator, self.space)
+        self.tuner = MicroarchTuner(self.platform, self.space)
         self.sweep_chunk = max(1, sweep_chunk)
         self.jobs = JobManager(self._execute)
 
@@ -175,7 +172,7 @@ class TuningService:
     def stop(self, *, drain: bool = True) -> None:
         """Finish queued jobs (unless ``drain=False``), then tear down."""
         self.jobs.stop(drain=drain)
-        self.evaluator.close()
+        self.store.close()
         if self.grid is not None:
             self.grid.close()
 
@@ -276,7 +273,7 @@ class TuningService:
 
     def metrics(self) -> Dict[str, Any]:
         """Everything ``GET /metrics`` reports, as one JSON document."""
-        stats = self.evaluator.stats
+        stats = self.platform.stats
         return {
             "engine": stats.as_dict(),
             "registry": stats.registry.snapshot(),
@@ -307,7 +304,7 @@ class TuningService:
             # wrong data
         for start in range(0, len(configs), self.sweep_chunk):
             chunk = configs[start:start + self.sweep_chunk]
-            measurements = self.evaluator.measure_many(workload, chunk)
+            measurements = self.platform.measure_many(workload, chunk)
             self.jobs.append_results(
                 job, [self.store.encode(workload, m) for m in measurements])
 
@@ -320,7 +317,7 @@ class TuningService:
         added = grid.register(workload, configs)
         self.jobs.annotate(job, grid_rows_added=added)
         worker = CampaignWorker(
-            grid, [workload], evaluator=self.evaluator,
+            grid, [workload], platform=self.platform,
             worker_id=f"service:{job.id}", batch=self.sweep_chunk,
             heartbeat_seconds=15.0)
         while True:

@@ -13,6 +13,7 @@ per-configuration reference measurements of the same grid.
 
 import multiprocessing
 import os
+import sqlite3
 import subprocess
 import sys
 import textwrap
@@ -238,7 +239,7 @@ class TestFailureRetry:
         def explode(workload, configs):
             raise RuntimeError(error)
 
-        worker.evaluator.measure_many = explode
+        worker.platform.measure_many = explode
         return worker
 
     def test_failing_rows_retry_to_the_attempt_cap_then_rest(
@@ -280,7 +281,7 @@ class TestFailureRetry:
             with CampaignWorker(grid, [arith_small]) as worker:
                 def interrupt(workload, configs):
                     raise KeyboardInterrupt
-                worker.evaluator.measure_many = interrupt
+                worker.platform.measure_many = interrupt
                 with pytest.raises(KeyboardInterrupt):
                     worker.run()
             counts = grid.status()
@@ -324,6 +325,43 @@ class TestResultsMatchDirectSweep:
             assert first.done + second.done == len(configs)
             counts = grid.status()
             assert counts[STATUS_DONE] == counts["total"]
+
+
+class TestWorkerStore:
+    def test_worker_closes_the_store_it_opened(self, tmp_path, base_config,
+                                               arith_small):
+        """Given a platform without a store, the worker measures over the grid
+        file with the platform's calibration, and closes that store on exit."""
+        from repro.microarch.timing import TimingParameters
+
+        path = str(tmp_path / "grid.sqlite")
+        slow = LiquidPlatform(timing_parameters=TimingParameters(memory_latency=40))
+        with CampaignGrid(path) as grid:
+            grid.bind_platform(slow.device, slow.timing_parameters)
+            grid.register(arith_small, [base_config])
+            with CampaignWorker(grid, [arith_small], platform=slow) as worker:
+                assert worker.platform is not slow
+                assert worker.platform.timing_parameters == slow.timing_parameters
+                store = worker.platform.store
+                assert store.path == path
+                assert worker.run().done == 1
+            with pytest.raises(sqlite3.ProgrammingError):
+                len(store)
+            assert grid.status()[STATUS_DONE] == 1  # the grid stays open
+
+    def test_worker_leaves_a_callers_store_open(self, tmp_path, base_config,
+                                                arith_small):
+        path = str(tmp_path / "grid.sqlite")
+        store = ResultStore(path)
+        platform = LiquidPlatform(store=store)
+        with CampaignGrid(path) as grid:
+            grid.register(arith_small, [base_config])
+            with CampaignWorker(grid, [arith_small], platform=platform) as worker:
+                assert worker.platform is platform
+                assert worker.run().done == 1
+        assert len(store) == 2  # still open: the icache and dcache rows
+        assert platform.stats.store_writes == 3  # and the summary
+        store.close()
 
 
 class TestCampaignCli:

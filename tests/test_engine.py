@@ -13,31 +13,28 @@ and recipes compare against the bare :class:`LiquidPlatform`.
 """
 
 import ast
+import contextlib
+import importlib.util
 import os
 import pathlib
 import sqlite3
 import subprocess
 import sys
+from argparse import Namespace
 
 import pytest
 
 from reference_timing import reference_measurements
 from repro.config import Replacement, base_configuration
 from repro.core import MicroarchTuner, OneFactorCampaign, RUNTIME_OPTIMIZATION
-from repro.engine import (
-    CampaignGrid,
-    EngineStats,
-    EvaluationBackend,
-    ParallelEvaluator,
-    ResultStore,
-    open_store,
-)
+import repro
+from repro.engine import CampaignGrid, CampaignWorker, ResultStore, open_store
 from repro.engine import store as store_module
 from repro.engine.store import workload_fingerprint
 from repro.errors import StoreFormatError
 from repro.fpga.device import FpgaDevice
 from repro.microarch.cachekernel import KERNEL_VERSION
-from repro.obs import disable_tracing, enable_tracing, get_registry
+from repro.obs import EngineStats, disable_tracing, enable_tracing, get_registry
 from repro.platform import LiquidPlatform
 from repro.workloads import ArithWorkload, small_workloads
 
@@ -56,16 +53,82 @@ def variant_configs(base):
     ]
 
 
-class TestProtocol:
-    def test_platform_and_engine_satisfy_backend_protocol(self):
-        assert isinstance(LiquidPlatform(), EvaluationBackend)
-        assert isinstance(ParallelEvaluator(), EvaluationBackend)
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-    def test_engine_delegates_single_shot_api(self, base_config):
-        engine = ParallelEvaluator()
-        assert engine.fits(base_config)
-        assert engine.build(base_config).luts == LiquidPlatform().build(base_config).luts
-        assert engine.effort() == {"builds": 1, "runs": 0}
+
+class TestOnePlatform:
+    """One object builds, measures, persists and accounts."""
+
+    def test_store_binds_to_the_platform_at_construction(self, tmp_path):
+        from repro.microarch.timing import TimingParameters
+
+        slow = TimingParameters(memory_latency=40)
+        bigger = FpgaDevice(name="bigger", luts=80_000, brams=320)
+        store = open_store(str(tmp_path / "results.sqlite"))
+        platform = LiquidPlatform(bigger, timing_parameters=slow, store=store)
+        assert platform.store is store
+        assert (store.device, store.timing_parameters) == (bigger, slow)
+        assert LiquidPlatform().store is None
+        assert not hasattr(repro, "EvaluationBackend")
+        store.close()
+
+    def test_effort_runs_count_the_sweep_evaluations(self, base_config, arith_small):
+        platform = LiquidPlatform()
+        assert platform.fits(base_config)
+        assert platform.build(base_config).luts == LiquidPlatform().build(base_config).luts
+        assert platform.effort() == {"builds": 1, "runs": 0}
+        configs = [base_config, base_config.replace(dcache_sets=2), base_config]
+        platform.measure_many(arith_small, configs)
+        platform.measure_many(arith_small, configs)  # memo hits are no runs
+        assert platform.effort() == {"builds": 2, "runs": 2}
+        assert platform.stats.sweep_evaluations == 2
+        assert not hasattr(platform, "run_count")
+
+    def test_the_cli_closes_its_store(self, tmp_path):
+        spec = importlib.util.spec_from_file_location(
+            "run_experiments", REPO_ROOT / "scripts" / "run_experiments.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        args = Namespace(store=str(tmp_path / "results.sqlite"))
+        with script.managed_backend(args) as platform:
+            store = platform.store
+            assert len(store) == 0
+        with pytest.raises(sqlite3.ProgrammingError):
+            len(store)
+        with script.managed_backend(args, with_store=False) as bare:
+            assert bare.store is None
+
+    def test_perfbench_shim_hands_back_the_one_platform(self, tmp_path, base_config):
+        """The pinned harness's calls, exactly as ``perfbench/scenarios.py``
+        makes them: a tune suite inside ``with`` read back through
+        ``.stats.requested``, and a campaign drained with ``workers=``."""
+        from repro.engine import ParallelEvaluator
+
+        app = ArithWorkload(iterations=70)
+        store = open_store(str(tmp_path / "cold.sqlite"))
+        with ParallelEvaluator(LiquidPlatform(), store=store) as evaluator:
+            tuner = MicroarchTuner(evaluator)
+            result = tuner.tune(app, RUNTIME_OPTIMIZATION, verify=True)
+        assert type(evaluator) is LiquidPlatform and evaluator.store is store
+        assert evaluator.stats.requested == len(result.model.measurements) + 2
+        reference = MicroarchTuner(LiquidPlatform()).tune(
+            app, RUNTIME_OPTIMIZATION, verify=True)
+        assert result.actual == reference.actual
+        store.close()
+
+        path = str(tmp_path / "grid.sqlite")
+        configs = variant_configs(base_config)[:6]
+        bare = LiquidPlatform()
+        with CampaignGrid(path) as grid:
+            grid.bind_platform(bare.device, bare.timing_parameters)
+            grid.register(app, configs)
+            with CampaignWorker(grid, [app], platform=bare, workers=2) as worker:
+                report = worker.run()
+        assert report.done == len(configs)
+        assert bare.stats.requested == 0  # the worker measured over the grid file
+        with contextlib.closing(store_module.SqliteResultStore(path)) as rows:
+            for config in configs:
+                assert rows.get(app, config) == bare.measure(app, config)
 
 
 class TestBatching:
@@ -94,7 +157,7 @@ class TestBatching:
 class TestParallelEquivalence:
     def test_parallel_batch_identical_to_sequential(self, base_config, small_workload_map):
         configs = variant_configs(base_config)
-        engine = ParallelEvaluator()
+        engine = LiquidPlatform()
         for name, workload in small_workload_map.items():
             reference = reference_measurements(workload, configs)
             parallel = engine.measure_many(workload, configs)
@@ -106,7 +169,7 @@ class TestParallelEquivalence:
         """Batches of several workloads interleaved on one engine, each
         split in two, never mix up their memos."""
         configs = variant_configs(base_config)
-        engine = ParallelEvaluator()
+        engine = LiquidPlatform()
         workloads = list(small_workload_map.values())
         halves = (configs[:4], configs[4:])
         measured = {w: [] for w in workloads}
@@ -118,7 +181,7 @@ class TestParallelEquivalence:
 
     def test_same_named_workloads_coexist_in_one_batch(self, base_config):
         small, large = ArithWorkload(iterations=60), ArithWorkload(iterations=140)
-        engine = ParallelEvaluator()
+        engine = LiquidPlatform()
         first = engine.measure(small, base_config)
         second = engine.measure(large, base_config)
         assert first == reference_measurements(small, [base_config])[0]
@@ -130,12 +193,12 @@ class TestStoreEquivalence:
     def test_store_round_trip_identical(self, tmp_path, base_config, small_workload_map):
         path = str(tmp_path / "results.sqlite")
         configs = variant_configs(base_config)
-        writer = ParallelEvaluator(store=ResultStore(path))
+        writer = LiquidPlatform(store=ResultStore(path))
         first = {name: writer.measure_many(w, configs)
                  for name, w in small_workload_map.items()}
         assert writer.stats.store_hits == 0
 
-        reader = ParallelEvaluator(store=ResultStore(path))
+        reader = LiquidPlatform(store=ResultStore(path))
         for name, workload in small_workload_map.items():
             replayed = reader.measure_many(workload, configs)
             assert replayed == first[name]
@@ -149,8 +212,8 @@ class TestStoreEquivalence:
         path = str(tmp_path / "results.sqlite")
         small, large = ArithWorkload(iterations=50), ArithWorkload(iterations=120)
         assert workload_fingerprint(small) != workload_fingerprint(large)
-        ParallelEvaluator(store=ResultStore(path)).measure(small, base_config)
-        reader = ParallelEvaluator(store=ResultStore(path))
+        LiquidPlatform(store=ResultStore(path)).measure(small, base_config)
+        reader = LiquidPlatform(store=ResultStore(path))
         measurement = reader.measure(large, base_config)
         assert reader.stats.store_hits == 0
         assert measurement == LiquidPlatform().measure(large, base_config)
@@ -169,7 +232,7 @@ class TestSqliteStore:
     def test_round_trip_identical(self, tmp_path, base_config, arith_small):
         path = str(tmp_path / "results.sqlite")
         store = ResultStore(path)
-        expected = ParallelEvaluator(store=store).measure(
+        expected = LiquidPlatform(store=store).measure(
             arith_small, base_config)
         assert len(store) == 2  # the icache and the dcache geometry
         reloaded = ResultStore(path)
@@ -182,12 +245,12 @@ class TestSqliteStore:
                                                     small_workload_map):
         path = str(tmp_path / "results.db")
         configs = variant_configs(base_config)
-        writer = ParallelEvaluator(store=open_store(path))
+        writer = LiquidPlatform(store=open_store(path))
         first = {name: writer.measure_many(w, configs)
                  for name, w in small_workload_map.items()}
         assert writer.stats.store_hits == 0
 
-        reader = ParallelEvaluator(store=open_store(path))
+        reader = LiquidPlatform(store=open_store(path))
         for name, workload in small_workload_map.items():
             assert reader.measure_many(workload, configs) == first[name]
         assert reader.stats.cache_simulations == 0
@@ -215,19 +278,18 @@ class TestSqliteStore:
         from repro.microarch.timing import TimingParameters
 
         path = str(tmp_path / "results.sqlite")
-        slow = LiquidPlatform(timing_parameters=TimingParameters(memory_latency=40))
-        writer = ParallelEvaluator(slow, store=ResultStore(path))
+        writer = LiquidPlatform(timing_parameters=TimingParameters(memory_latency=40),
+                                store=ResultStore(path))
         slow_measurement = writer.measure(arith_small, base_config)
 
-        default_reader = ParallelEvaluator(store=ResultStore(path))
+        default_reader = LiquidPlatform(store=ResultStore(path))
         default_measurement = default_reader.measure(arith_small, base_config)
         assert default_reader.stats.cache_simulations == 0
         assert default_measurement.cycles < slow_measurement.cycles
         assert default_measurement == LiquidPlatform().measure(arith_small, base_config)
 
-        slow_reader = ParallelEvaluator(
-            LiquidPlatform(timing_parameters=TimingParameters(memory_latency=40)),
-            store=ResultStore(path))
+        slow_reader = LiquidPlatform(
+            timing_parameters=TimingParameters(memory_latency=40), store=ResultStore(path))
         assert slow_reader.measure(arith_small, base_config) == slow_measurement
         assert slow_reader.stats.cache_simulations == 0
         assert slow_reader.stats.store_hits == 1
@@ -272,20 +334,20 @@ class TestStoreFormat:
             store, grid = open_store(path), CampaignGrid(path)
         with grid:
             assert grid.register(arith_small, [base_config]) == 1
-            ParallelEvaluator(store=store).measure(arith_small, base_config)
+            LiquidPlatform(store=store).measure(arith_small, base_config)
             assert len(store) == 2
         store.close()
 
     def test_rows_of_another_kernel_version_are_never_served(
             self, tmp_path, monkeypatch, base_config, arith_small):
         path = str(tmp_path / "results.sqlite")
-        expected = ParallelEvaluator(store=open_store(path)).measure(
+        expected = LiquidPlatform(store=open_store(path)).measure(
             arith_small, base_config)
         monkeypatch.setattr(store_module, "KERNEL_VERSION", KERNEL_VERSION + 1)
         store = open_store(path)
         assert len(store) == 0
         assert store.load(arith_small.fingerprint()) == (None, {})
-        reader = ParallelEvaluator(store=store)
+        reader = LiquidPlatform(store=store)
         assert reader.measure(arith_small, base_config) == expected
         assert reader.stats.store_hits == 0 and reader.stats.cache_simulations == 2
         assert len(store) == 2
@@ -311,7 +373,7 @@ class TestStoreIO:
         workload = ArithWorkload(iterations=90)
         store = open_store(path)
         statements = self.record_statements(store)
-        ParallelEvaluator(store=store).measure_many(workload, configs)
+        LiquidPlatform(store=store).measure_many(workload, configs)
         assert self.count(statements, "SELECT", "summaries") == 1
         assert self.count(statements, "SELECT", "cache_stats") == 1
         assert self.count(statements, "COMMIT") == 1
@@ -320,7 +382,7 @@ class TestStoreIO:
         # a warm batch over a new store reads the rows once, writes nothing
         store = open_store(path)
         statements = self.record_statements(store)
-        engine = ParallelEvaluator(store=store)
+        engine = LiquidPlatform(store=store)
         warm = ArithWorkload(iterations=90)
         engine.measure_many(warm, configs)
         assert self.count(statements, "SELECT", "traces") == 1  # the recipe
@@ -337,29 +399,34 @@ class TestStoreIO:
         assert statements == []
         store.close()
 
-    def test_rows_the_wrapped_platform_already_held_are_written(self, tmp_path,
-                                                                base_config):
+    def test_rows_the_memos_already_held_are_written(self, tmp_path, base_config):
+        """Every row of a batch the store lacks is written, also the ones the
+        memos held before the batch (installed from elsewhere, not simulated)."""
         path = str(tmp_path / "results.sqlite")
         configs = variant_configs(base_config)
-        platform = LiquidPlatform()
+        bare = LiquidPlatform()
         workload = ArithWorkload(iterations=90)
-        platform.measure_many(workload, configs[:2])  # summary + 3 geometries in memo
-        with ParallelEvaluator(platform, store=open_store(path)) as engine:
-            measured = engine.measure_many(workload, configs)
-        key_pairs, _ = platform.cache_plan(workload, configs)
+        bare.measure_many(workload, configs[:2])  # summary + 3 geometries in memo
+        key_pairs, jobs = bare.cache_plan(workload, configs)
+        platform = LiquidPlatform(store=open_store(path))
+        platform.install_summary(workload.fingerprint(), bare.summary(workload))
+        platform.install_cache_runs(bare.simulate_cache_jobs(
+            workload, [job for pair in key_pairs[:2] for job in pair]))
+        measured = platform.measure_many(workload, configs)
         geometries = {job for pair in key_pairs for job in pair}
-        assert engine.stats.store_writes == len(geometries) + 1  # and the summary
+        assert platform.stats.cache_simulations == len(jobs)
+        assert platform.stats.store_writes == len(geometries) + 1  # and the summary
 
-        with ParallelEvaluator(store=open_store(path)) as warm:
-            assert warm.measure_many(ArithWorkload(iterations=90), configs) == measured
+        warm = LiquidPlatform(store=open_store(path))
+        assert warm.measure_many(ArithWorkload(iterations=90), configs) == measured
         assert warm.stats.cache_simulations == 0
 
     def test_store_io_stage_times_reads_and_writes(self, tmp_path, base_config):
         tracer = enable_tracing()
         try:
-            with ParallelEvaluator(store=open_store(None)) as engine:
-                engine.measure_many(ArithWorkload(iterations=90),
-                                    variant_configs(base_config))
+            engine = LiquidPlatform(store=open_store(None))
+            engine.measure_many(ArithWorkload(iterations=90),
+                                variant_configs(base_config))
             spans = [r for r in tracer.records if r.name == "store_io"]
         finally:
             disable_tracing()
@@ -373,8 +440,8 @@ class TestStoreIO:
 class TestStoreAudit:
     def populate(self, path, base_config):
         workload = small_workloads()["arith"]
-        with ParallelEvaluator(store=open_store(path)) as engine:
-            engine.measure_many(workload, variant_configs(base_config))
+        engine = LiquidPlatform(store=open_store(path))
+        engine.measure_many(workload, variant_configs(base_config))
         return engine.stats.cache_simulations
 
     def test_audit_passes_on_an_intact_store(self, tmp_path, base_config):
@@ -426,7 +493,7 @@ class TestCampaignAndTuner:
         model_sequential = campaign.run(arith_small, parameters=(
             "dcache_sets", "dcache_setsize_kb", "dcache_replacement"))
 
-        engine = ParallelEvaluator()
+        engine = LiquidPlatform()
         batched = OneFactorCampaign(engine).run(arith_small, parameters=(
             "dcache_sets", "dcache_setsize_kb", "dcache_replacement"))
 
@@ -442,7 +509,7 @@ class TestCampaignAndTuner:
         individual = {
             name: OneFactorCampaign(LiquidPlatform()).run(w, parameters=params)
             for name, w in small_workload_map.items()}
-        engine = ParallelEvaluator()
+        engine = LiquidPlatform()
         combined = OneFactorCampaign(engine).run_many(
             small_workload_map.values(), parameters=params)
         assert set(combined) == set(individual)
@@ -454,7 +521,7 @@ class TestCampaignAndTuner:
         params = ("dcache_sets", "dcache_setsize_kb")
         sequential = MicroarchTuner(LiquidPlatform()).tune(
             arith_small, RUNTIME_OPTIMIZATION, parameters=params)
-        engine = MicroarchTuner(ParallelEvaluator()).tune(
+        engine = MicroarchTuner(LiquidPlatform()).tune(
             arith_small, RUNTIME_OPTIMIZATION, parameters=params)
         assert engine.configuration == sequential.configuration
         assert engine.actual == sequential.actual
@@ -473,13 +540,11 @@ class TestStaleness:
         configs = variant_configs(base_config)
         slow_parameters = TimingParameters(memory_latency=40, window_overflow_cost=60)
         bigger = FpgaDevice(name="bigger", luts=80_000, brams=320)
-        writer = ParallelEvaluator(
-            LiquidPlatform(timing_parameters=slow_parameters), store=open_store(path))
+        writer = LiquidPlatform(timing_parameters=slow_parameters, store=open_store(path))
         writer.measure_many(arith_small, configs)
         for platform_args in ({}, {"timing_parameters": slow_parameters},
                               {"device": bigger}):
-            reader = ParallelEvaluator(LiquidPlatform(**platform_args),
-                                       store=open_store(path))
+            reader = LiquidPlatform(**platform_args, store=open_store(path))
             measured = reader.measure_many(arith_small, configs)
             assert measured == LiquidPlatform(**platform_args).measure_many(
                 arith_small, configs)
@@ -491,7 +556,7 @@ class TestStaleness:
 
     def test_worker_pool_tracks_trace_changes_of_same_named_workloads(self, base_config):
         """Re-measuring on a reused evaluator must not replay a stale trace."""
-        engine = ParallelEvaluator()
+        engine = LiquidPlatform()
         first = ArithWorkload(iterations=60)
         engine.measure_many(first, [base_config, base_config.replace(dcache_sets=2)])
 
@@ -501,47 +566,39 @@ class TestStaleness:
                  base_config.replace(dcache_setsize_kb=16)]
         batched = engine.measure_many(second, batch)
         assert batched == reference_measurements(second, batch)
-        engine.close()
 
 
-class TestEvaluatorHygiene:
-    def test_close_is_idempotent_and_evaluator_stays_usable(self, base_config,
-                                                            arith_small):
-        engine = ParallelEvaluator()
-        engine.close()
-        engine.close()
-        measurement = engine.measure(arith_small, base_config)
-        engine.close()
-        assert measurement == LiquidPlatform().measure(arith_small, base_config)
+class TestNoEvaluatorWrapper:
+    def test_no_evaluator_wrapper_is_named(self):
+        """No code names the retired evaluator wrapper or its protocol.
 
-    def test_scripts_and_benchmarks_context_manage_every_evaluator(self):
-        """Every ParallelEvaluator in scripts/ and benchmarks/ is a `with` item.
-
-        The evaluator holds nothing to release today, but its lifecycle
-        is part of the backend contract; this source-level guard fails
-        when a new script or benchmark constructs an evaluator outside a
-        ``with`` statement (or the ``managed_backend`` helper, which
-        itself uses one), so a backend that does own resources can be
-        swapped in without auditing every caller.
+        The platform is the one measuring object.  The only allowed
+        identifiers are the benchmark harness's shim in
+        ``repro/engine/__init__.py`` and the test that drives that shim
+        (:meth:`TestOnePlatform.test_perfbench_shim_hands_back_the_one_platform`).
         """
-        root = pathlib.Path(__file__).resolve().parent.parent
+        retired = {"ParallelEvaluator", "EvaluationBackend"}
+        shim = "src/repro/engine/__init__.py"
+        shim_test = ("tests/test_engine.py",
+                     "test_perfbench_shim_hands_back_the_one_platform")
         offenders = []
-        for directory in ("scripts", "benchmarks"):
-            for path in sorted((root / directory).glob("*.py")):
+        for directory in ("src", "scripts", "benchmarks", "examples", "tests"):
+            for path in sorted((REPO_ROOT / directory).rglob("*.py")):
+                relative = path.relative_to(REPO_ROOT).as_posix()
+                if relative == shim:
+                    continue
                 tree = ast.parse(path.read_text(), filename=str(path))
-                managed = set()
+                exempt = [range(node.lineno, node.end_lineno + 1)
+                          for node in ast.walk(tree)
+                          if isinstance(node, ast.FunctionDef)
+                          and (relative, node.name) == shim_test]
                 for node in ast.walk(tree):
-                    if isinstance(node, (ast.With, ast.AsyncWith)):
-                        for item in node.items:
-                            managed.add(id(item.context_expr))
-                for node in ast.walk(tree):
-                    if (isinstance(node, ast.Call)
-                            and isinstance(node.func, ast.Name)
-                            and node.func.id == "ParallelEvaluator"
-                            and id(node) not in managed):
-                        offenders.append(f"{path.name}:{node.lineno}")
-        assert not offenders, (
-            f"ParallelEvaluator constructed outside a context manager: {offenders}")
+                    names = {getattr(node, "id", None), getattr(node, "attr", None),
+                             getattr(node, "name", None)}
+                    if names & retired and not any(
+                            node.lineno in lines for lines in exempt):
+                        offenders.append(f"{relative}:{node.lineno}")
+        assert not offenders, f"retired evaluator names used at: {sorted(set(offenders))}"
 
 
 class TestSingleProcessEngine:
@@ -565,7 +622,7 @@ class TestSingleProcessEngine:
 
 class TestEngineStats:
     def test_stats_accounting(self, base_config, arith_small):
-        engine = ParallelEvaluator()
+        engine = LiquidPlatform()
         configs = [base_config, base_config, base_config.replace(dcache_sets=2)]
         engine.measure_many(arith_small, configs)
         stats = engine.stats
@@ -585,7 +642,7 @@ class TestEngineStats:
         # a private instance: trace_generation is only accounted when the
         # simulator actually runs, and the session fixture's trace is cached
         workload = ArithWorkload(iterations=200)
-        engine = ParallelEvaluator()
+        engine = LiquidPlatform()
         engine.measure_many(workload, [base_config])
         stages = engine.stats.stage_report()
         for stage in ("trace_generation", "cache_simulation", "sweep_evaluate"):
@@ -598,7 +655,7 @@ class TestEngineStats:
         assert "solve" in engine.stats.stage_report()
 
     def test_second_batch_reuses_memoised_results(self, base_config, arith_small):
-        engine = ParallelEvaluator()
+        engine = LiquidPlatform()
         engine.measure_many(arith_small, [base_config])
         before = engine.stats.cache_simulations
         engine.measure_many(arith_small, [base_config])

@@ -6,14 +6,14 @@ configurations are timed by a single
 :mod:`repro.platform.liquid`.  These tests count those calls for every
 consumer -- the one-factor campaign (one and several workloads), the
 tuner's verification measurement, phased batches and a service sweep --
-and check the engine's accounting of them.
+and check the platform's accounting of them.
 """
 
 import pytest
 
 from repro.config import base_configuration
 from repro.core import MicroarchTuner, OneFactorCampaign, RUNTIME_OPTIMIZATION
-from repro.engine import ParallelEvaluator
+from repro.engine import ResultStore
 from repro.platform import LiquidPlatform, liquid
 from repro.service import TuningService
 from repro.workloads import ArithWorkload, DrrWorkload, drr_enqueue_service
@@ -35,48 +35,52 @@ def timing_calls(monkeypatch):
     return calls
 
 
-def assert_engine_accounting(engine, calls):
-    assert engine.stats.sweep_evaluations == sum(n for _, n in calls)
-    assert "model_build" not in engine.stats.stage_seconds
+def assert_accounting(platform, calls):
+    assert platform.stats.sweep_evaluations == sum(n for _, n in calls)
+    assert platform.effort()["runs"] == platform.stats.sweep_evaluations
+    assert "model_build" not in platform.stats.stage_seconds
 
 
 @pytest.mark.parametrize("backend", ["platform", "engine"])
 def test_campaign_run_is_one_call(timing_calls, backend):
-    platform = LiquidPlatform()
-    measurer = platform if backend == "platform" else ParallelEvaluator(platform)
-    model = OneFactorCampaign(measurer).run(ArithWorkload(iterations=80), parameters=DCACHE)
+    """The bare platform and one backed by the engine's result store."""
+    store = ResultStore() if backend == "engine" else None
+    platform = LiquidPlatform(store=store)
+    model = OneFactorCampaign(platform).run(ArithWorkload(iterations=80), parameters=DCACHE)
     assert timing_calls == [("arith", 1 + len(model.measurements))]
-    if backend == "engine":
-        assert_engine_accounting(measurer, timing_calls)
+    assert_accounting(platform, timing_calls)
     # a repeated campaign is answered from the memos: no timing call at all
-    OneFactorCampaign(measurer).run(ArithWorkload(iterations=80), parameters=DCACHE)
+    OneFactorCampaign(platform).run(ArithWorkload(iterations=80), parameters=DCACHE)
     assert len(timing_calls) == 1
+    assert_accounting(platform, timing_calls)
+    if store is not None:
+        store.close()
 
 
 def test_campaign_run_many_is_one_call_per_workload(timing_calls):
-    engine = ParallelEvaluator()
+    platform = LiquidPlatform()
     workloads = [ArithWorkload(iterations=80), DrrWorkload(packet_count=40)]
-    models = OneFactorCampaign(engine).run_many(workloads, parameters=DCACHE)
+    models = OneFactorCampaign(platform).run_many(workloads, parameters=DCACHE)
     configs = 1 + len(models["arith"].measurements)
     assert timing_calls == [("arith", configs), ("drr", configs)]
-    assert_engine_accounting(engine, timing_calls)
+    assert_accounting(platform, timing_calls)
 
 
 def test_tuner_verification_is_one_call(timing_calls):
-    engine = ParallelEvaluator()
+    platform = LiquidPlatform()
     workload = ArithWorkload(iterations=80)
-    tuner = MicroarchTuner(engine)
+    tuner = MicroarchTuner(platform)
     model = tuner.build_model(workload)
     assert len(timing_calls) == 1
     result = tuner.tune(workload, RUNTIME_OPTIMIZATION, model=model, verify=True)
     # several perturbations combined: a configuration the campaign never measured
     assert len(result.changed_parameters()) > 1
     assert timing_calls[1:] == [("arith", 1)]
-    assert_engine_accounting(engine, timing_calls)
+    assert_accounting(platform, timing_calls)
 
 
 def test_engine_plans_each_batch_once(monkeypatch):
-    """The engine hands its one ``cache_plan`` to the platform's assembly."""
+    """A batch's one ``cache_plan`` feeds its assembly."""
     plans = []
     original = LiquidPlatform.cache_plan
 
@@ -86,7 +90,7 @@ def test_engine_plans_each_batch_once(monkeypatch):
 
     monkeypatch.setattr(LiquidPlatform, "cache_plan", counted)
     base = base_configuration()
-    ParallelEvaluator().measure_many(
+    LiquidPlatform().measure_many(
         ArithWorkload(iterations=80), [base, base.replace(dcache_sets=2), base])
     assert plans == [2]
 
@@ -94,12 +98,10 @@ def test_engine_plans_each_batch_once(monkeypatch):
 def test_phased_batch_is_one_call(timing_calls):
     base = base_configuration()
     configs = [base, base.replace(dcache_sets=2), base]
-    engine = ParallelEvaluator()
-    engine.measure_phases(drr_enqueue_service(packet_count=60), configs)
+    platform = LiquidPlatform()
+    platform.measure_phases(drr_enqueue_service(packet_count=60), configs)
     assert len(timing_calls) == 1 and timing_calls[0][1] == 2
-    assert_engine_accounting(engine, timing_calls)
-    LiquidPlatform().measure_phases(drr_enqueue_service(packet_count=60), configs)
-    assert len(timing_calls) == 2 and timing_calls[1][1] == 2
+    assert_accounting(platform, timing_calls)
 
 
 @pytest.mark.parametrize("chunk", [2, 16])
@@ -111,4 +113,4 @@ def test_service_sweep_is_one_call_per_chunk(timing_calls, chunk):
         assert service.jobs.drain(timeout=120.0)
         assert service.job_snapshot(job.id)["status"] == "done"
         assert timing_calls == [("arith", min(chunk, 4))] * -(-4 // chunk)
-        assert_engine_accounting(service.evaluator, timing_calls)
+        assert_accounting(service.platform, timing_calls)

@@ -23,9 +23,9 @@ from pathlib import Path
 import pytest
 
 from repro.core.tuner import MicroarchTuner
-from repro.engine import CampaignGrid, CampaignWorker, ParallelEvaluator, open_store
-from repro.engine.backend import EngineStats
+from repro.engine import CampaignGrid, CampaignWorker, open_store
 from repro.obs import (
+    EngineStats,
     MetricsRegistry,
     disable_tracing,
     enable_tracing,
@@ -258,9 +258,9 @@ class TestSpanTreeTiming:
             self, base_config, fresh_arith):
         tracer = enable_tracing()
         configs = grid_configs(base_config)
-        with ParallelEvaluator(LiquidPlatform(), store=open_store(None)) as evaluator:
-            evaluator.measure_many(fresh_arith, configs)
-            stats = evaluator.stats
+        platform = LiquidPlatform(store=open_store(None))
+        platform.measure_many(fresh_arith, configs)
+        stats = platform.stats
         spans = {}
         for record in tracer.records:
             spans[record.name] = spans.get(record.name, 0.0) + record.wall
@@ -288,14 +288,14 @@ class TestSpanTreeTiming:
         from repro.analysis import DCACHE_STUDY_PARAMETERS
 
         tracer = enable_tracing()
-        with ParallelEvaluator(LiquidPlatform()) as evaluator:
-            MicroarchTuner(evaluator).tune(
-                fresh_arith, RUNTIME_OPTIMIZATION,
-                parameters=DCACHE_STUDY_PARAMETERS, verify=False)
+        platform = LiquidPlatform()
+        MicroarchTuner(platform).tune(
+            fresh_arith, RUNTIME_OPTIMIZATION,
+            parameters=DCACHE_STUDY_PARAMETERS, verify=False)
         tuned = len(tracer.records)
-        with ParallelEvaluator(LiquidPlatform()) as evaluator:
-            evaluator.measure_many(fresh_arith, grid_configs(base_config))
-            swept_jobs = evaluator.stats.cache_simulations
+        platform = LiquidPlatform()
+        platform.measure_many(fresh_arith, grid_configs(base_config))
+        swept_jobs = platform.stats.cache_simulations
         by_name = {}
         for record in tracer.records:
             by_name.setdefault(record.name, []).append(record)
@@ -327,9 +327,9 @@ class TestSpanTreeTiming:
         set views it built and native calls it made, and the engine
         registry (``--profile``, ``GET /metrics``) sums both."""
         tracer = enable_tracing()
-        with ParallelEvaluator(LiquidPlatform()) as evaluator:
-            evaluator.measure_many(fresh_arith, grid_configs(base_config))
-            registry = evaluator.stats.registry.snapshot()
+        platform = LiquidPlatform()
+        platform.measure_many(fresh_arith, grid_configs(base_config))
+        registry = platform.stats.registry.snapshot()
         [simulation] = [r for r in tracer.records if r.name == "functional_sim"]
         replays = [r for r in tracer.records if r.name == "replay"]
         assert simulation.attrs["instructions"] == fresh_arith.trace().instruction_count > 0
@@ -348,11 +348,11 @@ class TestSpanTreeTiming:
         and the ``campaign.plans_*`` counters (``--profile``,
         ``GET /metrics``) show which runs reused the plan."""
         tracer = enable_tracing()
-        with ParallelEvaluator(LiquidPlatform()) as evaluator:
-            tuner = MicroarchTuner(evaluator)
-            for _ in range(3):
-                model = tuner.build_model(arith_small, parameters=("dcache_sets",))
-            registry = evaluator.stats.registry.snapshot()
+        platform = LiquidPlatform()
+        tuner = MicroarchTuner(platform)
+        for _ in range(3):
+            model = tuner.build_model(arith_small, parameters=("dcache_sets",))
+        registry = platform.stats.registry.snapshot()
         plans = [r for r in tracer.records if r.name == "campaign_plan"]
         assert [r.attrs["reused"] for r in plans] == [False, True, True]
         assert all(r.attrs["variables"] == len(model.measurements) for r in plans)

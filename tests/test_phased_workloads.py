@@ -14,7 +14,6 @@ import pytest
 
 from reference_timing import reference_measurements
 from repro.config import base_configuration
-from repro.engine import ParallelEvaluator
 from repro.errors import ConfigurationError
 from repro.platform import LiquidPlatform, PhasedMeasurement
 from repro.workloads import (
@@ -169,15 +168,15 @@ class TestPhasedMeasurement:
         sequential = LiquidPlatform().measure_phases(drr_phased, configs)
         assert [result.measurement for result in sequential] == \
             reference_measurements(drr_phased, configs)
-        with ParallelEvaluator() as engine:
-            assert engine.measure_phases(drr_phased, configs) == sequential
-            assert engine.stats.phase_chains > 0
+        engine = LiquidPlatform()
+        assert engine.measure_phases(drr_phased, configs) == sequential
+        assert engine.stats.phase_chains > 0
 
     def test_engine_composition_scenario_matches_sequential(self, switch_scenario):
         configs = self.configs()[:2]
         sequential = LiquidPlatform().measure_phases(switch_scenario, configs)
-        with ParallelEvaluator() as engine:
-            assert engine.measure_phases(switch_scenario, configs) == sequential
+        engine = LiquidPlatform()
+        assert engine.measure_phases(switch_scenario, configs) == sequential
 
     def test_phase_chains_are_memoised(self, drr_phased):
         platform = LiquidPlatform()
@@ -191,16 +190,16 @@ class TestPhasedMeasurement:
         # a fresh split: the decode accounting reads the instance's view cache
         drr_phased = PhasedWorkload.split_at_labels(
             drr_small, ("enqueue", "service"), ("service_phase",))
-        with ParallelEvaluator() as engine:
-            engine.measure_phases(drr_phased, self.configs())
-            first = engine.stats.phase_decodes
-            assert first == 2 * drr_phased.phase_count  # icache + dcache linesize
-            base = base_configuration()
-            engine.measure_phases(
-                drr_phased, [base.replace(dcache_sets=3), base.replace(dcache_sets=4)])
-            assert engine.stats.phase_decodes == first  # no re-decode, more configs
-            assert "phase_decode" in engine.stats.stage_report()
-            assert "phase_chain" in engine.stats.stage_report()
+        engine = LiquidPlatform()
+        engine.measure_phases(drr_phased, self.configs())
+        first = engine.stats.phase_decodes
+        assert first == 2 * drr_phased.phase_count  # icache + dcache linesize
+        base = base_configuration()
+        engine.measure_phases(
+            drr_phased, [base.replace(dcache_sets=3), base.replace(dcache_sets=4)])
+        assert engine.stats.phase_decodes == first  # no re-decode, more configs
+        assert "phase_decode" in engine.stats.stage_report()
+        assert "phase_chain" in engine.stats.stage_report()
 
     def test_store_backed_engine_still_replays_phases(self, tmp_path, drr_phased):
         """A store serves the overall measurements; chains are recomputed."""
@@ -208,13 +207,13 @@ class TestPhasedMeasurement:
 
         path = str(tmp_path / "phased.sqlite")
         configs = self.configs()
-        with ParallelEvaluator(store=open_store(path)) as writer:
-            first = writer.measure_phases(drr_phased, configs)
-        with ParallelEvaluator(store=open_store(path)) as reader:
-            replayed = reader.measure_phases(drr_phased, configs)
-            assert replayed == first
-            assert reader.stats.store_hits == 3  # unique configs from the store
-            assert reader.stats.cache_simulations == 0
+        writer = LiquidPlatform(store=open_store(path))
+        first = writer.measure_phases(drr_phased, configs)
+        reader = LiquidPlatform(store=open_store(path))
+        replayed = reader.measure_phases(drr_phased, configs)
+        assert replayed == first
+        assert reader.stats.store_hits == 3  # unique configs from the store
+        assert reader.stats.cache_simulations == 0
 
     def test_warm_chain_observes_the_phase_transition(self, switch_scenario):
         """The resumed phase must hit on state its first run left behind."""

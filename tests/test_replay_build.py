@@ -152,14 +152,13 @@ def test_all_store_hit_tune_never_compiles(tmp_path):
     store = tmp_path / "store.sqlite"
     tune = textwrap.dedent(f"""
         from repro import RUNTIME_OPTIMIZATION, MicroarchTuner
-        from repro.engine import ParallelEvaluator, open_store
+        from repro.engine import open_store
         from repro.microarch import native
         from repro.platform import LiquidPlatform
         from repro.workloads import ArithWorkload
         store = open_store({str(store)!r})
-        with ParallelEvaluator(LiquidPlatform(), store=store) as evaluator:
-            MicroarchTuner(evaluator).tune(
-                ArithWorkload(iterations=120), RUNTIME_OPTIMIZATION, verify=True)
+        MicroarchTuner(LiquidPlatform(store=store)).tune(
+            ArithWorkload(iterations=120), RUNTIME_OPTIMIZATION, verify=True)
         store.close()
         print(native._library is None)
     """)

@@ -1,23 +1,24 @@
 """Concurrent access to one shared SQLite result store.
 
-Large campaigns shard their configuration space across several evaluator
+Large campaigns shard their configuration space across several measuring
 processes that share one ``.sqlite`` store.  These tests drive two
-evaluators -- and, separately, many raw writer threads -- against a
+platforms -- and, separately, many raw writer threads -- against a
 single database file and assert the invariants that make sharing sound:
 no lost rows, no duplicated rows (the ``(kernel, fingerprint, kind,
 geometry)`` primary key deduplicates racing writers), and a resuming
-evaluator answers entirely from the store regardless of which writer
+platform answers entirely from the store regardless of which writer
 produced each row.
 """
 
 import random
 import sqlite3
 import threading
+from contextlib import closing
 
 import pytest
 
 from repro.config import base_configuration
-from repro.engine import ParallelEvaluator, ResultStore, busy_retry, open_store
+from repro.engine import ResultStore, busy_retry, open_store
 from repro.engine.store import workload_fingerprint
 from repro.platform import LiquidPlatform
 
@@ -36,38 +37,38 @@ class TestTwoEvaluatorsOneStore:
     def test_overlapping_batches_lose_and_duplicate_nothing(self, tmp_path,
                                                             base_config,
                                                             arith_small):
-        """Two evaluators with overlapping shards: the union survives exactly."""
+        """Two platforms with overlapping shards: the union survives exactly."""
         path = str(tmp_path / "shared.sqlite")
         grid = config_grid(base_config, 9)
         shard_a, shard_b = grid[:6], grid[3:]  # overlap on grid[3:6]
 
-        first = ParallelEvaluator(store=ResultStore(path))
-        second = ParallelEvaluator(store=ResultStore(path))
-        with first, second:
+        with closing(ResultStore(path)) as store_a, closing(ResultStore(path)) as store_b:
+            first = LiquidPlatform(store=store_a)
+            second = LiquidPlatform(store=store_b)
             results_a = first.measure_many(arith_small, shard_a)
             results_b = second.measure_many(arith_small, shard_b)
 
         # the overlap was replayed twice but stored once: one row per dcache
         # geometry (9, not 12) plus the shared icache geometry
         assert len(ResultStore(path)) == len(grid) + 1
-        # both evaluators agree bit-for-bit on the overlapping configurations
+        # both platforms agree bit-for-bit on the overlapping configurations
         assert results_a[3:] == results_b[:3]
 
-        with ParallelEvaluator(store=ResultStore(path)) as reader:
-            resumed = reader.measure_many(arith_small, grid)
-            assert resumed[:6] == results_a
-            assert resumed[3:] == results_b
-            assert reader.stats.store_hits == len(grid)
-            assert reader.stats.cache_simulations == 0  # no re-simulation
+        reader = LiquidPlatform(store=ResultStore(path))
+        resumed = reader.measure_many(arith_small, grid)
+        assert resumed[:6] == results_a
+        assert resumed[3:] == results_b
+        assert reader.stats.store_hits == len(grid)
+        assert reader.stats.cache_simulations == 0  # no re-simulation
 
     def test_interleaved_writers_see_each_others_rows_on_reload(self, tmp_path,
                                                                 base_config,
                                                                 arith_small):
         path = str(tmp_path / "interleaved.db")
         grid = config_grid(base_config, 6)
-        first = ParallelEvaluator(store=open_store(path))
-        second = ParallelEvaluator(store=open_store(path))
-        with first, second:
+        with closing(open_store(path)) as store_a, closing(open_store(path)) as store_b:
+            first = LiquidPlatform(store=store_a)
+            second = LiquidPlatform(store=store_b)
             for i, config in enumerate(grid):  # strict alternation
                 (first if i % 2 == 0 else second).measure(arith_small, config)
         store = ResultStore(path)

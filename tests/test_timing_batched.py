@@ -3,7 +3,7 @@
 Every measurement is timed by :func:`repro.microarch.timing.evaluate_many`,
 which factors a configuration grid into one trace feature vector
 broadcast over compiled configuration columns, and every batch reaches it
-through ``LiquidPlatform.measure_many`` / ``ParallelEvaluator.measure_many``.
+through ``LiquidPlatform.measure_many``.
 Its contract is bit-identity with the unmemoised per-configuration oracle
 in ``reference_timing.py``: cycles, the full ``cycle_breakdown``, the
 window-trap counts, and whole :class:`Measurement` records (resource
@@ -29,7 +29,6 @@ from repro.config import (
     base_configuration,
 )
 from repro.config.leon_space import Divider, Multiplier
-from repro.engine import ParallelEvaluator
 from repro.microarch.timing import (
     BREAKDOWN_CATEGORIES,
     TimingParameters,
@@ -197,14 +196,14 @@ def test_platform_sweep_shares_memos_with_per_config_path(arith_small, base_conf
     configs = sweep_grid(base_config)
     platform = LiquidPlatform()
     first = platform.measure(arith_small, configs[2])  # pre-warm one grid point
-    runs_before = platform.run_count
+    runs_before = platform.effort()["runs"]
     results = platform.measure_many(arith_small, configs)
     assert results[2] == first
     distinct = len({c.key() for c in configs})
-    assert platform.run_count == runs_before + distinct - 1
+    assert platform.effort()["runs"] == runs_before + distinct - 1
     # a repeated batch is answered from the memos alone
     assert platform.measure_many(arith_small, configs) == results
-    assert platform.run_count == runs_before + distinct - 1
+    assert platform.effort()["runs"] == runs_before + distinct - 1
 
 
 @given(configs=config_grid_strategy(min_size=1, max_size=6))
@@ -218,13 +217,13 @@ def test_engine_sweep_identical(small_workload_map, base_config):
     configs = sweep_grid(base_config)
     for workload in small_workload_map.values():
         reference = reference_measurements(workload, configs)
-        with ParallelEvaluator(LiquidPlatform()) as engine:
-            assert engine.measure_many(workload, configs) == reference
-            assert engine.stats.batches == 1
-            assert engine.stats.sweep_evaluations == len(set(
-                c.key() for c in configs))
-            assert engine.stats.dedup_hits == len(configs) - len(set(
-                c.key() for c in configs))
+        engine = LiquidPlatform()
+        assert engine.measure_many(workload, configs) == reference
+        assert engine.stats.batches == 1
+        assert engine.stats.sweep_evaluations == len(set(
+            c.key() for c in configs))
+        assert engine.stats.dedup_hits == len(configs) - len(set(
+            c.key() for c in configs))
 
 
 def test_engine_sweep_uses_store(tmp_path, base_config):
@@ -234,12 +233,12 @@ def test_engine_sweep_uses_store(tmp_path, base_config):
     store_path = str(tmp_path / "sweep.sqlite")
     from repro.engine import open_store
 
-    with ParallelEvaluator(LiquidPlatform(), store=open_store(store_path)) as first:
-        assert first.measure_many(workload, configs) == reference
-        assert first.stats.store_writes > 0
-    with ParallelEvaluator(LiquidPlatform(), store=open_store(store_path)) as second:
-        assert second.measure_many(workload, configs) == reference
-        assert second.stats.store_hits == len({c.key() for c in configs})
-        # the stored rows replace every replay; timing is re-evaluated
-        assert second.stats.cache_simulations == 0
-        assert second.stats.store_writes == 0
+    first = LiquidPlatform(store=open_store(store_path))
+    assert first.measure_many(workload, configs) == reference
+    assert first.stats.store_writes > 0
+    second = LiquidPlatform(store=open_store(store_path))
+    assert second.measure_many(workload, configs) == reference
+    assert second.stats.store_hits == len({c.key() for c in configs})
+    # the stored rows replace every replay; timing is re-evaluated
+    assert second.stats.cache_simulations == 0
+    assert second.stats.store_writes == 0

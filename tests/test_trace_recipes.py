@@ -16,7 +16,7 @@ import pytest
 
 from repro.config import base_configuration
 from repro.core import MicroarchTuner, RUNTIME_OPTIMIZATION
-from repro.engine import ParallelEvaluator, open_store
+from repro.engine import open_store
 from repro.errors import TraceIdentityError
 from repro.microarch.functional import FunctionalSimulator
 from repro.obs.tracer import disable_tracing, enable_tracing
@@ -61,10 +61,10 @@ def tuning_summary(result):
 
 
 def tune_all(apps, store):
-    with ParallelEvaluator(LiquidPlatform(), store=store) as evaluator:
-        tuner = MicroarchTuner(evaluator)
-        results = [tuner.tune(app, RUNTIME_OPTIMIZATION, verify=True) for app in apps]
-    return evaluator.stats, [tuning_summary(result) for result in results]
+    platform = LiquidPlatform(store=store)
+    tuner = MicroarchTuner(platform)
+    results = [tuner.tune(app, RUNTIME_OPTIMIZATION, verify=True) for app in apps]
+    return platform.stats, [tuning_summary(result) for result in results]
 
 
 def grid(count):
@@ -77,12 +77,12 @@ def grid(count):
 def test_recipe_resolved_fingerprint_equals_the_simulated_one(name, simulations):
     store = open_store(None)
     cold = SMALL[name]()
-    ParallelEvaluator(store=store).measure_many(cold, grid(1))
+    LiquidPlatform(store=store).measure_many(cold, grid(1))
     assert store.trace_fingerprint(cold.recipe()) == cold.fingerprint()
 
     simulations.clear()
     warm = SMALL[name]()
-    engine = ParallelEvaluator(store=store)
+    engine = LiquidPlatform(store=store)
     engine.measure_many(warm, grid(1))
     assert simulations == [] and not warm.has_trace()
     assert warm.fingerprint() == cold.fingerprint()
@@ -125,9 +125,9 @@ def test_warm_store_records_equal_the_cold_run(tmp_path, name, simulations):
         store = open_store(path)
         workload = make()
         simulations.clear()
-        with ParallelEvaluator(store=store) as engine:
-            records.append([store.encode(workload, measurement)
-                            for measurement in engine.measure_many(workload, configs)])
+        engine = LiquidPlatform(store=store)
+        records.append([store.encode(workload, measurement)
+                        for measurement in engine.measure_many(workload, configs)])
         store.close()
     assert records[0] == records[1]
     assert engine.stats.cache_simulations == 0
@@ -138,11 +138,11 @@ def test_warm_store_records_equal_the_cold_run(tmp_path, name, simulations):
 
 def test_store_miss_simulates_and_matches_the_bare_platform(simulations):
     store = open_store(None)
-    ParallelEvaluator(store=store).measure_many(SMALL["drr"](), grid(2))
+    LiquidPlatform(store=store).measure_many(SMALL["drr"](), grid(2))
 
     simulations.clear()
     workload = SMALL["drr"]()
-    engine = ParallelEvaluator(store=store)
+    engine = LiquidPlatform(store=store)
     configs = grid(5)
     measured = engine.measure_many(workload, configs)
     assert len(simulations) == 1
@@ -152,14 +152,14 @@ def test_store_miss_simulates_and_matches_the_bare_platform(simulations):
     platform = LiquidPlatform()
     assert measured == [platform.measure(reference, config) for config in configs]
     # a fresh engine resolves through the same planning
-    sweep = ParallelEvaluator(store=store).measure_many(SMALL["drr"](), grid(6))
+    sweep = LiquidPlatform(store=store).measure_many(SMALL["drr"](), grid(6))
     assert sweep == [platform.measure(reference, config) for config in grid(6)]
 
 
 def test_tampered_recipe_row_raises_on_a_miss(tmp_path):
     path = str(tmp_path / "store.sqlite")
     store = open_store(path)
-    ParallelEvaluator(store=store).measure_many(SMALL["arith"](), grid(1))
+    LiquidPlatform(store=store).measure_many(SMALL["arith"](), grid(1))
     store.close()
     conn = sqlite3.connect(path)
     with conn:
@@ -168,7 +168,7 @@ def test_tampered_recipe_row_raises_on_a_miss(tmp_path):
 
     workload = SMALL["arith"]()
     store = open_store(path)
-    engine = ParallelEvaluator(store=store)
+    engine = LiquidPlatform(store=store)
     with pytest.raises(TraceIdentityError, match="recipe row"):
         engine.measure_many(workload, grid(1))
     assert engine.stats.store_writes == 0
@@ -203,9 +203,9 @@ def test_phased_workloads_still_simulate_with_identical_results(tmp_path, simula
         store = open_store(path)
         scenarios = phase_scenarios(small=True)
         simulations.clear()
-        with ParallelEvaluator(store=store) as engine:
-            results.append([engine.measure_phases(scenario, configs)
-                            for scenario in scenarios.values()])
+        engine = LiquidPlatform(store=store)
+        results.append([engine.measure_phases(scenario, configs)
+                        for scenario in scenarios.values()])
         assert all(scenario.recipe() is None for scenario in scenarios.values())
         assert engine.stats.recipe_hits == 0 and engine.stats.recipe_misses == 0
         # the composed scenario's components simulate inside the batch
@@ -216,13 +216,13 @@ def test_phased_workloads_still_simulate_with_identical_results(tmp_path, simula
 
 def test_warm_run_opens_no_trace_generation_span():
     store = open_store(None)
-    ParallelEvaluator(store=store).measure_many(SMALL["frag"](), grid(2))
+    LiquidPlatform(store=store).measure_many(SMALL["frag"](), grid(2))
     tracer = enable_tracing()
     try:
-        ParallelEvaluator(store=store).measure_many(SMALL["frag"](), grid(2))
+        LiquidPlatform(store=store).measure_many(SMALL["frag"](), grid(2))
         assert not [r for r in tracer.records if r.name in ("trace_generation",
                                                              "functional_sim")]
-        ParallelEvaluator(store=store).measure_many(SMALL["frag"](), grid(3))
+        LiquidPlatform(store=store).measure_many(SMALL["frag"](), grid(3))
         [stage] = [r for r in tracer.records if r.name == "trace_generation"]
         assert stage.attrs["workload"] == "frag"
     finally:
