@@ -29,7 +29,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from operator import add
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import OptimizationError
 from repro.core.binlp import BinlpProblem
@@ -97,33 +97,41 @@ def _order_decisions(
     return ordered, sum(1 for group in ordered if any(i in coupled for i in group))
 
 
+def _greedy_repair(
+    decisions: List[Tuple[int, ...]], objective: Tuple[float, ...],
+    fits: Callable[[List[int]], bool],
+) -> Tuple[List[int], bool, int]:
+    """The best option of every group, least valuable picks dropped until ``fits``.
+
+    Returns the sorted selection, whether it fits and how many selections
+    were tested.
+    """
+    current = sorted(best for group in decisions
+                     for best in [min(group, key=objective.__getitem__)]
+                     if objective[best] < 0)
+    tested = 1
+    feasible = fits(current)
+    while current and not feasible:
+        tested += 1
+        current.remove(max(current, key=objective.__getitem__))
+        feasible = fits(current)
+    return current, feasible, tested
+
+
 class GreedyIndependentSolver:
     """Pick the best option of every group independently, then repair feasibility."""
 
     name = "greedy"
 
     def solve(self, problem: BinlpProblem) -> Solution:
-        decisions = _decision_groups(problem)
-        picks: List[int] = []
-        for group in decisions:
-            best = min(group, key=lambda i: problem.objective[i])
-            if problem.objective[best] < 0:
-                picks.append(best)
-        picks.sort()
-        # repair: drop the least valuable picks until every constraint holds
-        nodes = 1
-        current = list(picks)
-        violated = problem.violations(current)
-        while current and violated:
-            nodes += 1
-            current.remove(max(current, key=lambda i: problem.objective[i]))
-            violated = problem.violations(current)
+        current, feasible, tested = _greedy_repair(
+            _decision_groups(problem), problem.objective, problem.is_feasible)
         return Solution(
-            selection=tuple(sorted(current)),
+            selection=tuple(current),
             objective=problem.objective_value(current),
-            feasible=not violated,
+            feasible=feasible,
             optimal=False,
-            nodes_explored=nodes,
+            nodes_explored=tested,
             solver=self.name,
         )
 
@@ -238,11 +246,19 @@ class BranchAndBoundSolver:
             sorted([None, *group], key=lambda i: 0.0 if i is None else objective_of[i])
             for group in decisions]
 
-        # incumbent: the greedy solution if feasible, else the empty selection
-        # (keep the base configuration)
-        greedy = GreedyIndependentSolver().solve(problem)
-        best_objective = greedy.objective if greedy.feasible else 0.0
-        best_selection: Tuple[int, ...] = greedy.selection if greedy.feasible else ()
+        def selection_fits(selection: List[int]) -> bool:
+            sums = root_sums
+            for i in selection:
+                sums = list(map(add, sums, rows[i]))
+            return fits(sums, n_decisions)
+
+        # incumbent: the greedy selection if it fits, else the empty selection
+        # (keep the base configuration).  It is tested on slot sums rather than
+        # with violations(); the two sum in different orders, so they may
+        # disagree within rounding.  The reported feasibility is is_feasible()'s.
+        current, feasible, _ = _greedy_repair(decisions, objective_of, selection_fits)
+        best_objective = problem.objective_value(current) if feasible else 0.0
+        best_selection: Tuple[int, ...] = tuple(current) if feasible else ()
 
         nodes = 0
         limit_hit = False

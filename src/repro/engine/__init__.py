@@ -4,7 +4,7 @@ Every measurement runs on :class:`~repro.platform.LiquidPlatform`: it
 collapses duplicates, plans a batch once, replays the missing cache
 geometries in shared-decode groups and times the batch in one broadcast.
 Constructed with ``store=``, the platform also reads the trace summaries,
-cache statistics and recipes persisted in a
+cache statistics and trace identities persisted in a
 :class:`~repro.engine.store.ResultStore` instead of simulating them, and
 writes the new ones back.  This package holds that store and the
 campaign queue: a campaign scales out as several processes claiming rows

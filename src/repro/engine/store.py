@@ -14,10 +14,15 @@ those sufficient statistics, in one SQLite file:
   18-entry window-trap table;
 * ``cache_stats``: one row per ``(trace, kind, geometry)`` -- the five
   counts of one replay;
-* ``traces``: the map from a workload's
-  :meth:`~repro.workloads.base.Workload.recipe` (a digest of its program,
-  instruction budget and simulator version) to its trace fingerprint, so
-  a warm run keys its reads without running the functional simulator.
+* ``traces``: the map from a workload's identities to its trace
+  fingerprint, so a warm run keys its reads without running the
+  functional simulator.  Each workload has up to two rows: its
+  :meth:`~repro.workloads.base.Workload.recipe` (a digest of its
+  program, instruction budget and simulator version; the authoritative
+  identity) and its :meth:`~repro.workloads.base.Workload.input_key` (a
+  digest of its constructor arguments and the package's code,
+  ``input:``-prefixed), which a warm run looks up first because it needs
+  no program assembled.
 
 Nothing derived from a configuration, the synthesis model, the device
 or the timing calibration is persisted: a run under different
@@ -350,10 +355,10 @@ class ResultStore:
 
     # -- trace identities ------------------------------------------------------------------
 
-    def trace_fingerprint(self, recipe: str) -> Optional[str]:
-        """The trace fingerprint recorded for a workload recipe, or ``None``."""
+    def trace_fingerprint(self, identity: str) -> Optional[str]:
+        """The trace fingerprint recorded for a recipe or input key, or ``None``."""
         row = self._conn.execute(
-            "SELECT fingerprint FROM traces WHERE recipe = ?", (recipe,)).fetchone()
+            "SELECT fingerprint FROM traces WHERE recipe = ?", (identity,)).fetchone()
         return None if row is None else row[0]
 
     # -- batch I/O -------------------------------------------------------------------------
@@ -381,12 +386,13 @@ class ResultStore:
         runs: Mapping[CacheJob, CacheStatistics],
         *,
         summary: Optional[TraceSummary] = None,
-        recipe: Optional[str] = None,
+        identities: Sequence[str] = (),
     ) -> int:
         """Persist one batch's new rows in one transaction.
 
         ``runs`` are cache runs of the trace ``fingerprint``; ``summary``
-        and the ``recipe`` identity row are written when given.  Rows
+        is written when given, and one ``traces`` row per identity (the
+        workload's recipe and input key) naming ``fingerprint``.  Rows
         already present are kept (``INSERT OR IGNORE``: every row is a
         deterministic result, so racing writers agree).  Returns the
         number of summary and cache rows inserted.
@@ -401,10 +407,9 @@ class ResultStore:
         def transact() -> int:
             with self._conn:
                 written = 0
-                if recipe is not None:
-                    self._conn.execute(
-                        "INSERT OR IGNORE INTO traces (recipe, fingerprint)"
-                        " VALUES (?, ?)", (recipe, fingerprint))
+                self._conn.executemany(
+                    "INSERT OR IGNORE INTO traces (recipe, fingerprint) VALUES (?, ?)",
+                    [(identity, fingerprint) for identity in identities])
                 if summary is not None:
                     written += self._conn.execute(
                         f"INSERT OR IGNORE INTO summaries (kernel, fingerprint,"

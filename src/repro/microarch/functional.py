@@ -55,8 +55,9 @@ if sys.byteorder != "little":
     raise ImportError("repro.microarch.functional needs a little-endian host")
 
 #: Version of the simulator's trace semantics.  A workload's trace recipe
-#: (:meth:`~repro.workloads.base.Workload.recipe`) covers it, so bump it
-#: with any change that alters a trace column: every persisted recipe row
+#: and input key (:meth:`~repro.workloads.base.Workload.recipe`,
+#: :meth:`~repro.workloads.base.Workload.input_key`) cover it, so bump it
+#: with any change that alters a trace column: every persisted identity row
 #: then misses instead of naming a stale fingerprint, and the golden
 #: fingerprint test demands a new entry under the new version.
 SIMULATOR_VERSION = 1

@@ -261,6 +261,11 @@ class EngineStats:
     #: lookups that found no row, so the workload was simulated.
     recipe_hits: int = 0
     recipe_misses: int = 0
+    #: Fingerprints resolved from the store's input-key rows (no program
+    #: assembled either), and input-key lookups that found no row, so the
+    #: recipe was looked up next.
+    input_hits: int = 0
+    input_misses: int = 0
     #: Distinct cache simulations executed on behalf of the batches.
     cache_simulations: int = 0
     #: Shared-decode groups -- distinct ``(trace, kind, linesize)`` decodes --
@@ -295,7 +300,8 @@ class EngineStats:
     wall_seconds: float = 0.0
     #: Per-stage wall-clock, accumulated across batches and disjoint where
     #: the platform can observe the stages directly.  Stages recorded by
-    #: the platform itself: ``trace_generation``, ``store_io`` (the batch's
+    #: the platform itself: ``recipe`` (a workload's fingerprint lookup in
+    #: the store), ``trace_generation``, ``store_io`` (the batch's
     #: store read and write), ``cache_simulation``, ``sweep_evaluate``,
     #: ``phase_decode`` and ``phase_chain``; the tuner
     #: adds ``solve`` around its solver pass.  Each accumulation also

@@ -25,8 +25,9 @@ A batch (:meth:`LiquidPlatform.measure_many`) is measured in these steps:
 
 1. build every distinct configuration (fit enforcement raises before
    anything is simulated);
-2. resolve the workload's trace fingerprint -- from the store's recipe
-   row when it has one, otherwise by simulating;
+2. resolve the workload's trace fingerprint (the ``recipe`` stage) --
+   from the store's input-key row, which needs no program, else from its
+   recipe row, otherwise by simulating;
 3. plan the batch once: the distinct cache geometries and the trace
    summary it needs that the memos lack;
 4. if anything is lacking, read the workload's stored rows once (the
@@ -118,7 +119,7 @@ class LiquidPlatform:
 
     ``store`` is an optional persistent
     :class:`~repro.engine.store.ResultStore`: the trace summaries, cache
-    geometries and recipes found there are never simulated, and new ones
+    geometries and trace identities found there are never simulated, and new ones
     are written back, which makes campaigns resumable.  The store is
     bound to this platform's device and calibration; the caller that
     opened it closes it.
@@ -161,9 +162,9 @@ class LiquidPlatform:
         #: cache runs installed from the store (not simulated here): a
         #: configuration measured from these alone is a store hit
         self._stored: Set[CacheJob] = set()
-        #: fingerprint -> recipe of simulated workloads whose identity row
-        #: is not written yet (it goes out with the batch's rows)
-        self._recipes: Dict[str, str] = {}
+        #: fingerprint -> the identity rows (recipe, input key) the store
+        #: lacks for it; they go out with the batch's rows
+        self._identities: Dict[str, List[str]] = {}
         self.build_count = 0
 
     # -- synthesis ------------------------------------------------------------------------
@@ -382,26 +383,55 @@ class LiquidPlatform:
     def _resolve(self, workload: Workload) -> None:
         """Make the workload's trace fingerprint known, simulating only if needed.
 
-        A workload the store has seen resolves its fingerprint from its
-        :meth:`~repro.workloads.base.Workload.recipe` without simulating;
-        the functional simulator then runs only if some row is missing,
-        and its trace checks the adopted fingerprint before anything is
-        evaluated.  Any other workload simulates here (its fingerprint
-        keys the rows), and its recipe row is written with the batch.
+        With a store, the ``recipe`` stage looks the fingerprint up by the
+        workload's :meth:`~repro.workloads.base.Workload.input_key`, which
+        needs no program, then by its
+        :meth:`~repro.workloads.base.Workload.recipe`, which assembles one;
+        its ``hit`` attribute names the row that answered (``input``,
+        ``recipe`` or ``miss``).  A resolved workload simulates only if
+        some row is missing, and its trace checks the adopted fingerprint
+        before anything is evaluated.  Any other workload simulates here
+        (its fingerprint keys the rows).  The identity rows the store
+        lacked -- the input key after a recipe hit, both after a miss --
+        are written with the batch.
         """
         if workload.has_fingerprint():
             return
-        store = self.store
-        recipe = workload.recipe() if store is not None else None
-        fingerprint = None if recipe is None else store.trace_fingerprint(recipe)
-        if fingerprint is not None:
-            self.stats.recipe_hits += 1
-            workload.adopt_fingerprint(fingerprint)
+        if self.store is None:
+            self._simulate(workload)
             return
-        self._simulate(workload)
-        if recipe is not None:
-            self.stats.recipe_misses += 1
-            self._recipes[workload.fingerprint()] = recipe
+        with self._stage("recipe", workload=workload.name) as stage:
+            hit, fingerprint, unstored = self._lookup(workload)
+            stage.set(hit=hit)
+        if fingerprint is None:
+            self._simulate(workload)
+            fingerprint = workload.fingerprint()
+        else:
+            workload.adopt_fingerprint(fingerprint)
+        if unstored:
+            self._identities[fingerprint] = unstored
+
+    def _lookup(self, workload: Workload) -> Tuple[str, Optional[str], List[str]]:
+        """Which identity row names the trace, its fingerprint, and the rows missing."""
+        store, stats = self.store, self.stats
+        unstored: List[str] = []
+        key = workload.input_key()
+        if key is not None:
+            fingerprint = store.trace_fingerprint(key)
+            if fingerprint is not None:
+                stats.input_hits += 1
+                return "input", fingerprint, unstored
+            stats.input_misses += 1
+            unstored.append(key)
+        recipe = workload.recipe()
+        if recipe is None:
+            return "miss", None, unstored
+        fingerprint = store.trace_fingerprint(recipe)
+        if fingerprint is not None:
+            stats.recipe_hits += 1
+            return "recipe", fingerprint, unstored
+        stats.recipe_misses += 1
+        return "miss", None, unstored + [recipe]
 
     def _load(self, workload: Workload, key_pairs: Sequence[Tuple[CacheJob, CacheJob]]
               ) -> Tuple[bool, List[CacheJob]]:
@@ -426,18 +456,18 @@ class LiquidPlatform:
 
     def _write(self, workload: Workload, summary_unstored: bool,
                unstored: Sequence[CacheJob]) -> None:
-        """Write what the store lacked (and a pending recipe row) in one transaction."""
+        """Write what the store lacked (and pending identity rows) in one transaction."""
         fingerprint = workload.fingerprint()
-        recipe = self._recipes.get(fingerprint)
-        if not unstored and not summary_unstored and recipe is None:
+        identities = self._identities.get(fingerprint, ())
+        if not unstored and not summary_unstored and not identities:
             return
         with self._stage("store_io", workload=workload.name) as stage:
             written = self.store.write(
                 fingerprint, {job: self._cache_runs[job] for job in unstored},
                 summary=self.summary(workload) if summary_unstored else None,
-                recipe=recipe)
+                identities=identities)
             stage.set(rows_read=0, rows_written=written)
-        self._recipes.pop(fingerprint, None)
+        self._identities.pop(fingerprint, None)
         self.stats.store_writes += written
 
     def _simulate(self, workload: Workload) -> None:

@@ -16,14 +16,18 @@ The trace is moreover a pure function of the assembled program, the
 instruction budget and the simulator's semantics.  :meth:`Workload.recipe`
 digests exactly those inputs, so a result store that has seen a workload
 once can name its trace fingerprint without simulating it again
-(:meth:`Workload.adopt_fingerprint`).
+(:meth:`Workload.adopt_fingerprint`).  The program in turn follows from
+the constructor arguments and the package's code, so
+:meth:`Workload.input_key` names the same trace without assembling it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 from abc import ABC, abstractmethod
-from typing import Dict, Mapping, Optional
+from pathlib import Path
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -36,11 +40,72 @@ from repro.microarch.functional import (
 )
 from repro.microarch.trace import ExecutionTrace
 
-__all__ = ["Workload"]
+__all__ = ["CODE_DIGEST", "Workload"]
+
+
+def _code_digest() -> str:
+    """sha1 over every source file of the ``repro`` package, path and text.
+
+    The C simulation library's source is a Python string in
+    ``microarch/native.py``, so it is covered too.
+    """
+    root = Path(__file__).resolve().parents[1]
+    digest = hashlib.sha1()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode())
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()
+
+
+#: Digest of the package's code.  Any edit moves every
+#: :meth:`Workload.input_key`, so a store never answers an input key with a
+#: trace that other code produced.  It is taken at import, once per process,
+#: so that it digests the code this process loaded, not files edited while a
+#: long-running process (the service) was up.
+CODE_DIGEST = _code_digest()
+
+#: Argument types an input key accepts; anything else leaves a workload
+#: without one.
+_PLAIN = (bool, int, float, str, type(None))
+
+
+def _plain_arguments(signature: inspect.Signature, args: Tuple, kwargs: Dict[str, Any]
+                     ) -> Optional[Tuple[Tuple[str, Any], ...]]:
+    """A constructor call's arguments by name, defaults applied.
+
+    Keyword arguments forwarded through ``**kwargs`` are flattened in name
+    order, except ``max_instructions``, which the key reads from the
+    instance.  ``None`` when the call does not bind or any argument is
+    not a plain scalar or string.
+    """
+    try:
+        bound = signature.bind(None, *args, **kwargs)
+    except TypeError:
+        return None
+    bound.apply_defaults()
+    items = []
+    for name, value in list(bound.arguments.items())[1:]:
+        if signature.parameters[name].kind is inspect.Parameter.VAR_KEYWORD:
+            items.extend(sorted(item for item in value.items()
+                                if item[0] != "max_instructions"))
+        else:
+            items.append((name, value))
+    if any(type(value) not in _PLAIN for _, value in items):
+        return None
+    return tuple(items)
 
 
 class Workload(ABC):
-    """One benchmark application with synthetic inputs and a reference output."""
+    """One benchmark application with synthetic inputs and a reference output.
+
+    A workload's inputs are fixed at construction: its program, data and
+    instruction budget follow from its constructor arguments (and the
+    package's code) alone, and must not change afterwards.
+    :meth:`input_key` relies on this to name the trace without building
+    the program.
+    """
 
     #: Short identifier used in tables (e.g. ``"blastn"``).
     name: str = "workload"
@@ -48,6 +113,22 @@ class Workload(ABC):
     description: str = ""
     #: The paper's characterisation ("memory-access intensive", "computation intensive").
     characterization: str = ""
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        # CODE_DIGEST covers this package's code only, so a class defined
+        # elsewhere could change its program without moving its key: it has none
+        in_package = cls.__module__.partition(".")[0] == __name__.partition(".")[0]
+        cls._init_signature = inspect.signature(cls.__init__) if in_package else None
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> "Workload":
+        # the most-derived constructor's arguments, captured before any
+        # __init__ runs, so no subclass lists what its inputs are
+        self = super().__new__(cls)
+        signature = cls._init_signature
+        self._arguments = (None if signature is None
+                           else _plain_arguments(signature, args, kwargs))
+        return self
 
     def __init__(self, *, max_instructions: int = 2_000_000):
         self.max_instructions = max_instructions
@@ -58,6 +139,7 @@ class Workload(ABC):
         #: row and still awaits its check against the simulated trace.
         self._fingerprint_adopted = False
         self._recipe: Optional[str] = None
+        self._input_key: Optional[str] = None
 
     # -- to be provided by concrete workloads -----------------------------------------
 
@@ -113,6 +195,31 @@ class Workload(ABC):
         """
         return self.trace().columnar_view(kind, linesize_bytes)
 
+    def input_key(self) -> Optional[str]:
+        """Digest of this workload's inputs, or ``None`` if they are not plain.
+
+        Covers the workload class and name, its constructor arguments as
+        bound to the most-derived ``__init__`` (defaults applied, so
+        positional, keyword and default spellings agree), the instruction
+        budget, :data:`~repro.microarch.functional.SIMULATOR_VERSION`,
+        NumPy's version (the inputs are drawn from its generators) and
+        :data:`CODE_DIGEST`.  Inputs being fixed at construction, equal
+        keys assemble equal programs, so a store maps the key to the
+        trace fingerprint beside the :meth:`recipe` row and a hit never
+        builds :attr:`program`.  A workload with an argument that is not
+        a plain scalar or string (a phased composition), or whose class is
+        defined outside this package, has no key.
+        """
+        if self._input_key is None and self._arguments is not None:
+            digest = hashlib.sha1()
+            for part in (type(self).__module__, type(self).__qualname__, self.name,
+                         repr(self._arguments), str(self.max_instructions),
+                         str(SIMULATOR_VERSION), np.__version__, CODE_DIGEST):
+                digest.update(part.encode())
+                digest.update(b"\0")
+            self._input_key = f"input:{digest.hexdigest()}"
+        return self._input_key
+
     def recipe(self) -> Optional[str]:
         """Digest of everything this workload's execution trace depends on.
 
@@ -121,8 +228,10 @@ class Workload(ABC):
         budget and :data:`~repro.microarch.functional.SIMULATOR_VERSION`.
         Equal recipes therefore simulate to equal traces, which lets a
         result store map recipe -> :meth:`fingerprint` and answer later
-        lookups without running the simulator.  Workloads whose trace is
-        not one program's run (phased compositions) return ``None``.
+        lookups without running the simulator.  The recipe is the
+        authoritative identity: :meth:`input_key` only spares the program
+        assembly it costs.  Workloads whose trace is not one program's run
+        (phased compositions) return ``None``.
         """
         if self._recipe is None:
             program = self.program
@@ -150,7 +259,7 @@ class Workload(ABC):
         return self._fingerprint
 
     def adopt_fingerprint(self, fingerprint: str) -> None:
-        """Take the fingerprint a result store recorded for :meth:`recipe`.
+        """Take the fingerprint a result store recorded for :meth:`recipe` or :meth:`input_key`.
 
         The workload then keys store lookups without simulating.  The
         adopted value is checked against the real trace as soon as one
@@ -169,9 +278,9 @@ class Workload(ABC):
         self._fingerprint, self._fingerprint_adopted = actual, False
         if actual != adopted:
             raise TraceIdentityError(
-                f"{self.name}: the store's recipe row names trace {adopted}, but "
-                f"the simulator produced {actual}; the row is corrupt or the trace "
-                "semantics changed without a SIMULATOR_VERSION bump")
+                f"{self.name}: the store's recipe row (or input-key row) names trace "
+                f"{adopted}, but the simulator produced {actual}; the row is corrupt "
+                "or the trace semantics changed without a SIMULATOR_VERSION bump")
 
     def _trace_fingerprint(self, trace: ExecutionTrace) -> str:
         digest = hashlib.sha1()

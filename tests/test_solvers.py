@@ -150,6 +150,22 @@ class TestTwoCacheAgainstBruteForce:
         assert bnb.selection == exhaustive.selection
         assert bnb.objective == exhaustive.objective
 
+    @settings(max_examples=40, deadline=None)
+    @given(objective=integers(-50, 20), lut=integers(-4, 8), size_weights=integers(-16, 16),
+           bram_linear=integers(-3, 6), lut_bound=st.integers(0, 12).map(float),
+           bram_bound=st.integers(0, 6).map(float))
+    def test_branch_and_bound_seeds_with_the_greedy_answer(
+            self, objective, lut, size_weights, bram_linear, lut_bound, bram_bound):
+        # a node limit of zero stops the search at its incumbent, which is
+        # the greedy solver's answer when that is feasible, else the base
+        problem = two_cache_problem(
+            objective, lut, size_weights, bram_linear, lut_bound, bram_bound)
+        incumbent = BranchAndBoundSolver(node_limit=0).solve(problem)
+        greedy = GreedyIndependentSolver().solve(problem)
+        expected = (greedy.selection, greedy.objective) if greedy.feasible else ((), 0.0)
+        assert (incumbent.selection, incumbent.objective) == expected
+        assert incumbent.feasible and not incumbent.optimal
+
     def test_budgets_bind(self):
         # the unconstrained optimum (best sets, size and replacement of both
         # caches) breaks both budgets, so the search must trade it away

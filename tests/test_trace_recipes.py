@@ -1,18 +1,28 @@
-"""Recipe-keyed trace identity: warm stores key lookups without simulating.
+"""Recipe- and input-keyed trace identity: warm stores key lookups without simulating.
 
 A workload's trace is a pure function of its :meth:`Workload.recipe`
 (program, instruction budget, simulator version), so a result store that
 has seen the workload once records recipe -> fingerprint, and a later
 engine over that store resolves the fingerprint without running the
-functional simulator.  These tests pin that the resolved fingerprint is
-the simulated one, that a fully warm tune never simulates, that a miss
-simulates and checks the recorded identity, and that anything the trace
-depends on moves the recipe.
+functional simulator.  The program in turn follows from the constructor
+arguments and the package's code, so the store also records
+:meth:`Workload.input_key` -> fingerprint, which resolves without
+assembling.  These tests pin that the resolved fingerprint is the
+simulated one, that a fully warm tune never simulates or assembles, that
+a miss simulates and checks the recorded identity, and that anything the
+trace depends on moves the recipe and the input key.
 """
 
+import inspect
+import os
+import pathlib
+import shutil
 import sqlite3
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import base_configuration
 from repro.core import MicroarchTuner, RUNTIME_OPTIMIZATION
@@ -26,6 +36,8 @@ from repro.workloads import base as workload_base
 from repro.workloads import drr_enqueue_service
 from repro.workloads.phased import phase_scenarios
 
+from conftest import ProgramWorkload
+
 #: Fresh instances of the test suite's four small workloads (the session
 #: fixtures cache their traces, which would hide every simulation).
 SMALL = {
@@ -35,6 +47,9 @@ SMALL = {
     "drr": lambda: DrrWorkload(packet_count=150),
     "frag": lambda: FragWorkload(packet_count=4),
 }
+
+
+WORKLOADS = (ArithWorkload, BlastnWorkload, DrrWorkload, FragWorkload)
 
 
 def small_suite():
@@ -52,6 +67,19 @@ def simulations(monkeypatch):
         return run(self, *args, **kwargs)
 
     monkeypatch.setattr(FunctionalSimulator, "run", counting_run)
+    return calls
+
+
+@pytest.fixture()
+def assemblies(monkeypatch):
+    """Count every program assembly of the four workloads from here on."""
+    calls = []
+    for cls in WORKLOADS:
+        def counting_build(self, _build=cls.build_program):
+            calls.append(self)
+            return _build(self)
+
+        monkeypatch.setattr(cls, "build_program", counting_build)
     return calls
 
 
@@ -79,6 +107,7 @@ def test_recipe_resolved_fingerprint_equals_the_simulated_one(name, simulations)
     cold = SMALL[name]()
     LiquidPlatform(store=store).measure_many(cold, grid(1))
     assert store.trace_fingerprint(cold.recipe()) == cold.fingerprint()
+    assert store.trace_fingerprint(cold.input_key()) == cold.fingerprint()
 
     simulations.clear()
     warm = SMALL[name]()
@@ -86,28 +115,39 @@ def test_recipe_resolved_fingerprint_equals_the_simulated_one(name, simulations)
     engine.measure_many(warm, grid(1))
     assert simulations == [] and not warm.has_trace()
     assert warm.fingerprint() == cold.fingerprint()
-    assert (engine.stats.recipe_hits, engine.stats.recipe_misses) == (1, 0)
+    assert (engine.stats.input_hits, engine.stats.input_misses) == (1, 0)
+    assert (engine.stats.recipe_hits, engine.stats.recipe_misses) == (0, 0)
 
 
 @pytest.mark.parametrize("filename", ["store.sqlite", "store.db"])
-def test_warm_store_tunes_without_simulating(tmp_path, filename, simulations):
+def test_warm_store_tunes_without_simulating(tmp_path, filename, simulations, assemblies):
+    """A warm tune of freshly constructed workloads neither simulates nor
+    assembles a program: every fingerprint comes from an input-key row."""
     path = str(tmp_path / filename)
     store = open_store(path)
     cold_stats, cold = tune_all(small_suite(), store)
     assert cold_stats.recipe_misses == 4 and cold_stats.recipe_hits == 0
+    assert cold_stats.input_misses == 4 and cold_stats.input_hits == 0
     store.close()
 
     simulations.clear()
+    assemblies.clear()
     store = open_store(path)  # a new process would reopen the file
-    stats, warm = tune_all(small_suite(), store)
+    tracer = enable_tracing()
+    try:
+        stats, warm = tune_all(small_suite(), store)
+    finally:
+        disable_tracing()
     store.close()
-    assert simulations == []
+    assert simulations == [] and assemblies == []
     assert warm == cold
-    assert stats.recipe_hits == 4 and stats.recipe_misses == 0
+    assert stats.input_hits == 4 and stats.input_misses == 0
+    assert stats.recipe_hits == 0 and stats.recipe_misses == 0
     assert stats.store_hits == stats.requested - stats.dedup_hits
     assert "trace_generation" not in stats.stage_seconds
+    assert not [r for r in tracer.records if r.name == "trace_generation"]
     snapshot = stats.registry.snapshot()
-    assert snapshot["engine.recipe_hits"] == 4
+    assert snapshot["engine.input_hits"] == 4
 
 
 @pytest.mark.parametrize("name", sorted(SMALL) + ["drr-phased"])
@@ -136,17 +176,25 @@ def test_warm_store_records_equal_the_cold_run(tmp_path, name, simulations):
         assert simulations == []
 
 
-def test_store_miss_simulates_and_matches_the_bare_platform(simulations):
-    store = open_store(None)
-    LiquidPlatform(store=store).measure_many(SMALL["drr"](), grid(2))
+def forget_input_rows(path):
+    """Delete a store file's input-key rows, so its recipe rows answer (as
+    on the first run after a source edit moves every input key)."""
+    conn = sqlite3.connect(path)
+    with conn:
+        conn.execute("DELETE FROM traces WHERE recipe LIKE 'input:%'")
+    conn.close()
 
+
+def miss_after_a_hit(path, simulations):
+    """Measure grid(5) of drr over a store holding grid(2): the identity row
+    answers, three configurations miss, and the trace is built and checked."""
+    store = open_store(path)
     simulations.clear()
-    workload = SMALL["drr"]()
     engine = LiquidPlatform(store=store)
     configs = grid(5)
-    measured = engine.measure_many(workload, configs)
+    measured = engine.measure_many(SMALL["drr"](), configs)
     assert len(simulations) == 1
-    assert engine.stats.recipe_hits == 1 and engine.stats.store_hits == 2
+    assert engine.stats.store_hits == 2
     assert "trace_generation" in engine.stats.stage_seconds
     reference = SMALL["drr"]()
     platform = LiquidPlatform()
@@ -154,6 +202,31 @@ def test_store_miss_simulates_and_matches_the_bare_platform(simulations):
     # a fresh engine resolves through the same planning
     sweep = LiquidPlatform(store=store).measure_many(SMALL["drr"](), grid(6))
     assert sweep == [platform.measure(reference, config) for config in grid(6)]
+    store.close()
+    return engine.stats
+
+
+def test_store_miss_simulates_and_matches_the_bare_platform(tmp_path, simulations):
+    path = str(tmp_path / "store.sqlite")
+    store = open_store(path)
+    LiquidPlatform(store=store).measure_many(SMALL["drr"](), grid(2))
+    store.close()
+    forget_input_rows(path)
+
+    stats = miss_after_a_hit(path, simulations)
+    assert stats.recipe_hits == 1 and stats.input_misses == 1
+    assert stats.input_hits == 0
+
+
+def test_store_miss_after_an_input_hit_simulates_and_matches_the_bare_platform(
+        tmp_path, simulations):
+    path = str(tmp_path / "store.sqlite")
+    store = open_store(path)
+    LiquidPlatform(store=store).measure_many(SMALL["drr"](), grid(2))
+    store.close()
+
+    stats = miss_after_a_hit(path, simulations)
+    assert stats.input_hits == 1 and stats.recipe_hits == stats.recipe_misses == 0
 
 
 def test_tampered_recipe_row_raises_on_a_miss(tmp_path):
@@ -161,6 +234,7 @@ def test_tampered_recipe_row_raises_on_a_miss(tmp_path):
     store = open_store(path)
     LiquidPlatform(store=store).measure_many(SMALL["arith"](), grid(1))
     store.close()
+    forget_input_rows(path)
     conn = sqlite3.connect(path)
     with conn:
         conn.execute("UPDATE traces SET fingerprint = 'arith:1807:0000000000000000'")
@@ -171,6 +245,7 @@ def test_tampered_recipe_row_raises_on_a_miss(tmp_path):
     engine = LiquidPlatform(store=store)
     with pytest.raises(TraceIdentityError, match="recipe row"):
         engine.measure_many(workload, grid(1))
+    assert engine.stats.recipe_hits == 1 and engine.stats.input_hits == 0
     assert engine.stats.store_writes == 0
     store.close()
 
@@ -208,6 +283,8 @@ def test_phased_workloads_still_simulate_with_identical_results(tmp_path, simula
                         for scenario in scenarios.values()])
         assert all(scenario.recipe() is None for scenario in scenarios.values())
         assert engine.stats.recipe_hits == 0 and engine.stats.recipe_misses == 0
+        assert engine.stats.input_hits == 0 and engine.stats.input_misses == 0
+        assert all(scenario.input_key() is None for scenario in scenarios.values())
         # the composed scenario's components simulate inside the batch
         assert len(simulations) == 2
         store.close()
@@ -227,3 +304,167 @@ def test_warm_run_opens_no_trace_generation_span():
         assert stage.attrs["workload"] == "frag"
     finally:
         disable_tracing()
+
+
+# -- input keys: the trace named by the constructor's arguments ---------------------
+
+#: Constructor arguments of the four workloads, in signature order, at
+#: sizes that construct in about a millisecond (each strategy also draws
+#: the class default, so the default form drops arguments often).
+ARGUMENTS = {
+    ArithWorkload: {"iterations": st.integers(1, 10_000)},
+    BlastnWorkload: {"database_length": st.integers(200, 400),
+                     "query_length": st.integers(10, 40),
+                     "query_count": st.integers(1, 2),
+                     "planted_matches": st.integers(0, 3),
+                     "seed": st.integers(0, 1 << 30)},
+    DrrWorkload: {"packet_count": st.integers(1, 40), "seed": st.integers(0, 1 << 30)},
+    FragWorkload: {"packet_count": st.integers(1, 4),
+                   "mtu": st.sampled_from([148, 276, 580]),
+                   "seed": st.integers(0, 1 << 30)},
+}
+
+
+def _defaults(cls):
+    return {name: parameter.default
+            for name, parameter in inspect.signature(cls.__init__).parameters.items()
+            if name in ARGUMENTS[cls]}
+
+
+def _with_defaults(cls, strategies):
+    defaults = _defaults(cls)
+    return st.fixed_dictionaries(
+        {name: st.one_of(st.just(defaults[name]), strategy)
+         for name, strategy in strategies.items()}).map(lambda args: (cls, args))
+
+
+INPUTS = st.one_of([_with_defaults(cls, strategies) for cls, strategies in ARGUMENTS.items()])
+
+
+@settings(max_examples=40, deadline=None)
+@given(INPUTS, INPUTS)
+def test_equal_inputs_give_equal_keys_and_different_inputs_never_collide(first, second):
+    keys = []
+    for cls, args in (first, second):
+        defaults = _defaults(cls)
+        forms = (cls(*(args[name] for name in ARGUMENTS[cls])), cls(**args),
+                 cls(**{name: value for name, value in args.items()
+                        if value != defaults[name]}))
+        assert len({workload.input_key() for workload in forms}) == 1
+        keys.append(forms[0].input_key())
+    assert (keys[0] == keys[1]) == (first == second)
+
+
+def test_input_key_covers_the_budget_and_numpy(monkeypatch):
+    reference = DrrWorkload(packet_count=150).input_key()
+    assert DrrWorkload(150, max_instructions=10**6).input_key() != reference
+    assert BlastnWorkload().input_key() == BlastnWorkload(
+        seed=1990, max_instructions=5_000_000).input_key()
+    monkeypatch.setattr(workload_base.np, "__version__", "0.0.0")
+    assert DrrWorkload(packet_count=150).input_key() != reference
+    monkeypatch.undo()
+    monkeypatch.setattr(workload_base, "SIMULATOR_VERSION",
+                        workload_base.SIMULATOR_VERSION + 1)
+    assert DrrWorkload(packet_count=150).input_key() != reference
+
+
+def test_workloads_with_objects_for_inputs_have_no_input_key():
+    program = SMALL["arith"]().program
+    assert ProgramWorkload(program).input_key() is None
+    assert drr_enqueue_service(packet_count=60).input_key() is None
+
+
+class OutsideArith(ArithWorkload):
+    """A workload class from outside the package: its code is not in CODE_DIGEST."""
+
+
+def test_workload_classes_outside_the_package_have_no_input_key():
+    assert OutsideArith(iterations=200).input_key() is None
+    assert ArithWorkload(iterations=200).input_key() is not None
+
+
+def _run_python(code, pythonpath, **env):
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(pythonpath), **env))
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_editing_an_assembler_helper_moves_the_code_digest(tmp_path):
+    copy = tmp_path / "src" / "repro"
+    shutil.copytree(pathlib.Path(workload_base.__file__).parents[1], copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    probe = "from repro.workloads.base import CODE_DIGEST; print(CODE_DIGEST)"
+    unedited = _run_python(probe, copy.parent)
+    assembler = copy / "isa" / "assembler.py"
+    source = assembler.read_text()
+    assert "        if low:\n" in source
+    assembler.write_text(source.replace("        if low:\n", "        if low or True:\n"))
+    assert _run_python(probe, copy.parent) != unedited
+
+
+def test_recipes_do_not_depend_on_the_hash_seed():
+    """Inputs determine the program: the same constructors assemble the same
+    recipes in processes with different string hashing."""
+    probe = ("from repro.workloads import ArithWorkload, BlastnWorkload, DrrWorkload, "
+             "FragWorkload\n"
+             "print(ArithWorkload(iterations=200).recipe(), BlastnWorkload("
+             "database_length=1200, query_length=48, query_count=1).recipe(), "
+             "DrrWorkload(packet_count=150).recipe(), FragWorkload(packet_count=4).recipe())")
+    src = pathlib.Path(workload_base.__file__).parents[2]
+    recipes = {_run_python(probe, src, PYTHONHASHSEED=seed) for seed in ("0", "4242")}
+    assert recipes == {" ".join(workload.recipe() for workload in small_suite()) + "\n"}
+
+
+def test_forged_input_row_raises_once_the_trace_is_built(tmp_path):
+    path = str(tmp_path / "store.sqlite")
+    store = open_store(path)
+    LiquidPlatform(store=store).measure_many(SMALL["drr"](), grid(1))
+    store.close()
+    conn = sqlite3.connect(path)
+    with conn:
+        conn.execute("UPDATE traces SET fingerprint = 'drr:1:0000000000000000'"
+                     " WHERE recipe LIKE 'input:%'")
+    conn.close()
+
+    store = open_store(path)
+    engine = LiquidPlatform(store=store)
+    with pytest.raises(TraceIdentityError, match="input-key row"):
+        engine.measure_many(SMALL["drr"](), grid(1))
+    assert engine.stats.input_hits == 1 and engine.stats.store_writes == 0
+    store.close()
+
+
+def test_a_recipe_only_store_writes_the_input_row_once(tmp_path, assemblies):
+    """A store written before input keys existed resolves by recipe, which
+    assembles the program once and adds the input row; the next run needs
+    no program.  The ``recipe`` stage names the row that answered."""
+    path = str(tmp_path / "store.sqlite")
+    store = open_store(path)
+    LiquidPlatform(store=store).measure_many(SMALL["frag"](), grid(2))
+    store.close()
+    conn = sqlite3.connect(path)
+    with conn:
+        conn.execute("DELETE FROM traces WHERE recipe LIKE 'input:%'")
+    conn.close()
+
+    store = open_store(path)
+    tracer = enable_tracing()
+    try:
+        hits = []
+        for _ in range(2):
+            assemblies.clear()
+            engine = LiquidPlatform(store=store)
+            engine.measure_many(SMALL["frag"](), grid(2))
+            stats = engine.stats
+            hits.append((len(assemblies), stats.input_hits, stats.input_misses,
+                         stats.recipe_hits, stats.store_writes, stats.cache_simulations))
+        stages = [(r.attrs["workload"], r.attrs["hit"])
+                  for r in tracer.records if r.name == "recipe"]
+    finally:
+        disable_tracing()
+        store.close()
+    assert hits == [(1, 0, 1, 1, 0, 0), (0, 1, 0, 0, 0, 0)]
+    assert stages == [("frag", "recipe"), ("frag", "input")]
+    assert "recipe" in engine.stats.stage_seconds
