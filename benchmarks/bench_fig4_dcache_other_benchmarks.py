@@ -6,7 +6,7 @@ benchmark, and Arith is unaffected by the data cache because it is not
 data intensive.
 """
 
-from conftest import emit
+from conftest import SMOKE, emit
 
 from repro.analysis import dcache_study
 
@@ -20,6 +20,8 @@ def test_fig4_dcache_exhaustive_vs_optimizer(benchmark, platform, workloads):
     # Arith: "No effect, as application is not data intensive"
     arith = result.data["arith"]
     assert arith["optimizer_cycles"] == arith["base_cycles"]
+    if SMOKE:
+        return  # the 24-32 KB preference needs the benchmark-scale traces
     # the memory-intensive benchmarks want 24-32 KB of data cache
     for name in ("blastn", "drr"):
         sets, size = result.data[name]["exhaustive_config"]

@@ -1,12 +1,16 @@
 """Headline claims of the paper lined up against the reproduction."""
 
-from conftest import emit
+from conftest import SMOKE, emit
 
 from repro.analysis import (
     dcache_study,
     headline_comparison,
     resource_optimization,
 )
+
+#: The one claim whose literal (the largest data caches) holds only at
+#: benchmark scale.
+SCALE_BOUND_CLAIM = "memory-intensive benchmarks want the largest data caches"
 
 
 def test_headline_claims(benchmark, platform, workloads, figure5):
@@ -17,4 +21,11 @@ def test_headline_claims(benchmark, platform, workloads, figure5):
     emit(result)
     checks = result.data["checks"]
     assert len(checks) == 5
+    if SMOKE:
+        # the small traces fit in small data caches: the cache-size claim
+        # needs the benchmark-scale traces, every other claim holds anyway
+        checks = [c for c in checks if c.claim != SCALE_BOUND_CLAIM]
+        assert len(checks) == 4
+        assert all(c.holds for c in checks), [c.claim for c in checks if not c.holds]
+        return
     assert result.data["all_hold"], [c.claim for c in checks if not c.holds]

@@ -153,7 +153,8 @@ def dcache_exhaustive(
         (sets, size, base.replace(dcache_sets=sets, dcache_setsize_kb=size))
         for sets, size in itertools.product(set_counts, set_sizes)
     ]
-    points = [(sets, size, config) for sets, size, config in points if platform.fits(config)]
+    fits = platform.fits_many([config for _, _, config in points])
+    points = [point for point, fit in zip(points, fits) if fit]
     measurements = platform.measure_many(workload, [config for _, _, config in points])
     rows: List[Dict[str, Any]] = []
     for (sets, size, _), measurement in zip(points, measurements):
@@ -447,7 +448,8 @@ def phase_transition_study(
             (sets, size, base.replace(dcache_sets=sets, dcache_setsize_kb=size))
             for sets, size in itertools.product(set_counts, set_sizes)
         ]
-        points = [p for p in points if platform.fits(p[2])]
+        fits = platform.fits_many([p[2] for p in points])
+        points = [p for p, fit in zip(points, fits) if fit]
         phased = platform.measure_phases(workload, [config for _, _, config in points])
         phased_results[scenario_name] = phased
         for (sets, size, _), result in zip(points, phased):

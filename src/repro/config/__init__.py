@@ -11,7 +11,12 @@ from repro.config.leon_space import (
     CACHE_LINE_SIZES_WORDS,
     REGISTER_WINDOW_COUNTS,
 )
-from repro.config.configuration import Configuration, base_configuration
+from repro.config.configuration import (
+    Configuration,
+    ConfigurationColumns,
+    base_configuration,
+    configuration_columns,
+)
 from repro.config.rules import (
     RuleViolation,
     ValidityRule,
@@ -39,7 +44,9 @@ __all__ = [
     "CACHE_LINE_SIZES_WORDS",
     "REGISTER_WINDOW_COUNTS",
     "Configuration",
+    "ConfigurationColumns",
     "base_configuration",
+    "configuration_columns",
     "RuleViolation",
     "ValidityRule",
     "check_rules",

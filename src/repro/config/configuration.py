@@ -5,17 +5,26 @@ A :class:`Configuration` is a full assignment of every parameter in a
 hashable and therefore usable as memoisation keys by the measurement
 platform (the real Liquid Architecture platform caches bitstreams the same
 way).
+
+A batch of configurations is read once into integer columns
+(:class:`ConfigurationColumns`): the synthesis model, the cache planner
+and the timing model each compute their terms as array operations over
+those columns instead of walking every configuration.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Mapping, Tuple
+from operator import itemgetter
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.config.parameters import ParameterSpace
-from repro.config.leon_space import leon_parameter_space
+from repro.config.leon_space import Divider, Multiplier, Replacement, leon_parameter_space
 from repro.errors import ConfigurationError
 
-__all__ = ["Configuration", "base_configuration"]
+__all__ = ["Configuration", "ConfigurationColumns", "SYMBOLS", "base_configuration",
+           "configuration_columns"]
 
 
 class Configuration(Mapping[str, Any]):
@@ -134,3 +143,81 @@ def base_configuration(space: ParameterSpace | None = None) -> Configuration:
     """
     space = space if space is not None else leon_parameter_space()
     return Configuration(space, space.defaults())
+
+
+#: Symbolic parameters: a column holds each value's index in its tuple here.
+SYMBOLS: Dict[str, Tuple[str, ...]] = {
+    "icache_replacement": Replacement.ALL,
+    "dcache_replacement": Replacement.ALL,
+    "divider": Divider.ALL,
+    "multiplier": Multiplier.ALL,
+}
+
+#: The parameters a column batch holds, in LEON space order.
+_COLUMN_NAMES: Tuple[str, ...] = tuple(p.name for p in leon_parameter_space())
+_COLUMN_INDEX: Dict[str, int] = {name: i for i, name in enumerate(_COLUMN_NAMES)}
+_COLUMN_VALUES = itemgetter(*_COLUMN_NAMES)
+_SYMBOL_CODES: List[Tuple[int, Dict[str, int]]] = [
+    (_COLUMN_INDEX[name], {value: code for code, value in enumerate(values)})
+    for name, values in SYMBOLS.items()]
+
+
+class ConfigurationColumns(Sequence[Configuration]):
+    """A batch of LEON configurations read once into integer columns.
+
+    The batch is a sequence of its configurations; :meth:`column` is one
+    parameter's values over the batch as an ``int64`` array (booleans
+    are 0/1, and the parameters of :data:`SYMBOLS` hold the index of
+    their value).  A slice or :meth:`take` selects rows without reading
+    any configuration again.
+    """
+
+    __slots__ = ("configurations", "_matrix")
+
+    def __init__(self, configurations: Iterable[Configuration]):
+        self.configurations: Tuple[Configuration, ...] = tuple(configurations)
+        columns = list(zip(*[_COLUMN_VALUES(c._values) for c in self.configurations]))
+        if not columns:
+            self._matrix = np.empty((len(_COLUMN_NAMES), 0), dtype=np.int64)
+            return
+        for index, codes in _SYMBOL_CODES:
+            columns[index] = list(map(codes.__getitem__, columns[index]))
+        self._matrix = np.array(columns, dtype=np.int64)
+
+    @classmethod
+    def _from_matrix(cls, configurations: Tuple[Configuration, ...],
+                     matrix: np.ndarray) -> "ConfigurationColumns":
+        batch = cls.__new__(cls)
+        batch.configurations = configurations
+        batch._matrix = matrix
+        return batch
+
+    def column(self, name: str) -> np.ndarray:
+        """The values of parameter ``name`` over the batch."""
+        return self._matrix[_COLUMN_INDEX[name]]
+
+    def take(self, indices: Sequence[int]) -> "ConfigurationColumns":
+        """The batch of the rows at ``indices``, in that order."""
+        configurations = self.configurations
+        return self._from_matrix(tuple(configurations[i] for i in indices),
+                                 self._matrix[:, np.asarray(indices, dtype=np.intp)])
+
+    def __len__(self) -> int:
+        return len(self.configurations)
+
+    def __iter__(self) -> Iterator[Configuration]:
+        return iter(self.configurations)
+
+    def __getitem__(self, index):  # type: ignore[override]
+        if isinstance(index, slice):
+            return self._from_matrix(self.configurations[index], self._matrix[:, index])
+        return self.configurations[index]
+
+
+def configuration_columns(
+    configs: Union[ConfigurationColumns, Iterable[Configuration]]
+) -> ConfigurationColumns:
+    """``configs`` as a column batch, read only if it is not one already."""
+    if isinstance(configs, ConfigurationColumns):
+        return configs
+    return ConfigurationColumns(configs)

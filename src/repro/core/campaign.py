@@ -17,15 +17,22 @@ Each run submits the base configuration and every perturbation as
 **one batch** through the platform's
 :meth:`~repro.platform.liquid.LiquidPlatform.measure_many`, so the
 underlying simulations are deduplicated, share their trace decodes and
-are timed in one broadcast evaluation.
+are timed in one broadcast evaluation.  The plan holds its batch as
+configuration columns (read once per plan), and a run's deltas are
+column differences against the base row of the returned
+:class:`~repro.platform.measurement.MeasurementBatch`: no per-perturbation
+:class:`~repro.platform.measurement.Measurement` is built unless a caller
+reads one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
-from repro.config.configuration import Configuration
+import numpy as np
+
+from repro.config.configuration import Configuration, ConfigurationColumns
 from repro.config.leon_space import leon_parameter_space
 from repro.config.parameters import ParameterSpace
 from repro.config.perturbation import PerturbationSpace
@@ -33,7 +40,7 @@ from repro.errors import MeasurementError
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import span
 from repro.platform.liquid import LiquidPlatform
-from repro.platform.measurement import CostDelta, Measurement
+from repro.platform.measurement import CostDelta, Measurement, MeasurementBatch
 from repro.core.model import CostModel
 from repro.workloads.base import Workload
 
@@ -53,7 +60,7 @@ class CampaignRecord:
 
 #: A campaign plan: the perturbation space and the batch every run of the
 #: campaign measures (the base configuration, then one per variable).
-Plan = Tuple[PerturbationSpace, Tuple[Configuration, ...]]
+Plan = Tuple[PerturbationSpace, ConfigurationColumns]
 
 
 class OneFactorCampaign:
@@ -70,7 +77,8 @@ class OneFactorCampaign:
     ):
         self.platform = platform
         self.parameter_space = parameter_space or leon_parameter_space()
-        self._records: List[CampaignRecord] = []
+        self._last: Optional[Tuple[PerturbationSpace, MeasurementBatch,
+                                   Tuple[CostDelta, ...]]] = None
         self._plans: Dict[Optional[FrozenSet[str]], Plan] = {}
 
     # -- planning --------------------------------------------------------------------------
@@ -83,10 +91,10 @@ class OneFactorCampaign:
     ) -> Plan:
         """The perturbation space and the batch one run measures, base first.
 
-        Every perturbation is screened with the platform's (memoised)
-        :meth:`fits` before anything is measured: the paper excludes
-        unbuildable values a priori (e.g. a 64 KB set size), and with the
-        default LEON space every perturbation fits.  Plans are memoised
+        Every perturbation is screened in one column with the platform's
+        (memoised) :meth:`fits_many` before anything is measured: the
+        paper excludes unbuildable values a priori (e.g. a 64 KB set
+        size), and with the default LEON space every perturbation fits.  Plans are memoised
         by the restriction (``None`` or the set of ``parameters``); a
         caller-built ``perturbation_space`` is planned afresh, and a plan
         whose screen fails is not kept.
@@ -97,14 +105,14 @@ class OneFactorCampaign:
         with span("campaign_plan", reused=reused) as plan_span:
             if plan is None:
                 space = perturbation_space or PerturbationSpace(self.parameter_space, key)
-                configurations = [space.base]
-                for variable, configuration in space.iter_single_configurations():
-                    if not self.platform.fits(configuration):
-                        raise MeasurementError(
-                            f"perturbation {variable.label} does not fit on the device; "
-                            f"exclude the value from the parameter space")
-                    configurations.append(configuration)
-                plan = (space, tuple(configurations))
+                configurations = ConfigurationColumns(
+                    [space.base, *(config for _, config in space.iter_single_configurations())])
+                misfits = np.flatnonzero(~self.platform.fits_many(configurations[1:]))
+                if misfits.size:
+                    raise MeasurementError(
+                        f"perturbation {space.variable(int(misfits[0])).label} does not fit "
+                        f"on the device; exclude the value from the parameter space")
+                plan = (space, configurations)
                 if perturbation_space is None:
                     self._plans[key] = plan
             plan_span.set(variables=len(plan[0]), configs=len(plan[1]))
@@ -129,15 +137,31 @@ class OneFactorCampaign:
         """
         space, configurations = self._plan(
             parameters=parameters, perturbation_space=perturbation_space)
-        base, *perturbed = self.platform.measure_many(workload, configurations)
-        deltas = tuple(measurement.delta(base) for measurement in perturbed)
-        self._records = [
-            CampaignRecord(index=variable.index, label=variable.label,
-                           configuration=measurement.configuration,
-                           measurement=measurement, delta=delta)
-            for variable, measurement, delta in zip(space, perturbed, deltas)]
-        return CostModel(workload=workload.name, space=space, base=base,
-                         deltas=deltas, measurements=tuple(perturbed))
+        batch = self.platform.measure_many(workload, configurations)
+        deltas = self._deltas(batch)
+        perturbed = batch[1:]
+        self._last = (space, perturbed, deltas)
+        return CostModel(workload=workload.name, space=space, base=batch[0],
+                         deltas=deltas, measurements=perturbed)
+
+    @staticmethod
+    def _deltas(batch: MeasurementBatch) -> Tuple[CostDelta, ...]:
+        """rho/lambda/beta of every row after the first, relative to the first.
+
+        Column differences with the scalar operation order of
+        :meth:`Measurement.delta <repro.platform.measurement.Measurement.delta>`,
+        so every value is bit-identical to it (rho is 0 when the base
+        runs no cycles).
+        """
+        cycles = batch.cycles
+        base_cycles = cycles[0]
+        if base_cycles == 0:
+            rho = np.zeros(len(batch) - 1)
+        else:
+            rho = 100.0 * (cycles[1:] - base_cycles) / base_cycles
+        lam = batch.lut_percent[1:] - batch.lut_percent[0]
+        beta = batch.bram_percent[1:] - batch.bram_percent[0]
+        return tuple(map(CostDelta, rho.tolist(), lam.tolist(), beta.tolist()))
 
     def run_many(
         self,
@@ -160,8 +184,15 @@ class OneFactorCampaign:
 
     @property
     def records(self) -> Tuple[CampaignRecord, ...]:
-        """Records of the most recent campaign run."""
-        return tuple(self._records)
+        """Records of the most recent campaign run (its rows built on demand)."""
+        if self._last is None:
+            return ()
+        space, perturbed, deltas = self._last
+        return tuple(
+            CampaignRecord(index=variable.index, label=variable.label,
+                           configuration=measurement.configuration,
+                           measurement=measurement, delta=delta)
+            for variable, measurement, delta in zip(space, perturbed, deltas))
 
     def effort(self) -> Dict[str, int]:
         """Distinct builds and profiling runs performed by the platform so far."""

@@ -63,7 +63,7 @@ from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Sequence, T
 
 import numpy as np
 
-from repro.config.configuration import Configuration
+from repro.config.configuration import Configuration, ConfigurationColumns
 from repro.errors import StoreFormatError
 from repro.fpga.device import FpgaDevice, XCV2000E
 from repro.microarch.cache import CacheConfig, CacheStatistics
@@ -441,7 +441,8 @@ class ResultStore:
             self._reader = LiquidPlatform(
                 self.device, timing_parameters=self.timing_parameters)
         reader = self._reader
-        [pair], jobs = reader.cache_plan(workload, [config])
+        configs = ConfigurationColumns([config])
+        plan, jobs = reader.cache_plan(workload, configs)
         if jobs or not reader.has_summary(workload):
             summary, runs = self.load(workload.fingerprint())
             if summary is None:
@@ -450,7 +451,7 @@ class ResultStore:
             reader.install_cache_runs(runs)
             if reader.pending_jobs(jobs):
                 return None
-        return reader.assemble(workload, [config], [pair])[0]
+        return reader.assemble(workload, configs, reader.build_many(configs), plan)[0]
 
     def encode(self, workload: Workload, measurement: Measurement) -> Dict[str, Any]:
         """Plain-data record of one measurement (the service's wire format).

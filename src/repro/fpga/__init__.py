@@ -2,7 +2,7 @@
 
 from repro.fpga.device import BRAM_BYTES, FpgaDevice, XCV2000E
 from repro.fpga.report import ResourceReport
-from repro.fpga.synthesis import CacheGeometry, SynthesisModel
+from repro.fpga.synthesis import SynthesisModel
 from repro.fpga.power import EnergyEstimate, PowerModel, energy_cost_percent
 
 __all__ = [
@@ -10,7 +10,6 @@ __all__ = [
     "FpgaDevice",
     "XCV2000E",
     "ResourceReport",
-    "CacheGeometry",
     "SynthesisModel",
     "EnergyEstimate",
     "PowerModel",

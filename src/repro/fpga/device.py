@@ -41,9 +41,12 @@ class FpgaDevice:
         """BRAM utilisation as a percentage of device capacity."""
         return 100.0 * brams / self.brams
 
-    def fits(self, luts: int, brams: int) -> bool:
-        """True when the given resource usage fits on the device."""
-        return 0 <= luts <= self.luts and 0 <= brams <= self.brams
+    def fits(self, luts, brams):
+        """True when the given resource usage fits on the device.
+
+        Elementwise on arrays of counts (a batch's LUT and BRAM columns).
+        """
+        return (0 <= luts) & (luts <= self.luts) & (0 <= brams) & (brams <= self.brams)
 
     def headroom(self, luts: int, brams: int) -> tuple[int, int]:
         """Remaining (LUTs, BRAMs) after subtracting the given usage.

@@ -5,17 +5,37 @@ configuration: absolute LUT and BRAM counts, a per-component breakdown and
 utilisation percentages relative to the target device.  The paper works
 almost exclusively in utilisation percentages (its chip-resource cost is
 ``%LUT + %BRAM``), so the report exposes those directly.
+
+The synthesis model produces a batch's reports as one resource table:
+a row per configuration holding its :data:`LUT_COMPONENTS` and then its
+:data:`BRAM_COMPONENTS`; :meth:`ResourceReport.from_row` reads one row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping
+from typing import Dict, Mapping, Sequence, Tuple
+
+import numpy as np
 
 from repro.fpga.device import FpgaDevice
 from repro.errors import ResourceError
 
-__all__ = ["ResourceReport"]
+__all__ = ["BRAM_COMPONENTS", "LUT_COMPONENTS", "ResourceReport", "resource_totals"]
+
+#: The LUT breakdown of a report, in resource-table column order.
+LUT_COMPONENTS: Tuple[str, ...] = (
+    "icache", "dcache", "integer_unit", "multiplier", "divider", "synthesis_options",
+    "fixed")
+
+#: The BRAM breakdown of a report; these columns follow the LUT ones.
+BRAM_COMPONENTS: Tuple[str, ...] = ("icache", "dcache", "register_file", "fixed")
+
+
+def resource_totals(table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The LUT and BRAM columns of a resource table (sums of their components)."""
+    split = len(LUT_COMPONENTS)
+    return table[:, :split].sum(axis=1), table[:, split:].sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -31,6 +51,13 @@ class ResourceReport:
     def __post_init__(self) -> None:
         if self.luts < 0 or self.brams < 0:
             raise ResourceError("resource counts cannot be negative")
+
+    @classmethod
+    def from_row(cls, device: FpgaDevice, row: Sequence[int]) -> "ResourceReport":
+        """The report of one resource-table row (a list of ``int``)."""
+        split = len(LUT_COMPONENTS)
+        return cls(device, sum(row[:split]), sum(row[split:]),
+                   dict(zip(LUT_COMPONENTS, row)), dict(zip(BRAM_COMPONENTS, row[split:])))
 
     # -- utilisation --------------------------------------------------------------
 

@@ -22,45 +22,32 @@ The *structure* of the model mirrors real LEON synthesis results: cache
 data and tag arrays consume block RAM proportional to their capacity, the
 register file consumes block RAM proportional to the window count, and
 LUTs are the sum of per-subsystem contributions.
+
+Because every count is a sum of per-subsystem terms, a batch is
+synthesised in one coefficient pass: :meth:`SynthesisModel.synthesize`
+reads the batch's :class:`~repro.config.configuration.ConfigurationColumns`
+and computes each term as one integer array operation, giving the batch's
+resource table (see :mod:`repro.fpga.report`).  All arithmetic is on
+integers, so every count is exact.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Sequence
 
-from repro.config.configuration import Configuration
+import numpy as np
+
+from repro.config.configuration import Configuration, ConfigurationColumns, configuration_columns
 from repro.config.leon_space import Divider, Multiplier, Replacement
 from repro.fpga.device import BRAM_BYTES, FpgaDevice, XCV2000E
-from repro.fpga.report import ResourceReport
+from repro.fpga.report import BRAM_COMPONENTS, LUT_COMPONENTS
 
-__all__ = ["SynthesisModel", "CacheGeometry"]
+__all__ = ["SynthesisModel"]
 
 
-@dataclass(frozen=True)
-class CacheGeometry:
-    """Geometry of one cache (instruction or data)."""
-
-    sets: int
-    setsize_kb: int
-    linesize_words: int
-
-    @property
-    def total_bytes(self) -> int:
-        return self.sets * self.setsize_kb * 1024
-
-    @property
-    def linesize_bytes(self) -> int:
-        return self.linesize_words * 4
-
-    @property
-    def lines_per_set(self) -> int:
-        return (self.setsize_kb * 1024) // self.linesize_bytes
-
-    @property
-    def total_lines(self) -> int:
-        return self.sets * self.lines_per_set
+def _ceil_brams(nbytes):
+    """Block RAMs needed for ``nbytes`` bytes (integer ceiling division)."""
+    return -(-nbytes // BRAM_BYTES)
 
 
 class SynthesisModel:
@@ -108,113 +95,81 @@ class SynthesisModel:
 
     def __init__(self, device: FpgaDevice = XCV2000E):
         self.device = device
+        # the symbolic tables as arrays indexed by a column's value codes
+        replacement_luts = {Replacement.RANDOM: 0, Replacement.LRR: self.CACHE_LRR_LUTS,
+                            Replacement.LRU: self.CACHE_LRU_LUTS}
+        self._replacement_luts = np.array(
+            [replacement_luts[r] for r in Replacement.ALL], dtype=np.int64)
+        self._multiplier_luts = np.array(
+            [self.MULTIPLIER_LUTS[m] for m in Multiplier.ALL], dtype=np.int64)
+        self._divider_luts = np.array(
+            [self.DIVIDER_LUTS[d] for d in Divider.ALL], dtype=np.int64)
 
     # -- public API ------------------------------------------------------------------
 
-    def synthesize(self, config: Configuration) -> ResourceReport:
-        """Synthesise ``config`` and return its resource report.
+    def synthesize(self, configs: Sequence[Configuration]) -> np.ndarray:
+        """The resource table of a batch: one ``int64`` row per configuration.
 
-        The report is not checked against the device capacity; callers
-        that need a buildable configuration should use
-        :meth:`~repro.fpga.report.ResourceReport.require_fits`.
+        Each row holds the configuration's :data:`~repro.fpga.report.LUT_COMPONENTS`
+        and then its :data:`~repro.fpga.report.BRAM_COMPONENTS`;
+        :meth:`ResourceReport.from_row <repro.fpga.report.ResourceReport.from_row>`
+        turns a row into a report.  Rows are not checked against the
+        device capacity.
         """
-        lut_breakdown = self._lut_breakdown(config)
-        bram_breakdown = self._bram_breakdown(config)
-        return ResourceReport(
-            device=self.device,
-            luts=sum(lut_breakdown.values()),
-            brams=sum(bram_breakdown.values()),
-            lut_breakdown=lut_breakdown,
-            bram_breakdown=bram_breakdown,
-        )
+        columns = configuration_columns(configs)
+        column = columns.column
+        table = np.empty((len(columns), len(LUT_COMPONENTS) + len(BRAM_COMPONENTS)),
+                         dtype=np.int64)
+        table[:, 0] = self.cache_luts(
+            column("icache_sets"), column("icache_linesize_words"),
+            column("icache_replacement"))
+        table[:, 1] = self.cache_luts(
+            column("dcache_sets"), column("dcache_linesize_words"),
+            column("dcache_replacement"),
+            column("dcache_fast_read") * self.DCACHE_FAST_READ_LUTS
+            + column("dcache_fast_write") * self.DCACHE_FAST_WRITE_LUTS)
+        table[:, 2] = self.integer_unit_luts(columns)
+        table[:, 3] = self._multiplier_luts[column("multiplier")]
+        table[:, 4] = self._divider_luts[column("divider")]
+        table[:, 5] = (1 - column("infer_mult_div")) * self.NO_INFER_LUTS
+        table[:, 6] = self.FIXED_LUTS
+        table[:, 7] = self.cache_brams(
+            column("icache_sets"), column("icache_setsize_kb"),
+            column("icache_linesize_words"))
+        table[:, 8] = self.cache_brams(
+            column("dcache_sets"), column("dcache_setsize_kb"),
+            column("dcache_linesize_words"))
+        table[:, 9] = self.register_file_brams(column("register_windows"))
+        table[:, 10] = self.FIXED_BRAM
+        return table
 
-    def fits(self, config: Configuration) -> bool:
-        """True when ``config`` fits on the device."""
-        return self.synthesize(config).fits()
+    # -- BRAM model (elementwise over columns) ----------------------------------------------
 
-    # -- BRAM model ----------------------------------------------------------------------
+    def cache_brams(self, sets, setsize_kb, linesize_words):
+        """Block RAMs of one cache: its data arrays plus its tag arrays (at least one)."""
+        way_bytes = setsize_kb * 1024
+        tag_bytes = sets * (way_bytes // (linesize_words * 4)) * self.TAG_ENTRY_BYTES
+        return _ceil_brams(sets * way_bytes) + np.maximum(1, _ceil_brams(tag_bytes))
 
-    def cache_data_brams(self, geometry: CacheGeometry) -> int:
-        """Block RAMs holding the cache data arrays."""
-        return math.ceil(geometry.total_bytes / BRAM_BYTES)
-
-    def cache_tag_brams(self, geometry: CacheGeometry) -> int:
-        """Block RAMs holding the cache tag arrays."""
-        tag_bytes = geometry.total_lines * self.TAG_ENTRY_BYTES
-        return max(1, math.ceil(tag_bytes / BRAM_BYTES))
-
-    def cache_brams(self, geometry: CacheGeometry) -> int:
-        """Total block RAMs of one cache (data + tags)."""
-        return self.cache_data_brams(geometry) + self.cache_tag_brams(geometry)
-
-    def register_file_brams(self, windows: int) -> int:
+    def register_file_brams(self, windows):
         """Block RAMs of the windowed register file (dual-ported)."""
-        registers = windows * 16 + 8
-        bytes_needed = registers * 4
-        return 2 * math.ceil(bytes_needed / BRAM_BYTES)
+        return 2 * _ceil_brams((windows * 16 + 8) * 4)
 
-    def _bram_breakdown(self, config: Configuration) -> Dict[str, int]:
-        icache = CacheGeometry(
-            config.icache_sets, config.icache_setsize_kb, config.icache_linesize_words)
-        dcache = CacheGeometry(
-            config.dcache_sets, config.dcache_setsize_kb, config.dcache_linesize_words)
-        return {
-            "icache": self.cache_brams(icache),
-            "dcache": self.cache_brams(dcache),
-            "register_file": self.register_file_brams(config.register_windows),
-            "fixed": self.FIXED_BRAM,
-        }
+    # -- LUT model (elementwise over columns) ------------------------------------------------
 
-    # -- LUT model ------------------------------------------------------------------------
+    def cache_luts(self, sets, linesize_words, replacement, extra=0):
+        """LUTs of one cache controller; ``replacement`` holds value codes."""
+        return (self.CACHE_CONTROLLER_LUTS + self.CACHE_EXTRA_SET_LUTS * (sets - 1)
+                + self._replacement_luts[replacement]
+                + (linesize_words == 4) * self.CACHE_SHORT_LINE_LUTS + extra)
 
-    def cache_luts(self, geometry: CacheGeometry, replacement: str,
-                   fast_read: bool = False, fast_write: bool = False) -> int:
-        """LUTs of one cache controller."""
-        luts = self.CACHE_CONTROLLER_LUTS
-        luts += self.CACHE_EXTRA_SET_LUTS * (geometry.sets - 1)
-        if replacement == Replacement.LRU:
-            luts += self.CACHE_LRU_LUTS
-        elif replacement == Replacement.LRR:
-            luts += self.CACHE_LRR_LUTS
-        if geometry.linesize_words == 4:
-            luts += self.CACHE_SHORT_LINE_LUTS
-        if fast_read:
-            luts += self.DCACHE_FAST_READ_LUTS
-        if fast_write:
-            luts += self.DCACHE_FAST_WRITE_LUTS
-        return luts
-
-    def integer_unit_luts(self, config: Configuration) -> int:
+    def integer_unit_luts(self, columns: ConfigurationColumns):
         """LUTs of the integer unit excluding multiplier and divider."""
-        luts = 0
-        if config.fast_jump:
-            luts += self.FAST_JUMP_LUTS
-        if config.icc_hold:
-            luts += self.ICC_HOLD_LUTS
-        if config.fast_decode:
-            luts += self.FAST_DECODE_LUTS
-        if config.load_delay == 1:
-            luts += self.LOAD_DELAY1_LUTS
-        extra_windows = max(0, config.register_windows - self.BASE_REGISTER_WINDOWS)
-        luts += self.REGISTER_WINDOW_LUTS * extra_windows
-        return luts
-
-    def _lut_breakdown(self, config: Configuration) -> Dict[str, int]:
-        icache = CacheGeometry(
-            config.icache_sets, config.icache_setsize_kb, config.icache_linesize_words)
-        dcache = CacheGeometry(
-            config.dcache_sets, config.dcache_setsize_kb, config.dcache_linesize_words)
-        mult_luts = self.MULTIPLIER_LUTS[config.multiplier]
-        div_luts = self.DIVIDER_LUTS[config.divider]
-        infer_luts = 0 if config.infer_mult_div else self.NO_INFER_LUTS
-        return {
-            "icache": self.cache_luts(icache, config.icache_replacement),
-            "dcache": self.cache_luts(
-                dcache, config.dcache_replacement,
-                fast_read=config.dcache_fast_read, fast_write=config.dcache_fast_write),
-            "integer_unit": self.integer_unit_luts(config),
-            "multiplier": mult_luts,
-            "divider": div_luts,
-            "synthesis_options": infer_luts,
-            "fixed": self.FIXED_LUTS,
-        }
+        column = columns.column
+        extra_windows = np.maximum(
+            0, column("register_windows") - self.BASE_REGISTER_WINDOWS)
+        return (column("fast_jump") * self.FAST_JUMP_LUTS
+                + column("icc_hold") * self.ICC_HOLD_LUTS
+                + column("fast_decode") * self.FAST_DECODE_LUTS
+                + (column("load_delay") == 1) * self.LOAD_DELAY1_LUTS
+                + self.REGISTER_WINDOW_LUTS * extra_windows)

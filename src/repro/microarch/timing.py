@@ -36,19 +36,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.config.configuration import Configuration
+from repro.config.configuration import Configuration, configuration_columns
 from repro.config.leon_space import Divider, Multiplier
 from repro.isa.instructions import OpClass
-from repro.microarch.cache import CacheStatistics
-from repro.microarch.statistics import ExecutionStatistics
 from repro.microarch.trace import TraceSummary
 
 __all__ = [
+    "BREAKDOWN_CATEGORIES",
+    "TIMING_COLUMNS",
     "TimingParameters",
     "count_window_traps",
     "evaluate_many",
@@ -94,22 +93,24 @@ class TimingParameters:
         (Divider.NONE, 129),          # software emulation
     )
 
-    # The lookup dicts are built once per TimingParameters instance (the
-    # latency tables are frozen tuples); cached_property writes straight to
+    # The latency columns are built once per TimingParameters instance (the
+    # tables are frozen tuples); cached_property writes straight to
     # __dict__, which a frozen dataclass permits.
     @cached_property
-    def _multiplier_latencies(self) -> Dict[str, int]:
-        return dict(self.multiplier_extra)
+    def multiplier_latency_codes(self) -> np.ndarray:
+        """Multiplier latencies indexed by a configuration column's value code."""
+        return np.array([self.multiplier_latency(m) for m in Multiplier.ALL], dtype=np.int64)
 
     @cached_property
-    def _divider_latencies(self) -> Dict[str, int]:
-        return dict(self.divider_extra)
+    def divider_latency_codes(self) -> np.ndarray:
+        """Divider latencies indexed by a configuration column's value code."""
+        return np.array([self.divider_latency(d) for d in Divider.ALL], dtype=np.int64)
 
     def multiplier_latency(self, multiplier: str) -> int:
-        return self._multiplier_latencies[multiplier]
+        return dict(self.multiplier_extra)[multiplier]
 
     def divider_latency(self, divider: str) -> int:
-        return self._divider_latencies[divider]
+        return dict(self.divider_extra)[divider]
 
     def line_fill_penalty(self, linesize_words: int) -> int:
         """Cache miss penalty for a line of the given size."""
@@ -177,102 +178,80 @@ def _complex_instructions(f) -> int:
         + f.count(OpClass.BRANCH_TAKEN) + f.count(OpClass.BRANCH_UNTAKEN))
 
 
-#: Cycle-breakdown category order: every breakdown dict :func:`evaluate_many`
-#: returns iterates in this order.
+#: Cycle-breakdown category order: the first columns of an
+#: :func:`evaluate_many` table, and the key order of every breakdown dict.
 BREAKDOWN_CATEGORIES: Tuple[str, ...] = (
     "base", "icache_misses", "dcache_misses", "load_access", "store_access",
     "load_use_stalls", "multiply", "divide", "control_transfer", "icc_stalls",
     "decode", "window_traps")
 
-
-#: The configuration fields :func:`evaluate_many` reads in one pass; the
-#: last three become the window-trap counts and the two latencies.
-_TIMING_FIELDS = itemgetter(
-    "icache_linesize_words", "dcache_linesize_words", "dcache_fast_read",
-    "dcache_fast_write", "load_delay", "fast_jump", "icc_hold", "fast_decode",
-    "register_windows", "multiplier", "divider")
+#: The columns of an :func:`evaluate_many` table: the cycle breakdown,
+#: then the two window-trap counts.
+TIMING_COLUMNS: Tuple[str, ...] = BREAKDOWN_CATEGORIES + (
+    "window_overflows", "window_underflows")
 
 
 def evaluate_many(
     summary: TraceSummary,
     configs: Sequence[Configuration],
-    cache_stats: Sequence[Tuple[CacheStatistics, CacheStatistics]],
+    icache_read_misses: Sequence[int],
+    dcache_read_misses: Sequence[int],
     parameters: Optional[TimingParameters] = None,
-) -> List[ExecutionStatistics]:
+) -> np.ndarray:
     """Broadcast-batched timing evaluation of one trace over a config grid.
 
     ``summary`` is the trace's :class:`~repro.microarch.trace.TraceSummary`
     (:meth:`ExecutionTrace.summary
     <repro.microarch.trace.ExecutionTrace.summary>`, or the row a result
-    store kept of it) and ``cache_stats`` holds the ``(icache, dcache)``
-    statistics aligned with ``configs``.  The grid is read in one pass
-    into one ``(n, 14)`` coefficient matrix (the timing fields, with the
-    window count as its two trap counts and the multiplier and divider as
-    latencies, then both caches' read misses), every cycle-breakdown term
-    is one array operation over its columns, and the results come from
-    one ``tolist()`` of the term table, so every number in them is an
-    ``int``.
-    This is the only production timing model: a single configuration is
-    a grid of one.  Results are bit-identical -- cycles, the full
-    ``cycle_breakdown``, and the window-trap counts -- to the unmemoised
-    per-configuration oracle the test suite keeps.
+    store kept of it); ``configs`` is the grid (read once into
+    :class:`~repro.config.configuration.ConfigurationColumns` unless it
+    already is one) and the two read-miss columns are each cache's read
+    misses aligned with it.  Every cycle-breakdown term is one integer
+    array operation over the columns, and the window-trap counts are one
+    lookup in the summary's trap table.
+
+    Returns the ``int64`` term table: one row per configuration and one
+    column per :data:`TIMING_COLUMNS` entry.  A row's cycle count is the
+    sum of its :data:`BREAKDOWN_CATEGORIES` columns.  This is the only
+    production timing model: a single configuration is a grid of one.
+    Every entry is bit-identical to the unmemoised per-configuration
+    oracle the test suite keeps.
     """
     p = parameters or TimingParameters()
-    n = len(configs)
-    if n == 0:
-        return []
-    if len(cache_stats) != n:
-        raise ValueError("cache_stats must align with configs")
+    columns = configuration_columns(configs)
+    column = columns.column
+    n = len(columns)
+    icache_misses = np.asarray(icache_read_misses, dtype=np.int64)
+    dcache_misses = np.asarray(dcache_read_misses, dtype=np.int64)
+    if icache_misses.shape != (n,) or dcache_misses.shape != (n,):
+        raise ValueError("the read-miss columns must align with configs")
     f = summary.features
 
-    multiplier, divider = p.multiplier_latency, p.divider_latency
-    traps = summary.window_trap_counts  # memoised per window count in the summary
+    # window traps: looked up in the summary's table (ascending window counts)
+    windows = column("register_windows")
+    traps = summary.window_trap_table
+    slots = np.minimum(np.searchsorted(traps[:, 0], windows), len(traps) - 1)
+    if not np.array_equal(traps[slots, 0], windows):
+        raise KeyError("no window-trap count for some configured window count")
+    overflows, underflows = traps[slots, 1], traps[slots, 2]
 
-    def coefficients(config, stats):
-        fields = _TIMING_FIELDS(config.as_dict())
-        return (*fields[:8], *traps(fields[8]), multiplier(fields[9]), divider(fields[10]),
-                stats[0].read_misses, stats[1].read_misses)
-
-    (icache_linesize, dcache_linesize, fast_read, fast_write, load_delay, fast_jump,
-     icc_hold, fast_decode, overflows, underflows, multiply_latency, divide_latency,
-     icache_read_misses, dcache_read_misses) = np.array(
-        [coefficients(config, stats) for config, stats in zip(configs, cache_stats)],
-        dtype=np.int64).T
-
-    terms: Dict[str, np.ndarray] = {}
-    terms["base"] = np.full(n, f.instruction_count, dtype=np.int64)
+    table = np.empty((n, len(TIMING_COLUMNS)), dtype=np.int64)
+    table[:, 0] = f.instruction_count
     # line_fill_penalty is pure arithmetic, so it broadcasts over the columns
-    terms["icache_misses"] = icache_read_misses * p.line_fill_penalty(icache_linesize)
-    terms["dcache_misses"] = dcache_read_misses * p.line_fill_penalty(dcache_linesize)
-    terms["load_access"] = np.where(fast_read, 0, f.count(OpClass.LOAD) * p.slow_read_extra)
-    terms["store_access"] = np.where(
-        fast_write, 0, f.count(OpClass.STORE) * p.slow_write_extra)
-    terms["load_use_stalls"] = f.load_use_hazards * (load_delay - 1)
-    terms["multiply"] = f.count(OpClass.MUL) * multiply_latency
-    terms["divide"] = f.count(OpClass.DIV) * divide_latency
-    terms["control_transfer"] = _taken_transfers(f) * np.where(
-        fast_jump, p.taken_penalty_fast, p.taken_penalty_slow)
-    terms["icc_stalls"] = np.where(icc_hold, 0, f.cc_branch_hazards * p.icc_stall)
-    terms["decode"] = np.where(
-        fast_decode, 0, _complex_instructions(f) * p.slow_decode_extra)
-    terms["window_traps"] = (
-        overflows * p.window_overflow_cost + underflows * p.window_underflow_cost)
-
-    categories = len(BREAKDOWN_CATEGORIES)
-    table = np.array([*(terms[name] for name in BREAKDOWN_CATEGORIES), overflows, underflows])
-    cycles = table[:categories].sum(axis=0).tolist()
-    return [
-        ExecutionStatistics(
-            workload=summary.name,
-            configuration=config,
-            instruction_count=f.instruction_count,
-            cycles=total,
-            cycle_breakdown=dict(zip(BREAKDOWN_CATEGORIES, row)),
-            icache=icache,
-            dcache=dcache,
-            window_overflows=row[categories],
-            window_underflows=row[categories + 1],
-        )
-        for config, (icache, dcache), row, total in zip(
-            configs, cache_stats, table.T.tolist(), cycles)
-    ]
+    table[:, 1] = icache_misses * p.line_fill_penalty(column("icache_linesize_words"))
+    table[:, 2] = dcache_misses * p.line_fill_penalty(column("dcache_linesize_words"))
+    table[:, 3] = (1 - column("dcache_fast_read")) * (f.count(OpClass.LOAD) * p.slow_read_extra)
+    table[:, 4] = (1 - column("dcache_fast_write")) * (
+        f.count(OpClass.STORE) * p.slow_write_extra)
+    table[:, 5] = f.load_use_hazards * (column("load_delay") - 1)
+    table[:, 6] = f.count(OpClass.MUL) * p.multiplier_latency_codes[column("multiplier")]
+    table[:, 7] = f.count(OpClass.DIV) * p.divider_latency_codes[column("divider")]
+    table[:, 8] = _taken_transfers(f) * np.where(
+        column("fast_jump"), p.taken_penalty_fast, p.taken_penalty_slow)
+    table[:, 9] = (1 - column("icc_hold")) * (f.cc_branch_hazards * p.icc_stall)
+    table[:, 10] = (1 - column("fast_decode")) * (
+        _complex_instructions(f) * p.slow_decode_extra)
+    table[:, 11] = overflows * p.window_overflow_cost + underflows * p.window_underflow_cost
+    table[:, 12] = overflows
+    table[:, 13] = underflows
+    return table

@@ -16,6 +16,7 @@ its cycle terms with vectorised reductions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Tuple
 
 import numpy as np
@@ -75,12 +76,10 @@ class TraceSummary:
     #: ``(windows, overflows, underflows)`` per window count, ascending.
     window_traps: Tuple[Tuple[int, int, int], ...]
 
-    def window_trap_counts(self, windows: int) -> Tuple[int, int]:
-        """``(overflows, underflows)`` for one configured window count."""
-        for count, overflows, underflows in self.window_traps:
-            if count == windows:
-                return overflows, underflows
-        raise KeyError(f"no window-trap count for {windows} register windows")
+    @cached_property
+    def window_trap_table(self) -> np.ndarray:
+        """:attr:`window_traps` as an ``int64`` array, one row per window count."""
+        return np.array(self.window_traps, dtype=np.int64).reshape(-1, 3)
 
 
 @dataclass(frozen=True)

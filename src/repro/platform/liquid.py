@@ -19,17 +19,23 @@ experiments.  A run's cost is the trace plus one replay per cache
 geometry; the memos keep exactly those reductions (one trace summary per
 workload, one :class:`~repro.microarch.cache.CacheStatistics` per
 geometry), and an optional result store persists the same two, so
-synthesis and the timing model are cheap arithmetic on top.
+synthesis and the timing model are cheap arithmetic on top.  Their
+results are memoised as batch rows: a resource-table row per
+configuration and a timing-table row per (workload, configuration).
 
 A batch (:meth:`LiquidPlatform.measure_many`) is measured in these steps:
 
-1. build every distinct configuration (fit enforcement raises before
-   anything is simulated);
+1. read the distinct configurations once into integer columns
+   (:class:`~repro.config.configuration.ConfigurationColumns`) and build
+   them: the configurations not synthesised before are synthesised in one
+   coefficient pass (the ``synthesis`` span), and fit enforcement raises
+   before anything is simulated;
 2. resolve the workload's trace fingerprint (the ``recipe`` stage) --
    from the store's input-key row, which needs no program, else from its
    recipe row, otherwise by simulating;
-3. plan the batch once: the distinct cache geometries and the trace
-   summary it needs that the memos lack;
+3. plan the batch once from its geometry columns: each cache's distinct
+   geometries (one :class:`~repro.microarch.cache.CacheConfig` each) and
+   every row's index among them, plus the trace summary the memos lack;
 4. if anything is lacking, read the workload's stored rows once (the
    ``store_io`` stage) and install them in the memos -- what the store
    holds is never simulated;
@@ -37,9 +43,13 @@ A batch (:meth:`LiquidPlatform.measure_many`) is measured in these steps:
    ``cache_simulation`` stage): every job of a group shares one ``(trace
    fingerprint, kind, linesize)`` key, so the trace is decoded into its
    columnar view once and the whole geometry list replays against it;
-6. time every new configuration in one broadcast
-   :func:`~repro.microarch.timing.evaluate_many` call
-   (``sweep_evaluate``);
+6. assemble the batch (``sweep_evaluate``): the configurations not timed
+   before are timed in one broadcast
+   :func:`~repro.microarch.timing.evaluate_many` call (``timing_eval``),
+   and the result is a :class:`~repro.platform.measurement.MeasurementBatch`
+   -- NumPy columns of resources, cycles and cache statistics -- that
+   builds a :class:`~repro.platform.measurement.Measurement` only for a
+   row a caller reads;
 7. write the new rows, and the summary if it is new, in one transaction
    (``store_io`` again).
 
@@ -55,28 +65,33 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Set,
+                    Tuple)
 
-from repro.config.configuration import Configuration
+import numpy as np
+
+from repro.config.configuration import (Configuration, ConfigurationColumns,
+                                        configuration_columns)
+from repro.config.leon_space import Replacement
 from repro.errors import MeasurementError
 from repro.fpga.device import FpgaDevice, XCV2000E
-from repro.fpga.report import ResourceReport
+from repro.fpga.report import BRAM_COMPONENTS, LUT_COMPONENTS, ResourceReport, resource_totals
 from repro.fpga.synthesis import SynthesisModel
 from repro.microarch.cache import CacheConfig, CacheStatistics
 from repro.microarch.cachekernel import PhaseReplay, replay_phases, simulate_many
-from repro.microarch.statistics import ExecutionStatistics
-from repro.microarch.timing import TimingParameters, evaluate_many
+from repro.microarch.timing import TIMING_COLUMNS, TimingParameters, evaluate_many
 from repro.microarch.trace import TraceSummary
 from repro.obs.metrics import EngineStats, get_registry
 from repro.obs.tracer import span
-from repro.platform.measurement import Measurement, PhasedMeasurement
+from repro.platform.measurement import Measurement, MeasurementBatch, PhasedMeasurement
 from repro.workloads.base import Workload
 from repro.workloads.phased import PhasedWorkload
 
 if TYPE_CHECKING:  # the store module imports this one
     from repro.engine.store import ResultStore
 
-__all__ = ["LiquidPlatform", "CacheJob", "PhaseJob", "job_group_key", "plan_job_groups"]
+__all__ = ["LiquidPlatform", "CacheJob", "CachePlan", "PhaseJob", "job_group_key",
+           "plan_job_groups"]
 
 #: One outstanding cache simulation: ``(workload_fingerprint, "icache"|"dcache",
 #: geometry)``.  :meth:`LiquidPlatform.cache_plan` lists the ones a batch
@@ -91,6 +106,28 @@ CacheJob = Tuple[str, str, CacheConfig]
 #: fingerprint of a :class:`~repro.workloads.phased.PhasedWorkload` covers its
 #: phase boundaries, so two different cuts of one trace never share a job.
 PhaseJob = Tuple[str, str, CacheConfig]
+
+#: The configuration columns of one cache's geometry, in
+#: :class:`~repro.microarch.cache.CacheConfig` field order.
+_GEOMETRY_FIELDS = ("sets", "setsize_kb", "linesize_words", "replacement")
+
+
+class CachePlan(NamedTuple):
+    """The cache jobs of one batch, planned from its geometry columns.
+
+    ``icache`` and ``dcache`` list each cache's distinct jobs in
+    first-need order; ``icache_rows`` and ``dcache_rows`` give every row
+    of the batch the index of its own job in them.
+    """
+
+    icache: List[CacheJob]
+    icache_rows: np.ndarray
+    dcache: List[CacheJob]
+    dcache_rows: np.ndarray
+
+    def jobs(self) -> List[CacheJob]:
+        """Every distinct job of the batch."""
+        return self.icache + self.dcache
 
 
 def job_group_key(job: CacheJob) -> Tuple[str, str, int]:
@@ -142,101 +179,133 @@ class LiquidPlatform:
         if store is not None:
             store.bind_platform(device, self.timing_parameters)
         self.stats = EngineStats()
-        # memoisation stores, keyed by the Configuration itself (or with it):
-        # hashing it reuses its cached key hash, so per-grid-point
-        # membership probes cost a dict lookup, not a walk over every
-        # parameter
-        self._reports: Dict[Configuration, ResourceReport] = {}
-        self._built: set = set()
-        self._runs: Dict[Tuple, ExecutionStatistics] = {}
+        # memoisation stores, keyed by the Configuration itself (hashing it
+        # reuses its cached key hash): a resource-table row per
+        # configuration, and a timing-table row per configuration of each
+        # workload fingerprint
+        self._reports: Dict[Configuration, np.ndarray] = {}
+        self._built: Set[Configuration] = set()
+        self._runs: Dict[str, Dict[Configuration, np.ndarray]] = {}
         self._cache_runs: Dict[Tuple, CacheStatistics] = {}
         self._phase_runs: Dict[Tuple, PhaseReplay] = {}
         # trace summary per workload fingerprint: with the cache runs, all
         # a measurement needs, so a workload whose summary and geometries
         # were installed from a result store is measured without its trace
         self._summaries: Dict[str, TraceSummary] = {}
-        # (icache, dcache) CacheConfig pair per configuration key: the
-        # planner re-derives job keys for every batch, and building the
-        # geometry dataclasses dominates that planning cost
-        self._cache_cfg_memo: Dict[Configuration, Tuple[CacheConfig, CacheConfig]] = {}
+        # one CacheConfig per distinct geometry row (ways, way size, line
+        # size, replacement code) the planner has met
+        self._geometries: Dict[Tuple[int, int, int, int], CacheConfig] = {}
         #: cache runs installed from the store (not simulated here): a
         #: configuration measured from these alone is a store hit
         self._stored: Set[CacheJob] = set()
         #: fingerprint -> the identity rows (recipe, input key) the store
         #: lacks for it; they go out with the batch's rows
         self._identities: Dict[str, List[str]] = {}
-        self.build_count = 0
 
     # -- synthesis ------------------------------------------------------------------------
 
-    def _synthesize(self, config: Configuration) -> ResourceReport:
-        """Run (or reuse) the synthesis model without fit enforcement."""
-        report = self._reports.get(config)
-        if report is None:
-            report = self.synthesis.synthesize(config)
-            self._reports[config] = report
-        return report
+    def _resources(self, configs: Sequence[Configuration],
+                   workload: Optional[str] = None) -> np.ndarray:
+        """The resource table of a batch, without fit enforcement.
+
+        Only the configurations this platform has not synthesised before
+        are synthesised, in one pass (the ``synthesis`` span, tagged with
+        the batch's workload, ``None`` for a fit screen); every row is
+        memoised.
+        """
+        reports = self._reports
+        rows = [reports.get(config) for config in configs]
+        todo = [i for i, row in enumerate(rows) if row is None]
+        if todo:
+            columns = configuration_columns(configs)
+            batch = columns if len(todo) == len(rows) else columns.take(todo)
+            with span("synthesis", configs=len(batch), workload=workload):
+                table = self.synthesis.synthesize(batch)
+            for i, config, row in zip(todo, batch, table):
+                reports[config] = rows[i] = row
+            if batch is columns:
+                return table
+        return np.array(rows, dtype=np.int64).reshape(
+            len(rows), len(LUT_COMPONENTS) + len(BRAM_COMPONENTS))
+
+    def build_many(self, configs: Sequence[Configuration],
+                   workload: Optional[str] = None) -> np.ndarray:
+        """Synthesise a batch (memoised) and return its resource table.
+
+        With fit enforcement, a configuration that does not fit raises
+        :class:`~repro.errors.MeasurementError` before any is counted as
+        built (a built configuration is known to fit).
+        """
+        table = self._resources(configs, workload)
+        built = self._built
+        new = [config for config in configs if config not in built]
+        if new and self.enforce_fit:
+            fits = self.device.fits(*resource_totals(table))
+            if not fits.all():
+                report = ResourceReport.from_row(
+                    self.device, table[int(np.argmin(fits))].tolist())
+                raise MeasurementError(
+                    f"configuration does not fit on {self.device.name}: {report.summary()}")
+        built.update(new)
+        return table
 
     def build(self, config: Configuration) -> ResourceReport:
         """Synthesise a configuration (memoised)."""
-        report = self._synthesize(config)
-        if config not in self._built:
-            if self.enforce_fit and not report.fits():
-                raise MeasurementError(
-                    f"configuration does not fit on {self.device.name}: {report.summary()}")
-            self._built.add(config)
-            self.build_count += 1
-        return report
+        return ResourceReport.from_row(self.device, self.build_many([config])[0].tolist())
 
-    def fits(self, config: Configuration) -> bool:
-        """True when the configuration can be built on the platform's device.
+    def report(self, config: Configuration) -> ResourceReport:
+        """The resource report of a configuration, without fit enforcement."""
+        return ResourceReport.from_row(self.device, self._resources([config])[0].tolist())
 
-        The synthesis report is memoised and shared with :meth:`build`, so
-        a campaign that pre-screens every perturbation never synthesises a
+    def fits_many(self, configs: Sequence[Configuration]) -> np.ndarray:
+        """Which configurations of a batch can be built on the device (a bool column).
+
+        The resource rows are memoised and shared with :meth:`build`, so a
+        campaign that pre-screens every perturbation never synthesises a
         configuration twice.
         """
-        return self._synthesize(config).fits()
+        return self.device.fits(*resource_totals(self._resources(configs)))
+
+    def fits(self, config: Configuration) -> bool:
+        """True when the configuration can be built on the platform's device."""
+        return bool(self.fits_many([config])[0])
 
     # -- execution -------------------------------------------------------------------------
 
-    def _cache_configs(self, config: Configuration) -> Tuple[CacheConfig, CacheConfig]:
-        """Memoised (icache, dcache) geometry pair of one configuration.
-
-        Keyed by the configuration itself: its hash is computed once at
-        construction, where hashing the raw key tuple would rewalk every
-        parameter on each planning pass.
-        """
-        pair = self._cache_cfg_memo.get(config)
-        if pair is None:
-            pair = (CacheConfig.icache_from(config), CacheConfig.dcache_from(config))
-            self._cache_cfg_memo[config] = pair
-        return pair
-
-    def _cache_keys(self, workload_key: str, config: Configuration) -> Tuple[Tuple, Tuple]:
-        icache_cfg, dcache_cfg = self._cache_configs(config)
-        return (workload_key, "icache", icache_cfg), (workload_key, "dcache", dcache_cfg)
+    def _cache_jobs(self, fingerprint: str, kind: str, columns: ConfigurationColumns
+                    ) -> Tuple[List[CacheJob], np.ndarray]:
+        """One cache's distinct jobs for a batch, and each row's index among them."""
+        keys = zip(*(columns.column(f"{kind}_{field}").tolist()
+                     for field in _GEOMETRY_FIELDS))
+        index: Dict[Tuple[int, int, int, int], int] = {}
+        rows = [index.setdefault(key, len(index)) for key in keys]
+        geometries = self._geometries
+        jobs = []
+        for key in index:
+            geometry = geometries.get(key)
+            if geometry is None:
+                ways, setsize_kb, linesize_words, replacement = key
+                geometry = geometries[key] = CacheConfig(
+                    ways, setsize_kb, linesize_words, Replacement.ALL[replacement])
+            jobs.append((fingerprint, kind, geometry))
+        return jobs, np.array(rows, dtype=np.intp)
 
     def cache_plan(
         self, workload: Workload, configs: Sequence[Configuration]
-    ) -> Tuple[List[Tuple[CacheJob, CacheJob]], List[CacheJob]]:
-        """The one planning pass over a batch: key pairs plus pending jobs.
+    ) -> Tuple[CachePlan, List[CacheJob]]:
+        """The one planning pass over a batch: its :class:`CachePlan` plus pending jobs.
 
-        Returns the per-config ``(icache job, dcache job)`` keys aligned
-        with ``configs`` and the distinct not-yet-simulated jobs in
-        first-need order.  The pairs feed :meth:`assemble` once the jobs
-        have run, so no configuration's parameter key is walked twice.
+        The geometry columns are read once; a
+        :class:`~repro.microarch.cache.CacheConfig` is built only for a
+        distinct geometry (and once per platform).  The pending jobs are
+        the plan's jobs not yet simulated.  The plan feeds
+        :meth:`assemble` once the jobs have run.
         """
-        workload_key = workload.fingerprint()
-        key_pairs = [self._cache_keys(workload_key, c) for c in configs]
-        jobs: List[CacheJob] = []
-        seen = set()
-        for pair in key_pairs:
-            for key in pair:
-                if key in self._cache_runs or key in seen:
-                    continue
-                seen.add(key)
-                jobs.append(key)
-        return key_pairs, jobs
+        fingerprint, columns = workload.fingerprint(), configuration_columns(configs)
+        plan = CachePlan(*self._cache_jobs(fingerprint, "icache", columns),
+                         *self._cache_jobs(fingerprint, "dcache", columns))
+        runs = self._cache_runs
+        return plan, [job for job in plan.jobs() if job not in runs]
 
     def has_summary(self, workload: Workload) -> bool:
         """True when :meth:`summary` will not need the workload's trace."""
@@ -289,8 +358,8 @@ class LiquidPlatform:
 
     def measure_many(
         self, workload: Workload, configs: Sequence[Configuration]
-    ) -> List[Measurement]:
-        """Measure a batch of configurations; results align with ``configs``.
+    ) -> MeasurementBatch:
+        """Measure a batch of configurations; the rows align with ``configs``.
 
         The batch is planned once (see the module docstring): duplicates
         collapse, every distinct configuration is built, the store's rows
@@ -298,28 +367,29 @@ class LiquidPlatform:
         cache runs still missing replay in shared-decode groups,
         :meth:`assemble` times the batch in one broadcast from the same
         plan, and the new rows are written in one transaction.  All memo
-        stores are shared across batches.
+        stores are shared across batches.  ``configs`` may be a
+        :class:`~repro.config.configuration.ConfigurationColumns`, whose
+        columns are then not read again.
         """
         start = time.perf_counter()
         stats = self.stats
         stats.batches += 1
-        unique = list(dict.fromkeys(configs))
-        stats.requested += len(configs)
-        stats.dedup_hits += len(configs) - len(unique)
-        for config in unique:
-            self.build(config)
+        requested = configuration_columns(configs)
+        first: Dict[Configuration, int] = {}
+        for row, config in enumerate(requested):
+            first.setdefault(config, row)
+        columns = (requested if len(first) == len(requested)
+                   else requested.take(list(first.values())))
+        stats.requested += len(requested)
+        stats.dedup_hits += len(requested) - len(columns)
+        resources = self.build_many(columns, workload.name)
         self._resolve(workload)
-        key_pairs, jobs = self.cache_plan(workload, unique)
+        plan, jobs = self.cache_plan(workload, columns)
         if self.store is not None:
             summary_unstored, unstored = False, []
             if jobs or not self.has_summary(workload):
-                summary_unstored, unstored = self._load(workload, key_pairs)
+                summary_unstored, unstored = self._load(workload, plan)
                 jobs = self.pending_jobs(jobs)
-            workload_key, stored = workload.fingerprint(), self._stored
-            stats.store_hits += sum(
-                1 for config, (ikey, dkey) in zip(unique, key_pairs)
-                if ikey in stored and dkey in stored
-                and (workload_key, config) not in self._runs)
         if jobs or not self.has_summary(workload):
             self._simulate(workload)
 
@@ -330,55 +400,75 @@ class LiquidPlatform:
                 stats.cache_groups += len({job_group_key(job) for job in jobs})
                 self.install_cache_runs(self.simulate_cache_jobs(workload, jobs))
 
-        with self._stage("sweep_evaluate", configs=len(unique)):
-            measured = dict(zip(unique, self.assemble(workload, unique, key_pairs)))
+        with self._stage("sweep_evaluate", configs=len(columns)):
+            batch = self.assemble(workload, columns, resources, plan)
         if self.store is not None:
             self._write(workload, summary_unstored, unstored)
 
         stats.wall_seconds += time.perf_counter() - start
         self._merge_host_metrics()
-        return [measured[config] for config in configs]
+        if columns is requested:
+            return batch
+        position = {config: index for index, config in enumerate(columns)}
+        return batch.take([position[config] for config in requested])
 
     def assemble(
         self,
         workload: Workload,
         configs: Sequence[Configuration],
-        key_pairs: Sequence[Tuple[CacheJob, CacheJob]],
-    ) -> List[Measurement]:
-        """Measurements of distinct configurations whose cache runs are installed.
+        resources: np.ndarray,
+        plan: CachePlan,
+    ) -> MeasurementBatch:
+        """The measurement batch of distinct configurations whose cache runs are installed.
 
-        ``key_pairs`` are the :meth:`cache_plan` pairs aligned with
-        ``configs``.  The configurations not measured before are evaluated
-        in one :func:`~repro.microarch.timing.evaluate_many` broadcast
-        over the workload's :meth:`summary` -- each cycle term is a single
-        array operation over the batch -- and counted as
+        ``resources`` is the batch's :meth:`build_many` table and ``plan``
+        its :meth:`cache_plan`.  The configurations not timed before on
+        this workload are evaluated in one
+        :func:`~repro.microarch.timing.evaluate_many` broadcast over the
+        workload's :meth:`summary` -- each cycle term is a single array
+        operation over the batch -- and counted as
         :attr:`EngineStats.sweep_evaluations
-        <repro.obs.metrics.EngineStats.sweep_evaluations>`.
+        <repro.obs.metrics.EngineStats.sweep_evaluations>`; their term
+        rows are memoised.  With a store, the rows timed here from stored
+        cache rows alone count as store hits.  No :class:`Measurement` is
+        built here.
         """
-        workload_key = workload.fingerprint()
-        reports = [self.build(config) for config in configs]
-        runs = self._runs
-        fresh = [(config, pair) for config, pair in zip(configs, key_pairs)
-                 if (workload_key, config) not in runs]
+        columns = configuration_columns(configs)
+        summary = self.summary(workload)
+        cache_runs = self._cache_runs
+        icache = [cache_runs[job] for job in plan.icache]
+        dcache = [cache_runs[job] for job in plan.dcache]
+        timed = self._runs.setdefault(workload.fingerprint(), {})
+        known = [timed.get(config) for config in columns]
+        fresh = [row for row, timing in enumerate(known) if timing is None]
+        if self.store is not None:
+            self.stats.store_hits += self._store_hits(fresh, plan)
         if fresh:
-            cache_runs = self._cache_runs
-            with span("timing_eval", configs=len(fresh), workload=workload.name):
-                evaluated = evaluate_many(
-                    self.summary(workload), [config for config, _ in fresh],
-                    [(cache_runs[ikey], cache_runs[dkey]) for _, (ikey, dkey) in fresh],
-                    self.timing_parameters)
-            for (config, _), statistics in zip(fresh, evaluated):
-                runs[(workload_key, config)] = statistics
-            self.stats.sweep_evaluations += len(fresh)
-        return [
-            Measurement(
-                workload=workload.name,
-                configuration=config,
-                resources=report,
-                statistics=runs[(workload_key, config)],
-            )
-            for config, report in zip(configs, reports)
-        ]
+            batch = columns if len(fresh) == len(columns) else columns.take(fresh)
+            misses = [np.array([s.read_misses for s in stats], dtype=np.int64)[rows[fresh]]
+                      for stats, rows in ((icache, plan.icache_rows), (dcache, plan.dcache_rows))]
+            with span("timing_eval", configs=len(batch), workload=workload.name):
+                timing = evaluate_many(summary, batch, *misses, self.timing_parameters)
+            for row, config, terms in zip(fresh, batch, timing):
+                timed[config] = known[row] = terms
+            self.stats.sweep_evaluations += len(batch)
+        if fresh and batch is columns:
+            table = timing
+        else:
+            table = np.array(known, dtype=np.int64).reshape(len(columns), len(TIMING_COLUMNS))
+        return MeasurementBatch(
+            workload.name, columns.configurations, self.device, resources, summary.name,
+            summary.features.instruction_count, table,
+            [icache[index] for index in plan.icache_rows.tolist()],
+            [dcache[index] for index in plan.dcache_rows.tolist()])
+
+    def _store_hits(self, rows: Sequence[int], plan: CachePlan) -> int:
+        """How many of the batch's ``rows`` both caches answer from store rows."""
+        stored = self._stored
+        icache = [job in stored for job in plan.icache]
+        dcache = [job in stored for job in plan.dcache]
+        icache_rows, dcache_rows = plan.icache_rows.tolist(), plan.dcache_rows.tolist()
+        return sum(icache[icache_rows[row]] and dcache[dcache_rows[row]] for row in rows)
 
     def _resolve(self, workload: Workload) -> None:
         """Make the workload's trace fingerprint known, simulating only if needed.
@@ -433,8 +523,7 @@ class LiquidPlatform:
         stats.recipe_misses += 1
         return "miss", None, unstored + [recipe]
 
-    def _load(self, workload: Workload, key_pairs: Sequence[Tuple[CacheJob, CacheJob]]
-              ) -> Tuple[bool, List[CacheJob]]:
+    def _load(self, workload: Workload, plan: CachePlan) -> Tuple[bool, List[CacheJob]]:
         """Read the workload's stored rows once and install them in the memos.
 
         Returns what the store lacks of this batch: whether the summary
@@ -451,8 +540,7 @@ class LiquidPlatform:
             self.install_summary(fingerprint, summary)
         self._stored.update(self.pending_jobs(runs))
         self.install_cache_runs(runs)
-        needed = dict.fromkeys(job for pair in key_pairs for job in pair)
-        return summary is None, [job for job in needed if job not in runs]
+        return summary is None, [job for job in plan.jobs() if job not in runs]
 
     def _write(self, workload: Workload, summary_unstored: bool,
                unstored: Sequence[CacheJob]) -> None:
@@ -516,20 +604,12 @@ class LiquidPlatform:
     ) -> List[PhaseJob]:
         """Distinct, not-yet-replayed phase chains needed for ``configs``.
 
-        Job order is deterministic (first-need order) and every job is
-        independent: a chain replays against its own fresh state with the
-        geometry's seeded PRNG.
+        Job order is deterministic (first-need order per cache) and every
+        job is independent: a chain replays against its own fresh state
+        with the geometry's seeded PRNG.
         """
-        jobs: List[PhaseJob] = []
-        seen = set()
-        workload_key = workload.fingerprint()
-        for config in configs:
-            for key in self._cache_keys(workload_key, config):
-                if key in self._phase_runs or key in seen:
-                    continue
-                seen.add(key)
-                jobs.append(key)
-        return jobs
+        plan, _ = self.cache_plan(workload, configs)
+        return [job for job in plan.jobs() if job not in self._phase_runs]
 
     def install_phase_runs(self, replays: Dict[PhaseJob, PhaseReplay]) -> None:
         """Install phase-chain replays into the memo store."""
@@ -560,17 +640,18 @@ class LiquidPlatform:
         measurements: Sequence[Measurement],
     ) -> List[PhasedMeasurement]:
         """Attach the memoised phase replays to overall measurements."""
-        workload_key = workload.fingerprint()
-        results = []
-        for config, measurement in zip(configs, measurements):
-            ikey, dkey = self._cache_keys(workload_key, config)
-            results.append(PhasedMeasurement(
+        plan, _ = self.cache_plan(workload, configs)
+        runs = self._phase_runs
+        return [
+            PhasedMeasurement(
                 measurement=measurement,
                 phases=workload.phase_names,
-                icache=self._phase_runs[ikey],
-                dcache=self._phase_runs[dkey],
-            ))
-        return results
+                icache=runs[plan.icache[icache]],
+                dcache=runs[plan.dcache[dcache]],
+            )
+            for measurement, icache, dcache in zip(
+                measurements, plan.icache_rows.tolist(), plan.dcache_rows.tolist())
+        ]
 
     def measure_phases(
         self, workload: PhasedWorkload, configs: Sequence[Configuration]
@@ -589,6 +670,7 @@ class LiquidPlatform:
         configuration's cache state stays resident across its chain
         (``phase_chain``).
         """
+        configs = configuration_columns(configs)
         overall = self.measure_many(workload, configs)
         jobs = self.phase_requests(workload, configs)
         with self._stage("phase_chain", jobs=len(jobs)):
@@ -605,4 +687,4 @@ class LiquidPlatform:
 
     def effort(self) -> Dict[str, int]:
         """Distinct builds and runs performed so far (scalability accounting)."""
-        return {"builds": self.build_count, "runs": self.stats.sweep_evaluations}
+        return {"builds": len(self._built), "runs": self.stats.sweep_evaluations}

@@ -88,7 +88,7 @@ def figure2_grid(platform: LiquidPlatform) -> List[Configuration]:
         base.replace(dcache_sets=sets, dcache_setsize_kb=size)
         for sets, size in itertools.product(CACHE_SET_COUNTS, CACHE_SET_SIZES_KB)
     ]
-    return [config for config in configs if platform.fits(config)]
+    return [config for config, fits in zip(configs, platform.fits_many(configs)) if fits]
 
 
 #: Largest request body the HTTP layer reads, in bytes (larger ones get 413).
@@ -217,16 +217,16 @@ class TuningService:
             if not isinstance(entry, dict):
                 raise ServiceBadRequest(f"configs[{index}] is not an object")
             try:
-                config = base.replace(**entry)
+                configs.append(base.replace(**entry))
             except Exception as exc:
                 raise ServiceBadRequest(
                     f"configs[{index}] is invalid: {exc}") from None
-            if not self.platform.fits(config):
-                report = self.platform.synthesis.synthesize(config)
+        for index, fits in enumerate(self.platform.fits_many(configs).tolist()):
+            if not fits:
+                report = self.platform.report(configs[index])
                 raise ServiceBadRequest(
                     f"configs[{index}] does not fit on "
                     f"{self.platform.device.name}: {report.summary()}")
-            configs.append(config)
         return configs
 
     def _weights(self, payload: Dict[str, Any]) -> Weights:

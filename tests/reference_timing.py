@@ -12,9 +12,10 @@ equal bit for bit.
 
 :func:`reference_measurements` builds whole
 :class:`~repro.platform.Measurement` records one configuration at a time
-from these oracles (synthesis, one cache replay per geometry, scalar
-timing), so engine and platform tests compare against an assembly that
-shares nothing with the batched path but the cache replay.  The sweep
+from these oracles (the scalar synthesis of ``reference_synthesis.py``,
+one cache replay per geometry, scalar timing), so engine and platform
+tests compare against an assembly that shares nothing with the batched
+path but the cache replay.  The sweep
 benchmarks use it as their per-configuration baseline.
 """
 
@@ -24,6 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from reference_synthesis import synthesize_reference
 from repro.config.configuration import Configuration
 from repro.fpga.synthesis import SynthesisModel
 from repro.isa.instructions import OpClass
@@ -165,7 +167,7 @@ def reference_measurements(
         Measurement(
             workload=workload.name,
             configuration=config,
-            resources=synthesis.synthesize(config),
+            resources=synthesize_reference(config, synthesis),
             statistics=evaluate_reference(
                 trace, config,
                 statistics("icache", CacheConfig.icache_from(config)),

@@ -25,7 +25,7 @@ from reference_timing import reference_measurements
 from repro.engine import CampaignGrid, CampaignWorker
 from repro.engine.campaign import STATUS_DONE, STATUS_FAILED, STATUS_OPEN
 from repro.engine.store import ResultStore, config_key_string
-from repro.platform import LiquidPlatform
+from repro.platform import LiquidPlatform, Measurement
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -312,6 +312,29 @@ class TestResultsMatchDirectSweep:
         for config, expected in zip(configs, reference):
             assert store.get(arith_small, config) == expected
         store.close()
+
+    def test_a_claim_drain_builds_no_measurement_row(self, tmp_path, monkeypatch,
+                                                     base_config, arith_small):
+        """A worker keeps what it measures in the store's rows: no batch row
+        becomes a :class:`Measurement` (counted at ``Measurement.__init__``,
+        whatever the batch's internals)."""
+        built = []
+        init = Measurement.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Measurement, "__init__", counting)
+        configs = grid_configs(base_config)
+        with CampaignGrid(str(tmp_path / "grid.sqlite")) as grid:
+            grid.register(arith_small, configs)
+            report = drain(grid, arith_small, batch=4)
+        assert report.done == len(configs) and report.engine["sweep_evaluations"] > 0
+        assert built == []
+        # the count sees rows wherever they are built
+        LiquidPlatform().measure(arith_small, configs[0])
+        assert len(built) == 1
 
     def test_two_sequential_workers_split_the_grid(self, tmp_path,
                                                    base_config, arith_small):

@@ -407,13 +407,14 @@ class TestStoreIO:
         bare = LiquidPlatform()
         workload = ArithWorkload(iterations=90)
         bare.measure_many(workload, configs[:2])  # summary + 3 geometries in memo
-        key_pairs, jobs = bare.cache_plan(workload, configs)
+        plan, jobs = bare.cache_plan(workload, configs)
         platform = LiquidPlatform(store=open_store(path))
         platform.install_summary(workload.fingerprint(), bare.summary(workload))
         platform.install_cache_runs(bare.simulate_cache_jobs(
-            workload, [job for pair in key_pairs[:2] for job in pair]))
+            workload, [job for row in range(2) for job in (
+                plan.icache[plan.icache_rows[row]], plan.dcache[plan.dcache_rows[row]])]))
         measured = platform.measure_many(workload, configs)
-        geometries = {job for pair in key_pairs for job in pair}
+        geometries = set(plan.jobs())
         assert platform.stats.cache_simulations == len(jobs)
         assert platform.stats.store_writes == len(geometries) + 1  # and the summary
 

@@ -23,13 +23,18 @@ DCACHE = ("dcache_sets", "dcache_setsize_kb")
 
 @pytest.fixture()
 def timing_calls(monkeypatch):
-    """``(workload, configs)`` of every ``evaluate_many`` call the platform makes."""
+    """``(workload, configs)`` of every ``evaluate_many`` call the platform makes.
+
+    The count is the length of the returned term table: one row per
+    configuration timed.
+    """
     calls = []
     original = liquid.evaluate_many
 
-    def counted(trace, configs, cache_stats, parameters=None):
-        calls.append((trace.name, len(configs)))
-        return original(trace, configs, cache_stats, parameters)
+    def counted(summary, *args, **kwargs):
+        table = original(summary, *args, **kwargs)
+        calls.append((summary.name, len(table)))
+        return table
 
     monkeypatch.setattr(liquid, "evaluate_many", counted)
     return calls

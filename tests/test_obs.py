@@ -283,7 +283,8 @@ class TestSpanTreeTiming:
         BINLP solve of a tune; the cache_simulation stage carries the
         workload and its job count on every batch (the tune's campaign
         and verification batches and a grid sweep); decode and replay
-        carry the workload, and replay no longer names a lane."""
+        carry the workload, and replay no longer names a lane; synthesis,
+        sweep_evaluate and timing_eval carry their batch sizes."""
         from repro import RUNTIME_OPTIMIZATION, MicroarchTuner
         from repro.analysis import DCACHE_STUDY_PARAMETERS
 
@@ -321,6 +322,24 @@ class TestSpanTreeTiming:
             assert all(r.attrs["workload"] == fresh_arith.name
                        for r in by_name[name]), name
         assert all("lane" not in r.attrs for r in by_name["replay"])
+
+        # the batch stages carry the batch sizes: the grid's one synthesis
+        # pass, assembly and broadcast timing each cover its configurations
+        grid = len(grid_configs(base_config))
+        swept_stages = {r.name: r for r in tracer.records[tuned:]}
+        assert swept_stages["synthesis"].attrs == {"configs": grid,
+                                                   "workload": fresh_arith.name}
+        assert swept_stages["sweep_evaluate"].attrs == {"configs": grid}
+        assert swept_stages["timing_eval"].attrs == {"configs": grid,
+                                                     "workload": fresh_arith.name}
+        # the tune screened its perturbations for fit in one pass outside any
+        # workload's batch, then synthesised its base inside the campaign's
+        screen, base = by_name["synthesis"][:2]
+        assert screen.attrs["workload"] is None and screen.attrs["configs"] > 1
+        assert base.attrs == {"configs": 1, "workload": fresh_arith.name}
+        assert all(isinstance(r.attrs["configs"], int) and r.attrs["configs"] > 0
+                   for name in ("synthesis", "sweep_evaluate", "timing_eval")
+                   for r in by_name[name])
 
     def test_setup_counts_show_whether_setup_was_paid(self, base_config, fresh_arith):
         """functional_sim says how many instructions it ran, replay how many

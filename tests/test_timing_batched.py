@@ -5,10 +5,11 @@ which factors a configuration grid into one trace feature vector
 broadcast over compiled configuration columns, and every batch reaches it
 through ``LiquidPlatform.measure_many``.
 Its contract is bit-identity with the unmemoised per-configuration oracle
-in ``reference_timing.py``: cycles, the full ``cycle_breakdown``, the
-window-trap counts, and whole :class:`Measurement` records (resource
-reports and seeded cache statistics included) must match, over
-hypothesis-generated configuration grids and all four paper workloads.
+in ``reference_timing.py``: every row of its term table -- the full
+cycle breakdown and the window-trap counts, whose breakdown sums to the
+cycles -- and whole :class:`Measurement` records (resource reports and
+seeded cache statistics included) must match, over hypothesis-generated
+configuration grids and all four paper workloads.
 """
 
 import pytest
@@ -31,6 +32,7 @@ from repro.config import (
 from repro.config.leon_space import Divider, Multiplier
 from repro.microarch.timing import (
     BREAKDOWN_CATEGORIES,
+    TIMING_COLUMNS,
     TimingParameters,
     count_window_traps,
     evaluate_many,
@@ -108,19 +110,31 @@ def test_latency_lookups_match_tables_and_preserve_identity():
 # -- evaluate_many vs the per-configuration reference -----------------------------------
 
 
+def timed(trace, configs, pairs, parameters=None):
+    """evaluate_many's term table for ``configs`` given their cache statistics."""
+    return evaluate_many(trace.summary(), configs,
+                         [icache.read_misses for icache, _ in pairs],
+                         [dcache.read_misses for _, dcache in pairs], parameters)
+
+
+def assert_row_is(row, reference):
+    """One term-table row (a list of ints) equals an oracle profile."""
+    assert dict(zip(TIMING_COLUMNS, row)) == {
+        **reference.cycle_breakdown,
+        "window_overflows": reference.window_overflows,
+        "window_underflows": reference.window_underflows}
+    assert sum(row[:len(BREAKDOWN_CATEGORIES)]) == reference.cycles
+
+
 @given(configs=config_grid_strategy(max_size=5))
 @settings(max_examples=30, deadline=None)
 def test_evaluate_many_matches_reference(arith_small, configs):
     trace = arith_small.trace()
     pairs = [cache_statistics(arith_small, c) for c in configs]
-    batched = evaluate_many(trace.summary(), configs, pairs)
-    for config, pair, result in zip(configs, pairs, batched):
-        reference = evaluate_reference(trace, config, *pair)
-        assert result == reference
-        assert result.cycles == reference.cycles
-        assert dict(result.cycle_breakdown) == dict(reference.cycle_breakdown)
-        assert (result.window_overflows, result.window_underflows) == \
-            (reference.window_overflows, reference.window_underflows)
+    batched = timed(trace, configs, pairs)
+    assert batched.shape == (len(configs), len(TIMING_COLUMNS))
+    for config, pair, row in zip(configs, pairs, batched.tolist()):
+        assert_row_is(row, evaluate_reference(trace, config, *pair))
 
 
 def test_evaluate_many_all_workloads(small_workload_map, base_config):
@@ -128,9 +142,8 @@ def test_evaluate_many_all_workloads(small_workload_map, base_config):
     for workload in small_workload_map.values():
         trace = workload.trace()
         pairs = [cache_statistics(workload, c) for c in configs]
-        batched = evaluate_many(trace.summary(), configs, pairs)
-        for config, pair, result in zip(configs, pairs, batched):
-            assert result == evaluate_reference(trace, config, *pair)
+        for config, pair, row in zip(configs, pairs, timed(trace, configs, pairs).tolist()):
+            assert_row_is(row, evaluate_reference(trace, config, *pair))
 
 
 def coefficient_grid(base):
@@ -152,17 +165,19 @@ def coefficient_grid(base):
 
 def test_coefficient_matrix_covers_every_timing_value(small_workload_map, base_config):
     configs = coefficient_grid(base_config)
+    platform = LiquidPlatform()
     for workload in small_workload_map.values():
         trace = workload.trace()
         pairs = [cache_statistics(workload, c) for c in configs]
-        batched = evaluate_many(trace.summary(), configs, pairs)
-        for config, pair, result in zip(configs, pairs, batched):
-            assert result == evaluate_reference(trace, config, *pair)
+        for config, pair, row in zip(configs, pairs, timed(trace, configs, pairs).tolist()):
+            assert_row_is(row, evaluate_reference(trace, config, *pair))
+        for result in platform.measure_many(workload, configs):
+            statistics = result.statistics
             # the store encoder and Measurement equality need plain ints
-            numbers = (result.cycles, result.window_overflows, result.window_underflows,
-                       *result.cycle_breakdown.values())
+            numbers = (statistics.cycles, statistics.window_overflows,
+                       statistics.window_underflows, *statistics.cycle_breakdown.values())
             assert all(type(number) is int for number in numbers)
-            assert tuple(result.cycle_breakdown) == BREAKDOWN_CATEGORIES
+            assert tuple(statistics.cycle_breakdown) == BREAKDOWN_CATEGORIES
 
 
 def test_evaluate_many_follows_timing_parameters(arith_small, base_config):
@@ -170,16 +185,18 @@ def test_evaluate_many_follows_timing_parameters(arith_small, base_config):
     slow = TimingParameters(memory_latency=40, window_overflow_cost=60)
     configs = sweep_grid(base_config)
     pairs = [cache_statistics(arith_small, c) for c in configs]
-    for config, pair, result in zip(configs, pairs,
-                                    evaluate_many(trace.summary(), configs, pairs, slow)):
-        assert result == evaluate_reference(trace, config, *pair, slow)
+    for config, pair, row in zip(configs, pairs,
+                                 timed(trace, configs, pairs, slow).tolist()):
+        assert_row_is(row, evaluate_reference(trace, config, *pair, slow))
 
 
 def test_evaluate_many_empty_and_misaligned(arith_small):
     trace = arith_small.trace()
-    assert evaluate_many(trace.summary(), [], []) == []
+    assert evaluate_many(trace.summary(), [], [], []).shape == (0, len(TIMING_COLUMNS))
     with pytest.raises(ValueError):
-        evaluate_many(trace.summary(), [base_configuration()], [])
+        evaluate_many(trace.summary(), [base_configuration()], [], [])
+    with pytest.raises(ValueError):
+        evaluate_many(trace.summary(), [base_configuration()], [1], [1, 2])
 
 
 # -- measure_many == the per-configuration oracle ----------------------------------------

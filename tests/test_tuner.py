@@ -124,14 +124,15 @@ class TestPlanOnce:
 
     @pytest.fixture
     def fits_calls(self, monkeypatch):
+        """Every configuration a fit screen was asked about (one column per plan)."""
         calls = []
-        fits = LiquidPlatform.fits
+        fits_many = LiquidPlatform.fits_many
 
-        def counting(platform, config):
-            calls.append(config)
-            return fits(platform, config)
+        def counting(platform, configs):
+            calls.extend(configs)
+            return fits_many(platform, configs)
 
-        monkeypatch.setattr(LiquidPlatform, "fits", counting)
+        monkeypatch.setattr(LiquidPlatform, "fits_many", counting)
         return calls
 
     def test_one_tuner_equals_fresh_tuners(self, small_workload_map):
@@ -182,10 +183,11 @@ class TestPlanOnce:
         platform = LiquidPlatform()
         tuner = MicroarchTuner(platform)
         rejected = base_configuration().replace(dcache_setsize_kb=32)
-        fits = platform.fits
-        monkeypatch.setattr(platform, "fits", lambda config: config != rejected and fits(config))
+        fits_many = platform.fits_many
+        monkeypatch.setattr(platform, "fits_many", lambda configs: fits_many(configs) & [
+            config != rejected for config in configs])
         with pytest.raises(MeasurementError, match="does not fit"):
             tuner.build_model(arith_small, parameters=DCACHE_STUDY_PARAMETERS)
-        monkeypatch.setattr(platform, "fits", fits)
+        monkeypatch.setattr(platform, "fits_many", fits_many)
         model = tuner.build_model(arith_small, parameters=DCACHE_STUDY_PARAMETERS)
         assert rejected in [m.configuration for m in model.measurements]
