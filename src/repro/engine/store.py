@@ -30,7 +30,7 @@ or the timing calibration is persisted: a run under different
 re-derives every measurement from the same rows.  What is persisted --
 the replay counts, the feature vector and the trap table, which is the
 timing model's window-trap walk
-(:func:`~repro.microarch.timing.count_window_traps`) run once per window
+(:func:`~repro.microarch.timing.window_trap_table`) for every window
 count -- is versioned instead.  The reductions are keyed by the trace
 fingerprint (a digest of the trace itself, so a scaled-down workload
 never aliases the full-size one of the same name) and by

@@ -88,7 +88,7 @@ __all__ = [
 #: Version of every trace reduction a result store persists: the replay
 #: statistics of a cache geometry and the trace summary the timing model
 #: reads (feature vector and the window-trap table of
-#: :func:`~repro.microarch.timing.count_window_traps`).  Stores key their
+#: :func:`~repro.microarch.timing.window_trap_table`).  Stores key their
 #: rows on it and read only rows of the current version, so bump it
 #: whenever replay, feature or trap-walk semantics change (the golden-file
 #: and summary-row pins in ``tests/test_golden_numbers.py`` enforce this):

@@ -14,13 +14,19 @@ knowledge of the application's internals.
 A run decodes the program into one int64 row per static instruction
 (:data:`~repro.microarch.native.RUN_COLUMNS`: the operation, each register
 as its :data:`~repro.isa.registers.REGISTER_SLOTS` slot, the immediate, a
-branch's target row and condition mask) and hands it to the interpreter
-loop of the compiled library, :func:`~repro.microarch.native.run_program`,
-in one call.  The loop runs on the windowed register file as a flat
-uint32 array and writes the :class:`~repro.microarch.memory.Memory` image
-in place; it records three streams -- the executed instruction indices,
-the load/store addresses and the branch outcomes -- from which
-:func:`_build_trace` derives every trace column with NumPy.  Faults stop
+branch's target row and condition mask, then the timing class, the bit of
+the register a load writes, the bits of the registers it reads, whether it
+sets the condition codes and its window step) and hands it to the
+interpreter loop of the compiled library,
+:func:`~repro.microarch.native.run_program`, in one call.  The rows depend
+only on the text segment, which an application assembles identically for
+every input, so they are memoised per text (:func:`_decode_text`).  The
+loop runs on the windowed register file as a flat uint32 array, writes the
+:class:`~repro.microarch.memory.Memory` image in place and writes the
+trace as it executes: the six
+:class:`~repro.microarch.trace.ExecutionTrace` columns, the data-cache
+access stream and the feature counts, which become the trace's
+:attr:`~repro.microarch.trace.ExecutionTrace.counted_features`.  Faults stop
 the loop where they execute, and this module raises each as the same
 :class:`~repro.errors.SimulationError` the reference interpreter in
 ``tests/reference_simulator.py`` raises; a refused memory access is
@@ -30,6 +36,7 @@ which words the message.
 
 from __future__ import annotations
 
+import functools
 import sys
 from dataclasses import dataclass
 from typing import Dict, List, NoReturn, Optional, Tuple
@@ -43,7 +50,7 @@ from repro.isa.program import Program
 from repro.isa.registers import REGISTER_SLOTS, RegisterFile, register_number
 from repro.microarch import native
 from repro.microarch.memory import Memory
-from repro.microarch.trace import ExecutionTrace
+from repro.microarch.trace import ExecutionTrace, TraceFeatures
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import span
 
@@ -99,6 +106,14 @@ _FAULT = native.OPCODES.index("FAULT")
 #: so it is clamped to keep its sign in the int64 table.
 _DIVISOR_BOUND = 1 << 33
 _WINDOW_DELTA = {Op.SAVE: 1, Op.RESTORE: -1, Op.RET: -1}
+#: Timing class of each operation as decoded: a branch's is the untaken
+#: class, which the interpreter steps to the taken class when it branches.
+_CLASSES = {**OP_CLASS, Op.BRANCH: OpClass.BRANCH_UNTAKEN}
+_SETS_ICC = frozenset(op for op in Op if Instruction(op).sets_icc)
+#: Operations whose :attr:`~repro.isa.instructions.Instruction.reads_registers`
+#: is empty, and those that also read RD (stores: their data).
+_READS_NOTHING = frozenset(op for op in Op if not Instruction(op).reads_registers)
+_READS_RD = frozenset(op for op in Op if 7 in Instruction(op, rd=7).reads_registers)
 
 
 @dataclass
@@ -117,16 +132,26 @@ class SimulationResult:
         return self.registers.read(register_number(name))
 
 
-def _decode(program: Program) -> Tuple[np.ndarray, int, List[Optional[str]]]:
+def _decode(program: Program) -> Tuple[np.ndarray, int, Tuple[Optional[str], ...]]:
     """The program as :func:`~repro.microarch.native.run_program` rows.
 
-    Returns the rows, the entry row and the message of each FAULT row
-    after the text segment: falling off its end, a computed jump leaving
-    it (``None``: the message names the jump's target, known only when
-    it runs), then one row per static target outside it.
+    Returns the read-only rows, the entry row and the message of each
+    FAULT row after the text segment: falling off its end, a computed
+    jump leaving it (``None``: the message names the jump's target, known
+    only when it runs), then one row per static target outside it.
     """
-    instructions = program.instructions
-    text_base = program.layout.text_base
+    return _decode_text(program.instructions, program.layout.text_base, program.entry_point)
+
+
+@functools.lru_cache(maxsize=16)
+def _decode_text(instructions: Tuple[Instruction, ...], text_base: int,
+                 entry_point: int) -> Tuple[np.ndarray, int, Tuple[Optional[str], ...]]:
+    """:func:`_decode` of one text segment, memoised.
+
+    An application assembles the same text for every input it is given,
+    so a process decodes each application's text once; the rows do not
+    depend on the data segment.
+    """
     n = len(instructions)
     messages: List[Optional[str]] = [
         f"program counter {text_base + n * INSTRUCTION_BYTES:#x} left the text segment", None]
@@ -144,63 +169,37 @@ def _decode(program: Program) -> Tuple[np.ndarray, int, List[Optional[str]]]:
                             else f"program counter {pc:#x} left the text segment")
         return faults[pc]
 
-    entry = row(program.entry_point)
+    entry = row(entry_point)
     rows = []  # each in native.RUN_COLUMNS order
     for instr in instructions:
-        op = instr.op
-        imm = instr.imm or 0
-        rs2 = (-1, 0) if instr.imm is not None or instr.rs2 is None else REGISTER_SLOTS[instr.rs2]
+        op, rd, rs1, rs2, imm = instr.op, instr.rd, instr.rs1, instr.rs2, instr.imm
+        op_class = _CLASSES.get(op, OpClass.NOP)
+        if op in _READS_NOTHING:
+            reads = 0
+        else:  # Instruction.reads_registers as bits
+            reads = 1 << rs1 | (0 if rs2 is None else 1 << rs2)
+            if op in _READS_RD:
+                reads |= 1 << rd
+        value = imm or 0
         rows.append((
             _OPCODES.get(op, _FAULT),
-            *REGISTER_SLOTS[_O7 if op is Op.CALL else instr.rd],
-            *REGISTER_SLOTS[_I7 if op is Op.RET else _O7 if op is Op.RETL else instr.rs1],
-            *rs2,
-            ((imm << 11) if op is Op.SETHI else imm) & _MASK32,
-            max(-_DIVISOR_BOUND, min(imm, _DIVISOR_BOUND)),
-            row(instr.target) if op in (Op.BRANCH, Op.CALL) else 0,
-            _CONDITION_MASKS.get(instr.condition, -1) if op is Op.BRANCH else 0))
+            *REGISTER_SLOTS[_O7 if op is Op.CALL else rd],
+            *REGISTER_SLOTS[_I7 if op is Op.RET else _O7 if op is Op.RETL else rs1],
+            *((-1, 0) if imm is not None or rs2 is None else REGISTER_SLOTS[rs2]),
+            ((value << 11) if op is Op.SETHI else value) & _MASK32,
+            max(-_DIVISOR_BOUND, min(value, _DIVISOR_BOUND)),
+            row(instr.target) if op is Op.BRANCH or op is Op.CALL else 0,
+            _CONDITION_MASKS.get(instr.condition, -1) if op is Op.BRANCH else 0,
+            op_class,
+            1 << rd if op_class is OpClass.LOAD else 0,
+            reads,
+            op in _SETS_ICC,
+            _WINDOW_DELTA.get(op, 0)))
     fault = (_FAULT,) + (0,) * (len(native.RUN_COLUMNS) - 1)
     rows += [fault] * len(messages)
-    return np.array(rows, dtype=np.int64), entry, messages
-
-
-def _build_trace(instructions: Tuple[Instruction, ...], text_base: int, idx: np.ndarray,
-                 addresses: np.ndarray, outcomes: np.ndarray, name: str) -> ExecutionTrace:
-    """Expand the executed instruction indices and recorded streams into a trace."""
-    classes = [OP_CLASS.get(i.op, OpClass.NOP) for i in instructions]
-    is_branch = np.asarray([i.op is Op.BRANCH for i in instructions], dtype=bool)
-    is_memory = np.asarray([c in (OpClass.LOAD, OpClass.STORE) for c in classes], dtype=bool)
-    sets_icc = np.asarray([i.sets_icc for i in instructions], dtype=bool)
-    # load-use hazards: the loaded register (as a bit) against the
-    # window-relative registers the next executed instruction reads
-    load_bits = np.asarray([1 << i.rd if c is OpClass.LOAD else 0
-                            for i, c in zip(instructions, classes)], dtype=np.uint32)
-    read_bits = np.asarray([sum(1 << r for r in set(i.reads_registers)) for i in instructions],
-                           dtype=np.uint32)
-    window_delta = np.asarray([_WINDOW_DELTA.get(i.op, 0) for i in instructions], dtype=np.int8)
-    pcs = (text_base + INSTRUCTION_BYTES * np.arange(len(instructions))).astype(np.uint32)
-
-    count = len(idx)
-    op_classes = np.asarray(classes, dtype=np.uint8)[idx]
-    branch = is_branch[idx]
-    op_classes[branch] = np.where(outcomes, np.uint8(OpClass.BRANCH_TAKEN),
-                                  np.uint8(OpClass.BRANCH_UNTAKEN))
-    mem_addrs = np.zeros(count, dtype=np.uint32)
-    mem_addrs[is_memory[idx]] = addresses
-    load_use = np.zeros(count, dtype=bool)
-    np.not_equal(load_bits[idx[:-1]] & read_bits[idx[1:]], 0, out=load_use[:-1])
-    cc_hazard = np.zeros(count, dtype=bool)
-    np.logical_and(branch[1:], sets_icc[idx[:-1]], out=cc_hazard[1:])
-    events = window_delta[idx]
-    return ExecutionTrace(
-        pcs=pcs[idx],
-        op_classes=op_classes,
-        mem_addrs=mem_addrs,
-        load_use_hazard=load_use,
-        cc_branch_hazard=cc_hazard,
-        window_events=events[events != 0],
-        name=name,
-    )
+    code = np.array(rows, dtype=np.int64)
+    code.flags.writeable = False  # shared by every run of this text
+    return code, entry, tuple(messages)
 
 
 class FunctionalSimulator:
@@ -228,11 +227,13 @@ class FunctionalSimulator:
                 np.array(regs.values, dtype=np.uint32), self.max_instructions)
             if run.status != native.RUN_HALT:
                 self._fail(run, memory, messages)
+            state = run.state
             regs.values = run.registers.tolist()
-            regs.base = run.state["BASE"]
-            trace = _build_trace(program.instructions, layout.text_base, run.indices,
-                                 run.addresses, run.outcomes, name)
-            count = len(run.indices)
+            regs.base = state["BASE"]
+            count = state["EXECUTED"]
+            trace = ExecutionTrace(**run.trace, name=name, counted_features=TraceFeatures(
+                instruction_count=count, class_counts=run.class_counts[:len(OpClass)],
+                load_use_hazards=state["LOAD_USES"], cc_branch_hazards=state["CC_BRANCHES"]))
             sim_span.set(instructions=count)
             get_registry().counter("functional_sim.instructions").inc(count)
 
@@ -245,7 +246,8 @@ class FunctionalSimulator:
             max_window_depth=regs.max_depth,
         )
 
-    def _fail(self, run: native.Run, memory: Memory, messages: List[Optional[str]]) -> NoReturn:
+    def _fail(self, run: native.Run, memory: Memory,
+              messages: Tuple[Optional[str], ...]) -> NoReturn:
         """Raise the error of a run that stopped before HALT, worded as the reference's."""
         program = self.program
         state = run.state

@@ -6,9 +6,17 @@ checked bit for bit against a Python or NumPy oracle in ``tests/``:
 
 * ``run_program`` -- the functional simulator's interpreter loop: runs a
   pre-decoded program (one row of :data:`RUN_COLUMNS` per static
-  instruction) to HALT, writing the executed instruction indices, the
-  load/store addresses and the branch outcomes (oracle
-  ``ReferenceSimulator`` in ``tests/reference_simulator.py``);
+  instruction: how to execute it, and the static facts its trace entry
+  needs -- timing class, loaded and read register bits, condition-code
+  update, window step) to HALT, and writes the trace as it executes
+  (:data:`TRACE_COLUMNS`: the six columns of an
+  :class:`~repro.microarch.trace.ExecutionTrace`, taken and untaken
+  branches resolved and both hazard columns set, then the data-cache
+  access stream with its write flags), counting every instruction class
+  and both hazards on the way.  The last executed instruction's load
+  bit and condition-code flag are part of the :data:`RUN_STATE` vector,
+  so a hazard that straddles a resume is recorded like any other
+  (oracle ``ReferenceSimulator`` in ``tests/reference_simulator.py``);
 * ``decode_runs`` -- the run decode of :func:`~repro.microarch.cachekernel.decode_trace`
   (oracle ``reference_decode`` in ``tests/reference_replay.py``);
 * ``build_set_view`` -- the set grouping behind
@@ -53,7 +61,8 @@ import numpy as np
 
 from repro.errors import ReplayKernelError
 
-__all__ = ["CFLAGS", "COMPILER", "OPCODES", "REPLAY_SOURCE", "RUN_COLUMNS", "Run",
+__all__ = ["CFLAGS", "COMPILER", "OPCODES", "REPLAY_SOURCE", "RUN_COLUMNS", "RUN_STATE",
+           "TRACE_COLUMNS", "Run",
            "build_set_view", "decode_runs", "replay_cold", "replay_events", "run_program"]
 
 #: Policy codes shared with the C source.
@@ -75,31 +84,53 @@ OPCODES = ("ADD", "ADDCC", "SUB", "SUBCC", "AND", "ANDCC", "OR", "ORCC", "XOR", 
 #: the second operand is IMM); the immediate as 32 bits (SETHI's: the value
 #: it sets); SDIV's signed immediate divisor; a branch's or call's target
 #: row; a branch's 16-bit condition mask over ``N<<3 | Z<<2 | V<<1 | C``
-#: (-1: an unknown condition).
+#: (-1: an unknown condition); then the static facts the trace records: the
+#: timing class code (a branch's untaken class, one less than its taken
+#: class), the bit of the register a load writes (0 elsewhere), the bits of
+#: the window-relative registers the instruction reads, whether it sets the
+#: condition codes, and its register-window step (+1 SAVE, -1 RESTORE/RET).
 RUN_COLUMNS = ("OP", "RD", "RD_MASK", "RS1", "RS1_MASK", "RS2", "RS2_MASK", "IMM",
-               "DIVISOR", "TARGET", "COND")
+               "DIVISOR", "TARGET", "COND", "CLASS", "LOADS", "READS", "SETS_ICC", "WINDOW")
 
 #: ``run_program``'s state vector: the next (or faulting) row, the packed
 #: condition codes, the window base, the register slots in use, the
-#: instructions executed, the target of a computed jump that left the text
-#: segment, a refused access's address and size, and the entries one call
-#: wrote to each output.
+#: instructions executed (the entries of each per-instruction column), the
+#: target of a computed jump that left the text segment, a refused access's
+#: address and size, the entries of the window-event and data-access
+#: columns, the last executed instruction's load bit and condition-code
+#: flag (so a hazard that straddles a resume is still seen), and the
+#: load-use and condition-code-branch hazards counted so far.
 RUN_STATE = ("ROW", "ICC", "BASE", "USED", "EXECUTED", "PC", "ADDRESS", "SIZE",
-             "INDICES", "ADDRESSES", "OUTCOMES")
+             "EVENTS", "ACCESSES", "LOADED", "SET_ICC", "LOAD_USES", "CC_BRANCHES")
+
+#: The columns ``run_program`` writes and their dtypes: the six
+#: per-instruction columns of an :class:`~repro.microarch.trace.ExecutionTrace`
+#: (one entry per executed instruction but ``window_events``, one per SAVE,
+#: RESTORE or RET), then the data-cache access stream (the address and a
+#: write flag of every load and store).
+TRACE_COLUMNS = (("pcs", np.uint32), ("op_classes", np.uint8), ("mem_addrs", np.uint32),
+                 ("load_use_hazard", np.bool_), ("cc_branch_hazard", np.bool_),
+                 ("window_events", np.int8), ("data_addresses", np.uint32),
+                 ("data_is_write", np.bool_))
 
 #: Why ``run_program`` returned: HALT executed; the budget is spent; the
 #: row ``state[ROW]`` faults; an access was refused; RESTORE or RET below
-#: the initial window; the output buffers are full; a SAVE needs more
+#: the initial window; the output columns are full; a SAVE needs more
 #: register slots.  The last two resume.
 RUN_STATUSES = ("HALT", "BUDGET", "FAULT", "MEMORY", "UNDERFLOW", "FULL", "REGISTERS")
 (RUN_HALT, RUN_BUDGET, RUN_FAULT, RUN_MEMORY, RUN_UNDERFLOW, RUN_FULL,
  RUN_REGISTERS) = range(len(RUN_STATUSES))
 
-#: Entries of the first output buffers of a run, and register slots of
+#: Entries of the first output columns of a run, and register slots of
 #: its first register file (the globals and eight windows); both double
-#: as a run needs more.
-_FIRST_OUTPUTS = 1 << 12
+#: as a run needs more.  Each doubling allocates and copies every column,
+#: so the columns start at 272 KiB, which holds a test-size application.
+_FIRST_OUTPUTS = 1 << 14
 _FIRST_REGISTERS = 32 + 16 * 8
+
+#: Class codes ``run_program`` counts: any ``uint8`` (a taken branch's
+#: class is one more than its row's ``CLASS``).
+_CLASS_CODES = 256
 
 COMPILER = "cc"
 CFLAGS = ("-O2", "-shared", "-fPIC")
@@ -112,40 +143,50 @@ def _enum(prefix: str, names: Sequence[str]) -> str:
 REPLAY_SOURCE = (
     "#include <stdint.h>\n#include <stdlib.h>\n#include <string.h>\n"
     + _enum("OP_", OPCODES) + _enum("C_", RUN_COLUMNS + ("WIDTH",))
-    + _enum("S_", RUN_STATE) + _enum("RUN_", RUN_STATUSES) + r"""
+    + _enum("S_", RUN_STATE) + _enum("RUN_", RUN_STATUSES)
+    + _enum("T_", [name.upper() for name, _ in TRACE_COLUMNS]) + r"""
 /* The packed N and Z flags of a result */
 #define NZ(r) (((r) >> 28 & 8) | ((r) == 0) << 2)
 
 /* Run a decoded program from row state[S_ROW] until HALT, a fault, the
-   budget of executed instructions or a full buffer, and store the state
+   budget of executed instructions or full columns, and store the state
    back, so a call after RUN_FULL or RUN_REGISTERS resumes the run.  code
    holds C_WIDTH columns per row: rows [0, n) are the text segment, row n
    (falling off its end), row n + 1 (a computed jump outside it, to
    state[S_PC]) and any later rows (static targets outside it) are FAULT
    rows.  A register is the slot (base & mask) + offset of regs, whose
    first state[S_USED] slots are in use and the rest zero; slot 0 is %g0,
-   so a write to it is undone.  Each executed instruction appends its row
-   to indices, each load and store its address to addresses and each
-   branch its outcome to outcomes; all three hold `capacity` entries, so
-   one check per instruction keeps them in bounds. */
+   so a write to it is undone.  trace holds the T_ columns, `capacity`
+   entries each, filled from entry state[S_EXECUTED] (state[S_EVENTS] and
+   state[S_ACCESSES] for the window events and data accesses, never more
+   than the instructions), so one check per instruction keeps them all in
+   bounds.  Each executed instruction's class is counted in counts. */
 int64_t run_program(const int64_t *code, int64_t n, int64_t text_base,
                     uint8_t *memory, int64_t memory_size, uint32_t *regs,
                     int64_t reg_capacity, int64_t budget, int64_t capacity,
-                    int64_t *indices, uint32_t *addresses, uint8_t *outcomes,
-                    int64_t *state)
+                    void *const *trace, int64_t *counts, int64_t *state)
 {
+    uint32_t *pcs = trace[T_PCS], *mem_addrs = trace[T_MEM_ADDRS],
+             *data_addresses = trace[T_DATA_ADDRESSES];
+    uint8_t *classes = trace[T_OP_CLASSES], *load_use = trace[T_LOAD_USE_HAZARD],
+            *cc_branch = trace[T_CC_BRANCH_HAZARD], *writes = trace[T_DATA_IS_WRITE];
+    int8_t *events = trace[T_WINDOW_EVENTS];
     int64_t k = state[S_ROW], base = state[S_BASE], used = state[S_USED];
-    int64_t executed = state[S_EXECUTED], ni = 0, na = 0, nb = 0, size = 0, status;
-    int64_t limit = budget - executed < capacity ? budget - executed : capacity;
+    int64_t executed = state[S_EXECUTED], ne = state[S_EVENTS], na = state[S_ACCESSES];
+    int64_t load_uses = state[S_LOAD_USES], cc_branches = state[S_CC_BRANCHES];
+    int64_t limit = budget < capacity ? budget : capacity, size = 0, status;
+    /* loaded: the register bit the last instruction loaded; set_icc: it set the codes */
+    int64_t loaded = state[S_LOADED], set_icc = state[S_SET_ICC];
     uint32_t icc = (uint32_t)state[S_ICC], a = 0;
 
-/* check a `bytes`-wide access at x + y and record its address */
-#define ACCESS(bytes)                                                        \
+/* check a `bytes`-wide access at x + y and record it, a write if `write` */
+#define ACCESS(bytes, write)                                                 \
     a = x + y;                                                               \
     size = bytes;                                                            \
     if ((a & (bytes - 1)) || (int64_t)a > memory_size - bytes)               \
         goto memory_fault;                                                   \
-    addresses[na++] = a
+    data_addresses[na] = a;                                                  \
+    writes[na++] = write
 /* continue at the row of pc, or fault there when it is outside the text */
 #define JUMP(pc)                                                             \
     do {                                                                     \
@@ -157,9 +198,31 @@ int64_t run_program(const int64_t *code, int64_t n, int64_t text_base,
             next = offset >> 2;                                              \
         }                                                                    \
     } while (0)
+/* append the executed instruction to the trace; a load-use hazard marks
+   the load, the entry before this one */
+#define RECORD                                                               \
+    do {                                                                     \
+        int hazard = set_icc && c[C_OP] == OP_BRANCH;                        \
+        pcs[executed] = (uint32_t)(text_base + 4 * k);                       \
+        classes[executed] = (uint8_t)cls;                                    \
+        mem_addrs[executed] = a;                                             \
+        load_use[executed] = 0;                                              \
+        cc_branch[executed] = hazard;                                        \
+        cc_branches += hazard;                                               \
+        if (loaded & c[C_READS]) {                                           \
+            load_use[executed - 1] = 1;                                      \
+            load_uses++;                                                     \
+        }                                                                    \
+        if (c[C_WINDOW])                                                     \
+            events[ne++] = (int8_t)c[C_WINDOW];                              \
+        counts[cls]++;                                                       \
+        loaded = c[C_LOADS];                                                 \
+        set_icc = c[C_SETS_ICC];                                             \
+        executed++;                                                          \
+    } while (0)
 
     for (;;) {
-        if (ni >= limit) {
+        if (executed >= limit) {
             status = executed >= budget ? RUN_BUDGET : RUN_FULL;
             goto out;
         }
@@ -169,7 +232,8 @@ int64_t run_program(const int64_t *code, int64_t n, int64_t text_base,
                                   : regs[(base & c[C_RS2_MASK]) + c[C_RS2]];
         uint32_t *rd = regs + (base & c[C_RD_MASK]) + c[C_RD];
         uint32_t v = 0, link = (uint32_t)(text_base + 4 * (k + 1));
-        int64_t next = k + 1;
+        int64_t next = k + 1, cls = c[C_CLASS];
+        a = 0;
         switch (c[C_OP]) {
         case OP_ADD: v = x + y; break;
         case OP_ADDCC: {
@@ -206,20 +270,22 @@ int64_t run_program(const int64_t *code, int64_t n, int64_t text_base,
             v = (uint32_t)((p < 0) != (d < 0) ? -q : q);
             break;
         }
-        case OP_LD: ACCESS(4); memcpy(&v, memory + a, 4); break;
-        case OP_LDUB: ACCESS(1); v = memory[a]; break;
-        case OP_LDUH: { uint16_t h; ACCESS(2); memcpy(&h, memory + a, 2); v = h; break; }
-        case OP_LDSB: ACCESS(1); v = (uint32_t)(int32_t)(int8_t)memory[a]; break;
-        case OP_LDSH: { int16_t h; ACCESS(2); memcpy(&h, memory + a, 2);
+        case OP_LD: ACCESS(4, 0); memcpy(&v, memory + a, 4); break;
+        case OP_LDUB: ACCESS(1, 0); v = memory[a]; break;
+        case OP_LDUH: { uint16_t h; ACCESS(2, 0); memcpy(&h, memory + a, 2); v = h; break; }
+        case OP_LDSB: ACCESS(1, 0); v = (uint32_t)(int32_t)(int8_t)memory[a]; break;
+        case OP_LDSH: { int16_t h; ACCESS(2, 0); memcpy(&h, memory + a, 2);
                         v = (uint32_t)(int32_t)h; break; }
-        case OP_ST: ACCESS(4); memcpy(memory + a, rd, 4); goto done;
-        case OP_STB: ACCESS(1); memory[a] = (uint8_t)*rd; goto done;
-        case OP_STH: { uint16_t h = (uint16_t)*rd; ACCESS(2); memcpy(memory + a, &h, 2);
+        case OP_ST: ACCESS(4, 1); memcpy(memory + a, rd, 4); goto done;
+        case OP_STB: ACCESS(1, 1); memory[a] = (uint8_t)*rd; goto done;
+        case OP_STH: { uint16_t h = (uint16_t)*rd; ACCESS(2, 1); memcpy(memory + a, &h, 2);
                        goto done; }
         case OP_BRANCH:
             if (c[C_COND] < 0) goto fault;
-            outcomes[nb] = c[C_COND] >> icc & 1;
-            if (outcomes[nb++]) next = c[C_TARGET];
+            if (c[C_COND] >> icc & 1) {
+                next = c[C_TARGET];
+                cls++;  /* the taken class */
+            }
             goto done;
         case OP_CALL: v = link; next = c[C_TARGET]; break;
         case OP_JMPL: v = link; JUMP(x + y); break;
@@ -247,8 +313,7 @@ int64_t run_program(const int64_t *code, int64_t n, int64_t text_base,
             break;
         case OP_NOP: goto done;
         case OP_HALT:
-            indices[ni++] = k;
-            executed++;
+            RECORD;
             status = RUN_HALT;
             goto out;
         default: goto fault;
@@ -256,8 +321,7 @@ int64_t run_program(const int64_t *code, int64_t n, int64_t text_base,
         *rd = v;
         regs[0] = 0;
     done:
-        indices[ni++] = k;
-        executed++;
+        RECORD;
         k = next;
     }
 memory_fault:
@@ -276,9 +340,12 @@ out:
     state[S_BASE] = base;
     state[S_USED] = used;
     state[S_EXECUTED] = executed;
-    state[S_INDICES] = ni;
-    state[S_ADDRESSES] = na;
-    state[S_OUTCOMES] = nb;
+    state[S_EVENTS] = ne;
+    state[S_ACCESSES] = na;
+    state[S_LOADED] = loaded;
+    state[S_SET_ICC] = set_icc;
+    state[S_LOAD_USES] = load_uses;
+    state[S_CC_BRANCHES] = cc_branches;
     return status;
 }
 
@@ -544,7 +611,7 @@ def _load():
             i64, ptr = ctypes.c_int64, ctypes.c_void_p
             signatures = {
                 "run_program": ([ptr, i64, i64, ptr, i64, ptr, i64, i64, i64, ptr, ptr,
-                                 ptr, ptr], i64),
+                                 ptr], i64),
                 "decode_runs": ([i64, ptr, ptr, i64, ptr, ptr], i64),
                 "build_set_view": ([i64, ptr, ptr, ptr, ptr, i64, i64, ptr], i64),
                 "replay_events": ([i64, ptr, i64, ptr, ptr, ptr, ptr, i64, i64, i64,
@@ -581,12 +648,32 @@ def _address(array: np.ndarray, shape: tuple, name: str, writeable=False,
 class Run(NamedTuple):
     """How a :func:`run_program` run ended, and what it recorded."""
 
-    status: int             #: a ``RUN_*`` code: HALT, BUDGET, FAULT, MEMORY or UNDERFLOW
-    state: Dict[str, int]   #: the final state vector, by :data:`RUN_STATE` name
-    registers: np.ndarray   #: the uint32 register slots in use
-    indices: np.ndarray     #: the row of each executed instruction (int64)
-    addresses: np.ndarray   #: the address of each executed load and store (uint32)
-    outcomes: np.ndarray    #: whether each executed branch was taken (bool)
+    status: int                     #: a ``RUN_*`` code: HALT, BUDGET, FAULT, MEMORY or UNDERFLOW
+    state: Dict[str, int]           #: the final state vector, by :data:`RUN_STATE` name
+    registers: np.ndarray           #: the uint32 register slots in use
+    trace: Dict[str, np.ndarray]    #: the :data:`TRACE_COLUMNS`, by name
+    class_counts: np.ndarray        #: executed instructions per class code (int64)
+
+
+def _column_bounds() -> Tuple[np.ndarray, np.ndarray]:
+    """Lowest and highest value of each :data:`RUN_COLUMNS` entry the loop runs safely.
+
+    A register mask is 0 or -1; IMM is any value; a taken branch counts
+    its class plus one, which must stay below :data:`_CLASS_CODES`.
+    TARGET's highest row depends on the table: :func:`run_program` sets it.
+    """
+    word, wide = (1 << 32) - 1, (1 << 63) - 1
+    bounds = {"OP": (0, len(OPCODES) - 1), "RD": (0, 31), "RS1": (0, 31), "RS2": (-1, 31),
+              "RD_MASK": (-1, 0), "RS1_MASK": (-1, 0), "RS2_MASK": (-1, 0),
+              "IMM": (-wide - 1, wide), "DIVISOR": (-(1 << 40), 1 << 40),
+              "TARGET": (0, 0), "COND": (-1, 0xFFFF), "CLASS": (0, _CLASS_CODES - 2),
+              "LOADS": (0, word), "READS": (0, word), "SETS_ICC": (0, 1), "WINDOW": (-1, 1)}
+    low, high = zip(*(bounds[name] for name in RUN_COLUMNS))
+    return np.array(low, dtype=np.int64), np.array(high, dtype=np.int64)
+
+
+_LOW, _HIGH = _column_bounds()
+_OP, _TARGET = RUN_COLUMNS.index("OP"), RUN_COLUMNS.index("TARGET")
 
 
 def run_program(code: np.ndarray, text_rows: int, entry: int, text_base: int, memory,
@@ -599,23 +686,16 @@ def run_program(code: np.ndarray, text_rows: int, entry: int, text_base: int, me
     writeable buffer of the program's memory image (exported only while
     the loop runs) and ``registers`` the initial uint32 register slots
     (at least the globals and window 0).  The register file and the
-    outputs start small and double whenever the loop stops for room, so
-    they grow with what was executed, never with ``budget``.
+    trace columns start small and double whenever the loop stops for
+    room, so they grow with what was executed, never with ``budget``.
     """
     rows = code.shape[0] if code.ndim == 2 else -1
     table = _address(code, (rows, len(RUN_COLUMNS)), "program")
-    column = dict(zip(RUN_COLUMNS, code.T))
-    slots_in = [column[name] for name in ("RD", "RS1")]
-    masks = [column[name] for name in ("RD_MASK", "RS1_MASK", "RS2_MASK")]
+    high = _HIGH.copy()
+    high[_TARGET] = rows - 1
     if (text_rows < 0 or rows < text_rows + 2 or not 0 <= entry < rows
-            or ((column["OP"] < 0) | (column["OP"] >= len(OPCODES))).any()
-            or (column["OP"][text_rows:] != OPCODES.index("FAULT")).any()
-            or ((column["TARGET"] < 0) | (column["TARGET"] >= rows)).any()
-            or ((column["COND"] < -1) | (column["COND"] > 0xFFFF)).any()
-            or any(((slot < 0) | (slot >= 32)).any() for slot in slots_in)
-            or ((column["RS2"] < -1) | (column["RS2"] >= 32)).any()
-            or any(((mask != 0) & (mask != -1)).any() for mask in masks)
-            or (np.abs(column["DIVISOR"]) > 1 << 40).any()):
+            or (code < _LOW).any() or (code > high).any()
+            or (code[text_rows:, _OP] != OPCODES.index("FAULT")).any()):
         raise ReplayKernelError(f"program rows out of range for {text_rows} instructions")
     if len(registers) < 32:
         raise ReplayKernelError(f"need at least 32 register slots, got {len(registers)}")
@@ -624,31 +704,37 @@ def run_program(code: np.ndarray, text_rows: int, entry: int, text_base: int, me
     state = np.zeros(len(RUN_STATE), dtype=np.int64)
     state[RUN_STATE.index("ROW")] = entry
     state[RUN_STATE.index("USED")] = len(registers)
-    counts = [RUN_STATE.index(name) for name in ("INDICES", "ADDRESSES", "OUTCOMES")]
+    class_counts = np.zeros(_CLASS_CODES, dtype=np.int64)
     library = _load()
-    capacity, parts = _FIRST_OUTPUTS, []
+    capacity = _FIRST_OUTPUTS
+    columns = [np.empty(capacity, dtype=dtype) for _, dtype in TRACE_COLUMNS]
     image = np.frombuffer(memory, dtype=np.uint8)
     try:
         image_address = _address(image, image.shape, "memory", True, np.uint8)
         while True:
-            outputs = (np.empty(capacity, dtype=np.int64),
-                       np.empty(capacity, dtype=np.uint32), np.empty(capacity, dtype=np.bool_))
+            addresses = np.array([column.ctypes.data for column in columns], dtype=np.uintp)
             status = library.run_program(
                 table, text_rows, text_base, image_address, len(image), slots.ctypes.data,
-                len(slots), min(budget, 1 << 62), capacity,
-                *(output.ctypes.data for output in outputs), state.ctypes.data)
-            parts.append([output[:state[count]] for output, count in zip(outputs, counts)])
+                len(slots), min(budget, 1 << 62), capacity, addresses.ctypes.data,
+                class_counts.ctypes.data, state.ctypes.data)
             if status == RUN_FULL:
                 capacity *= 2
+                grown = [np.empty(capacity, dtype=column.dtype) for column in columns]
+                for column, bigger in zip(columns, grown):
+                    bigger[:len(column)] = column
+                columns = grown
             elif status == RUN_REGISTERS:
                 slots = np.concatenate([slots, np.zeros_like(slots)])
             else:
                 break
     finally:
         del image  # release the buffer export: the caller may close the buffer
-    columns = [np.concatenate(part) if len(parts) > 1 else part[0] for part in zip(*parts)]
     final = dict(zip(RUN_STATE, state.tolist()))
-    return Run(status, final, slots[:final["USED"]], *columns)
+    lengths = {"window_events": final["EVENTS"], "data_addresses": final["ACCESSES"],
+               "data_is_write": final["ACCESSES"]}
+    trace = {name: column[:lengths.get(name, final["EXECUTED"])]
+             for (name, _), column in zip(TRACE_COLUMNS, columns)}
+    return Run(status, final, slots[:final["USED"]], trace, class_counts)
 
 
 def decode_runs(addresses: np.ndarray, writes: Optional[np.ndarray],

@@ -50,6 +50,7 @@ __all__ = [
     "TIMING_COLUMNS",
     "TimingParameters",
     "count_window_traps",
+    "window_trap_table",
     "evaluate_many",
 ]
 
@@ -123,46 +124,60 @@ def count_window_traps(window_events: np.ndarray, windows: int) -> Tuple[int, in
     ``window_events`` is the +1/-1 SAVE/RESTORE sequence recorded by the
     functional simulator; ``windows`` is the configured window count.  One
     window is reserved (the SPARC WIM convention), so ``windows - 1``
-    nested activations fit before the first spill.
+    nested activations fit before the first spill.  This is one row of
+    :func:`window_trap_table`.
+    """
+    _, overflows, underflows = window_trap_table(window_events, (windows,))[0]
+    return overflows, underflows
+
+
+def window_trap_table(window_events: np.ndarray,
+                      window_counts: Sequence[int]) -> Tuple[Tuple[int, int, int], ...]:
+    """``(windows, overflows, underflows)`` for each window count, in order.
 
     The count is a saturating walk of the resident-window gap
     ``g = depth - resident_base`` over ``[0, usable - 1]``: a SAVE that
     would push ``g`` past the top spills (overflow), a RESTORE that would
-    pull it below zero fills (underflow).  Two NumPy fast paths cover the
-    common cases -- the walk never leaving the band (no traps at all) and
-    a single usable window (every event traps) -- and the general case
-    walks *runs* of consecutive same-direction events with closed-form
-    per-run trap counts, so the Python-level loop runs once per direction
-    change instead of once per event.
+    pull it below zero fills (underflow).  One pass over the events
+    serves every window count: the depth's cumulative sum and its
+    extremes are computed once, and a window count whose band the depth
+    never leaves has no traps.  With a single usable window every event
+    traps.  The other window counts walk *runs* of consecutive
+    same-direction events, split once, with closed-form per-run trap
+    counts, so the Python-level loop runs once per direction change
+    instead of once per event.
     """
-    usable = max(1, windows - 1)
     events = np.asarray(window_events, dtype=np.int64)
     if events.size == 0:
-        return 0, 0
-    top = usable - 1  # largest gap that fits without spilling
+        return tuple((windows, 0, 0) for windows in window_counts)
     depth = np.cumsum(events)
-    if int(depth.min()) >= 0 and int(depth.max()) <= top:
-        return 0, 0  # the clamp never binds: the unclamped walk stays in band
-    if top == 0:
-        saves = int(np.count_nonzero(events > 0))
-        return saves, int(events.size) - saves
+    low, high = int(depth.min()), int(depth.max())
     saves_mask = events > 0
-    boundaries = np.flatnonzero(saves_mask[1:] != saves_mask[:-1]) + 1
-    run_starts = np.concatenate((np.zeros(1, dtype=np.int64), boundaries))
-    run_lengths = np.diff(np.append(run_starts, events.size))
-    run_is_save = saves_mask[run_starts]
-    overflows = 0
-    underflows = 0
-    gap = 0
-    for is_save, length in zip(run_is_save, run_lengths):
-        length = int(length)
-        if is_save:
-            overflows += max(0, gap + length - top)
-            gap = min(gap + length, top)
+    runs = None
+    table = []
+    for windows in window_counts:
+        top = max(1, windows - 1) - 1  # largest gap that fits without spilling
+        if low >= 0 and high <= top:
+            overflows = underflows = 0  # the clamp never binds
+        elif top == 0:
+            overflows = int(np.count_nonzero(saves_mask))
+            underflows = int(events.size) - overflows
         else:
-            underflows += max(0, length - gap)
-            gap = max(gap - length, 0)
-    return overflows, underflows
+            if runs is None:
+                boundaries = np.flatnonzero(saves_mask[1:] != saves_mask[:-1]) + 1
+                run_starts = np.concatenate((np.zeros(1, dtype=np.int64), boundaries))
+                run_lengths = np.diff(np.append(run_starts, events.size))
+                runs = list(zip(saves_mask[run_starts].tolist(), run_lengths.tolist()))
+            overflows = underflows = gap = 0
+            for is_save, length in runs:
+                if is_save:
+                    overflows += max(0, gap + length - top)
+                    gap = min(gap + length, top)
+                else:
+                    underflows += max(0, length - gap)
+                    gap = max(gap - length, 0)
+        table.append((windows, overflows, underflows))
+    return tuple(table)
 
 
 def _taken_transfers(f) -> int:

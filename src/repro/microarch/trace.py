@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -84,7 +84,16 @@ class TraceSummary:
 
 @dataclass(frozen=True)
 class ExecutionTrace:
-    """Config-independent record of one program execution."""
+    """Config-independent record of one program execution.
+
+    Six columns describe the executed instructions, and the data-cache
+    access stream (:attr:`data_addresses`, :attr:`data_is_write`) lists
+    the loads and stores among them.  The functional simulator's loop
+    writes all of them as it runs, and counts the instruction classes
+    and hazards as well (:attr:`counted_features`).  A trace built from
+    the six columns alone derives its access stream from them here, and
+    its feature vector on first use.
+    """
 
     #: Program counter of every executed instruction.
     pcs: np.ndarray
@@ -100,12 +109,25 @@ class ExecutionTrace:
     window_events: np.ndarray
     #: Name of the workload/program that produced the trace (for reports).
     name: str = "trace"
+    #: Addresses of all data accesses (loads and stores), in program order.
+    data_addresses: Optional[np.ndarray] = field(default=None, repr=False)
+    #: Write flags aligned with :attr:`data_addresses`.
+    data_is_write: Optional[np.ndarray] = field(default=None, repr=False)
+    #: The feature vector counted while the trace was written, if it was.
+    counted_features: Optional[TraceFeatures] = field(default=None, repr=False, compare=False)
     #: Cached columnar cache-kernel views, keyed by ``(kind, linesize_bytes)``.
     _views: Dict[Tuple[str, int], object] = field(
         default_factory=dict, repr=False, compare=False)
-    #: Cached derived quantities (feature vector, per-window trap counts).
+    #: Cached derived quantities (feature vector, summary).
     _derived: Dict[object, object] = field(
         default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.data_addresses is None:
+            memory = self.memory_mask
+            object.__setattr__(self, "data_addresses", self.mem_addrs[memory])
+            object.__setattr__(self, "data_is_write",
+                               self.op_classes[memory] == OpClass.STORE.value)
 
     # -- derived quantities ------------------------------------------------------------
 
@@ -127,11 +149,12 @@ class ExecutionTrace:
 
         The histogram and hazard reductions are a property of the trace
         alone; caching them here means a configuration sweep pays for
-        them once instead of once per evaluated configuration.
+        them once instead of once per evaluated configuration.  A trace
+        the simulator wrote answers with the counts its loop kept.
         """
         features = self._derived.get("features")
         if features is None:
-            features = TraceFeatures(
+            features = self.counted_features or TraceFeatures(
                 instruction_count=self.instruction_count,
                 class_counts=np.bincount(
                     self.op_classes, minlength=len(OpClass)).astype(np.int64),
@@ -141,30 +164,15 @@ class ExecutionTrace:
             self._derived["features"] = features
         return features
 
-    def window_trap_counts(self, windows: int) -> Tuple[int, int]:
-        """Memoised ``(overflows, underflows)`` for one window count.
-
-        The SAVE/RESTORE event stream is configuration independent, so
-        the trap walk depends only on ``windows``; the cache makes every
-        configuration sharing a window count reuse one count.
-        """
-        key = ("window_traps", int(windows))
-        counts = self._derived.get(key)
-        if counts is None:
-            from repro.microarch.timing import count_window_traps
-
-            counts = count_window_traps(self.window_events, windows)
-            self._derived[key] = counts
-        return counts
-
     def summary(self) -> TraceSummary:
         """Memoised :class:`TraceSummary`: name, features and trap table."""
         summary = self._derived.get("summary")
         if summary is None:
+            from repro.microarch.timing import window_trap_table
+
             summary = TraceSummary(
                 name=self.name, features=self.features(),
-                window_traps=tuple((windows, *self.window_trap_counts(windows))
-                                   for windows in REGISTER_WINDOW_COUNTS))
+                window_traps=window_trap_table(self.window_events, REGISTER_WINDOW_COUNTS))
             self._derived["summary"] = summary
         return summary
 
@@ -197,16 +205,6 @@ class ExecutionTrace:
     def store_addresses(self) -> np.ndarray:
         """Effective addresses of store instructions, in program order."""
         return self.mem_addrs[self.store_mask]
-
-    @property
-    def data_addresses(self) -> np.ndarray:
-        """Addresses of all data accesses (loads and stores), in program order."""
-        return self.mem_addrs[self.memory_mask]
-
-    @property
-    def data_is_write(self) -> np.ndarray:
-        """Write flags aligned with :attr:`data_addresses`."""
-        return self.store_mask[self.memory_mask]
 
     def columnar_view(self, kind: str, linesize_bytes: int):
         """Shared :class:`~repro.microarch.cachekernel.ColumnarTrace` of this trace.
@@ -258,9 +256,10 @@ def concatenate_traces(traces, name: str = "trace") -> ExecutionTrace:
 
     The result behaves exactly like a single program that ran the traced
     programs in sequence: instruction, address and hazard streams are
-    joined in order, and the window-event streams append (each traced
-    program enters and leaves at its own base window depth, so the
-    concatenated SAVE/RESTORE sequence stays balanced).
+    joined in order, the data-access streams append, and so do the
+    window-event streams (each traced program enters and leaves at its
+    own base window depth, so the concatenated SAVE/RESTORE sequence
+    stays balanced).
     """
     traces = list(traces)
     if not traces:
@@ -275,6 +274,8 @@ def concatenate_traces(traces, name: str = "trace") -> ExecutionTrace:
         cc_branch_hazard=np.concatenate([t.cc_branch_hazard for t in traces]),
         window_events=np.concatenate([t.window_events for t in traces]),
         name=name,
+        data_addresses=np.concatenate([t.data_addresses for t in traces]),
+        data_is_write=np.concatenate([t.data_is_write for t in traces]),
     )
 
 
@@ -282,8 +283,9 @@ def slice_trace(trace: ExecutionTrace, start: int, stop: int, name: str) -> Exec
     """One phase of a trace: the instructions in ``[start, stop)``.
 
     The slice carries everything the cache and mix views need (per-phase
-    instruction, address and hazard streams).  The window-event stream is
-    not positionally aligned with instructions, so phase slices carry an
+    instruction, address and hazard streams; its data-access stream is
+    derived from its own columns).  The window-event stream is not
+    positionally aligned with instructions, so phase slices carry an
     empty one -- window-trap accounting always runs on the full trace.
     """
     return ExecutionTrace(

@@ -349,7 +349,8 @@ def test_a_huge_budget_allocates_by_what_runs():
 
 
 @pytest.mark.parametrize("column,row,value", [
-    ("TARGET", 0, 99), ("OP", -1, 0), ("RS1", 0, 32), ("RD_MASK", 0, 5), ("COND", 0, 1 << 16)])
+    ("TARGET", 0, 99), ("OP", -1, 0), ("RS1", 0, 32), ("RD_MASK", 0, 5), ("COND", 0, 1 << 16),
+    ("CLASS", 0, 255), ("CLASS", 0, -1), ("READS", 0, 1 << 32), ("WINDOW", 0, 2)])
 def test_the_interpreter_refuses_rows_it_cannot_run_safely(column, row, value):
     """The C loop trusts its row indices, so the wrapper checks them first."""
     asm = Assembler("t")
@@ -357,6 +358,7 @@ def test_the_interpreter_refuses_rows_it_cannot_run_safely(column, row, value):
     asm.halt()
     program = asm.assemble()
     code, entry, _ = functional._decode(program)
+    code = code.copy()  # the decoded rows are shared and read-only
     code[row, native.RUN_COLUMNS.index(column)] = value
     memory = Memory.for_program(program)
     with pytest.raises(ReplayKernelError):

@@ -1,16 +1,21 @@
 """Differential suite: the compiled interpreter against the reference interpreter.
 
 :class:`~repro.microarch.functional.FunctionalSimulator` runs each
-program in the C interpreter loop of :mod:`repro.microarch.native` and
-derives its trace columns from the executed instruction indices;
-``reference_simulator.ReferenceSimulator``
+program in the C interpreter loop of :mod:`repro.microarch.native`,
+which writes every trace column, the data-cache access stream and the
+feature counts as it executes; ``reference_simulator.ReferenceSimulator``
 is the original per-instruction interpreter.  On the four applications,
 the phased scenarios and hypothesis-generated programs the two must
 agree bit for bit: all six trace columns (dtype and values), the final
 register file, the memory image, the instruction count and the window
 depth -- and every error path must raise :class:`SimulationError` with
-the same message on both sides.  The reference keeps its own per-window
-register file, so the flat windowed layout is checked window by window.
+the same message on both sides.  The simulator's access stream and
+feature vector must equal the mask and ``bincount`` formulas over the
+reference's columns.  The loop stops and resumes when its columns fill
+or its register file runs out, so the same must hold with a resume at
+nearly every instruction and with hazards straddling a resume.  The
+reference keeps its own per-window register file, so the flat windowed
+layout is checked window by window.
 """
 
 import numpy as np
@@ -22,14 +27,16 @@ from reference_simulator import ReferenceSimulator
 from repro.errors import SimulationError
 from repro.isa import Assembler
 from repro.isa.encoding import INSTRUCTION_BYTES
-from repro.isa.instructions import CONDITION_CODES, Instruction, Op
+from repro.isa.instructions import CONDITION_CODES, Instruction, Op, OpClass
 from repro.isa.program import MemoryLayout, Program
+from repro.microarch import native
 from repro.microarch.functional import _CONDITION_TABLES, FunctionalSimulator
 from repro.workloads import base as workload_base
 from repro.workloads import phase_scenarios
 
 TRACE_COLUMNS = ("pcs", "op_classes", "mem_addrs", "load_use_hazard",
                  "cc_branch_hazard", "window_events")
+LAYOUT = MemoryLayout()
 
 
 def run_both(program, max_instructions=2_000_000):
@@ -55,6 +62,25 @@ def assert_same_trace(actual, expected):
         assert got.dtype == want.dtype, column
         np.testing.assert_array_equal(got, want, err_msg=column)
     assert actual.name == expected.name
+    assert_streams_match_columns(actual, expected)
+
+
+def assert_streams_match_columns(actual, expected):
+    """``actual``'s data-access stream and feature vector against the mask and
+    ``bincount`` formulas over ``expected``'s columns."""
+    classes = expected.op_classes
+    memory = (classes == OpClass.LOAD.value) | (classes == OpClass.STORE.value)
+    assert actual.data_addresses.dtype == np.uint32
+    np.testing.assert_array_equal(actual.data_addresses, expected.mem_addrs[memory])
+    assert actual.data_is_write.dtype == np.bool_
+    np.testing.assert_array_equal(actual.data_is_write,
+                                  classes[memory] == OpClass.STORE.value)
+    features = actual.features()
+    assert features.instruction_count == len(expected.pcs)
+    np.testing.assert_array_equal(features.class_counts,
+                                  np.bincount(classes, minlength=len(OpClass)))
+    assert features.load_use_hazards == np.count_nonzero(expected.load_use_hazard)
+    assert features.cc_branch_hazards == np.count_nonzero(expected.cc_branch_hazard)
 
 
 def window_snapshots(registers):
@@ -72,6 +98,7 @@ def window_snapshots(registers):
 
 
 def assert_same_result(actual, expected):
+    assert actual.trace.counted_features is not None  # the loop's own counts
     assert_same_trace(actual.trace, expected.trace)
     assert actual.registers.snapshot() == expected.registers.snapshot()
     assert window_snapshots(actual.registers) == window_snapshots(expected.registers)
@@ -101,11 +128,74 @@ def test_phase_scenarios_match_reference(monkeypatch):
     assert sorted(actual) == sorted(expected)
     for name in expected:
         assert actual[name].fingerprint() == expected[name].fingerprint()
+        assert_same_trace(actual[name].trace(), expected[name].trace())
         assert actual[name].phase_bounds() == expected[name].phase_bounds()
         assert actual[name].data_bounds() == expected[name].data_bounds()
         for got, want in zip(actual[name].phase_traces(), expected[name].phase_traces()):
             assert_same_trace(got, want)
         assert actual[name].verify() == expected[name].verify()
+
+
+# -- resumes -----------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def reference_results(small_workload_map):
+    return {name: ReferenceSimulator(workload.program,
+                                     max_instructions=workload.max_instructions).run(
+                                         trace_name="t")
+            for name, workload in small_workload_map.items()}
+
+
+@pytest.mark.parametrize("first", [1, 2, 3])
+@pytest.mark.parametrize("name", ["arith", "blastn", "drr", "frag"])
+def test_applications_match_reference_across_resumes(monkeypatch, small_workload_map,
+                                                     reference_results, name, first):
+    """Columns of ``first`` entries stop the loop at instructions ``first * 2**k``."""
+    monkeypatch.setattr(native, "_FIRST_OUTPUTS", first)
+    workload = small_workload_map[name]
+    actual = FunctionalSimulator(workload.program,
+                                 max_instructions=workload.max_instructions).run(trace_name="t")
+    assert_same_result(actual, reference_results[name])
+
+
+#: An instruction, then a pair with a hazard, and where the trace records
+#: it; two-entry columns put the loop's first resume between the pair.
+BOUNDARY_PROGRAMS = {
+    "load-then-reader": ((
+        Instruction(Op.SETHI, rd=4, imm=LAYOUT.data_base >> 11),
+        Instruction(Op.LD, rd=5, rs1=4, imm=0),
+        Instruction(Op.ADD, rd=6, rs1=5, imm=1),
+        Instruction(Op.HALT)), "load_use_hazard", 1),
+    "subcc-then-branch": ((
+        Instruction(Op.NOP),
+        Instruction(Op.SUBCC, rd=0, rs1=0, imm=1),
+        Instruction(Op.BRANCH, condition="ne", target=LAYOUT.text_base + 3 * INSTRUCTION_BYTES),
+        Instruction(Op.HALT)), "cc_branch_hazard", 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDARY_PROGRAMS))
+def test_a_hazard_straddling_a_resume_is_recorded(monkeypatch, case):
+    instructions, column, entry = BOUNDARY_PROGRAMS[case]
+    monkeypatch.setattr(native, "_FIRST_OUTPUTS", 2)
+    _, expected = run_both(Program(instructions=instructions, data=bytes(4), layout=LAYOUT))
+    assert np.flatnonzero(getattr(expected.trace, column)).tolist() == [entry]
+
+
+def test_a_load_use_hazard_straddling_a_register_file_resume_is_recorded():
+    """Each SAVE reads the stack pointer its preceding load wrote, one level
+    deeper than the loop's first register file holds."""
+    depth = (native._FIRST_REGISTERS - 32) // 16 + 4
+    body = [Instruction(Op.SETHI, rd=4, imm=LAYOUT.data_base >> 11)]
+    for _ in range(depth):
+        body += [Instruction(Op.LD, rd=14, rs1=4, imm=0),
+                 Instruction(Op.SAVE, rd=14, rs1=14, imm=-96)]
+    body += [Instruction(Op.RESTORE)] * depth + [Instruction(Op.HALT)]
+    program = Program(instructions=tuple(body), data=bytes(4), layout=LAYOUT)
+    actual, expected = run_both(program)
+    assert actual.max_window_depth == depth
+    assert np.count_nonzero(expected.trace.load_use_hazard) == depth
 
 
 # -- error paths -------------------------------------------------------------------------
@@ -357,7 +447,6 @@ def test_a_budget_of_exactly_the_instruction_count_completes(small_workload_map,
 #: ``%g1`` holds the data-segment base for the whole program, so loads and
 #: stores mostly land in memory; no generated instruction writes it.
 BASE_REG = 1
-LAYOUT = MemoryLayout()
 WRITABLE = [r for r in range(32) if r != BASE_REG]
 
 ALU_OPS = [Op.ADD, Op.ADDCC, Op.SUB, Op.SUBCC, Op.AND, Op.ANDCC, Op.OR, Op.ORCC,

@@ -36,6 +36,7 @@ from repro.microarch.timing import (
     TimingParameters,
     count_window_traps,
     evaluate_many,
+    window_trap_table,
 )
 from repro.platform import LiquidPlatform
 from repro.workloads import ArithWorkload
@@ -79,11 +80,29 @@ def test_count_window_traps_on_paper_workload_traces(small_workload_map):
                 count_window_traps_reference(events, windows)
 
 
-def test_window_trap_counts_memoised_per_trace(arith_small):
-    trace = arith_small.trace()
-    first = trace.window_trap_counts(8)
-    assert first == count_window_traps_reference(trace.window_events, 8)
-    assert trace.window_trap_counts(8) is first  # served from the memo
+def reference_trap_table(events, window_counts):
+    return tuple((windows, *count_window_traps_reference(events, windows))
+                 for windows in window_counts)
+
+
+@given(events=window_events_strategy(),
+       window_counts=st.lists(st.sampled_from((1, 2, 3, 4, 5) + REGISTER_WINDOW_COUNTS),
+                              max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_window_trap_table_matches_reference(events, window_counts):
+    """One walk over the events answers every window count, in the order asked."""
+    assert window_trap_table(events, window_counts) == \
+        reference_trap_table(events, window_counts)
+    assert window_trap_table(events, REGISTER_WINDOW_COUNTS) == \
+        reference_trap_table(events, REGISTER_WINDOW_COUNTS)
+
+
+def test_summary_trap_table_on_paper_workload_traces(small_workload_map):
+    """The summary's trap table holds every window count of the space."""
+    for workload in small_workload_map.values():
+        trace = workload.trace()
+        assert trace.summary().window_traps == \
+            reference_trap_table(trace.window_events, REGISTER_WINDOW_COUNTS)
 
 
 def test_workload_features_shared_with_trace(arith_small):
