@@ -12,10 +12,9 @@ in one broadcast.  Pass ``--store PATH`` (a SQLite file) to persist the
 trace summaries and per-geometry cache statistics every measurement is
 derived from (a full reproduction becomes resumable and shareable across
 runs; ``--audit-store FRACTION`` re-derives a sample of those rows),
-``--profile`` to print per-stage wall-clock, or ``--phases`` to add the
-phase-transition study (cold-start vs warm-chained per-phase miss rates
-of the multi-phase scenarios).  Engine statistics (dedup hits, store
-hits, decode groups, wall clock) are printed at the end.
+or ``--profile`` to print per-stage wall-clock.  Engine statistics
+(dedup hits, store hits, decode groups, wall clock) are printed at the
+end.
 
 Distributed campaign mode (``--grid-db PATH``) replaces the experiment
 suite with the pull-based campaign queue: ``--register`` writes the
@@ -56,7 +55,7 @@ from repro.engine import CampaignGrid, CampaignWorker, open_store
 from repro.service.server import figure2_grid
 from repro.obs import enable_tracing, get_tracer
 from repro.platform import LiquidPlatform
-from repro.workloads import phase_scenarios, small_workloads, standard_workloads
+from repro.workloads import small_workloads, standard_workloads
 from repro.analysis import (
     approximation_ablation,
     dcache_exhaustive,
@@ -65,7 +64,6 @@ from repro.analysis import (
     headline_comparison,
     parameter_space_summary,
     perturbation_costs,
-    phase_transition_study,
     resource_optimization,
     runtime_optimization,
     scalability_study,
@@ -88,10 +86,6 @@ def parse_args() -> argparse.Namespace:
         "--profile", action="store_true",
         help="print per-stage wall-clock (trace generation, cache simulation, "
              "sweep evaluation, solve) from the engine statistics")
-    parser.add_argument(
-        "--phases", action="store_true",
-        help="add the phase-transition study: cold-start vs warm-chained "
-             "per-phase miss rates of the multi-phase workload scenarios")
     parser.add_argument(
         "--trace", metavar="PATH", default=None,
         help="record pipeline spans and write a Chrome trace-event file at "
@@ -403,9 +397,6 @@ def suite_main(args: argparse.Namespace) -> None:
         fig7 = resource_optimization(platform, workloads, models=fig5.data["models"])
         show(fig7, "Figure 7: chip resource optimization (w1=1, w2=100)")
         show(headline_comparison(fig5, fig7, fig4), "Headline claims")
-        if args.phases:
-            show(phase_transition_study(platform, phase_scenarios()),
-                 "Phase transitions: cold-start vs warm-chained replay")
         # the scalability study reports the effort of a *fresh* platform; feeding
         # it the store would zero the build/run counts the paper's claim is about
         with managed_backend(args, with_store=False) as fresh:

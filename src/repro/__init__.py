@@ -40,7 +40,7 @@ from repro.core import (
 from repro.engine import ResultStore
 from repro.fpga import SynthesisModel, XCV2000E
 from repro.obs import EngineStats
-from repro.platform import LiquidPlatform, Measurement, PhasedMeasurement
+from repro.platform import LiquidPlatform, Measurement
 
 __version__ = "1.0.0"
 
@@ -63,7 +63,6 @@ __all__ = [
     "XCV2000E",
     "LiquidPlatform",
     "Measurement",
-    "PhasedMeasurement",
     "EngineStats",
     "ResultStore",
     "__version__",

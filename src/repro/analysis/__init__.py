@@ -12,7 +12,6 @@ from repro.analysis.experiments import (
     optimization_study,
     parameter_space_summary,
     perturbation_costs,
-    phase_transition_study,
     resource_optimization,
     runtime_optimization,
     scalability_study,
@@ -32,7 +31,6 @@ __all__ = [
     "optimization_study",
     "parameter_space_summary",
     "perturbation_costs",
-    "phase_transition_study",
     "resource_optimization",
     "runtime_optimization",
     "scalability_study",

@@ -63,7 +63,6 @@ __all__ = [
     "runtime_optimization",
     "resource_optimization",
     "perturbation_costs",
-    "phase_transition_study",
     "scalability_study",
     "engine_report",
     "approximation_ablation",
@@ -413,95 +412,6 @@ def perturbation_costs(result: TuningResult) -> ExperimentResult:
         table.add_mapping(row)
     return ExperimentResult(experiment="figure6", tables=[table],
                             data={"rows": rows, "base_cycles": model.base.cycles})
-
-
-# --------------------------------------------------------------------- phase transitions --
-
-def phase_transition_study(
-    platform: LiquidPlatform,
-    scenarios: Mapping[str, Workload],
-    *,
-    set_counts: Sequence[int] = CACHE_SET_COUNTS,
-    set_sizes: Sequence[int] = CACHE_SET_SIZES_KB,
-) -> ExperimentResult:
-    """Cold-start vs warm-chained per-phase miss rates over the Figure-2 grid.
-
-    For every multi-phase scenario (see
-    :func:`~repro.workloads.phased.phase_scenarios`) and every buildable
-    dcache ``{sets x set size}`` grid point, the scenario's phases replay
-    twice: each phase from a cold cache (the paper's per-measurement
-    view) and warm-chained with cache state carried across phase
-    boundaries (the deployment view).  The reported delta -- warm minus
-    cold miss rate, in percentage points -- is the phase-transition
-    effect the cold-start engine cannot express; negative values mean
-    the warm phase reuses state an earlier phase left behind.
-    """
-    base = base_configuration()
-    detail = Table(
-        "Phase transitions: cold vs warm dcache miss rates (12 largest effects)",
-        ["scenario", "sets", "setsize_kb", "phase", "accesses",
-         "cold_miss_pct", "warm_miss_pct", "delta_pp"])
-    rows: List[Dict[str, Any]] = []
-    phased_results: Dict[str, List] = {}
-    for scenario_name, workload in scenarios.items():
-        points = [
-            (sets, size, base.replace(dcache_sets=sets, dcache_setsize_kb=size))
-            for sets, size in itertools.product(set_counts, set_sizes)
-        ]
-        fits = platform.fits_many([p[2] for p in points])
-        points = [p for p, fit in zip(points, fits) if fit]
-        phased = platform.measure_phases(workload, [config for _, _, config in points])
-        phased_results[scenario_name] = phased
-        for (sets, size, _), result in zip(points, phased):
-            for phase_row in result.phase_rows():
-                row = {
-                    "scenario": scenario_name,
-                    "sets": sets,
-                    "setsize_kb": size,
-                    "phase": phase_row["phase"],
-                    "accesses": phase_row["accesses"],
-                    "cold_miss_pct": 100.0 * phase_row["cold_miss_rate"],
-                    "warm_miss_pct": 100.0 * phase_row["warm_miss_rate"],
-                    "delta_pp": 100.0 * (phase_row["warm_miss_rate"]
-                                         - phase_row["cold_miss_rate"]),
-                }
-                rows.append(row)
-
-    summary = Table(
-        "Phase-transition summary (averaged over the dcache grid)",
-        ["scenario", "phase", "mean_cold_pct", "mean_warm_pct",
-         "mean_delta_pp", "max_abs_delta_pp"])
-    summary_rows: List[Dict[str, Any]] = []
-    for scenario_name in scenarios:
-        phases: List[str] = []
-        for row in rows:
-            if row["scenario"] == scenario_name and row["phase"] not in phases:
-                phases.append(row["phase"])
-        for phase in phases:
-            cell = [r for r in rows
-                    if r["scenario"] == scenario_name and r["phase"] == phase]
-            srow = {
-                "scenario": scenario_name,
-                "phase": phase,
-                "mean_cold_pct": sum(r["cold_miss_pct"] for r in cell) / len(cell),
-                "mean_warm_pct": sum(r["warm_miss_pct"] for r in cell) / len(cell),
-                "mean_delta_pp": sum(r["delta_pp"] for r in cell) / len(cell),
-                "max_abs_delta_pp": max(abs(r["delta_pp"]) for r in cell),
-            }
-            summary_rows.append(srow)
-            summary.add_mapping(srow)
-
-    for row in sorted(rows, key=lambda r: abs(r["delta_pp"]), reverse=True)[:12]:
-        detail.add_mapping(row)
-    return ExperimentResult(
-        experiment="phase_transitions",
-        tables=[summary, detail],
-        data={
-            "rows": rows,
-            "summary": summary_rows,
-            "measurements": phased_results,
-        },
-    )
 
 
 # --------------------------------------------------------------------- scalability claim --

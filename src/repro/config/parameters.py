@@ -13,10 +13,9 @@ The concrete LEON parameter space of the paper lives in
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -183,45 +182,3 @@ class ParameterSpace:
     def value_count(self) -> int:
         """Total number of parameter values across all domains."""
         return sum(p.cardinality for p in self.parameters)
-
-    # -- enumeration -------------------------------------------------------------------
-
-    def iter_assignments(
-        self, overrides: Mapping[str, Sequence[Any]] | None = None
-    ) -> Iterator[Dict[str, Any]]:
-        """Iterate over full assignments of the space.
-
-        ``overrides`` restricts the iterated domain of selected parameters;
-        parameters not mentioned keep their *full* domain.  This is used by
-        the exhaustive baseline on scaled-down sub-spaces (the paper's
-        Section 5 restricts dcache to sets x set size).
-        """
-        overrides = dict(overrides or {})
-        unknown = [n for n in overrides if n not in self._by_name]
-        if unknown:
-            raise ConfigurationError(f"unknown parameters in overrides: {unknown}")
-        domains: List[Tuple[Any, ...]] = []
-        for p in self.parameters:
-            if p.name in overrides:
-                vals = tuple(overrides[p.name])
-                for v in vals:
-                    p.validate(v)
-                domains.append(vals)
-            else:
-                domains.append(p.values)
-        for combo in itertools.product(*domains):
-            yield dict(zip(self.names, combo))
-
-    def iter_one_factor_assignments(self) -> Iterator[Tuple[str, Any, Dict[str, Any]]]:
-        """Iterate ``(parameter, value, assignment)`` for every one-factor perturbation.
-
-        Each yielded assignment equals the base configuration with exactly
-        one parameter set to a non-default value; this is the measurement
-        plan of the paper's campaign.
-        """
-        base = self.defaults()
-        for p in self.parameters:
-            for value in p.non_default_values:
-                assignment = dict(base)
-                assignment[p.name] = value
-                yield p.name, value, assignment

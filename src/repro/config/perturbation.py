@@ -189,18 +189,6 @@ class PerturbationSpace:
                 )
         return config
 
-    def selection_for(self, config: Configuration) -> Tuple[int, ...]:
-        """The selection whose :meth:`apply` yields ``config``.
-
-        Raises if ``config`` differs from the base on a parameter that has
-        no corresponding perturbation variable (cannot happen for
-        configurations drawn from the same space).
-        """
-        selection: List[int] = []
-        for name, (_, new_value) in config.diff(self._base).items():
-            selection.append(self.find(name, new_value).index)
-        return tuple(sorted(selection))
-
     def single(self, index: int) -> Configuration:
         """The configuration with only variable ``index`` applied."""
         return self.apply((index,))

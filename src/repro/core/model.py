@@ -17,7 +17,7 @@ configurations under the parameter-independence assumption:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.config.perturbation import PerturbationSpace, Selection
 from repro.errors import OptimizationError
@@ -134,19 +134,3 @@ class CostModel:
         """Predicted BRAM utilisation; the paper keeps this nonlinear by default."""
         return self._predict_resource(selection, "bram_percent", nonlinear)
 
-    # -- reporting ------------------------------------------------------------------------------------
-
-    def table_rows(self, indices: Iterable[int] | None = None) -> Tuple[Mapping[str, object], ...]:
-        """Per-variable rows (label, rho, lambda, beta) for the experiment tables."""
-        rows = []
-        for i in (indices if indices is not None else range(len(self.space))):
-            var = self.space.variable(i)
-            delta = self.deltas[i]
-            rows.append({
-                "index": i,
-                "label": var.label,
-                "rho_percent": delta.rho,
-                "lambda_percent": delta.lam,
-                "beta_percent": delta.beta,
-            })
-        return tuple(rows)

@@ -475,9 +475,8 @@ class ResultStore:
                 "bram_breakdown": dict(measurement.resources.bram_breakdown),
             },
             "statistics": {
-                # may differ from the measurement's workload name: a phased
-                # workload measures under its scenario name while the profile
-                # keeps the underlying trace's name
+                # the name of the simulated trace, which the simulator
+                # takes from the workload
                 "workload": statistics.workload,
                 "instruction_count": statistics.instruction_count,
                 "cycles": statistics.cycles,
@@ -506,8 +505,7 @@ class ResultStore:
         platform = LiquidPlatform()
         audited = mismatches = 0
         for workload in workloads:
-            recipe = workload.recipe()
-            fingerprint = None if recipe is None else self.trace_fingerprint(recipe)
+            fingerprint = self.trace_fingerprint(workload.recipe())
             if fingerprint is None:
                 continue
             if not workload.has_fingerprint():

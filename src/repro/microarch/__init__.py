@@ -1,12 +1,7 @@
 """Cycle-level microarchitecture simulation: caches, pipeline timing, traces."""
 
 from repro.microarch.cache import CacheConfig, CacheStatistics
-from repro.microarch.cachekernel import (
-    ColumnarTrace,
-    decode_trace,
-    replay,
-    simulate_many,
-)
+from repro.microarch.cachekernel import ColumnarTrace, decode_trace, simulate_many
 from repro.microarch.functional import FunctionalSimulator, SimulationResult
 from repro.microarch.memory import Memory
 from repro.microarch.statistics import (
@@ -22,7 +17,6 @@ __all__ = [
     "CacheStatistics",
     "ColumnarTrace",
     "decode_trace",
-    "replay",
     "simulate_many",
     "FunctionalSimulator",
     "SimulationResult",

@@ -19,12 +19,12 @@ sharing profiles:
   exhaustive dcache sweep decodes each workload trace twice (one per
   line size) instead of once per configuration.
 
-* **Replay** (:func:`replay`, :func:`simulate_many`) turns the surviving
-  potential-miss events into hit/miss statistics for concrete
-  geometries.  Events are grouped by set once per set count
+* **Replay** (:func:`simulate_many`) turns the surviving potential-miss
+  events into hit/miss statistics for concrete geometries, each from a
+  cold cache.  Events are grouped by set once per set count
   (:meth:`ColumnarTrace.set_view`), then one compiled C loop walks them
   with LRU / LRR(FIFO) / RANDOM victim selection, for every
-  associativity, direct mapped included.  A cold batch replays every
+  associativity, direct mapped included.  A batch replays every
   geometry of one set count in one native call.
 
 Decode, grouping and replay all run in the C library of
@@ -38,24 +38,10 @@ and the cold RANDOM victim streams (:data:`_COLD_VICTIMS`, one per
 
 The replay is bit-identical to the two scalar oracles in
 ``tests/reference_replay.py``, the per-access loop and the per-event
-loop the C source was ported from: statistics,
-final tag/age/FIFO state, and the seeded RANDOM stream (victims are
-pre-drawn positionally, one per *access*, exactly like the reference)
-all match, which ``tests/test_crossconfig_replay.py`` property-tests for
-every policy and associativity.
-
-Replay is *warm-chainable*: :func:`replay` mutates the
-:class:`KernelState` it is given, and the run/chain compression algebra
-is closed under trace splitting -- a same-line run cut at a phase
-boundary replays to the same statistics and state as the uncut run.
-:func:`replay_chain` exploits this to replay a sequence of
-:class:`ColumnarTrace` views (program phases) against one
-continuously-warm cache; the result is bit-identical -- statistics,
-tag/age/FIFO state, and the seeded RANDOM victim stream (NumPy bounded
-integer draws consume the bit stream value by value, so per-phase
-batches concatenate to the single-shot batch) -- to replaying the
-concatenated trace in one shot, which ``tests/test_warm_replay.py``
-property-tests against the scalar warm oracle.
+loop the C source was ported from: statistics and the seeded RANDOM
+stream (victims are pre-drawn positionally, one per *access*, exactly
+like the reference) match, which ``tests/test_crossconfig_replay.py``
+property-tests for every policy and associativity.
 """
 
 from __future__ import annotations
@@ -72,18 +58,7 @@ from repro.microarch.cache import CacheConfig, CacheStatistics
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import span
 
-__all__ = [
-    "KERNEL_VERSION",
-    "ColumnarTrace",
-    "KernelState",
-    "PhaseReplay",
-    "decode_trace",
-    "fresh_state",
-    "replay",
-    "replay_chain",
-    "replay_phases",
-    "simulate_many",
-]
+__all__ = ["KERNEL_VERSION", "ColumnarTrace", "decode_trace", "simulate_many"]
 
 #: Version of every trace reduction a result store persists: the replay
 #: statistics of a cache geometry and the trace summary the timing model
@@ -183,61 +158,6 @@ def decode_trace(
         return view
 
 
-@dataclass
-class KernelState:
-    """Mutable per-geometry cache state that a warm :func:`replay` carries."""
-
-    #: ``(lines_per_way, ways)`` tag store; -1 marks an invalid way.
-    tags: np.ndarray
-    #: Per-way replacement ages (LRU recency; fill tick otherwise).
-    age: np.ndarray
-    #: Per-set LRR/FIFO replacement pointer.
-    fifo: np.ndarray
-    #: RANDOM-victim stream position, carried so a chained replay keeps
-    #: drawing where the previous phase stopped.
-    rng: np.random.Generator
-    #: Accesses replayed so far (ages are ticks: position + tick + 1).
-    tick: int = 0
-
-
-def fresh_state(config: CacheConfig) -> KernelState:
-    """Cold-cache state for one geometry with its own seeded generator."""
-    lines = config.lines_per_way
-    return KernelState(
-        tags=np.full((lines, config.ways), -1, dtype=np.int64),
-        age=np.zeros((lines, config.ways), dtype=np.int64),
-        fifo=np.zeros(lines, dtype=np.int64),
-        rng=np.random.default_rng(config.seed),
-    )
-
-
-def replay(
-    view: ColumnarTrace,
-    config: CacheConfig,
-    state: Optional[KernelState] = None,
-) -> CacheStatistics:
-    """Replay a decoded trace against one geometry, mutating ``state``.
-
-    With ``state`` omitted the replay starts from a cold cache with the
-    geometry's own seeded PRNG (:func:`fresh_state`).  Passing the state
-    of a previous replay continues against the warm cache; its ``rng``
-    keeps the RANDOM victim stream in step.
-    """
-    _check_linesize(view, config)
-    if state is None:
-        state = fresh_state(config)
-    # the scalar reference pre-draws one victim per *access* regardless of
-    # policy or use; match it so the stream position stays identical
-    random_victims = (state.rng.integers(0, config.ways, size=view.accesses)
-                      if config.ways > 1 else None)
-    misses = native.replay_events(
-        view.set_view(config.lines_per_way).columns, view.accesses, state.tags,
-        state.age, state.fifo, random_victims, state.tick + 1, config.lines_per_way,
-        config.ways, _POLICY_CODES[config.replacement])
-    state.tick += view.accesses
-    return _statistics(view, misses)
-
-
 #: Cold RANDOM victim streams, one per ``(seed, ways)``: the draw
 #: ``default_rng(seed).integers(0, ways, size=n)`` at the longest ``n``
 #: requested so far.  A shorter draw is a prefix of a longer one (bounded
@@ -267,42 +187,13 @@ def _cold_victims(config: CacheConfig, accesses: int) -> Optional[np.ndarray]:
     return victims[:accesses]
 
 
-def _replay_group(view: ColumnarTrace, lines_per_way: int,
-                  configs: Sequence[CacheConfig]) -> List[CacheStatistics]:
-    """Cold replays of geometries sharing ``lines_per_way``: one native call."""
-    misses = native.replay_cold(
-        view.set_view(lines_per_way).columns, view.accesses, lines_per_way,
-        [(config.ways, _POLICY_CODES[config.replacement],
-          _cold_victims(config, view.accesses)) for config in configs])
-    get_registry().counter("replay.native_calls").inc()
-    return [_statistics(view, pair) for pair in misses]
-
-
-def _check_linesize(view: ColumnarTrace, config: CacheConfig) -> None:
-    if view.linesize_bytes != config.linesize_bytes:
-        raise ConfigurationError(
-            f"decoded view has linesize {view.linesize_bytes}, "
-            f"configuration expects {config.linesize_bytes}")
-
-
-def _statistics(view: ColumnarTrace, misses: Sequence[int]) -> CacheStatistics:
-    n = view.accesses
-    return CacheStatistics(
-        accesses=n,
-        read_accesses=n - view.write_accesses,
-        write_accesses=view.write_accesses,
-        read_misses=misses[0],
-        write_misses=misses[1],
-    )
-
-
 def simulate_many(
     view: ColumnarTrace, configs: Sequence[CacheConfig]
 ) -> List[CacheStatistics]:
     """Replay one decoded trace against many cold-cache configurations.
 
-    Equivalent to ``[replay(view, c) for c in configs]``, but no
-    configuration seeds a generator (the cold RANDOM victim draw is shared
+    Each configuration replays from a cold cache.  No configuration
+    seeds a generator of its own (the cold RANDOM victim draw is shared
     per (seed, ways) and cold LRU/LRR configurations draw nothing), and
     the configurations of one set count replay in one native call.
     Every configuration must share the view's line size
@@ -311,7 +202,10 @@ def simulate_many(
     """
     configs = list(configs)
     for config in configs:
-        _check_linesize(view, config)
+        if view.linesize_bytes != config.linesize_bytes:
+            raise ConfigurationError(
+                f"decoded view has linesize {view.linesize_bytes}, "
+                f"configuration expects {config.linesize_bytes}")
     groups: Dict[int, List[int]] = {}
     for position, config in enumerate(configs):
         groups.setdefault(config.lines_per_way, []).append(position)
@@ -320,83 +214,21 @@ def simulate_many(
               linesize=view.linesize_bytes) as replay_span:
         built = sum(lines_per_way not in view._set_views for lines_per_way in groups)
         for lines_per_way, positions in groups.items():
-            statistics = _replay_group(view, lines_per_way,
-                                       [configs[p] for p in positions])
-            for position, stats in zip(positions, statistics):
-                results[position] = stats
+            misses = native.replay_cold(
+                view.set_view(lines_per_way).columns, view.accesses, lines_per_way,
+                [(configs[p].ways, _POLICY_CODES[configs[p].replacement],
+                  _cold_victims(configs[p], view.accesses)) for p in positions])
+            get_registry().counter("replay.native_calls").inc()
+            for position, (read_misses, write_misses) in zip(positions, misses):
+                results[position] = CacheStatistics(
+                    accesses=view.accesses,
+                    read_accesses=view.accesses - view.write_accesses,
+                    write_accesses=view.write_accesses,
+                    read_misses=read_misses,
+                    write_misses=write_misses,
+                )
         replay_span.set(set_views_built=built, native_calls=len(groups))
     return results
-
-
-def replay_chain(
-    views: Sequence[ColumnarTrace],
-    config: CacheConfig,
-    state: Optional[KernelState] = None,
-) -> Tuple[List[CacheStatistics], KernelState]:
-    """Replay a sequence of phase views against one continuously-warm cache.
-
-    Every view must share the configuration's line size.  Returns the
-    per-phase statistics and the final :class:`KernelState`, which can be
-    passed back in to extend the chain.  The chain is bit-identical --
-    per-phase statistics sum to the one-shot statistics, and the final
-    tag/age/FIFO state and RANDOM victim stream match exactly -- to
-    replaying the concatenated trace in a single :func:`replay` call:
-    run compression never merges events across phase boundaries, but a
-    run split at a boundary replays to the same misses and state because
-    presence can only change at a run's first read, which stays at the
-    same global position.
-    """
-    if state is None:
-        state = fresh_state(config)
-    statistics = [replay(view, config, state=state) for view in views]
-    return statistics, state
-
-
-@dataclass(frozen=True)
-class PhaseReplay:
-    """Per-phase statistics of one geometry, warm-chained and cold-started.
-
-    ``warm`` replays the phases against one continuously-warm cache (the
-    deployment view: cache state carries across program phases);
-    ``cold`` replays each phase from a cold cache with a freshly seeded
-    PRNG (the paper's per-measurement view).  The warm statistics sum to
-    the single-shot replay of the concatenated trace; the cold ones do
-    not, and the difference is exactly the phase-transition effect the
-    phase benchmarks report.
-    """
-
-    warm: Tuple[CacheStatistics, ...]
-    cold: Tuple[CacheStatistics, ...]
-
-    def warm_total(self) -> CacheStatistics:
-        """Sum of the warm per-phase statistics (== the one-shot replay)."""
-        return CacheStatistics(
-            accesses=sum(s.accesses for s in self.warm),
-            read_accesses=sum(s.read_accesses for s in self.warm),
-            write_accesses=sum(s.write_accesses for s in self.warm),
-            read_misses=sum(s.read_misses for s in self.warm),
-            write_misses=sum(s.write_misses for s in self.warm),
-        )
-
-
-def replay_phases(
-    views: Sequence[ColumnarTrace], config: CacheConfig
-) -> PhaseReplay:
-    """Warm-chained plus cold-started per-phase replay of one geometry.
-
-    The expensive part -- decoding each phase -- is shared between the
-    two replays (and with every other geometry at this line size), so
-    asking for both costs two cheap replays of the same views.
-    """
-    workload = views[0].workload if views else ""
-    with span("replay_phases", workload=workload, phases=len(views),
-              ways=config.ways):
-        warm, _ = replay_chain(views, config)  # checks every view's line size
-        return PhaseReplay(
-            warm=tuple(warm),
-            cold=tuple(_replay_group(view, config.lines_per_way, [config])[0]
-                       for view in views),
-        )
 
 
 # -- per-set potential-miss views --------------------------------------------------------

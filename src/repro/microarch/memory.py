@@ -13,7 +13,6 @@ workload verification hooks use to inspect results.
 from __future__ import annotations
 
 import mmap
-from typing import Iterable, List, Sequence
 
 from repro.errors import SimulationError
 from repro.isa.program import MemoryLayout, Program
@@ -99,11 +98,3 @@ class Memory:
         self.check(address, max(1, length), aligned=False)
         return bytes(self._data[address:address + length])
 
-    def read_words(self, address: int, count: int) -> List[int]:
-        """Read ``count`` consecutive 32-bit words starting at ``address``."""
-        return [self.load_word(address + 4 * i) for i in range(count)]
-
-    def write_words(self, address: int, values: Sequence[int] | Iterable[int]) -> None:
-        """Write consecutive 32-bit words starting at ``address``."""
-        for i, value in enumerate(values):
-            self.store_word(address + 4 * i, value)

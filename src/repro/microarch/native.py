@@ -1,7 +1,7 @@
 """The compiled simulation library: C source, build cache and ctypes binding.
 
 Every native step from a program to its cache statistics runs in one
-small C library, :data:`REPLAY_SOURCE`, with five entry points, each
+small C library, :data:`REPLAY_SOURCE`, with four entry points, each
 checked bit for bit against a Python or NumPy oracle in ``tests/``:
 
 * ``run_program`` -- the functional simulator's interpreter loop: runs a
@@ -23,10 +23,9 @@ checked bit for bit against a Python or NumPy oracle in ``tests/``:
   :meth:`~repro.microarch.cachekernel.ColumnarTrace.set_view`: events
   bucketed by ``line % lines_per_way`` in trace order, then chain
   collapse, in two linear passes (oracle ``reference_set_view``);
-* ``replay_events`` -- the per-event replay loop, a line-for-line port
-  of ``replay_events_loop``, for a warm state kept in Python;
-* ``replay_cold`` -- the same loop for every cold geometry of one set
-  count in one call, with the throwaway states allocated in C.
+* ``replay_cold`` -- the per-event replay loop ``replay_events`` (a
+  line-for-line port of ``replay_events_loop``) for every cold geometry
+  of one set count in one call, with the throwaway states allocated in C.
 
 It is compiled on first use with ``cc -O2 -shared -fPIC`` and loaded
 with :mod:`ctypes`; there is no fallback implementation, so a host
@@ -63,7 +62,7 @@ from repro.errors import ReplayKernelError
 
 __all__ = ["CFLAGS", "COMPILER", "OPCODES", "REPLAY_SOURCE", "RUN_COLUMNS", "RUN_STATE",
            "TRACE_COLUMNS", "Run",
-           "build_set_view", "decode_runs", "replay_cold", "replay_events", "run_program"]
+           "build_set_view", "decode_runs", "replay_cold", "run_program"]
 
 #: Policy codes shared with the C source.
 POLICY_LRU, POLICY_LRR, POLICY_RANDOM = 0, 1, 2
@@ -614,8 +613,6 @@ def _load():
                                  ptr], i64),
                 "decode_runs": ([i64, ptr, ptr, i64, ptr, ptr], i64),
                 "build_set_view": ([i64, ptr, ptr, ptr, ptr, i64, i64, ptr], i64),
-                "replay_events": ([i64, ptr, i64, ptr, ptr, ptr, ptr, i64, i64, i64,
-                                   ptr], None),
                 "replay_cold": ([i64, ptr, i64, i64, i64, ptr, ptr], i64),
             }
             try:
@@ -780,41 +777,6 @@ def build_set_view(line: np.ndarray, first_read: np.ndarray, last_pos: np.ndarra
     return scratch[:5 * chains].reshape(5, chains).copy()
 
 
-def _view_address(view: np.ndarray) -> Tuple[int, int]:
-    """``(chains, address)`` of a ``build_set_view`` array."""
-    chains = view.shape[1] if view.ndim == 2 else -1
-    return chains, _address(view, (5, chains), "set view")
-
-
-def replay_events(view: np.ndarray, accesses: int, tags: np.ndarray, age: np.ndarray,
-                  fifo: np.ndarray, victims, tick0: int, lines_per_way: int,
-                  ways: int, policy: int) -> tuple:
-    """Run the compiled loop over one set view; returns ``(read, write)`` misses.
-
-    The C code trusts its indices, so every array is checked here once
-    per call: int64, C-contiguous, state shaped ``(lines_per_way, ways)``,
-    FIFO pointers in range and victims (RANDOM with more than one way
-    only) one per access.  The set view's own indices are in range by
-    construction (``set_index < lines_per_way``, ``first_read <=
-    accesses``).
-    """
-    chains, view_address = _view_address(view)
-    lines = (lines_per_way,)
-    state = [_address(tags, lines + (ways,), "tags", True),
-             _address(age, lines + (ways,), "age", True),
-             _address(fifo, lines, "fifo", True)]
-    if lines_per_way and (fifo.min() < 0 or fifo.max() >= ways):
-        raise ReplayKernelError(f"fifo pointers must lie in [0, {ways})")
-    if policy == POLICY_RANDOM and ways > 1:
-        victim_address = _address(victims, (accesses,), "victims")
-    else:
-        victim_address = None
-    misses = np.zeros(2, dtype=np.int64)
-    _load().replay_events(chains, view_address, accesses, *state, victim_address,
-                          tick0, ways, policy, misses.ctypes.data)
-    return int(misses[0]), int(misses[1])
-
-
 def replay_cold(view: np.ndarray, accesses: int, lines_per_way: int,
                 geometries: Sequence[Tuple[int, int, Optional[np.ndarray]]]) -> List[List[int]]:
     """Cold replays of one set view, one per ``(ways, policy, victims)``.
@@ -825,7 +787,8 @@ def replay_cold(view: np.ndarray, accesses: int, lines_per_way: int,
     with more than one way, else ``None``.  Returns ``[read, write]``
     misses per geometry, in order.
     """
-    chains, view_address = _view_address(view)
+    chains = view.shape[1] if view.ndim == 2 else -1
+    view_address = _address(view, (5, chains), "set view")
     rows = []
     for ways, policy, victims in geometries:
         if ways < 1 or policy not in (POLICY_LRU, POLICY_LRR, POLICY_RANDOM):

@@ -24,13 +24,7 @@ import numpy as np
 from repro.config.leon_space import REGISTER_WINDOW_COUNTS
 from repro.isa.instructions import OpClass
 
-__all__ = [
-    "ExecutionTrace",
-    "TraceFeatures",
-    "TraceSummary",
-    "concatenate_traces",
-    "slice_trace",
-]
+__all__ = ["ExecutionTrace", "TraceFeatures", "TraceSummary"]
 
 
 @dataclass(frozen=True)
@@ -249,51 +243,3 @@ class ExecutionTrace:
             "branch_fraction": branches / total,
             "muldiv_fraction": muldiv / total,
         }
-
-
-def concatenate_traces(traces, name: str = "trace") -> ExecutionTrace:
-    """Concatenate execution traces back to back (a phase-structured program).
-
-    The result behaves exactly like a single program that ran the traced
-    programs in sequence: instruction, address and hazard streams are
-    joined in order, the data-access streams append, and so do the
-    window-event streams (each traced program enters and leaves at its
-    own base window depth, so the concatenated SAVE/RESTORE sequence
-    stays balanced).
-    """
-    traces = list(traces)
-    if not traces:
-        raise ValueError("cannot concatenate zero traces")
-    if len(traces) == 1:
-        return traces[0]
-    return ExecutionTrace(
-        pcs=np.concatenate([t.pcs for t in traces]),
-        op_classes=np.concatenate([t.op_classes for t in traces]),
-        mem_addrs=np.concatenate([t.mem_addrs for t in traces]),
-        load_use_hazard=np.concatenate([t.load_use_hazard for t in traces]),
-        cc_branch_hazard=np.concatenate([t.cc_branch_hazard for t in traces]),
-        window_events=np.concatenate([t.window_events for t in traces]),
-        name=name,
-        data_addresses=np.concatenate([t.data_addresses for t in traces]),
-        data_is_write=np.concatenate([t.data_is_write for t in traces]),
-    )
-
-
-def slice_trace(trace: ExecutionTrace, start: int, stop: int, name: str) -> ExecutionTrace:
-    """One phase of a trace: the instructions in ``[start, stop)``.
-
-    The slice carries everything the cache and mix views need (per-phase
-    instruction, address and hazard streams; its data-access stream is
-    derived from its own columns).  The window-event stream is not
-    positionally aligned with instructions, so phase slices carry an
-    empty one -- window-trap accounting always runs on the full trace.
-    """
-    return ExecutionTrace(
-        pcs=trace.pcs[start:stop],
-        op_classes=trace.op_classes[start:stop],
-        mem_addrs=trace.mem_addrs[start:stop],
-        load_use_hazard=trace.load_use_hazard[start:stop],
-        cc_branch_hazard=trace.cc_branch_hazard[start:stop],
-        window_events=np.empty(0, dtype=np.int8),
-        name=name,
-    )

@@ -271,13 +271,6 @@ class EngineStats:
     #: Shared-decode groups -- distinct ``(trace, kind, linesize)`` decodes --
     #: the cache simulations were batched into.
     cache_groups: int = 0
-    #: Warm phase-chain replays executed on behalf of phased batches.
-    phase_chains: int = 0
-    #: Per-phase columnar decodes paid for those chains.  Decodes are a
-    #: property of ``(trace, kind, linesize, phase)`` and never scale with
-    #: the number of configurations; the phase-transition benchmark
-    #: asserts this.
-    phase_decodes: int = 0
     #: Configurations evaluated through
     #: :func:`~repro.microarch.timing.evaluate_many` (in-process memo hits
     #: excluded; store hits are timed like any other configuration) --
@@ -302,10 +295,9 @@ class EngineStats:
     #: the platform can observe the stages directly.  Stages recorded by
     #: the platform itself: ``recipe`` (a workload's fingerprint lookup in
     #: the store), ``trace_generation``, ``store_io`` (the batch's
-    #: store read and write), ``cache_simulation``, ``sweep_evaluate``,
-    #: ``phase_decode`` and ``phase_chain``; the tuner
-    #: adds ``solve`` around its solver pass.  Each accumulation also
-    #: feeds a ``stage.<name>`` histogram on :attr:`registry`, so
+    #: store read and write), ``cache_simulation`` and ``sweep_evaluate``;
+    #: the tuner adds ``solve`` around its solver pass.  Each accumulation
+    #: also feeds a ``stage.<name>`` histogram on :attr:`registry`, so
     #: per-batch distributions survive next to these sums.
     stage_seconds: Dict[str, float] = field(default_factory=dict)
     #: The backing metrics registry of this stats view (excluded from

@@ -78,20 +78,18 @@ from repro.fpga.device import FpgaDevice, XCV2000E
 from repro.fpga.report import BRAM_COMPONENTS, LUT_COMPONENTS, ResourceReport, resource_totals
 from repro.fpga.synthesis import SynthesisModel
 from repro.microarch.cache import CacheConfig, CacheStatistics
-from repro.microarch.cachekernel import PhaseReplay, replay_phases, simulate_many
+from repro.microarch.cachekernel import simulate_many
 from repro.microarch.timing import TIMING_COLUMNS, TimingParameters, evaluate_many
 from repro.microarch.trace import TraceSummary
 from repro.obs.metrics import EngineStats, get_registry
 from repro.obs.tracer import span
-from repro.platform.measurement import Measurement, MeasurementBatch, PhasedMeasurement
+from repro.platform.measurement import Measurement, MeasurementBatch
 from repro.workloads.base import Workload
-from repro.workloads.phased import PhasedWorkload
 
 if TYPE_CHECKING:  # the store module imports this one
     from repro.engine.store import ResultStore
 
-__all__ = ["LiquidPlatform", "CacheJob", "CachePlan", "PhaseJob", "job_group_key",
-           "plan_job_groups"]
+__all__ = ["LiquidPlatform", "CacheJob", "CachePlan", "job_group_key", "plan_job_groups"]
 
 #: One outstanding cache simulation: ``(workload_fingerprint, "icache"|"dcache",
 #: geometry)``.  :meth:`LiquidPlatform.cache_plan` lists the ones a batch
@@ -99,13 +97,6 @@ __all__ = ["LiquidPlatform", "CacheJob", "CachePlan", "PhaseJob", "job_group_key
 #: Keys use :meth:`~repro.workloads.base.Workload.fingerprint` rather than the
 #: workload name so same-named workloads with different traces never alias.
 CacheJob = Tuple[str, str, CacheConfig]
-
-#: One outstanding warm phase-chain replay, same key shape as :data:`CacheJob`
-#: but resolving to a :class:`~repro.microarch.cachekernel.PhaseReplay` (the
-#: per-phase warm-chained and cold-started statistics of one geometry).  The
-#: fingerprint of a :class:`~repro.workloads.phased.PhasedWorkload` covers its
-#: phase boundaries, so two different cuts of one trace never share a job.
-PhaseJob = Tuple[str, str, CacheConfig]
 
 #: The configuration columns of one cache's geometry, in
 #: :class:`~repro.microarch.cache.CacheConfig` field order.
@@ -187,7 +178,6 @@ class LiquidPlatform:
         self._built: Set[Configuration] = set()
         self._runs: Dict[str, Dict[Configuration, np.ndarray]] = {}
         self._cache_runs: Dict[Tuple, CacheStatistics] = {}
-        self._phase_runs: Dict[Tuple, PhaseReplay] = {}
         # trace summary per workload fingerprint: with the cache runs, all
         # a measurement needs, so a workload whose summary and geometries
         # were installed from a result store is measured without its trace
@@ -514,8 +504,6 @@ class LiquidPlatform:
             stats.input_misses += 1
             unstored.append(key)
         recipe = workload.recipe()
-        if recipe is None:
-            return "miss", None, unstored
         fingerprint = store.trace_fingerprint(recipe)
         if fingerprint is not None:
             stats.recipe_hits += 1
@@ -596,94 +584,6 @@ class LiquidPlatform:
         deltas = get_registry().drain()
         if deltas:
             self.stats.registry.merge(deltas)
-
-    # -- warm phase chains -----------------------------------------------------------------
-
-    def phase_requests(
-        self, workload: PhasedWorkload, configs: Sequence[Configuration]
-    ) -> List[PhaseJob]:
-        """Distinct, not-yet-replayed phase chains needed for ``configs``.
-
-        Job order is deterministic (first-need order per cache) and every
-        job is independent: a chain replays against its own fresh state
-        with the geometry's seeded PRNG.
-        """
-        plan, _ = self.cache_plan(workload, configs)
-        return [job for job in plan.jobs() if job not in self._phase_runs]
-
-    def install_phase_runs(self, replays: Dict[PhaseJob, PhaseReplay]) -> None:
-        """Install phase-chain replays into the memo store."""
-        for job, replay in replays.items():
-            self._phase_runs.setdefault(job, replay)
-
-    def simulate_phase_chains(
-        self, workload: PhasedWorkload, jobs: Sequence[PhaseJob]
-    ) -> Dict[PhaseJob, PhaseReplay]:
-        """Replay a batch of phase chains with shared per-phase decodes.
-
-        Jobs are grouped by ``(kind, linesize)``; each group decodes the
-        workload's phases once (cached on the workload) and replays every
-        configuration's chain against the shared views with its own
-        resident :class:`~repro.microarch.cachekernel.KernelState`.
-        """
-        results: Dict[PhaseJob, PhaseReplay] = {}
-        for (_, kind, linesize), group in plan_job_groups(jobs).items():
-            views = workload.phase_views(kind, linesize)
-            for job in group:
-                results[job] = replay_phases(views, job[2])
-        return results
-
-    def phased(
-        self,
-        workload: PhasedWorkload,
-        configs: Sequence[Configuration],
-        measurements: Sequence[Measurement],
-    ) -> List[PhasedMeasurement]:
-        """Attach the memoised phase replays to overall measurements."""
-        plan, _ = self.cache_plan(workload, configs)
-        runs = self._phase_runs
-        return [
-            PhasedMeasurement(
-                measurement=measurement,
-                phases=workload.phase_names,
-                icache=runs[plan.icache[icache]],
-                dcache=runs[plan.dcache[dcache]],
-            )
-            for measurement, icache, dcache in zip(
-                measurements, plan.icache_rows.tolist(), plan.dcache_rows.tolist())
-        ]
-
-    def measure_phases(
-        self, workload: PhasedWorkload, configs: Sequence[Configuration]
-    ) -> List[PhasedMeasurement]:
-        """Measure a batch of configurations with per-phase cache views.
-
-        The overall measurements run through :meth:`measure_many`
-        unchanged (store lookups, dedup and the shared-decode cache jobs
-        all apply -- warm-chain totals are bit-identical to the
-        single-shot replay of the concatenated trace, so persisted rows
-        stay valid).  The warm phase chains are planned as their own
-        jobs, grouped by ``(trace fingerprint, kind, linesize)`` so each
-        phase is decoded once per group (``phase_decode``; each fresh
-        decode counts in :attr:`EngineStats.phase_decodes
-        <repro.obs.metrics.EngineStats.phase_decodes>`) and every
-        configuration's cache state stays resident across its chain
-        (``phase_chain``).
-        """
-        configs = configuration_columns(configs)
-        overall = self.measure_many(workload, configs)
-        jobs = self.phase_requests(workload, configs)
-        with self._stage("phase_chain", jobs=len(jobs)):
-            if jobs:
-                self.stats.phase_chains += len(jobs)
-                with self._stage("phase_decode"):
-                    for kind, linesize in {(kind, cfg.linesize_bytes) for _, kind, cfg in jobs}:
-                        if not workload.has_phase_views(kind, linesize):
-                            self.stats.phase_decodes += workload.phase_count
-                        workload.phase_views(kind, linesize)
-                self.install_phase_runs(self.simulate_phase_chains(workload, jobs))
-        self._merge_host_metrics()
-        return self.phased(workload, configs, overall)
 
     def effort(self) -> Dict[str, int]:
         """Distinct builds and runs performed so far (scalability accounting)."""

@@ -23,11 +23,10 @@ from repro.config.configuration import Configuration
 from repro.fpga.device import FpgaDevice
 from repro.fpga.report import LUT_COMPONENTS, ResourceReport
 from repro.microarch.cache import CacheStatistics
-from repro.microarch.cachekernel import PhaseReplay
 from repro.microarch.statistics import ExecutionStatistics
 from repro.microarch.timing import BREAKDOWN_CATEGORIES
 
-__all__ = ["Measurement", "MeasurementBatch", "CostDelta", "PhasedMeasurement"]
+__all__ = ["Measurement", "MeasurementBatch", "CostDelta"]
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,7 @@ class MeasurementBatch(Sequence[Measurement]):
         #: The resource table: one row per configuration.
         self.resources = resources
         #: Name the rows' :class:`~repro.microarch.statistics.ExecutionStatistics`
-        #: carry (the measured trace's; a phased workload's differs).
+        #: carry (the measured trace's).
         self.trace = trace
         self.instruction_count = instruction_count
         #: The timing term table: one row per configuration.
@@ -225,49 +224,3 @@ class MeasurementBatch(Sequence[Measurement]):
 
     def __repr__(self) -> str:
         return f"MeasurementBatch(workload={self.workload!r}, rows={len(self)})"
-
-
-@dataclass(frozen=True)
-class PhasedMeasurement:
-    """A measurement of a phase-structured workload, per-phase views included.
-
-    The overall :attr:`measurement` is bit-identical to measuring the
-    workload without phase structure (the warm chain's totals equal the
-    single-shot replay of the concatenated trace); what the phase view
-    adds is the per-phase cache behaviour, warm-chained *and*
-    cold-started, for both caches.
-    """
-
-    measurement: Measurement
-    #: Phase names, aligned with the per-phase statistics tuples.
-    phases: Tuple[str, ...]
-    #: Per-phase instruction-cache replay (warm chain + cold starts).
-    icache: PhaseReplay
-    #: Per-phase data-cache replay (warm chain + cold starts).
-    dcache: PhaseReplay
-
-    @property
-    def configuration(self) -> Configuration:
-        return self.measurement.configuration
-
-    @property
-    def cycles(self) -> int:
-        return self.measurement.cycles
-
-    def phase_rows(self) -> List[Dict[str, float]]:
-        """Per-phase cold/warm miss-rate rows for the phase-transition tables."""
-        rows = []
-        for i, phase in enumerate(self.phases):
-            cold = self.dcache.cold[i]
-            warm = self.dcache.warm[i]
-            rows.append({
-                "phase": phase,
-                "accesses": cold.accesses,
-                "cold_misses": cold.misses,
-                "warm_misses": warm.misses,
-                "cold_miss_rate": cold.miss_rate,
-                "warm_miss_rate": warm.miss_rate,
-                "icache_cold_miss_rate": self.icache.cold[i].miss_rate,
-                "icache_warm_miss_rate": self.icache.warm[i].miss_rate,
-            })
-        return rows

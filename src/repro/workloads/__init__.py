@@ -7,13 +7,6 @@ from repro.workloads.arith import ArithWorkload
 from repro.workloads.blastn import BlastnWorkload
 from repro.workloads.drr import DrrWorkload
 from repro.workloads.frag import FragWorkload
-from repro.workloads.phased import (
-    PhasedWorkload,
-    blastn_seed_extend,
-    drr_enqueue_service,
-    frag_per_packet,
-    phase_scenarios,
-)
 from repro.workloads import data
 
 __all__ = [
@@ -22,11 +15,6 @@ __all__ = [
     "BlastnWorkload",
     "DrrWorkload",
     "FragWorkload",
-    "PhasedWorkload",
-    "blastn_seed_extend",
-    "drr_enqueue_service",
-    "frag_per_packet",
-    "phase_scenarios",
     "data",
     "standard_workloads",
     "small_workloads",

@@ -207,8 +207,8 @@ class Workload(ABC):
         keys assemble equal programs, so a store maps the key to the
         trace fingerprint beside the :meth:`recipe` row and a hit never
         builds :attr:`program`.  A workload with an argument that is not
-        a plain scalar or string (a phased composition), or whose class is
-        defined outside this package, has no key.
+        a plain scalar or string, or whose class is defined outside this
+        package, has no key and is identified by its :meth:`recipe`.
         """
         if self._input_key is None and self._arguments is not None:
             digest = hashlib.sha1()
@@ -220,7 +220,7 @@ class Workload(ABC):
             self._input_key = f"input:{digest.hexdigest()}"
         return self._input_key
 
-    def recipe(self) -> Optional[str]:
+    def recipe(self) -> str:
         """Digest of everything this workload's execution trace depends on.
 
         Covers the workload class and name, the assembled program
@@ -230,8 +230,7 @@ class Workload(ABC):
         result store map recipe -> :meth:`fingerprint` and answer later
         lookups without running the simulator.  The recipe is the
         authoritative identity: :meth:`input_key` only spares the program
-        assembly it costs.  Workloads whose trace is not one program's run
-        (phased compositions) return ``None``.
+        assembly it costs.
         """
         if self._recipe is None:
             program = self.program

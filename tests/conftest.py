@@ -99,8 +99,8 @@ def window_events_strategy(max_size=200):
 
 
 def assert_states_equal(state, other):
-    """Two :class:`~repro.microarch.cachekernel.KernelState` objects agree
-    bit for bit: tags, ages, FIFO pointers, tick and RANDOM stream position."""
+    """Two ``reference_replay.KernelState`` objects agree bit for bit:
+    tags, ages, FIFO pointers, tick and RANDOM stream position."""
     np.testing.assert_array_equal(state.tags, other.tags)
     np.testing.assert_array_equal(state.age, other.age)
     np.testing.assert_array_equal(state.fifo, other.fifo)

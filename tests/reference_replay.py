@@ -8,23 +8,26 @@ the production path (:mod:`repro.microarch.native`):
   stable argsort by set, then chain collapse) that ``build_set_view``
   replaced; ``test_native_builders.py`` checks both bit for bit.
 * :func:`simulate_accesses` walks the raw address trace one access at a
-  time against a :class:`~repro.microarch.cachekernel.KernelState`; it
-  shares nothing with the kernel but the state layout, and repeated
-  calls on one state continue against the warm cache.
+  time against a :class:`KernelState`; it shares nothing with the
+  kernel, and repeated calls on one state continue against the warm
+  cache.
 * :func:`replay_events_loop` walks a set-grouped
   :class:`~repro.microarch.cachekernel._SetView`; it is the plain Python
   source the C loop was ported from line for line
-  (:func:`reference_replay` drives it like
-  :func:`~repro.microarch.cachekernel.replay`).
+  (:func:`reference_replay` drives it over one geometry).
 
+Both oracles start from a :func:`cold_state` and leave their final
+state in it, so the suites can compare the two states as well as the
+statistics, and replay back-to-back traces against one warm state.
 The differential suites (``test_crossconfig_replay.py``,
-``test_cache_vectorized.py``, ``test_warm_replay.py``) compare the
-compiled loop with both replay oracles; the replay benchmarks time it
-against :func:`simulate_accesses`.
+``test_cache_vectorized.py``) compare
+:func:`~repro.microarch.cachekernel.simulate_many` with both replay
+oracles; the replay benchmarks time it against :func:`simulate_accesses`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -32,12 +35,28 @@ import numpy as np
 from repro.config import Replacement
 from repro.errors import ConfigurationError
 from repro.microarch.cache import CacheConfig, CacheStatistics
-from repro.microarch.cachekernel import ColumnarTrace, KernelState
+from repro.microarch.cachekernel import ColumnarTrace
 
-__all__ = ["cold_state", "reference_decode", "reference_replay", "reference_set_view",
-           "replay_events_loop", "simulate_accesses"]
+__all__ = ["KernelState", "cold_state", "reference_decode", "reference_replay",
+           "reference_set_view", "replay_events_loop", "simulate_accesses"]
 
 _POLICY_CODES = {Replacement.LRU: 0, Replacement.LRR: 1, Replacement.RANDOM: 2}
+
+
+@dataclass
+class KernelState:
+    """Mutable per-geometry cache state that the oracles carry."""
+
+    #: ``(lines_per_way, ways)`` tag store; -1 marks an invalid way.
+    tags: np.ndarray
+    #: Per-way replacement ages (LRU recency; fill tick otherwise).
+    age: np.ndarray
+    #: Per-set LRR/FIFO replacement pointer.
+    fifo: np.ndarray
+    #: RANDOM-victim stream position.
+    rng: np.random.Generator
+    #: Accesses replayed so far (ages are ticks: position + tick + 1).
+    tick: int = 0
 
 
 def reference_decode(addresses, writes=None, *, linesize_bytes) -> ColumnarTrace:
@@ -173,11 +192,11 @@ def replay_events_loop(set_index, tag, first_read, last_pos, w_pre, has_read,
 
 
 def reference_replay(view, config, state) -> CacheStatistics:
-    """:func:`repro.microarch.cachekernel.replay` with the Python loop.
+    """Replay a decoded trace against one geometry with the Python loop.
 
-    Draws the victim stream from ``state.rng`` exactly like the kernel
-    (one per access, for every policy, when ``ways > 1``) and mutates
-    ``state`` the same way.
+    Draws the victim stream from ``state.rng`` exactly like the kernel's
+    cold draw (one per access, for every policy, when ``ways > 1``) and
+    mutates ``state``.
     """
     n = view.accesses
     victims = (state.rng.integers(0, config.ways, size=n)
@@ -200,11 +219,7 @@ def reference_replay(view, config, state) -> CacheStatistics:
 
 
 def cold_state(config: CacheConfig) -> KernelState:
-    """An empty cache: every way invalid, the geometry's seeded generator.
-
-    Built here rather than with ``cachekernel.fresh_state``, so the
-    oracle shares only the state layout with the kernel it checks.
-    """
+    """An empty cache: every way invalid, the geometry's seeded generator."""
     lines = config.lines_per_way
     return KernelState(
         tags=np.full((lines, config.ways), -1, dtype=np.int64),

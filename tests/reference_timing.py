@@ -30,7 +30,7 @@ from repro.config.configuration import Configuration
 from repro.fpga.synthesis import SynthesisModel
 from repro.isa.instructions import OpClass
 from repro.microarch.cache import CacheConfig, CacheStatistics
-from repro.microarch.cachekernel import replay
+from repro.microarch.cachekernel import simulate_many
 from repro.microarch.statistics import ExecutionStatistics
 from repro.microarch.timing import TimingParameters
 from repro.microarch.trace import ExecutionTrace
@@ -128,7 +128,7 @@ def evaluate_reference(
 
 def replay_geometry(workload, kind: str, geometry: CacheConfig) -> CacheStatistics:
     """One cold cache replay of the workload's decoded ``kind`` view."""
-    return replay(workload.columnar_view(kind, geometry.linesize_bytes), geometry)
+    return simulate_many(workload.columnar_view(kind, geometry.linesize_bytes), [geometry])[0]
 
 
 def cache_statistics(workload, config: Configuration) -> Tuple[CacheStatistics, CacheStatistics]:

@@ -3,12 +3,16 @@
 The kernel replay in :mod:`repro.microarch.cachekernel` (the vectorized
 decode plus the compiled loop) must be bit-identical to the per-access
 reference loop ``reference_replay.simulate_accesses`` -- the hit/miss
-statistics field for field, the final tag/age/FIFO state, and the
-position of the seeded RANDOM victim stream -- for any trace (mixed
-reads and writes), any replacement policy and any associativity.  The
-hypothesis tests below drive randomized traces through the oracle whole
-and, for the direct-mapped corner, one access at a time.
+statistics field for field, with the seeded RANDOM victim stream -- for
+any trace (mixed reads and writes), any replacement policy and any
+associativity.  Every kernel replay is also checked against the
+per-event oracle ``reference_replay.reference_replay``, whose final
+tag/age/FIFO state must equal the per-access oracle's.  The hypothesis
+tests below drive randomized traces through the oracle whole and, for
+the direct-mapped corner, one access at a time.
 """
+
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -20,18 +24,36 @@ from conftest import (
     to_arrays,
     trace_strategy,
 )
-from reference_replay import cold_state, simulate_accesses
+from reference_replay import cold_state, reference_replay, simulate_accesses
 
 from repro.config import Replacement
 from repro.errors import ConfigurationError
-from repro.microarch.cache import CacheConfig
-from repro.microarch.cachekernel import decode_trace, fresh_state, replay, simulate_many
+from repro.microarch.cache import CacheConfig, CacheStatistics
+from repro.microarch.cachekernel import decode_trace, simulate_many
 
 
 def kernel_replay(config: CacheConfig, addresses, writes, state):
-    """Decode a raw trace and replay it through the kernel, mutating ``state``."""
+    """Decode a raw trace and replay it cold through the kernel.
+
+    The per-event oracle replays the same view from ``state`` (a
+    :func:`cold_state`), must agree on the statistics, and leaves its
+    final state there.
+    """
     view = decode_trace(addresses, writes, linesize_bytes=config.linesize_bytes)
-    return replay(view, config, state=state)
+    stats = simulate_many(view, [config])[0]
+    assert stats == reference_replay(view, config, state)
+    return stats
+
+
+def event_replay(config: CacheConfig, addresses, writes, state):
+    """Decode a raw trace and replay it through the per-event oracle only."""
+    view = decode_trace(addresses, writes, linesize_bytes=config.linesize_bytes)
+    return reference_replay(view, config, state)
+
+
+def total(stats):
+    """The statistics of back-to-back replays, summed field by field."""
+    return CacheStatistics(*map(sum, zip(*map(astuple, stats))))
 
 
 def scalar_reference(config: CacheConfig, addresses, writes):
@@ -58,7 +80,7 @@ def test_direct_mapped_vectorized_matches_scalar_access_loop(geometry, trace):
 
     ref_read, ref_write, ref_tags = scalar_reference(config, addresses, writes)
 
-    state = fresh_state(config)
+    state = cold_state(config)
     stats = kernel_replay(config, addresses, writes, state)
 
     assert stats.read_misses == ref_read
@@ -76,11 +98,11 @@ def test_direct_mapped_vectorized_matches_forced_scalar_simulate(geometry, trace
 
     scalar_state = cold_state(config)
     scalar_stats = simulate_accesses(config, addresses, writes, scalar_state)
-    kernel_state = fresh_state(config)
-    kernel_stats = kernel_replay(config, addresses, writes, kernel_state)
+    event_state = cold_state(config)
+    kernel_stats = kernel_replay(config, addresses, writes, event_state)
 
     assert kernel_stats == scalar_stats
-    np.testing.assert_array_equal(kernel_state.tags, scalar_state.tags)
+    np.testing.assert_array_equal(event_state.tags, scalar_state.tags)
 
 
 def replay_twice(simulate, config, state, trace_a, trace_b):
@@ -92,14 +114,17 @@ def replay_twice(simulate, config, state, trace_a, trace_b):
 @given(trace_a=traces, trace_b=traces)
 @settings(max_examples=25, deadline=None)
 def test_vectorized_path_preserves_state_across_calls(trace_a, trace_b):
-    """Back-to-back replays must see the tag store left by the first."""
+    """The kernel's replay of two traces joined equals back-to-back oracle
+    replays, the second seeing the tag store left by the first."""
     config = CacheConfig(ways=1, setsize_kb=1, linesize_words=4)
-    kernel_stats, kernel_state = replay_twice(
-        kernel_replay, config, fresh_state(config), trace_a, trace_b)
+    kernel_stats = kernel_replay(config, *to_arrays(trace_a + trace_b), cold_state(config))
+    event_stats, event_state = replay_twice(
+        event_replay, config, cold_state(config), trace_a, trace_b)
     ref_stats, ref_state = replay_twice(
         simulate_accesses, config, cold_state(config), trace_a, trace_b)
-    assert kernel_stats == ref_stats
-    np.testing.assert_array_equal(kernel_state.tags, ref_state.tags)
+    assert event_stats == ref_stats
+    assert kernel_stats == total(ref_stats)
+    np.testing.assert_array_equal(event_state.tags, ref_state.tags)
 
 
 def test_read_only_trace_uses_direct_mapped_path():
@@ -125,30 +150,34 @@ mixed_traces = trace_strategy()
 @given(geometry=set_associative_geometry, trace=mixed_traces)
 @settings(max_examples=120, deadline=None)
 def test_set_associative_kernel_matches_scalar_reference(geometry, trace):
-    """Kernel == scalar loop: statistics field for field, state, RANDOM stream."""
+    """Kernel == scalar loop field for field; the oracles' states agree."""
     config = CacheConfig(**geometry)
     addresses, writes = to_arrays(trace)
 
     scalar_state = cold_state(config)
     scalar_stats = simulate_accesses(config, addresses, writes, scalar_state)
-    kernel_state = fresh_state(config)
-    kernel_stats = kernel_replay(config, addresses, writes, kernel_state)
+    event_state = cold_state(config)
+    kernel_stats = kernel_replay(config, addresses, writes, event_state)
 
     assert kernel_stats == scalar_stats  # dataclass equality: every field
-    assert_states_equal(kernel_state, scalar_state)
+    assert_states_equal(event_state, scalar_state)
 
 
 @given(geometry=set_associative_geometry, trace_a=mixed_traces, trace_b=mixed_traces)
 @settings(max_examples=40, deadline=None)
 def test_set_associative_kernel_preserves_state_across_calls(geometry, trace_a, trace_b):
-    """Back-to-back replays must see the warm state left by the first."""
+    """The kernel's replay of two traces joined equals back-to-back oracle
+    replays, the second seeing the warm state (and RANDOM stream) left by
+    the first."""
     config = CacheConfig(**geometry)
-    kernel_stats, kernel_state = replay_twice(
-        kernel_replay, config, fresh_state(config), trace_a, trace_b)
+    kernel_stats = kernel_replay(config, *to_arrays(trace_a + trace_b), cold_state(config))
+    event_stats, event_state = replay_twice(
+        event_replay, config, cold_state(config), trace_a, trace_b)
     scalar_stats, scalar_state = replay_twice(
         simulate_accesses, config, cold_state(config), trace_a, trace_b)
-    assert kernel_stats == scalar_stats
-    assert_states_equal(kernel_state, scalar_state)
+    assert event_stats == scalar_stats
+    assert kernel_stats == total(scalar_stats)
+    assert_states_equal(event_state, scalar_state)
 
 
 @given(trace=mixed_traces)
@@ -184,7 +213,7 @@ def test_kernel_rejects_mismatched_linesize_view():
     config = CacheConfig(ways=2, setsize_kb=1, linesize_words=8)
     view = decode_trace(np.asarray([0, 4, 8], dtype=np.int64), linesize_bytes=16)
     with pytest.raises(ConfigurationError):
-        replay(view, config)
+        simulate_many(view, [config])
 
 
 @pytest.mark.parametrize("geometry", [
@@ -210,8 +239,9 @@ def test_kernel_matches_scalar_on_all_paper_workload_traces(small_workload_map,
                 ("dcache", trace.data_addresses, trace.data_is_write)):
             scalar_state = cold_state(config)
             scalar_stats = simulate_accesses(config, addresses, writes, scalar_state)
-            kernel_state = fresh_state(config)
-            kernel_stats = replay(workload.columnar_view(kind, config.linesize_bytes),
-                                  config, state=kernel_state)
+            view = workload.columnar_view(kind, config.linesize_bytes)
+            kernel_stats = simulate_many(view, [config])[0]
+            event_state = cold_state(config)
             assert kernel_stats == scalar_stats, f"kernel diverged on {name}"
-            assert_states_equal(kernel_state, scalar_state)
+            assert reference_replay(view, config, event_state) == scalar_stats
+            assert_states_equal(event_state, scalar_state)

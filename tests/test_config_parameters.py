@@ -80,22 +80,6 @@ class TestParameterSpace:
         with pytest.raises(ConfigurationError):
             space.subset(["bogus"])
 
-    def test_iter_assignments_with_overrides(self, space):
-        assignments = list(space.iter_assignments(
-            {name: [space[name].default] for name in space.names if name != "dcache_sets"}))
-        assert len(assignments) == space["dcache_sets"].cardinality
-
-    def test_iter_assignments_rejects_unknown_override(self, space):
-        with pytest.raises(ConfigurationError):
-            next(space.iter_assignments({"bogus": [1]}))
-
-    def test_one_factor_assignments_differ_in_one_parameter(self, space):
-        defaults = space.defaults()
-        for name, value, assignment in space.iter_one_factor_assignments():
-            diff = {k for k, v in assignment.items() if defaults[k] != v}
-            assert diff == {name}
-            assert assignment[name] == value
-
 
 class TestLeonSpace:
     def test_paper_parameter_inventory(self, space):

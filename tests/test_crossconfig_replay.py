@@ -7,11 +7,11 @@ Every replay runs through one compiled C loop
 * the per-event Python loop it was ported from
   (``reference_replay.replay_events_loop``),
 
-in every observable: statistics field for field, the final tag/age/FIFO
-state, the replay tick and the position of each configuration's seeded
-RANDOM victim stream.  The hypothesis suites cover ways 1-4 under LRU,
-LRR and RANDOM, batches that mix set counts, warm multi-phase chains and
-degenerate (empty, write-only, single-event) traces.
+in its statistics, field for field, with each configuration's seeded
+RANDOM victim stream; the two oracles must also agree on the final
+tag/age/FIFO state, the replay tick and the stream position.  The
+hypothesis suites cover ways 1-4 under LRU, LRR and RANDOM, batches that
+mix set counts, and degenerate (empty, write-only, single-event) traces.
 """
 
 import numpy as np
@@ -22,16 +22,9 @@ from conftest import ALL_WAYS, assert_states_equal, to_arrays, trace_strategy
 from reference_replay import cold_state, reference_replay, simulate_accesses
 
 from repro.config import Replacement
-from repro.errors import ConfigurationError, ReplayKernelError
+from repro.errors import ConfigurationError
 from repro.microarch.cache import CacheConfig
-from repro.microarch.cachekernel import (
-    KernelState,
-    decode_trace,
-    fresh_state,
-    replay,
-    replay_chain,
-    simulate_many,
-)
+from repro.microarch.cachekernel import decode_trace, simulate_many
 
 
 def config_batch_strategy(min_size=2, max_size=6, ways=ALL_WAYS,
@@ -55,16 +48,16 @@ def config_batch_strategy(min_size=2, max_size=6, ways=ALL_WAYS,
 
 
 def assert_matches_both_oracles(config, addresses, writes):
-    """Compiled replay == event-loop oracle == scalar oracle, state included."""
+    """Compiled replay == event-loop oracle == scalar oracle; the oracles'
+    final states agree."""
     view = decode_trace(addresses, writes, linesize_bytes=config.linesize_bytes)
-    compiled_state, python_state = fresh_state(config), fresh_state(config)
-    compiled = replay(view, config, state=compiled_state)
+    compiled = simulate_many(view, [config])[0]
+    python_state = cold_state(config)
     python = reference_replay(view, config, python_state)
     scalar_state = cold_state(config)
     scalar = simulate_accesses(config, addresses, writes, scalar_state)
     assert compiled == python == scalar
-    assert_states_equal(compiled_state, python_state)
-    assert_states_equal(compiled_state, scalar_state)
+    assert_states_equal(python_state, scalar_state)
 
 
 # -- single geometries against both oracles ----------------------------------------------
@@ -93,32 +86,6 @@ def test_degenerate_traces_match_both_oracles(ways, replacement, trace):
     assert_matches_both_oracles(config, *to_arrays(trace))
 
 
-@given(configs=config_batch_strategy(min_size=1, max_size=2),
-       trace=trace_strategy(max_size=300),
-       cuts=st.lists(st.floats(0, 1), max_size=4))
-@settings(max_examples=50, deadline=None)
-def test_warm_chains_match_both_oracles(configs, trace, cuts):
-    """Multi-phase warm chains: compiled chain == Python chain == scalar cache
-    fed phase by phase, after every phase and in the final state."""
-    addresses, writes = to_arrays(trace)
-    n = len(addresses)
-    bounds = [0, *sorted(int(c * n) for c in cuts), n]
-    for config in configs:
-        views = [decode_trace(addresses[lo:hi], writes[lo:hi],
-                              linesize_bytes=config.linesize_bytes)
-                 for lo, hi in zip(bounds, bounds[1:])]
-        compiled, state = replay_chain(views, config)
-        python_state = fresh_state(config)
-        python = [reference_replay(view, config, python_state) for view in views]
-        scalar_state = cold_state(config)
-        scalar = [simulate_accesses(config, addresses[lo:hi], writes[lo:hi],
-                                    scalar_state)
-                  for lo, hi in zip(bounds, bounds[1:])]
-        assert compiled == python == scalar
-        assert_states_equal(state, python_state)
-        assert_states_equal(state, scalar_state)
-
-
 # -- batches -----------------------------------------------------------------------------
 
 @given(configs=config_batch_strategy(), trace=trace_strategy())
@@ -136,12 +103,13 @@ def test_crossconfig_batch_matches_scalar_oracle(configs, trace):
        trace=trace_strategy(max_size=200))
 @settings(max_examples=25, deadline=None)
 def test_crossconfig_batch_matches_per_config_replay(configs, trace):
-    """The batch (shared cold victim draws, no generators) and N stateful
-    replay() calls (each drawing from its own generator) agree."""
+    """The batch (shared cold victim draws, no generators) and N event-loop
+    oracle replays (each drawing from its own generator) agree."""
     addresses, writes = to_arrays(trace)
     view = decode_trace(addresses, writes,
                         linesize_bytes=configs[0].linesize_bytes)
-    assert simulate_many(view, configs) == [replay(view, c) for c in configs]
+    assert simulate_many(view, configs) == [
+        reference_replay(view, c, cold_state(c)) for c in configs]
 
 
 @given(configs=config_batch_strategy(min_size=1, max_size=5,
@@ -160,11 +128,10 @@ def test_all_lru_batch_matches_per_config_replay(configs, seed, length, words):
                         linesize_bytes=configs[0].linesize_bytes)
     batch = simulate_many(view, configs)
     for config, stat in zip(configs, batch):
-        state = fresh_state(config)
-        assert stat == replay(view, config, state=state)
-        python_state = fresh_state(config)
+        python_state, scalar_state = cold_state(config), cold_state(config)
         assert stat == reference_replay(view, config, python_state)
-        assert_states_equal(state, python_state)
+        assert stat == simulate_accesses(config, addresses, writes, scalar_state)
+        assert_states_equal(python_state, scalar_state)
 
 
 @given(configs=config_batch_strategy(min_size=1, max_size=3),
@@ -187,7 +154,7 @@ def test_long_traces_match_both_oracles(configs, seed, length, words, run):
 def test_random_batch_shares_victim_draws_only_within_seed_and_ways():
     """Cold RANDOM configurations share one victim draw per (seed, ways):
     a batch mixing ways, set counts and seeds on a trace that evicts
-    constantly must equal per-configuration replays with their own
+    constantly must equal per-configuration oracle replays with their own
     generators."""
     rng = np.random.default_rng(7)
     addresses = np.repeat(rng.integers(0, 1 << 11, size=1500) * 4, 2)
@@ -195,7 +162,8 @@ def test_random_batch_shares_victim_draws_only_within_seed_and_ways():
     view = decode_trace(addresses, writes, linesize_bytes=16)
     configs = [CacheConfig(ways=ways, setsize_kb=size, linesize_words=4, seed=seed)
                for seed in (0xC0FFEE, 1) for ways in ALL_WAYS for size in (1, 2)]
-    assert simulate_many(view, configs) == [replay(view, c) for c in configs]
+    assert simulate_many(view, configs) == [
+        reference_replay(view, c, cold_state(c)) for c in configs]
 
 
 def test_crossconfig_empty_trace_yields_cold_states():
@@ -206,8 +174,8 @@ def test_crossconfig_empty_trace_yields_cold_states():
     assert all(s.accesses == 0 and s.misses == 0
                for s in simulate_many(view, configs))
     for config in configs:
-        state = fresh_state(config)
-        replay(view, config, state=state)
+        state = cold_state(config)
+        reference_replay(view, config, state)
         assert (state.tags == -1).all()
         assert state.tick == 0
 
@@ -229,21 +197,4 @@ def test_batch_rejects_mismatched_linesize():
     with pytest.raises(ConfigurationError):
         simulate_many(view, [CacheConfig(ways=2, setsize_kb=1, linesize_words=8)])
     with pytest.raises(ConfigurationError):
-        replay(view, CacheConfig(ways=1, setsize_kb=1, linesize_words=8))
-
-
-# -- the wrapper guards the C loop's trusted indices -------------------------------------
-
-@pytest.mark.parametrize("corrupt", [
-    lambda s: KernelState(s.tags.astype(np.int32), s.age, s.fifo, rng=s.rng),
-    lambda s: KernelState(np.asfortranarray(s.tags), s.age, s.fifo, rng=s.rng),
-    lambda s: KernelState(s.tags[:-1], s.age, s.fifo, rng=s.rng),
-    lambda s: KernelState(s.tags, s.age[:, :1].copy(), s.fifo, rng=s.rng),
-    lambda s: KernelState(s.tags, s.age, s.fifo[:-1], rng=s.rng),
-    lambda s: KernelState(s.tags, s.age, s.fifo + 2, rng=s.rng),
-], ids=["dtype", "fortran-order", "rows", "ways", "fifo", "fifo-range"])
-def test_state_layout_is_checked_before_the_loop_runs(corrupt):
-    config = CacheConfig(ways=2, setsize_kb=1, linesize_words=4)
-    view = decode_trace(np.arange(0, 8192, 4, dtype=np.int64), linesize_bytes=16)
-    with pytest.raises(ReplayKernelError, match="C-contiguous int64|fifo pointers"):
-        replay(view, config, state=corrupt(fresh_state(config)))
+        simulate_many(view, [CacheConfig(ways=1, setsize_kb=1, linesize_words=8)])

@@ -4,9 +4,8 @@
 program in the C interpreter loop of :mod:`repro.microarch.native`,
 which writes every trace column, the data-cache access stream and the
 feature counts as it executes; ``reference_simulator.ReferenceSimulator``
-is the original per-instruction interpreter.  On the four applications,
-the phased scenarios and hypothesis-generated programs the two must
-agree bit for bit: all six trace columns (dtype and values), the final
+is the original per-instruction interpreter.  On the four applications
+and hypothesis-generated programs the two must agree bit for bit: all six trace columns (dtype and values), the final
 register file, the memory image, the instruction count and the window
 depth -- and every error path must raise :class:`SimulationError` with
 the same message on both sides.  The simulator's access stream and
@@ -31,8 +30,6 @@ from repro.isa.instructions import CONDITION_CODES, Instruction, Op, OpClass
 from repro.isa.program import MemoryLayout, Program
 from repro.microarch import native
 from repro.microarch.functional import _CONDITION_TABLES, FunctionalSimulator
-from repro.workloads import base as workload_base
-from repro.workloads import phase_scenarios
 
 TRACE_COLUMNS = ("pcs", "op_classes", "mem_addrs", "load_use_hazard",
                  "cc_branch_hazard", "window_events")
@@ -118,22 +115,6 @@ def test_applications_match_reference(small_workload_map, name):
     actual, expected = run_both(workload.program, workload.max_instructions)
     assert actual is not None
     assert workload.verify(actual) == workload.verify(expected)
-
-
-def test_phase_scenarios_match_reference(monkeypatch):
-    """Phased scenarios built on either simulator have identical phases."""
-    actual = phase_scenarios(small=True)
-    monkeypatch.setattr(workload_base, "FunctionalSimulator", ReferenceSimulator)
-    expected = phase_scenarios(small=True)
-    assert sorted(actual) == sorted(expected)
-    for name in expected:
-        assert actual[name].fingerprint() == expected[name].fingerprint()
-        assert_same_trace(actual[name].trace(), expected[name].trace())
-        assert actual[name].phase_bounds() == expected[name].phase_bounds()
-        assert actual[name].data_bounds() == expected[name].data_bounds()
-        for got, want in zip(actual[name].phase_traces(), expected[name].phase_traces()):
-            assert_same_trace(got, want)
-        assert actual[name].verify() == expected[name].verify()
 
 
 # -- resumes -----------------------------------------------------------------------------

@@ -5,7 +5,7 @@ configurations are timed by a single
 :func:`~repro.microarch.timing.evaluate_many` call made from
 :mod:`repro.platform.liquid`.  These tests count those calls for every
 consumer -- the one-factor campaign (one and several workloads), the
-tuner's verification measurement, phased batches and a service sweep --
+tuner's verification measurement and a service sweep --
 and check the platform's accounting of them.
 """
 
@@ -16,7 +16,7 @@ from repro.core import MicroarchTuner, OneFactorCampaign, RUNTIME_OPTIMIZATION
 from repro.engine import ResultStore
 from repro.platform import LiquidPlatform, liquid
 from repro.service import TuningService
-from repro.workloads import ArithWorkload, DrrWorkload, drr_enqueue_service
+from repro.workloads import ArithWorkload, DrrWorkload
 
 DCACHE = ("dcache_sets", "dcache_setsize_kb")
 
@@ -98,15 +98,6 @@ def test_engine_plans_each_batch_once(monkeypatch):
     LiquidPlatform().measure_many(
         ArithWorkload(iterations=80), [base, base.replace(dcache_sets=2), base])
     assert plans == [2]
-
-
-def test_phased_batch_is_one_call(timing_calls):
-    base = base_configuration()
-    configs = [base, base.replace(dcache_sets=2), base]
-    platform = LiquidPlatform()
-    platform.measure_phases(drr_enqueue_service(packet_count=60), configs)
-    assert len(timing_calls) == 1 and timing_calls[0][1] == 2
-    assert_accounting(platform, timing_calls)
 
 
 @pytest.mark.parametrize("chunk", [2, 16])

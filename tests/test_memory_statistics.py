@@ -54,8 +54,6 @@ class TestMemory:
 
     def test_bulk_and_word_helpers(self):
         memory = Memory(256)
-        memory.write_words(8, [1, 2, 3])
-        assert memory.read_words(8, 3) == [1, 2, 3]
         memory.write_bytes(100, b"abc")
         assert memory.read_bytes(100, 3) == b"abc"
 

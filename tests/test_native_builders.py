@@ -8,7 +8,9 @@ bit on every column, for any trace, line size and set count -- set
 counts that are not powers of two included, since the C grouping uses
 ``%`` and ``/``.  A cold ``simulate_many`` replays every geometry of one
 set count in one native call, sharing one process-wide RANDOM victim
-draw per (seed, ways); its results must not depend on what ran before.
+draw per (seed, ways); its results must not depend on what ran before,
+and its wrapper must reject a bad geometry or set view before the C
+loop runs.
 """
 
 import numpy as np
@@ -16,12 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import to_arrays, trace_strategy
-from reference_replay import reference_decode, reference_set_view
+from reference_replay import cold_state, reference_decode, reference_replay, reference_set_view
 
 from repro.config import Replacement
+from repro.errors import ReplayKernelError
 from repro.microarch import cachekernel, native
 from repro.microarch.cache import CacheConfig
-from repro.microarch.cachekernel import decode_trace, replay, simulate_many
+from repro.microarch.cachekernel import decode_trace, simulate_many
 from repro.obs import (MetricsRegistry, disable_tracing, enable_tracing, get_registry,
                        set_registry)
 
@@ -123,11 +126,12 @@ def test_a_cold_batch_makes_one_native_call_per_set_count(monkeypatch):
     registry = set_registry(MetricsRegistry())
     tracer = enable_tracing()
     try:
-        assert simulate_many(view, configs) == [replay(view, c) for c in configs]
+        assert simulate_many(view, configs) == [
+            reference_replay(view, c, cold_state(c)) for c in configs]
     finally:
         disable_tracing()
         set_registry(previous)
-    # the batch: one call per set count; the per-config replays use the warm loop
+    # the batch: one call per set count; the per-config replays are the oracle's
     assert sorted(calls) == [(64, 9), (128, 9), (256, 9)]
     [span] = [r for r in tracer.records if r.name == "replay"]
     assert span.attrs["native_calls"] == 3
@@ -159,11 +163,38 @@ def test_cold_results_do_not_depend_on_an_earlier_longer_batch(monkeypatch):
     configs = [CacheConfig(ways=ways, setsize_kb=1, linesize_words=4, seed=seed,
                            replacement=Replacement.RANDOM)
                for ways in (2, 3, 4) for seed in (0xC0FFEE, 11)]
-    fresh = [replay(short, c) for c in configs]
+    fresh = [reference_replay(short, c, cold_state(c)) for c in configs]
     before = simulate_many(short, configs)
     simulate_many(long, configs)  # grows every (seed, ways) draw to 3000
     assert all(len(v) == 3000 for v in cachekernel._COLD_VICTIMS.values())
     after = simulate_many(short, configs)
     assert before == after == fresh
-    assert simulate_many(long, configs) == [replay(long, c) for c in configs]
+    assert simulate_many(long, configs) == [
+        reference_replay(long, c, cold_state(c)) for c in configs]
     assert len(cachekernel._COLD_VICTIMS) == len(configs)
+
+
+# -- the wrapper guards the C loop's trusted indices -------------------------------------
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda view, n: (view, [(0, native.POLICY_LRU, None)]),
+    lambda view, n: (view, [(2, 7, None)]),
+    lambda view, n: (view, [(2, native.POLICY_RANDOM, None)]),
+    lambda view, n: (view, [(2, native.POLICY_RANDOM, np.zeros(n - 1, dtype=np.int64))]),
+    lambda view, n: (view.astype(np.int32), [(2, native.POLICY_LRU, None)]),
+    lambda view, n: (np.asfortranarray(view), [(2, native.POLICY_LRU, None)]),
+], ids=["no-ways", "unknown-policy", "no-victims", "short-victims", "int32-view",
+        "fortran-view"])
+def test_cold_replay_inputs_are_checked_before_the_library_loads(monkeypatch, corrupt):
+    view = decode_trace(np.arange(0, 8192, 4, dtype=np.int64), linesize_bytes=16)
+    columns, accesses = view.set_view(8).columns, view.accesses
+    assert columns.shape[1] > 1  # a Fortran-ordered copy is then not C-contiguous
+
+    def no_load():
+        raise AssertionError("the C library was reached")
+
+    monkeypatch.setattr(native, "_load", no_load)
+    bad_view, geometries = corrupt(columns, accesses)
+    with pytest.raises(ReplayKernelError):
+        native.replay_cold(bad_view, accesses, 8, geometries)

@@ -55,12 +55,6 @@ class TestPerturbationSpace:
         with pytest.raises(ConfigurationError):
             pspace.apply((10_000,))
 
-    def test_selection_roundtrip(self, pspace):
-        selection = (pspace.find("dcache_setsize_kb", 32).index,
-                     pspace.find("multiplier", "m32x32").index)
-        config = pspace.apply(selection)
-        assert pspace.selection_for(config) == tuple(sorted(selection))
-
     def test_validate_rules_flag(self, pspace):
         lrr = pspace.find("dcache_replacement", "lrr").index
         # without rule validation the configuration is produced

@@ -33,8 +33,6 @@ from repro.obs.tracer import disable_tracing, enable_tracing
 from repro.platform import LiquidPlatform
 from repro.workloads import ArithWorkload, BlastnWorkload, DrrWorkload, FragWorkload
 from repro.workloads import base as workload_base
-from repro.workloads import drr_enqueue_service
-from repro.workloads.phased import phase_scenarios
 
 from conftest import ProgramWorkload
 
@@ -150,13 +148,11 @@ def test_warm_store_tunes_without_simulating(tmp_path, filename, simulations, as
     assert snapshot["engine.input_hits"] == 4
 
 
-@pytest.mark.parametrize("name", sorted(SMALL) + ["drr-phased"])
+@pytest.mark.parametrize("name", sorted(SMALL))
 def test_warm_store_records_equal_the_cold_run(tmp_path, name, simulations):
     """A warm run over a store file encodes exactly the cold run's records
-    and replays nothing; a workload with a recipe simulates nothing either
-    (a phased composition has none, so it may simulate to find its
-    fingerprint)."""
-    make = SMALL.get(name) or (lambda: drr_enqueue_service(packet_count=60))
+    and neither replays nor simulates anything."""
+    make = SMALL[name]
     path = str(tmp_path / "store.sqlite")
     configs = grid(8) + [base_configuration().replace(
         icache_sets=2, icache_replacement="lru", register_windows=16)]
@@ -172,8 +168,7 @@ def test_warm_store_records_equal_the_cold_run(tmp_path, name, simulations):
     assert records[0] == records[1]
     assert engine.stats.cache_simulations == 0
     assert engine.stats.store_hits == len(configs)
-    if workload.recipe() is not None:
-        assert simulations == []
+    assert simulations == []
 
 
 def forget_input_rows(path):
@@ -270,27 +265,6 @@ def test_recipe_covers_everything_the_trace_depends_on(monkeypatch):
     assert DrrWorkload(packet_count=150).recipe() != reference
 
 
-def test_phased_workloads_still_simulate_with_identical_results(tmp_path, simulations):
-    path = str(tmp_path / "store.sqlite")
-    configs = grid(3)
-    results = []
-    for _ in range(2):
-        store = open_store(path)
-        scenarios = phase_scenarios(small=True)
-        simulations.clear()
-        engine = LiquidPlatform(store=store)
-        results.append([engine.measure_phases(scenario, configs)
-                        for scenario in scenarios.values()])
-        assert all(scenario.recipe() is None for scenario in scenarios.values())
-        assert engine.stats.recipe_hits == 0 and engine.stats.recipe_misses == 0
-        assert engine.stats.input_hits == 0 and engine.stats.input_misses == 0
-        assert all(scenario.input_key() is None for scenario in scenarios.values())
-        # the composed scenario's components simulate inside the batch
-        assert len(simulations) == 2
-        store.close()
-    assert results[0] == results[1]
-
-
 def test_warm_run_opens_no_trace_generation_span():
     store = open_store(None)
     LiquidPlatform(store=store).measure_many(SMALL["frag"](), grid(2))
@@ -369,9 +343,18 @@ def test_input_key_covers_the_budget_and_numpy(monkeypatch):
 
 
 def test_workloads_with_objects_for_inputs_have_no_input_key():
+    """Such a workload is resolved by its recipe row alone."""
     program = SMALL["arith"]().program
     assert ProgramWorkload(program).input_key() is None
-    assert drr_enqueue_service(packet_count=60).input_key() is None
+    store = open_store(None)
+    stats = []
+    for _ in range(2):
+        engine = LiquidPlatform(store=store)
+        engine.measure(ProgramWorkload(program), base_configuration())
+        stats.append(engine.stats)
+    store.close()
+    assert (stats[0].recipe_misses, stats[1].recipe_hits) == (1, 1)
+    assert stats[0].input_misses == stats[1].input_misses == 0
 
 
 class OutsideArith(ArithWorkload):
