@@ -2,19 +2,23 @@
 
 The distributed campaign queue (:mod:`repro.engine.campaign`) exists to
 let several worker processes -- terminals, cron jobs, hosts sharing a
-file -- drain one configuration grid cooperatively.  This benchmark
-registers the Figure-2 BLASTN dcache grid in a fresh campaign database
-and drains it with one worker, then with ``N`` concurrent worker
-processes, recording configs/sec for both.  The timed region covers the
-queue drain only: workers construct their evaluators and generate their
-traces *before* a barrier releases them together, so the ratio measures
-claim/evaluate/write-back scaling, not process startup.
+file -- drain one grid cooperatively.  This benchmark registers the
+Figure-2 BLASTN dcache grid in a fresh campaign database -- its 19
+configurations become 20 replay rows, one per distinct cache geometry
+-- and drains it with one worker, then with ``N`` concurrent worker
+processes.  The recorded ``configs_per_sec`` is Figure-2 configurations
+covered per second of drain (the trajectory's column, comparable across
+the change of row unit); the printout also gives replay rows per
+second.  The timed region covers the queue drain only: workers
+construct their platforms and generate their traces *before* a barrier
+releases them together, so the ratio measures claim/replay/write-back
+scaling, not process startup.
 
 Correctness is asserted unconditionally, at every scale:
 
 * the concurrent drain leaves zero stuck rows (nothing open, claimed or
   failed) and every row was claimed exactly once (``attempts == 1`` for
-  the whole table -- claim exclusivity means no row is ever evaluated
+  the whole table -- claim exclusivity means no row is ever replayed
   twice);
 * the campaign database's measurements are bit-identical to a direct
   ``measure_many`` of the same grid.
@@ -72,7 +76,7 @@ REPS = 3 if SMOKE else 2
 #: Concurrent workers in the scaled drain.
 WORKER_COUNT = 2
 #: Rows per claim transaction; small enough that both workers get a
-#: meaningful share of the ~20-row Figure-2 grid.
+#: meaningful share of the 20-row Figure-2 grid.
 CLAIM_BATCH = 4
 
 
@@ -116,11 +120,12 @@ def campaign_worker_main(path, barrier, queue, worker_index):
 
 
 def drain_with_workers(configs, worker_count, tmp_dir, tag):
-    """Register + drain a fresh campaign; returns (drain seconds, reports)."""
+    """Register + drain a fresh campaign; returns (path, drain seconds, rows, reports)."""
     path = os.path.join(tmp_dir, f"campaign_{tag}.sqlite")
     with CampaignGrid(path) as grid:
-        registered = grid.register(fresh_blastn(), configs)
-        assert registered == len(configs)
+        rows = grid.register(fresh_blastn(), configs)
+        # one row per distinct geometry: the dcache grid and one icache
+        assert rows == len(configs) + 1
 
     barrier = multiprocessing.Barrier(worker_count + 1)
     queue = multiprocessing.Queue()
@@ -142,16 +147,16 @@ def drain_with_workers(configs, worker_count, tmp_dir, tag):
     with CampaignGrid(path) as grid:
         counts = grid.status()
         # zero stuck rows: the concurrent drain completed everything
-        assert counts["done"] == counts["total"] == len(configs), counts
+        assert counts["done"] == counts["total"] == rows, counts
         assert counts["open"] == counts["claimed"] == counts["failed"] == 0
-        # claim exclusivity: every row was claimed -- hence evaluated --
+        # claim exclusivity: every row was claimed -- hence replayed --
         # exactly once across all workers
         multi_claimed = grid._conn.execute(
-            "SELECT COUNT(*) FROM experiments WHERE attempts != 1").fetchone()[0]
+            "SELECT COUNT(*) FROM replays WHERE attempts != 1").fetchone()[0]
         assert multi_claimed == 0, f"{multi_claimed} rows claimed != once"
-    assert sum(report["done"] for report in reports.values()) == len(configs)
+    assert sum(report["done"] for report in reports.values()) == rows
     assert all(report["failed"] == 0 for report in reports.values())
-    return path, seconds, reports
+    return path, seconds, rows, reports
 
 
 def test_campaign_grid_scaling(tmp_path):
@@ -167,10 +172,10 @@ def test_campaign_grid_scaling(tmp_path):
         # the same background load, and the best of each side is compared
         solo_seconds = multi_seconds = float("inf")
         for rep in range(REPS):
-            solo_path, seconds, solo_reports = drain_with_workers(
+            solo_path, seconds, rows, solo_reports = drain_with_workers(
                 configs, 1, tmp_dir, f"solo{rep}")
             solo_seconds = min(solo_seconds, seconds)
-            multi_path, seconds, multi_reports = drain_with_workers(
+            multi_path, seconds, rows, multi_reports = drain_with_workers(
                 configs, WORKER_COUNT, tmp_dir, f"multi{rep}")
             multi_seconds = min(multi_seconds, seconds)
 
@@ -189,11 +194,14 @@ def test_campaign_grid_scaling(tmp_path):
     conflicts = sum(r["claim_conflicts"] for r in multi_reports.values())
     requeues = sum(r["claim_requeues"] for r in multi_reports.values())
 
-    print(f"\ncampaign grid: {len(configs)} points, {cpus} cpus")
+    print(f"\ncampaign grid: {len(configs)} points as {rows} replay rows, "
+          f"{cpus} cpus")
     print(f"  1 worker   {solo_seconds:8.3f}s  "
-          f"{len(configs) / solo_seconds:8.1f} configs/sec")
+          f"{rows / solo_seconds:8.1f} rows/sec  "
+          f"{len(configs) / solo_seconds:8.1f} points/sec")
     print(f"  {WORKER_COUNT} workers  {multi_seconds:8.3f}s  "
-          f"{len(configs) / multi_seconds:8.1f} configs/sec")
+          f"{rows / multi_seconds:8.1f} rows/sec  "
+          f"{len(configs) / multi_seconds:8.1f} points/sec")
     print(f"  speedup {speedup:.2f}x (floor "
           f"{'enforced' if floor_enforced else 'recorded only'}), "
           f"{conflicts} lock conflicts, {requeues} requeues")

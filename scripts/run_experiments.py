@@ -18,24 +18,26 @@ end.
 
 Distributed campaign mode (``--grid-db PATH``) replaces the experiment
 suite with the pull-based campaign queue: ``--register`` writes the
-Figure-2 configuration grid of the selected workloads into the database
-as open experiment rows, any number of concurrent ``--claim`` processes
+distinct cache replays of the selected workloads' Figure-2
+configuration grid into the database as open rows (one per trace, cache
+kind and geometry), any number of concurrent ``--claim`` processes
 (same machine or any host sharing the file) atomically claim and
-evaluate batches until the grid is drained (more ``--claim``
+replay batches until the grid is drained (more ``--claim``
 processes are how a campaign scales out), ``--status`` prints the row
 counts (``--assert-drained`` makes it a CI gate, ``--json`` emits the
 machine-readable snapshot, ``--watch`` live-renders the draining grid
 with per-worker heartbeat health), and ``--reset-failed`` reopens
 failed rows with a fresh attempt budget.  Results land in the same
-database as store rows, from which every measurement is assembled
-bit-identical to a direct ``measure_many``.
+database as store rows, from which every configuration of the grid is
+assembled bit-identical to a direct ``measure_many``.
 
 Resident service mode (``--serve``) turns the process into the
 always-on tuning service: ``POST /sweep`` and ``POST /tune`` jobs run
 on ONE resident platform (SIGTERM drains queued jobs before the
 process exits), repeat queries answer from the
-store by trace fingerprint, and with ``--grid-db`` sweep jobs become
-campaign rows drained cooperatively with any CLI ``--claim`` workers.
+store by trace fingerprint, and with ``--grid-db`` a sweep job's cache
+replays become campaign rows drained cooperatively with any CLI
+``--claim`` workers.
 
 Observability: ``--trace out.json`` records nested wall/CPU spans of
 every pipeline stage and writes a Chrome trace-event file loadable in Perfetto
@@ -109,12 +111,14 @@ def parse_args() -> argparse.Namespace:
              "selects campaign mode instead of the experiment suite")
     grid.add_argument(
         "--register", action="store_true",
-        help="register the Figure-2 dcache grid of the selected workloads as "
-             "open experiment rows (idempotent; re-running adds only new rows)")
+        help="register the cache replays of the selected workloads' Figure-2 "
+             "dcache grid as open rows, one per trace, cache kind and "
+             "geometry (idempotent; re-running adds only new rows)")
     grid.add_argument(
         "--claim", action="store_true",
-        help="run one campaign worker: claim open row batches, evaluate them, "
-             "write their result-store rows back, until nothing is claimable")
+        help="run one campaign worker: claim open row batches of one trace, "
+             "replay them, write their result-store rows back, until nothing "
+             "is claimable")
     grid.add_argument(
         "--status", action="store_true",
         help="print row counts by status and recent failures")
@@ -155,7 +159,7 @@ def parse_args() -> argparse.Namespace:
         help="workload scale of the campaign (small = quick smoke grids)")
     grid.add_argument(
         "--batch", type=int, default=16,
-        help="experiment rows per claim transaction (default: 16)")
+        help="replay rows per claim transaction (default: 16)")
     grid.add_argument(
         "--lease", type=float, default=300.0,
         help="seconds before another worker may reclaim a silent claim "
@@ -260,14 +264,13 @@ def campaign_main(args: argparse.Namespace) -> None:
     platform = LiquidPlatform()
 
     with CampaignGrid(args.grid_db) as grid:
-        grid.bind_platform(platform.device, platform.timing_parameters)
         if args.reset_failed:
             print(f"reopened {grid.reset_failed()} failed rows")
         if args.register:
             configs = figure2_grid(platform)
             for workload in workloads:
                 added = grid.register(workload, configs)
-                print(f"registered {workload.name}: {added} new rows "
+                print(f"registered {workload.name}: {added} new replay rows "
                       f"({len(configs)} grid points)")
         if args.claim:
             worker = CampaignWorker(

@@ -30,7 +30,6 @@ from repro.core import (
     RUNTIME_ONLY,
     RUNTIME_OPTIMIZATION,
     BranchAndBoundSolver,
-    ExhaustiveSolver,
     MicroarchTuner,
     OneFactorCampaign,
     TuningResult,
@@ -53,7 +52,6 @@ __all__ = [
     "RUNTIME_ONLY",
     "RUNTIME_OPTIMIZATION",
     "BranchAndBoundSolver",
-    "ExhaustiveSolver",
     "MicroarchTuner",
     "OneFactorCampaign",
     "TuningResult",

@@ -13,7 +13,7 @@ reproduction values (used by ``benchmarks/bench_headline_claims.py`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping
+from typing import Any, Dict
 
 from repro.analysis.experiments import ExperimentResult
 from repro.analysis.tables import Table

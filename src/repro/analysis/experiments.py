@@ -24,12 +24,11 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.config import (
     CACHE_SET_COUNTS,
     CACHE_SET_SIZES_KB,
-    Configuration,
     base_configuration,
     leon_parameter_space,
 )
@@ -38,7 +37,6 @@ from repro.core import (
     RUNTIME_ONLY,
     RUNTIME_OPTIMIZATION,
     BranchAndBoundSolver,
-    ExhaustiveSolver,
     GreedyIndependentSolver,
     MicroarchTuner,
     RandomSearchSolver,
@@ -491,16 +489,11 @@ def approximation_ablation(result: TuningResult) -> ExperimentResult:
 
 
 def solver_ablation(
-    model: CostModel,
-    weights: Weights = RUNTIME_OPTIMIZATION,
-    *,
-    include_exhaustive: bool = False,
+    model: CostModel, weights: Weights = RUNTIME_OPTIMIZATION
 ) -> ExperimentResult:
     """Compare the branch-and-bound solver with the baseline solvers."""
     problem = build_problem(model, weights)
     solvers = [BranchAndBoundSolver(), GreedyIndependentSolver(), RandomSearchSolver()]
-    if include_exhaustive:
-        solvers.append(ExhaustiveSolver())
     table = Table(
         f"Solver ablation ({model.workload}, {weights.describe()})",
         ["solver", "objective", "variables_selected", "feasible", "nodes", "seconds"])

@@ -15,7 +15,7 @@ DESIGN.md) is derived and asserted in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.config.configuration import Configuration
 from repro.config.parameters import ParameterSpace

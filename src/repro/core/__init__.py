@@ -11,7 +11,6 @@ from repro.core.campaign import CampaignRecord, OneFactorCampaign
 from repro.core.binlp import BilinearConstraint, BinlpProblem, LinearConstraint, build_problem
 from repro.core.solvers import (
     BranchAndBoundSolver,
-    ExhaustiveSolver,
     GreedyIndependentSolver,
     RandomSearchSolver,
     Solution,
@@ -32,7 +31,6 @@ __all__ = [
     "LinearConstraint",
     "build_problem",
     "BranchAndBoundSolver",
-    "ExhaustiveSolver",
     "GreedyIndependentSolver",
     "RandomSearchSolver",
     "Solution",

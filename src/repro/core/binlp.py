@@ -24,8 +24,8 @@ check feasibility of any selection, which is all the solvers in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Tuple
 
 from repro.config.perturbation import PerturbationSpace, Selection
 from repro.errors import OptimizationError

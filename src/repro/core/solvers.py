@@ -13,14 +13,14 @@ we provide our own solvers over the exact same formulation:
   cannot fit.  On the paper's problems it explores at most about a
   hundred nodes, and only the root when the greedy incumbent is already
   the unconstrained optimum.
-* :class:`ExhaustiveSolver` -- enumerates every combination; only usable
-  on scaled-down spaces (the dcache study) and used as the ground truth
-  in tests.
 * :class:`GreedyIndependentSolver` -- picks the best option per group
   ignoring resources and then repairs feasibility by dropping the least
   valuable picks; serves as the ablation baseline showing why the
   constrained formulation matters.
 * :class:`RandomSearchSolver` -- samples random feasible selections.
+
+The brute-force oracle the tests hold these to, an enumeration of every
+combination, lives in ``tests/reference_solver.py``.
 """
 
 from __future__ import annotations
@@ -31,13 +31,11 @@ from dataclasses import dataclass
 from operator import add
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.errors import OptimizationError
 from repro.core.binlp import BinlpProblem
 
 __all__ = [
     "Solution",
     "BranchAndBoundSolver",
-    "ExhaustiveSolver",
     "GreedyIndependentSolver",
     "RandomSearchSolver",
 ]
@@ -304,46 +302,6 @@ class BranchAndBoundSolver:
             objective=best_objective,
             feasible=problem.is_feasible(best_selection),
             optimal=not limit_hit,
-            nodes_explored=nodes,
-            solver=self.name,
-        )
-
-
-class ExhaustiveSolver:
-    """Enumerate every combination of the decision groups (small problems only)."""
-
-    name = "exhaustive"
-
-    def __init__(self, max_combinations: int = 2_000_000):
-        self.max_combinations = max_combinations
-
-    def solve(self, problem: BinlpProblem) -> Solution:
-        decisions = _decision_groups(problem)
-        total = 1
-        for group in decisions:
-            total *= len(group) + 1
-            if total > self.max_combinations:
-                raise OptimizationError(
-                    f"exhaustive enumeration would need {total}+ combinations "
-                    f"(limit {self.max_combinations}); use branch and bound instead")
-        best_selection: Tuple[int, ...] = ()
-        best_objective = 0.0
-        nodes = 0
-        option_lists = [[None] + list(group) for group in decisions]
-        for combo in itertools.product(*option_lists):
-            nodes += 1
-            selection = [i for i in combo if i is not None]
-            objective = sum(problem.objective[i] for i in selection)
-            if objective >= best_objective - 1e-12:
-                continue
-            if problem.is_feasible(selection):
-                best_objective = objective
-                best_selection = tuple(sorted(selection))
-        return Solution(
-            selection=best_selection,
-            objective=best_objective,
-            feasible=True,
-            optimal=True,
             nodes_explored=nodes,
             solver=self.name,
         )

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.config.configuration import Configuration
 from repro.config.leon_space import leon_parameter_space

@@ -7,9 +7,11 @@ Constructed with ``store=``, the platform also reads the trace summaries,
 cache statistics and trace identities persisted in a
 :class:`~repro.engine.store.ResultStore` instead of simulating them, and
 writes the new ones back.  This package holds that store and the
-campaign queue: a campaign scales out as several processes claiming rows
-of one :class:`~repro.engine.campaign.CampaignGrid`, each measuring on
-its own store-backed platform.
+campaign queue: a campaign distributes the expensive unit, one cache
+replay per (trace, kind, geometry), as rows of one
+:class:`~repro.engine.campaign.CampaignGrid`, and scales out as several
+processes claiming them, each replaying on its own store-backed
+platform into the same store.
 """
 
 import contextlib
@@ -20,7 +22,6 @@ from repro.engine.store import (
     busy_retry,
     connect_sqlite,
     open_store,
-    workload_fingerprint,
 )
 from repro.platform.liquid import LiquidPlatform
 
@@ -32,7 +33,6 @@ __all__ = [
     "busy_retry",
     "connect_sqlite",
     "open_store",
-    "workload_fingerprint",
 ]
 
 

@@ -1,29 +1,31 @@
-"""Distributed campaign grid: a pull-based experiment queue over SQLite.
+"""Distributed campaign grid: a pull-based replay queue over SQLite.
 
-PyExperimenter-style horizontal scaling for configuration sweeps: a
-campaign *registers* its full configuration grid as rows of an
-``experiments`` table inside the same SQLite file the
-:class:`~repro.engine.store.ResultStore` keeps its trace summaries and
-cache statistics in, and any number of :class:`CampaignWorker`
-processes -- in one terminal, many terminals, or many hosts sharing the
-file -- *claim* batches of open rows, evaluate them through a store-backed
-:meth:`~repro.platform.liquid.LiquidPlatform.measure_many`, and write
-the rows a batch produced back into the store's tables, exactly like a
-direct sweep would.  A campaign is therefore resumable (kill
-everything, restart, nothing done is redone) and shardable (N workers
-drain one grid cooperatively) without any coordinator process.
+PyExperimenter-style horizontal scaling.  A measurement is cheap
+arithmetic over one trace summary and one cache replay per geometry (see
+:mod:`repro.engine.store`), so a campaign distributes the replays: it
+*registers* the distinct ``(trace fingerprint, cache kind, geometry)``
+replays of a configuration grid as rows of a ``replays`` table in the
+SQLite file of its :class:`~repro.engine.store.ResultStore`, and any
+number of :class:`CampaignWorker` processes -- in one terminal, many
+terminals, or many hosts sharing the file -- *claim* batches of open
+rows, make their replays present through
+:meth:`~repro.platform.liquid.LiquidPlatform.provide` (read the store,
+replay what is missing, write it back) and mark the rows done.
+``ResultStore.get`` then assembles any configuration of the grid.
+Nothing in a campaign depends on the timing model or the device, and it
+is resumable (kill everything, restart, nothing done is redone) and
+shardable (N workers drain one grid cooperatively) without a
+coordinator process.
 
 The moving parts:
 
-* :class:`CampaignGrid` owns the ``experiments`` table.  Each row is one
-  ``(workload fingerprint, configuration)`` evaluation with a status
+* :class:`CampaignGrid` owns the ``replays`` table.  Each row is one
+  replay, keyed with :data:`~repro.microarch.cachekernel.KERNEL_VERSION`
+  exactly as the store keys its ``cache_stats`` rows, with a status
   machine ``open -> claimed -> done|failed``, the claiming worker's id,
-  the claim timestamp (lease), and an attempt counter.  Rows carry a
-  *batch key* -- ``fingerprint | icache linesize | dcache linesize`` --
-  and a claim always takes rows of a single batch key, so the rows a
-  worker evaluates together share their columnar trace decodes and the
-  broadcast-batched timing evaluation: sharding never forfeits the
-  single-host sweep wins.
+  the claim timestamp (lease), and an attempt counter.  A claim always
+  takes rows of one trace fingerprint, so a worker replays them against
+  one trace's shared decodes.
 * Claims are one atomic ``UPDATE ... RETURNING`` statement under WAL
   (single writer at a time, readers unblocked), wrapped in
   :func:`~repro.engine.store.busy_retry`; two workers can never claim
@@ -33,7 +35,7 @@ The moving parts:
   ``open`` (:meth:`CampaignGrid.reclaim_stale`).  A worker interrupted
   cleanly (``KeyboardInterrupt``/``SystemExit``) releases its claims
   immediately instead of squatting on them until the lease expires.
-* Rows whose evaluation raises are marked ``failed`` with the error
+* Rows whose replay raises are marked ``failed`` with the error
   recorded; :meth:`CampaignGrid.reopen_failed` (the worker's automatic
   retry) re-opens them while their attempt count is below the cap, and
   :meth:`CampaignGrid.reset_failed` (the operator's ``--reset-failed``)
@@ -41,9 +43,9 @@ The moving parts:
 
 Crash safety of results: a worker writes its batch's rows (through the
 platform's store) *before* marking rows done, so a crash between the
-two leaves rows to be claimed again -- and because every evaluation is
-deterministic and store writes are ``INSERT OR IGNORE``, re-evaluating a
-row is wasted work but never wrong data.
+two leaves rows to be claimed again -- and because every replay is
+deterministic and store writes are ``INSERT OR IGNORE``, replaying a
+row again is wasted work but never wrong data.
 
 Sharding overhead is auditable through the platform's
 :class:`~repro.obs.metrics.EngineStats`: ``claim_batches`` /
@@ -61,19 +63,17 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.config.configuration import Configuration
-from repro.config.leon_space import leon_parameter_space
-from repro.config.parameters import ParameterSpace
 from repro.engine.store import (
+    _GEOMETRY_COLUMNS,
     ResultStore,
+    _job_from,
     busy_retry,
-    config_key_string,
     connect_sqlite,
-    platform_context,
 )
-from repro.fpga.device import FpgaDevice, XCV2000E
-from repro.microarch.timing import TimingParameters
+from repro.errors import StoreFormatError
+from repro.microarch.cachekernel import KERNEL_VERSION
 from repro.obs.tracer import span
-from repro.platform.liquid import LiquidPlatform
+from repro.platform.liquid import CacheJob, LiquidPlatform
 from repro.workloads.base import Workload
 
 __all__ = [
@@ -99,6 +99,10 @@ _STATUSES = (STATUS_OPEN, STATUS_CLAIMED, STATUS_DONE, STATUS_FAILED)
 #: Error recorded when an open row has burnt through its attempt budget.
 _EXHAUSTED_ERROR = "attempts exhausted"
 
+#: The clean hand-back of a claimed row: open again, attempt refunded.
+_RELEASE = ("status = 'open', worker = NULL, claimed_at = NULL,"
+            " attempts = MAX(attempts - 1, 0)")
+
 
 def default_worker_id() -> str:
     """A worker id unique across hosts and processes (host:pid:nonce)."""
@@ -107,75 +111,72 @@ def default_worker_id() -> str:
 
 @dataclass(frozen=True)
 class GridRow:
-    """One claimed experiment row, ready to evaluate."""
+    """One claimed replay row."""
 
     #: Database row id (stable claim/done/release handle).
     rowid: int
-    #: Trace fingerprint of the workload this row measures.
-    fingerprint: str
-    #: Workload display name recorded at registration.
-    workload: str
-    #: The full configuration assignment, reconstructed from the row.
-    configuration: Configuration
+    #: The replay: ``(trace fingerprint, cache kind, geometry)``, keyed
+    #: like the platform's memo and the store's ``cache_stats`` rows.
+    job: CacheJob
     #: Claim attempts spent on this row so far (including the current one).
     attempts: int
 
 
 class CampaignGrid:
-    """The experiment table of one campaign database.
+    """The replay table of one campaign database.
 
-    Opens (and creates on demand) the ``experiments`` table inside
-    ``path`` -- normally the same SQLite file as the campaign's
-    :class:`~repro.engine.store.ResultStore`, so grid and results
-    travel together.  Rows are keyed ``(context, fingerprint, config
-    key)``: registering the same grid twice is a no-op, and a calibration change (different platform context)
-    starts a fresh campaign in the same file without touching the old
-    one's rows.
+    Opens (and creates on demand) the ``replays`` table inside ``path``
+    -- normally the same SQLite file as the campaign's
+    :class:`~repro.engine.store.ResultStore`, so grid and results travel
+    together.  Rows are keyed like the store's ``cache_stats`` rows:
+    registering the same grid twice is a no-op, and a replay change
+    (another ``KERNEL_VERSION``) starts a fresh campaign in the same file
+    without touching the old one's rows.  A file holding the
+    per-configuration ``experiments`` table of an older layout raises
+    :class:`~repro.errors.StoreFormatError`.
     """
 
-    def __init__(
-        self,
-        path: str,
-        *,
-        device: FpgaDevice = XCV2000E,
-        timing_parameters: Optional[TimingParameters] = None,
-        space: Optional[ParameterSpace] = None,
-    ):
+    def __init__(self, path: str):
         self.path = path
-        self.device = device
-        self.context = platform_context(device, timing_parameters or TimingParameters())
-        #: Parameter space configurations are reconstructed against; every
-        #: consumer in this repo sweeps the LEON space of Figure 1.
-        self.space = space if space is not None else leon_parameter_space()
         self._conn = connect_sqlite(path)
+        tables = {name for (name,) in self._conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'")}
+        if "experiments" in tables:
+            self._conn.close()
+            raise StoreFormatError(
+                f"{path} holds per-configuration campaign rows from an older "
+                "campaign layout, which this version does not read; delete "
+                "the file or choose another path")
         self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS experiments ("
+            "CREATE TABLE IF NOT EXISTS replays ("
             " id INTEGER PRIMARY KEY AUTOINCREMENT,"
-            " context TEXT NOT NULL,"
+            " kernel INTEGER NOT NULL,"
             " fingerprint TEXT NOT NULL,"
             " workload TEXT NOT NULL,"
-            " config_key TEXT NOT NULL,"
-            " config TEXT NOT NULL,"
-            " batch_key TEXT NOT NULL,"
+            " kind TEXT NOT NULL,"
+            " ways INTEGER NOT NULL,"
+            " setsize_kb INTEGER NOT NULL,"
+            " linesize_words INTEGER NOT NULL,"
+            " replacement TEXT NOT NULL,"
+            " seed INTEGER NOT NULL,"
             " status TEXT NOT NULL DEFAULT 'open',"
             " worker TEXT,"
             " claimed_at REAL,"
             " finished_at REAL,"
             " attempts INTEGER NOT NULL DEFAULT 0,"
             " error TEXT,"
-            " UNIQUE (context, fingerprint, config_key))")
-        # the claim statement's working set: open rows of one context in
-        # batch-key groups, oldest first
+            f" UNIQUE (kernel, fingerprint, {_GEOMETRY_COLUMNS}))")
+        # the claim statement's working set: open rows of one kernel
+        # version in fingerprint groups, oldest first
         self._conn.execute(
-            "CREATE INDEX IF NOT EXISTS experiments_claim"
-            " ON experiments (context, status, batch_key, id)")
+            "CREATE INDEX IF NOT EXISTS replays_claim"
+            " ON replays (kernel, status, fingerprint, id)")
         # one row per live worker, upserted on every beat: the dashboard's
         # view of who is draining the grid and how fast (same file, so any
         # terminal that can see the campaign can see its workers)
         self._conn.execute(
             "CREATE TABLE IF NOT EXISTS heartbeats ("
-            " context TEXT NOT NULL,"
-            " worker TEXT NOT NULL,"
+            " worker TEXT PRIMARY KEY,"
             " host TEXT NOT NULL,"
             " pid INTEGER NOT NULL,"
             " ts REAL NOT NULL,"
@@ -184,14 +185,16 @@ class CampaignGrid:
             " done INTEGER NOT NULL DEFAULT 0,"
             " failed INTEGER NOT NULL DEFAULT 0,"
             " rows_per_sec REAL NOT NULL DEFAULT 0,"
-            " engine TEXT,"
-            " PRIMARY KEY (context, worker))")
+            " engine TEXT)")
         self._conn.commit()
 
-    def bind_platform(self, device: FpgaDevice, timing_parameters: TimingParameters) -> None:
-        """Re-key the grid to a platform's actual calibration context."""
-        self.device = device
-        self.context = platform_context(device, timing_parameters)
+    def bind_platform(self, device: Any, timing_parameters: Any) -> None:
+        """Do nothing: replay rows depend on no device or calibration.
+
+        Kept only because the pinned benchmark harness
+        (``perfbench/scenarios.py``) still calls it; remove it once the
+        harness no longer does.
+        """
 
     def close(self) -> None:
         self._conn.close()
@@ -204,40 +207,31 @@ class CampaignGrid:
 
     # -- registration ----------------------------------------------------------------------
 
-    @staticmethod
-    def batch_key(fingerprint: str, config: Configuration) -> str:
-        """The shared-decode claim group of one row.
-
-        Rows sharing a batch key share their trace fingerprint and both
-        cache line sizes, i.e. exactly the ``(trace, kind, linesize)``
-        decode groups of the engine's sweep planner -- a claimed batch
-        therefore always replays against shared columnar views.
-        """
-        return (f"{fingerprint}|{config.icache_linesize_words}"
-                f"|{config.dcache_linesize_words}")
-
     def register(self, workload: Workload, configs: Sequence[Configuration]) -> int:
-        """Add one workload's configuration grid; returns the new-row count.
+        """Add the distinct replays of one workload's configuration grid.
 
-        Registration is idempotent per ``(context, fingerprint, config)``
-        -- re-registering a partially drained campaign adds only rows it
-        has never seen, so ``--register`` is safe to re-run at any time.
+        The configurations are reduced to their cache geometries by the
+        platform's own planner (:meth:`LiquidPlatform.cache_plan
+        <repro.platform.liquid.LiquidPlatform.cache_plan>`); no store is
+        read.  Returns the new-row count.  Registration is idempotent per
+        row -- re-registering a partially drained campaign adds only rows
+        it has never seen, so ``--register`` is safe to re-run at any
+        time.
         """
-        fingerprint = workload.fingerprint()
+        plan, _ = LiquidPlatform().cache_plan(workload, configs)
         rows = [
-            (self.context, fingerprint, workload.name,
-             config_key_string(config),
-             json.dumps(config.as_dict(), sort_keys=True),
-             self.batch_key(fingerprint, config))
-            for config in configs
+            (KERNEL_VERSION, fingerprint, workload.name, kind, geometry.ways,
+             geometry.setsize_kb, geometry.linesize_words, geometry.replacement,
+             geometry.seed)
+            for fingerprint, kind, geometry in plan.jobs()
         ]
 
         def write() -> int:
             before = self._conn.total_changes
             self._conn.executemany(
-                "INSERT OR IGNORE INTO experiments"
-                " (context, fingerprint, workload, config_key, config, batch_key)"
-                " VALUES (?, ?, ?, ?, ?, ?)", rows)
+                "INSERT OR IGNORE INTO replays"
+                f" (kernel, fingerprint, workload, {_GEOMETRY_COLUMNS})"
+                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)", rows)
             self._conn.commit()
             return self._conn.total_changes - before
 
@@ -254,7 +248,7 @@ class CampaignGrid:
         max_attempts: Optional[int] = None,
         on_conflict=None,
     ) -> List[GridRow]:
-        """Atomically claim up to ``batch`` open rows of one batch key.
+        """Atomically claim up to ``batch`` open rows of one trace fingerprint.
 
         One ``UPDATE ... RETURNING`` statement moves the rows to
         ``claimed``, stamps this worker and the claim time, and bumps
@@ -262,13 +256,13 @@ class CampaignGrid:
         concurrently claiming worker (WAL admits one writer at a time;
         ``busy_timeout`` plus :func:`~repro.engine.store.busy_retry`
         absorb the contention).  ``fingerprints`` restricts claims to
-        workloads this worker can actually evaluate; ``max_attempts``
+        workloads this worker can actually replay; ``max_attempts``
         leaves exhausted rows alone (see :meth:`retire_exhausted`).
         Returns the claimed rows (empty when nothing is claimable).
         """
-        filters = ["status = 'open'", "context = :context"]
+        filters = ["status = 'open'", "kernel = :kernel"]
         params: Dict[str, Any] = {
-            "context": self.context,
+            "kernel": KERNEL_VERSION,
             "worker": worker_id,
             "now": time.time(),
             "batch": max(1, batch),
@@ -286,16 +280,16 @@ class CampaignGrid:
             params["max_attempts"] = max(1, max_attempts)
         where = " AND ".join(filters)
         statement = (
-            "UPDATE experiments SET"
+            "UPDATE replays SET"
             " status = 'claimed', worker = :worker, claimed_at = :now,"
             " attempts = attempts + 1"
             " WHERE id IN ("
-            f"  SELECT id FROM experiments WHERE {where}"
-            "   AND batch_key = ("
-            f"    SELECT batch_key FROM experiments WHERE {where}"
+            f"  SELECT id FROM replays WHERE {where}"
+            "   AND fingerprint = ("
+            f"    SELECT fingerprint FROM replays WHERE {where}"
             "     ORDER BY id LIMIT 1)"
             "   ORDER BY id LIMIT :batch)"
-            " RETURNING id, fingerprint, workload, config, attempts")
+            f" RETURNING id, attempts, fingerprint, {_GEOMETRY_COLUMNS}")
 
         def transact() -> List[Tuple]:
             cursor = self._conn.execute(statement, params)
@@ -304,53 +298,48 @@ class CampaignGrid:
             return returned
 
         return [
-            GridRow(
-                rowid=rowid,
-                fingerprint=fingerprint,
-                workload=workload,
-                configuration=Configuration(self.space, json.loads(config)),
-                attempts=attempts,
-            )
-            for rowid, fingerprint, workload, config, attempts
+            GridRow(rowid, _job_from(fingerprint, geometry), attempts)
+            for rowid, attempts, fingerprint, *geometry
             in busy_retry(transact, on_conflict=on_conflict)
         ]
 
     # -- completion and requeueing ---------------------------------------------------------
 
-    def _update_rows(
-        self, ids: Sequence[int], assignment: str,
-        params: Tuple = (), *, guard: str = "status = 'claimed'",
-        on_conflict=None,
-    ) -> int:
-        if not ids:
-            return 0
-        placeholders = ", ".join("?" for _ in ids)
+    def _execute(self, statement: str, params: Sequence = (), *,
+                 on_conflict=None) -> int:
+        """Run one write statement as its own transaction; returns its row count."""
 
         def transact() -> int:
-            cursor = self._conn.execute(
-                f"UPDATE experiments SET {assignment}"
-                f" WHERE {guard} AND id IN ({placeholders})",
-                (*params, *ids))
+            cursor = self._conn.execute(statement, params)
             self._conn.commit()
             return cursor.rowcount
 
         return busy_retry(transact, on_conflict=on_conflict)
 
+    def _settle(self, ids: Sequence[int], worker_id: str, assignment: str,
+                params: Tuple = (), *, on_conflict=None) -> int:
+        """Update the rows of ``ids`` this worker still holds."""
+        if not ids:
+            return 0
+        placeholders = ", ".join("?" for _ in ids)
+        return self._execute(
+            f"UPDATE replays SET {assignment} WHERE status = 'claimed'"
+            f" AND worker = ? AND id IN ({placeholders})",
+            (*params, worker_id, *ids), on_conflict=on_conflict)
+
     def mark_done(self, ids: Sequence[int], worker_id: str, *, on_conflict=None) -> int:
         """Move claimed rows to ``done`` (only rows this worker still holds)."""
-        return self._update_rows(
-            ids, "status = 'done', finished_at = ?, error = NULL",
-            (time.time(), worker_id),
-            guard="status = 'claimed' AND worker = ?", on_conflict=on_conflict)
+        return self._settle(
+            ids, worker_id, "status = 'done', finished_at = ?, error = NULL",
+            (time.time(),), on_conflict=on_conflict)
 
     def mark_failed(self, ids: Sequence[int], worker_id: str, error: str, *,
                     on_conflict=None) -> int:
         """Move claimed rows to ``failed`` (only rows this worker still
         holds), recording the error text."""
-        return self._update_rows(
-            ids, "status = 'failed', finished_at = ?, error = ?",
-            (time.time(), error[:500], worker_id),
-            guard="status = 'claimed' AND worker = ?", on_conflict=on_conflict)
+        return self._settle(
+            ids, worker_id, "status = 'failed', finished_at = ?, error = ?",
+            (time.time(), error[:500]), on_conflict=on_conflict)
 
     def release(self, ids: Sequence[int], worker_id: str, *, on_conflict=None) -> int:
         """Return claimed rows this worker still holds to ``open`` without
@@ -361,24 +350,14 @@ class CampaignGrid:
         stale reclamation, where the vanished worker's attempt stays
         burnt so a crash-looping row still converges on the cap.
         """
-        return self._update_rows(
-            ids, "status = 'open', worker = NULL, claimed_at = NULL,"
-                 " attempts = MAX(attempts - 1, 0)", (worker_id,),
-            guard="status = 'claimed' AND worker = ?", on_conflict=on_conflict)
+        return self._settle(ids, worker_id, _RELEASE, on_conflict=on_conflict)
 
     def release_worker(self, worker_id: str) -> int:
         """Release every row still claimed by ``worker_id`` (shutdown path)."""
-
-        def transact() -> int:
-            cursor = self._conn.execute(
-                "UPDATE experiments SET status = 'open', worker = NULL,"
-                " claimed_at = NULL, attempts = MAX(attempts - 1, 0)"
-                " WHERE status = 'claimed' AND context = ? AND worker = ?",
-                (self.context, worker_id))
-            self._conn.commit()
-            return cursor.rowcount
-
-        return busy_retry(transact)
+        return self._execute(
+            f"UPDATE replays SET {_RELEASE}"
+            " WHERE status = 'claimed' AND kernel = ? AND worker = ?",
+            (KERNEL_VERSION, worker_id))
 
     def reclaim_stale(self, lease_seconds: float, *, on_conflict=None) -> int:
         """Requeue claims older than the lease (their worker is presumed dead).
@@ -387,68 +366,43 @@ class CampaignGrid:
         the same rows drives them toward the attempt cap instead of
         wedging the campaign forever.
         """
-
-        def transact() -> int:
-            cursor = self._conn.execute(
-                "UPDATE experiments SET status = 'open', worker = NULL,"
-                " claimed_at = NULL"
-                " WHERE status = 'claimed' AND context = ? AND claimed_at <= ?",
-                (self.context, time.time() - max(0.0, lease_seconds)))
-            self._conn.commit()
-            return cursor.rowcount
-
-        return busy_retry(transact, on_conflict=on_conflict)
+        return self._execute(
+            "UPDATE replays SET status = 'open', worker = NULL, claimed_at = NULL"
+            " WHERE status = 'claimed' AND kernel = ? AND claimed_at <= ?",
+            (KERNEL_VERSION, time.time() - max(0.0, lease_seconds)),
+            on_conflict=on_conflict)
 
     def retire_exhausted(self, max_attempts: int, *, on_conflict=None) -> int:
         """Fail open rows whose attempt budget is spent (reclaimed crashers)."""
-
-        def transact() -> int:
-            cursor = self._conn.execute(
-                "UPDATE experiments SET status = 'failed', finished_at = ?,"
-                " error = ?"
-                " WHERE status = 'open' AND context = ? AND attempts >= ?",
-                (time.time(), _EXHAUSTED_ERROR, self.context, max(1, max_attempts)))
-            self._conn.commit()
-            return cursor.rowcount
-
-        return busy_retry(transact, on_conflict=on_conflict)
+        return self._execute(
+            "UPDATE replays SET status = 'failed', finished_at = ?, error = ?"
+            " WHERE status = 'open' AND kernel = ? AND attempts >= ?",
+            (time.time(), _EXHAUSTED_ERROR, KERNEL_VERSION, max(1, max_attempts)),
+            on_conflict=on_conflict)
 
     def reopen_failed(self, max_attempts: int, *, on_conflict=None) -> int:
         """Reopen failed rows still under the attempt cap (automatic retry)."""
-
-        def transact() -> int:
-            cursor = self._conn.execute(
-                "UPDATE experiments SET status = 'open', worker = NULL,"
-                " claimed_at = NULL, finished_at = NULL"
-                " WHERE status = 'failed' AND context = ? AND attempts < ?",
-                (self.context, max(1, max_attempts)))
-            self._conn.commit()
-            return cursor.rowcount
-
-        return busy_retry(transact, on_conflict=on_conflict)
+        return self._execute(
+            "UPDATE replays SET status = 'open', worker = NULL,"
+            " claimed_at = NULL, finished_at = NULL"
+            " WHERE status = 'failed' AND kernel = ? AND attempts < ?",
+            (KERNEL_VERSION, max(1, max_attempts)), on_conflict=on_conflict)
 
     def reset_failed(self) -> int:
         """Operator reset: every failed row back to ``open`` with a fresh budget."""
-
-        def transact() -> int:
-            cursor = self._conn.execute(
-                "UPDATE experiments SET status = 'open', worker = NULL,"
-                " claimed_at = NULL, finished_at = NULL, attempts = 0,"
-                " error = NULL"
-                " WHERE status = 'failed' AND context = ?", (self.context,))
-            self._conn.commit()
-            return cursor.rowcount
-
-        return busy_retry(transact)
+        return self._execute(
+            "UPDATE replays SET status = 'open', worker = NULL,"
+            " claimed_at = NULL, finished_at = NULL, attempts = 0, error = NULL"
+            " WHERE status = 'failed' AND kernel = ?", (KERNEL_VERSION,))
 
     # -- inspection ------------------------------------------------------------------------
 
     def status(self) -> Dict[str, int]:
-        """Row counts by status (plus ``total``) for this context."""
+        """Row counts by status (plus ``total``) of the current kernel version."""
         counts = {status: 0 for status in _STATUSES}
         for status, count in self._conn.execute(
-                "SELECT status, COUNT(*) FROM experiments"
-                " WHERE context = ? GROUP BY status", (self.context,)):
+                "SELECT status, COUNT(*) FROM replays"
+                " WHERE kernel = ? GROUP BY status", (KERNEL_VERSION,)):
             counts[status] = count
         counts["total"] = sum(counts[status] for status in _STATUSES)
         return counts
@@ -456,21 +410,16 @@ class CampaignGrid:
     def workload_status(self) -> List[Tuple[str, str, int]]:
         """Per-(workload, status) row counts, registration order."""
         return list(self._conn.execute(
-            "SELECT workload, status, COUNT(*) FROM experiments"
-            " WHERE context = ? GROUP BY workload, status"
-            " ORDER BY MIN(id)", (self.context,)))
+            "SELECT workload, status, COUNT(*) FROM replays"
+            " WHERE kernel = ? GROUP BY workload, status"
+            " ORDER BY MIN(id)", (KERNEL_VERSION,)))
 
     def failures(self, limit: int = 20) -> List[Tuple[int, str, int, str]]:
         """The most recent failed rows: (id, workload, attempts, error)."""
         return list(self._conn.execute(
-            "SELECT id, workload, attempts, error FROM experiments"
-            " WHERE context = ? AND status = 'failed'"
-            " ORDER BY finished_at DESC LIMIT ?", (self.context, limit)))
-
-    def pending(self) -> int:
-        """Rows not yet done (open + claimed + failed)."""
-        counts = self.status()
-        return counts["total"] - counts[STATUS_DONE]
+            "SELECT id, workload, attempts, error FROM replays"
+            " WHERE kernel = ? AND status = 'failed'"
+            " ORDER BY finished_at DESC LIMIT ?", (KERNEL_VERSION, limit)))
 
     # -- worker heartbeats -----------------------------------------------------------------
 
@@ -493,26 +442,21 @@ class CampaignGrid:
         timestamp is what the dashboard ages to flag ``STALE`` workers.
         """
         params = (
-            self.context, worker_id, socket.gethostname(), os.getpid(),
+            worker_id, socket.gethostname(), os.getpid(),
             time.time(), batches, claimed, done, failed, rows_per_sec,
             json.dumps(engine, sort_keys=True) if engine else None)
 
-        def transact() -> None:
-            self._conn.execute(
-                "INSERT OR REPLACE INTO heartbeats"
-                " (context, worker, host, pid, ts, batches, claimed, done,"
-                "  failed, rows_per_sec, engine)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)", params)
-            self._conn.commit()
-
-        busy_retry(transact, on_conflict=on_conflict)
+        self._execute(
+            "INSERT OR REPLACE INTO heartbeats"
+            " (worker, host, pid, ts, batches, claimed, done,"
+            "  failed, rows_per_sec, engine)"
+            " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)", params, on_conflict=on_conflict)
 
     def worker_heartbeats(self) -> List[Dict[str, Any]]:
-        """Every worker's latest heartbeat for this context, newest first."""
+        """Every worker's latest heartbeat, newest first."""
         rows = self._conn.execute(
             "SELECT worker, host, pid, ts, batches, claimed, done, failed,"
-            " rows_per_sec, engine FROM heartbeats"
-            " WHERE context = ? ORDER BY ts DESC", (self.context,))
+            " rows_per_sec, engine FROM heartbeats ORDER BY ts DESC")
         return [
             {
                 "worker": worker, "host": host, "pid": pid, "ts": ts,
@@ -533,9 +477,9 @@ class CampaignReport:
     #: Claim transactions that returned rows, and the rows they returned.
     batches: int = 0
     claimed: int = 0
-    #: Rows evaluated and marked done by this worker.
+    #: Rows replayed (or found in the store) and marked done by this worker.
     done: int = 0
-    #: Rows this worker marked failed (evaluation raised).
+    #: Rows this worker marked failed (their replay raised).
     failed: int = 0
     #: Stale rows this worker reclaimed from expired leases.
     requeued: int = 0
@@ -558,14 +502,16 @@ class CampaignWorker:
     The worker repeatedly: reclaims stale leases, retires rows whose
     attempt budget is spent, claims one batch of open rows (restricted to
     the workloads it was constructed with, matched by trace fingerprint),
-    evaluates the batch through its platform's
-    :meth:`~repro.platform.liquid.LiquidPlatform.measure_many` -- the
-    batch's cache statistics and trace summary land in the campaign
-    database via the platform's store, so :meth:`ResultStore.get
-    <repro.engine.store.ResultStore.get>` assembles every done row
-    bit-identical to a direct sweep -- and marks the rows done.  When no
-    row is claimable it reopens retryable failed rows once, and exits
-    when the grid has nothing left for it.
+    makes the batch's replays present through its platform's
+    :meth:`~repro.platform.liquid.LiquidPlatform.provide` -- the code
+    :meth:`~repro.platform.liquid.LiquidPlatform.measure_many` runs
+    before it times anything, so the cache statistics and the trace
+    summary land in the campaign database via the platform's store and
+    :meth:`ResultStore.get <repro.engine.store.ResultStore.get>`
+    assembles every configuration of the grid bit-identical to a direct
+    sweep -- and marks the rows done.  Nothing is synthesised or timed.
+    When no row is claimable it reopens retryable failed rows once, and
+    exits when the grid has nothing left for it.
 
     ``KeyboardInterrupt`` (or any other teardown) releases the rows the
     worker still holds, so an operator hitting Ctrl-C hands the work
@@ -574,19 +520,19 @@ class CampaignWorker:
 
     Parameters mirror the CLI: ``batch`` rows per claim, ``lease_seconds``
     before another worker may steal a silent claim, ``max_attempts``
-    per row before it rests in ``failed``, and ``heartbeat_seconds`` between liveness upserts into the grid's
-    ``heartbeats`` table (0 disables them; a beat is also written at
-    loop entry and on exit so even instant drains leave a row for the
-    dashboard).  The campaign process is the unit of parallelism: run
+    per row before it rests in ``failed``, and ``heartbeat_seconds``
+    between liveness upserts into the grid's ``heartbeats`` table (0
+    disables them; a beat is also written at loop entry and on exit so
+    even instant drains leave a row for the dashboard).  The campaign process is the unit of parallelism: run
     more ``--claim`` processes against the same database to drain faster.
 
-    ``platform`` measures the claims when it has a store (the tuning
+    ``platform`` replays the claims when it has a store (the tuning
     service drains its sweeps on its resident platform); that store must
     write into the campaign database so results land where claims do.
-    Otherwise the worker measures on its own platform, with the given
-    platform's device and calibration, over a
+    Otherwise the worker replays on a platform of its own, over a
     :class:`~repro.engine.store.ResultStore` it opens on ``grid.path``
-    and closes in :meth:`close`.
+    and closes in :meth:`close` (replays depend on no device or
+    calibration).
 
     ``workers`` is accepted and ignored.  It is kept only because the
     pinned benchmark harness (``perfbench/scenarios.py``) still passes it;
@@ -619,15 +565,11 @@ class CampaignWorker:
         #: the store this worker opened (and closes); never a caller's
         self._opened_store: Optional[ResultStore] = None
         if platform is None or platform.store is None:
-            device, timing = ((XCV2000E, None) if platform is None
-                              else (platform.device, platform.timing_parameters))
             self._opened_store = ResultStore(grid.path)
-            platform = LiquidPlatform(
-                device, timing_parameters=timing, store=self._opened_store)
+            platform = LiquidPlatform(store=self._opened_store)
         self.platform = platform
-        grid.bind_platform(self.platform.device, self.platform.timing_parameters)
-        #: fingerprint -> workload this worker can evaluate (fingerprinting
-        #: generates each trace once; the evaluations need it anyway)
+        #: fingerprint -> workload this worker can replay (fingerprinting
+        #: generates each trace once; the replays need it anyway)
         self.workloads: Dict[str, Workload] = {
             workload.fingerprint(): workload for workload in workloads}
         self.report = CampaignReport(worker_id=self.worker_id)
@@ -733,31 +675,23 @@ class CampaignWorker:
         return report
 
     def _evaluate(self, rows: Sequence[GridRow]) -> None:
-        """Evaluate one claimed batch and settle every row's status.
+        """Make one claimed batch's replays present and settle its rows.
 
-        A batch shares one batch key, hence one workload; grouping by
-        fingerprint anyway keeps the settle logic correct if a caller
-        ever claims across groups.  Evaluation errors fail the affected
-        rows (error recorded, campaign continues); interrupts release
-        them and propagate.
+        A claim holds rows of one trace fingerprint, hence one workload.
+        A replay error fails the rows (error recorded, campaign
+        continues); an interrupt releases them and propagates.
         """
-        by_fingerprint: Dict[str, List[GridRow]] = {}
-        for row in rows:
-            by_fingerprint.setdefault(row.fingerprint, []).append(row)
-        for fingerprint, group in by_fingerprint.items():
-            workload = self.workloads[fingerprint]
-            ids = [row.rowid for row in group]
-            try:
-                self.platform.measure_many(
-                    workload, [row.configuration for row in group])
-            except KeyboardInterrupt:
-                self.grid.release(ids, self.worker_id)
-                raise
-            except Exception as exc:
-                self.grid.mark_failed(
-                    ids, self.worker_id, repr(exc), on_conflict=self._count_conflict)
-                self.report.failed += len(ids)
-                continue
-            done = self.grid.mark_done(
-                ids, self.worker_id, on_conflict=self._count_conflict)
-            self.report.done += done
+        ids = [row.rowid for row in rows]
+        try:
+            self.platform.provide(self.workloads[rows[0].job[0]],
+                                  [row.job for row in rows])
+        except KeyboardInterrupt:
+            self.grid.release(ids, self.worker_id)
+            raise
+        except Exception as exc:
+            self.grid.mark_failed(
+                ids, self.worker_id, repr(exc), on_conflict=self._count_conflict)
+            self.report.failed += len(ids)
+            return
+        self.report.done += self.grid.mark_done(
+            ids, self.worker_id, on_conflict=self._count_conflict)

@@ -82,7 +82,6 @@ __all__ = [
     "config_key_string",
     "connect_sqlite",
     "open_store",
-    "workload_fingerprint",
     "platform_context",
 ]
 
@@ -215,16 +214,6 @@ def busy_retry(
     raise AssertionError("unreachable")  # pragma: no cover
 
 
-def workload_fingerprint(workload: Workload) -> str:
-    """Content digest of a workload's execution trace (cached on the instance).
-
-    Two workloads with the same name but different inputs (e.g. the test
-    suite's scaled-down variants) get different fingerprints, so a shared
-    store can never serve a measurement of the wrong trace.
-    """
-    return workload.fingerprint()
-
-
 def platform_context(device: FpgaDevice, timing_parameters: TimingParameters) -> str:
     """Digest of everything besides the configuration that shapes a measurement."""
     blob = f"{device!r}|{timing_parameters!r}"
@@ -232,7 +221,7 @@ def platform_context(device: FpgaDevice, timing_parameters: TimingParameters) ->
 
 
 def config_key_string(config: Configuration) -> str:
-    """Canonical JSON key of a configuration (store and campaign rows share it)."""
+    """Canonical JSON key of a configuration (the ``config_key`` of a wire record)."""
     return json.dumps(config.key(), sort_keys=True, default=_jsonable)
 
 
@@ -277,12 +266,16 @@ def _summary_from(row: Sequence) -> TraceSummary:
         window_traps=tuple(tuple(entry) for entry in json.loads(window_traps)))
 
 
+def _job_from(fingerprint: str, row: Sequence) -> CacheJob:
+    """The cache job of one row's ``_GEOMETRY_COLUMNS``."""
+    kind, ways, setsize_kb, linesize_words, replacement, seed = row
+    return fingerprint, kind, CacheConfig(
+        ways=ways, setsize_kb=setsize_kb, linesize_words=linesize_words,
+        replacement=replacement, seed=seed)
+
+
 def _run_from(fingerprint: str, row: Sequence) -> Tuple[CacheJob, CacheStatistics]:
-    kind, ways, setsize_kb, linesize_words, replacement, seed = row[:6]
-    geometry = CacheConfig(ways=ways, setsize_kb=setsize_kb,
-                           linesize_words=linesize_words,
-                           replacement=replacement, seed=seed)
-    return (fingerprint, kind, geometry), CacheStatistics(*row[6:])
+    return _job_from(fingerprint, row[:6]), CacheStatistics(*row[6:])
 
 
 class ResultStore:
@@ -463,7 +456,7 @@ class ResultStore:
         statistics = measurement.statistics
         return {
             "context": self.context,
-            "fingerprint": workload_fingerprint(workload),
+            "fingerprint": workload.fingerprint(),
             "config_key": config_key_string(measurement.configuration),
             "workload": measurement.workload,
             "config": measurement.configuration.as_dict(),

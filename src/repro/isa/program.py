@@ -9,7 +9,7 @@ segment), the initial data image, a symbol table and the memory layout
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Tuple
+from typing import Mapping, Tuple
 
 from repro.errors import SimulationError
 from repro.isa.encoding import INSTRUCTION_BYTES, encode

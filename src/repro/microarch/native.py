@@ -458,7 +458,7 @@ int64_t build_set_view(int64_t events, const int64_t *line, const int64_t *first
    first_read == accesses.  Stores read and write misses in misses[0..1]. */
 void replay_events(int64_t events, const int64_t *view, int64_t accesses,
                    int64_t *tags, int64_t *age, int64_t *fifo,
-                   const int64_t *victims, int64_t tick0, int64_t ways,
+                   const int64_t *victims, int64_t ways,
                    int64_t policy, int64_t *misses)
 {
     const int64_t *set_index = view, *tag = view + events, *first_read = view + 2 * events,
@@ -471,7 +471,7 @@ void replay_events(int64_t events, const int64_t *view, int64_t accesses,
             ;
         if (w < ways) {
             if (policy == 0)  /* LRU promotes on hit */
-                row_age[w] = tick0 + last_pos[e];
+                row_age[w] = 1 + last_pos[e];
             continue;
         }
         write_misses += w_pre[e];
@@ -495,7 +495,7 @@ void replay_events(int64_t events, const int64_t *view, int64_t accesses,
             }
         }
         row[victim] = t;
-        row_age[victim] = tick0 + (policy == 0 ? last_pos[e] : first_read[e]);
+        row_age[victim] = 1 + (policy == 0 ? last_pos[e] : first_read[e]);
     }
     misses[0] = read_misses;
     misses[1] = write_misses;
@@ -532,7 +532,7 @@ int64_t replay_cold(int64_t events, const int64_t *view, int64_t accesses,
         for (int64_t s = 0; s < lines_per_way; s++)
             fifo[s] = 0;
         replay_events(events, view, accesses, tags, age, fifo,
-                      (const int64_t *)(intptr_t)geometry[3 * k + 2], 1, ways,
+                      (const int64_t *)(intptr_t)geometry[3 * k + 2], ways,
                       geometry[3 * k + 1], misses + 2 * k);
     }
     free(tags);

@@ -3,7 +3,9 @@
 Everything renders from one :func:`campaign_snapshot` dict -- the same
 structure ``run_experiments.py --grid-db ... --status --json`` prints for
 machine consumption -- assembled purely from the campaign database: row
-counts by status, the per-workload status matrix, and the per-worker
+counts by status (a row is one cache replay, one per trace, cache kind
+and geometry), the per-workload status matrix (each workload's
+geometries by status), and the per-worker
 heartbeat rows :class:`~repro.engine.campaign.CampaignWorker` persists
 into the same SQLite file (no network layer; any terminal that can see
 the file can watch the campaign).

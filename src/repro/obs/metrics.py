@@ -278,7 +278,7 @@ class EngineStats:
     sweep_evaluations: int = 0
     #: Campaign-grid sharding accounting (see
     #: :class:`~repro.engine.campaign.CampaignWorker`): claim transactions
-    #: issued, experiment rows claimed by them, SQLite lock conflicts
+    #: issued, replay rows claimed by them, SQLite lock conflicts
     #: retried during claim/write transactions, and rows requeued --
     #: stale claims reclaimed from dead workers plus failed rows reopened
     #: for retry.  Together they bound the sharding overhead a pull-based

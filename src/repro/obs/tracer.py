@@ -35,7 +35,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, IO, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, IO, List, Optional, Union
 
 __all__ = [
     "SpanRecord",

@@ -36,22 +36,24 @@ A batch (:meth:`LiquidPlatform.measure_many`) is measured in these steps:
 3. plan the batch once from its geometry columns: each cache's distinct
    geometries (one :class:`~repro.microarch.cache.CacheConfig` each) and
    every row's index among them, plus the trace summary the memos lack;
-4. if anything is lacking, read the workload's stored rows once (the
-   ``store_io`` stage) and install them in the memos -- what the store
-   holds is never simulated;
-5. replay what is still missing in shared-decode groups (the
-   ``cache_simulation`` stage): every job of a group shares one ``(trace
-   fingerprint, kind, linesize)`` key, so the trace is decoded into its
-   columnar view once and the whole geometry list replays against it;
-6. assemble the batch (``sweep_evaluate``): the configurations not timed
+4. make the plan's jobs and the summary present
+   (:meth:`LiquidPlatform.provide`, which a campaign worker also runs
+   for its claimed jobs): if anything is lacking, read the workload's
+   stored rows once (the ``store_io`` stage) and install them in the
+   memos -- what the store holds is never simulated; replay what is
+   still missing in shared-decode groups (the ``cache_simulation``
+   stage): every job of a group shares one ``(trace fingerprint, kind,
+   linesize)`` key, so the trace is decoded into its columnar view once
+   and the whole geometry list replays against it; then write the rows
+   the store lacked, and the summary if it is new, in one transaction
+   (``store_io`` again);
+5. assemble the batch (``sweep_evaluate``): the configurations not timed
    before are timed in one broadcast
    :func:`~repro.microarch.timing.evaluate_many` call (``timing_eval``),
    and the result is a :class:`~repro.platform.measurement.MeasurementBatch`
    -- NumPy columns of resources, cycles and cache statistics -- that
    builds a :class:`~repro.platform.measurement.Measurement` only for a
-   row a caller reads;
-7. write the new rows, and the summary if it is new, in one transaction
-   (``store_io`` again).
+   row a caller reads.
 
 The platform accounts its work in :attr:`LiquidPlatform.stats`,
 including how many *distinct* builds and runs were needed, which is the
@@ -91,9 +93,10 @@ if TYPE_CHECKING:  # the store module imports this one
 
 __all__ = ["LiquidPlatform", "CacheJob", "CachePlan", "job_group_key", "plan_job_groups"]
 
-#: One outstanding cache simulation: ``(workload_fingerprint, "icache"|"dcache",
-#: geometry)``.  :meth:`LiquidPlatform.cache_plan` lists the ones a batch
-#: lacks; their statistics are installed back into the platform's memo store.
+#: One cache simulation: ``(trace fingerprint, "icache"|"dcache", geometry)``.
+#: :meth:`LiquidPlatform.cache_plan` lists a batch's, :meth:`LiquidPlatform.provide`
+#: installs their statistics in the platform's memo store, and a campaign row
+#: is one.
 #: Keys use :meth:`~repro.workloads.base.Workload.fingerprint` rather than the
 #: workload name so same-named workloads with different traces never alias.
 CacheJob = Tuple[str, str, CacheConfig]
@@ -352,11 +355,10 @@ class LiquidPlatform:
         """Measure a batch of configurations; the rows align with ``configs``.
 
         The batch is planned once (see the module docstring): duplicates
-        collapse, every distinct configuration is built, the store's rows
-        for the workload are read once if the memos lack anything, the
-        cache runs still missing replay in shared-decode groups,
-        :meth:`assemble` times the batch in one broadcast from the same
-        plan, and the new rows are written in one transaction.  All memo
+        collapse, every distinct configuration is built, :meth:`provide`
+        makes the plan's cache runs and the trace summary present (and
+        persists what the store lacked), and :meth:`assemble` times the
+        batch in one broadcast from the same plan.  All memo
         stores are shared across batches.  ``configs`` may be a
         :class:`~repro.config.configuration.ConfigurationColumns`, whose
         columns are then not read again.
@@ -374,33 +376,48 @@ class LiquidPlatform:
         stats.dedup_hits += len(requested) - len(columns)
         resources = self.build_many(columns, workload.name)
         self._resolve(workload)
-        plan, jobs = self.cache_plan(workload, columns)
-        if self.store is not None:
-            summary_unstored, unstored = False, []
-            if jobs or not self.has_summary(workload):
-                summary_unstored, unstored = self._load(workload, plan)
-                jobs = self.pending_jobs(jobs)
-        if jobs or not self.has_summary(workload):
-            self._simulate(workload)
-
-        with self._stage("cache_simulation", workload=workload.name) as stage:
-            stage.set(jobs=len(jobs))
-            if jobs:
-                stats.cache_simulations += len(jobs)
-                stats.cache_groups += len({job_group_key(job) for job in jobs})
-                self.install_cache_runs(self.simulate_cache_jobs(workload, jobs))
-
+        plan, _ = self.cache_plan(workload, columns)
+        self.provide(workload, plan.jobs())
         with self._stage("sweep_evaluate", configs=len(columns)):
             batch = self.assemble(workload, columns, resources, plan)
-        if self.store is not None:
-            self._write(workload, summary_unstored, unstored)
 
         stats.wall_seconds += time.perf_counter() - start
-        self._merge_host_metrics()
         if columns is requested:
             return batch
         position = {config: index for index, config in enumerate(columns)}
         return batch.take([position[config] for config in requested])
+
+    def provide(self, workload: Workload, jobs: Sequence[CacheJob]) -> None:
+        """Make the workload's trace summary and the runs of ``jobs`` present.
+
+        With a store, the workload's stored rows are read once (the
+        ``store_io`` stage) if the memos lack anything, and installed --
+        what the store holds is never simulated.  The trace is generated
+        only if something is still missing, the missing runs replay in
+        shared-decode groups (the ``cache_simulation`` stage), and every
+        row of ``jobs`` the store lacked, the summary if it was missing,
+        and the workload's pending identity rows are written in one
+        transaction.  This is the part of :meth:`measure_many` that
+        precedes timing, and all a campaign worker runs for its claimed
+        jobs.  The jobs must be the workload's (keyed by its fingerprint).
+        """
+        stats = self.stats
+        pending = self.pending_jobs(jobs)
+        summary_unstored, unstored = False, []
+        if self.store is not None and (pending or not self.has_summary(workload)):
+            summary_unstored, unstored = self._load(workload, jobs)
+            pending = self.pending_jobs(pending)
+        if pending or not self.has_summary(workload):
+            self._simulate(workload)
+        with self._stage("cache_simulation", workload=workload.name) as stage:
+            stage.set(jobs=len(pending))
+            if pending:
+                stats.cache_simulations += len(pending)
+                stats.cache_groups += len({job_group_key(job) for job in pending})
+                self.install_cache_runs(self.simulate_cache_jobs(workload, pending))
+        if self.store is not None:
+            self._write(workload, summary_unstored, unstored)
+        self._merge_host_metrics()
 
     def assemble(
         self,
@@ -447,7 +464,7 @@ class LiquidPlatform:
         else:
             table = np.array(known, dtype=np.int64).reshape(len(columns), len(TIMING_COLUMNS))
         return MeasurementBatch(
-            workload.name, columns.configurations, self.device, resources, summary.name,
+            workload.name, columns.configurations, self.device, resources,
             summary.features.instruction_count, table,
             [icache[index] for index in plan.icache_rows.tolist()],
             [dcache[index] for index in plan.dcache_rows.tolist()])
@@ -511,11 +528,12 @@ class LiquidPlatform:
         stats.recipe_misses += 1
         return "miss", None, unstored + [recipe]
 
-    def _load(self, workload: Workload, plan: CachePlan) -> Tuple[bool, List[CacheJob]]:
+    def _load(self, workload: Workload, jobs: Sequence[CacheJob]
+              ) -> Tuple[bool, List[CacheJob]]:
         """Read the workload's stored rows once and install them in the memos.
 
-        Returns what the store lacks of this batch: whether the summary
-        row is missing, and the batch's cache jobs that have no row.
+        Returns what the store lacks: whether the summary row is missing,
+        and which of ``jobs`` have no row.
         :meth:`_write` persists both after the batch, whether the batch
         computes them or the memos already held them (runs measured
         before the platform's store held them).
@@ -528,7 +546,7 @@ class LiquidPlatform:
             self.install_summary(fingerprint, summary)
         self._stored.update(self.pending_jobs(runs))
         self.install_cache_runs(runs)
-        return summary is None, [job for job in plan.jobs() if job not in runs]
+        return summary is None, [job for job in jobs if job not in runs]
 
     def _write(self, workload: Workload, summary_unstored: bool,
                unstored: Sequence[CacheJob]) -> None:
@@ -577,7 +595,8 @@ class LiquidPlatform:
 
         Library layers without a platform reference (store lock retries,
         replay and simulator counters) count into the process registry;
-        draining it at batch end parents those metrics under
+        draining it at the end of :meth:`provide`, after the last of them
+        a batch runs, parents those metrics under
         :attr:`EngineStats.registry <repro.obs.metrics.EngineStats.registry>`
         without double counting across batches or platforms.
         """

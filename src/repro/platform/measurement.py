@@ -124,7 +124,6 @@ class MeasurementBatch(Sequence[Measurement]):
         configurations: Sequence[Configuration],
         device: FpgaDevice,
         resources: np.ndarray,
-        trace: str,
         instruction_count: int,
         timing: np.ndarray,
         icache: Sequence[CacheStatistics],
@@ -135,9 +134,6 @@ class MeasurementBatch(Sequence[Measurement]):
         self.device = device
         #: The resource table: one row per configuration.
         self.resources = resources
-        #: Name the rows' :class:`~repro.microarch.statistics.ExecutionStatistics`
-        #: carry (the measured trace's).
-        self.trace = trace
         self.instruction_count = instruction_count
         #: The timing term table: one row per configuration.
         self.timing = timing
@@ -195,7 +191,7 @@ class MeasurementBatch(Sequence[Measurement]):
         configurations, icache, dcache = self.configurations, self.icache, self.dcache
         return MeasurementBatch(
             self.workload, [configurations[i] for i in indices], self.device,
-            self.resources[rows], self.trace, self.instruction_count, self.timing[rows],
+            self.resources[rows], self.instruction_count, self.timing[rows],
             [icache[i] for i in indices], [dcache[i] for i in indices])
 
     @cached_property
@@ -212,7 +208,7 @@ class MeasurementBatch(Sequence[Measurement]):
         return Measurement(
             self.workload, config, ResourceReport.from_row(self.device, resources[i]),
             ExecutionStatistics(
-                self.trace, config, self.instruction_count, sum(breakdown.values()),
+                self.workload, config, self.instruction_count, sum(breakdown.values()),
                 breakdown, self.icache[i], self.dcache[i], row[split], row[split + 1]))
 
     def __eq__(self, other: object) -> bool:

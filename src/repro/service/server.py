@@ -29,11 +29,13 @@ encoded records (:meth:`ResultStore.encode
 <repro.engine.store.ResultStore.encode>`), which is what makes that
 equality a one-line comparison.
 
-When the service is given a campaign database (``grid_path``), sweep
-jobs are registered as campaign-grid rows and drained through a
+When the service is given a campaign database (``grid_path``), a sweep
+job registers the cache replays of its configurations as campaign-grid
+rows and drains them through a
 :class:`~repro.engine.campaign.CampaignWorker` running on the resident
 platform -- so CLI ``--claim`` workers pointed at the same file pull
-from the same queue as the service, and either side may finish any row.
+from the same queue as the service, and either side may finish any row
+-- then times the sweep from the replayed rows.
 """
 
 from __future__ import annotations
@@ -126,9 +128,9 @@ class TuningService:
         ``grid_path`` is given; default is an in-memory store
         (memoisation still works within the service's lifetime).
     grid_path:
-        Campaign database.  Sweep jobs then run as campaign-grid rows,
-        shared with any CLI ``--claim`` workers on the same file, and
-        measurements persist in the same database.
+        Campaign database.  A sweep job's cache replays then run as
+        campaign-grid rows, shared with any CLI ``--claim`` workers on the
+        same file, and the replayed rows persist in the same database.
     sweep_chunk:
         Configurations per evaluation batch of a direct (non-grid)
         sweep job; smaller chunks stream results sooner.
@@ -151,9 +153,6 @@ class TuningService:
         else:
             self.store = open_store(store_path)
         self.platform = LiquidPlatform(store=self.store)
-        if self.grid is not None:
-            self.grid.bind_platform(
-                self.platform.device, self.platform.timing_parameters)
         self.workloads: Dict[str, Workload] = (
             small_workloads() if scale == "small" else standard_workloads())
         self.space = leon_parameter_space()
@@ -311,7 +310,7 @@ class TuningService:
     def _drain_grid(
         self, job: Job, workload: Workload, configs: Sequence[Configuration]
     ) -> None:
-        """Register the sweep as campaign rows and pull until settled."""
+        """Register the sweep's replays as campaign rows and pull until settled."""
         grid = self.grid
         assert grid is not None
         added = grid.register(workload, configs)

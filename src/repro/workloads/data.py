@@ -17,7 +17,6 @@ reproducible run to run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
 
 import numpy as np
 

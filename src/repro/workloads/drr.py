@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping
 
-import numpy as np
-
 from repro.isa.assembler import Assembler
 from repro.isa.program import MemoryLayout, Program
 from repro.microarch.functional import SimulationResult

@@ -1,14 +1,16 @@
 """The distributed campaign grid: claim exclusivity, crash recovery, retry.
 
-A campaign registers its configuration grid as rows of an ``experiments``
-table and lets any number of worker processes claim and evaluate batches
-(see :mod:`repro.engine.campaign`).  These tests pin the properties that
-make that sound: registration is idempotent, concurrent claimants never
-receive the same row, a worker that dies mid-claim loses its lease and
-the rows complete elsewhere, failing rows retry up to the attempt cap
-and then rest in ``failed``, interrupts hand claims straight back, and a
-drained campaign's measurements are bit-identical to the
-per-configuration reference measurements of the same grid.
+A campaign registers the distinct cache replays of its configuration
+grid -- one row per (trace, cache kind, geometry) -- as rows of a
+``replays`` table and lets any number of worker processes claim and
+replay batches (see :mod:`repro.engine.campaign`).  These tests pin the
+properties that make that sound: registration reduces a grid to its
+geometries and is idempotent, concurrent claimants never receive the
+same row, a worker that dies mid-claim loses its lease and the rows
+complete elsewhere, failing rows retry up to the attempt cap and then
+rest in ``failed``, interrupts hand claims straight back, and a drained
+campaign's measurements are bit-identical to the per-configuration
+reference measurements of the same grid.
 """
 
 import multiprocessing
@@ -24,14 +26,16 @@ import pytest
 from reference_timing import reference_measurements
 from repro.engine import CampaignGrid, CampaignWorker
 from repro.engine.campaign import STATUS_DONE, STATUS_FAILED, STATUS_OPEN
-from repro.engine.store import ResultStore, config_key_string
+from repro.engine.store import ResultStore
+from repro.errors import StoreFormatError
 from repro.platform import LiquidPlatform, Measurement
+from repro.service.server import figure2_grid
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def grid_configs(base_config, count=6):
-    """``count`` distinct dcache geometries (several share a batch key)."""
+    """``count`` distinct dcache geometries over one icache geometry."""
     configs = [
         base_config.replace(dcache_sets=sets, dcache_setsize_kb=size)
         for sets in (1, 2, 3)
@@ -39,6 +43,12 @@ def grid_configs(base_config, count=6):
     ]
     assert len(configs) >= count
     return configs[:count]
+
+
+def grid_rows(configs):
+    """Replay rows of a :func:`grid_configs` grid: its dcache geometries
+    plus the one icache geometry they share."""
+    return len(configs) + 1
 
 
 def drain(grid, workload, **kwargs):
@@ -53,43 +63,74 @@ class TestRegistration:
                                                arith_small):
         configs = grid_configs(base_config)
         with CampaignGrid(str(tmp_path / "grid.sqlite")) as grid:
-            assert grid.register(arith_small, configs) == len(configs)
+            assert grid.register(arith_small, configs) == grid_rows(configs)
             assert grid.register(arith_small, configs) == 0
             # a partially re-registered grid adds only the unseen rows
             extra = base_config.replace(dcache_sets=4, dcache_setsize_kb=1)
             assert grid.register(arith_small, configs + [extra]) == 1
             counts = grid.status()
-            assert counts[STATUS_OPEN] == len(configs) + 1
-            assert counts["total"] == len(configs) + 1
+            assert counts[STATUS_OPEN] == grid_rows(configs) + 1
+            assert counts["total"] == grid_rows(configs) + 1
 
     def test_second_workload_gets_its_own_rows(self, tmp_path, base_config,
                                                arith_small, drr_small):
         configs = grid_configs(base_config, 4)
         with CampaignGrid(str(tmp_path / "grid.sqlite")) as grid:
             grid.register(arith_small, configs)
-            assert grid.register(drr_small, configs) == len(configs)
-            assert grid.status()["total"] == 2 * len(configs)
+            assert grid.register(drr_small, configs) == grid_rows(configs)
+            assert grid.status()["total"] == 2 * grid_rows(configs)
+
+    def test_figure2_grid_is_twenty_geometry_rows_per_workload(
+            self, tmp_path, arith_small, drr_small):
+        """19 buildable Figure-2 configurations share one icache geometry:
+        20 replays per workload, and nothing new on re-registration."""
+        configs = figure2_grid(LiquidPlatform())
+        assert len(configs) == 19
+        with CampaignGrid(str(tmp_path / "grid.sqlite")) as grid:
+            for workload in (arith_small, drr_small):
+                assert grid.register(workload, configs) == 20
+                assert grid.register(workload, configs) == 0
+            assert grid.status()["total"] == 40
+            kinds = dict(grid._conn.execute(
+                "SELECT kind, COUNT(*) FROM replays GROUP BY kind"))
+            assert kinds == {"icache": 2, "dcache": 38}
+
+    def test_a_file_of_the_configuration_row_layout_is_refused(self, tmp_path):
+        path = str(tmp_path / "old.sqlite")
+        conn = sqlite3.connect(path)
+        conn.execute(
+            "CREATE TABLE experiments ("
+            " id INTEGER PRIMARY KEY AUTOINCREMENT, context TEXT NOT NULL,"
+            " fingerprint TEXT NOT NULL, workload TEXT NOT NULL,"
+            " config_key TEXT NOT NULL, config TEXT NOT NULL,"
+            " batch_key TEXT NOT NULL, status TEXT NOT NULL DEFAULT 'open',"
+            " worker TEXT, claimed_at REAL, finished_at REAL,"
+            " attempts INTEGER NOT NULL DEFAULT 0, error TEXT,"
+            " UNIQUE (context, fingerprint, config_key))")
+        conn.commit()
+        conn.close()
+        with pytest.raises(StoreFormatError, match="old.sqlite"):
+            CampaignGrid(path)
 
 
 class TestClaiming:
-    def test_claim_is_exclusive_and_round_trips_configurations(
-            self, tmp_path, base_config, arith_small):
+    def test_claim_is_exclusive_and_round_trips_geometries(
+            self, tmp_path, base_config, arith_small, drr_small):
         configs = grid_configs(base_config)
         with CampaignGrid(str(tmp_path / "grid.sqlite")) as grid:
             grid.register(arith_small, configs)
+            grid.register(drr_small, configs)
             rows = grid.claim("w1", batch=100)
-            # one claim takes one batch-key group only, so the shared-decode
-            # sweep wins survive sharding
-            keys = {CampaignGrid.batch_key(row.fingerprint, row.configuration)
-                    for row in rows}
-            assert len(keys) == 1
-            # reconstructed configurations match the registered ones exactly
-            registered = {config_key_string(config) for config in configs}
-            assert all(config_key_string(row.configuration) in registered
-                       for row in rows)
+            # one claim takes rows of one trace only, so its replays share
+            # that trace's decodes
+            assert {row.job[0] for row in rows} == {arith_small.fingerprint()}
+            # the claimed jobs are exactly the planner's for the grid
+            plan, _ = LiquidPlatform().cache_plan(arith_small, configs)
+            assert {row.job for row in rows} == set(plan.jobs())
             # claimed rows are invisible to other claimants
             other = grid.claim("w2", batch=100)
             assert {r.rowid for r in rows}.isdisjoint(r.rowid for r in other)
+            assert {row.job[0] for row in other} == {drr_small.fingerprint()}
 
     def test_release_refunds_the_attempt(self, tmp_path, base_config,
                                          arith_small):
@@ -158,7 +199,7 @@ class TestCrashRecovery:
             assert counts[STATUS_DONE] == counts["total"]
             # the vanished worker's attempt stayed burnt (no refund)
             assert all(row[2] >= 1 for row in grid._conn.execute(
-                "SELECT id, status, attempts FROM experiments"))
+                "SELECT id, status, attempts FROM replays"))
 
     def test_expired_worker_cannot_fail_or_release_reclaimed_rows(
             self, tmp_path, base_config, arith_small):
@@ -236,10 +277,10 @@ class TestFailureRetry:
     def _broken_worker(self, grid, workload, error, **kwargs):
         worker = CampaignWorker(grid, [workload], **kwargs)
 
-        def explode(workload, configs):
+        def explode(workload, jobs):
             raise RuntimeError(error)
 
-        worker.platform.measure_many = explode
+        worker.platform.provide = explode
         return worker
 
     def test_failing_rows_retry_to_the_attempt_cap_then_rest(
@@ -252,9 +293,9 @@ class TestFailureRetry:
                 report = worker.run()  # terminates despite every row failing
             counts = grid.status()
             assert counts[STATUS_FAILED] == counts["total"]
-            assert report.failed == 3 * len(configs)  # cap x rows
+            assert report.failed == 3 * grid_rows(configs)  # cap x rows
             rows = list(grid._conn.execute(
-                "SELECT attempts, error FROM experiments"))
+                "SELECT attempts, error FROM replays"))
             assert all(attempts == 3 for attempts, _ in rows)
             assert all("synthetic failure" in error for _, error in rows)
 
@@ -266,9 +307,9 @@ class TestFailureRetry:
             with self._broken_worker(grid, arith_small, "boom",
                                      max_attempts=2) as worker:
                 worker.run()
-            assert grid.status()[STATUS_FAILED] == len(configs)
-            assert grid.reset_failed() == len(configs)
-            assert grid.status()[STATUS_OPEN] == len(configs)
+            assert grid.status()[STATUS_FAILED] == grid_rows(configs)
+            assert grid.reset_failed() == grid_rows(configs)
+            assert grid.status()[STATUS_OPEN] == grid_rows(configs)
             drain(grid, arith_small)  # a healthy worker completes the grid
             counts = grid.status()
             assert counts[STATUS_DONE] == counts["total"]
@@ -279,9 +320,9 @@ class TestFailureRetry:
         with CampaignGrid(str(tmp_path / "grid.sqlite")) as grid:
             grid.register(arith_small, configs)
             with CampaignWorker(grid, [arith_small]) as worker:
-                def interrupt(workload, configs):
+                def interrupt(workload, jobs):
                     raise KeyboardInterrupt
-                worker.platform.measure_many = interrupt
+                worker.platform.provide = interrupt
                 with pytest.raises(KeyboardInterrupt):
                     worker.run()
             counts = grid.status()
@@ -301,8 +342,8 @@ class TestResultsMatchDirectSweep:
         with CampaignGrid(path) as grid:
             grid.register(arith_small, configs)
             report = drain(grid, arith_small, batch=4)
-            assert grid.status()[STATUS_DONE] == len(configs)
-            assert report.engine["claim_rows"] == len(configs)
+            assert grid.status()[STATUS_DONE] == grid_rows(configs)
+            assert report.engine["claim_rows"] == grid_rows(configs)
 
         reference = reference_measurements(arith_small, configs)
 
@@ -315,9 +356,9 @@ class TestResultsMatchDirectSweep:
 
     def test_a_claim_drain_builds_no_measurement_row(self, tmp_path, monkeypatch,
                                                      base_config, arith_small):
-        """A worker keeps what it measures in the store's rows: no batch row
-        becomes a :class:`Measurement` (counted at ``Measurement.__init__``,
-        whatever the batch's internals)."""
+        """A worker keeps what it replays in the store's rows: it times
+        nothing, and no row becomes a :class:`Measurement` (counted at
+        ``Measurement.__init__``, whatever the batch's internals)."""
         built = []
         init = Measurement.__init__
 
@@ -330,7 +371,9 @@ class TestResultsMatchDirectSweep:
         with CampaignGrid(str(tmp_path / "grid.sqlite")) as grid:
             grid.register(arith_small, configs)
             report = drain(grid, arith_small, batch=4)
-        assert report.done == len(configs) and report.engine["sweep_evaluations"] > 0
+        assert report.done == grid_rows(configs)
+        assert report.engine["cache_simulations"] > 0
+        assert report.engine["sweep_evaluations"] == 0
         assert built == []
         # the count sees rows wherever they are built
         LiquidPlatform().measure(arith_small, configs[0])
@@ -345,7 +388,7 @@ class TestResultsMatchDirectSweep:
             grid.register(arith_small, configs)
             first = drain(grid, arith_small, batch=2, max_batches=2)
             second = drain(grid, arith_small, batch=2)
-            assert first.done + second.done == len(configs)
+            assert first.done + second.done == grid_rows(configs)
             counts = grid.status()
             assert counts[STATUS_DONE] == counts["total"]
 
@@ -353,24 +396,20 @@ class TestResultsMatchDirectSweep:
 class TestWorkerStore:
     def test_worker_closes_the_store_it_opened(self, tmp_path, base_config,
                                                arith_small):
-        """Given a platform without a store, the worker measures over the grid
-        file with the platform's calibration, and closes that store on exit."""
-        from repro.microarch.timing import TimingParameters
-
+        """Given a platform without a store, the worker replays over the grid
+        file on a platform of its own, and closes that store on exit."""
         path = str(tmp_path / "grid.sqlite")
-        slow = LiquidPlatform(timing_parameters=TimingParameters(memory_latency=40))
+        bare = LiquidPlatform()
         with CampaignGrid(path) as grid:
-            grid.bind_platform(slow.device, slow.timing_parameters)
             grid.register(arith_small, [base_config])
-            with CampaignWorker(grid, [arith_small], platform=slow) as worker:
-                assert worker.platform is not slow
-                assert worker.platform.timing_parameters == slow.timing_parameters
+            with CampaignWorker(grid, [arith_small], platform=bare) as worker:
+                assert worker.platform is not bare
                 store = worker.platform.store
                 assert store.path == path
-                assert worker.run().done == 1
+                assert worker.run().done == 2
             with pytest.raises(sqlite3.ProgrammingError):
                 len(store)
-            assert grid.status()[STATUS_DONE] == 1  # the grid stays open
+            assert grid.status()[STATUS_DONE] == 2  # the grid stays open
 
     def test_worker_leaves_a_callers_store_open(self, tmp_path, base_config,
                                                 arith_small):
@@ -381,10 +420,27 @@ class TestWorkerStore:
             grid.register(arith_small, [base_config])
             with CampaignWorker(grid, [arith_small], platform=platform) as worker:
                 assert worker.platform is platform
-                assert worker.run().done == 1
+                assert worker.run().done == 2
         assert len(store) == 2  # still open: the icache and dcache rows
         assert platform.stats.store_writes == 3  # and the summary
         store.close()
+
+    def test_a_drain_over_a_complete_store_replays_nothing(self, tmp_path,
+                                                           arith_small):
+        """Rows whose replays the store already holds are done without a
+        cache simulation."""
+        path = str(tmp_path / "grid.sqlite")
+        configs = figure2_grid(LiquidPlatform())
+        store = ResultStore(path)
+        LiquidPlatform(store=store).measure_many(arith_small, configs)
+        store.close()
+        with CampaignGrid(path) as grid:
+            grid.register(arith_small, configs)
+            report = drain(grid, arith_small, batch=8)
+            assert grid.status()[STATUS_DONE] == 20
+        assert report.done == 20
+        assert report.engine["cache_simulations"] == 0
+        assert report.engine["store_writes"] == 0
 
 
 class TestCampaignCli:
@@ -427,13 +483,13 @@ class TestAttemptAccountingAtTheCap:
 
     @staticmethod
     def _attempts(grid):
-        return dict(grid._conn.execute("SELECT id, attempts FROM experiments"))
+        return dict(grid._conn.execute("SELECT id, attempts FROM replays"))
 
     def test_row_at_exactly_the_cap_is_unclaimable_and_retires(
             self, tmp_path, base_config, arith_small):
         cap = 2
         with CampaignGrid(str(tmp_path / "grid.sqlite")) as grid:
-            grid.register(arith_small, grid_configs(base_config, 2))
+            grid.register(arith_small, grid_configs(base_config, 1))
             for crasher in ("w1", "w2"):
                 rows = grid.claim(crasher, batch=100, max_attempts=cap)
                 assert len(rows) == 2
@@ -450,7 +506,7 @@ class TestAttemptAccountingAtTheCap:
     def test_clean_release_refunds_and_floors_at_zero(
             self, tmp_path, base_config, arith_small):
         with CampaignGrid(str(tmp_path / "grid.sqlite")) as grid:
-            grid.register(arith_small, grid_configs(base_config, 2))
+            grid.register(arith_small, grid_configs(base_config, 1))
             rows = grid.claim("w1", batch=100)
             ids = [row.rowid for row in rows]
             assert grid.release(ids, "w1") == 2
@@ -464,7 +520,7 @@ class TestAttemptAccountingAtTheCap:
             # the claim UPDATE's bookkeeping and a manual repair) floors
             # at zero instead of going negative
             grid._conn.execute(
-                "UPDATE experiments SET status = 'claimed', worker = 'w1',"
+                "UPDATE replays SET status = 'claimed', worker = 'w1',"
                 " attempts = 0")
             grid._conn.commit()
             assert grid.release_worker("w1") == 2
@@ -475,7 +531,7 @@ class TestAttemptAccountingAtTheCap:
             self, tmp_path, base_config, arith_small):
         cap = 2
         with CampaignGrid(str(tmp_path / "grid.sqlite")) as grid:
-            grid.register(arith_small, grid_configs(base_config, 2))
+            grid.register(arith_small, grid_configs(base_config, 1))
             grid.claim("w1", batch=100, max_attempts=cap)
             assert grid.reclaim_stale(0.0) == 2        # attempts: 1 (burnt)
             rows = grid.claim("w2", batch=100, max_attempts=cap)

@@ -30,7 +30,6 @@ from repro.core import MicroarchTuner, OneFactorCampaign, RUNTIME_OPTIMIZATION
 import repro
 from repro.engine import CampaignGrid, CampaignWorker, ResultStore, open_store
 from repro.engine import store as store_module
-from repro.engine.store import workload_fingerprint
 from repro.errors import StoreFormatError
 from repro.fpga.device import FpgaDevice
 from repro.microarch.cachekernel import KERNEL_VERSION
@@ -101,7 +100,8 @@ class TestOnePlatform:
     def test_perfbench_shim_hands_back_the_one_platform(self, tmp_path, base_config):
         """The pinned harness's calls, exactly as ``perfbench/scenarios.py``
         makes them: a tune suite inside ``with`` read back through
-        ``.stats.requested``, and a campaign drained with ``workers=``."""
+        ``.stats.requested``, and a campaign bound to a platform (a no-op)
+        and drained with ``workers=``."""
         from repro.engine import ParallelEvaluator
 
         app = ArithWorkload(iterations=70)
@@ -124,7 +124,7 @@ class TestOnePlatform:
             grid.register(app, configs)
             with CampaignWorker(grid, [app], platform=bare, workers=2) as worker:
                 report = worker.run()
-        assert report.done == len(configs)
+        assert report.done == 8  # six dcache and two icache geometries
         assert bare.stats.requested == 0  # the worker measured over the grid file
         with contextlib.closing(store_module.SqliteResultStore(path)) as rows:
             for config in configs:
@@ -211,7 +211,7 @@ class TestStoreEquivalence:
     def test_store_never_aliases_workloads_of_different_scale(self, tmp_path, base_config):
         path = str(tmp_path / "results.sqlite")
         small, large = ArithWorkload(iterations=50), ArithWorkload(iterations=120)
-        assert workload_fingerprint(small) != workload_fingerprint(large)
+        assert small.fingerprint() != large.fingerprint()
         LiquidPlatform(store=ResultStore(path)).measure(small, base_config)
         reader = LiquidPlatform(store=ResultStore(path))
         measurement = reader.measure(large, base_config)
@@ -333,7 +333,7 @@ class TestStoreFormat:
         else:
             store, grid = open_store(path), CampaignGrid(path)
         with grid:
-            assert grid.register(arith_small, [base_config]) == 1
+            assert grid.register(arith_small, [base_config]) == 2
             LiquidPlatform(store=store).measure(arith_small, base_config)
             assert len(store) == 2
         store.close()

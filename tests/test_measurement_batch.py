@@ -114,7 +114,7 @@ def test_rho_is_zero_when_the_base_runs_no_cycles(arith_small, base_config):
     timing[0] = 0
     batch = MeasurementBatch(
         measured.workload, measured.configurations, measured.device, measured.resources,
-        measured.trace, measured.instruction_count, timing, measured.icache, measured.dcache)
+        measured.instruction_count, timing, measured.icache, measured.dcache)
     assert batch.cycles[0] == 0
     deltas = OneFactorCampaign._deltas(batch)
     assert [d.rho for d in deltas] == [0.0, 0.0]

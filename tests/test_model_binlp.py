@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from reference_solver import ExhaustiveSolver
 from repro.config import PerturbationSpace, leon_parameter_space
 from repro.core import (
     OneFactorCampaign,
@@ -14,7 +15,7 @@ from repro.core import (
     build_problem,
 )
 from repro.core.model import CostModel
-from repro.core.solvers import BranchAndBoundSolver, ExhaustiveSolver
+from repro.core.solvers import BranchAndBoundSolver
 from repro.errors import OptimizationError
 from repro.platform import CostDelta, LiquidPlatform
 

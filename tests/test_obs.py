@@ -401,7 +401,8 @@ class TestHeartbeats:
     def test_worker_run_persists_heartbeats(self, tmp_path, base_config,
                                             arith_small):
         with CampaignGrid(str(tmp_path / "grid.sqlite")) as grid:
-            grid.register(arith_small, grid_configs(base_config, 4))
+            # three dcache geometries over one icache geometry: four rows
+            grid.register(arith_small, grid_configs(base_config, 3))
             with CampaignWorker(grid, [arith_small], worker_id="beater",
                                 heartbeat_seconds=0.01) as worker:
                 report = worker.run()
@@ -411,13 +412,13 @@ class TestHeartbeats:
         # the final forced beat carries the full campaign outcome
         assert beats[0]["done"] == 4
         assert beats[0]["failed"] == 0
-        assert beats[0]["engine"]["requested"] >= 4
+        assert beats[0]["engine"]["claim_rows"] == 4
 
 
 class TestDashboard:
     def _grid_with_progress(self, tmp_path, base_config, workload):
         grid = CampaignGrid(str(tmp_path / "grid.sqlite"))
-        grid.register(workload, grid_configs(base_config, 4))
+        grid.register(workload, grid_configs(base_config, 3))  # four rows
         return grid
 
     def test_snapshot_counts_workers_and_staleness(self, tmp_path, base_config,
@@ -502,7 +503,7 @@ class TestDashboard:
             # a drained grid with only stale heartbeats left: not stalled
             grid.heartbeat("w1", done=4, rows_per_sec=1.0)
             now = grid.worker_heartbeats()[0]["ts"]
-            grid._conn.execute("UPDATE experiments SET status = 'done'")
+            grid._conn.execute("UPDATE replays SET status = 'done'")
             grid._conn.commit()
             snapshot = campaign_snapshot(grid, stale_after=300,
                                          now=now + 1000)
@@ -519,7 +520,7 @@ class TestDashboard:
             assert snapshot["counts"]["open"] == 4
             assert stream.getvalue().count("campaign grid") == 2
 
-            grid._conn.execute("UPDATE experiments SET status = 'done'")
+            grid._conn.execute("UPDATE replays SET status = 'done'")
             grid._conn.commit()
             stream = io.StringIO()
             watch(grid, interval=0.0, stream=stream, clear=False)

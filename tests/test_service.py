@@ -380,11 +380,13 @@ class TestServiceOnCampaignGrid:
         with TuningService(scale="small", grid_path=db) as service:
             done = wait_for(service, service.submit_sweep(payload).id)
             assert done["status"] == "done"
-            assert done["meta"]["grid_rows_added"] == len(payload["configs"])
-            assert done["meta"]["grid_done"] == len(payload["configs"])
+            # one row per dcache geometry plus the icache geometry they share
+            rows = len(payload["configs"]) + 1
+            assert done["meta"]["grid_rows_added"] == rows
+            assert done["meta"]["grid_done"] == rows
         with CampaignGrid(db) as grid:
             counts = grid.status()
-            assert counts[STATUS_DONE] == counts["total"] == len(payload["configs"])
+            assert counts[STATUS_DONE] == counts["total"] == rows
 
     def test_grid_job_answers_rows_a_cli_worker_already_did(
             self, tmp_path, base_config, small_workload_map):
@@ -401,11 +403,10 @@ class TestServiceOnCampaignGrid:
         configs = [base_config.replace(**entry) for entry in payload["configs"]]
         with CampaignGrid(db) as grid:
             platform = LiquidPlatform()
-            grid.bind_platform(platform.device, platform.timing_parameters)
             grid.register(workload, configs)
             with CampaignWorker(grid, [workload], platform=platform) as cli:
                 report = cli.run()
-            assert report.done == len(configs)
+            assert report.done == len(configs) + 1
         with TuningService(scale="small", grid_path=db) as service:
             done = wait_for(service, service.submit_sweep(payload).id)
             assert done["status"] == "done"

@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference_solver import ExhaustiveSolver
 from repro.config import PerturbationSpace, leon_parameter_space
 from repro.core.binlp import (
     BilinearConstraint,
@@ -15,7 +16,6 @@ from repro.core.binlp import (
 )
 from repro.core.solvers import (
     BranchAndBoundSolver,
-    ExhaustiveSolver,
     GreedyIndependentSolver,
     RandomSearchSolver,
 )

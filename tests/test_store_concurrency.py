@@ -19,7 +19,6 @@ import pytest
 
 from repro.config import base_configuration
 from repro.engine import ResultStore, busy_retry, open_store
-from repro.engine.store import workload_fingerprint
 from repro.platform import LiquidPlatform
 
 
@@ -89,7 +88,7 @@ class TestThreadedWriters:
         _, jobs = platform.cache_plan(arith_small, grid)
         runs = platform.simulate_cache_jobs(arith_small, jobs)
         summary = arith_small.trace().summary()
-        fingerprint = workload_fingerprint(arith_small)
+        fingerprint = arith_small.fingerprint()
         errors = []
 
         def writer(offset):
