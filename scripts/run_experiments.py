@@ -54,6 +54,7 @@ import sys
 import time
 
 from repro.engine import CampaignGrid, CampaignWorker, open_store
+from repro.engine.campaign import CLAIM_BATCH
 from repro.service.server import figure2_grid
 from repro.obs import enable_tracing, get_tracer
 from repro.platform import LiquidPlatform
@@ -158,8 +159,9 @@ def parse_args() -> argparse.Namespace:
         "--grid-scale", choices=("standard", "small"), default="standard",
         help="workload scale of the campaign (small = quick smoke grids)")
     grid.add_argument(
-        "--batch", type=int, default=16,
-        help="replay rows per claim transaction (default: 16)")
+        "--batch", type=int, default=CLAIM_BATCH,
+        help=f"replay rows per claim transaction (default: {CLAIM_BATCH}, so one "
+             "claim takes all 20 rows a Figure-2 trace registers)")
     grid.add_argument(
         "--lease", type=float, default=300.0,
         help="seconds before another worker may reclaim a silent claim "

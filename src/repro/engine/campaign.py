@@ -80,6 +80,7 @@ __all__ = [
     "CampaignGrid",
     "CampaignWorker",
     "CampaignReport",
+    "CLAIM_BATCH",
     "GridRow",
     "STATUS_OPEN",
     "STATUS_CLAIMED",
@@ -95,6 +96,13 @@ STATUS_DONE = "done"
 STATUS_FAILED = "failed"
 
 _STATUSES = (STATUS_OPEN, STATUS_CLAIMED, STATUS_DONE, STATUS_FAILED)
+
+#: Default rows per claim.  A claim takes rows of one trace, and the
+#: Figure-2 grid registers 20 per trace (19 dcache geometries and one
+#: icache geometry), so one claim per trace makes one
+#: :meth:`~repro.platform.liquid.LiquidPlatform.provide` call: one store
+#: read, one decode per line size and one write.
+CLAIM_BATCH = 32
 
 #: Error recorded when an open row has burnt through its attempt budget.
 _EXHAUSTED_ERROR = "attempts exhausted"
@@ -218,7 +226,7 @@ class CampaignGrid:
         it has never seen, so ``--register`` is safe to re-run at any
         time.
         """
-        plan, _ = LiquidPlatform().cache_plan(workload, configs)
+        plan = LiquidPlatform().cache_plan(workload, configs)
         rows = [
             (KERNEL_VERSION, fingerprint, workload.name, kind, geometry.ways,
              geometry.setsize_kb, geometry.linesize_words, geometry.replacement,
@@ -243,7 +251,7 @@ class CampaignGrid:
         self,
         worker_id: str,
         *,
-        batch: int = 16,
+        batch: int = CLAIM_BATCH,
         fingerprints: Optional[Iterable[str]] = None,
         max_attempts: Optional[int] = None,
         on_conflict=None,
@@ -545,7 +553,7 @@ class CampaignWorker:
         workloads: Sequence[Workload],
         *,
         worker_id: Optional[str] = None,
-        batch: int = 16,
+        batch: int = CLAIM_BATCH,
         lease_seconds: float = 300.0,
         max_attempts: int = 3,
         retry_failed: bool = True,

@@ -14,15 +14,13 @@ those sufficient statistics, in one SQLite file:
   18-entry window-trap table;
 * ``cache_stats``: one row per ``(trace, kind, geometry)`` -- the five
   counts of one replay;
-* ``traces``: the map from a workload's identities to its trace
-  fingerprint, so a warm run keys its reads without running the
-  functional simulator.  Each workload has up to two rows: its
-  :meth:`~repro.workloads.base.Workload.recipe` (a digest of its
-  program, instruction budget and simulator version; the authoritative
-  identity) and its :meth:`~repro.workloads.base.Workload.input_key` (a
-  digest of its constructor arguments and the package's code,
-  ``input:``-prefixed), which a warm run looks up first because it needs
-  no program assembled.
+* ``traces``: the map from a workload's
+  :meth:`~repro.workloads.base.Workload.input_key` (a digest of its
+  constructor arguments, instruction budget, simulator version and the
+  package's code, ``input:``-prefixed) to its trace fingerprint, so a
+  warm run keys its reads without assembling or simulating anything.
+  The key column is named ``recipe`` after an older identity; files
+  written with it keep those rows, which nothing reads.
 
 Nothing derived from a configuration, the synthesis model, the device
 or the timing calibration is persisted: a run under different
@@ -348,10 +346,10 @@ class ResultStore:
 
     # -- trace identities ------------------------------------------------------------------
 
-    def trace_fingerprint(self, identity: str) -> Optional[str]:
-        """The trace fingerprint recorded for a recipe or input key, or ``None``."""
+    def trace_fingerprint(self, input_key: str) -> Optional[str]:
+        """The trace fingerprint recorded for an input key, or ``None``."""
         row = self._conn.execute(
-            "SELECT fingerprint FROM traces WHERE recipe = ?", (identity,)).fetchone()
+            "SELECT fingerprint FROM traces WHERE recipe = ?", (input_key,)).fetchone()
         return None if row is None else row[0]
 
     # -- batch I/O -------------------------------------------------------------------------
@@ -379,13 +377,13 @@ class ResultStore:
         runs: Mapping[CacheJob, CacheStatistics],
         *,
         summary: Optional[TraceSummary] = None,
-        identities: Sequence[str] = (),
+        input_key: Optional[str] = None,
     ) -> int:
         """Persist one batch's new rows in one transaction.
 
         ``runs`` are cache runs of the trace ``fingerprint``; ``summary``
-        is written when given, and one ``traces`` row per identity (the
-        workload's recipe and input key) naming ``fingerprint``.  Rows
+        is written when given, and so is a ``traces`` row mapping
+        ``input_key`` to ``fingerprint``.  Rows
         already present are kept (``INSERT OR IGNORE``: every row is a
         deterministic result, so racing writers agree).  Returns the
         number of summary and cache rows inserted.
@@ -400,9 +398,10 @@ class ResultStore:
         def transact() -> int:
             with self._conn:
                 written = 0
-                self._conn.executemany(
-                    "INSERT OR IGNORE INTO traces (recipe, fingerprint) VALUES (?, ?)",
-                    [(identity, fingerprint) for identity in identities])
+                if input_key is not None:
+                    self._conn.execute(
+                        "INSERT OR IGNORE INTO traces (recipe, fingerprint) VALUES (?, ?)",
+                        (input_key, fingerprint))
                 if summary is not None:
                     written += self._conn.execute(
                         f"INSERT OR IGNORE INTO summaries (kernel, fingerprint,"
@@ -435,7 +434,8 @@ class ResultStore:
                 self.device, timing_parameters=self.timing_parameters)
         reader = self._reader
         configs = ConfigurationColumns([config])
-        plan, jobs = reader.cache_plan(workload, configs)
+        plan = reader.cache_plan(workload, configs)
+        jobs = reader.pending_jobs(plan.jobs())
         if jobs or not reader.has_summary(workload):
             summary, runs = self.load(workload.fingerprint())
             if summary is None:
@@ -486,28 +486,31 @@ class ResultStore:
     def audit(self, workloads: Iterable[Workload], fraction: float) -> Tuple[int, int]:
         """Re-derive a sample of stored rows and compare bit for bit.
 
-        For every workload whose recipe the store knows, a ``fraction``
-        of its cache rows (at least one when it has any; the sample is
-        seeded by the trace fingerprint) is replayed again
-        through :meth:`LiquidPlatform.simulate_cache_jobs
-        <repro.platform.liquid.LiquidPlatform.simulate_cache_jobs>` and its
-        summary is recomputed from the trace.  Returns ``(audited,
-        mismatches)`` and counts both as ``store.audits`` and
-        ``store.audit_mismatches`` in the process metrics registry.
+        Every workload is simulated, which names its trace and recomputes
+        its summary, so rows are found whatever input key wrote them.  A
+        ``fraction`` of the trace's cache rows (at least one when it has
+        any; the sample is seeded by the trace fingerprint) is replayed
+        again through :meth:`LiquidPlatform.simulate_cache_jobs
+        <repro.platform.liquid.LiquidPlatform.simulate_cache_jobs>`, and
+        the stored summary is compared with the recomputed one.  An
+        input-key row naming another trace counts as one mismatch.
+        Returns ``(audited, mismatches)``, where ``audited`` counts the
+        summary and cache rows re-derived, and counts both as
+        ``store.audits`` and ``store.audit_mismatches`` in the process
+        metrics registry.
         """
         platform = LiquidPlatform()
         audited = mismatches = 0
         for workload in workloads:
-            fingerprint = self.trace_fingerprint(workload.recipe())
-            if fingerprint is None:
-                continue
-            if not workload.has_fingerprint():
-                workload.adopt_fingerprint(fingerprint)
+            trace = workload.trace()
+            fingerprint = workload.fingerprint()
+            key = workload.input_key()
+            named = None if key is None else self.trace_fingerprint(key)
+            mismatches += named not in (None, fingerprint)
             summary, runs = self.load(fingerprint)
             if summary is not None:
                 audited += 1
-                mismatches += _summary_row(summary) != _summary_row(
-                    workload.trace().summary())
+                mismatches += _summary_row(summary) != _summary_row(trace.summary())
             jobs = sorted(runs, key=lambda job: (job[1], repr(job[2])))
             count = min(len(jobs), math.ceil(fraction * len(jobs)))
             sample = random.Random(fingerprint).sample(jobs, count)

@@ -57,7 +57,7 @@ class TraceIdentityError(ReproError):
     """A workload's simulated trace contradicts the fingerprint a store recorded.
 
     Raised when a workload whose fingerprint was resolved from a result
-    store's recipe or input-key row is simulated and the real trace digests
+    store's input-key row is simulated and the real trace digests
     differently: the row is corrupt, or the simulator's semantics changed
     without a ``SIMULATOR_VERSION`` bump.  Rows keyed on the recorded
     fingerprint are not served.

@@ -61,12 +61,12 @@ __all__ = ["SIMULATOR_VERSION", "FunctionalSimulator", "SimulationResult"]
 if sys.byteorder != "little":
     raise ImportError("repro.microarch.functional needs a little-endian host")
 
-#: Version of the simulator's trace semantics.  A workload's trace recipe
-#: and input key (:meth:`~repro.workloads.base.Workload.recipe`,
-#: :meth:`~repro.workloads.base.Workload.input_key`) cover it, so bump it
-#: with any change that alters a trace column: every persisted identity row
-#: then misses instead of naming a stale fingerprint, and the golden
-#: fingerprint test demands a new entry under the new version.
+#: Version of the simulator's trace semantics.  A workload's input key
+#: (:meth:`~repro.workloads.base.Workload.input_key`) covers it beside the
+#: package's code digest.  Bump it with any change that alters a trace
+#: column: the golden fingerprint test pins each version's fingerprints and
+#: demands a new entry under the new version, so a trace change is a
+#: recorded decision, not a side effect of an edit.
 SIMULATOR_VERSION = 1
 
 _MASK32 = 0xFFFFFFFF

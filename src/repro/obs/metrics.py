@@ -256,14 +256,9 @@ class EngineStats:
     store_hits: int = 0
     #: Rows -- cache geometries and trace summaries -- written to the store.
     store_writes: int = 0
-    #: Workload trace fingerprints resolved from the store's recipe rows
-    #: (no functional simulation needed to key the lookups), and recipe
-    #: lookups that found no row, so the workload was simulated.
-    recipe_hits: int = 0
-    recipe_misses: int = 0
-    #: Fingerprints resolved from the store's input-key rows (no program
-    #: assembled either), and input-key lookups that found no row, so the
-    #: recipe was looked up next.
+    #: Workload trace fingerprints resolved from the store's input-key
+    #: rows (no program assembled or simulated to key the lookups), and
+    #: input-key lookups that found no row, so the workload was simulated.
     input_hits: int = 0
     input_misses: int = 0
     #: Distinct cache simulations executed on behalf of the batches.
@@ -293,8 +288,8 @@ class EngineStats:
     wall_seconds: float = 0.0
     #: Per-stage wall-clock, accumulated across batches and disjoint where
     #: the platform can observe the stages directly.  Stages recorded by
-    #: the platform itself: ``recipe`` (a workload's fingerprint lookup in
-    #: the store), ``trace_generation``, ``store_io`` (the batch's
+    #: the platform itself: ``input_key`` (a workload's fingerprint lookup
+    #: in the store), ``trace_generation``, ``store_io`` (the batch's
     #: store read and write), ``cache_simulation`` and ``sweep_evaluate``;
     #: the tuner adds ``solve`` around its solver pass.  Each accumulation
     #: also feeds a ``stage.<name>`` histogram on :attr:`registry`, so

@@ -30,9 +30,9 @@ A batch (:meth:`LiquidPlatform.measure_many`) is measured in these steps:
    them: the configurations not synthesised before are synthesised in one
    coefficient pass (the ``synthesis`` span), and fit enforcement raises
    before anything is simulated;
-2. resolve the workload's trace fingerprint (the ``recipe`` stage) --
-   from the store's input-key row, which needs no program, else from its
-   recipe row, otherwise by simulating;
+2. resolve the workload's trace fingerprint (the ``input_key`` stage) --
+   from the store's input-key row, which needs no program, otherwise by
+   simulating;
 3. plan the batch once from its geometry columns: each cache's distinct
    geometries (one :class:`~repro.microarch.cache.CacheConfig` each) and
    every row's index among them, plus the trace summary the memos lack;
@@ -191,9 +191,9 @@ class LiquidPlatform:
         #: cache runs installed from the store (not simulated here): a
         #: configuration measured from these alone is a store hit
         self._stored: Set[CacheJob] = set()
-        #: fingerprint -> the identity rows (recipe, input key) the store
-        #: lacks for it; they go out with the batch's rows
-        self._identities: Dict[str, List[str]] = {}
+        #: fingerprint -> the input key the store lacks a row for; it goes
+        #: out with the batch's rows
+        self._identities: Dict[str, str] = {}
 
     # -- synthesis ------------------------------------------------------------------------
 
@@ -283,22 +283,17 @@ class LiquidPlatform:
             jobs.append((fingerprint, kind, geometry))
         return jobs, np.array(rows, dtype=np.intp)
 
-    def cache_plan(
-        self, workload: Workload, configs: Sequence[Configuration]
-    ) -> Tuple[CachePlan, List[CacheJob]]:
-        """The one planning pass over a batch: its :class:`CachePlan` plus pending jobs.
+    def cache_plan(self, workload: Workload, configs: Sequence[Configuration]) -> CachePlan:
+        """The one planning pass over a batch: its :class:`CachePlan`.
 
         The geometry columns are read once; a
         :class:`~repro.microarch.cache.CacheConfig` is built only for a
-        distinct geometry (and once per platform).  The pending jobs are
-        the plan's jobs not yet simulated.  The plan feeds
-        :meth:`assemble` once the jobs have run.
+        distinct geometry (and once per platform).  The plan feeds
+        :meth:`provide` and, once the jobs have run, :meth:`assemble`.
         """
         fingerprint, columns = workload.fingerprint(), configuration_columns(configs)
-        plan = CachePlan(*self._cache_jobs(fingerprint, "icache", columns),
+        return CachePlan(*self._cache_jobs(fingerprint, "icache", columns),
                          *self._cache_jobs(fingerprint, "dcache", columns))
-        runs = self._cache_runs
-        return plan, [job for job in plan.jobs() if job not in runs]
 
     def has_summary(self, workload: Workload) -> bool:
         """True when :meth:`summary` will not need the workload's trace."""
@@ -376,7 +371,7 @@ class LiquidPlatform:
         stats.dedup_hits += len(requested) - len(columns)
         resources = self.build_many(columns, workload.name)
         self._resolve(workload)
-        plan, _ = self.cache_plan(workload, columns)
+        plan = self.cache_plan(workload, columns)
         self.provide(workload, plan.jobs())
         with self._stage("sweep_evaluate", configs=len(columns)):
             batch = self.assemble(workload, columns, resources, plan)
@@ -396,7 +391,7 @@ class LiquidPlatform:
         only if something is still missing, the missing runs replay in
         shared-decode groups (the ``cache_simulation`` stage), and every
         row of ``jobs`` the store lacked, the summary if it was missing,
-        and the workload's pending identity rows are written in one
+        and the workload's pending input-key row are written in one
         transaction.  This is the part of :meth:`measure_many` that
         precedes timing, and all a campaign worker runs for its claimed
         jobs.  The jobs must be the workload's (keyed by its fingerprint).
@@ -480,53 +475,30 @@ class LiquidPlatform:
     def _resolve(self, workload: Workload) -> None:
         """Make the workload's trace fingerprint known, simulating only if needed.
 
-        With a store, the ``recipe`` stage looks the fingerprint up by the
-        workload's :meth:`~repro.workloads.base.Workload.input_key`, which
-        needs no program, then by its
-        :meth:`~repro.workloads.base.Workload.recipe`, which assembles one;
-        its ``hit`` attribute names the row that answered (``input``,
-        ``recipe`` or ``miss``).  A resolved workload simulates only if
-        some row is missing, and its trace checks the adopted fingerprint
-        before anything is evaluated.  Any other workload simulates here
-        (its fingerprint keys the rows).  The identity rows the store
-        lacked -- the input key after a recipe hit, both after a miss --
-        are written with the batch.
+        With a store, the ``input_key`` stage looks the fingerprint up by
+        the workload's :meth:`~repro.workloads.base.Workload.input_key`,
+        which needs no program; its ``hit`` attribute says whether a row
+        answered.  A resolved workload simulates only if some row is
+        missing, and its trace checks the adopted fingerprint before
+        anything is evaluated.  Any other workload simulates here (its
+        fingerprint keys the rows), and its input key, if it has one, is
+        written with the batch.
         """
         if workload.has_fingerprint():
             return
-        if self.store is None:
-            self._simulate(workload)
-            return
-        with self._stage("recipe", workload=workload.name) as stage:
-            hit, fingerprint, unstored = self._lookup(workload)
-            stage.set(hit=hit)
-        if fingerprint is None:
-            self._simulate(workload)
-            fingerprint = workload.fingerprint()
-        else:
-            workload.adopt_fingerprint(fingerprint)
-        if unstored:
-            self._identities[fingerprint] = unstored
-
-    def _lookup(self, workload: Workload) -> Tuple[str, Optional[str], List[str]]:
-        """Which identity row names the trace, its fingerprint, and the rows missing."""
-        store, stats = self.store, self.stats
-        unstored: List[str] = []
-        key = workload.input_key()
+        key = None if self.store is None else workload.input_key()
         if key is not None:
-            fingerprint = store.trace_fingerprint(key)
+            with self._stage("input_key", workload=workload.name) as stage:
+                fingerprint = self.store.trace_fingerprint(key)
+                stage.set(hit=fingerprint is not None)
             if fingerprint is not None:
-                stats.input_hits += 1
-                return "input", fingerprint, unstored
-            stats.input_misses += 1
-            unstored.append(key)
-        recipe = workload.recipe()
-        fingerprint = store.trace_fingerprint(recipe)
-        if fingerprint is not None:
-            stats.recipe_hits += 1
-            return "recipe", fingerprint, unstored
-        stats.recipe_misses += 1
-        return "miss", None, unstored + [recipe]
+                self.stats.input_hits += 1
+                workload.adopt_fingerprint(fingerprint)
+                return
+            self.stats.input_misses += 1
+        self._simulate(workload)
+        if key is not None:
+            self._identities[workload.fingerprint()] = key
 
     def _load(self, workload: Workload, jobs: Sequence[CacheJob]
               ) -> Tuple[bool, List[CacheJob]]:
@@ -550,16 +522,16 @@ class LiquidPlatform:
 
     def _write(self, workload: Workload, summary_unstored: bool,
                unstored: Sequence[CacheJob]) -> None:
-        """Write what the store lacked (and pending identity rows) in one transaction."""
+        """Write what the store lacked (and a pending input-key row) in one transaction."""
         fingerprint = workload.fingerprint()
-        identities = self._identities.get(fingerprint, ())
-        if not unstored and not summary_unstored and not identities:
+        input_key = self._identities.get(fingerprint)
+        if not unstored and not summary_unstored and input_key is None:
             return
         with self._stage("store_io", workload=workload.name) as stage:
             written = self.store.write(
                 fingerprint, {job: self._cache_runs[job] for job in unstored},
                 summary=self.summary(workload) if summary_unstored else None,
-                identities=identities)
+                input_key=input_key)
             stage.set(rows_read=0, rows_written=written)
         self._identities.pop(fingerprint, None)
         self.stats.store_writes += written
@@ -568,7 +540,7 @@ class LiquidPlatform:
         """Run the functional simulator if the workload lacks a trace.
 
         The ``trace_generation`` stage opens only when it does, tagged
-        with the workload's name, so a batch served entirely by recipe
+        with the workload's name, so a batch served entirely by input-key
         rows and store hits reports no trace-generation time at all.
         """
         if not workload.has_trace():

@@ -101,6 +101,10 @@ MAX_BODY_BYTES = 1 << 20
 #: cache geometry of the LEON space (under 300 configurations) fits.
 MAX_SWEEP_CONFIGS = 4096
 
+#: Configurations per evaluation batch of a direct (non-grid) sweep job;
+#: smaller chunks stream results sooner.
+SWEEP_CHUNK = 16
+
 
 class ServiceBadRequest(ValueError):
     """A malformed job payload (mapped to HTTP 400)."""
@@ -131,9 +135,6 @@ class TuningService:
         Campaign database.  A sweep job's cache replays then run as
         campaign-grid rows, shared with any CLI ``--claim`` workers on the
         same file, and the replayed rows persist in the same database.
-    sweep_chunk:
-        Configurations per evaluation batch of a direct (non-grid)
-        sweep job; smaller chunks stream results sooner.
     """
 
     def __init__(
@@ -142,7 +143,6 @@ class TuningService:
         scale: str = "small",
         store_path: Optional[str] = None,
         grid_path: Optional[str] = None,
-        sweep_chunk: int = 16,
     ):
         if scale not in ("standard", "small"):
             raise ValueError(f"unknown workload scale: {scale!r}")
@@ -159,7 +159,6 @@ class TuningService:
         # one tuner, so every tune job reuses its one-factor plans; jobs run
         # one at a time on the job thread
         self.tuner = MicroarchTuner(self.platform, self.space)
-        self.sweep_chunk = max(1, sweep_chunk)
         self.jobs = JobManager(self._execute)
 
     # -- lifecycle -------------------------------------------------------------------------
@@ -301,8 +300,8 @@ class TuningService:
             # pure re-read -- and if a foreign worker still holds a row,
             # evaluating it here is deterministic duplicate work, never
             # wrong data
-        for start in range(0, len(configs), self.sweep_chunk):
-            chunk = configs[start:start + self.sweep_chunk]
+        for start in range(0, len(configs), SWEEP_CHUNK):
+            chunk = configs[start:start + SWEEP_CHUNK]
             measurements = self.platform.measure_many(workload, chunk)
             self.jobs.append_results(
                 job, [self.store.encode(workload, m) for m in measurements])
@@ -317,8 +316,7 @@ class TuningService:
         self.jobs.annotate(job, grid_rows_added=added)
         worker = CampaignWorker(
             grid, [workload], platform=self.platform,
-            worker_id=f"service:{job.id}", batch=self.sweep_chunk,
-            heartbeat_seconds=15.0)
+            worker_id=f"service:{job.id}", heartbeat_seconds=15.0)
         while True:
             batches_before = worker.report.batches
             worker.run(max_batches=batches_before + 1)

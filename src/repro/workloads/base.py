@@ -12,13 +12,12 @@ the workload instance and shared by every configuration evaluation -- this
 is what makes the measurement campaign cheap enough to run hundreds of
 configuration evaluations.
 
-The trace is moreover a pure function of the assembled program, the
-instruction budget and the simulator's semantics.  :meth:`Workload.recipe`
-digests exactly those inputs, so a result store that has seen a workload
-once can name its trace fingerprint without simulating it again
-(:meth:`Workload.adopt_fingerprint`).  The program in turn follows from
-the constructor arguments and the package's code, so
-:meth:`Workload.input_key` names the same trace without assembling it.
+The trace is moreover a pure function of the constructor arguments, the
+instruction budget, the simulator's semantics and the package's code.
+:meth:`Workload.input_key` digests exactly those inputs, so a result
+store that has seen a workload once can name its trace fingerprint
+without assembling or simulating it again
+(:meth:`Workload.adopt_fingerprint`).
 """
 
 from __future__ import annotations
@@ -135,10 +134,9 @@ class Workload(ABC):
         self._program: Optional[Program] = None
         self._result: Optional[SimulationResult] = None
         self._fingerprint: Optional[str] = None
-        #: Whether :attr:`_fingerprint` was adopted from a store's recipe
+        #: Whether :attr:`_fingerprint` was adopted from a store's input-key
         #: row and still awaits its check against the simulated trace.
         self._fingerprint_adopted = False
-        self._recipe: Optional[str] = None
         self._input_key: Optional[str] = None
 
     # -- to be provided by concrete workloads -----------------------------------------
@@ -205,10 +203,10 @@ class Workload(ABC):
         NumPy's version (the inputs are drawn from its generators) and
         :data:`CODE_DIGEST`.  Inputs being fixed at construction, equal
         keys assemble equal programs, so a store maps the key to the
-        trace fingerprint beside the :meth:`recipe` row and a hit never
-        builds :attr:`program`.  A workload with an argument that is not
-        a plain scalar or string, or whose class is defined outside this
-        package, has no key and is identified by its :meth:`recipe`.
+        trace fingerprint and a hit never builds :attr:`program`.  A
+        workload with an argument that is not a plain scalar or string,
+        or whose class is defined outside this package, has no key and is
+        identified by simulating it.
         """
         if self._input_key is None and self._arguments is not None:
             digest = hashlib.sha1()
@@ -219,31 +217,6 @@ class Workload(ABC):
                 digest.update(b"\0")
             self._input_key = f"input:{digest.hexdigest()}"
         return self._input_key
-
-    def recipe(self) -> str:
-        """Digest of everything this workload's execution trace depends on.
-
-        Covers the workload class and name, the assembled program
-        (instructions, data image, symbols, layout), the instruction
-        budget and :data:`~repro.microarch.functional.SIMULATOR_VERSION`.
-        Equal recipes therefore simulate to equal traces, which lets a
-        result store map recipe -> :meth:`fingerprint` and answer later
-        lookups without running the simulator.  The recipe is the
-        authoritative identity: :meth:`input_key` only spares the program
-        assembly it costs.
-        """
-        if self._recipe is None:
-            program = self.program
-            digest = hashlib.sha1()
-            for part in (type(self).__module__, type(self).__qualname__, self.name,
-                         repr(program.instructions), repr(program.layout),
-                         repr(sorted(program.symbols.items())),
-                         str(self.max_instructions), str(SIMULATOR_VERSION)):
-                digest.update(part.encode())
-                digest.update(b"\0")
-            digest.update(program.data)
-            self._recipe = digest.hexdigest()
-        return self._recipe
 
     def fingerprint(self) -> str:
         """Content digest identifying this workload's execution trace.
@@ -258,7 +231,7 @@ class Workload(ABC):
         return self._fingerprint
 
     def adopt_fingerprint(self, fingerprint: str) -> None:
-        """Take the fingerprint a result store recorded for :meth:`recipe` or :meth:`input_key`.
+        """Take the fingerprint a result store recorded for :meth:`input_key`.
 
         The workload then keys store lookups without simulating.  The
         adopted value is checked against the real trace as soon as one
@@ -277,7 +250,7 @@ class Workload(ABC):
         self._fingerprint, self._fingerprint_adopted = actual, False
         if actual != adopted:
             raise TraceIdentityError(
-                f"{self.name}: the store's recipe row (or input-key row) names trace "
+                f"{self.name}: the store's input-key row names trace "
                 f"{adopted}, but the simulator produced {actual}; the row is corrupt "
                 "or the trace semantics changed without a SIMULATOR_VERSION bump")
 

@@ -125,7 +125,7 @@ class TestClaiming:
             # that trace's decodes
             assert {row.job[0] for row in rows} == {arith_small.fingerprint()}
             # the claimed jobs are exactly the planner's for the grid
-            plan, _ = LiquidPlatform().cache_plan(arith_small, configs)
+            plan = LiquidPlatform().cache_plan(arith_small, configs)
             assert {row.job for row in rows} == set(plan.jobs())
             # claimed rows are invisible to other claimants
             other = grid.claim("w2", batch=100)
@@ -378,6 +378,21 @@ class TestResultsMatchDirectSweep:
         # the count sees rows wherever they are built
         LiquidPlatform().measure(arith_small, configs[0])
         assert len(built) == 1
+
+    def test_a_default_drain_claims_each_figure2_trace_once(self, tmp_path,
+                                                            small_workload_map):
+        """A default claim holds all 20 rows a Figure-2 trace registers, so a
+        four-workload grid drains in four claims, one ``provide`` each."""
+        configs = figure2_grid(LiquidPlatform())
+        workloads = list(small_workload_map.values())
+        with CampaignGrid(str(tmp_path / "grid.sqlite")) as grid:
+            for workload in workloads:
+                grid.register(workload, configs)
+            with CampaignWorker(grid, workloads) as worker:
+                report = worker.run()
+            assert grid.status()[STATUS_DONE] == 80
+        assert report.done == 80
+        assert report.batches == 4
 
     def test_two_sequential_workers_split_the_grid(self, tmp_path,
                                                    base_config, arith_small):

@@ -8,8 +8,8 @@ engine and platform output against the per-configuration oracle
 (``reference_timing.reference_measurements``) bit for bit (dataclass
 equality covers cycle counts, cache hit/miss statistics including the
 seeded RANDOM replacement, resource reports and the full cycle
-breakdown), across all four paper workloads; tests of the store, dedup
-and recipes compare against the bare :class:`LiquidPlatform`.
+breakdown), across all four paper workloads; tests of the store and
+dedup compare against the bare :class:`LiquidPlatform`.
 """
 
 import ast
@@ -259,7 +259,7 @@ class TestSqliteStore:
     def test_write_deduplicates(self, tmp_path, base_config, arith_small):
         store = ResultStore(str(tmp_path / "results.sqlite"))
         platform = LiquidPlatform()
-        _, jobs = platform.cache_plan(arith_small, [base_config])
+        jobs = platform.pending_jobs(platform.cache_plan(arith_small, [base_config]).jobs())
         runs = platform.simulate_cache_jobs(arith_small, jobs)
         summary = arith_small.trace().summary()
         fingerprint = arith_small.fingerprint()
@@ -385,7 +385,7 @@ class TestStoreIO:
         engine = LiquidPlatform(store=store)
         warm = ArithWorkload(iterations=90)
         engine.measure_many(warm, configs)
-        assert self.count(statements, "SELECT", "traces") == 1  # the recipe
+        assert self.count(statements, "SELECT", "traces") == 1  # the input key
         assert self.count(statements, "SELECT", "summaries") == 1
         assert self.count(statements, "SELECT", "cache_stats") == 1
         assert self.count(statements, "COMMIT") == 0
@@ -407,7 +407,8 @@ class TestStoreIO:
         bare = LiquidPlatform()
         workload = ArithWorkload(iterations=90)
         bare.measure_many(workload, configs[:2])  # summary + 3 geometries in memo
-        plan, jobs = bare.cache_plan(workload, configs)
+        plan = bare.cache_plan(workload, configs)
+        jobs = bare.pending_jobs(plan.jobs())
         platform = LiquidPlatform(store=open_store(path))
         platform.install_summary(workload.fingerprint(), bare.summary(workload))
         platform.install_cache_runs(bare.simulate_cache_jobs(

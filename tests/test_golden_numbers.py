@@ -13,10 +13,9 @@ every measurement uses.
 
 It also pins the trace fingerprint of each workload, at test size and at
 the default (standard) size, keyed by ``SIMULATOR_VERSION``.  Result
-stores and campaign databases key their rows on these digests, and map
-workload recipes (which cover the simulator version) to them, so a
+stores and campaign databases key their rows on these digests, so a
 functional simulator change that alters any trace column fails here
-instead of silently orphaning (or mis-serving) every persisted row.
+instead of silently orphaning every persisted row.
 
 To regenerate the fixtures after an *intentional* behaviour change::
 
@@ -25,8 +24,10 @@ To regenerate the fixtures after an *intentional* behaviour change::
 and commit the diff together with the change that explains it.  The
 cache fixture is rewritten; the fingerprint fixture only gains an entry
 for a new ``SIMULATOR_VERSION`` -- new trace semantics under an
-unchanged version are refused, because persisted recipe rows would then
-name fingerprints the simulator no longer produces.
+unchanged version are refused, because the version is what declares the
+simulator's semantics: a fingerprint pinned under it must stay the trace
+that version produces, so a trace change is a deliberate bump (which
+also moves every input key) and never an unnoticed side effect.
 
 Result stores persist cache statistics and trace summaries under
 :data:`~repro.microarch.cachekernel.KERNEL_VERSION`, so every golden

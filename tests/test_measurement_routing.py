@@ -15,7 +15,7 @@ from repro.config import base_configuration
 from repro.core import MicroarchTuner, OneFactorCampaign, RUNTIME_OPTIMIZATION
 from repro.engine import ResultStore
 from repro.platform import LiquidPlatform, liquid
-from repro.service import TuningService
+from repro.service import TuningService, server
 from repro.workloads import ArithWorkload, DrrWorkload
 
 DCACHE = ("dcache_sets", "dcache_setsize_kb")
@@ -101,10 +101,11 @@ def test_engine_plans_each_batch_once(monkeypatch):
 
 
 @pytest.mark.parametrize("chunk", [2, 16])
-def test_service_sweep_is_one_call_per_chunk(timing_calls, chunk):
+def test_service_sweep_is_one_call_per_chunk(timing_calls, monkeypatch, chunk):
     configs = [{"dcache_sets": sets, "dcache_setsize_kb": size}
                for sets in (1, 2) for size in (1, 2)]
-    with TuningService(scale="small", sweep_chunk=chunk) as service:
+    monkeypatch.setattr(server, "SWEEP_CHUNK", chunk)
+    with TuningService(scale="small") as service:
         job = service.submit_sweep({"workload": "arith", "configs": configs})
         assert service.jobs.drain(timeout=120.0)
         assert service.job_snapshot(job.id)["status"] == "done"

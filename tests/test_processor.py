@@ -59,8 +59,8 @@ class TestProcessorModel:
         workload = ProgramWorkload(program)
         measured = LiquidPlatform().measure(workload, base_config).statistics
         platform = LiquidPlatform()
-        plan, jobs = platform.cache_plan(workload, [base_config])
-        runs = platform.simulate_cache_jobs(workload, jobs)
+        plan = platform.cache_plan(workload, [base_config])
+        runs = platform.simulate_cache_jobs(workload, platform.pending_jobs(plan.jobs()))
         [ikey], [dkey] = plan.icache, plan.dcache
         [evaluated] = evaluate_many(workload.trace().summary(), [base_config],
                                     [runs[ikey].read_misses], [runs[dkey].read_misses])

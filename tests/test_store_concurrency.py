@@ -85,7 +85,7 @@ class TestThreadedWriters:
         grid = config_grid(base_config, 10)
         # replay once up front; the race under test is the store, not the sim
         platform = LiquidPlatform()
-        _, jobs = platform.cache_plan(arith_small, grid)
+        jobs = platform.pending_jobs(platform.cache_plan(arith_small, grid).jobs())
         runs = platform.simulate_cache_jobs(arith_small, jobs)
         summary = arith_small.trace().summary()
         fingerprint = arith_small.fingerprint()

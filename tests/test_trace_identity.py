@@ -1,16 +1,15 @@
-"""Recipe- and input-keyed trace identity: warm stores key lookups without simulating.
+"""Input-keyed trace identity: warm stores key lookups without simulating.
 
-A workload's trace is a pure function of its :meth:`Workload.recipe`
-(program, instruction budget, simulator version), so a result store that
-has seen the workload once records recipe -> fingerprint, and a later
-engine over that store resolves the fingerprint without running the
-functional simulator.  The program in turn follows from the constructor
-arguments and the package's code, so the store also records
-:meth:`Workload.input_key` -> fingerprint, which resolves without
-assembling.  These tests pin that the resolved fingerprint is the
-simulated one, that a fully warm tune never simulates or assembles, that
-a miss simulates and checks the recorded identity, and that anything the
-trace depends on moves the recipe and the input key.
+A workload's trace is a pure function of its constructor arguments, its
+instruction budget, the simulator version and the package's code, which
+:meth:`Workload.input_key` digests.  A result store that has seen the
+workload once records input key -> fingerprint, and a later engine over
+that store resolves the fingerprint without assembling or simulating.
+A workload whose key the store lacks (a new one, or any after a source
+edit) is simulated once and its key written.  These tests pin that the
+resolved fingerprint is the simulated one, that a fully warm tune never
+simulates or assembles, that a miss simulates and checks the recorded
+identity, and that anything the trace depends on moves the input key.
 """
 
 import inspect
@@ -100,11 +99,10 @@ def grid(count):
 
 
 @pytest.mark.parametrize("name", sorted(SMALL))
-def test_recipe_resolved_fingerprint_equals_the_simulated_one(name, simulations):
+def test_input_resolved_fingerprint_equals_the_simulated_one(name, simulations):
     store = open_store(None)
     cold = SMALL[name]()
     LiquidPlatform(store=store).measure_many(cold, grid(1))
-    assert store.trace_fingerprint(cold.recipe()) == cold.fingerprint()
     assert store.trace_fingerprint(cold.input_key()) == cold.fingerprint()
 
     simulations.clear()
@@ -114,7 +112,6 @@ def test_recipe_resolved_fingerprint_equals_the_simulated_one(name, simulations)
     assert simulations == [] and not warm.has_trace()
     assert warm.fingerprint() == cold.fingerprint()
     assert (engine.stats.input_hits, engine.stats.input_misses) == (1, 0)
-    assert (engine.stats.recipe_hits, engine.stats.recipe_misses) == (0, 0)
 
 
 @pytest.mark.parametrize("filename", ["store.sqlite", "store.db"])
@@ -124,7 +121,6 @@ def test_warm_store_tunes_without_simulating(tmp_path, filename, simulations, as
     path = str(tmp_path / filename)
     store = open_store(path)
     cold_stats, cold = tune_all(small_suite(), store)
-    assert cold_stats.recipe_misses == 4 and cold_stats.recipe_hits == 0
     assert cold_stats.input_misses == 4 and cold_stats.input_hits == 0
     store.close()
 
@@ -140,7 +136,6 @@ def test_warm_store_tunes_without_simulating(tmp_path, filename, simulations, as
     assert simulations == [] and assemblies == []
     assert warm == cold
     assert stats.input_hits == 4 and stats.input_misses == 0
-    assert stats.recipe_hits == 0 and stats.recipe_misses == 0
     assert stats.store_hits == stats.requested - stats.dedup_hits
     assert "trace_generation" not in stats.stage_seconds
     assert not [r for r in tracer.records if r.name == "trace_generation"]
@@ -172,8 +167,8 @@ def test_warm_store_records_equal_the_cold_run(tmp_path, name, simulations):
 
 
 def forget_input_rows(path):
-    """Delete a store file's input-key rows, so its recipe rows answer (as
-    on the first run after a source edit moves every input key)."""
+    """Delete a store file's input-key rows (as if a source edit had moved
+    every input key), keeping its summary and cache rows."""
     conn = sqlite3.connect(path)
     with conn:
         conn.execute("DELETE FROM traces WHERE recipe LIKE 'input:%'")
@@ -181,8 +176,9 @@ def forget_input_rows(path):
 
 
 def miss_after_a_hit(path, simulations):
-    """Measure grid(5) of drr over a store holding grid(2): the identity row
-    answers, three configurations miss, and the trace is built and checked."""
+    """Measure grid(5) of drr over a store holding grid(2): two configurations
+    are store hits, three miss, and the trace is built (and, after an
+    input-key hit, checked)."""
     store = open_store(path)
     simulations.clear()
     engine = LiquidPlatform(store=store)
@@ -209,8 +205,7 @@ def test_store_miss_simulates_and_matches_the_bare_platform(tmp_path, simulation
     forget_input_rows(path)
 
     stats = miss_after_a_hit(path, simulations)
-    assert stats.recipe_hits == 1 and stats.input_misses == 1
-    assert stats.input_hits == 0
+    assert stats.input_misses == 1 and stats.input_hits == 0
 
 
 def test_store_miss_after_an_input_hit_simulates_and_matches_the_bare_platform(
@@ -221,28 +216,7 @@ def test_store_miss_after_an_input_hit_simulates_and_matches_the_bare_platform(
     store.close()
 
     stats = miss_after_a_hit(path, simulations)
-    assert stats.input_hits == 1 and stats.recipe_hits == stats.recipe_misses == 0
-
-
-def test_tampered_recipe_row_raises_on_a_miss(tmp_path):
-    path = str(tmp_path / "store.sqlite")
-    store = open_store(path)
-    LiquidPlatform(store=store).measure_many(SMALL["arith"](), grid(1))
-    store.close()
-    forget_input_rows(path)
-    conn = sqlite3.connect(path)
-    with conn:
-        conn.execute("UPDATE traces SET fingerprint = 'arith:1807:0000000000000000'")
-    conn.close()
-
-    workload = SMALL["arith"]()
-    store = open_store(path)
-    engine = LiquidPlatform(store=store)
-    with pytest.raises(TraceIdentityError, match="recipe row"):
-        engine.measure_many(workload, grid(1))
-    assert engine.stats.recipe_hits == 1 and engine.stats.input_hits == 0
-    assert engine.stats.store_writes == 0
-    store.close()
+    assert stats.input_hits == 1 and stats.input_misses == 0
 
 
 def test_adopting_a_wrong_fingerprint_after_simulation_raises():
@@ -252,17 +226,6 @@ def test_adopting_a_wrong_fingerprint_after_simulation_raises():
         workload.adopt_fingerprint("arith:1:0000000000000000")
     # the workload keeps answering with its real identity
     assert workload.fingerprint() == SMALL["arith"]().fingerprint()
-
-
-def test_recipe_covers_everything_the_trace_depends_on(monkeypatch):
-    reference = DrrWorkload(packet_count=150).recipe()
-    assert DrrWorkload(packet_count=150).recipe() == reference
-    assert DrrWorkload(packet_count=150, seed=78).recipe() != reference
-    assert DrrWorkload(packet_count=150, max_instructions=10**6).recipe() != reference
-    assert FragWorkload(packet_count=4, seed=1).recipe() != FragWorkload(packet_count=4).recipe()
-    monkeypatch.setattr(workload_base, "SIMULATOR_VERSION",
-                        workload_base.SIMULATOR_VERSION + 1)
-    assert DrrWorkload(packet_count=150).recipe() != reference
 
 
 def test_warm_run_opens_no_trace_generation_span():
@@ -342,8 +305,9 @@ def test_input_key_covers_the_budget_and_numpy(monkeypatch):
     assert DrrWorkload(packet_count=150).input_key() != reference
 
 
-def test_workloads_with_objects_for_inputs_have_no_input_key():
-    """Such a workload is resolved by its recipe row alone."""
+def test_workloads_with_objects_for_inputs_have_no_input_key(simulations):
+    """Such a workload is identified by simulating it: it looks nothing up
+    and writes no ``traces`` row, but its stored rows still serve it."""
     program = SMALL["arith"]().program
     assert ProgramWorkload(program).input_key() is None
     store = open_store(None)
@@ -352,9 +316,12 @@ def test_workloads_with_objects_for_inputs_have_no_input_key():
         engine = LiquidPlatform(store=store)
         engine.measure(ProgramWorkload(program), base_configuration())
         stats.append(engine.stats)
+    assert store._conn.execute("SELECT COUNT(*) FROM traces").fetchone() == (0,)
     store.close()
-    assert (stats[0].recipe_misses, stats[1].recipe_hits) == (1, 1)
-    assert stats[0].input_misses == stats[1].input_misses == 0
+    assert len(simulations) == 2
+    assert [(s.input_hits, s.input_misses) for s in stats] == [(0, 0), (0, 0)]
+    assert stats[1].cache_simulations == 0 and stats[1].store_hits == 1
+    assert "input_key" not in stats[1].stage_seconds
 
 
 class OutsideArith(ArithWorkload):
@@ -387,17 +354,18 @@ def test_editing_an_assembler_helper_moves_the_code_digest(tmp_path):
     assert _run_python(probe, copy.parent) != unedited
 
 
-def test_recipes_do_not_depend_on_the_hash_seed():
-    """Inputs determine the program: the same constructors assemble the same
-    recipes in processes with different string hashing."""
+def test_input_keys_do_not_depend_on_the_hash_seed():
+    """The same constructors give the same input keys in processes with
+    different string hashing."""
     probe = ("from repro.workloads import ArithWorkload, BlastnWorkload, DrrWorkload, "
              "FragWorkload\n"
-             "print(ArithWorkload(iterations=200).recipe(), BlastnWorkload("
-             "database_length=1200, query_length=48, query_count=1).recipe(), "
-             "DrrWorkload(packet_count=150).recipe(), FragWorkload(packet_count=4).recipe())")
+             "print(ArithWorkload(iterations=200).input_key(), BlastnWorkload("
+             "database_length=1200, query_length=48, query_count=1).input_key(), "
+             "DrrWorkload(packet_count=150).input_key(), "
+             "FragWorkload(packet_count=4).input_key())")
     src = pathlib.Path(workload_base.__file__).parents[2]
-    recipes = {_run_python(probe, src, PYTHONHASHSEED=seed) for seed in ("0", "4242")}
-    assert recipes == {" ".join(workload.recipe() for workload in small_suite()) + "\n"}
+    keys = {_run_python(probe, src, PYTHONHASHSEED=seed) for seed in ("0", "4242")}
+    assert keys == {" ".join(workload.input_key() for workload in small_suite()) + "\n"}
 
 
 def test_forged_input_row_raises_once_the_trace_is_built(tmp_path):
@@ -419,35 +387,112 @@ def test_forged_input_row_raises_once_the_trace_is_built(tmp_path):
     store.close()
 
 
-def test_a_recipe_only_store_writes_the_input_row_once(tmp_path, assemblies):
-    """A store written before input keys existed resolves by recipe, which
-    assembles the program once and adds the input row; the next run needs
-    no program.  The ``recipe`` stage names the row that answered."""
+def traces_rows(path):
+    conn = sqlite3.connect(path)
+    rows = dict(conn.execute("SELECT recipe, fingerprint FROM traces"))
+    conn.close()
+    return rows
+
+
+def test_a_store_without_input_rows_writes_them_once(tmp_path, simulations):
+    """A store written before input keys named traces holds only rows of an
+    older identity, here one naming a wrong trace: nothing reads them.  The
+    first run simulates once, replays nothing and writes the input row;
+    the next run simulates nothing.  The ``input_key`` stage says whether
+    a row answered."""
     path = str(tmp_path / "store.sqlite")
     store = open_store(path)
     LiquidPlatform(store=store).measure_many(SMALL["frag"](), grid(2))
     store.close()
     conn = sqlite3.connect(path)
     with conn:
-        conn.execute("DELETE FROM traces WHERE recipe LIKE 'input:%'")
+        conn.execute("DELETE FROM traces")
+        conn.execute("INSERT INTO traces (recipe, fingerprint)"
+                     " VALUES ('0123abcd', 'frag:1:0000000000000000')")
     conn.close()
 
     store = open_store(path)
     tracer = enable_tracing()
     try:
-        hits = []
+        runs = []
         for _ in range(2):
-            assemblies.clear()
+            simulations.clear()
             engine = LiquidPlatform(store=store)
             engine.measure_many(SMALL["frag"](), grid(2))
             stats = engine.stats
-            hits.append((len(assemblies), stats.input_hits, stats.input_misses,
-                         stats.recipe_hits, stats.store_writes, stats.cache_simulations))
+            runs.append((len(simulations), stats.input_hits, stats.input_misses,
+                         stats.store_writes, stats.cache_simulations, stats.store_hits))
         stages = [(r.attrs["workload"], r.attrs["hit"])
-                  for r in tracer.records if r.name == "recipe"]
+                  for r in tracer.records if r.name == "input_key"]
     finally:
         disable_tracing()
         store.close()
-    assert hits == [(1, 0, 1, 1, 0, 0), (0, 1, 0, 0, 0, 0)]
-    assert stages == [("frag", "recipe"), ("frag", "input")]
-    assert "recipe" in engine.stats.stage_seconds
+    assert runs == [(1, 0, 1, 0, 0, 2), (0, 1, 0, 0, 0, 2)]
+    assert stages == [("frag", False), ("frag", True)]
+    assert "input_key" in engine.stats.stage_seconds
+    rows = traces_rows(path)
+    assert len(rows) == 2 and rows.pop("0123abcd") == "frag:1:0000000000000000"
+    assert rows == {SMALL["frag"]().input_key(): SMALL["frag"]().fingerprint()}
+
+
+def test_a_warm_store_after_a_source_edit_simulates_each_workload_once(
+        tmp_path, monkeypatch, simulations, assemblies):
+    """A source edit moves every input key, so the first warm run misses each
+    key, simulates each workload once, replays nothing, writes the new
+    input rows and measures exactly what the bare platform measures; the
+    run after it simulates nothing."""
+    path = str(tmp_path / "store.sqlite")
+    configs = grid(4)
+    store = open_store(path)
+    for workload in small_suite():
+        LiquidPlatform(store=store).measure_many(workload, configs)
+    store.close()
+    old_keys = set(traces_rows(path))
+
+    monkeypatch.setattr(workload_base, "CODE_DIGEST", "edited")
+
+    def warm_run():
+        simulations.clear()
+        assemblies.clear()
+        store = open_store(path)
+        engine = LiquidPlatform(store=store)
+        measured = [engine.measure_many(app, configs) for app in small_suite()]
+        store.close()
+        return engine.stats, measured
+
+    stats, measured = warm_run()
+    assert (len(simulations), len(assemblies)) == (4, 4)
+    assert (stats.input_misses, stats.input_hits) == (4, 0)
+    assert stats.cache_simulations == 0 and stats.store_writes == 0
+    assert stats.store_hits == 4 * len(configs)
+    bare = LiquidPlatform()
+    assert measured == [bare.measure_many(app, configs) for app in small_suite()]
+    new_keys = set(traces_rows(path)) - old_keys
+    assert new_keys == {app.input_key() for app in small_suite()}
+
+    stats, _ = warm_run()
+    assert simulations == [] and assemblies == []
+    assert (stats.input_hits, stats.input_misses) == (4, 0)
+    assert stats.cache_simulations == 0
+
+
+def test_audit_counts_a_forged_input_row_and_survives_a_source_edit(
+        tmp_path, monkeypatch):
+    """The audit names each trace by simulating it: an input-key row naming
+    another trace is one mismatch, and after a source edit moves every
+    input key the audit still finds and checks the rows."""
+    path = str(tmp_path / "store.sqlite")
+    store = open_store(path)
+    engine = LiquidPlatform(store=store)
+    engine.measure_many(SMALL["drr"](), grid(3))
+    rows = engine.stats.cache_simulations + 1  # and the summary
+    assert store.audit([SMALL["drr"]()], 1.0) == (rows, 0)
+    store._conn.execute("UPDATE traces SET fingerprint = 'drr:1:0000000000000000'")
+    store._conn.commit()
+    assert store.audit([SMALL["drr"]()], 1.0) == (rows, 1)
+    # an audit of the other workloads finds no rows and no forged row
+    assert store.audit([SMALL["arith"](), SMALL["frag"]()], 1.0) == (0, 0)
+
+    monkeypatch.setattr(workload_base, "CODE_DIGEST", "edited")
+    assert store.audit([SMALL["drr"]()], 1.0) == (rows, 0)
+    store.close()
