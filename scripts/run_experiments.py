@@ -12,7 +12,7 @@ in one broadcast.  Pass ``--store PATH`` (a SQLite file) to persist the
 trace summaries and per-geometry cache statistics every measurement is
 derived from (a full reproduction becomes resumable and shareable across
 runs; ``--audit-store FRACTION`` re-derives a sample of those rows),
-or ``--profile`` to print per-stage wall-clock.  Engine statistics
+or ``--profile`` to print the run record.  Engine statistics
 (dedup hits, store hits, decode groups, wall clock) are printed at the
 end.
 
@@ -41,8 +41,10 @@ replays become campaign rows drained cooperatively with any CLI
 
 Observability: ``--trace out.json`` records nested wall/CPU spans of
 every pipeline stage and writes a Chrome trace-event file loadable in Perfetto
-(``.jsonl`` writes raw span records instead); ``--profile`` adds the
-metrics-registry dump next to the per-stage wall-clock table.
+(``.jsonl`` writes raw span records instead); ``--profile`` prints the
+platform's run record (every ``engine.<count>`` and each
+``stage.<name>``'s call count and seconds), the document ``GET /metrics``
+serves as its ``registry`` section.
 """
 
 from __future__ import annotations
@@ -87,8 +89,9 @@ def parse_args() -> argparse.Namespace:
              "their trace summaries, and exit 1 on any mismatch")
     parser.add_argument(
         "--profile", action="store_true",
-        help="print per-stage wall-clock (trace generation, cache simulation, "
-             "sweep evaluation, solve) from the engine statistics")
+        help="print the run record: every engine count and the call count and "
+             "wall-clock of each stage (trace generation, cache simulation, "
+             "sweep evaluation, solve)")
     parser.add_argument(
         "--trace", metavar="PATH", default=None,
         help="record pipeline spans and write a Chrome trace-event file at "
@@ -224,18 +227,15 @@ def managed_backend(args: argparse.Namespace, *, with_store: bool = True):
             store.close()
 
 
-def print_stage_profile(platform: LiquidPlatform) -> None:
-    """Per-stage wall-clock table of the platform's statistics (``--profile``)."""
-    stages = platform.stats.stage_report()
-    print(f"\n{'#' * 80}\n# Pipeline stage profile\n{'#' * 80}")
-    if not stages:
-        print("no stage timings recorded")
-        return
-    width = max(len(stage) for stage in stages)
-    for stage, seconds in stages.items():
-        print(f"  {stage:<{width}}  {seconds:9.3f}s")
-    print(f"\n{'#' * 80}\n# Metrics registry\n{'#' * 80}")
-    print(platform.stats.registry.render_text())
+def print_run_record(platform: LiquidPlatform) -> None:
+    """The platform's run record as aligned ``name  value`` lines (``--profile``)."""
+    record = platform.stats.record()
+    print(f"\n{'#' * 80}\n# Run record\n{'#' * 80}")
+    width = max(len(name) for name in record)
+    for name, value in record.items():
+        if isinstance(value, dict):
+            value = f"count={value['count']} total={value['total']:.6f}s"
+        print(f"{name:<{width}}  {value}")
 
 
 def export_trace(path: str) -> None:
@@ -354,7 +354,7 @@ def suite_fig2(args: argparse.Namespace) -> None:
         print(result.render())
         print(platform.stats.summary())
         if args.profile:
-            print_stage_profile(platform)
+            print_run_record(platform)
     print(f"\nTotal wall clock: {time.time() - start:.1f}s")
 
 
@@ -412,7 +412,7 @@ def suite_main(args: argparse.Namespace) -> None:
         show(engine_report(platform), "Evaluation engine statistics")
         print(platform.stats.summary())
         if args.profile:
-            print_stage_profile(platform)
+            print_run_record(platform)
     print(f"\nTotal wall clock: {time.time() - start:.1f}s")
 
 

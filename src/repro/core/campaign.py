@@ -37,7 +37,6 @@ from repro.config.leon_space import leon_parameter_space
 from repro.config.parameters import ParameterSpace
 from repro.config.perturbation import PerturbationSpace
 from repro.errors import MeasurementError
-from repro.obs.metrics import get_registry
 from repro.obs.tracer import span
 from repro.platform.liquid import LiquidPlatform
 from repro.platform.measurement import CostDelta, Measurement, MeasurementBatch
@@ -116,8 +115,10 @@ class OneFactorCampaign:
                 if perturbation_space is None:
                     self._plans[key] = plan
             plan_span.set(variables=len(plan[0]), configs=len(plan[1]))
-        get_registry().counter(
-            "campaign.plans_reused" if reused else "campaign.plans_built").inc()
+        if reused:
+            self.platform.stats.plans_reused += 1
+        else:
+            self.platform.stats.plans_built += 1
         return plan
 
     # -- execution -------------------------------------------------------------------------

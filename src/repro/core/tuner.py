@@ -17,7 +17,6 @@ predicted and measured costs and the solver diagnostics.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Optional, Tuple
 
@@ -26,7 +25,6 @@ from repro.config.leon_space import leon_parameter_space
 from repro.config.parameters import ParameterSpace
 from repro.config.rules import require_valid
 from repro.errors import OptimizationError
-from repro.obs.tracer import span
 from repro.platform.liquid import LiquidPlatform
 from repro.platform.measurement import Measurement
 from repro.core.approximations import PredictedCosts, predict_costs, prediction_errors
@@ -156,12 +154,10 @@ class MicroarchTuner:
         recommended configuration (the paper's "actual synthesis" rows).
         """
         model = model or self.build_model(workload, parameters=parameters)
-        with span("solve", workload=workload.name) as solve_span:
-            solve_start = time.perf_counter()
+        with self.platform.stage("solve", workload=workload.name) as solve_span:
             problem = build_problem(
                 model, weights, lut_nonlinear=lut_nonlinear, bram_nonlinear=bram_nonlinear)
             solution = self.solver.solve(problem)
-            self.platform.stats.add_stage("solve", time.perf_counter() - solve_start)
             solve_span.set(variables=problem.variable_count,
                            nodes=solution.nodes_explored, optimal=solution.optimal)
         configuration = require_valid(model.space.apply(solution.selection))

@@ -667,7 +667,6 @@ class CampaignWorker:
                 report.claimed += len(rows)
                 stats.claim_batches += 1
                 stats.claim_rows += len(rows)
-                stats.registry.histogram("campaign.claim_rows").observe(len(rows))
                 self._evaluate(rows)
                 self._beat()
         finally:

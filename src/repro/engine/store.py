@@ -68,7 +68,6 @@ from repro.microarch.cache import CacheConfig, CacheStatistics
 from repro.microarch.cachekernel import KERNEL_VERSION
 from repro.microarch.timing import TimingParameters
 from repro.microarch.trace import TraceFeatures, TraceSummary
-from repro.obs.metrics import get_registry
 from repro.platform.liquid import CacheJob, LiquidPlatform
 from repro.platform.measurement import Measurement
 from repro.workloads.base import Workload
@@ -180,10 +179,11 @@ def busy_retry(
     the race once the timeout expires under heavy multi-worker
     contention.  This wrapper retries exactly those ``database is
     locked``/``busy`` failures (anything else propagates immediately),
-    and reports each conflict through ``on_conflict`` so the platform's
-    claim-contention accounting
-    (:attr:`~repro.obs.metrics.EngineStats.claim_conflicts`) stays
-    truthful.
+    and reports each conflict through ``on_conflict``, its only
+    accounting: the platform counts its store writes' conflicts in
+    :attr:`~repro.obs.metrics.EngineStats.store_conflicts` and a campaign
+    worker its claim transactions' in
+    :attr:`~repro.obs.metrics.EngineStats.claim_conflicts`.
 
     The delays use *decorrelated jitter* rather than pure exponential
     backoff: each one is drawn uniformly from ``[base_delay, 3 * the
@@ -202,7 +202,6 @@ def busy_retry(
             message = str(exc).lower()
             if "locked" not in message and "busy" not in message:
                 raise
-            get_registry().counter("store.lock_conflicts").inc()
             if on_conflict is not None:
                 on_conflict()
             if attempt == attempts - 1:
@@ -378,6 +377,7 @@ class ResultStore:
         *,
         summary: Optional[TraceSummary] = None,
         input_key: Optional[str] = None,
+        on_conflict: Optional[Callable[[], None]] = None,
     ) -> int:
         """Persist one batch's new rows in one transaction.
 
@@ -386,7 +386,8 @@ class ResultStore:
         ``input_key`` to ``fingerprint``.  Rows
         already present are kept (``INSERT OR IGNORE``: every row is a
         deterministic result, so racing writers agree).  Returns the
-        number of summary and cache rows inserted.
+        number of rows inserted (summary, cache and input-key rows);
+        ``on_conflict`` is called for every lock conflict retried.
         """
         cache_rows = [
             (KERNEL_VERSION, fingerprint, kind, geometry.ways, geometry.setsize_kb,
@@ -399,9 +400,9 @@ class ResultStore:
             with self._conn:
                 written = 0
                 if input_key is not None:
-                    self._conn.execute(
+                    written += self._conn.execute(
                         "INSERT OR IGNORE INTO traces (recipe, fingerprint) VALUES (?, ?)",
-                        (input_key, fingerprint))
+                        (input_key, fingerprint)).rowcount
                 if summary is not None:
                     written += self._conn.execute(
                         f"INSERT OR IGNORE INTO summaries (kernel, fingerprint,"
@@ -417,7 +418,7 @@ class ResultStore:
 
         # campaign workers on other hosts write the same file concurrently;
         # residual lock timeouts are retried instead of dropping the rows
-        return busy_retry(transact)
+        return busy_retry(transact, on_conflict=on_conflict)
 
     # -- measurements ----------------------------------------------------------------------
 
@@ -495,9 +496,7 @@ class ResultStore:
         the stored summary is compared with the recomputed one.  An
         input-key row naming another trace counts as one mismatch.
         Returns ``(audited, mismatches)``, where ``audited`` counts the
-        summary and cache rows re-derived, and counts both as
-        ``store.audits`` and ``store.audit_mismatches`` in the process
-        metrics registry.
+        summary and cache rows re-derived.
         """
         platform = LiquidPlatform()
         audited = mismatches = 0
@@ -517,9 +516,6 @@ class ResultStore:
             replayed = platform.simulate_cache_jobs(workload, sample)
             audited += len(sample)
             mismatches += sum(replayed[job] != runs[job] for job in sample)
-        registry = get_registry()
-        registry.counter("store.audits").inc(audited)
-        registry.counter("store.audit_mismatches").inc(mismatches)
         return audited, mismatches
 
 

@@ -55,7 +55,6 @@ from repro.config.leon_space import Replacement
 from repro.errors import ConfigurationError
 from repro.microarch import native
 from repro.microarch.cache import CacheConfig, CacheStatistics
-from repro.obs.metrics import get_registry
 from repro.obs.tracer import span
 
 __all__ = ["KERNEL_VERSION", "ColumnarTrace", "decode_trace", "simulate_many"]
@@ -121,7 +120,6 @@ class ColumnarTrace:
                 self.event_line, self.event_first_read, self.event_last_pos,
                 self.event_writes_before_read, self.accesses, lines_per_way))
             self._set_views[lines_per_way] = view
-            get_registry().counter("replay.set_views_built").inc()
         return view
 
     @property
@@ -218,7 +216,6 @@ def simulate_many(
                 view.set_view(lines_per_way).columns, view.accesses, lines_per_way,
                 [(configs[p].ways, _POLICY_CODES[configs[p].replacement],
                   _cold_victims(configs[p], view.accesses)) for p in positions])
-            get_registry().counter("replay.native_calls").inc()
             for position, (read_misses, write_misses) in zip(positions, misses):
                 results[position] = CacheStatistics(
                     accesses=view.accesses,

@@ -51,7 +51,6 @@ from repro.isa.registers import REGISTER_SLOTS, RegisterFile, register_number
 from repro.microarch import native
 from repro.microarch.memory import Memory
 from repro.microarch.trace import ExecutionTrace, TraceFeatures
-from repro.obs.metrics import get_registry
 from repro.obs.tracer import span
 
 __all__ = ["SIMULATOR_VERSION", "FunctionalSimulator", "SimulationResult"]
@@ -235,7 +234,6 @@ class FunctionalSimulator:
                 instruction_count=count, class_counts=run.class_counts[:len(OpClass)],
                 load_use_hazards=state["LOAD_USES"], cc_branch_hazards=state["CC_BRANCHES"]))
             sim_span.set(instructions=count)
-            get_registry().counter("functional_sim.instructions").inc(count)
 
         return SimulationResult(
             trace=trace,

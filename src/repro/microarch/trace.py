@@ -134,7 +134,7 @@ class ExecutionTrace:
         return len(self)
 
     def class_counts(self) -> Dict[OpClass, int]:
-        """Histogram of executed instructions per timing class."""
+        """Executed instructions counted per timing class."""
         counts = self.features().class_counts
         return {op_class: int(counts[op_class.value]) for op_class in OpClass}
 

@@ -1,4 +1,4 @@
-"""Zero-dependency telemetry: span tracer, metrics registry, dashboard.
+"""Zero-dependency telemetry: span tracer, run record, dashboard.
 
 The observability layer of the evaluation stack, threaded through the
 engine, kernel, store and campaign modules:
@@ -6,27 +6,19 @@ engine, kernel, store and campaign modules:
 * :mod:`repro.obs.tracer` -- nested wall/CPU spans with structured
   attributes, exported as Chrome trace-event JSON (Perfetto-loadable)
   or JSONL;
-* :mod:`repro.obs.metrics` -- counters/gauges/histograms behind one
-  mergeable registry; :class:`~repro.obs.metrics.EngineStats`, the
-  platform's work accounting, is a typed view over it;
+* :mod:`repro.obs.metrics` -- :class:`~repro.obs.metrics.EngineStats`,
+  the platform's run record: every count and stage time of a run, and
+  the one flat view of them that ``--profile`` and ``GET /metrics`` read;
 * :mod:`repro.obs.dashboard` -- the live ``--status --watch`` view of a
   draining campaign grid, built from grid rows and worker heartbeats in
   the campaign's own SQLite file.
 
 Everything is stdlib-only and safe to leave always-on: with tracing
-disabled (the default) a span costs one attribute check, and metrics
-are plain dict lookups.
+disabled (the default) a span costs one attribute check, and a count
+is one attribute increment.
 """
 
-from repro.obs.metrics import (
-    Counter,
-    EngineStats,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-    set_registry,
-)
+from repro.obs.metrics import EngineStats
 from repro.obs.tracer import (
     SpanRecord,
     Tracer,
@@ -40,13 +32,7 @@ from repro.obs.tracer import (
 )
 
 __all__ = [
-    "Counter",
     "EngineStats",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "get_registry",
-    "set_registry",
     "SpanRecord",
     "Tracer",
     "disable_tracing",

@@ -83,7 +83,7 @@ from repro.microarch.cache import CacheConfig, CacheStatistics
 from repro.microarch.cachekernel import simulate_many
 from repro.microarch.timing import TIMING_COLUMNS, TimingParameters, evaluate_many
 from repro.microarch.trace import TraceSummary
-from repro.obs.metrics import EngineStats, get_registry
+from repro.obs.metrics import EngineStats
 from repro.obs.tracer import span
 from repro.platform.measurement import Measurement, MeasurementBatch
 from repro.workloads.base import Workload
@@ -373,7 +373,7 @@ class LiquidPlatform:
         self._resolve(workload)
         plan = self.cache_plan(workload, columns)
         self.provide(workload, plan.jobs())
-        with self._stage("sweep_evaluate", configs=len(columns)):
+        with self.stage("sweep_evaluate", configs=len(columns)):
             batch = self.assemble(workload, columns, resources, plan)
 
         stats.wall_seconds += time.perf_counter() - start
@@ -404,7 +404,7 @@ class LiquidPlatform:
             pending = self.pending_jobs(pending)
         if pending or not self.has_summary(workload):
             self._simulate(workload)
-        with self._stage("cache_simulation", workload=workload.name) as stage:
+        with self.stage("cache_simulation", workload=workload.name) as stage:
             stage.set(jobs=len(pending))
             if pending:
                 stats.cache_simulations += len(pending)
@@ -412,7 +412,6 @@ class LiquidPlatform:
                 self.install_cache_runs(self.simulate_cache_jobs(workload, pending))
         if self.store is not None:
             self._write(workload, summary_unstored, unstored)
-        self._merge_host_metrics()
 
     def assemble(
         self,
@@ -488,7 +487,7 @@ class LiquidPlatform:
             return
         key = None if self.store is None else workload.input_key()
         if key is not None:
-            with self._stage("input_key", workload=workload.name) as stage:
+            with self.stage("input_key", workload=workload.name) as stage:
                 fingerprint = self.store.trace_fingerprint(key)
                 stage.set(hit=fingerprint is not None)
             if fingerprint is not None:
@@ -511,7 +510,7 @@ class LiquidPlatform:
         before the platform's store held them).
         """
         fingerprint = workload.fingerprint()
-        with self._stage("store_io", workload=workload.name) as stage:
+        with self.stage("store_io", workload=workload.name) as stage:
             summary, runs = self.store.load(fingerprint)
             stage.set(rows_read=len(runs) + (summary is not None), rows_written=0)
         if summary is not None:
@@ -527,33 +526,37 @@ class LiquidPlatform:
         input_key = self._identities.get(fingerprint)
         if not unstored and not summary_unstored and input_key is None:
             return
-        with self._stage("store_io", workload=workload.name) as stage:
+        with self.stage("store_io", workload=workload.name) as stage:
             written = self.store.write(
                 fingerprint, {job: self._cache_runs[job] for job in unstored},
                 summary=self.summary(workload) if summary_unstored else None,
-                input_key=input_key)
+                input_key=input_key, on_conflict=self._count_conflict)
             stage.set(rows_read=0, rows_written=written)
         self._identities.pop(fingerprint, None)
         self.stats.store_writes += written
+
+    def _count_conflict(self) -> None:
+        self.stats.store_conflicts += 1
 
     def _simulate(self, workload: Workload) -> None:
         """Run the functional simulator if the workload lacks a trace.
 
         The ``trace_generation`` stage opens only when it does, tagged
         with the workload's name, so a batch served entirely by input-key
-        rows and store hits reports no trace-generation time at all.
+        rows and store hits reports no trace-generation time at all; the
+        instructions the trace executed count into ``stats.instructions``.
         """
         if not workload.has_trace():
-            with self._stage("trace_generation", workload=workload.name):
-                workload.trace()
+            with self.stage("trace_generation", workload=workload.name):
+                self.stats.instructions += workload.trace().instruction_count
 
     @contextmanager
-    def _stage(self, name: str, **attrs):
+    def stage(self, name: str, **attrs):
         """Time one pipeline stage: a span plus the ``stage_seconds`` sum.
 
-        The span and the accumulated stage share one clock read, so the
+        The span and the accumulated stage share one timed region, so the
         span tree of a traced run reconciles with ``stats.stage_seconds``
-        exactly (a property the observability tests assert).
+        (a property the observability tests assert).
         """
         with span(name, **attrs) as opened:
             start = time.perf_counter()
@@ -561,20 +564,6 @@ class LiquidPlatform:
                 yield opened
             finally:
                 self.stats.add_stage(name, time.perf_counter() - start)
-
-    def _merge_host_metrics(self) -> None:
-        """Fold the process-global metrics into this platform's registry.
-
-        Library layers without a platform reference (store lock retries,
-        replay and simulator counters) count into the process registry;
-        draining it at the end of :meth:`provide`, after the last of them
-        a batch runs, parents those metrics under
-        :attr:`EngineStats.registry <repro.obs.metrics.EngineStats.registry>`
-        without double counting across batches or platforms.
-        """
-        deltas = get_registry().drain()
-        if deltas:
-            self.stats.registry.merge(deltas)
 
     def effort(self) -> Dict[str, int]:
         """Distinct builds and runs performed so far (scalability accounting)."""

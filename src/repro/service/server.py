@@ -13,8 +13,9 @@ routes onto it:
 * ``GET /jobs`` and ``GET /jobs/<id>`` -- job status with incremental
   results: a long sweep streams its finished batches before the job is
   done.
-* ``GET /metrics`` -- engine statistics, the full metrics registry and
-  job counts in one JSON document.
+* ``GET /metrics`` -- engine statistics, the platform's flat run record
+  (:meth:`EngineStats.record <repro.obs.metrics.EngineStats.record>`),
+  job counts and the store size in one JSON document.
 * ``GET /healthz`` -- liveness.
 
 Repeat traffic is the point: the service keeps ONE
@@ -274,7 +275,7 @@ class TuningService:
         stats = self.platform.stats
         return {
             "engine": stats.as_dict(),
-            "registry": stats.registry.snapshot(),
+            "registry": stats.record(),
             "jobs": self.jobs.counts(),
             "store": {"records": len(self.store)},
         }

@@ -25,8 +25,7 @@ from repro.errors import ReplayKernelError
 from repro.microarch import cachekernel, native
 from repro.microarch.cache import CacheConfig
 from repro.microarch.cachekernel import decode_trace, simulate_many
-from repro.obs import (MetricsRegistry, disable_tracing, enable_tracing, get_registry,
-                       set_registry)
+from repro.obs import disable_tracing, enable_tracing
 
 LINES_PER_WAY = (1, 2, 3, 7, 64, 2048)
 
@@ -122,24 +121,18 @@ def test_a_cold_batch_makes_one_native_call_per_set_count(monkeypatch):
                            replacement=replacement)
                for size in (1, 2, 4) for ways in (1, 2, 4)
                for replacement in (Replacement.LRR, Replacement.LRU, Replacement.RANDOM)]
-    previous = get_registry()
-    registry = set_registry(MetricsRegistry())
     tracer = enable_tracing()
     try:
         assert simulate_many(view, configs) == [
             reference_replay(view, c, cold_state(c)) for c in configs]
     finally:
         disable_tracing()
-        set_registry(previous)
     # the batch: one call per set count; the per-config replays are the oracle's
     assert sorted(calls) == [(64, 9), (128, 9), (256, 9)]
     [span] = [r for r in tracer.records if r.name == "replay"]
     assert span.attrs["native_calls"] == 3
     assert span.attrs["configs"] == len(configs) == 27
     assert span.attrs["set_views_built"] == 3
-    snapshot = registry.snapshot()
-    assert snapshot["replay.native_calls"] == 3
-    assert snapshot["replay.set_views_built"] == 3
 
 
 # -- the process-wide cold victim memo ---------------------------------------------------

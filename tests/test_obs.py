@@ -1,10 +1,10 @@
-"""The unified telemetry layer: tracer, metrics registry, dashboard.
+"""The unified telemetry layer: tracer, run record, dashboard.
 
 These tests pin the observability contracts: spans nest and record
 correct depth/attrs, disabled tracing is a true no-op, exports are
-schema-valid Chrome traces with labelled process lanes, the typed :class:`EngineStats`
-view can never drift from its backing registry (snapshot keys ==
-dataclass fields), stage spans reconcile with ``stage_seconds``,
+schema-valid Chrome traces with labelled process lanes, the flat run
+record of :class:`EngineStats` names every dataclass field, stage spans
+reconcile with ``stage_seconds``,
 campaign workers persist heartbeat rows that the dashboard ages into
 ``STALE`` flags, and the CLI's ``--status --json`` / ``--status
 --watch`` surfaces terminate cleanly without disturbing the plain
@@ -26,12 +26,9 @@ from repro.core.tuner import MicroarchTuner
 from repro.engine import CampaignGrid, CampaignWorker, open_store
 from repro.obs import (
     EngineStats,
-    MetricsRegistry,
     disable_tracing,
     enable_tracing,
-    get_registry,
     get_tracer,
-    set_registry,
     span,
     tracing_enabled,
     validate_chrome_trace,
@@ -44,12 +41,10 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.fixture(autouse=True)
 def _clean_telemetry():
-    """Every test starts and ends with fresh process-global telemetry."""
+    """Every test starts and ends with tracing off."""
     disable_tracing()
-    set_registry(MetricsRegistry())
     yield
     disable_tracing()
-    set_registry(MetricsRegistry())
 
 
 def grid_configs(base_config, count=6):
@@ -159,97 +154,36 @@ class TestTracer:
             validate_chrome_trace(str(path))
 
 
-# -- metrics registry ----------------------------------------------------------------------
-
-
-class TestMetrics:
-    def test_counter_gauge_histogram_snapshot(self):
-        registry = MetricsRegistry()
-        registry.counter("hits").inc()
-        registry.counter("hits").inc(2)
-        registry.gauge("depth").set(7)
-        registry.histogram("bytes").observe(10)
-        registry.histogram("bytes").observe(30)
-        snap = registry.snapshot()
-        assert snap["hits"] == 3
-        assert snap["depth"] == 7
-        assert snap["bytes"]["count"] == 2
-        assert snap["bytes"]["total"] == 40
-        assert snap["bytes"]["min"] == 10
-        assert snap["bytes"]["max"] == 30
-
-    def test_kind_mismatch_is_an_error(self):
-        registry = MetricsRegistry()
-        registry.counter("m")
-        with pytest.raises(TypeError):
-            registry.gauge("m")
-
-    def test_drain_resets_counters_and_histograms_keeps_gauges(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc(4)
-        registry.counter("zero")  # never incremented: not shipped
-        registry.gauge("g").set(2)
-        registry.histogram("h").observe(1.5)
-        deltas = registry.drain()
-        assert set(deltas) == {"c", "g", "h"}
-        # counters/histograms reset so the next drain ships only new work
-        assert registry.snapshot()["c"] == 0
-        assert registry.snapshot()["h"]["count"] == 0
-        assert registry.snapshot()["g"] == 2
-        assert registry.drain().keys() == {"g"}
-
-    def test_merge_folds_deltas_by_kind(self):
-        home, away = MetricsRegistry(), MetricsRegistry()
-        home.counter("c").inc(1)
-        home.histogram("h").observe(5)
-        away.counter("c").inc(2)
-        away.gauge("g").set(9)
-        away.histogram("h").observe(3)
-        home.merge(away.drain())
-        snap = home.snapshot()
-        assert snap["c"] == 3
-        assert snap["g"] == 9
-        assert snap["h"]["count"] == 2
-        assert snap["h"]["min"] == 3
-        assert snap["h"]["max"] == 5
-
-    def test_render_text_lists_every_metric(self):
-        registry = MetricsRegistry()
-        registry.counter("runs").inc()
-        registry.histogram("size").observe(4)
-        text = registry.render_text()
-        assert "runs" in text and "size" in text and "count=1" in text
-
-
-# -- EngineStats as a typed view over the registry -----------------------------------------
+# -- the run record --------------------------------------------------------------------
 
 
 class TestEngineStatsRegistry:
+    """:class:`EngineStats` is the run's one registry of counts: a plain
+    dataclass and the flat record built from it."""
+
     def test_snapshot_keys_match_dataclass_fields(self):
-        """The satellite drift guard: the two surfaces cannot disagree."""
+        """The drift guard: ``as_dict`` and the flat record name exactly the
+        scalar fields, and a record with no stage run holds nothing else."""
         stats = EngineStats()
-        expected = {f.name for f in fields(EngineStats)} - {"registry"}
-        assert set(stats.snapshot()) == expected
+        scalars = {f.name for f in fields(EngineStats)} - {"stage_seconds", "stage_calls"}
+        assert set(stats.as_dict()) == scalars
+        record = stats.record()
+        assert {name for name in record if name.startswith("engine.")} == {
+            f"engine.{name}" for name in scalars}
+        assert not [name for name in record if not name.startswith("engine.")]
 
-    def test_assignment_writes_through_to_gauges(self):
-        stats = EngineStats()
-        stats.requested = 17
-        assert stats.registry.snapshot()["engine.requested"] == 17
-        assert stats.snapshot()["requested"] == 17
-
-    def test_add_stage_feeds_sums_and_histograms(self):
+    def test_add_stage_feeds_sums_and_counts(self):
         stats = EngineStats()
         stats.add_stage("decode", 0.5)
         stats.add_stage("decode", 0.25)
         assert stats.stage_seconds["decode"] == pytest.approx(0.75)
-        assert stats.snapshot()["stage_seconds"]["decode"] == pytest.approx(0.75)
-        histogram = stats.registry.snapshot()["stage.decode"]
-        assert histogram["count"] == 2
-        assert histogram["total"] == pytest.approx(0.75)
+        assert stats.stage_calls["decode"] == 2
+        stage = stats.record()["stage.decode"]
+        assert stage == {"count": 2, "total": pytest.approx(0.75)}
 
     def test_as_dict_stays_scalar(self):
         row = EngineStats().as_dict()
-        assert "stage_seconds" not in row
+        assert "stage_seconds" not in row and "stage_calls" not in row
         assert all(not isinstance(v, dict) for v in row.values())
 
 
@@ -277,6 +211,24 @@ class TestSpanTreeTiming:
             # closes a hair later, so it may only exceed by bookkeeping
             assert spans[stage] >= stats.stage_seconds[stage]
             assert spans[stage] - stats.stage_seconds[stage] < 0.05
+
+    def test_tuner_solve_reconciles_with_stage_seconds(self, fresh_arith):
+        """The tuner times its solve through the platform's stage, so the
+        ``solve`` span and ``stage_seconds["solve"]`` time one region."""
+        from repro import RUNTIME_OPTIMIZATION
+        from repro.analysis import DCACHE_STUDY_PARAMETERS
+
+        tracer = enable_tracing()
+        platform = LiquidPlatform()
+        MicroarchTuner(platform).tune(
+            fresh_arith, RUNTIME_OPTIMIZATION,
+            parameters=DCACHE_STUDY_PARAMETERS, verify=False)
+        stats = platform.stats
+        [solve] = [r for r in tracer.records if r.name == "solve"]
+        assert stats.stage_calls["solve"] == 1
+        assert solve.wall >= stats.stage_seconds["solve"]
+        assert solve.wall - stats.stage_seconds["solve"] < 0.05
+        assert stats.record()["stage.solve"]["count"] == 1
 
     def test_pipeline_spans_name_what_they_time(self, base_config, fresh_arith):
         """functional_sim carries the workload and its size; solve is the
@@ -342,42 +294,38 @@ class TestSpanTreeTiming:
                    for r in by_name[name])
 
     def test_setup_counts_show_whether_setup_was_paid(self, base_config, fresh_arith):
-        """functional_sim says how many instructions it ran, replay how many
-        set views it built and native calls it made, and the engine
-        registry (``--profile``, ``GET /metrics``) sums both."""
+        """functional_sim says how many instructions it ran, and
+        ``stats.instructions`` (``--profile``, ``GET /metrics``) sums them;
+        replay says how many set views it built and native calls it made."""
         tracer = enable_tracing()
         platform = LiquidPlatform()
         platform.measure_many(fresh_arith, grid_configs(base_config))
-        registry = platform.stats.registry.snapshot()
         [simulation] = [r for r in tracer.records if r.name == "functional_sim"]
         replays = [r for r in tracer.records if r.name == "replay"]
         assert simulation.attrs["instructions"] == fresh_arith.trace().instruction_count > 0
         assert replays and all(r.attrs["native_calls"] >= 1 for r in replays)
         assert all(0 <= r.attrs["set_views_built"] <= r.attrs["native_calls"]
                    for r in replays)
-        for name, key in (("functional_sim", "instructions"),
-                          ("replay", "set_views_built"), ("replay", "native_calls")):
-            spans = [r for r in tracer.records if r.name == name]
-            # a counter that stayed at zero is not drained into the engine
-            assert registry.get(f"{name}.{key}", 0) == sum(r.attrs[key] for r in spans), key
+        # the one functional_sim span is the sum over every simulation
+        assert platform.stats.instructions == simulation.attrs["instructions"]
+        assert platform.stats.record()["engine.instructions"] == platform.stats.instructions
 
 
     def test_campaign_plan_says_whether_it_was_reused(self, arith_small):
         """A tuner plans once per restriction; the ``campaign_plan`` span
-        and the ``campaign.plans_*`` counters (``--profile``,
+        and ``stats.plans_built``/``plans_reused`` (``--profile``,
         ``GET /metrics``) show which runs reused the plan."""
         tracer = enable_tracing()
         platform = LiquidPlatform()
         tuner = MicroarchTuner(platform)
         for _ in range(3):
             model = tuner.build_model(arith_small, parameters=("dcache_sets",))
-        registry = platform.stats.registry.snapshot()
         plans = [r for r in tracer.records if r.name == "campaign_plan"]
         assert [r.attrs["reused"] for r in plans] == [False, True, True]
         assert all(r.attrs["variables"] == len(model.measurements) for r in plans)
         assert all(r.attrs["configs"] == len(model.measurements) + 1 for r in plans)
-        assert registry["campaign.plans_built"] == 1
-        assert registry["campaign.plans_reused"] == 2
+        assert platform.stats.plans_built == 1
+        assert platform.stats.plans_reused == 2
 
 
 # -- campaign heartbeats and the dashboard -------------------------------------------------

@@ -147,8 +147,9 @@ class TestServiceJobs:
             assert first["status"] == "done"
             assert first["done"] == first["total"] == len(payload["configs"])
             before = service.metrics()["engine"]
-            # one row per replayed geometry plus the trace summary
-            assert before["store_writes"] == before["cache_simulations"] + 1
+            # one row per replayed geometry plus the trace summary and the
+            # workload's input-key row
+            assert before["store_writes"] == before["cache_simulations"] + 2
             second = wait_for(service, service.submit_sweep(payload).id)
             # zero new evaluations: the resident memo/store layers
             # answered the whole job (nothing simulated, nothing written)
@@ -208,8 +209,8 @@ class TestServiceJobs:
             done = [wait_for(service, job.id, timeout=300.0) for job in jobs]
             registry = service.metrics()["registry"]
             workload = service.workloads["arith"]
-        assert registry["campaign.plans_built"] == 1
-        assert registry["campaign.plans_reused"] >= 1
+        assert registry["engine.plans_built"] == 1
+        assert registry["engine.plans_reused"] >= 1
         for snapshot, weights in zip(done, presets.values()):
             assert snapshot["status"] == "done", snapshot.get("error")
             (record,) = snapshot["results"]
@@ -277,11 +278,21 @@ class TestServiceHttp:
             json.dumps(again["results"], sort_keys=True)
         assert any(job["id"] == done["id"] for job in client.jobs())
 
-    def test_metrics_document_has_every_section(self, live_service):
+    def test_metrics_document_has_every_section(
+            self, live_service, base_config, small_workload_map):
+        """The sections and the fields the service benchmark reads: after one
+        sweep, the ``sweep_evaluate`` stage's count and total and the
+        engine's request count."""
         _, client = live_service
+        payload = sweep_payload(small_workload_map["arith"], base_config)
+        client.wait(client.submit_sweep(payload["workload"], configs=payload["configs"])["id"],
+                    timeout=120.0)
         metrics = client.metrics()
         assert set(metrics) == {"engine", "registry", "jobs", "store"}
         assert "engine.requested" in metrics["registry"]
+        stage = metrics["registry"]["stage.sweep_evaluate"]
+        assert stage["count"] >= 1 and stage["total"] > 0
+        assert metrics["engine"]["requested"] > 0
 
     def test_unbuildable_sweep_is_refused_at_submit(
             self, live_service, base_config, small_workload_map):

@@ -139,8 +139,7 @@ def test_warm_store_tunes_without_simulating(tmp_path, filename, simulations, as
     assert stats.store_hits == stats.requested - stats.dedup_hits
     assert "trace_generation" not in stats.stage_seconds
     assert not [r for r in tracer.records if r.name == "trace_generation"]
-    snapshot = stats.registry.snapshot()
-    assert snapshot["engine.input_hits"] == 4
+    assert stats.record()["engine.input_hits"] == 4
 
 
 @pytest.mark.parametrize("name", sorted(SMALL))
@@ -397,8 +396,8 @@ def traces_rows(path):
 def test_a_store_without_input_rows_writes_them_once(tmp_path, simulations):
     """A store written before input keys named traces holds only rows of an
     older identity, here one naming a wrong trace: nothing reads them.  The
-    first run simulates once, replays nothing and writes the input row;
-    the next run simulates nothing.  The ``input_key`` stage says whether
+    first run simulates once, replays nothing and writes the input row (its
+    one store write); the next run simulates nothing and writes nothing.  The ``input_key`` stage says whether
     a row answered."""
     path = str(tmp_path / "store.sqlite")
     store = open_store(path)
@@ -427,7 +426,7 @@ def test_a_store_without_input_rows_writes_them_once(tmp_path, simulations):
     finally:
         disable_tracing()
         store.close()
-    assert runs == [(1, 0, 1, 0, 0, 2), (0, 1, 0, 0, 0, 2)]
+    assert runs == [(1, 0, 1, 1, 0, 2), (0, 1, 0, 0, 0, 2)]
     assert stages == [("frag", False), ("frag", True)]
     assert "input_key" in engine.stats.stage_seconds
     rows = traces_rows(path)
@@ -463,7 +462,8 @@ def test_a_warm_store_after_a_source_edit_simulates_each_workload_once(
     stats, measured = warm_run()
     assert (len(simulations), len(assemblies)) == (4, 4)
     assert (stats.input_misses, stats.input_hits) == (4, 0)
-    assert stats.cache_simulations == 0 and stats.store_writes == 0
+    # the only rows written are the four new input-key rows
+    assert stats.cache_simulations == 0 and stats.store_writes == 4
     assert stats.store_hits == 4 * len(configs)
     bare = LiquidPlatform()
     assert measured == [bare.measure_many(app, configs) for app in small_suite()]
