@@ -45,6 +45,12 @@ class CacheConfig:
             raise ConfigurationError("cache way size must be at least 1 KB")
         if self.linesize_words < 1:
             raise ConfigurationError("cache line must contain at least one word")
+        # the replay kernel maps lines to sets by mask and shift
+        if self.setsize_kb & (self.setsize_kb - 1) or self.linesize_words & (
+                self.linesize_words - 1):
+            raise ConfigurationError(
+                f"cache way and line sizes must be powers of two, got "
+                f"{self.setsize_kb} KB and {self.linesize_words} words")
         if self.replacement not in Replacement.ALL:
             raise ConfigurationError(f"unknown replacement policy {self.replacement!r}")
         # Note: LEON restricts LRR to 2-way and LRU to multi-way caches.  That

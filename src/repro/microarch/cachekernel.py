@@ -2,46 +2,46 @@
 
 Every cache statistic the platform measures comes from this module,
 replayed over :meth:`ExecutionTrace.columnar_view
-<repro.microarch.trace.ExecutionTrace.columnar_view>`.  It splits
-trace-driven cache simulation into two stages with very different
-sharing profiles:
+<repro.microarch.trace.ExecutionTrace.columnar_view>`.  A cache sees a
+trace as per-set streams of *chains*: maximal sequences of consecutive
+accesses to one line within one set.  Between a chain's accesses no other
+line of its set is touched, so the line's presence cannot change except
+at the chain's first read (write misses do not allocate in the LEON2
+write-through, no-write-allocate data cache), and a chain is fully
+described by four numbers: its line, the position of its first read, its
+last position and the writes before that read.  A *set view* holds them
+as four int64 rows, sets ascending (a chain's set is ``line & (sets -
+1)``), each set's chains in trace order.
 
-* **Decode** (:func:`decode_trace`) is a property of the *trace and the
-  line size only*: byte addresses become cache-line numbers, and maximal
-  runs of consecutive accesses to the same line are compressed into one
-  *event* each.  Within such a run the line's presence cannot change
-  except at the run's first read (write misses do not allocate in the
-  LEON2 write-through, no-write-allocate data cache), so an event fully
-  describes the run with its line number, the position of its first
-  read, the number of leading writes and its last access position.  A
-  decoded :class:`ColumnarTrace` is therefore shared by *every* cache
-  geometry and replacement policy with that line size -- the paper's
-  exhaustive dcache sweep decodes each workload trace twice (one per
-  line size) instead of once per configuration.
+* **Decode** (:func:`decode_trace`) depends on the *trace and the line
+  size only*: the accesses are grouped into the set view at
+  :func:`floor_sets`, the sets of a 1 KB way, the smallest
+  :class:`~repro.microarch.cache.CacheConfig` allows.  A decoded
+  :class:`ColumnarTrace` serves *every* geometry and policy with that
+  line size.
+* **Derivation** (:meth:`ColumnarTrace.set_view`): every set count is a
+  power-of-two multiple of the floor, and its view is the floor view
+  grouped again by the wider mask (each new set's chains come from one
+  floor set, in trace order, and consecutive same-line chains merge by
+  the rule that made them).  Derived views are cached on the view.
+* **Replay** (:func:`simulate_many`) turns the chains into cold-cache
+  statistics with one compiled loop (LRU / LRR(FIFO) / RANDOM, any
+  associativity): one native call per batch, whatever its set counts.
 
-* **Replay** (:func:`simulate_many`) turns the surviving potential-miss
-  events into hit/miss statistics for concrete geometries, each from a
-  cold cache.  Events are grouped by set once per set count
-  (:meth:`ColumnarTrace.set_view`), then one compiled C loop walks them
-  with LRU / LRR(FIFO) / RANDOM victim selection, for every
-  associativity, direct mapped included.  A batch replays every
-  geometry of one set count in one native call.
-
-Decode, grouping and replay all run in the C library of
-:mod:`repro.microarch.native`; this module plans the calls.  Three
-things are cached, none of which can go stale: a trace's decoded views
-(per line size, on the :class:`~repro.microarch.trace.ExecutionTrace`,
-which is immutable), each view's set views (per set count, on the
-frozen :class:`ColumnarTrace`, each array exactly one entry per chain),
-and the cold RANDOM victim streams (:data:`_COLD_VICTIMS`, one per
-(seed, ways), a pure function of the two).
+Decode, grouping and replay run in the C library of
+:mod:`repro.microarch.native`; this module plans the calls.  What it
+caches cannot go stale: the decoded views (per line size, on the
+immutable :class:`~repro.microarch.trace.ExecutionTrace`), their set
+views (per set count, on the frozen :class:`ColumnarTrace`, exactly one
+entry per chain) and the cold RANDOM victim streams
+(:data:`_COLD_VICTIMS`, a pure function of (seed, ways)).
 
 The replay is bit-identical to the two scalar oracles in
 ``tests/reference_replay.py``, the per-access loop and the per-event
-loop the C source was ported from: statistics and the seeded RANDOM
-stream (victims are pre-drawn positionally, one per *access*, exactly
-like the reference) match, which ``tests/test_crossconfig_replay.py``
-property-tests for every policy and associativity.
+loop the C source was ported from (which groups with its own NumPy
+decode and set grouping): statistics and the seeded RANDOM stream
+(pre-drawn positionally, one victim per *access*, like the reference)
+match, which ``tests/test_crossconfig_replay.py`` property-tests.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.config.leon_space import Replacement
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReplayKernelError
 from repro.microarch import native
 from repro.microarch.cache import CacheConfig, CacheStatistics
 from repro.obs.tracer import span
@@ -74,14 +74,20 @@ _POLICY_CODES = {Replacement.LRU: native.POLICY_LRU,
                  Replacement.RANDOM: native.POLICY_RANDOM}
 
 
+def floor_sets(linesize_bytes: int) -> int:
+    """Sets of a 1 KB way of ``linesize_bytes`` lines: the set count of a decoded view."""
+    return max(1, 1024 // linesize_bytes)
+
+
 @dataclass(frozen=True)
 class ColumnarTrace:
-    """Run-compressed columnar view of one address trace at one line size.
+    """Decoded view of one address trace at one line size: its set views.
 
-    One *event* per maximal run of consecutive same-line accesses.  The
-    positions stored per event index into the original access stream, so
-    tick accounting and the positional RANDOM victim stream of the
-    scalar reference are reproducible without the uncompressed arrays.
+    Built at :func:`floor_sets` sets by :func:`decode_trace`; every
+    other set count is derived from it on first use.  The positions a
+    chain stores index into the original access stream, so tick
+    accounting and the positional RANDOM victim stream of the scalar
+    reference are reproducible without the uncompressed arrays.
     """
 
     #: Line size the addresses were decoded against.
@@ -90,42 +96,36 @@ class ColumnarTrace:
     accesses: int
     #: Number of writes in the original access stream.
     write_accesses: int
-    #: Cache-line number of each event's run.
-    event_line: np.ndarray
-    #: Original position of the run's first read; ``accesses`` when the run has none.
-    event_first_read: np.ndarray
-    #: Original position of the run's last access.
-    event_last_pos: np.ndarray
-    #: Number of writes preceding the run's first read (the whole run if no read).
-    event_writes_before_read: np.ndarray
+    #: The set view at :func:`floor_sets` sets: ``(4, chains)`` int64 rows.
+    floor: np.ndarray = field(repr=False)
     #: Name of the workload the trace came from (span attribute only).
     workload: str = field(default="", compare=False)
-    #: Cached per-set potential-miss views, keyed by ``lines_per_way``.
-    _set_views: Dict[int, "_SetView"] = field(
+    #: Set views by set count, the floor's included.
+    _set_views: Dict[int, np.ndarray] = field(
         default_factory=dict, repr=False, compare=False)
 
-    def __len__(self) -> int:
-        return int(self.event_line.shape[0])
+    def __post_init__(self) -> None:
+        self._set_views[floor_sets(self.linesize_bytes)] = self.floor
 
-    def set_view(self, lines_per_way: int) -> "_SetView":
-        """Chain-collapsed per-set event stream for one set count (cached).
+    def __len__(self) -> int:
+        """Chains of the floor view."""
+        return int(self.floor.shape[1])
+
+    def set_view(self, sets: int) -> np.ndarray:
+        """The ``(4, chains)`` set view at ``sets`` sets (derived once, then cached).
 
         Shared by every associativity and replacement policy with this
-        ``lines_per_way``: the mapping of lines to sets -- and therefore
-        which events can possibly miss -- depends only on the set count.
+        set count.  ``sets`` must be a power-of-two multiple of the floor.
         """
-        view = self._set_views.get(lines_per_way)
+        view = self._set_views.get(sets)
         if view is None:
-            view = _SetView(native.build_set_view(
-                self.event_line, self.event_first_read, self.event_last_pos,
-                self.event_writes_before_read, self.accesses, lines_per_way))
-            self._set_views[lines_per_way] = view
+            if sets < floor_sets(self.linesize_bytes) or sets & (sets - 1):
+                raise ConfigurationError(
+                    f"{sets} sets is not a power-of-two multiple of "
+                    f"{floor_sets(self.linesize_bytes)}")
+            view = native.derive_view(self.floor, self.accesses, sets)
+            self._set_views[sets] = view
         return view
-
-    @property
-    def compression(self) -> float:
-        """Accesses per event (1.0 means no consecutive same-line runs)."""
-        return self.accesses / len(self) if len(self) else 1.0
 
 
 def decode_trace(
@@ -137,30 +137,43 @@ def decode_trace(
 ) -> ColumnarTrace:
     """Decode an address trace into a :class:`ColumnarTrace` for one line size.
 
-    ``writes`` is the optional store mask aligned with ``addresses``
-    (omitted for the read-only instruction-cache case).  The result is
-    geometry- and policy-independent: every configuration with this line
-    size replays the same decoded view.  ``workload`` names the trace's
-    workload on the ``decode`` and ``replay`` spans.
+    ``addresses`` is a ``uint32`` column (passed to C untouched) or any
+    integer array whose every address lies in ``[0, 2**32)``; anything
+    else raises :class:`~repro.errors.ReplayKernelError`.  ``writes`` is
+    the optional store mask aligned with ``addresses`` (omitted for the
+    read-only instruction-cache case).  The result is geometry- and
+    policy-independent: every configuration with this line size replays
+    the same decoded view.  ``workload`` names the trace's workload on
+    the ``decode`` and ``replay`` spans.
     """
-    addresses = np.ascontiguousarray(addresses, dtype=np.int64)
+    addresses = np.asarray(addresses)
+    if addresses.dtype != np.uint32:
+        if addresses.dtype.kind not in "iu" or (addresses.size and (
+                addresses.min() < 0 or addresses.max() >= 1 << 32)):
+            raise ReplayKernelError(
+                f"addresses must be integers in [0, 2**32), got {addresses.dtype}")
+        addresses = addresses.astype(np.uint32)
+    addresses = np.ascontiguousarray(addresses)
     if writes is not None:
         writes = np.ascontiguousarray(writes, dtype=bool)
         if writes.shape != addresses.shape:
             raise ConfigurationError("writes mask must match the address trace length")
     with span("decode", workload=workload, linesize=linesize_bytes) as decode_span:
-        columns, write_count = native.decode_runs(addresses, writes, linesize_bytes)
-        view = ColumnarTrace(linesize_bytes, len(addresses), write_count, *columns,
+        floor = native.decode_view(addresses, writes, linesize_bytes,
+                                   floor_sets(linesize_bytes))
+        write_count = 0 if writes is None else int(np.count_nonzero(writes))
+        view = ColumnarTrace(linesize_bytes, len(addresses), write_count, floor,
                              workload=workload)
-        decode_span.set(accesses=view.accesses, events=len(view))
+        decode_span.set(accesses=view.accesses, chains=len(view))
         return view
 
 
 #: Cold RANDOM victim streams, one per ``(seed, ways)``: the draw
 #: ``default_rng(seed).integers(0, ways, size=n)`` at the longest ``n``
 #: requested so far.  A shorter draw is a prefix of a longer one (bounded
-#: integers consume the bit stream value by value), so slicing serves
-#: every trace exactly.  Worst case: 8 bytes per access of the longest
+#: integers consume the bit stream value by value), so the longest draw
+#: serves every trace exactly: a replay reads a victim only at a position
+#: below its access count.  Worst case: 8 bytes per access of the longest
 #: trace replayed cold, per distinct ``(seed, ways)`` -- 3.7 MB per pair
 #: for a 464k-access trace.  Replaced, never mutated, so a reader keeps
 #: a valid array whatever another thread stores.
@@ -168,7 +181,7 @@ _COLD_VICTIMS: Dict[Tuple[int, int], np.ndarray] = {}
 
 
 def _cold_victims(config: CacheConfig, accesses: int) -> Optional[np.ndarray]:
-    """RANDOM victims of a cold replay whose state is thrown away.
+    """RANDOM victims (at least ``accesses``) of a cold replay whose state is thrown away.
 
     A cold stream depends only on (seed, ways) and the access count.  LRU
     and LRR never read the victims, so nothing is drawn: no one sees
@@ -182,7 +195,7 @@ def _cold_victims(config: CacheConfig, accesses: int) -> Optional[np.ndarray]:
         victims = np.random.default_rng(config.seed).integers(
             0, config.ways, size=accesses)
         _COLD_VICTIMS[key] = victims
-    return victims[:accesses]
+    return victims
 
 
 def simulate_many(
@@ -192,10 +205,11 @@ def simulate_many(
 
     Each configuration replays from a cold cache.  No configuration
     seeds a generator of its own (the cold RANDOM victim draw is shared
-    per (seed, ways) and cold LRU/LRR configurations draw nothing), and
-    the configurations of one set count replay in one native call.
-    Every configuration must share the view's line size
-    (group by line size before calling; :meth:`LiquidPlatform.simulate_cache_jobs
+    per (seed, ways) and cold LRU/LRR configurations draw nothing).  The
+    set views the batch lacks are derived first, one native call each,
+    then the whole batch replays in one native call.  Every
+    configuration must share the view's line size (group by line size
+    before calling; :meth:`LiquidPlatform.simulate_cache_jobs
     <repro.platform.liquid.LiquidPlatform.simulate_cache_jobs>` does).
     """
     configs = list(configs)
@@ -204,54 +218,16 @@ def simulate_many(
             raise ConfigurationError(
                 f"decoded view has linesize {view.linesize_bytes}, "
                 f"configuration expects {config.linesize_bytes}")
-    groups: Dict[int, List[int]] = {}
-    for position, config in enumerate(configs):
-        groups.setdefault(config.lines_per_way, []).append(position)
-    results: List[Optional[CacheStatistics]] = [None] * len(configs)
     with span("replay", workload=view.workload, configs=len(configs),
               linesize=view.linesize_bytes) as replay_span:
-        built = sum(lines_per_way not in view._set_views for lines_per_way in groups)
-        for lines_per_way, positions in groups.items():
-            misses = native.replay_cold(
-                view.set_view(lines_per_way).columns, view.accesses, lines_per_way,
-                [(configs[p].ways, _POLICY_CODES[configs[p].replacement],
-                  _cold_victims(configs[p], view.accesses)) for p in positions])
-            for position, (read_misses, write_misses) in zip(positions, misses):
-                results[position] = CacheStatistics(
-                    accesses=view.accesses,
-                    read_accesses=view.accesses - view.write_accesses,
-                    write_accesses=view.write_accesses,
-                    read_misses=read_misses,
-                    write_misses=write_misses,
-                )
-        replay_span.set(set_views_built=built, native_calls=len(groups))
-    return results
-
-
-# -- per-set potential-miss views --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _SetView:
-    """Chain-collapsed per-set event stream for one ``lines_per_way``.
-
-    Events are grouped by set (per-set temporal order preserved) and
-    maximal chains of *consecutive same-line events within a set* are
-    collapsed into one potential-miss event each: between chain members
-    no other line of that set is accessed, so the line's presence cannot
-    change except at the chain's first read -- the same algebra that
-    collapses same-line runs at decode time, applied after the set
-    mapping is known.  A chain without a read has ``first_read ==
-    accesses``.  Built by :func:`native.build_set_view
-    <repro.microarch.native.build_set_view>`; the oracle is
-    ``reference_set_view`` in ``tests/reference_replay.py``.
-    """
-
-    #: ``(5, chains)`` int64 rows, exactly one column per chain.
-    columns: np.ndarray
-
-    set_index = property(lambda self: self.columns[0], doc="Set of each chain.")
-    tag = property(lambda self: self.columns[1], doc="Tag of each chain's line.")
-    first_read = property(lambda self: self.columns[2], doc="First read position.")
-    last_pos = property(lambda self: self.columns[3], doc="Last access position.")
-    w_pre = property(lambda self: self.columns[4], doc="Writes before any read.")
+        derived = len({c.lines_per_way for c in configs} - view._set_views.keys())
+        misses = native.replay_cold(view.accesses, [
+            (view.set_view(c.lines_per_way), c.lines_per_way, c.ways,
+             _POLICY_CODES[c.replacement], _cold_victims(c, view.accesses))
+            for c in configs])
+        replay_span.set(views_derived=derived, native_calls=derived + 1)
+    reads = view.accesses - view.write_accesses
+    return [CacheStatistics(accesses=view.accesses, read_accesses=reads,
+                            write_accesses=view.write_accesses,
+                            read_misses=read_misses, write_misses=write_misses)
+            for read_misses, write_misses in misses]

@@ -1,7 +1,7 @@
 """The compiled simulation library: C source, build cache and ctypes binding.
 
 Every native step from a program to its cache statistics runs in one
-small C library, :data:`REPLAY_SOURCE`, with four entry points, each
+small C library, :data:`REPLAY_SOURCE`, with three entry points, each
 checked bit for bit against a Python or NumPy oracle in ``tests/``:
 
 * ``run_program`` -- the functional simulator's interpreter loop: runs a
@@ -17,22 +17,29 @@ checked bit for bit against a Python or NumPy oracle in ``tests/``:
   bit and condition-code flag are part of the :data:`RUN_STATE` vector,
   so a hazard that straddles a resume is recorded like any other
   (oracle ``ReferenceSimulator`` in ``tests/reference_simulator.py``);
-* ``decode_runs`` -- the run decode of :func:`~repro.microarch.cachekernel.decode_trace`
-  (oracle ``reference_decode`` in ``tests/reference_replay.py``);
-* ``build_set_view`` -- the set grouping behind
-  :meth:`~repro.microarch.cachekernel.ColumnarTrace.set_view`: events
-  bucketed by ``line % lines_per_way`` in trace order, then chain
-  collapse, in two linear passes (oracle ``reference_set_view``);
-* ``replay_cold`` -- the per-event replay loop ``replay_events`` (a
-  line-for-line port of ``replay_events_loop``) for every cold geometry
-  of one set count in one call, with the throwaway states allocated in C.
+* ``group_sets`` -- the one set grouping: events bucketed by
+  ``line & mask`` in trace order and every chain of consecutive same-line
+  events within a set collapsed, one pass to build the chains and one to
+  place them by set.  :func:`decode_view` groups a trace's ``uint32``
+  addresses, shifted to lines, at the floor set count in one call
+  (:func:`~repro.microarch.cachekernel.decode_trace`; oracle
+  ``reference_set_view(reference_decode(...))`` in
+  ``tests/reference_replay.py``), and :func:`derive_view` groups a view's
+  chains again by a wider mask, which gives the view at that set count
+  (:meth:`~repro.microarch.cachekernel.ColumnarTrace.set_view`; oracle
+  ``reference_set_view``);
+* ``replay_cold`` -- the per-chain replay loop ``replay_view`` (a port
+  of ``replay_events_loop``) for every cold geometry of one decoded
+  view in one call, each row naming its set view, with the throwaway
+  states allocated in C.
 
 It is compiled on first use with ``cc -O2 -shared -fPIC`` and loaded
 with :mod:`ctypes`; there is no fallback implementation, so a host
 without a C compiler fails with :class:`~repro.errors.ReplayKernelError`
 on the first simulation or decode.  The C code trusts its indices, so
 the wrappers here check every array they pass (dtype, shape, contiguity,
-index ranges) and size every output; C allocates no output buffer.
+index ranges, powers of two) and size every output; C allocates no
+output buffer.
 
 The shared object is cached per user in ``$XDG_CACHE_HOME/repro``
 (default ``~/.cache/repro``, created with mode 0700), named by a sha256
@@ -62,7 +69,7 @@ from repro.errors import ReplayKernelError
 
 __all__ = ["CFLAGS", "COMPILER", "OPCODES", "REPLAY_SOURCE", "RUN_COLUMNS", "RUN_STATE",
            "TRACE_COLUMNS", "Run",
-           "build_set_view", "decode_runs", "replay_cold", "run_program"]
+           "decode_view", "derive_view", "replay_cold", "run_program"]
 
 #: Policy codes shared with the C source.
 POLICY_LRU, POLICY_LRR, POLICY_RANDOM = 0, 1, 2
@@ -348,124 +355,113 @@ out:
     return status;
 }
 
-/* floor(a / b) and its non-negative remainder, as Python's // and % (b > 0) */
-static inline int64_t floor_divmod(int64_t a, int64_t b, int64_t *rem)
+/* Group events by set (line & mask; sets ascending, each in trace order)
+   and collapse every maximal chain of consecutive same-line events of a
+   set into one: the minimum first read, the last position, and the
+   members' writes before any member's read.  The events are the chains
+   of a view (rows: line, first read -- accesses when there is none --,
+   last position, writes before the read; four rows of `events`), or, when
+   addresses is set, a trace's accesses: line addresses[e] >> shift, a read
+   at e or a write (writes[e]) before any read.  One pass builds the chains
+   in trace order, a second places them by set, as four rows of `chains`
+   packed at the front of out (room for 4 * events).  A view grouped again
+   by a wider mask is the view at that set count: each new set's chains
+   come from one old set, in trace order, and merge by the same rule.
+   Returns the chain count, -1 without scratch memory, -2 for a negative line. */
+static inline __attribute__((always_inline)) int64_t
+group(int64_t events, const int64_t *rows, const uint32_t *addresses, const uint8_t *writes,
+      int64_t shift, int64_t accesses, int64_t mask, int64_t *out)
 {
-    int64_t q = a / b, r = a % b;
-    if (r < 0) { q--; r += b; }
-    *rem = r;
-    return q;
-}
-
-/* Run-compress an address trace at one line size: one event per maximal
-   run of consecutive same-line accesses, with the run's line, the position
-   of its first read (n when it has none), its last position and the writes
-   before its first read, written to four rows of n entries in out.  writes
-   is a 0/1 byte per access, or NULL when every access is a read.  Returns
-   the event count and stores the number of writes in *write_total. */
-int64_t decode_runs(int64_t n, const int64_t *addresses, const uint8_t *writes,
-                    int64_t linesize, int64_t *out, int64_t *write_total)
-{
-    int64_t *line = out, *first_read = out + n, *last_pos = out + 2 * n, *w_pre = out + 3 * n;
-    int64_t e = -1, write_count = 0, rem;
-    for (int64_t i = 0; i < n; i++) {
-        int64_t l = floor_divmod(addresses[i], linesize, &rem);
-        if (e < 0 || l != line[e]) {
-            e++;
-            line[e] = l;
-            first_read[e] = n;
-            w_pre[e] = 0;
-        }
-        last_pos[e] = i;
-        if (writes && writes[i]) {
-            write_count++;
-            if (first_read[e] == n)
-                w_pre[e]++;
-        } else if (first_read[e] == n) {
-            first_read[e] = i;
-        }
+    int64_t sets = mask + 1, chains = 0;
+    int64_t *next = calloc(sets, sizeof *next);   /* chains per set, then its next slot */
+    int64_t *open = malloc(sets * sizeof *open);  /* each set's current chain */
+    int64_t *last = malloc(sets * sizeof *last);  /* each set's last line, -1: none yet */
+    int64_t *chain = malloc((4 * events + 1) * sizeof *chain);  /* chains in trace order */
+    if (!next || !open || !last || !chain) {
+        chains = -1;
+        goto out;
     }
-    *write_total = write_count;
-    return e + 1;
-}
-
-/* Group decoded events by set (line % lines_per_way, each set's events in
-   trace order, sets ascending) and collapse every maximal chain of
-   consecutive same-line events within a set into one event: the minimum
-   first read, the last position, and the leading writes of the members
-   before any member's read.  The output is five rows of `events` entries
-   (set, tag, first read, last position, writes before the read), filled
-   with the chains packed at the front of each row; returns the chain
-   count, or -1 when scratch memory cannot be allocated. */
-int64_t build_set_view(int64_t events, const int64_t *line, const int64_t *first_read,
-                       const int64_t *last_pos, const int64_t *w_pre, int64_t accesses,
-                       int64_t lines_per_way, int64_t *out)
-{
-    int64_t *next = calloc(lines_per_way, sizeof *next);
-    int64_t *open = malloc(lines_per_way * sizeof *open);
-    int64_t chains = 0, s, t;
-    if (!next || !open) {
-        free(next);
-        free(open);
-        return -1;
-    }
-    /* pass 1: chains per set (open holds each set's last event) */
-    for (s = 0; s < lines_per_way; s++)
-        open[s] = -1;
+    for (int64_t s = 0; s < sets; s++)
+        last[s] = -1;
+    int64_t *line = chain, *first_read = chain + events, *last_pos = chain + 2 * events,
+            *w_pre = chain + 3 * events;
     for (int64_t e = 0; e < events; e++) {
-        floor_divmod(line[e], lines_per_way, &s);
-        if (open[s] < 0 || line[open[s]] != line[e]) {
-            next[s]++;
-            chains++;
+        int64_t l = addresses ? (int64_t)addresses[e] >> shift : rows[e], s = l & mask;
+        int64_t c, event_first_read, event_last_pos, event_w_pre;
+        if (l < 0) {  /* would pass for a set with no chain yet */
+            chains = -2;
+            goto out;
         }
-        open[s] = e;
-    }
-    /* each set's first output slot */
-    for (int64_t start = 0, k = 0; k < lines_per_way; k++) {
-        int64_t count = next[k];
-        next[k] = start;
-        start += count;
-        open[k] = -1;
-    }
-    /* pass 2: fill the chains (open holds each set's current chain) */
-    int64_t *set_index = out, *tag = out + chains, *chain_first_read = out + 2 * chains,
-            *chain_last_pos = out + 3 * chains, *chain_w_pre = out + 4 * chains;
-    for (int64_t e = 0; e < events; e++) {
-        t = floor_divmod(line[e], lines_per_way, &s);
-        int64_t c = open[s];
-        if (c < 0 || tag[c] != t) {
-            c = open[s] = next[s]++;
-            set_index[c] = s;
-            tag[c] = t;
-            chain_first_read[c] = first_read[e];
-            chain_w_pre[c] = w_pre[e];
+        if (addresses) {
+            event_w_pre = writes && writes[e];
+            event_first_read = event_w_pre ? accesses : e;
+            event_last_pos = e;
         } else {
-            if (chain_first_read[c] >= accesses)  /* no read in the chain yet */
-                chain_w_pre[c] += w_pre[e];
-            if (first_read[e] < chain_first_read[c])
-                chain_first_read[c] = first_read[e];
+            event_first_read = rows[events + e];
+            event_last_pos = rows[2 * events + e];
+            event_w_pre = rows[3 * events + e];
         }
-        chain_last_pos[c] = last_pos[e];
+        if (last[s] != l) {
+            last[s] = l;
+            c = open[s] = chains++;
+            next[s]++;
+            line[c] = l;
+            first_read[c] = event_first_read;
+            w_pre[c] = event_w_pre;
+        } else {
+            c = open[s];
+            if (first_read[c] >= accesses)  /* no read in the chain yet */
+                w_pre[c] += event_w_pre;
+            if (event_first_read < first_read[c])
+                first_read[c] = event_first_read;
+        }
+        last_pos[c] = event_last_pos;
     }
+    /* each set's first output slot, then the chains by set */
+    for (int64_t start = 0, s = 0; s < sets; s++) {
+        int64_t count = next[s];
+        next[s] = start;
+        start += count;
+    }
+    for (int64_t c = 0; c < chains; c++) {
+        int64_t k = next[line[c] & mask]++;
+        out[k] = line[c];
+        out[chains + k] = first_read[c];
+        out[2 * chains + k] = last_pos[c];
+        out[3 * chains + k] = w_pre[c];
+    }
+out:
     free(next);
     free(open);
+    free(last);
+    free(chain);
     return chains;
 }
 
-/* Replay a set view (five rows of `events` entries, as build_set_view
-   writes them) against one cache geometry.  tags/age are (sets, ways)
-   row-major, fifo is per set; an event without a read has
-   first_read == accesses.  Stores read and write misses in misses[0..1]. */
-void replay_events(int64_t events, const int64_t *view, int64_t accesses,
-                   int64_t *tags, int64_t *age, int64_t *fifo,
-                   const int64_t *victims, int64_t ways,
-                   int64_t policy, int64_t *misses)
+/* group for a view's rows or a trace's accesses: each call inlines it with
+   the other input NULL, so the compiler drops the test per event */
+int64_t group_sets(int64_t events, const int64_t *rows, const uint32_t *addresses,
+                   const uint8_t *writes, int64_t shift, int64_t accesses, int64_t mask,
+                   int64_t *out)
 {
-    const int64_t *set_index = view, *tag = view + events, *first_read = view + 2 * events,
-                  *last_pos = view + 3 * events, *w_pre = view + 4 * events;
+    return addresses ? group(events, NULL, addresses, writes, shift, accesses, mask, out)
+                     : group(events, rows, NULL, NULL, 0, accesses, mask, out);
+}
+
+/* Replay a set view (as group_sets writes it) against one cache geometry
+   of mask + 1 sets: a chain's set is line & mask, and a way holds the
+   line it caches, -1 when invalid.  tags/age are (sets, ways) row-major,
+   fifo is per set.  Stores read and write misses in misses[0..1]. */
+static void replay_view(int64_t chains, const int64_t *view, int64_t accesses,
+                        int64_t mask, int64_t *tags, int64_t *age, int64_t *fifo,
+                        const int64_t *victims, int64_t ways, int64_t policy,
+                        int64_t *misses)
+{
+    const int64_t *line = view, *first_read = view + chains, *last_pos = view + 2 * chains,
+                  *w_pre = view + 3 * chains;
     int64_t read_misses = 0, write_misses = 0;
-    for (int64_t e = 0; e < events; e++) {
-        int64_t s = set_index[e], t = tag[e], w, victim = -1;
+    for (int64_t e = 0; e < chains; e++) {
+        int64_t s = line[e] & mask, t = line[e], w, victim = -1;
         int64_t *row = tags + s * ways, *row_age = age + s * ways;
         for (w = 0; w < ways && row[w] != t; w++)
             ;
@@ -501,22 +497,25 @@ void replay_events(int64_t events, const int64_t *view, int64_t accesses,
     misses[1] = write_misses;
 }
 
-/* Cold replays of one set view against `configs` geometries that share
-   lines_per_way.  geometry holds (ways, policy, victims address) per
-   configuration, the address 0 unless it draws RANDOM victims.  Every
-   replay starts from an empty cache; the states are discarded.  Stores
-   configuration k's read and write misses in misses[2k..2k+1]; returns
-   -1 when the states cannot be allocated. */
-int64_t replay_cold(int64_t events, const int64_t *view, int64_t accesses,
-                    int64_t lines_per_way, int64_t configs, const int64_t *geometry,
+/* Cold replays of `configs` geometries of one trace of `accesses`
+   accesses, each a row of six: the address and chain count of its set
+   view, its sets (a power of two), ways, policy, and the address of its
+   RANDOM victims (0 unless it draws them).  Every replay starts from an
+   empty cache; the states are discarded.  Stores configuration k's read
+   and write misses in misses[2k..2k+1]; returns -1 when the states
+   cannot be allocated. */
+int64_t replay_cold(int64_t accesses, int64_t configs, const int64_t *rows,
                     int64_t *misses)
 {
-    int64_t most = 1;
-    for (int64_t k = 0; k < configs; k++)
-        if (geometry[3 * k] > most) most = geometry[3 * k];
-    int64_t *tags = malloc(lines_per_way * most * sizeof *tags);
-    int64_t *age = malloc(lines_per_way * most * sizeof *age);
-    int64_t *fifo = malloc(lines_per_way * sizeof *fifo);
+    int64_t most = 1, most_sets = 1;
+    for (int64_t k = 0; k < configs; k++) {
+        const int64_t *row = rows + 6 * k;
+        if (row[2] * row[3] > most) most = row[2] * row[3];
+        if (row[2] > most_sets) most_sets = row[2];
+    }
+    int64_t *tags = malloc(most * sizeof *tags);
+    int64_t *age = malloc(most * sizeof *age);
+    int64_t *fifo = malloc(most_sets * sizeof *fifo);
     if (!tags || !age || !fifo) {
         free(tags);
         free(age);
@@ -524,16 +523,17 @@ int64_t replay_cold(int64_t events, const int64_t *view, int64_t accesses,
         return -1;
     }
     for (int64_t k = 0; k < configs; k++) {
-        int64_t ways = geometry[3 * k];
+        const int64_t *row = rows + 6 * k;
+        int64_t sets = row[2], ways = row[3];
         /* every way starts invalid, and a fill writes its age before LRU
            can compare it, so ages need no reset */
-        for (int64_t i = 0; i < lines_per_way * ways; i++)
+        for (int64_t i = 0; i < sets * ways; i++)
             tags[i] = -1;
-        for (int64_t s = 0; s < lines_per_way; s++)
+        for (int64_t s = 0; s < sets; s++)
             fifo[s] = 0;
-        replay_events(events, view, accesses, tags, age, fifo,
-                      (const int64_t *)(intptr_t)geometry[3 * k + 2], ways,
-                      geometry[3 * k + 1], misses + 2 * k);
+        replay_view(row[1], (const int64_t *)(intptr_t)row[0], accesses, sets - 1, tags,
+                    age, fifo, (const int64_t *)(intptr_t)row[5], ways, row[4],
+                    misses + 2 * k);
     }
     free(tags);
     free(age);
@@ -593,6 +593,8 @@ def _build(compiler: str, target: Path) -> None:
 
 def _load():
     global _library
+    if _library is not None:
+        return _library
     with _lock:
         if _library is None:
             import ctypes
@@ -611,9 +613,8 @@ def _load():
             signatures = {
                 "run_program": ([ptr, i64, i64, ptr, i64, ptr, i64, i64, i64, ptr, ptr,
                                  ptr], i64),
-                "decode_runs": ([i64, ptr, ptr, i64, ptr, ptr], i64),
-                "build_set_view": ([i64, ptr, ptr, ptr, ptr, i64, i64, ptr], i64),
-                "replay_cold": ([i64, ptr, i64, i64, i64, ptr, ptr], i64),
+                "group_sets": ([i64, ptr, ptr, ptr, i64, i64, i64, ptr], i64),
+                "replay_cold": ([i64, i64, ptr, ptr], i64),
             }
             try:
                 library = ctypes.CDLL(str(path))
@@ -734,76 +735,89 @@ def run_program(code: np.ndarray, text_rows: int, entry: int, text_base: int, me
     return Run(status, final, slots[:final["USED"]], trace, class_counts)
 
 
-def decode_runs(addresses: np.ndarray, writes: Optional[np.ndarray],
-                linesize: int) -> Tuple[np.ndarray, int]:
-    """Run-compress an address trace; returns ``(columns, write_count)``.
+def _power_of_two(value: int, name: str) -> int:
+    """``log2(value)`` of a power of two in ``[1, 2**62]`` (else raise)."""
+    if value < 1 or value & (value - 1) or value > 1 << 62:
+        raise ReplayKernelError(f"{name} must be a power of two, got {value}")
+    return value.bit_length() - 1
 
-    ``columns`` is a ``(4, events)`` int64 array holding, per run of
-    consecutive same-line accesses, its line, first read position
-    (``len(addresses)`` when it has none), last position and the writes
-    before its first read.  ``writes`` is a bool mask or ``None`` (all
-    reads).
+
+def _view_address(view: np.ndarray) -> Tuple[int, int]:
+    """``(address, chains)`` of a ``(4, chains)`` int64 set view (else raise)."""
+    chains = view.shape[1] if isinstance(view, np.ndarray) and view.ndim == 2 else -1
+    return _address(view, (4, chains), "set view"), chains
+
+
+def _victims_address(victims: np.ndarray) -> Tuple[int, int]:
+    """``(address, length)`` of a RANDOM victim stream (else raise)."""
+    size = len(victims) if isinstance(victims, np.ndarray) else 0
+    return _address(victims, (size,), "victims"), size
+
+
+def _chains(out: np.ndarray, chains: int) -> np.ndarray:
+    """A copy of the ``(4, chains)`` rows ``group_sets`` packed at the front of ``out``."""
+    if chains == -2:
+        raise ReplayKernelError("a set view's lines must be non-negative")
+    if chains < 0:
+        raise MemoryError("no memory to group a set view")
+    # cheaper than shrinking out in place, which remaps a large buffer
+    return out[:4 * chains].reshape(4, chains).copy()
+
+
+def decode_view(addresses: np.ndarray, writes: Optional[np.ndarray], linesize: int,
+                sets: int) -> np.ndarray:
+    """The set view at ``sets`` sets of a ``uint32`` address trace.
+
+    ``writes`` is a bool mask or ``None`` (all reads); ``linesize`` and
+    ``sets`` are powers of two.
     """
     n = len(addresses)
-    first = _address(addresses, (n,), "addresses")
+    first = _address(addresses, (n,), "addresses", dtype=np.uint32)
     mask = None if writes is None else _address(writes, (n,), "writes", dtype=np.bool_)
-    if linesize <= 0:
-        raise ReplayKernelError(f"line size must be positive, got {linesize}")
-    scratch = np.empty((4, n), dtype=np.int64)
-    write_count = np.zeros(1, dtype=np.int64)
-    events = _load().decode_runs(n, first, mask, linesize, scratch.ctypes.data,
-                                 write_count.ctypes.data)
-    return scratch[:, :events].copy(), int(write_count[0])
+    shift = _power_of_two(linesize, "line size")
+    _power_of_two(sets, "sets")
+    out = np.empty(4 * n, dtype=np.int64)
+    return _chains(out, _load().group_sets(n, None, first, mask, shift, n, sets - 1,
+                                           out.ctypes.data))
 
 
-def build_set_view(line: np.ndarray, first_read: np.ndarray, last_pos: np.ndarray,
-                   w_pre: np.ndarray, accesses: int, lines_per_way: int) -> np.ndarray:
-    """Chain-collapsed, set-grouped events as a ``(5, chains)`` int64 array.
+def derive_view(view: np.ndarray, accesses: int, sets: int) -> np.ndarray:
+    """The set view at ``sets`` sets of a view at a divisor of ``sets``."""
+    address, chains = _view_address(view)
+    _power_of_two(sets, "sets")
+    out = np.empty(4 * chains, dtype=np.int64)
+    return _chains(out, _load().group_sets(chains, address, None, None, 0, accesses,
+                                           sets - 1, out.ctypes.data))
 
-    The rows are set index, tag, first read, last position and writes
-    before the first read; the array holds exactly the chains, no slack.
+
+def replay_cold(accesses: int, geometries: Sequence[
+        Tuple[np.ndarray, int, int, int, Optional[np.ndarray]]]) -> List[List[int]]:
+    """Cold replays of one trace, one per ``(view, sets, ways, policy, victims)``.
+
+    ``view`` is the trace's set view at ``sets`` sets; each replay starts
+    from an empty cache whose state C allocates and discards.
+    ``victims`` is the RANDOM stream (at least one per access) of a
+    RANDOM geometry with more than one way, else ``None``.  Returns
+    ``[read, write]`` misses per geometry, in order.
     """
-    events = (len(line),)
-    columns = [_address(column, events, name) for column, name in
-               ((line, "line"), (first_read, "first_read"), (last_pos, "last_pos"),
-                (w_pre, "w_pre"))]
-    if lines_per_way <= 0:
-        raise ReplayKernelError(f"lines_per_way must be positive, got {lines_per_way}")
-    scratch = np.empty(5 * events[0], dtype=np.int64)
-    chains = _load().build_set_view(events[0], *columns, accesses, lines_per_way,
-                                    scratch.ctypes.data)
-    if chains < 0:
-        raise MemoryError(f"no memory for a {lines_per_way}-set view")
-    return scratch[:5 * chains].reshape(5, chains).copy()
-
-
-def replay_cold(view: np.ndarray, accesses: int, lines_per_way: int,
-                geometries: Sequence[Tuple[int, int, Optional[np.ndarray]]]) -> List[List[int]]:
-    """Cold replays of one set view, one per ``(ways, policy, victims)``.
-
-    Every geometry shares ``lines_per_way``; each replay starts from an
-    empty cache whose state C allocates and discards.  ``victims`` is
-    the RANDOM stream (at least one per access) of a RANDOM geometry
-    with more than one way, else ``None``.  Returns ``[read, write]``
-    misses per geometry, in order.
-    """
-    chains = view.shape[1] if view.ndim == 2 else -1
-    view_address = _address(view, (5, chains), "set view")
+    # each distinct view and victim stream is checked once: (address, length) by id
+    views = {id(g[0]): _view_address(g[0]) for g in geometries}
+    streams = {id(g[4]): _victims_address(g[4]) for g in geometries
+               if g[3] == POLICY_RANDOM and g[2] > 1}
     rows = []
-    for ways, policy, victims in geometries:
-        if ways < 1 or policy not in (POLICY_LRU, POLICY_LRR, POLICY_RANDOM):
-            raise ReplayKernelError(f"bad geometry: {ways} ways, policy {policy}")
-        if policy == POLICY_RANDOM and ways > 1:
-            size = len(victims) if isinstance(victims, np.ndarray) else 0
-            if size < accesses:
-                raise ReplayKernelError(
-                    f"victims must hold one per access ({accesses}), got {size}")
-            rows.append((ways, policy, _address(victims, (size,), "victims")))
-        else:
-            rows.append((ways, policy, 0))
-    geometry = np.array(rows, dtype=np.int64)
+    for view, sets, ways, policy, victims in geometries:
+        # at most 2**32 lines, so no size C computes from a geometry overflows
+        if (sets < 1 or sets & (sets - 1) or ways < 1 or sets * ways > 1 << 32
+                or policy not in (POLICY_LRU, POLICY_LRR, POLICY_RANDOM)):
+            raise ReplayKernelError(
+                f"bad geometry: {sets} sets, {ways} ways, policy {policy}")
+        victim_address, size = (streams[id(victims)] if policy == POLICY_RANDOM and ways > 1
+                                else (0, accesses))
+        if size < accesses:
+            raise ReplayKernelError(f"victims must hold one per access ({accesses}), got {size}")
+        rows.append((*views[id(view)], sets, ways, policy, victim_address))
+    table = np.array(rows, dtype=np.int64).reshape(len(rows), 6)
     misses = np.empty((len(rows), 2), dtype=np.int64)
-    if _load().replay_cold(chains, view_address, accesses, lines_per_way, len(rows),
-                           geometry.ctypes.data, misses.ctypes.data) < 0:
-        raise MemoryError(f"no memory for {lines_per_way}-set cache states")
+    if _load().replay_cold(accesses, len(rows), table.ctypes.data, misses.ctypes.data) < 0:
+        raise MemoryError("no memory for the cache states")
     return misses.tolist()

@@ -326,7 +326,7 @@ class LiquidPlatform:
         """Run a batch of cache jobs for one workload with shared decodes.
 
         Jobs are grouped by ``(kind, linesize)``; each group replays the
-        workload's single decoded columnar view once per configuration
+        workload's single decoded columnar view in one native call
         through :func:`~repro.microarch.cachekernel.simulate_many`.  Every
         job gets a fresh cache whose PRNG is seeded from its own geometry,
         so a job's result never depends on the batch it ran in.

@@ -3,18 +3,21 @@
 NumPy and scalar statements of the replay semantics, each independent of
 the production path (:mod:`repro.microarch.native`):
 
-* :func:`reference_decode` is the NumPy run decode the C ``decode_runs``
-  replaced, and :func:`reference_set_view` the NumPy set grouping (a
-  stable argsort by set, then chain collapse) that ``build_set_view``
-  replaced; ``test_native_builders.py`` checks both bit for bit.
+* :func:`reference_decode` is the NumPy run decode (division, not
+  shifts) and :func:`reference_set_view` the NumPy set grouping of its
+  runs (a stable argsort by ``line % sets``, then chain collapse), the
+  statements the C ``group_sets`` replaced; ``test_native_builders.py``
+  holds the decoded floor view and every derived view to
+  ``reference_set_view(reference_decode(...), sets)`` bit for bit.
 * :func:`simulate_accesses` walks the raw address trace one access at a
   time against a :class:`KernelState`; it shares nothing with the
   kernel, and repeated calls on one state continue against the warm
   cache.
-* :func:`replay_events_loop` walks a set-grouped
-  :class:`~repro.microarch.cachekernel._SetView`; it is the plain Python
-  source the C loop was ported from line for line
-  (:func:`reference_replay` drives it over one geometry).
+* :func:`replay_events_loop` walks a set-grouped view in set/tag form;
+  it is the plain Python source the C loop was ported from
+  (:func:`reference_replay` drives it over one geometry, grouping the
+  raw trace with the two NumPy statements above, so it shares no
+  decode, grouping or derivation with the kernel).
 
 Both oracles start from a :func:`cold_state` and leave their final
 state in it, so the suites can compare the two states as well as the
@@ -28,16 +31,15 @@ oracles; the replay benchmarks time it against :func:`simulate_accesses`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from repro.config import Replacement
 from repro.errors import ConfigurationError
 from repro.microarch.cache import CacheConfig, CacheStatistics
-from repro.microarch.cachekernel import ColumnarTrace
 
-__all__ = ["KernelState", "cold_state", "reference_decode", "reference_replay",
+__all__ = ["Decoded", "KernelState", "cold_state", "reference_decode", "reference_replay",
            "reference_set_view", "replay_events_loop", "simulate_accesses"]
 
 _POLICY_CODES = {Replacement.LRU: 0, Replacement.LRR: 1, Replacement.RANDOM: 2}
@@ -59,7 +61,18 @@ class KernelState:
     tick: int = 0
 
 
-def reference_decode(addresses, writes=None, *, linesize_bytes) -> ColumnarTrace:
+class Decoded(NamedTuple):
+    """Runs of a trace as :func:`reference_decode` finds them."""
+
+    #: Length of the access stream (a run without a read has first read == accesses).
+    accesses: int
+    #: Number of writes in the access stream.
+    write_accesses: int
+    #: ``(4, runs)`` int64 rows: line, first read, last position, writes before the read.
+    runs: np.ndarray
+
+
+def reference_decode(addresses, writes=None, *, linesize_bytes) -> Decoded:
     """NumPy run decode: one event per maximal run of same-line accesses."""
     addresses = np.asarray(addresses, dtype=np.int64)
     n = len(addresses)
@@ -67,8 +80,7 @@ def reference_decode(addresses, writes=None, *, linesize_bytes) -> ColumnarTrace
                   else np.asarray(writes, dtype=bool))
     lines = addresses // linesize_bytes
     if n == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return ColumnarTrace(linesize_bytes, 0, 0, empty, empty, empty, empty)
+        return Decoded(0, 0, np.empty((4, 0), dtype=np.int64))
 
     boundary = np.empty(n, dtype=bool)
     boundary[0] = True
@@ -82,38 +94,30 @@ def reference_decode(addresses, writes=None, *, linesize_bytes) -> ColumnarTrace
     first_read = np.minimum.reduceat(read_positions, run_start)
     # every access before a run's first read is a write by construction
     writes_before = np.where(first_read < n, first_read - run_start, run_end - run_start)
-    return ColumnarTrace(
-        linesize_bytes=linesize_bytes,
-        accesses=n,
-        write_accesses=int(np.count_nonzero(writes_arr)),
-        event_line=lines[run_start],
-        event_first_read=first_read,
-        event_last_pos=run_end - 1,
-        event_writes_before_read=writes_before,
-    )
+    return Decoded(n, int(np.count_nonzero(writes_arr)), np.stack(
+        [lines[run_start], first_read, run_end - 1, writes_before]))
 
 
-def reference_set_view(view: ColumnarTrace, lines_per_way: int) -> np.ndarray:
-    """NumPy set grouping: ``(5, chains)`` rows like ``_SetView.columns``.
+def reference_set_view(decoded: Decoded, sets: int) -> np.ndarray:
+    """NumPy set grouping: ``(4, chains)`` rows like ``ColumnarTrace.set_view``.
 
-    A stable argsort of the events by set, then maximal chains of
-    consecutive same-line events within a set collapse into one event.
+    A stable argsort of the runs by set (``line % sets``), then maximal
+    chains of consecutive same-line runs within a set collapse into one.
     """
-    if len(view) == 0:
-        return np.empty((5, 0), dtype=np.int64)
-    n = view.accesses
-    indices = view.event_line % lines_per_way
-    order = np.argsort(indices, kind="stable")
-    idx_s = indices[order]
-    line_s = view.event_line[order]
-    first_read_s = view.event_first_read[order]
-    w_pre_s = view.event_writes_before_read[order]
-    events = len(idx_s)
+    line, first_read, last_pos, w_pre = decoded.runs
+    if len(line) == 0:
+        return np.empty((4, 0), dtype=np.int64)
+    n = decoded.accesses
+    order = np.argsort(line % sets, kind="stable")
+    line_s = line[order]
+    first_read_s = first_read[order]
+    w_pre_s = w_pre[order]
+    events = len(line_s)
 
-    # chains: consecutive events on the same line within the same set
+    # chains: consecutive runs on the same line (so within the same set)
     chain_start = np.empty(events, dtype=bool)
     chain_start[0] = True
-    chain_start[1:] = (idx_s[1:] != idx_s[:-1]) | (line_s[1:] != line_s[:-1])
+    chain_start[1:] = line_s[1:] != line_s[:-1]
     starts = np.flatnonzero(chain_start)
     ends = np.append(starts[1:], events) - 1
     chain_id = np.cumsum(chain_start) - 1
@@ -130,10 +134,9 @@ def reference_set_view(view: ColumnarTrace, lines_per_way: int) -> np.ndarray:
     no_read_before = prior >= n
 
     return np.stack([
-        idx_s[starts],
-        line_s[starts] // lines_per_way,
+        line_s[starts],
         np.minimum.reduceat(first_read_s, starts),
-        view.event_last_pos[order][ends],
+        last_pos[order][ends],
         np.add.reduceat(np.where(no_read_before, w_pre_s, 0), starts),
     ])
 
@@ -191,28 +194,32 @@ def replay_events_loop(set_index, tag, first_read, last_pos, w_pre, has_read,
     return read_misses, write_misses
 
 
-def reference_replay(view, config, state) -> CacheStatistics:
-    """Replay a decoded trace against one geometry with the Python loop.
+def reference_replay(addresses, writes, config, state) -> CacheStatistics:
+    """Replay a raw trace against one geometry with the Python loop.
 
-    Draws the victim stream from ``state.rng`` exactly like the kernel's
-    cold draw (one per access, for every policy, when ``ways > 1``) and
-    mutates ``state``.
+    Groups the trace with :func:`reference_decode` and
+    :func:`reference_set_view` (never the kernel's own view), draws the
+    victim stream from ``state.rng`` exactly like the kernel's cold draw
+    (one per access, for every policy, when ``ways > 1``) and mutates
+    ``state``.
     """
-    n = view.accesses
+    decoded = reference_decode(addresses, writes, linesize_bytes=config.linesize_bytes)
+    n = decoded.accesses
     victims = (state.rng.integers(0, config.ways, size=n)
                if config.ways > 1 else None)
     if n == 0:
         return CacheStatistics(0, 0, 0, 0, 0)
-    sv = view.set_view(config.lines_per_way)
+    sets = config.lines_per_way
+    line, first_read, last_pos, w_pre = reference_set_view(decoded, sets)
     read_misses, write_misses = replay_events_loop(
-        sv.set_index, sv.tag, sv.first_read, sv.last_pos, sv.w_pre,
-        sv.first_read < n, state.tags, state.age, state.fifo, victims,
+        line % sets, line // sets, first_read, last_pos, w_pre,
+        first_read < n, state.tags, state.age, state.fifo, victims,
         state.tick + 1, config.ways, _POLICY_CODES[config.replacement])
     state.tick += n
     return CacheStatistics(
         accesses=n,
-        read_accesses=n - view.write_accesses,
-        write_accesses=view.write_accesses,
+        read_accesses=n - decoded.write_accesses,
+        write_accesses=decoded.write_accesses,
         read_misses=int(read_misses),
         write_misses=int(write_misses),
     )

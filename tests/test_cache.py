@@ -40,6 +40,11 @@ class TestCacheConfig:
         dict(ways=1, setsize_kb=0, linesize_words=8),
         dict(ways=1, setsize_kb=1, linesize_words=0),
         dict(ways=1, setsize_kb=1, linesize_words=8, replacement="mru"),
+        # the replay kernel maps lines to sets by mask and shift
+        dict(ways=1, setsize_kb=3, linesize_words=8),
+        dict(ways=1, setsize_kb=6, linesize_words=4),
+        dict(ways=1, setsize_kb=4, linesize_words=3),
+        dict(ways=1, setsize_kb=4, linesize_words=12),
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):

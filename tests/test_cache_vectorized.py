@@ -41,14 +41,13 @@ def kernel_replay(config: CacheConfig, addresses, writes, state):
     """
     view = decode_trace(addresses, writes, linesize_bytes=config.linesize_bytes)
     stats = simulate_many(view, [config])[0]
-    assert stats == reference_replay(view, config, state)
+    assert stats == reference_replay(addresses, writes, config, state)
     return stats
 
 
 def event_replay(config: CacheConfig, addresses, writes, state):
-    """Decode a raw trace and replay it through the per-event oracle only."""
-    view = decode_trace(addresses, writes, linesize_bytes=config.linesize_bytes)
-    return reference_replay(view, config, state)
+    """Replay a raw trace through the per-event oracle only."""
+    return reference_replay(addresses, writes, config, state)
 
 
 def total(stats):
@@ -203,8 +202,7 @@ def test_decoded_view_compresses_consecutive_same_line_runs():
     addresses = np.arange(256, dtype=np.int64) * 4  # walk 32 lines word by word
     view = decode_trace(addresses, linesize_bytes=config.linesize_bytes)
     assert view.accesses == 256
-    assert len(view) == 32  # one event per 8-word line
-    assert view.compression == pytest.approx(8.0)
+    assert len(view) == 32  # one chain per 8-word line
     stats = simulate_many(view, [config])[0]
     assert stats == simulate_accesses(config, addresses)
 
@@ -243,5 +241,5 @@ def test_kernel_matches_scalar_on_all_paper_workload_traces(small_workload_map,
             kernel_stats = simulate_many(view, [config])[0]
             event_state = cold_state(config)
             assert kernel_stats == scalar_stats, f"kernel diverged on {name}"
-            assert reference_replay(view, config, event_state) == scalar_stats
+            assert reference_replay(addresses, writes, config, event_state) == scalar_stats
             assert_states_equal(event_state, scalar_state)

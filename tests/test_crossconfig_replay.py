@@ -53,7 +53,7 @@ def assert_matches_both_oracles(config, addresses, writes):
     view = decode_trace(addresses, writes, linesize_bytes=config.linesize_bytes)
     compiled = simulate_many(view, [config])[0]
     python_state = cold_state(config)
-    python = reference_replay(view, config, python_state)
+    python = reference_replay(addresses, writes, config, python_state)
     scalar_state = cold_state(config)
     scalar = simulate_accesses(config, addresses, writes, scalar_state)
     assert compiled == python == scalar
@@ -109,7 +109,7 @@ def test_crossconfig_batch_matches_per_config_replay(configs, trace):
     view = decode_trace(addresses, writes,
                         linesize_bytes=configs[0].linesize_bytes)
     assert simulate_many(view, configs) == [
-        reference_replay(view, c, cold_state(c)) for c in configs]
+        reference_replay(addresses, writes, c, cold_state(c)) for c in configs]
 
 
 @given(configs=config_batch_strategy(min_size=1, max_size=5,
@@ -129,7 +129,7 @@ def test_all_lru_batch_matches_per_config_replay(configs, seed, length, words):
     batch = simulate_many(view, configs)
     for config, stat in zip(configs, batch):
         python_state, scalar_state = cold_state(config), cold_state(config)
-        assert stat == reference_replay(view, config, python_state)
+        assert stat == reference_replay(addresses, writes, config, python_state)
         assert stat == simulate_accesses(config, addresses, writes, scalar_state)
         assert_states_equal(python_state, scalar_state)
 
@@ -163,11 +163,12 @@ def test_random_batch_shares_victim_draws_only_within_seed_and_ways():
     configs = [CacheConfig(ways=ways, setsize_kb=size, linesize_words=4, seed=seed)
                for seed in (0xC0FFEE, 1) for ways in ALL_WAYS for size in (1, 2)]
     assert simulate_many(view, configs) == [
-        reference_replay(view, c, cold_state(c)) for c in configs]
+        reference_replay(addresses, writes, c, cold_state(c)) for c in configs]
 
 
 def test_crossconfig_empty_trace_yields_cold_states():
-    view = decode_trace(np.asarray([], dtype=np.int64), linesize_bytes=16)
+    addresses = np.asarray([], dtype=np.int64)
+    view = decode_trace(addresses, linesize_bytes=16)
     configs = [CacheConfig(ways=2, setsize_kb=1, linesize_words=4),
                CacheConfig(ways=4, setsize_kb=2, linesize_words=4,
                            replacement=Replacement.LRU)]
@@ -175,21 +176,19 @@ def test_crossconfig_empty_trace_yields_cold_states():
                for s in simulate_many(view, configs))
     for config in configs:
         state = cold_state(config)
-        reference_replay(view, config, state)
+        reference_replay(addresses, None, config, state)
         assert (state.tags == -1).all()
         assert state.tick == 0
 
 
 def test_set_view_of_an_eventless_trace_is_empty(arith_small):
-    """Arith makes no data accesses, so its dcache view has no events."""
+    """Arith makes no data accesses, so its dcache views have no chains."""
     views = [arith_small.trace().columnar_view("dcache", 32),
              decode_trace(np.asarray([], dtype=np.int64), linesize_bytes=16)]
     for view in views:
         assert len(view) == 0
-        set_view = view.set_view(32)
-        for column in (set_view.set_index, set_view.tag, set_view.first_read,
-                       set_view.last_pos, set_view.w_pre):
-            assert column.shape == (0,)
+        for sets in (1024 // view.linesize_bytes, 256):
+            assert view.set_view(sets).shape == (4, 0)
 
 
 def test_batch_rejects_mismatched_linesize():
